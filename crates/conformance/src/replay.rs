@@ -19,9 +19,12 @@ use core::fmt::Debug;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use minsync_adversary::ScriptedNode;
+use minsync_net::driver::{step, Link, StepHooks};
 use minsync_net::sim::{InvocationCause, SimBuilder};
-use minsync_net::threaded::{run_threaded_recorded, ThreadedConfig};
-use minsync_net::{derive_stream, Effect, Env, NetworkTopology, Node, TimerId, TimerTable};
+use minsync_net::threaded::{run_threaded_with, ThreadedConfig, ThreadedHooks};
+use minsync_net::{
+    derive_stream, Effect, Env, NetworkTopology, Node, TimerId, TimerTable, VirtualTime,
+};
 use minsync_types::ProcessId;
 use minsync_wire::Wire;
 
@@ -148,29 +151,31 @@ where
     // Same derivation the simulator uses for its shared env.
     let mut env: Env<M, O> = Env::new(n, derive_stream(trace.seed, 1));
     let mut tables: Vec<TimerTable> = (0..n).map(|_| TimerTable::new()).collect();
-    let mut halted = vec![false; n];
-    // The simulator's event bookkeeping, reconstructed: `seq` mirrors the
-    // queue's push counter (Start events take 0..n), `sends` maps each
-    // channel to its pushed-but-undelivered messages, and `pending_timers`
-    // holds scheduled firings keyed exactly as the queue orders them.
-    let mut seq = n as u64;
-    let mut sends: HashMap<(usize, usize), VecDeque<(u64, M)>> = HashMap::new();
-    let mut pending_timers: BTreeMap<(minsync_net::VirtualTime, u64), (ProcessId, TimerId)> =
-        BTreeMap::new();
+    // The simulator's event bookkeeping, reconstructed (Start events took
+    // queue keys 0..n).
+    let mut book = Book {
+        me: ProcessId::new(0),
+        now: VirtualTime::ZERO,
+        seq: n as u64,
+        sends: HashMap::new(),
+        pending_timers: BTreeMap::new(),
+        halted: vec![false; n],
+    };
 
-    for (i, step) in trace.steps.iter().enumerate() {
-        let p = step.cause.process;
-        let now = step.cause.time;
+    for (i, recorded) in trace.steps.iter().enumerate() {
+        let p = recorded.cause.process;
+        let now = recorded.cause.time;
         // Locate this invocation's own queue key.
-        let step_seq = match &step.cause.cause {
+        let step_seq = match &recorded.cause.cause {
             InvocationCause::Start => p.index() as u64,
             InvocationCause::Deliver { from, msg } => {
-                let channel = sends.get_mut(&(from.index(), p.index())).ok_or_else(|| {
-                    ReplayError::Inconsistent {
+                let channel = book
+                    .sends
+                    .get_mut(&(from.index(), p.index()))
+                    .ok_or_else(|| ReplayError::Inconsistent {
                         step: i,
                         detail: format!("delivery from p{} with no prior send", from.index()),
-                    }
-                })?;
+                    })?;
                 let pos = channel.iter().position(|(_, m)| m == msg).ok_or_else(|| {
                     ReplayError::Inconsistent {
                         step: i,
@@ -179,7 +184,8 @@ where
                 })?;
                 channel.remove(pos).expect("position just found").0
             }
-            InvocationCause::Timer { id } => *pending_timers
+            InvocationCause::Timer { id } => *book
+                .pending_timers
                 .iter()
                 .find(|(&(t, _), &(tp, tid))| t == now && tp == p && tid == *id)
                 .map(|((_, s), _)| s)
@@ -192,12 +198,12 @@ where
         // invocation. None of them may actually fire — a firing produces an
         // invocation, and the trace has none here — but consuming them is
         // what recycles timer slots at the recorded moments.
-        while let Some((&(t, s), &(tp, tid))) = pending_timers.first_key_value() {
+        while let Some((&(t, s), &(tp, tid))) = book.pending_timers.first_key_value() {
             if (t, s) >= (now, step_seq) {
                 break;
             }
-            pending_timers.remove(&(t, s));
-            if halted[tp.index()] {
+            book.pending_timers.remove(&(t, s));
+            if book.halted[tp.index()] {
                 continue; // the simulator skips halted processes pre-fire
             }
             if tables[tp.index()].try_fire(tid) {
@@ -213,8 +219,8 @@ where
         }
         // The simulator fires on the per-process table *before* swapping it
         // into the env; mirror that order so generations line up.
-        if let InvocationCause::Timer { id } = &step.cause.cause {
-            pending_timers.remove(&(now, step_seq));
+        if let InvocationCause::Timer { id } = &recorded.cause.cause {
+            book.pending_timers.remove(&(now, step_seq));
             if !tables[p.index()].try_fire(*id) {
                 return Err(ReplayError::StaleTimer {
                     step: i,
@@ -222,59 +228,81 @@ where
                 });
             }
         }
-        env.prepare(p, now);
-        core::mem::swap(&mut tables[p.index()], env.timers_mut());
-        match &step.cause.cause {
-            InvocationCause::Start => nodes[p.index()].on_start(&mut env),
-            InvocationCause::Deliver { from, msg } => {
-                nodes[p.index()].on_message(*from, msg.clone(), &mut env);
+        let mut mismatch = None;
+        let mut compare = |effects: &[Effect<M, O>]| {
+            if effects != recorded.effects.effects {
+                mismatch = Some(format!(
+                    "recorded {:?}, replayed {:?}",
+                    recorded.effects.effects, effects
+                ));
             }
-            InvocationCause::Timer { id } => nodes[p.index()].on_timer(*id, &mut env),
-        }
-        let effects = env.take_buffer();
-        for effect in &effects {
-            match effect {
-                Effect::Send { to, msg } => {
-                    sends
-                        .entry((p.index(), to.index()))
-                        .or_default()
-                        .push_back((seq, msg.clone()));
-                    seq += 1;
-                }
-                Effect::Broadcast { msg } => {
-                    // enqueue_broadcast routes in destination order 0..n.
-                    for to in 0..n {
-                        sends
-                            .entry((p.index(), to))
-                            .or_default()
-                            .push_back((seq, msg.clone()));
-                        seq += 1;
-                    }
-                }
-                Effect::SetTimer { id, delay } => {
-                    env.timers_mut().arm(*id);
-                    pending_timers.insert((now.saturating_add(*delay), seq), (p, *id));
-                    seq += 1;
-                }
-                Effect::CancelTimer { id } => env.timers_mut().cancel(*id),
-                Effect::Output(_) => {}
-                Effect::Halt => halted[p.index()] = true,
-            }
-        }
+        };
+        let hooks = StepHooks {
+            trace: None,
+            record: Some(&mut compare),
+        };
+        (book.me, book.now) = (p, now);
         core::mem::swap(&mut tables[p.index()], env.timers_mut());
-        if effects != step.effects.effects {
+        let node = nodes[p.index()].as_mut();
+        step(
+            node,
+            recorded.cause.cause.clone(),
+            p,
+            now,
+            &mut env,
+            &mut book,
+            hooks,
+        );
+        core::mem::swap(&mut tables[p.index()], env.timers_mut());
+        if let Some(detail) = mismatch {
             return Err(ReplayError::EffectMismatch {
                 step: i,
                 process: p,
-                detail: format!(
-                    "recorded {:?}, replayed {:?}",
-                    step.effects.effects, effects
-                ),
+                detail,
             });
         }
-        env.restore_buffer(effects);
     }
     Ok(())
+}
+
+/// The simulator's event bookkeeping as [`replay_direct`] reconstructs it —
+/// `seq` mirrors the queue's push counter, `sends` maps each channel to its
+/// pushed-but-undelivered messages, and `pending_timers` holds scheduled
+/// firings keyed exactly as the queue orders them — and, as the [`Link`] of
+/// process `me` at time `now`, how it grows: every effect that pushed an
+/// event in the recorded run takes the next queue key here.
+struct Book<M> {
+    me: ProcessId,
+    now: VirtualTime,
+    seq: u64,
+    sends: HashMap<(usize, usize), VecDeque<(u64, M)>>,
+    pending_timers: BTreeMap<(VirtualTime, u64), (ProcessId, TimerId)>,
+    halted: Vec<bool>,
+}
+
+impl<M: Clone, O> Link<M, O> for Book<M> {
+    // `broadcast` is the default: the simulator routes in destination
+    // order 0..n, one queue key per copy.
+    fn send(&mut self, to: ProcessId, msg: M) {
+        let channel = (self.me.index(), to.index());
+        self.sends
+            .entry(channel)
+            .or_default()
+            .push_back((self.seq, msg));
+        self.seq += 1;
+    }
+
+    fn set_timer(&mut self, id: TimerId, delay: u64) {
+        let key = (self.now.saturating_add(delay), self.seq);
+        self.pending_timers.insert(key, (self.me, id));
+        self.seq += 1;
+    }
+
+    fn output(&mut self, _event: O) {}
+
+    fn halt(&mut self) {
+        self.halted[self.me.index()] = true;
+    }
 }
 
 /// Replays the trace on the deterministic simulator with a
@@ -376,7 +404,11 @@ where
         })
         .collect();
     let expected_outputs = trace.output_count();
-    let (report, recorded) = run_threaded_recorded(topology, nodes, config, |outs| {
+    let hooks = ThreadedHooks {
+        record: true,
+        ..ThreadedHooks::default()
+    };
+    let (report, recorded) = run_threaded_with(topology, nodes, config, hooks, |outs| {
         outs.len() >= expected_outputs
     });
     if report.timed_out {

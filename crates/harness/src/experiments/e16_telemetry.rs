@@ -15,8 +15,8 @@
 //!    `minsync-trace` pipeline reproduces the breakdown byte-for-byte from
 //!    the file alone.
 //! 2. **Threaded runtime** — the same replica line-up on OS threads via
-//!    `run_threaded_traced`, asserting the trace carries handler-step and
-//!    queue events from every worker (the cross-substrate half of the
+//!    `run_threaded_with` under a trace hook, asserting the trace carries
+//!    handler-step and queue events from every worker (the cross-substrate half of the
 //!    tentpole: one event vocabulary, three substrates).
 //! 3. **TCP cluster + pipelining window** — two real `minsync-node`
 //!    clusters with `--trace` dumps, one at the default window (64) and
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use minsync_core::ConsensusConfig;
 use minsync_net::sim::SimBuilder;
-use minsync_net::threaded::{run_threaded_traced, ThreadedConfig};
+use minsync_net::threaded::{run_threaded_with, ThreadedConfig, ThreadedHooks};
 use minsync_net::{NetworkTopology, Node};
 use minsync_smr::{ReplicaNode, SmrEvent, SmrMsg};
 use minsync_telemetry::analyze::{
@@ -219,13 +219,17 @@ fn threaded_arm(commands_per_client: usize, seed: u64) -> (usize, usize) {
     let trace = Arc::new(TraceRecorder::new(DEFAULT_TRACE_CAPACITY));
     let registry = Registry::new();
     let nodes = traced_lineup(system, &pop, 8, &trace, &registry);
-    let report = run_threaded_traced(
+    let report = run_threaded_with(
         NetworkTopology::all_timely(4, 3),
         nodes,
         ThreadedConfig {
             tick: Duration::from_micros(50),
             timeout: Duration::from_secs(60),
             seed,
+        },
+        ThreadedHooks {
+            trace: Some(Arc::clone(&trace)),
+            ..ThreadedHooks::default()
         },
         |outs| {
             (0..4).all(|p| {
@@ -237,8 +241,8 @@ fn threaded_arm(commands_per_client: usize, seed: u64) -> (usize, usize) {
                     >= total
             })
         },
-        Arc::clone(&trace),
-    );
+    )
+    .0;
     assert!(!report.timed_out, "E16 threaded arm timed out");
     let events = trace.events();
     let steps = events

@@ -22,8 +22,10 @@
 //! Protocols are written once against [`Node`] / [`Env`] and run unchanged
 //! on both substrates. A handler never calls into the substrate: it pushes
 //! [`Effect`] values (sends, broadcasts, timer operations, outputs, halt)
-//! into the concrete [`Env`] it was handed, and the substrate drains and
-//! interprets the buffer after the handler returns. Consequences:
+//! into the concrete [`Env`] it was handed, and [`driver::step`] — the one
+//! invocation step every substrate shares — drains the buffer after the
+//! handler returns and applies it to the substrate's [`driver::Link`].
+//! Consequences:
 //!
 //! * **No trait objects on the hot path.** The old `&mut dyn Context`
 //!   callback surface is gone; draining effects is a plain enum match.
@@ -99,6 +101,7 @@
 #![warn(missing_docs)]
 
 mod channel;
+pub mod driver;
 mod effect;
 mod node;
 mod seed;

@@ -1,6 +1,5 @@
 use std::fmt::{Debug, Write as _};
 use std::sync::Arc;
-use std::time::Instant;
 
 use minsync_telemetry::trace::{queues, TraceKind, TraceRecorder};
 use minsync_telemetry::{Registry, Sampler, TimeSeries};
@@ -12,7 +11,8 @@ use super::event::{EventKind, StopReason};
 use super::metrics::Metrics;
 use super::oracle::{DelayOracle, ScheduleCommand, ScheduleOracle};
 use super::queue::EventQueue;
-use crate::{ChannelTiming, Effect, Env, NetworkTopology, Node, TimerTable, VirtualTime};
+use crate::driver::{step, Link, Recorder, StepHooks};
+use crate::{ChannelTiming, Effect, Env, NetworkTopology, Node, TimerId, TimerTable, VirtualTime};
 
 /// One recorded message delivery (see [`SimBuilder::log_deliveries`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,7 +77,7 @@ pub enum InvocationCause<M> {
     /// `on_timer(id)` ran (the firing survived cancellation checks).
     Timer {
         /// The fired timer.
-        id: crate::TimerId,
+        id: TimerId,
     },
 }
 
@@ -323,41 +323,46 @@ where
             .collect();
         let n_links = n * n;
         let mut sim = Simulation {
-            timings,
-            topology: self.topology,
+            core: SimCore {
+                timings,
+                topology: self.topology,
+                halted: vec![false; n],
+                queue: EventQueue::new(),
+                now: VirtualTime::ZERO,
+                me: ProcessId::new(0),
+                rng: SplitMix64::seed_from_u64(self.seed),
+                outputs: Vec::new(),
+                metrics: Metrics::default(),
+                classifier: self.classifier,
+                oracle: self.oracle,
+                schedule: self.schedule,
+                trace: self.trace.clone(),
+                registry: self.registry,
+                link_ewma: vec![0; n_links],
+            },
             nodes: self.nodes,
-            halted: vec![false; n],
             timer_tables: (0..n).map(|_| TimerTable::new()).collect(),
-            queue: EventQueue::new(),
-            now: VirtualTime::ZERO,
-            rng: SplitMix64::seed_from_u64(self.seed),
             env: Env::new(n, env_seed),
-            outputs: Vec::new(),
-            metrics: Metrics::default(),
+            trace: self.trace,
             max_time: self.max_time,
             max_events: self.max_events,
-            classifier: self.classifier,
-            oracle: self.oracle,
-            schedule: self.schedule,
             delivery_log: Vec::new(),
             delivery_log_capacity: self.log_deliveries,
             effect_trace: Vec::new(),
             effect_trace_capacity: self.record_effects,
             cause_trace: Vec::new(),
             cause_trace_capacity: self.record_causes,
-            trace: self.trace,
-            registry: self.registry,
             sample_period: self.sample_period,
             next_sample_at: self.sample_period.unwrap_or(0),
             sampler: Sampler::new(),
             stat_series: TimeSeries::with_capacity(4096),
-            link_ewma: vec![0; n_links],
         };
         if let Some(trace) = &sim.trace {
             sim.env.set_trace(Arc::clone(trace));
         }
         for p in 0..n {
-            sim.push_event(VirtualTime::ZERO, EventKind::Start(ProcessId::new(p)));
+            sim.core
+                .push_event(VirtualTime::ZERO, EventKind::Start(ProcessId::new(p)));
         }
         sim
     }
@@ -379,33 +384,22 @@ where
 /// ([`TimerTable`]), and delay sampling draws from a single-word SplitMix64
 /// stream.
 pub struct Simulation<M, O> {
-    topology: NetworkTopology,
-    /// Dense copy of the topology's per-channel timings, `from · n + to`.
-    timings: Vec<ChannelTiming>,
     nodes: Vec<Box<dyn Node<Msg = M, Output = O>>>,
-    halted: Vec<bool>,
     /// Per-process timer tables; swapped into the shared [`Env`] for the
     /// duration of each handler invocation.
     timer_tables: Vec<TimerTable>,
-    queue: EventQueue<EventKind<M>>,
-    now: VirtualTime,
-    rng: SplitMix64,
     env: Env<M, O>,
-    outputs: Vec<OutputRecord<O>>,
-    metrics: Metrics,
+    core: SimCore<M, O>,
+    /// Same ring as the core's, reachable while `step` borrows the core.
+    trace: Option<Arc<TraceRecorder>>,
     max_time: Option<VirtualTime>,
     max_events: u64,
-    classifier: Option<fn(&M) -> &'static str>,
-    oracle: Option<Box<dyn DelayOracle<M>>>,
-    schedule: Option<Box<dyn ScheduleOracle<M>>>,
     delivery_log: Vec<DeliveryRecord>,
     delivery_log_capacity: usize,
     effect_trace: Vec<EffectRecord<M, O>>,
     effect_trace_capacity: usize,
     cause_trace: Vec<CauseRecord<M>>,
     cause_trace_capacity: usize,
-    trace: Option<Arc<TraceRecorder>>,
-    registry: Option<Arc<Registry>>,
     /// Virtual-tick sampling period (see [`SimBuilder::sample_stats`]);
     /// `None` disables the live stat stream.
     sample_period: Option<u64>,
@@ -415,11 +409,60 @@ pub struct Simulation<M, O> {
     sampler: Sampler,
     /// The reconstructed sample ring (what a live consumer would hold).
     stat_series: TimeSeries,
+}
+
+/// The simulated network: the event queue and everything an applied effect
+/// touches. Kept apart from the nodes and the shared [`Env`] so one
+/// invocation can borrow all three at once; it is the [`Link`] of whichever
+/// process `me` the event being dispatched belongs to.
+struct SimCore<M, O> {
+    topology: NetworkTopology,
+    /// Dense copy of the topology's per-channel timings, `from · n + to`.
+    timings: Vec<ChannelTiming>,
+    halted: Vec<bool>,
+    queue: EventQueue<EventKind<M>>,
+    now: VirtualTime,
+    me: ProcessId,
+    rng: SplitMix64,
+    outputs: Vec<OutputRecord<O>>,
+    metrics: Metrics,
+    classifier: Option<fn(&M) -> &'static str>,
+    oracle: Option<Box<dyn DelayOracle<M>>>,
+    schedule: Option<Box<dyn ScheduleOracle<M>>>,
+    trace: Option<Arc<TraceRecorder>>,
+    registry: Option<Arc<Registry>>,
     /// Dense per-directed-link EWMA of observed delivery delays, in ticks
     /// (row-major `from · n + to`), exported as `link.rtt_ewma.p<f>.p<t>`
     /// gauges — the simulator's analog of the TCP mesh's ping-measured
     /// RTT. Folded only when a registry is attached.
     link_ewma: Vec<u64>,
+}
+
+impl<M: Clone, O> Link<M, O> for SimCore<M, O> {
+    fn send(&mut self, to: ProcessId, msg: M) {
+        self.enqueue_message(self.me, to, msg);
+    }
+
+    fn broadcast(&mut self, _n: usize, msg: M) {
+        self.enqueue_broadcast(self.me, msg);
+    }
+
+    fn set_timer(&mut self, id: TimerId, delay: u64) {
+        let (process, time) = (self.me, self.now.saturating_add(delay));
+        self.push_event(time, EventKind::Timer { process, timer: id });
+    }
+
+    fn output(&mut self, event: O) {
+        self.outputs.push(OutputRecord {
+            time: self.now,
+            process: self.me,
+            event,
+        });
+    }
+
+    fn halt(&mut self) {
+        self.halted[self.me.index()] = true;
+    }
 }
 
 impl<M, O> Simulation<M, O>
@@ -429,17 +472,17 @@ where
 {
     /// Current virtual time.
     pub fn now(&self) -> VirtualTime {
-        self.now
+        self.core.now
     }
 
     /// Outputs emitted so far.
     pub fn outputs(&self) -> &[OutputRecord<O>] {
-        &self.outputs
+        &self.core.outputs
     }
 
     /// Metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     /// The periodic stat stream recorded so far. Empty unless both
@@ -487,7 +530,7 @@ where
 
     /// True if process `p` has halted itself.
     pub fn is_halted(&self, p: ProcessId) -> bool {
-        self.halted[p.index()]
+        self.core.halted[p.index()]
     }
 
     /// Immutable access to a node (for state inspection in tests). The node
@@ -516,16 +559,16 @@ where
     pub fn run_until(&mut self, mut stop: impl FnMut(&[OutputRecord<O>]) -> bool) -> RunReport<O> {
         let mut checked_outputs = usize::MAX; // force one initial evaluation
         let reason = loop {
-            if self.metrics.events_processed >= self.max_events {
+            if self.core.metrics.events_processed >= self.max_events {
                 break StopReason::MaxEventsReached;
             }
-            if checked_outputs != self.outputs.len() {
-                checked_outputs = self.outputs.len();
-                if stop(&self.outputs) {
+            if checked_outputs != self.core.outputs.len() {
+                checked_outputs = self.core.outputs.len();
+                if stop(&self.core.outputs) {
                     break StopReason::PredicateSatisfied;
                 }
             }
-            let Some(next) = self.queue.peek_time() else {
+            let Some(next) = self.core.queue.peek_time() else {
                 break StopReason::Quiescent;
             };
             if self.max_time.is_some_and(|cap| next > cap) {
@@ -542,119 +585,118 @@ where
                     self.next_sample_at += period;
                 }
             }
-            let (time, _seq, kind) = self.queue.pop().expect("peeked");
+            let (time, _seq, kind) = self.core.queue.pop().expect("peeked");
             self.dispatch(time, kind);
         };
-        self.export_registry();
+        self.core.export_registry();
         if self.sample_period.is_some() {
             // One closing sample so the series' latest point carries the
             // final state even when the run ends off-boundary.
-            self.take_sample(self.now.ticks());
+            self.take_sample(self.core.now.ticks());
         }
         RunReport {
-            outputs: self.outputs.clone(),
-            metrics: self.metrics.clone(),
-            final_time: self.now,
+            outputs: self.core.outputs.clone(),
+            metrics: self.core.metrics.clone(),
+            final_time: self.core.now,
             reason,
         }
     }
 
+    /// Pops one event: decides whether it reaches a handler (halted
+    /// processes and dead timer firings do not) and, if so, runs the
+    /// invocation through [`step`].
     fn dispatch(&mut self, time: VirtualTime, kind: EventKind<M>) {
-        debug_assert!(time >= self.now, "event queue went backwards");
-        self.now = time;
-        self.metrics.events_processed += 1;
-        self.metrics.last_event_time = self.now;
-        if let Some(trace) = &self.trace {
+        let core = &mut self.core;
+        debug_assert!(time >= core.now, "event queue went backwards");
+        let p = event_target(&kind);
+        (core.now, core.me) = (time, p);
+        core.metrics.events_processed += 1;
+        core.metrics.last_event_time = time;
+        if let Some(trace) = &core.trace {
             trace.record_at(
                 time.ticks(),
-                event_target(&kind).index() as u32,
+                p.index() as u32,
                 TraceKind::Dequeue {
                     queue: queues::SIM_EVENTS,
-                    depth: self.queue.len() as u64,
+                    depth: core.queue.len() as u64,
                 },
             );
         }
-
-        match kind {
-            EventKind::Start(p) => {
-                if self.halted[p.index()] {
-                    return;
-                }
-                self.record_cause(p, || InvocationCause::Start);
-                let step = self.step_start();
-                self.begin_invocation(p);
-                self.nodes[p.index()].on_start(&mut self.env);
-                self.end_invocation(p);
-                self.note_step(p, step);
+        if core.halted[p.index()] {
+            if matches!(kind, EventKind::Deliver { .. }) {
+                core.metrics.messages_dropped += 1;
             }
+            return;
+        }
+        let cause = match kind {
+            EventKind::Start(_) => InvocationCause::Start,
             EventKind::Deliver { from, to, msg } => {
-                if self.halted[to.index()] {
-                    self.metrics.messages_dropped += 1;
-                    return;
-                }
-                self.metrics.messages_delivered += 1;
+                core.metrics.messages_delivered += 1;
                 if self.delivery_log.len() < self.delivery_log_capacity {
                     self.delivery_log.push(DeliveryRecord {
-                        time: self.now,
+                        time,
                         from,
                         to,
-                        kind: self.classifier.map_or("?", |c| c(&msg)),
+                        kind: core.classifier.map_or("?", |c| c(&msg)),
                     });
                 }
-                self.record_cause(to, || InvocationCause::Deliver {
-                    from,
-                    msg: msg.clone(),
-                });
-                let step = self.step_start();
-                self.begin_invocation(to);
-                self.nodes[to.index()].on_message(from, msg, &mut self.env);
-                self.end_invocation(to);
-                self.note_step(to, step);
+                InvocationCause::Deliver { from, msg }
             }
-            EventKind::Timer { process, timer } => {
-                if self.halted[process.index()] {
-                    return;
-                }
-                if !self.timer_tables[process.index()].try_fire(timer) {
+            EventKind::Timer { timer, .. } => {
+                if !self.timer_tables[p.index()].try_fire(timer) {
                     return; // cancelled or stale generation
                 }
-                self.metrics.timers_fired += 1;
-                if let Some(trace) = &self.trace {
-                    trace.record_at(
-                        self.now.ticks(),
-                        process.index() as u32,
-                        TraceKind::TimerFired,
-                    );
-                }
-                self.record_cause(process, || InvocationCause::Timer { id: timer });
-                let step = self.step_start();
-                self.begin_invocation(process);
-                self.nodes[process.index()].on_timer(timer, &mut self.env);
-                self.end_invocation(process);
-                self.note_step(process, step);
+                core.metrics.timers_fired += 1;
+                InvocationCause::Timer { id: timer }
             }
+        };
+        // Recorded only on paths that reach the handler, so the cause and
+        // effect traces stay in lockstep.
+        if self.cause_trace.len() < self.cause_trace_capacity {
+            self.cause_trace.push(CauseRecord {
+                time,
+                process: p,
+                cause: cause.clone(),
+            });
         }
+        let recording = self.effect_trace.len() < self.effect_trace_capacity;
+        let effect_trace = &mut self.effect_trace;
+        let mut record = |effects: &[Effect<M, O>]| {
+            effect_trace.push(EffectRecord {
+                time,
+                process: p,
+                effects: effects.to_vec(),
+            });
+        };
+        let hooks = StepHooks {
+            trace: self.trace.as_deref(),
+            record: recording.then_some(&mut record as Recorder<'_, M, O>),
+        };
+        // The per-process timer table moves into the shared env for the
+        // invocation (so `set_timer` allocates without a round-trip) and
+        // back to its per-process home after.
+        std::mem::swap(&mut self.timer_tables[p.index()], self.env.timers_mut());
+        let node = self.nodes[p.index()].as_mut();
+        step(node, cause, p, time, &mut self.env, core, hooks);
+        std::mem::swap(&mut self.timer_tables[p.index()], self.env.timers_mut());
     }
 
-    /// Wall-clock start of a handler step, taken only when tracing (the
-    /// untraced hot loop never calls `Instant::now`).
-    fn step_start(&self) -> Option<Instant> {
-        self.trace.as_ref().map(|_| Instant::now())
+    /// Refreshes the `sim.*` gauges and appends one delta-encoded sample
+    /// at virtual tick `at` to the in-memory stat series. No-op without a
+    /// registry (there is nothing to snapshot).
+    fn take_sample(&mut self, at: u64) {
+        self.core.export_registry();
+        let Some(registry) = &self.core.registry else {
+            return;
+        };
+        let sample = self.sampler.sample(at, &registry.snapshot());
+        self.stat_series
+            .apply(&sample)
+            .expect("sampler emits strictly sequential samples");
     }
+}
 
-    /// Records the handler step cost begun at `step` (no-op untraced).
-    fn note_step(&self, p: ProcessId, step: Option<Instant>) {
-        if let (Some(trace), Some(start)) = (&self.trace, step) {
-            trace.record_at(
-                self.now.ticks(),
-                p.index() as u32,
-                TraceKind::HandlerStep {
-                    nanos: start.elapsed().as_nanos() as u64,
-                },
-            );
-        }
-    }
-
+impl<M: Clone, O> SimCore<M, O> {
     /// Exports the dense [`Metrics`] into the attached registry (if any)
     /// as `sim.*` gauges. Idempotent — values are overwritten, so calling
     /// at the end of every `run_until` leaves the latest totals.
@@ -689,76 +731,6 @@ where
                     .set(ewma);
             }
         }
-    }
-
-    /// Records the cause of the invocation about to run. Called only on
-    /// paths that reach the handler, so the cause and effect traces stay in
-    /// lockstep; the closure defers the message clone until the capacity
-    /// check has passed.
-    fn record_cause(&mut self, p: ProcessId, cause: impl FnOnce() -> InvocationCause<M>) {
-        if self.cause_trace.len() < self.cause_trace_capacity {
-            self.cause_trace.push(CauseRecord {
-                time: self.now,
-                process: p,
-                cause: cause(),
-            });
-        }
-    }
-
-    /// Re-targets the shared [`Env`] at process `p` for one atomic handler
-    /// invocation (identity, clock, and the per-process timer table, which
-    /// moves into the env so `set_timer` allocates without a round-trip).
-    fn begin_invocation(&mut self, p: ProcessId) {
-        self.env.prepare(p, self.now);
-        std::mem::swap(&mut self.timer_tables[p.index()], self.env.timers_mut());
-    }
-
-    /// Applies every effect the handler queued, in emission order, then
-    /// returns the timer table to its per-process home. The drain is a
-    /// concrete enum match over a plain `Vec` — zero trait-object calls —
-    /// and the buffer's capacity is recycled, so a steady-state invocation
-    /// allocates nothing.
-    fn end_invocation(&mut self, p: ProcessId) {
-        let mut effects = self.env.take_buffer();
-        if self.effect_trace.len() < self.effect_trace_capacity {
-            self.effect_trace.push(EffectRecord {
-                time: self.now,
-                process: p,
-                effects: effects.clone(),
-            });
-        }
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => self.enqueue_message(p, to, msg),
-                Effect::Broadcast { msg } => self.enqueue_broadcast(p, msg),
-                Effect::SetTimer { id, delay } => {
-                    let time = self.now.saturating_add(delay);
-                    self.env.timers_mut().arm(id);
-                    self.push_event(
-                        time,
-                        EventKind::Timer {
-                            process: p,
-                            timer: id,
-                        },
-                    );
-                }
-                Effect::CancelTimer { id } => {
-                    self.env.timers_mut().cancel(id);
-                }
-                Effect::Output(event) => {
-                    self.outputs.push(OutputRecord {
-                        time: self.now,
-                        process: p,
-                        event,
-                    });
-                }
-                Effect::Halt => {
-                    self.halted[p.index()] = true;
-                }
-            }
-        }
-        self.env.restore_buffer(effects);
-        std::mem::swap(&mut self.timer_tables[p.index()], self.env.timers_mut());
     }
 
     /// Schedules one event and maintains the queue's high-water mark (the
@@ -885,20 +857,6 @@ where
         } else {
             (prev * 7 + delay) / 8
         };
-    }
-
-    /// Refreshes the `sim.*` gauges and appends one delta-encoded sample
-    /// at virtual tick `at` to the in-memory stat series. No-op without a
-    /// registry (there is nothing to snapshot).
-    fn take_sample(&mut self, at: u64) {
-        self.export_registry();
-        let Some(registry) = &self.registry else {
-            return;
-        };
-        let sample = self.sampler.sample(at, &registry.snapshot());
-        self.stat_series
-            .apply(&sample)
-            .expect("sampler emits strictly sequential samples");
     }
 
     fn consult_oracle(&mut self, from: ProcessId, to: ProcessId, msg: &M, default: u64) -> u64 {

@@ -7,11 +7,11 @@
 //! it demonstrates that the sans-io automata are substrate-independent —
 //! and makes no determinism promises: that is the simulator's job.
 //!
-//! Each node thread owns a private [`Env`]; after every handler invocation
-//! it drains the queued [`Effect`]s: sends and broadcasts go to the router
-//! (a broadcast travels as *one* router command and is fanned out there,
-//! with a single send timestamp), timers stay in a local heap, outputs flow
-//! to the collector.
+//! Each node thread is a [`WallClockLoop`] over a router-handle
+//! [`Link`]: sends and broadcasts go to the router (a broadcast travels as
+//! *one* router command and is fanned out there, with a single send
+//! timestamp), outputs flow to the collector. What lives here is what is
+//! this substrate's own: the delay router and the collector.
 
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
@@ -21,12 +21,15 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
 use minsync_telemetry::trace::{queues, TraceKind, TraceRecorder};
-use minsync_telemetry::{Registry, Sampler, TimeSeries};
 use minsync_types::ProcessId;
 use rand::rngs::SplitMix64;
 use rand::SeedableRng;
 
-use crate::{Effect, Env, NetworkTopology, Node, TimerId, VirtualTime};
+use crate::driver::{
+    Link, Recorder, WallClock, WallClockLink, WallClockLoop, WallTimers, MAX_WAIT,
+};
+use crate::sim::EffectRecord;
+use crate::{Effect, NetworkTopology, Node, TimerId};
 
 /// Stream-namespace tag of the threaded runtime (`"THRD"`), keeping its
 /// derived seeds disjoint from every other consumer of the same base seed.
@@ -78,20 +81,23 @@ pub struct ThreadedReport<O> {
     pub timed_out: bool,
 }
 
-/// One handler invocation's queued effects, as recorded by
-/// [`run_threaded_recorded`].
-///
-/// The stream is ordered per process (each node thread records its own
-/// invocations in execution order); interleaving *across* processes follows
-/// collector arrival order and is not meaningful. Compare per-process
-/// subsequences — that is what the conformance replayer does.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RecordedInvocation<M, O> {
-    /// The process whose handler ran.
-    pub process: ProcessId,
-    /// Every effect the handler queued, in emission order (possibly none —
-    /// recorded anyway so replays can line invocations up one-to-one).
-    pub effects: Vec<Effect<M, O>>,
+/// Optional observers of a threaded run (see [`run_threaded_with`]); the
+/// default observes nothing.
+#[derive(Clone, Debug, Default)]
+pub struct ThreadedHooks {
+    /// Mirror the execution into a telemetry trace ring: every effect at
+    /// the sans-io boundary, inbox enqueue/dequeue with depth, timer
+    /// firings, and per-handler wall-clock step costs. Timestamps are
+    /// wall-clock time divided by [`ThreadedConfig::tick`], so dumps line
+    /// up with simulator dumps of the same configuration.
+    pub trace: Option<Arc<TraceRecorder>>,
+    /// Record every handler invocation's effect stream as
+    /// [`EffectRecord`]s (stamped in wall-derived ticks) — the threaded
+    /// counterpart of
+    /// [`SimBuilder::record_effects`](crate::sim::SimBuilder::record_effects),
+    /// which is what lets conformance fixtures be replayed on this
+    /// substrate too.
+    pub record: bool,
 }
 
 enum RouterCmd<M> {
@@ -103,10 +109,6 @@ enum RouterCmd<M> {
     /// One broadcast = one command: the router expands the fan-out with a
     /// single send timestamp for all `n` copies.
     Broadcast { from: ProcessId, msg: M },
-}
-
-enum NodeEvent<M> {
-    Deliver { from: ProcessId, msg: M },
 }
 
 /// Runs `nodes` on OS threads until `stop` returns true over the collected
@@ -125,130 +127,44 @@ where
     M: Clone + Debug + Send + 'static,
     O: Clone + Debug + Send + 'static,
 {
-    run_threaded_inner(topology, nodes, config, stop, None, None, None).0
+    run_threaded_with(topology, nodes, config, ThreadedHooks::default(), stop).0
 }
 
-/// Like [`run_threaded`], but additionally samples `registry` on the
-/// collector thread every `period` of wall-clock time, returning the
-/// delta-encoded stat stream alongside the report — the threaded
-/// counterpart of [`SimBuilder::sample_stats`](crate::sim::SimBuilder::sample_stats).
-///
-/// Sample timestamps are wall-clock offsets divided by
-/// [`ThreadedConfig::tick`], so they line up with traced dumps of the same
-/// configuration. A closing sample is always taken after shutdown, so the
-/// series' latest point reflects the final state.
-///
-/// # Panics
-///
-/// Panics if `nodes.len() != topology.n()` or `period` is zero.
-pub fn run_threaded_sampled<M, O>(
-    topology: NetworkTopology,
-    nodes: Vec<Box<dyn Node<Msg = M, Output = O>>>,
-    config: ThreadedConfig,
-    stop: impl FnMut(&[ThreadedOutput<O>]) -> bool,
-    registry: Arc<Registry>,
-    period: Duration,
-) -> (ThreadedReport<O>, TimeSeries)
-where
-    M: Clone + Debug + Send + 'static,
-    O: Clone + Debug + Send + 'static,
-{
-    assert!(!period.is_zero(), "a zero sampling period never advances");
-    run_threaded_inner(
-        topology,
-        nodes,
-        config,
-        stop,
-        None,
-        None,
-        Some((registry, period)),
-    )
-}
-
-/// Like [`run_threaded`], but mirrors the execution into a telemetry trace
-/// ring: every effect at the sans-io boundary (via each worker's [`Env`]),
-/// inbox enqueue/dequeue with depth, timer firings, and per-handler
-/// wall-clock step costs. Timestamps are wall-clock time divided by
-/// [`ThreadedConfig::tick`], so dumps line up with simulator dumps of the
-/// same configuration.
+/// [`run_threaded`] with observers attached (see [`ThreadedHooks`]). Also
+/// returns the recorded invocations (none unless [`ThreadedHooks::record`]).
+/// Each node thread records its own invocations in execution order;
+/// interleaving *across* processes follows arrival order and is not
+/// meaningful, so compare per-process subsequences.
 ///
 /// # Panics
 ///
 /// Panics if `nodes.len() != topology.n()`.
-pub fn run_threaded_traced<M, O>(
+pub fn run_threaded_with<M, O>(
     topology: NetworkTopology,
     nodes: Vec<Box<dyn Node<Msg = M, Output = O>>>,
     config: ThreadedConfig,
-    stop: impl FnMut(&[ThreadedOutput<O>]) -> bool,
-    trace: Arc<TraceRecorder>,
-) -> ThreadedReport<O>
-where
-    M: Clone + Debug + Send + 'static,
-    O: Clone + Debug + Send + 'static,
-{
-    run_threaded_inner(topology, nodes, config, stop, None, Some(trace), None).0
-}
-
-/// Like [`run_threaded`], but additionally records every handler
-/// invocation's effect stream — the threaded counterpart of
-/// [`SimBuilder::record_effects`](crate::sim::SimBuilder::record_effects),
-/// which is what lets conformance fixtures be replayed and checked on this
-/// substrate too.
-///
-/// The returned invocations are in collector arrival order; only the
-/// per-process subsequences are deterministic (given deterministic nodes).
-///
-/// # Panics
-///
-/// Panics if `nodes.len() != topology.n()`.
-pub fn run_threaded_recorded<M, O>(
-    topology: NetworkTopology,
-    nodes: Vec<Box<dyn Node<Msg = M, Output = O>>>,
-    config: ThreadedConfig,
-    stop: impl FnMut(&[ThreadedOutput<O>]) -> bool,
-) -> (ThreadedReport<O>, Vec<RecordedInvocation<M, O>>)
-where
-    M: Clone + Debug + Send + 'static,
-    O: Clone + Debug + Send + 'static,
-{
-    let (record_tx, record_rx) = unbounded::<RecordedInvocation<M, O>>();
-    let (report, _) =
-        run_threaded_inner(topology, nodes, config, stop, Some(record_tx), None, None);
-    // Every worker thread (and the local clone) has dropped its sender by
-    // the time the inner run returns, so this drain terminates.
-    let mut recorded = Vec::new();
-    while let Ok(inv) = record_rx.try_recv() {
-        recorded.push(inv);
-    }
-    (report, recorded)
-}
-
-fn run_threaded_inner<M, O>(
-    topology: NetworkTopology,
-    nodes: Vec<Box<dyn Node<Msg = M, Output = O>>>,
-    config: ThreadedConfig,
+    hooks: ThreadedHooks,
     mut stop: impl FnMut(&[ThreadedOutput<O>]) -> bool,
-    record: Option<Sender<RecordedInvocation<M, O>>>,
-    trace: Option<Arc<TraceRecorder>>,
-    sample: Option<(Arc<Registry>, Duration)>,
-) -> (ThreadedReport<O>, TimeSeries)
+) -> (ThreadedReport<O>, Vec<EffectRecord<M, O>>)
 where
     M: Clone + Debug + Send + 'static,
     O: Clone + Debug + Send + 'static,
 {
     assert_eq!(nodes.len(), topology.n(), "node count must match topology");
+    let ThreadedHooks { trace, record } = hooks;
     let n = nodes.len();
-    let start = Instant::now();
+    let clock = WallClock::new(Instant::now(), config.tick);
     let shutdown = Arc::new(AtomicBool::new(false));
 
     let (router_tx, router_rx) = unbounded::<RouterCmd<M>>();
     let (output_tx, output_rx) = unbounded::<ThreadedOutput<O>>();
+    let (record_tx, record_rx) = unbounded::<EffectRecord<M, O>>();
 
     let mut inbox_txs = Vec::with_capacity(n);
     let mut inbox_rxs = Vec::with_capacity(n);
     for _ in 0..n {
         // Bounded inboxes apply gentle backpressure to runaway senders.
-        let (tx, rx) = bounded::<NodeEvent<M>>(64 * 1024);
+        let (tx, rx) = bounded::<(ProcessId, M)>(64 * 1024);
         inbox_txs.push(tx);
         inbox_rxs.push(rx);
     }
@@ -259,11 +175,8 @@ where
     // Router thread: applies channel delays, then forwards into inboxes.
     let router_handle = {
         let shutdown = Arc::clone(&shutdown);
-        let topology = topology.clone();
-        let inboxes = inbox_txs.clone();
         let depths = inbox_depths.clone();
         let trace = trace.clone();
-        let tick = config.tick;
         // Tagged stream namespace (see `derive_stream`): local index 0 is
         // the router's delay-sampling stream, 1..=n the node envs —
         // disjoint from the simulator's and workload's bare indices.
@@ -299,83 +212,56 @@ where
 
             let mut heap: BinaryHeap<Pending<M>> = BinaryHeap::new();
             let mut seq = 0u64;
-            let ticks_now = |start: Instant, tick: Duration| {
-                VirtualTime::from_ticks(
-                    (start.elapsed().as_nanos() / tick.as_nanos().max(1)) as u64,
-                )
-            };
-            let schedule = |heap: &mut BinaryHeap<Pending<M>>,
-                            seq: &mut u64,
-                            rng: &mut SplitMix64,
-                            sent_ticks: VirtualTime,
-                            from: ProcessId,
-                            to: ProcessId,
-                            msg: M| {
-                let due_ticks = topology.timing(from, to).delivery_time(sent_ticks, rng);
-                let delay = due_ticks - sent_ticks;
+            let mut schedule = |heap: &mut BinaryHeap<Pending<M>>,
+                                sent: crate::VirtualTime,
+                                from: ProcessId,
+                                to: ProcessId,
+                                msg: M| {
+                let delay = topology.timing(from, to).delivery_time(sent, &mut rng) - sent;
+                let due = clock.after(delay);
                 heap.push(Pending {
-                    due: Instant::now() + tick * u32::try_from(delay).unwrap_or(u32::MAX),
-                    seq: *seq,
+                    due,
+                    seq,
                     to,
                     from,
                     msg,
                 });
-                *seq += 1;
+                seq += 1;
             };
-            loop {
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
+            while !shutdown.load(Ordering::Relaxed) {
                 // Deliver everything due.
                 let now = Instant::now();
                 while heap.peek().is_some_and(|p| p.due <= now) {
                     let p = heap.pop().expect("peeked");
-                    // A closed inbox just means the node is done.
+                    // A closed inbox means the node is done: its worker
+                    // owned the only receiver.
                     let to = p.to.index();
-                    if inboxes[to]
-                        .send(NodeEvent::Deliver {
-                            from: p.from,
-                            msg: p.msg,
-                        })
-                        .is_ok()
-                    {
+                    if inbox_txs[to].send((p.from, p.msg)).is_ok() {
                         if let Some(trace) = &trace {
                             let depth = depths[to].fetch_add(1, Ordering::Relaxed) + 1;
-                            trace.record_at(
-                                ticks_now(start, tick).ticks(),
-                                to as u32,
-                                TraceKind::Enqueue {
-                                    queue: queues::INBOX,
-                                    depth,
-                                },
-                            );
+                            let kind = TraceKind::Enqueue {
+                                queue: queues::INBOX,
+                                depth,
+                            };
+                            trace.record_at(clock.ticks(), to as u32, kind);
                         }
                     }
                 }
-                let wait = heap
-                    .peek()
-                    .map(|p| p.due.saturating_duration_since(Instant::now()))
-                    .unwrap_or(Duration::from_millis(20))
-                    .min(Duration::from_millis(20));
+                let wait = heap.peek().map_or(MAX_WAIT, |p| {
+                    p.due
+                        .saturating_duration_since(Instant::now())
+                        .min(MAX_WAIT)
+                });
                 match router_rx.recv_timeout(wait) {
                     Ok(RouterCmd::Send { from, to, msg }) => {
-                        let sent_ticks = ticks_now(start, tick);
-                        schedule(&mut heap, &mut seq, &mut rng, sent_ticks, from, to, msg);
+                        schedule(&mut heap, clock.now(), from, to, msg);
                     }
                     Ok(RouterCmd::Broadcast { from, msg }) => {
                         // One timestamp for the whole fan-out; per-channel
                         // delays still sampled per destination.
-                        let sent_ticks = ticks_now(start, tick);
-                        for p in 0..inboxes.len() {
-                            schedule(
-                                &mut heap,
-                                &mut seq,
-                                &mut rng,
-                                sent_ticks,
-                                from,
-                                ProcessId::new(p),
-                                msg.clone(),
-                            );
+                        let sent = clock.now();
+                        for p in 0..inbox_txs.len() {
+                            schedule(&mut heap, sent, from, ProcessId::new(p), msg.clone());
                         }
                     }
                     Err(RecvTimeoutError::Timeout) => {}
@@ -390,132 +276,62 @@ where
         })
     };
 
-    // Node threads.
+    // Node threads. Each worker owns its inbox receiver outright, so a node
+    // that halts or shuts down closes its inbox and the router's blocking
+    // send into it fails instead of waiting on a full queue forever.
     let mut handles = Vec::with_capacity(n);
-    for (idx, mut node) in nodes.into_iter().enumerate() {
+    for (idx, (mut node, inbox)) in nodes.into_iter().zip(inbox_rxs).enumerate() {
         let me = ProcessId::new(idx);
-        let inbox = inbox_rxs[idx].clone();
-        let router = router_tx.clone();
-        let outputs = output_tx.clone();
-        let record = record.clone();
-        let trace = trace.clone();
-        let depth = Arc::clone(&inbox_depths[idx]);
+        let mut link = RouterLink {
+            me,
+            timers: WallTimers::new(clock),
+            router: router_tx.clone(),
+            outputs: output_tx.clone(),
+        };
+        let record_tx = record.then(|| record_tx.clone());
+        let trace = trace
+            .clone()
+            .map(|ring| (ring, Arc::clone(&inbox_depths[idx])));
         let shutdown = Arc::clone(&shutdown);
-        let tick = config.tick;
         let seed = crate::derive_stream(
             config.seed,
             crate::stream_of(THREADED_STREAM_TAG, idx as u32 + 1),
         );
         handles.push(std::thread::spawn(move || {
-            let mut worker = NodeWorker {
-                me,
-                start,
-                tick,
-                router,
-                outputs,
-                record,
-                trace,
-                inbox_depth: depth,
-                timers: BinaryHeap::new(),
-                halted: false,
-                env: Env::new(n, seed),
-            };
-            if let Some(trace) = &worker.trace {
-                worker.env.set_trace(Arc::clone(trace));
-            }
-            worker.env.prepare(me, worker.now());
-            let step = worker.step_start();
-            node.on_start(&mut worker.env);
-            worker.apply_effects();
-            worker.note_step(step);
-            while !worker.halted && !shutdown.load(Ordering::Relaxed) {
-                let now = Instant::now();
-                // Fire due timers first.
-                while worker
-                    .timers
-                    .peek()
-                    .is_some_and(|t: &PendingTimer| t.due <= now)
-                {
-                    let t = worker.timers.pop().expect("peeked");
-                    if worker.env.timers_mut().try_fire(t.id) {
-                        worker.env.prepare(me, worker.now());
-                        if let Some(trace) = &worker.trace {
-                            trace.record_at(
-                                worker.now().ticks(),
-                                me.index() as u32,
-                                TraceKind::TimerFired,
-                            );
-                        }
-                        let step = worker.step_start();
-                        node.on_timer(t.id, &mut worker.env);
-                        worker.apply_effects();
-                        worker.note_step(step);
-                        if worker.halted {
-                            break;
-                        }
-                    }
+            let mut record = record_tx.map(|tx| {
+                move |effects: &[Effect<M, O>]| {
+                    let _ = tx.send(EffectRecord {
+                        time: clock.now(),
+                        process: me,
+                        effects: effects.to_vec(),
+                    });
                 }
-                if worker.halted {
-                    break;
-                }
-                let wait = worker
-                    .timers
-                    .peek()
-                    .map(|t| t.due.saturating_duration_since(Instant::now()))
-                    .unwrap_or(Duration::from_millis(20))
-                    .min(Duration::from_millis(20));
-                match inbox.recv_timeout(wait) {
-                    Ok(NodeEvent::Deliver { from, msg }) => {
-                        worker.note_dequeue();
-                        worker.env.prepare(me, worker.now());
-                        let step = worker.step_start();
-                        node.on_message(from, msg, &mut worker.env);
-                        worker.apply_effects();
-                        worker.note_step(step);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
+            });
+            WallClockLoop::new(me, n, seed, trace).run(
+                node.as_mut(),
+                &mut link,
+                &inbox,
+                record.as_mut().map(|r| r as Recorder<'_, M, O>),
+                |_| !shutdown.load(Ordering::Relaxed),
+            );
         }));
     }
     drop(router_tx);
     drop(output_tx);
-    drop(record);
+    drop(record_tx);
 
-    // Collector loop on the calling thread. Stat sampling rides the same
-    // loop: each pass checks whether the wall-clock sampling boundary has
-    // passed, so sampling needs no extra thread and observes the registry
-    // at most once per collector wake-up.
+    // Collector loop on the calling thread.
     let mut collected: Vec<ThreadedOutput<O>> = Vec::new();
     let mut timed_out = false;
-    let mut sampler = Sampler::new();
-    let mut series = TimeSeries::with_capacity(4096);
-    let ticks_of = |elapsed: Duration| (elapsed.as_nanos() / config.tick.as_nanos().max(1)) as u64;
-    let take_sample = |sampler: &mut Sampler, series: &mut TimeSeries| {
-        if let Some((registry, _)) = &sample {
-            let s = sampler.sample(ticks_of(start.elapsed()), &registry.snapshot());
-            series
-                .apply(&s)
-                .expect("sampler emits strictly sequential samples");
-        }
-    };
-    let mut next_sample = sample.as_ref().map(|(_, period)| start + *period);
     loop {
         if stop(&collected) {
             break;
         }
-        if start.elapsed() >= config.timeout {
+        if clock.elapsed() >= config.timeout {
             timed_out = true;
             break;
         }
-        if let (Some(due), Some((_, period))) = (next_sample, &sample) {
-            if Instant::now() >= due {
-                take_sample(&mut sampler, &mut series);
-                next_sample = Some(due + *period);
-            }
-        }
-        match output_rx.recv_timeout(Duration::from_millis(10)) {
+        match output_rx.recv_timeout(MAX_WAIT) {
             Ok(out) => collected.push(out),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
@@ -523,168 +339,68 @@ where
     }
     shutdown.store(true, Ordering::Relaxed);
     // Drain any last outputs without blocking.
-    while let Ok(out) = output_rx.try_recv() {
-        collected.push(out);
-    }
+    collected.extend(std::iter::from_fn(|| output_rx.try_recv().ok()));
     for h in handles {
         let _ = h.join();
     }
     let _ = router_handle.join();
-    // Closing sample after every worker has quiesced, so the latest point
-    // carries the final gauge values.
-    take_sample(&mut sampler, &mut series);
-    (
-        ThreadedReport {
-            outputs: collected,
-            elapsed: start.elapsed(),
-            timed_out,
-        },
-        series,
-    )
+    let report = ThreadedReport {
+        outputs: collected,
+        elapsed: clock.elapsed(),
+        timed_out,
+    };
+    // Every worker has dropped its sender, so this drain terminates.
+    let recorded = std::iter::from_fn(|| record_rx.try_recv().ok()).collect();
+    (report, recorded)
 }
 
-struct PendingTimer {
-    due: Instant,
-    id: TimerId,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, o: &Self) -> bool {
-        self.due == o.due && self.id == o.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        (o.due, o.id).cmp(&(self.due, self.id)) // min-heap
-    }
-}
-
-/// Per-thread interpreter state: one [`Env`] plus the local timer wheel and
-/// the channels into the router/collector. Timer liveness is the
-/// [`crate::TimerTable`] living inside the env (the same table
-/// [`Env::set_timer`] allocates from), so cancellation checks are O(1)
-/// generation comparisons instead of hash-set probes.
-struct NodeWorker<M, O> {
+/// A node thread's [`Link`]: the handle into the delay router and the
+/// collector.
+struct RouterLink<M, O> {
     me: ProcessId,
-    start: Instant,
-    tick: Duration,
+    timers: WallTimers,
     router: Sender<RouterCmd<M>>,
     outputs: Sender<ThreadedOutput<O>>,
-    /// Recording channel of [`run_threaded_recorded`] (`None` = plain run).
-    record: Option<Sender<RecordedInvocation<M, O>>>,
-    /// Telemetry ring of [`run_threaded_traced`] (`None` = untraced run).
-    trace: Option<Arc<TraceRecorder>>,
-    /// This node's inbox depth, shared with the router thread.
-    inbox_depth: Arc<AtomicU64>,
-    timers: BinaryHeap<PendingTimer>,
-    halted: bool,
-    env: Env<M, O>,
 }
 
-impl<M: Clone, O: Clone> NodeWorker<M, O> {
-    fn now(&self) -> VirtualTime {
-        VirtualTime::from_ticks(
-            (self.start.elapsed().as_nanos() / self.tick.as_nanos().max(1)) as u64,
-        )
+impl<M: Clone, O> Link<M, O> for RouterLink<M, O> {
+    fn send(&mut self, to: ProcessId, msg: M) {
+        let from = self.me;
+        let _ = self.router.send(RouterCmd::Send { from, to, msg });
     }
 
-    /// Wall-clock start of a handler step, taken only when tracing.
-    fn step_start(&self) -> Option<Instant> {
-        self.trace.as_ref().map(|_| Instant::now())
+    fn broadcast(&mut self, _n: usize, msg: M) {
+        let from = self.me;
+        let _ = self.router.send(RouterCmd::Broadcast { from, msg });
     }
 
-    /// Records the handler step cost begun at `step` (no-op untraced).
-    fn note_step(&self, step: Option<Instant>) {
-        if let (Some(trace), Some(start)) = (&self.trace, step) {
-            trace.record_at(
-                self.now().ticks(),
-                self.me.index() as u32,
-                TraceKind::HandlerStep {
-                    nanos: start.elapsed().as_nanos() as u64,
-                },
-            );
-        }
+    fn set_timer(&mut self, id: TimerId, delay: u64) {
+        self.timers.set(id, delay);
     }
 
-    /// Records an inbox dequeue with the post-dequeue depth (no-op
-    /// untraced).
-    fn note_dequeue(&self) {
-        if let Some(trace) = &self.trace {
-            let depth = self
-                .inbox_depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                    Some(d.saturating_sub(1))
-                })
-                .unwrap_or(0)
-                .saturating_sub(1);
-            trace.record_at(
-                self.now().ticks(),
-                self.me.index() as u32,
-                TraceKind::Dequeue {
-                    queue: queues::INBOX,
-                    depth,
-                },
-            );
-        }
+    fn output(&mut self, event: O) {
+        let _ = self.outputs.send(ThreadedOutput {
+            process: self.me,
+            elapsed: self.timers.clock().elapsed(),
+            event,
+        });
     }
 
-    /// Drains the env and interprets each effect.
-    fn apply_effects(&mut self) {
-        let mut effects = self.env.take_buffer();
-        if let Some(tx) = &self.record {
-            let _ = tx.send(RecordedInvocation {
-                process: self.me,
-                effects: effects.clone(),
-            });
-        }
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    let _ = self.router.send(RouterCmd::Send {
-                        from: self.me,
-                        to,
-                        msg,
-                    });
-                }
-                Effect::Broadcast { msg } => {
-                    let _ = self
-                        .router
-                        .send(RouterCmd::Broadcast { from: self.me, msg });
-                }
-                Effect::SetTimer { id, delay } => {
-                    let due = Instant::now() + self.tick * (delay.min(u32::MAX as u64) as u32);
-                    self.env.timers_mut().arm(id);
-                    self.timers.push(PendingTimer { due, id });
-                }
-                Effect::CancelTimer { id } => {
-                    self.env.timers_mut().cancel(id);
-                }
-                Effect::Output(event) => {
-                    let _ = self.outputs.send(ThreadedOutput {
-                        process: self.me,
-                        elapsed: self.start.elapsed(),
-                        event,
-                    });
-                }
-                Effect::Halt => {
-                    self.halted = true;
-                }
-            }
-        }
-        self.env.restore_buffer(effects);
+    fn halt(&mut self) {
+        self.timers.halt();
+    }
+}
+
+impl<M: Clone, O> WallClockLink<M, O> for RouterLink<M, O> {
+    fn timers(&mut self) -> &mut WallTimers {
+        &mut self.timers
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ChannelTiming;
+    use crate::{ChannelTiming, Env};
 
     struct Pinger;
 
@@ -729,13 +445,17 @@ mod tests {
         let topo = NetworkTopology::uniform(2, ChannelTiming::timely(1));
         let nodes: Vec<Box<dyn Node<Msg = u32, Output = u32>>> =
             vec![Box::new(Pinger), Box::new(Pinger)];
-        let (report, recorded) = run_threaded_recorded(
+        let (report, recorded) = run_threaded_with(
             topo,
             nodes,
             ThreadedConfig {
                 tick: Duration::from_micros(50),
                 timeout: Duration::from_secs(10),
                 seed: 3,
+            },
+            ThreadedHooks {
+                record: true,
+                ..ThreadedHooks::default()
             },
             |outs| outs.len() >= 2,
         );
@@ -771,64 +491,6 @@ mod tests {
         }
     }
 
-    /// Outputs a beat on a repeating timer, never halting — keeps the run
-    /// alive until the stop predicate fires.
-    struct Beater;
-
-    impl Node for Beater {
-        type Msg = ();
-        type Output = u64;
-
-        fn on_start(&mut self, env: &mut Env<(), u64>) {
-            env.set_timer(2);
-        }
-
-        fn on_message(&mut self, _: ProcessId, _: (), _: &mut Env<(), u64>) {}
-
-        fn on_timer(&mut self, _t: TimerId, env: &mut Env<(), u64>) {
-            env.output(1);
-            env.set_timer(2);
-        }
-    }
-
-    #[test]
-    fn sampled_run_streams_registry_deltas() {
-        let topo = NetworkTopology::all_timely(1, 1);
-        let registry = Arc::new(Registry::new());
-        let progress = registry.gauge("test.collected");
-        let began = Instant::now();
-        let (report, series) = run_threaded_sampled(
-            topo,
-            vec![Box::new(Beater) as Box<dyn Node<Msg = (), Output = u64>>],
-            ThreadedConfig {
-                tick: Duration::from_micros(200),
-                timeout: Duration::from_secs(10),
-                seed: 1,
-            },
-            // Publish collector progress through the registry so the
-            // periodic samples have something to delta-encode; hold the
-            // run open long enough for at least two boundaries to pass.
-            |outs| {
-                progress.set(outs.len() as u64);
-                outs.len() >= 3 && began.elapsed() >= Duration::from_millis(50)
-            },
-            Arc::clone(&registry),
-            Duration::from_millis(10),
-        );
-        assert!(!report.timed_out, "threaded run timed out");
-        assert!(series.len() >= 2, "periodic samples plus the closing one");
-        assert_eq!(
-            series.applied(),
-            series.latest().map(|p| p.index + 1).unwrap()
-        );
-        // The closing sample captured the collected count as of the last
-        // stop-predicate call (the post-break drain may add a few more).
-        let sampled_count = series.state().gauge("test.collected").unwrap();
-        assert!((3..=report.outputs.len() as u64).contains(&sampled_count));
-        let stamps: Vec<u64> = series.points().map(|p| p.at).collect();
-        assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
-    }
-
     #[test]
     fn threaded_timers_fire_and_cancel() {
         let topo = NetworkTopology::all_timely(1, 1);
@@ -845,5 +507,57 @@ mod tests {
         assert!(!report.timed_out);
         assert_eq!(report.outputs.len(), 1, "cancelled timer must not fire");
         assert_eq!(report.outputs[0].event, "fired");
+    }
+
+    /// p0 halts on start. p1 sends it more messages than its inbox holds,
+    /// then one to itself; the router delivers in send order, so p1 hears
+    /// itself only if the router got past the dead node's full inbox.
+    struct HaltOrFlood;
+
+    impl Node for HaltOrFlood {
+        type Msg = u32;
+        type Output = &'static str;
+
+        fn on_start(&mut self, env: &mut Env<u32, &'static str>) {
+            if env.me() == ProcessId::new(0) {
+                env.halt();
+            } else {
+                for i in 0..70_000 {
+                    env.send(ProcessId::new(0), i);
+                }
+                env.send(env.me(), 0);
+            }
+        }
+
+        fn on_message(&mut self, _: ProcessId, _: u32, env: &mut Env<u32, &'static str>) {
+            env.output("past the flood");
+        }
+    }
+
+    #[test]
+    fn halted_node_with_a_full_inbox_does_not_wedge_the_router() {
+        // Teardown joins the router, so a wedged router hangs the whole
+        // call: run it aside and wait a bounded time for it to return.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let report = run_threaded(
+                NetworkTopology::all_timely(2, 0),
+                vec![
+                    Box::new(HaltOrFlood) as Box<dyn Node<Msg = u32, Output = &'static str>>,
+                    Box::new(HaltOrFlood),
+                ],
+                ThreadedConfig {
+                    tick: Duration::from_micros(50),
+                    timeout: Duration::from_secs(10),
+                    seed: 4,
+                },
+                |outs| !outs.is_empty(),
+            );
+            let _ = done_tx.send(report);
+        });
+        let report = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run_threaded never returned: the router is stuck on a closed inbox");
+        assert!(!report.timed_out, "the router never got past the flood");
     }
 }

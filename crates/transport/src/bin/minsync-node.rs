@@ -62,6 +62,7 @@ use minsync_adversary::impersonate::{forged_hello, tagged_frame, tampered_frame}
 use minsync_adversary::{CaptureHandle, CaptureNode, FloodNode, SilentNode};
 use minsync_auth::{Authenticator, HmacAuthenticator};
 use minsync_core::{ConsensusConfig, ProtocolMsg};
+use minsync_net::driver::WallClock;
 use minsync_net::sim::OutputRecord;
 use minsync_net::{Node, VirtualTime};
 use minsync_smr::{ReplicaNode, SmrEvent, SmrLimits, SmrMsg};
@@ -391,32 +392,32 @@ fn run(args: Args) -> Result<(), String> {
     // totals land back in the registry (`watchdog.alarms*`) — visible in
     // the very next sample and in the final `STAT v1` block.
     let mut reported = args.behavior != Behavior::Correct;
-    let tick = args.tick;
-    let run_start = std::time::Instant::now();
+    let clock = WallClock::new(std::time::Instant::now(), args.tick);
     let stop = {
         let stop_flag = Arc::clone(&stop_flag);
         let registry = Arc::clone(&registry);
         let pop = &pop;
+        let debug = std::env::var_os("MINSYNC_NODE_DEBUG").is_some();
         let mut last_dbg = std::time::Instant::now();
+        // The probe runs once per loop turn: count what the outputs gained
+        // since the last turn instead of rescanning the whole history.
+        let (mut cursor, mut committed) = (0, 0);
         let mut sampler = Sampler::new();
         let mut watchdog = Watchdog::new(WatchdogConfig::default()).with_registry(&registry);
         if let Some(trace) = &trace {
             watchdog = watchdog.with_trace(Arc::clone(trace));
         }
-        let mut next_sample = args.stats_period.map(|p| run_start + p);
+        let mut next_sample = args.stats_period.map(|p| std::time::Instant::now() + p);
         move |outs: &[MeshOutput<Out>], _counters: &minsync_transport::mesh::MeshCounters| {
-            if std::env::var_os("MINSYNC_NODE_DEBUG").is_some()
-                && last_dbg.elapsed() > Duration::from_secs(1)
-            {
+            committed += committed_commands(&outs[cursor..]);
+            cursor = outs.len();
+            if debug && last_dbg.elapsed() > Duration::from_secs(1) {
                 last_dbg = std::time::Instant::now();
-                eprintln!(
-                    "minsync-node[{me:?}]: progress {}/{total}",
-                    committed_commands(outs)
-                );
+                eprintln!("minsync-node[{me:?}]: progress {committed}/{total}");
             }
-            if !reported && committed_commands(outs) >= total {
+            if !reported && committed >= total {
                 reported = true;
-                print_stats(pop, outs, me, tick, &registry);
+                print_stats(pop, outs, me, clock, &registry);
             }
             // STOP (or stdin EOF — the orchestrator is gone) ends the run
             // unconditionally: the orchestrator only sends STOP after every
@@ -426,7 +427,7 @@ fn run(args: Args) -> Result<(), String> {
                 // One sample per period, plus a closing sample on the way
                 // out so the stream tail always carries the drained state.
                 if stopping || std::time::Instant::now() >= due {
-                    let at = (run_start.elapsed().as_nanos() / tick.as_nanos().max(1)) as u64;
+                    let at = clock.ticks();
                     // Observe first, sample second: alarms this observation
                     // raises bump `watchdog.alarms*` counters that the
                     // sample about to ship already carries.
@@ -499,7 +500,7 @@ fn print_stats(
     pop: &ClientPopulation,
     outs: &[MeshOutput<Out>],
     me: ProcessId,
-    tick: Duration,
+    clock: WallClock,
     registry: &Registry,
 ) {
     let mut digest = LogDigest::new();
@@ -529,7 +530,7 @@ fn print_stats(
     let records: Vec<OutputRecord<Out>> = outs
         .iter()
         .map(|o| OutputRecord {
-            time: VirtualTime::from_ticks((o.elapsed.as_nanos() / tick.as_nanos().max(1)) as u64),
+            time: VirtualTime::from_ticks(clock.ticks_of(o.elapsed)),
             process: me,
             event: o.event.clone(),
         })

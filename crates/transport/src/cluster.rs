@@ -275,7 +275,6 @@ pub struct ReplicaStats {
     /// `STAT v1` format — every `mesh.*`/`smr.*`/`node.*` metric the
     /// summary fields above were extracted from, for callers that need
     /// counters without a dedicated field (keepalives, cert rejects, …).
-    /// Empty for legacy positional reports.
     pub snapshot: Snapshot,
     /// The reassembled live stat stream, when the run asked for one
     /// ([`ClusterSpec::stats_period`]); empty otherwise. Each point is the
@@ -356,19 +355,6 @@ impl std::fmt::Display for ClusterError {
 }
 
 impl std::error::Error for ClusterError {}
-
-impl ClusterError {
-    /// Fills a [`ClusterError::Timeout`]'s pending-replica list (the
-    /// deadline fires inside the line receiver, which does not know which
-    /// replicas the caller is still waiting on); other variants pass
-    /// through unchanged.
-    fn with_pending(self, pending: impl FnOnce() -> Vec<usize>) -> Self {
-        match self {
-            ClusterError::Timeout { .. } => ClusterError::Timeout { pending: pending() },
-            other => other,
-        }
-    }
-}
 
 /// Locates the `minsync-node` binary: the `MINSYNC_NODE_BIN` environment
 /// variable if set (integration tests point it at `CARGO_BIN_EXE_…`),
@@ -512,175 +498,7 @@ impl StreamAssembler {
 /// [`ClusterError`] if the binary is missing, a child dies or violates the
 /// control protocol, or the run exceeds [`ClusterSpec::harness_timeout`].
 pub fn run_cluster(spec: &ClusterSpec) -> Result<ClusterReport, ClusterError> {
-    assert!(
-        spec.riders.len() <= spec.t,
-        "riders must fit the fault bound"
-    );
-    assert!(spec.correct() >= 1, "need at least one correct replica");
-    let bin = node_binary()?;
-    let start = Instant::now();
-    let deadline = start + spec.harness_timeout;
-
-    // The trusted dealer: pairwise MAC keys derived from the cluster seed,
-    // serialized per replica so each child only ever sees its own keyring.
-    let keyrings = spec.auth.then(|| {
-        let master = cluster_master(spec.seed);
-        HmacAuthenticator::deal(&master, spec.n)
-    });
-
-    // Spawn every child with a piped control pipe.
-    let mut children = Vec::with_capacity(spec.n);
-    for id in 0..spec.n {
-        let cfg = ChildConfig {
-            id,
-            behavior: behavior_of(spec, id),
-            auth_hex: keyrings.as_ref().map(|k| k[id].to_hex()),
-            listen: "127.0.0.1:0".into(),
-            peers: None,
-            wal: None,
-            ckpt_retry: 0,
-        };
-        children.push(spawn_replica(&bin, spec, &cfg)?);
-    }
-
-    // One reader thread per child funnels control lines into a channel, so
-    // the orchestrator never blocks on a single quiet pipe.
-    let (line_tx, line_rx) = unbounded::<ChildLine>();
-    let mut stdins = Vec::with_capacity(spec.n);
-    for (id, child) in children.iter_mut().enumerate() {
-        stdins.push(attach_reader(id, child, &line_tx));
-    }
-    drop(line_tx);
-    let mut reaper = Reaper(children);
-
-    // Phase 1: gather every child's kernel-assigned port.
-    let mut ports: BTreeMap<usize, u16> = BTreeMap::new();
-    let mut pending_lines: Vec<Vec<String>> = vec![Vec::new(); spec.n];
-    while ports.len() < spec.n {
-        let line = recv_line(&line_rx, deadline).map_err(|e| {
-            e.with_pending(|| (0..spec.n).filter(|id| !ports.contains_key(id)).collect())
-        })?;
-        match line {
-            ChildLine::Line(id, line) => {
-                if let Some(port) = line
-                    .strip_prefix(control::PORT)
-                    .and_then(|r| r.trim().parse::<u16>().ok())
-                {
-                    ports.insert(id, port);
-                } else {
-                    pending_lines[id].push(line);
-                }
-            }
-            ChildLine::Eof(id) => {
-                // Fail fast with the child's exit status rather than
-                // letting the caller wait out the harness deadline. Name
-                // the phase honestly: the victim may already have spoken.
-                let when = if ports.contains_key(&id) {
-                    "right after announcing its port"
-                } else {
-                    "before announcing its port"
-                };
-                return Err(ClusterError::Protocol {
-                    id,
-                    what: format!("exited {when} ({})", exit_status_of(&mut reaper.0[id])),
-                });
-            }
-        }
-    }
-
-    // Phase 2: hand everyone the full peer list.
-    let peer_line = {
-        let addrs: Vec<String> = (0..spec.n)
-            .map(|id| format!("127.0.0.1:{}", ports[&id]))
-            .collect();
-        format!("{} {}\n", control::PEERS, addrs.join(" "))
-    };
-    for (id, stdin) in stdins.iter_mut().enumerate() {
-        if let Err(e) = stdin
-            .write_all(peer_line.as_bytes())
-            .and_then(|()| stdin.flush())
-        {
-            // A broken pipe here means the child died *after* announcing
-            // its port; name the victim rather than reporting a generic
-            // io error (or worse, timing out in phase 3).
-            return Err(ClusterError::Protocol {
-                id,
-                what: format!(
-                    "closed its control pipe before taking the peer list: {e} ({})",
-                    exit_status_of(&mut reaper.0[id])
-                ),
-            });
-        }
-    }
-
-    // Phase 3: collect every correct replica's statistics block, routing
-    // live stat-stream samples into per-child series as they arrive.
-    let mut blocks: Vec<Vec<String>> = pending_lines;
-    let mut streams = StreamAssembler::new(spec.n);
-    let mut done = vec![false; spec.n];
-    let mut eofs_owed = vec![1usize; spec.n];
-    while (0..spec.correct()).any(|id| !done[id]) {
-        let line = recv_line(&line_rx, deadline).map_err(|e| {
-            e.with_pending(|| (0..spec.correct()).filter(|&id| !done[id]).collect())
-        })?;
-        match line {
-            ChildLine::Line(id, line) => {
-                if streams.consume(id, &line) {
-                    // A stat-stream line, absorbed into the series.
-                } else if line.trim() == control::DONE {
-                    done[id] = true;
-                } else {
-                    blocks[id].push(line);
-                }
-            }
-            ChildLine::Eof(id) if done[id] || id >= spec.correct() => {
-                eofs_owed[id] = eofs_owed[id].saturating_sub(1);
-            }
-            ChildLine::Eof(id) => {
-                return Err(ClusterError::Protocol {
-                    id,
-                    what: format!(
-                        "exited before finishing its report ({})",
-                        exit_status_of(&mut reaper.0[id])
-                    ),
-                });
-            }
-        }
-    }
-
-    // Phase 4: everyone has reported — release the cluster.
-    for stdin in &mut stdins {
-        let _ = stdin.write_all(format!("{}\n", control::STOP).as_bytes());
-        let _ = stdin.flush();
-    }
-    drop(stdins); // EOF doubles as STOP for children that missed the line
-    for (id, child) in reaper.0.iter_mut().enumerate() {
-        let grace = Instant::now() + Duration::from_secs(5);
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < grace => std::thread::sleep(Duration::from_millis(10)),
-                _ => {
-                    // Byzantine or wedged: the reaper's kill handles it.
-                    let _ = id;
-                    break;
-                }
-            }
-        }
-    }
-    drain_stream_tail(&line_rx, &mut streams, eofs_owed);
-
-    let mut replicas = Vec::with_capacity(spec.correct());
-    for (id, block) in blocks.iter().enumerate().take(spec.correct()) {
-        let mut stats = parse_stats(id, block)?;
-        stats.series = streams.take(id);
-        replicas.push(stats);
-    }
-    Ok(ClusterReport {
-        replicas,
-        total_commands: spec.total_commands(),
-        elapsed: start.elapsed(),
-    })
+    orchestrate(spec, None)
 }
 
 /// Phase-4 tail drain: a sampled child emits one closing `STAT-STREAM`
@@ -802,6 +620,16 @@ pub fn run_churn_cluster(
     spec: &ClusterSpec,
     plan: &ChurnPlan,
 ) -> Result<ClusterReport, ClusterError> {
+    orchestrate(spec, Some(plan))
+}
+
+/// The one orchestrator behind [`run_cluster`] and [`run_churn_cluster`].
+/// Without a plan the run is loss-free: no write-ahead logs, the checkpoint
+/// retry off, and nothing scheduled between bootstrap and the reports.
+fn orchestrate(
+    spec: &ClusterSpec,
+    plan: Option<&ChurnPlan>,
+) -> Result<ClusterReport, ClusterError> {
     assert!(
         spec.riders.len() <= spec.t,
         "riders must fit the fault bound"
@@ -811,23 +639,33 @@ pub fn run_churn_cluster(
     let start = Instant::now();
     let deadline = start + spec.harness_timeout;
 
-    // Each run gets its own WAL directory (removed on exit, success or
-    // not); the sequence number keeps parallel runs in one process apart.
+    // Each churn run gets its own WAL directory (removed on exit, success
+    // or not); the sequence number keeps parallel runs in one process apart.
     static CHURN_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-    let wal_dir = TempDir::create(std::env::temp_dir().join(format!(
-        "minsync-churn-{}-{}",
-        std::process::id(),
-        CHURN_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    )))?;
-    let wal_path =
-        |id: usize| (id < spec.correct()).then(|| wal_dir.0.join(format!("wal-{id}.log")));
+    let wal_dir = plan
+        .map(|_| {
+            TempDir::create(std::env::temp_dir().join(format!(
+                "minsync-churn-{}-{}",
+                std::process::id(),
+                CHURN_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+            )))
+        })
+        .transpose()?;
+    let wal_path = |id: usize| {
+        let dir = wal_dir.as_ref().filter(|_| id < spec.correct())?;
+        Some(dir.0.join(format!("wal-{id}.log")))
+    };
+    let ckpt_retry = if plan.is_some() { CHURN_CKPT_RETRY } else { 0 };
 
+    // The trusted dealer: pairwise MAC keys derived from the cluster seed,
+    // serialized per replica so each child only ever sees its own keyring.
     let keyrings = spec.auth.then(|| {
         let master = cluster_master(spec.seed);
         HmacAuthenticator::deal(&master, spec.n)
     });
     let auth_hex = |id: usize| keyrings.as_ref().map(|k| k[id].to_hex());
 
+    // Spawn every child with a piped control pipe.
     let mut children = Vec::with_capacity(spec.n);
     for id in 0..spec.n {
         let cfg = ChildConfig {
@@ -837,11 +675,13 @@ pub fn run_churn_cluster(
             listen: "127.0.0.1:0".into(),
             peers: None,
             wal: wal_path(id),
-            ckpt_retry: CHURN_CKPT_RETRY,
+            ckpt_retry,
         };
         children.push(spawn_replica(&bin, spec, &cfg)?);
     }
 
+    // One reader thread per child funnels control lines into a channel, so
+    // the orchestrator never blocks on a single quiet pipe.
     let (line_tx, line_rx) = unbounded::<ChildLine>();
     let mut stdins: Vec<Option<ChildStdin>> = Vec::with_capacity(spec.n);
     for (id, child) in children.iter_mut().enumerate() {
@@ -855,9 +695,14 @@ pub fn run_churn_cluster(
     let mut ports: BTreeMap<usize, u16> = BTreeMap::new();
     let mut pending_lines: Vec<Vec<String>> = vec![Vec::new(); spec.n];
     while ports.len() < spec.n {
-        let line = recv_line(&line_rx, deadline).map_err(|e| {
-            e.with_pending(|| (0..spec.n).filter(|id| !ports.contains_key(id)).collect())
-        })?;
+        if Instant::now() >= deadline {
+            return Err(ClusterError::Timeout {
+                pending: (0..spec.n).filter(|id| !ports.contains_key(id)).collect(),
+            });
+        }
+        let Some(line) = recv_line(&line_rx, deadline)? else {
+            continue;
+        };
         match line {
             ChildLine::Line(id, line) => {
                 if let Some(port) = line
@@ -870,6 +715,9 @@ pub fn run_churn_cluster(
                 }
             }
             ChildLine::Eof(id) => {
+                // Fail fast with the child's exit status rather than
+                // letting the caller wait out the harness deadline. Name
+                // the phase honestly: the victim may already have spoken.
                 let when = if ports.contains_key(&id) {
                     "right after announcing its port"
                 } else {
@@ -895,6 +743,9 @@ pub fn run_churn_cluster(
             .write_all(peer_line.as_bytes())
             .and_then(|()| stdin.flush())
         {
+            // A broken pipe here means the child died *after* announcing
+            // its port; name the victim rather than reporting a generic
+            // io error (or worse, timing out in phase 3).
             return Err(ClusterError::Protocol {
                 id,
                 what: format!(
@@ -906,8 +757,10 @@ pub fn run_churn_cluster(
     }
     let epoch = Instant::now();
 
-    // Phase 3: interleave plan steps with report collection.
-    let mut steps = plan.steps.clone();
+    // Phase 3: collect every correct replica's statistics block, routing
+    // live stat-stream samples into per-child series as they arrive and
+    // interleaving the plan's steps.
+    let mut steps = plan.map(|p| p.steps.clone()).unwrap_or_default();
     steps.sort_by_key(|s| s.at);
     let mut next_step = 0;
     let mut killed = vec![false; spec.n];
@@ -965,7 +818,7 @@ pub fn run_churn_cluster(
                         listen: format!("127.0.0.1:{}", ports[&id]),
                         peers: Some(addrs.join(",")),
                         wal: wal_path(id),
-                        ckpt_retry: CHURN_CKPT_RETRY,
+                        ckpt_retry,
                     };
                     let mut child = spawn_replica(&bin, spec, &cfg)?;
                     stdins[id] = Some(attach_reader(id, &mut child, &line_tx));
@@ -980,22 +833,14 @@ pub fn run_churn_cluster(
 
         // Sleep until a pipe speaks, the next step comes due, or the
         // deadline — whichever is first.
-        let now = Instant::now();
-        if now >= deadline {
+        if Instant::now() >= deadline {
             return Err(ClusterError::Timeout {
                 pending: (0..spec.correct()).filter(|&id| !done[id]).collect(),
             });
         }
-        let wake = steps
-            .get(next_step)
-            .map(|s| epoch + s.at)
-            .unwrap_or(deadline)
-            .min(deadline);
-        let wait = wake
-            .saturating_duration_since(now)
-            .clamp(Duration::from_millis(1), Duration::from_millis(50));
-        match line_rx.recv_timeout(wait) {
-            Ok(ChildLine::Line(id, line)) => {
+        let wake = steps.get(next_step).map_or(deadline, |s| epoch + s.at);
+        match recv_line(&line_rx, wake.min(deadline))? {
+            Some(ChildLine::Line(id, line)) => {
                 if stale_eofs[id] > 0 {
                     // Tail output of a killed incarnation still draining.
                 } else if streams.consume(id, &line) {
@@ -1008,7 +853,7 @@ pub fn run_churn_cluster(
                     blocks[id].push(line);
                 }
             }
-            Ok(ChildLine::Eof(id)) => {
+            Some(ChildLine::Eof(id)) => {
                 if stale_eofs[id] > 0 {
                     stale_eofs[id] -= 1;
                 } else if done[id] || killed[id] || id >= spec.correct() {
@@ -1023,10 +868,7 @@ pub fn run_churn_cluster(
                     });
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(ClusterError::Io("all control pipes closed".into()));
-            }
+            None => {}
         }
     }
     drop(line_tx);
@@ -1036,14 +878,14 @@ pub fn run_churn_cluster(
         let _ = stdin.write_all(format!("{}\n", control::STOP).as_bytes());
         let _ = stdin.flush();
     }
-    drop(stdins);
+    drop(stdins); // EOF doubles as STOP for children that missed the line
     for child in reaper.0.iter_mut() {
         let grace = Instant::now() + Duration::from_secs(5);
         loop {
             match child.try_wait() {
                 Ok(Some(_)) => break,
                 Ok(None) if Instant::now() < grace => std::thread::sleep(Duration::from_millis(10)),
-                _ => break, // wedged: the reaper's kill handles it
+                _ => break, // Byzantine or wedged: the reaper's kill handles it
             }
         }
     }
@@ -1234,47 +1076,27 @@ fn exit_status_of(child: &mut Child) -> String {
     "exit status unknown".into()
 }
 
-/// Receives one control line, failing cleanly at the deadline.
-fn recv_line(rx: &Receiver<ChildLine>, deadline: Instant) -> Result<ChildLine, ClusterError> {
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(ClusterError::Timeout { pending: vec![] });
-        }
-        match rx.recv_timeout((deadline - now).min(Duration::from_millis(100))) {
-            Ok(line) => return Ok(line),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(ClusterError::Io("all control pipes closed".into()))
-            }
+/// Receives one control line, or `None` if the pipes stay quiet until
+/// `wake` (waits are clamped so a caller's deadline check runs regularly).
+fn recv_line(rx: &Receiver<ChildLine>, wake: Instant) -> Result<Option<ChildLine>, ClusterError> {
+    let wait = wake
+        .saturating_duration_since(Instant::now())
+        .clamp(Duration::from_millis(1), Duration::from_millis(50));
+    match rx.recv_timeout(wait) {
+        Ok(line) => Ok(Some(line)),
+        Err(RecvTimeoutError::Timeout) => Ok(None),
+        Err(RecvTimeoutError::Disconnected) => {
+            Err(ClusterError::Io("all control pipes closed".into()))
         }
     }
 }
 
-/// Parses one correct replica's statistics block. The current format is a
-/// `minsync-telemetry` registry snapshot (`STAT v1 … END STAT`): the
-/// summary fields come out of `node.*` gauges, the defense counters out of
-/// the `mesh.*`/`smr.*` metrics, and the whole snapshot rides along in
-/// [`ReplicaStats::snapshot`]. Blocks without a `STAT v1` line fall back
-/// to the legacy positional grammar older nodes printed:
-///
-/// ```text
-/// COMMITTED <commands> <slots>
-/// DIGEST <16-hex-digit fnv1a64>
-/// WALL_MS <float>
-/// LAT <count> <p50> <p95> <p99> <mean>      (virtual ticks)
-/// DROPS <outbound> <decode> <handshake> <auth> <future> <retired>
-/// ```
+/// Parses one correct replica's statistics block: a `minsync-telemetry`
+/// registry snapshot (`STAT v1 … END STAT`). The summary fields come out of
+/// `node.*` gauges, the defense counters out of the `mesh.*`/`smr.*`
+/// metrics, and the whole snapshot rides along in
+/// [`ReplicaStats::snapshot`].
 fn parse_stats(id: usize, block: &[String]) -> Result<ReplicaStats, ClusterError> {
-    if block.iter().any(|l| l.trim() == "STAT v1") {
-        parse_snapshot_stats(id, block)
-    } else {
-        parse_legacy_stats(id, block)
-    }
-}
-
-/// The `STAT v1` half of [`parse_stats`].
-fn parse_snapshot_stats(id: usize, block: &[String]) -> Result<ReplicaStats, ClusterError> {
     let text = block.join("\n");
     let snapshot = Snapshot::parse(&text).map_err(|what| ClusterError::Protocol { id, what })?;
     let gauge = |name: &str| -> Result<u64, ClusterError> {
@@ -1302,59 +1124,6 @@ fn parse_snapshot_stats(id: usize, block: &[String]) -> Result<ReplicaStats, Clu
         future_drops: counter("smr.future_drops"),
         retired_drops: counter("smr.retired_drops"),
         snapshot,
-        series: TimeSeries::with_capacity(1),
-    })
-}
-
-/// The positional half of [`parse_stats`] (pre-snapshot node builds).
-fn parse_legacy_stats(id: usize, block: &[String]) -> Result<ReplicaStats, ClusterError> {
-    let field = |key: &str| -> Result<Vec<String>, ClusterError> {
-        block
-            .iter()
-            .find_map(|l| l.strip_prefix(key))
-            .map(|rest| rest.split_whitespace().map(str::to_string).collect())
-            .ok_or_else(|| ClusterError::Protocol {
-                id,
-                what: format!("missing {key} line in report"),
-            })
-    };
-    let bad = |what: &str| ClusterError::Protocol {
-        id,
-        what: what.to_string(),
-    };
-    let committed = field("COMMITTED")?;
-    let digest = field("DIGEST")?;
-    let wall = field("WALL_MS")?;
-    let lat = field("LAT")?;
-    let drops = field("DROPS")?;
-    if committed.len() != 2
-        || digest.len() != 1
-        || wall.len() != 1
-        || lat.len() != 5
-        || drops.len() != 6
-    {
-        return Err(bad("malformed report line"));
-    }
-    Ok(ReplicaStats {
-        id,
-        committed: committed[0].parse().map_err(|_| bad("bad COMMITTED"))?,
-        slots: committed[1].parse().map_err(|_| bad("bad COMMITTED"))?,
-        digest: u64::from_str_radix(&digest[0], 16).map_err(|_| bad("bad DIGEST"))?,
-        wall: Duration::from_secs_f64(
-            wall[0].parse::<f64>().map_err(|_| bad("bad WALL_MS"))? / 1000.0,
-        ),
-        lat_count: lat[0].parse().map_err(|_| bad("bad LAT"))?,
-        lat_p50: lat[1].parse().map_err(|_| bad("bad LAT"))?,
-        lat_p95: lat[2].parse().map_err(|_| bad("bad LAT"))?,
-        lat_p99: lat[3].parse().map_err(|_| bad("bad LAT"))?,
-        lat_mean: lat[4].parse().map_err(|_| bad("bad LAT"))?,
-        outbound_dropped: drops[0].parse().map_err(|_| bad("bad DROPS"))?,
-        decode_disconnects: drops[1].parse().map_err(|_| bad("bad DROPS"))?,
-        handshake_rejects: drops[2].parse().map_err(|_| bad("bad DROPS"))?,
-        auth_rejects: drops[3].parse().map_err(|_| bad("bad DROPS"))?,
-        future_drops: drops[4].parse().map_err(|_| bad("bad DROPS"))?,
-        retired_drops: drops[5].parse().map_err(|_| bad("bad DROPS"))?,
-        snapshot: Snapshot::empty(),
         series: TimeSeries::with_capacity(1),
     })
 }
@@ -1434,51 +1203,54 @@ mod tests {
         assert_eq!(stats.retired_drops, 4);
         // The full snapshot rides along for fields without a summary slot.
         assert_eq!(stats.snapshot.counter("mesh.keepalives"), Some(9));
-
-        // A snapshot missing a summary gauge is a protocol error, not a
-        // zero-filled report.
-        let mut gutted = Snapshot::empty();
-        gutted.set_gauge("node.committed_commands", 1);
-        let block: Vec<String> = gutted.to_text().lines().map(str::to_string).collect();
-        assert!(matches!(
-            parse_stats(2, &block),
-            Err(ClusterError::Protocol { id: 2, .. })
-        ));
     }
 
     #[test]
     fn stats_block_parses_and_reports_missing_fields() {
-        let block: Vec<String> = [
-            "COMMITTED 128 20",
-            "DIGEST cbf29ce484222325",
-            "WALL_MS 412.5",
-            "LAT 128 10 25 40 12.75",
-            "DROPS 3 1 0 2 5 4",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        const GAUGES: [&str; 9] = [
+            "node.committed_commands",
+            "node.committed_slots",
+            "node.digest",
+            "node.wall_us",
+            "node.lat_count",
+            "node.lat_p50",
+            "node.lat_p95",
+            "node.lat_p99",
+            "node.lat_mean_milli",
+        ];
+        let mut snap = Snapshot::empty();
+        for (value, name) in GAUGES.iter().enumerate() {
+            snap.set_gauge(name, value as u64 + 1);
+        }
+        let block: Vec<String> = snap.to_text().lines().map(str::to_string).collect();
         let stats = parse_stats(2, &block).unwrap();
-        assert_eq!(stats.committed, 128);
-        assert_eq!(stats.slots, 20);
-        assert_eq!(stats.digest, 0xcbf2_9ce4_8422_2325);
-        assert_eq!(stats.lat_p99, 40);
-        assert_eq!(stats.outbound_dropped, 3);
-        assert_eq!(stats.auth_rejects, 2);
-        assert_eq!(stats.future_drops, 5);
-        assert_eq!(stats.retired_drops, 4);
-        assert!((stats.wall.as_secs_f64() - 0.4125).abs() < 1e-9);
+        assert_eq!((stats.committed, stats.slots, stats.digest), (1, 2, 3));
+        assert_eq!(stats.outbound_dropped, 0, "absent counters read zero");
 
-        // The old four-field DROPS grammar is rejected, not half-parsed.
-        let mut short = block.clone();
-        short[4] = "DROPS 3 1 0 2".into();
+        // A snapshot missing any one summary gauge is a protocol error
+        // naming the gauge, not a zero-filled report.
+        for name in GAUGES {
+            let gutted: Vec<String> = block
+                .iter()
+                .filter(|l| !l.contains(name))
+                .cloned()
+                .collect();
+            assert_eq!(gutted.len(), block.len() - 1, "{name} has its own line");
+            match parse_stats(2, &gutted) {
+                Err(ClusterError::Protocol { id: 2, what }) => {
+                    assert!(what.contains(name), "error should name {name}: {what}")
+                }
+                other => panic!("missing {name} must be a protocol error, got {other:?}"),
+            }
+        }
+
+        // Anything that is not a `STAT v1` block — the positional grammar
+        // early node builds printed included — is rejected, not guessed at.
+        let positional = ["COMMITTED 128 20".to_string(), "DIGEST cbf2".to_string()];
         assert!(matches!(
-            parse_stats(2, &short),
+            parse_stats(2, &positional),
             Err(ClusterError::Protocol { id: 2, .. })
         ));
-
-        let missing = parse_stats(2, &block[..2]);
-        assert!(matches!(missing, Err(ClusterError::Protocol { id: 2, .. })));
     }
 
     #[test]

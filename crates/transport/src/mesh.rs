@@ -27,12 +27,12 @@
 //!   error, oversized frame announcement, or handshake mismatch disconnects
 //!   *that peer's connection* and counts it; the process never dies on
 //!   received bytes.
-//! * **Drives the node** exactly like the other substrates: one [`Env`],
-//!   effects drained after every handler, wall-clock timers mapped onto the
-//!   shared [`TimerId`] generation scheme via the env's
-//!   [`TimerTable`](minsync_net::TimerTable) (`arm` / `cancel` /
-//!   `try_fire`), and self-addressed traffic delivered through an in-memory
-//!   queue (the paper's always-timely virtual self-channel).
+//! * **Drives the node** with the code every substrate shares
+//!   ([`minsync_net::driver`]): the node loop is a [`WallClockLoop`], every
+//!   invocation a `driver::step`, and what this module adds is the
+//!   [`Link`] those effects go to — per-peer writer queues, plus an
+//!   in-memory queue for self-addressed traffic (the paper's always-timely
+//!   virtual self-channel).
 //!
 //! Identity is *claimed* by default — see [`Hello`] — but a mesh configured
 //! with an [`Authenticator`] ([`MeshConfig::auth`]) **proves** it: the
@@ -44,7 +44,7 @@
 //! ordering, exactly the guarantee the protocols were verified against on
 //! the simulator.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -55,7 +55,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use minsync_auth::Authenticator;
-use minsync_net::{derive_stream, stream_of, Effect, Env, Node, TimerId, VirtualTime};
+use minsync_net::driver::{Link, WallClock, WallClockLink, WallClockLoop, WallTimers};
+use minsync_net::{derive_stream, stream_of, Node, TimerId};
 use minsync_telemetry::trace::{queues, TraceKind, TraceRecorder};
 use minsync_telemetry::{Counter, Gauge, Registry};
 use minsync_types::ProcessId;
@@ -73,7 +74,8 @@ const MESH_STREAM_TAG: u32 = 0x4D45_5348;
 #[derive(Clone, Debug)]
 pub struct MeshConfig {
     /// Wall-clock duration of one virtual tick (timer delays and
-    /// [`Env::now`] are expressed in ticks, as on every other substrate).
+    /// [`Env::now`](minsync_net::Env::now) are expressed in ticks, as on
+    /// every other substrate).
     pub tick: Duration,
     /// Hard wall-clock cap on the run.
     pub timeout: Duration,
@@ -401,18 +403,13 @@ impl MeshCounters {
 #[derive(Debug)]
 struct TraceCtx {
     trace: Arc<TraceRecorder>,
-    start: Instant,
-    tick_ns: u64,
+    clock: WallClock,
     me: u32,
 }
 
 impl TraceCtx {
-    fn now_ticks(&self) -> u64 {
-        (self.start.elapsed().as_nanos() as u64) / self.tick_ns.max(1)
-    }
-
     fn record(&self, kind: TraceKind) {
-        self.trace.record_at(self.now_ticks(), self.me, kind);
+        self.trace.record_at(self.clock.ticks(), self.me, kind);
     }
 }
 
@@ -471,13 +468,12 @@ impl TcpMesh {
         let me = self.me;
         assert!(n >= 2, "a mesh of one process has no wires");
         assert!(me.index() < n, "process id out of range");
-        let start = Instant::now();
+        let clock = WallClock::new(Instant::now(), config.tick);
         let shared = Arc::new(MeshCounters::new(n, config.registry.as_deref()));
         let trace_ctx = config.trace.as_ref().map(|trace| {
             Arc::new(TraceCtx {
                 trace: Arc::clone(trace),
-                start,
-                tick_ns: config.tick.as_nanos().max(1) as u64,
+                clock,
                 me: me.index() as u32,
             })
         });
@@ -514,7 +510,7 @@ impl TcpMesh {
                     auth: config.auth.clone(),
                     trace: trace_ctx.clone(),
                     depth: Arc::clone(&outbound_depths[peer]),
-                    epoch: start,
+                    clock,
                 },
                 rx,
                 Arc::clone(&shared),
@@ -536,124 +532,53 @@ impl TcpMesh {
                 trace: trace_ctx.clone(),
                 inbox_depth: Arc::clone(&inbox_depth),
                 pong_txs: peer_txs.clone(),
-                epoch: start,
-                tick_ns: config.tick.as_nanos().max(1) as u64,
+                clock,
             },
         );
 
         // The node loop, on this thread.
-        let mut worker = MeshWorker {
+        let mut link = MeshLink {
             me,
-            start,
-            tick: config.tick,
             peer_txs,
             counters: &shared,
             self_queue: VecDeque::new(),
-            timers: BinaryHeap::new(),
+            timers: WallTimers::new(clock),
             outputs: Vec::new(),
-            halted: false,
             faults: config.faults.clone(),
             trace: trace_ctx,
             outbound_depths,
-            inbox_depth,
-            env: Env::new(
-                n,
-                derive_stream(
-                    config.seed,
-                    stream_of(MESH_STREAM_TAG, me.index() as u32 + 1),
-                ),
-            ),
         };
-        if let Some(trace) = &config.trace {
-            worker.env.set_trace(Arc::clone(trace));
-        }
-        worker.env.prepare(me, worker.now());
-        let step = worker.step_start();
-        node.on_start(&mut worker.env);
-        worker.note_step(step);
-        worker.apply_effects();
-
+        let seed = derive_stream(
+            config.seed,
+            stream_of(MESH_STREAM_TAG, me.index() as u32 + 1),
+        );
+        let trace = config.trace.clone().map(|ring| (ring, inbox_depth));
         let mut timed_out = false;
-        loop {
-            // Evaluate the stop predicate even on the halting iteration:
-            // callers report off it (minsync-node prints its statistics
-            // block there), and a node emitting its final Output and Halt
-            // in one effect batch must not lose that last callback.
-            let stop_now = stop(&worker.outputs, &shared);
-            if worker.halted || stop_now {
-                break;
-            }
-            if start.elapsed() >= config.timeout {
-                timed_out = true;
-                break;
-            }
-            // 1. Self-channel first: always timely, never touches a socket.
-            while let Some((from, msg)) = worker.self_queue.pop_front() {
-                worker.env.prepare(me, worker.now());
-                let step = worker.step_start();
-                node.on_message(from, msg, &mut worker.env);
-                worker.note_step(step);
-                worker.apply_effects();
-                if worker.halted {
-                    break;
+        WallClockLoop::new(me, n, seed, trace).run(
+            node.as_mut(),
+            &mut link,
+            &inbox_rx,
+            None,
+            // The loop asks even on the halting turn: callers report off
+            // the stop predicate (minsync-node prints its statistics block
+            // there), and a node emitting its final Output and Halt in one
+            // effect batch must not lose that last callback.
+            |link| {
+                if stop(&link.outputs, &shared) || link.timers.halted() {
+                    return false;
                 }
-            }
-            if worker.halted {
-                continue; // loop top reports and exits
-            }
-            // 2. Due timers, filtered through the generation table.
-            let now = Instant::now();
-            while worker
-                .timers
-                .peek()
-                .is_some_and(|t: &PendingTimer| t.due <= now)
-            {
-                let t = worker.timers.pop().expect("peeked");
-                if worker.env.timers_mut().try_fire(t.id) {
-                    worker.env.prepare(me, worker.now());
-                    if let Some(ctx) = &worker.trace {
-                        ctx.record(TraceKind::TimerFired);
-                    }
-                    let step = worker.step_start();
-                    node.on_timer(t.id, &mut worker.env);
-                    worker.note_step(step);
-                    worker.apply_effects();
-                    if worker.halted {
-                        break;
-                    }
-                }
-            }
-            if worker.halted || !worker.self_queue.is_empty() {
-                continue;
-            }
-            // 3. Remote traffic, waiting at most until the next timer.
-            let wait = worker
-                .timers
-                .peek()
-                .map(|t| t.due.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(10))
-                .min(Duration::from_millis(10));
-            match inbox_rx.recv_timeout(wait) {
-                Ok((from, msg)) => {
-                    worker.note_inbox_dequeue();
-                    worker.env.prepare(me, worker.now());
-                    let step = worker.step_start();
-                    node.on_message(from, msg, &mut worker.env);
-                    worker.note_step(step);
-                    worker.apply_effects();
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
+                timed_out = clock.elapsed() >= config.timeout;
+                !timed_out
+            },
+        );
 
         // Teardown: flag everyone down, unblock readers stuck on a full
         // inbox by dropping the receiver, then join.
         shared.shutdown.store(true, Ordering::Relaxed);
         drop(inbox_rx);
-        let MeshWorker {
+        let MeshLink {
             outputs, peer_txs, ..
-        } = worker;
+        } = link;
         drop(peer_txs);
         for w in writers {
             let _ = w.join();
@@ -662,7 +587,7 @@ impl TcpMesh {
 
         MeshReport {
             outputs,
-            elapsed: start.elapsed(),
+            elapsed: clock.elapsed(),
             timed_out,
             outbound_dropped: (0..n).map(|p| shared.outbound_dropped(p)).collect(),
             decode_disconnects: shared.decode_disconnects(),
@@ -679,94 +604,31 @@ impl TcpMesh {
 }
 
 // ---------------------------------------------------------------------------
-// Node-loop state
+// The node's link
 // ---------------------------------------------------------------------------
 
-struct PendingTimer {
-    due: Instant,
-    id: TimerId,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, o: &Self) -> bool {
-        self.due == o.due && self.id == o.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        (o.due, o.id).cmp(&(self.due, self.id)) // min-heap
-    }
-}
-
-/// Per-run interpreter state: the env, the local timer wheel, the writer
-/// queues, and the self-delivery queue.
-struct MeshWorker<'a, M, O> {
+/// The node loop's [`Link`]: the writer queues and the self-delivery queue.
+struct MeshLink<'a, M, O> {
     me: ProcessId,
-    start: Instant,
-    tick: Duration,
     /// Outbound queue per peer (`None` at the self slot).
     peer_txs: Vec<Option<Sender<WriterCmd<M>>>>,
     counters: &'a MeshCounters,
     /// The paper's virtual self-channel: always timely, in-memory.
     self_queue: VecDeque<(ProcessId, M)>,
-    timers: BinaryHeap<PendingTimer>,
+    timers: WallTimers,
     outputs: Vec<MeshOutput<O>>,
-    halted: bool,
     faults: Option<Arc<LinkFaults>>,
     trace: Option<Arc<TraceCtx>>,
     /// Shadow depths of the per-peer writer queues (trace labels only).
     outbound_depths: Vec<Arc<AtomicU64>>,
-    /// Shadow depth of the inbox (readers increment, this loop decrements).
-    inbox_depth: Arc<AtomicU64>,
-    env: Env<M, O>,
 }
 
-impl<M: Clone, O> MeshWorker<'_, M, O> {
-    fn now(&self) -> VirtualTime {
-        VirtualTime::from_ticks(
-            (self.start.elapsed().as_nanos() / self.tick.as_nanos().max(1)) as u64,
-        )
-    }
-
-    /// Starts the handler-step stopwatch; `None` (free) when untraced.
-    fn step_start(&self) -> Option<Instant> {
-        self.trace.as_ref().map(|_| Instant::now())
-    }
-
-    fn note_step(&self, step: Option<Instant>) {
-        if let (Some(ctx), Some(t0)) = (&self.trace, step) {
-            ctx.record(TraceKind::HandlerStep {
-                nanos: t0.elapsed().as_nanos() as u64,
-            });
-        }
-    }
-
-    fn note_inbox_dequeue(&self) {
-        if let Some(ctx) = &self.trace {
-            let depth = self
-                .inbox_depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                    Some(d.saturating_sub(1))
-                })
-                .unwrap_or(0)
-                .saturating_sub(1);
-            ctx.record(TraceKind::Dequeue {
-                queue: queues::INBOX,
-                depth,
-            });
-        }
-    }
-
+impl<M: Clone, O> Link<M, O> for MeshLink<'_, M, O> {
     /// Queues `msg` toward `to` without ever blocking: self-delivery goes
     /// through the local queue, remote delivery through the peer's bounded
     /// writer queue (overflow dropped and counted).
-    fn enqueue(&mut self, to: usize, msg: M) {
+    fn send(&mut self, to: ProcessId, msg: M) {
+        let to = to.index();
         match &self.peer_txs[to] {
             None => self.self_queue.push_back((self.me, msg)),
             Some(tx) => {
@@ -794,39 +656,29 @@ impl<M: Clone, O> MeshWorker<'_, M, O> {
         }
     }
 
-    /// Drains the env and interprets each effect.
-    fn apply_effects(&mut self) {
-        let mut effects = self.env.take_buffer();
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => self.enqueue(to.index(), msg),
-                Effect::Broadcast { msg } => {
-                    // One copy per process, self included (the substrate
-                    // expands the fan-out, as on the other substrates).
-                    for to in 0..self.peer_txs.len() {
-                        self.enqueue(to, msg.clone());
-                    }
-                }
-                Effect::SetTimer { id, delay } => {
-                    let due = Instant::now() + self.tick * (delay.min(u32::MAX as u64) as u32);
-                    self.env.timers_mut().arm(id);
-                    self.timers.push(PendingTimer { due, id });
-                }
-                Effect::CancelTimer { id } => {
-                    self.env.timers_mut().cancel(id);
-                }
-                Effect::Output(event) => {
-                    self.outputs.push(MeshOutput {
-                        elapsed: self.start.elapsed(),
-                        event,
-                    });
-                }
-                Effect::Halt => {
-                    self.halted = true;
-                }
-            }
-        }
-        self.env.restore_buffer(effects);
+    fn set_timer(&mut self, id: TimerId, delay: u64) {
+        self.timers.set(id, delay);
+    }
+
+    fn output(&mut self, event: O) {
+        self.outputs.push(MeshOutput {
+            elapsed: self.timers.clock().elapsed(),
+            event,
+        });
+    }
+
+    fn halt(&mut self) {
+        self.timers.halt();
+    }
+}
+
+impl<M: Clone, O> WallClockLink<M, O> for MeshLink<'_, M, O> {
+    fn timers(&mut self) -> &mut WallTimers {
+        &mut self.timers
+    }
+
+    fn pop_self(&mut self) -> Option<(ProcessId, M)> {
+        self.self_queue.pop_front()
     }
 }
 
@@ -863,9 +715,9 @@ struct WriterSpec {
     /// Shadow depth of this writer's queue (trace labels and the
     /// `link.backlog.p<i>` gauge).
     depth: Arc<AtomicU64>,
-    /// The mesh's start instant — the clock RTT probe stamps are taken
-    /// from, shared with the readers that resolve the echoes.
-    epoch: Instant,
+    /// The mesh's clock: RTT probe stamps are its elapsed nanoseconds,
+    /// shared with the readers that resolve the echoes.
+    clock: WallClock,
 }
 
 /// Byte budget for a writer's replay ring (see [`spawn_writer`]).
@@ -933,7 +785,7 @@ where
             // the hello, then on the keepalive cadence. Without it a link
             // that lives shorter than one keepalive is never measured.
             shared.pings.inc();
-            let stamp = spec.epoch.elapsed().as_nanos() as u64;
+            let stamp = spec.clock.elapsed().as_nanos() as u64;
             if stream.write_all(&control_frame(PING_TAG, stamp)).is_err() {
                 continue 'reconnect;
             }
@@ -1039,7 +891,7 @@ where
                         if last_ping.elapsed() >= spec.keepalive {
                             last_ping = Instant::now();
                             shared.pings.inc();
-                            let stamp = spec.epoch.elapsed().as_nanos() as u64;
+                            let stamp = spec.clock.elapsed().as_nanos() as u64;
                             if stream.write_all(&control_frame(PING_TAG, stamp)).is_err() {
                                 continue 'reconnect;
                             }
@@ -1052,7 +904,7 @@ where
                         shared.keepalives.inc();
                         shared.pings.inc();
                         last_ping = Instant::now();
-                        let stamp = spec.epoch.elapsed().as_nanos() as u64;
+                        let stamp = spec.clock.elapsed().as_nanos() as u64;
                         let mut probe = KEEPALIVE_FRAME.to_vec();
                         probe.extend_from_slice(&control_frame(PING_TAG, stamp));
                         if stream.write_all(&probe).is_err() {
@@ -1082,11 +934,9 @@ struct ReaderConfig<M> {
     /// Writer queues (self slot `None`), for routing a pong echo back to
     /// whichever peer pinged this reader's connection.
     pong_txs: Vec<Option<Sender<WriterCmd<M>>>>,
-    /// The stamp clock RTT probes are measured against (the mesh's start
-    /// instant, shared with the writer threads).
-    epoch: Instant,
-    /// Nanoseconds per virtual tick — the RTT gauges' unit.
-    tick_ns: u64,
+    /// The clock RTT probe stamps are measured against (shared with the
+    /// writer threads) and converted to ticks — the RTT gauges' unit — by.
+    clock: WallClock,
 }
 
 // Manual impl: `derive(Clone)` would demand `M: Clone`, which readers
@@ -1101,8 +951,7 @@ impl<M> Clone for ReaderConfig<M> {
             trace: self.trace.clone(),
             inbox_depth: Arc::clone(&self.inbox_depth),
             pong_txs: self.pong_txs.clone(),
-            epoch: self.epoch,
-            tick_ns: self.tick_ns,
+            clock: self.clock,
         }
     }
 }
@@ -1179,8 +1028,7 @@ fn reader_loop<M>(
         trace,
         inbox_depth,
         pong_txs,
-        epoch,
-        tick_ns,
+        clock,
     } = config;
     // With auth on, the sender's MAC tag rides inside the frame body, so a
     // max-size message legitimately occupies `max_frame + FRAME_TAG_OVERHEAD`
@@ -1293,9 +1141,9 @@ fn reader_loop<M>(
                                     }
                                 } else {
                                     debug_assert_eq!(tag, PONG_TAG);
-                                    let now = epoch.elapsed().as_nanos() as u64;
-                                    let rtt = now.saturating_sub(stamp);
-                                    shared.observe_rtt(from.index(), (rtt / tick_ns.max(1)).max(1));
+                                    let now = clock.elapsed().as_nanos() as u64;
+                                    let rtt = Duration::from_nanos(now.saturating_sub(stamp));
+                                    shared.observe_rtt(from.index(), clock.ticks_of(rtt).max(1));
                                 }
                                 continue;
                             }

@@ -3,17 +3,21 @@
 //! same value on the deterministic simulator and the threaded runtime, and
 //! a seeded simulation's recorded effect trace must be stable.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use minsync::adversary::ScriptedNode;
 use minsync::conformance::{fnv1a, golden_scenarios, Trace};
 use minsync::core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg};
 use minsync::net::sim::SimBuilder;
-use minsync::net::threaded::{run_threaded, ThreadedConfig};
-use minsync::net::{NetworkTopology, Node};
+use minsync::net::threaded::{run_threaded, run_threaded_with, ThreadedConfig, ThreadedHooks};
+use minsync::net::{Env, NetworkTopology, Node};
 use minsync::smr::{ReplicaNode, SmrEvent, SmrMsg};
+use minsync::transport::mesh::{MeshConfig, TcpMesh};
 use minsync::types::{ProcessId, SystemConfig};
 use minsync::workload::{committed_commands, ArrivalProcess, Batch, WorkloadSpec};
+use minsync_telemetry::trace::{queues, TraceEvent, TraceKind, TraceRecorder};
 
 type Msg = ProtocolMsg<u64>;
 type Out = ConsensusEvent<u64>;
@@ -322,4 +326,152 @@ fn recorded_consensus_run_replays_byte_identically() {
         "consensus replay diverged"
     );
     assert_eq!(original.effect_trace(), replayed.effect_trace());
+}
+
+/// Two of these rally a counter back and forth: p0 serves 0, every receipt
+/// below [`Rally::LAST`] is returned plus one, and the receiver of `LAST`
+/// outputs it. Each handler call bumps the process's own invocation count.
+struct Rally(Arc<AtomicU64>);
+
+impl Rally {
+    const LAST: u64 = 6;
+    /// Handler invocations of p0 (start + 1, 3, 5) and p1 (start + 0, 2, 4, 6).
+    const INVOCATIONS: [u64; 2] = [4, 5];
+
+    fn pair() -> (Counts, Vec<Box<dyn Node<Msg = u64, Output = u64>>>) {
+        let counts = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
+        let nodes = counts
+            .iter()
+            .map(|c| Box::new(Rally(Arc::clone(c))) as Box<dyn Node<Msg = u64, Output = u64>>)
+            .collect();
+        (counts, nodes)
+    }
+}
+
+/// Per-process handler-invocation counters of one [`Rally`] pair.
+type Counts = [Arc<AtomicU64>; 2];
+
+impl Node for Rally {
+    type Msg = u64;
+    type Output = u64;
+
+    fn on_start(&mut self, env: &mut Env<u64, u64>) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        if env.me() == ProcessId::new(0) {
+            env.send(ProcessId::new(1), 0);
+        }
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: u64, env: &mut Env<u64, u64>) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        if msg < Self::LAST {
+            env.send(from, msg + 1);
+        } else {
+            env.output(msg);
+        }
+    }
+}
+
+/// `HandlerStep` means one thing everywhere: exactly one stamp per handler
+/// invocation, taken after the invocation's effects were applied. Checked
+/// per process on the simulator, the threaded runtime and a 2-node TCP mesh
+/// running the same rally.
+#[test]
+fn handler_step_is_stamped_once_per_invocation_after_effects_on_every_substrate() {
+    let steps_of = |events: &[TraceEvent], p: u32| {
+        let is_step =
+            |e: &&TraceEvent| e.node == p && matches!(e.kind, TraceKind::HandlerStep { .. });
+        events.iter().filter(is_step).count() as u64
+    };
+    let check = |substrate: &str, counts: &Counts, events: &[TraceEvent]| {
+        for (p, count) in counts.iter().enumerate() {
+            let invocations = count.load(Ordering::Relaxed);
+            assert_eq!(invocations, Rally::INVOCATIONS[p], "{substrate} p{p}");
+            assert_eq!(
+                steps_of(events, p as u32),
+                invocations,
+                "{substrate} p{p}: one HandlerStep per invocation"
+            );
+        }
+    };
+    // p0's first invocation serves the ball: the queue event that applying
+    // the send produces must sit between its Effect and its HandlerStep.
+    let serve_is_inside_the_step = |substrate: &str, events: &[TraceEvent], queue: u32| {
+        let kinds: Vec<TraceKind> = events.iter().map(|e| e.kind).collect();
+        let effect = events
+            .iter()
+            .position(|e| e.node == 0 && matches!(e.kind, TraceKind::Effect { .. }))
+            .unwrap_or_else(|| panic!("{substrate}: p0 queued no effect: {kinds:?}"));
+        let served = events[effect..].iter().find(|e| match e.kind {
+            TraceKind::Enqueue { queue: q, .. } => q == queue,
+            TraceKind::HandlerStep { .. } => e.node == 0,
+            _ => false,
+        });
+        assert!(
+            matches!(served.map(|e| e.kind), Some(TraceKind::Enqueue { .. })),
+            "{substrate}: p0's step was stamped before its send was applied: {kinds:?}"
+        );
+    };
+
+    // Simulator.
+    let ring = Arc::new(TraceRecorder::new(4096));
+    let (counts, nodes) = Rally::pair();
+    let mut builder = SimBuilder::new(NetworkTopology::all_timely(2, 1)).trace(Arc::clone(&ring));
+    for node in nodes {
+        builder = builder.boxed_node(node);
+    }
+    builder.build().run();
+    check("sim", &counts, &ring.events());
+    serve_is_inside_the_step("sim", &ring.events(), queues::SIM_EVENTS);
+
+    // Threaded runtime.
+    let ring = Arc::new(TraceRecorder::new(4096));
+    let (counts, nodes) = Rally::pair();
+    let (report, _) = run_threaded_with(
+        NetworkTopology::all_timely(2, 1),
+        nodes,
+        ThreadedConfig {
+            tick: Duration::from_micros(100),
+            timeout: Duration::from_secs(20),
+            seed: 1,
+        },
+        ThreadedHooks {
+            trace: Some(Arc::clone(&ring)),
+            ..ThreadedHooks::default()
+        },
+        |outs| !outs.is_empty(),
+    );
+    assert!(!report.timed_out, "threaded rally timed out");
+    check("threaded", &counts, &ring.events());
+
+    // Two TCP meshes, one ring: p1 sees the last ball and releases p0.
+    let ring = Arc::new(TraceRecorder::new(4096));
+    let (counts, mut nodes) = Rally::pair();
+    let config = MeshConfig {
+        timeout: Duration::from_secs(20),
+        trace: Some(Arc::clone(&ring)),
+        ..MeshConfig::default()
+    };
+    let a = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let b = TcpMesh::bind(ProcessId::new(1), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let peers = vec![a.local_addr().unwrap(), b.local_addr().unwrap()];
+    let over = Arc::new(AtomicBool::new(false));
+    let (node_b, node_a) = (nodes.pop().unwrap(), nodes.pop().unwrap());
+    let handle = {
+        let (peers, config, over) = (peers.clone(), config.clone(), Arc::clone(&over));
+        std::thread::spawn(move || {
+            b.run(node_b, &peers, &config, |outs, _| {
+                over.fetch_or(!outs.is_empty(), Ordering::Relaxed)
+            })
+        })
+    };
+    let report_a = a.run(node_a, &peers, &config, |_, _| over.load(Ordering::Relaxed));
+    let report_b = handle.join().unwrap();
+    assert!(
+        !report_a.timed_out && !report_b.timed_out,
+        "mesh rally timed out"
+    );
+    assert_eq!(report_b.outputs.len(), 1);
+    check("mesh", &counts, &ring.events());
+    serve_is_inside_the_step("mesh", &ring.events(), queues::OUTBOUND_BASE + 1);
 }
