@@ -25,7 +25,7 @@ use minsync_net::Node;
 use minsync_smr::{ReplicaNode, SmrEvent, SmrMsg};
 use minsync_types::{ProcessId, Round, SystemConfig};
 use minsync_workload::{
-    account, command, committed_commands, ArrivalProcess, Batch, ClientPopulation, WorkloadReport,
+    account, command, ArrivalProcess, Batch, ClientPopulation, DrainCursor, WorkloadReport,
     WorkloadSpec,
 };
 
@@ -117,9 +117,8 @@ fn run_case(spec: CaseSpec) -> CaseResult {
         builder = builder.boxed_node(node);
     }
     let mut sim = builder.build();
-    let report = sim.run_until(move |outs| {
-        (0..correct).all(|p| committed_commands(outs, ProcessId::new(p)) >= total)
-    });
+    let mut drained = DrainCursor::new(correct, total);
+    let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
 
     // Identical logs across every correct replica (flattened commands).
     let logs: Vec<Vec<u64>> = (0..correct)
@@ -249,11 +248,11 @@ fn run_cross_substrate(quick: bool, seed: u64) -> (WorkloadReport, u64) {
         builder = builder.boxed_node(node);
     }
     let mut sim = builder.build();
-    let sim_report = sim.run_until(move |outs| {
-        (0..4).all(|p| committed_commands(outs, ProcessId::new(p)) >= total)
-    });
+    let mut drained = DrainCursor::new(4, total);
+    let sim_report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
     let sim_log = flatten_log(&sim_report.outputs, 0);
 
+    let mut drained = DrainCursor::new(4, total);
     let threaded = run_threaded(
         topo,
         nodes(()),
@@ -262,16 +261,7 @@ fn run_cross_substrate(quick: bool, seed: u64) -> (WorkloadReport, u64) {
             timeout: Duration::from_secs(60),
             seed,
         },
-        |outs| {
-            (0..4).all(|p| {
-                outs.iter()
-                    .filter(|o| o.process.index() == p)
-                    .filter_map(|o| o.event.as_committed())
-                    .map(|(_, b)| b.len())
-                    .sum::<usize>()
-                    >= total
-            })
-        },
+        |outs| drained.advance(outs, |o| (o.process, &o.event)),
     );
     assert!(
         !threaded.timed_out,
@@ -518,27 +508,6 @@ pub fn run(quick: bool) -> Table {
     table
 }
 
-/// One timely, all-correct batched run for the `e10_smr_throughput` bench:
-/// returns the virtual-tick duration to drain the workload (the bench
-/// measures the wall-clock around it).
-pub fn bench_one(n: usize, t: usize, batch: usize, commands_per_client: usize, seed: u64) -> u64 {
-    let result = run_case(CaseSpec {
-        case: "bench",
-        n,
-        t,
-        groups: 2,
-        batch,
-        clients_per_group: 4,
-        commands_per_client,
-        arrivals: ArrivalProcess::Poisson { mean_gap: 0.5 },
-        topo: TopologySpec::AllTimely { delta: 3 },
-        topo_label: "timely",
-        rider: Rider::None,
-        seed,
-    });
-    result.report.last_commit_tick
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,10 +553,5 @@ mod tests {
             seed: 3,
         });
         assert_eq!(r.report.commands, 24);
-    }
-
-    #[test]
-    fn bench_one_returns_positive_virtual_time() {
-        assert!(bench_one(4, 1, 8, 4, 1) > 0);
     }
 }

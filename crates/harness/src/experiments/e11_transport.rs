@@ -43,20 +43,13 @@ fn spec(n: usize, t: usize, commands_per_client: usize, riders: Vec<Behavior>) -
     ClusterSpec {
         n,
         t,
-        groups: 1, // m = 1: the committed log is schedule-independent
         clients_per_group: 4,
         commands_per_client,
-        batch: 8,
         arrivals: ArrivalProcess::Poisson { mean_gap: 1.0 },
         seed: 7,
         riders,
-        auth: false,
         tick: TICK,
-        child_timeout: Duration::from_secs(60),
-        harness_timeout: Duration::from_secs(120),
-        window: None,
-        trace_dir: None,
-        stats_period: None,
+        ..ClusterSpec::default()
     }
 }
 
@@ -75,23 +68,14 @@ fn run_case(spec: &ClusterSpec) -> ClusterReport {
             spec.n, spec.riders
         )
     });
+    let violations = report.violations();
     assert!(
-        report.digests_agree(),
-        "E11 n={} riders={:?}: committed-log digests diverged: {:?}",
+        violations.is_empty(),
+        "E11 n={} riders={:?}: {violations:?}",
         spec.n,
-        spec.riders,
-        report
-            .replicas
-            .iter()
-            .map(|r| (r.id, r.digest))
-            .collect::<Vec<_>>()
+        spec.riders
     );
     for r in &report.replicas {
-        assert_eq!(
-            r.committed, report.total_commands,
-            "E11 n={} riders={:?}: replica {} stalled at {}/{} commands",
-            spec.n, spec.riders, r.id, r.committed, report.total_commands
-        );
         if spec.riders.is_empty() {
             // A clean run must never touch the flow-control cap or the MAC
             // check: future traffic is bounded by the pipeline width and no
@@ -175,20 +159,6 @@ pub fn run(quick: bool) -> Table {
         }
     }
     table
-}
-
-/// One all-correct cluster run for the `e11_transport` bench: returns the
-/// slowest correct replica's drain time in nanoseconds (the in-cluster
-/// measurement; the bench wraps the whole spawn+run in its own wall-clock
-/// sample).
-pub fn bench_one(n: usize, t: usize, commands_per_client: usize) -> u128 {
-    let report = run_case(&spec(n, t, commands_per_client, Vec::new()));
-    report
-        .replicas
-        .iter()
-        .map(|r| r.wall.as_nanos())
-        .max()
-        .expect("at least one correct replica")
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ use minsync_transport::cluster::{
     run_churn_cluster, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec,
 };
 use minsync_types::{ProcessId, SystemConfig};
-use minsync_workload::{committed_commands, ArrivalProcess, Batch, WorkloadSpec};
+use minsync_workload::{ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 
 use crate::topology::TopologySpec;
 use crate::Table;
@@ -52,9 +52,6 @@ type Msg = SmrMsg<Batch>;
 /// Checkpoint-retry period (in ticks) for replicas that must survive
 /// message loss — the simulator-side mirror of the node binary's setting.
 const CKPT_RETRY: u64 = 50;
-
-/// Wall-clock tick of every cluster child.
-const TICK: Duration = Duration::from_micros(200);
 
 /// Recovery bound, in ticks past `baseline + window span`, asserted on
 /// every simulator case: covers one backed-off round timeout (the round in
@@ -170,9 +167,8 @@ fn sim_run(
         );
     }
     let mut sim = builder.build();
-    let report = sim.run_until(move |outs| {
-        (0..n).all(|p| committed_commands(outs, ProcessId::new(p)) >= total)
-    });
+    let mut drained = DrainCursor::new(n, total);
+    let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
 
     let logs: Vec<Vec<u64>> = (0..n)
         .map(|p| {
@@ -250,8 +246,6 @@ fn cluster_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> Cl
     ClusterSpec {
         n,
         t,
-        groups: 1,
-        clients_per_group: 2,
         commands_per_client,
         batch: 4,
         // Arrival gaps are in child ticks, which compress under load —
@@ -259,14 +253,7 @@ fn cluster_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> Cl
         // flow-control window a rejoiner starts with.
         arrivals: ArrivalProcess::Poisson { mean_gap: 100.0 },
         seed,
-        riders: vec![],
-        auth: false,
-        tick: TICK,
-        child_timeout: Duration::from_secs(60),
-        harness_timeout: Duration::from_secs(120),
-        window: None,
-        trace_dir: None,
-        stats_period: None,
+        ..ClusterSpec::default()
     }
 }
 
@@ -280,29 +267,13 @@ fn cluster_run(scenario: Scenario, spec: &ClusterSpec) -> ClusterReport {
     let plan = cluster_plan(scenario, spec.n);
     let report = run_churn_cluster(spec, &plan)
         .unwrap_or_else(|e| panic!("E13 {} n={}: cluster failed: {e}", scenario.label(), spec.n));
+    let violations = report.violations();
     assert!(
-        report.digests_agree(),
-        "E13 {} n={}: committed-log digests diverged: {:?}",
+        violations.is_empty(),
+        "E13 {} n={}: {violations:?}",
         scenario.label(),
-        spec.n,
-        report
-            .replicas
-            .iter()
-            .map(|r| (r.id, r.digest))
-            .collect::<Vec<_>>()
+        spec.n
     );
-    for r in &report.replicas {
-        assert_eq!(
-            r.committed,
-            report.total_commands,
-            "E13 {} n={}: replica {} finished short at {}/{} commands",
-            scenario.label(),
-            spec.n,
-            r.id,
-            r.committed,
-            report.total_commands
-        );
-    }
     report
 }
 
@@ -398,21 +369,6 @@ pub fn run(quick: bool) -> Table {
         }
     }
     table
-}
-
-/// One partition+heal cluster run for the `e13_churn` bench: returns the
-/// slowest correct replica's drain time in nanoseconds.
-pub fn bench_one(n: usize, t: usize, commands_per_client: usize) -> u128 {
-    let report = cluster_run(
-        Scenario::PartitionHeal,
-        &cluster_spec(n, t, commands_per_client, 13),
-    );
-    report
-        .replicas
-        .iter()
-        .map(|r| r.wall.as_nanos())
-        .max()
-        .expect("at least one correct replica")
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ use minsync_transport::cluster::{
     run_churn_cluster, Behavior, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec,
 };
 use minsync_types::{ProcessId, SystemConfig};
-use minsync_workload::{committed_commands, ArrivalProcess, Batch, WorkloadSpec};
+use minsync_workload::{ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 
 use crate::Table;
 
@@ -158,15 +158,15 @@ struct SimRun {
 /// gauges on every replica, shared registry, periodic sampling), under an
 /// optional churn oracle.
 ///
-/// `stop_at` restricts the drain predicate to the given replicas (the
-/// crash arm's survivors); `None` waits for everyone.
+/// The run stops once replicas `0..awaited` have drained the workload
+/// (`n` waits for everyone; the crash arm waits for its survivors).
 fn sim_run(
     n: usize,
     t: usize,
     seed: u64,
     commands_per_client: usize,
     oracle: Option<ChurnOracle<Msg>>,
-    stop_at: Option<Vec<usize>>,
+    awaited: usize,
     attach_plane: bool,
 ) -> SimRun {
     let system = SystemConfig::new(n, t).expect("valid system");
@@ -209,12 +209,8 @@ fn sim_run(
         builder = builder.node(node);
     }
     let mut sim = builder.build();
-    let waiters: Vec<usize> = stop_at.unwrap_or_else(|| (0..n).collect());
-    let report = sim.run_until(move |outs| {
-        waiters
-            .iter()
-            .all(|&p| committed_commands(outs, ProcessId::new(p)) >= total)
-    });
+    let mut drained = DrainCursor::new(awaited, total);
+    let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
     SimRun {
         series: sim.stat_series().clone(),
         final_ticks: report.final_time.ticks(),
@@ -228,8 +224,8 @@ fn sim_run(
 ///
 /// Returns `(samples, final ticks, messages)` for the table.
 fn sim_clean(n: usize, t: usize, seed: u64, commands_per_client: usize) -> (u64, u64, u64) {
-    let sampled = sim_run(n, t, seed, commands_per_client, None, None, true);
-    let bare = sim_run(n, t, seed, commands_per_client, None, None, false);
+    let sampled = sim_run(n, t, seed, commands_per_client, None, n, true);
+    let bare = sim_run(n, t, seed, commands_per_client, None, n, false);
     assert_eq!(
         (sampled.final_ticks, sampled.messages_sent),
         (bare.final_ticks, bare.messages_sent),
@@ -273,18 +269,19 @@ fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
     // work in flight (the series ends when the drain predicate fires).
     let horizon = 200;
     let case = if crash { "sim-crash" } else { "sim-partition" };
-    let (oracle, stop_at) = if crash {
+    // The victim holds the top id, so the survivors are `0..victim`.
+    let (oracle, awaited) = if crash {
         (
             ChurnOracle::new().isolate(FAULT_AT, u64::MAX, ProcessId::new(victim)),
-            Some((0..n).filter(|&p| p != victim).collect()),
+            victim,
         )
     } else {
         (
             ChurnOracle::new().partition(FAULT_AT, 2_000, vec![ProcessId::new(victim)]),
-            None,
+            n,
         )
     };
-    let run = sim_run(n, t, seed, commands_per_client, Some(oracle), stop_at, true);
+    let run = sim_run(n, t, seed, commands_per_client, Some(oracle), awaited, true);
     let mut wd = Watchdog::new(WatchdogConfig {
         min_stall_horizon: horizon,
         ..clean_cfg(horizon)
@@ -422,36 +419,22 @@ fn cluster_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> Cl
     ClusterSpec {
         n,
         t,
-        groups: 1,
-        clients_per_group: 2,
         commands_per_client,
         batch: 4,
         arrivals: ArrivalProcess::Poisson { mean_gap: 100.0 },
         seed,
-        riders: vec![],
-        auth: false,
         tick: TICK,
-        child_timeout: Duration::from_secs(60),
-        harness_timeout: Duration::from_secs(120),
-        window: None,
-        trace_dir: None,
         stats_period: Some(Duration::from_millis(CLUSTER_PERIOD_MS)),
+        ..ClusterSpec::default()
     }
 }
 
 /// Asserts the run itself stayed healthy (the plane must observe, never
 /// steer) and that every correct replica streamed a series.
 fn assert_cluster_healthy(case: &str, report: &ClusterReport) {
-    assert!(
-        report.digests_agree(),
-        "E17 {case}: committed-log digests diverged"
-    );
+    let violations = report.violations();
+    assert!(violations.is_empty(), "E17 {case}: {violations:?}");
     for r in &report.replicas {
-        assert_eq!(
-            r.committed, report.total_commands,
-            "E17 {case}: replica {} finished short",
-            r.id
-        );
         assert!(
             !r.series.is_empty(),
             "E17 {case}: replica {} streamed no samples",
@@ -743,17 +726,6 @@ pub fn run(quick: bool) -> Table {
     table
 }
 
-/// One sampled clean simulator run plus an aggregator replay, for the
-/// `e17_health` bench: returns `(applied samples, alarms raised)` — the
-/// alarms must be zero, the wall clock around the call is the bench's
-/// sample.
-pub fn bench_one(n: usize, t: usize, commands_per_client: usize, seed: u64) -> (u64, u64) {
-    let run = sim_run(n, t, seed, commands_per_client, None, None, true);
-    let mut wd = Watchdog::new(clean_cfg(400));
-    let alarms = replay(&mut wd, Watchdog::GLOBAL, &run.series).len() as u64;
-    (run.series.applied(), alarms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,12 +754,5 @@ mod tests {
         let (reports, total, slot) = sim_divergence(20_000);
         assert!(reports <= total);
         assert_eq!(slot, 1, "single-shot consensus reports slot 1");
-    }
-
-    #[test]
-    fn bench_one_is_alarm_free() {
-        let (samples, alarms) = bench_one(4, 1, 4, 3);
-        assert!(samples > 0);
-        assert_eq!(alarms, 0);
     }
 }

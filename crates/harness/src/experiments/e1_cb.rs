@@ -105,13 +105,6 @@ fn run_one(cfg: SystemConfig, m: usize, seed: u64) -> OneRun {
     }
 }
 
-/// Convenience used by benches: one feasible CB round trip.
-pub fn bench_one(n: usize, t: usize, seed: u64) -> u64 {
-    let cfg = SystemConfig::new(n, t).unwrap();
-    let one = run_one(cfg, 2.min(cfg.m_max()), seed);
-    one.last_return.unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

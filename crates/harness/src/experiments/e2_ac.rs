@@ -124,12 +124,6 @@ fn run_one(cfg: SystemConfig, scenario: &str, seed: u64) -> OneRun {
     }
 }
 
-/// One unanimous AC round trip, for benches.
-pub fn bench_one(n: usize, t: usize, seed: u64) -> u64 {
-    let cfg = SystemConfig::new(n, t).unwrap();
-    run_one(cfg, "unanimous", seed).time
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -73,14 +73,6 @@ fn push_row(table: &mut Table, n: usize, t: usize, ell: usize, tau: u64, seed: u
     ]);
 }
 
-/// Convenience for benches: convergence time with an immediate bisource.
-pub fn bench_one(n: usize, t: usize, seed: u64) -> u64 {
-    let mut p = EaLabParams::new(n, t);
-    p.bisource = 0;
-    p.seed = seed;
-    converge(&p).map(|c| c.time).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -78,19 +78,6 @@ fn plans(t: usize, quick: bool) -> Vec<FaultPlan> {
     plans
 }
 
-/// One default consensus run for benches; returns decision latency.
-pub fn bench_one(n: usize, t: usize, faults: FaultPlan, seed: u64) -> u64 {
-    ConsensusRunBuilder::new(n, t)
-        .unwrap()
-        .proposals((0..n).map(|i| (i % 2) as u64))
-        .faults(faults)
-        .seed(seed)
-        .run()
-        .unwrap()
-        .decision_latency()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

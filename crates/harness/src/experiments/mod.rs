@@ -4,8 +4,7 @@
 //! Every experiment is a pure function `run(quick) -> Table`; `quick = true`
 //! shrinks sweeps and seed counts so the whole suite stays test-suite-fast,
 //! `quick = false` is the full configuration used to regenerate
-//! `EXPERIMENTS.md` (via the `experiments` binary) and the Criterion
-//! benches.
+//! `EXPERIMENTS.md` (via the `experiments` binary).
 
 pub mod e10_smr;
 pub mod e11_transport;

@@ -113,8 +113,8 @@ pub struct StageStats {
 pub const STAGE_LABELS: [&str; 3] = ["client→propose", "propose→commit", "commit→ack-quorum"];
 
 /// Raw per-slot stage latencies (ticks), keyed by [`STAGE_LABELS`] — the
-/// sample sets behind [`stage_breakdown`], exposed for benches that want
-/// to re-aggregate (e.g. convert to nanoseconds first).
+/// sample sets behind [`stage_breakdown`], exposed for callers that
+/// aggregate differently (E16 pins their count/min/mean/max).
 pub fn stage_samples(timelines: &[SlotTimeline]) -> Vec<(&'static str, Vec<u64>)> {
     type StageSpan = fn(&SlotTimeline) -> (Option<u64>, Option<u64>);
     let spans: [StageSpan; 3] = [

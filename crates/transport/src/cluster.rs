@@ -219,6 +219,33 @@ pub struct ClusterSpec {
     pub stats_period: Option<Duration>,
 }
 
+/// `minsync-node`'s own flag defaults (n = 4, t = 1, one group of 2 clients
+/// × 8 commands, batch 8, Poisson arrivals, 200 µs ticks) with a 60 s child
+/// and a 120 s orchestrator cap — write `ClusterSpec { <what differs>,
+/// ..ClusterSpec::default() }`.
+impl Default for ClusterSpec {
+    fn default() -> Self {
+        ClusterSpec {
+            n: 4,
+            t: 1,
+            groups: 1,
+            clients_per_group: 2,
+            commands_per_client: 8,
+            batch: 8,
+            arrivals: ArrivalProcess::Poisson { mean_gap: 2.0 },
+            seed: 1,
+            riders: Vec::new(),
+            auth: false,
+            tick: Duration::from_micros(200),
+            child_timeout: Duration::from_secs(60),
+            harness_timeout: Duration::from_secs(120),
+            window: None,
+            trace_dir: None,
+            stats_period: None,
+        }
+    }
+}
+
 impl ClusterSpec {
     /// Total client commands the workload will submit.
     pub fn total_commands(&self) -> usize {
@@ -300,6 +327,35 @@ impl ClusterReport {
     /// digest — the distributed-agreement check.
     pub fn digests_agree(&self) -> bool {
         self.replicas.windows(2).all(|w| w[0].digest == w[1].digest)
+    }
+
+    /// Every way this run falls short of "the cluster agreed and drained":
+    /// one entry listing the `(id, digest)` pairs if the committed-log
+    /// digests diverge, and one per replica that did not commit exactly
+    /// [`total_commands`](Self::total_commands), with its count. Empty on a
+    /// good run.
+    pub fn violations(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        if !self.digests_agree() {
+            let digests: Vec<String> = self
+                .replicas
+                .iter()
+                .map(|r| format!("({}, {:016x})", r.id, r.digest))
+                .collect();
+            violations.push(format!(
+                "committed-log digests diverged: {}",
+                digests.join(" ")
+            ));
+        }
+        for r in &self.replicas {
+            if r.committed != self.total_commands {
+                violations.push(format!(
+                    "replica {} committed {}/{} commands",
+                    r.id, r.committed, self.total_commands
+                ));
+            }
+        }
+        violations
     }
 
     /// Cluster throughput in commands per wall-clock second, measured at
@@ -1301,11 +1357,10 @@ mod tests {
         assert_eq!(Behavior::parse("evil"), None);
     }
 
-    #[test]
-    fn report_helpers() {
-        let stats = |id: usize, digest: u64, wall_ms: u64| ReplicaStats {
+    fn stats(id: usize, digest: u64, committed: usize, wall_ms: u64) -> ReplicaStats {
+        ReplicaStats {
             id,
-            committed: 100,
+            committed,
             slots: 10,
             digest,
             wall: Duration::from_millis(wall_ms),
@@ -1322,18 +1377,47 @@ mod tests {
             retired_drops: 0,
             snapshot: Snapshot::empty(),
             series: TimeSeries::with_capacity(1),
-        };
+        }
+    }
+
+    #[test]
+    fn report_helpers() {
         let report = ClusterReport {
-            replicas: vec![stats(0, 7, 500), stats(1, 7, 250)],
+            replicas: vec![stats(0, 7, 100, 500), stats(1, 7, 100, 250)],
             total_commands: 100,
             elapsed: Duration::from_secs(1),
         };
         assert!(report.digests_agree());
         assert_eq!(report.cmds_per_sec(), 200.0);
         let split = ClusterReport {
-            replicas: vec![stats(0, 7, 500), stats(1, 8, 500)],
+            replicas: vec![stats(0, 7, 100, 500), stats(1, 8, 100, 500)],
             ..report
         };
         assert!(!split.digests_agree());
+    }
+
+    #[test]
+    fn violations_name_the_diverged_digests_and_the_short_replica() {
+        let report = |replicas| ClusterReport {
+            replicas,
+            total_commands: 100,
+            elapsed: Duration::from_secs(1),
+        };
+        let good = report(vec![stats(0, 7, 100, 1), stats(1, 7, 100, 1)]);
+        assert!(good.violations().is_empty());
+
+        let bad = report(vec![
+            stats(0, 7, 100, 1),
+            stats(1, 0xbad, 100, 1),
+            stats(2, 7, 96, 1),
+        ]);
+        let violations = bad.violations();
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(
+            violations[0].contains("(0, 0000000000000007)")
+                && violations[0].contains("(1, 0000000000000bad)"),
+            "digest entry lists (id, digest) pairs: {violations:?}"
+        );
+        assert_eq!(violations[1], "replica 2 committed 96/100 commands");
     }
 }

@@ -16,22 +16,11 @@ use minsync_workload::ArrivalProcess;
 /// inside the SMR flow-control window a rejoiner starts with.
 fn spec(seed: u64) -> ClusterSpec {
     ClusterSpec {
-        n: 4,
-        t: 1,
-        groups: 1,
-        clients_per_group: 2,
         commands_per_client: 20,
         batch: 4,
         arrivals: ArrivalProcess::Poisson { mean_gap: 100.0 },
         seed,
-        riders: vec![],
-        auth: false,
-        tick: Duration::from_micros(200),
-        child_timeout: Duration::from_secs(60),
-        harness_timeout: Duration::from_secs(120),
-        window: None,
-        trace_dir: None,
-        stats_period: None,
+        ..ClusterSpec::default()
     }
 }
 
@@ -45,15 +34,8 @@ fn partition_heals_and_the_cluster_drains() {
         )
         .step(Duration::from_millis(380), ChurnAction::Heal);
     let report = run_churn_cluster(&spec, &plan).expect("churn cluster runs");
-    assert!(report.digests_agree(), "logs split: {:?}", report.replicas);
-    for r in &report.replicas {
-        assert_eq!(
-            r.committed,
-            spec.total_commands(),
-            "replica {} finished short",
-            r.id
-        );
-    }
+    let violations = report.violations();
+    assert!(violations.is_empty(), "partition+heal: {violations:?}");
     assert_ne!(report.replicas[0].digest, LogDigest::new().value());
 }
 
@@ -64,17 +46,9 @@ fn killed_replica_restarts_from_wal_with_an_identical_log() {
         .step(Duration::from_millis(100), ChurnAction::Kill { id: 2 })
         .step(Duration::from_millis(350), ChurnAction::Restart { id: 2 });
     let report = run_churn_cluster(&spec, &plan).expect("churn cluster runs");
+    let violations = report.violations();
     assert!(
-        report.digests_agree(),
-        "the rejoiner's recovered log diverged: {:?}",
-        report.replicas
+        violations.is_empty(),
+        "kill+restart from WAL: {violations:?}"
     );
-    for r in &report.replicas {
-        assert_eq!(
-            r.committed,
-            spec.total_commands(),
-            "replica {} finished short",
-            r.id
-        );
-    }
 }

@@ -9,32 +9,13 @@
 use std::time::{Duration, Instant};
 
 use minsync_transport::cluster::{run_cluster, ClusterError, ClusterSpec};
-use minsync_workload::ArrivalProcess;
 
 #[test]
 fn child_dying_before_port_fails_fast_with_its_exit_status() {
     // `false` exits 1 without ever printing a PORT line.
     std::env::set_var("MINSYNC_NODE_BIN", "/bin/false");
-    let spec = ClusterSpec {
-        n: 4,
-        t: 1,
-        groups: 1,
-        clients_per_group: 1,
-        commands_per_client: 1,
-        batch: 8,
-        arrivals: ArrivalProcess::Poisson { mean_gap: 2.0 },
-        seed: 7,
-        riders: vec![],
-        auth: false,
-        tick: Duration::from_micros(200),
-        child_timeout: Duration::from_secs(30),
-        harness_timeout: Duration::from_secs(60),
-        window: None,
-        trace_dir: None,
-        stats_period: None,
-    };
     let start = Instant::now();
-    let err = run_cluster(&spec).expect_err("a cluster of /bin/false cannot run");
+    let err = run_cluster(&ClusterSpec::default()).expect_err("a cluster of /bin/false cannot run");
     assert!(
         start.elapsed() < Duration::from_secs(10),
         "fail-fast took {:?} — the orchestrator waited toward its deadline",

@@ -12,7 +12,6 @@
 use std::time::{Duration, Instant};
 
 use minsync_transport::cluster::{run_cluster, ClusterError, ClusterSpec};
-use minsync_workload::ArrivalProcess;
 
 #[test]
 fn child_dying_after_port_fails_fast_naming_the_victim() {
@@ -25,26 +24,9 @@ fn child_dying_after_port_fails_fast_naming_the_victim() {
     std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
     std::env::set_var("MINSYNC_NODE_BIN", &script);
 
-    let spec = ClusterSpec {
-        n: 4,
-        t: 1,
-        groups: 1,
-        clients_per_group: 1,
-        commands_per_client: 1,
-        batch: 8,
-        arrivals: ArrivalProcess::Poisson { mean_gap: 2.0 },
-        seed: 7,
-        riders: vec![],
-        auth: false,
-        tick: Duration::from_micros(200),
-        child_timeout: Duration::from_secs(30),
-        harness_timeout: Duration::from_secs(60),
-        window: None,
-        trace_dir: None,
-        stats_period: None,
-    };
     let start = Instant::now();
-    let err = run_cluster(&spec).expect_err("a cluster of exiting stubs cannot run");
+    let err =
+        run_cluster(&ClusterSpec::default()).expect_err("a cluster of exiting stubs cannot run");
     assert!(
         start.elapsed() < Duration::from_secs(10),
         "fail-fast took {:?} — the orchestrator waited toward its deadline",

@@ -63,6 +63,51 @@ pub fn committed_commands(outputs: &[OutputRecord<SmrEvent<Batch>>], observer: P
         .sum()
 }
 
+/// Incremental stop predicate: "each of the replicas `0..correct` has
+/// committed `total` commands". It remembers how far into the substrate's
+/// append-only output slice it has looked and visits each output once;
+/// calling [`committed_commands`] per replica on every new output rescans
+/// the whole slice each time, which is quadratic in the run's length.
+#[derive(Clone, Debug)]
+pub struct DrainCursor {
+    seen: usize,
+    total: usize,
+    committed: Vec<usize>,
+}
+
+impl DrainCursor {
+    /// A cursor waiting for replicas `0..correct` to commit `total`
+    /// commands each.
+    pub fn new(correct: usize, total: usize) -> DrainCursor {
+        DrainCursor {
+            seen: 0,
+            total,
+            committed: vec![0; correct],
+        }
+    }
+
+    /// Consumes the outputs appended since the last call; true once every
+    /// awaited replica has drained. `view` projects one output record of
+    /// the substrate to `(process, event)`; ids `>= correct` are ignored.
+    pub fn advance<R>(
+        &mut self,
+        outputs: &[R],
+        view: impl Fn(&R) -> (ProcessId, &SmrEvent<Batch>),
+    ) -> bool {
+        for record in &outputs[self.seen..] {
+            let (process, event) = view(record);
+            if let (Some((_, batch)), Some(committed)) = (
+                event.as_committed(),
+                self.committed.get_mut(process.index()),
+            ) {
+                *committed += batch.len();
+            }
+        }
+        self.seen = outputs.len();
+        self.committed.iter().all(|&c| c >= self.total)
+    }
+}
+
 /// End-to-end accounting of one workload run, as observed at one replica.
 #[derive(Clone, Debug)]
 pub struct WorkloadReport {
@@ -165,6 +210,49 @@ mod tests {
                 command: Batch(cmds),
             },
         }
+    }
+
+    #[test]
+    fn drain_cursor_fed_in_increments_matches_one_rescan() {
+        let retired = |p: usize| OutputRecord {
+            time: VirtualTime::ZERO,
+            process: ProcessId::new(p),
+            event: SmrEvent::Retired { through: 1 },
+        };
+        let outputs = vec![
+            committed(0, 1, 1, vec![1, 2]),
+            committed(2, 1, 1, vec![1, 2, 3, 4]), // id >= correct: ignored
+            committed(1, 2, 1, vec![1, 2]),
+            retired(1),
+            committed(0, 3, 2, vec![]), // empty batch: counts nothing
+            committed(0, 4, 3, vec![3]),
+            committed(1, 5, 2, vec![3]), // completes the last replica
+            committed(1, 6, 3, vec![]),
+        ];
+        let (correct, total) = (2, 3);
+        let rescan = |upto: usize| {
+            (0..correct).all(|p| committed_commands(&outputs[..upto], ProcessId::new(p)) >= total)
+        };
+        fn view(o: &OutputRecord<SmrEvent<Batch>>) -> (ProcessId, &SmrEvent<Batch>) {
+            (o.process, &o.event)
+        }
+
+        // One output at a time: the predicate flips exactly on the output
+        // that completes the last replica, and stays true afterwards.
+        let mut cursor = DrainCursor::new(correct, total);
+        let flips: Vec<bool> = (0..=outputs.len())
+            .map(|upto| cursor.advance(&outputs[..upto], view))
+            .collect();
+        let expected: Vec<bool> = (0..=outputs.len()).map(rescan).collect();
+        assert_eq!(flips, expected);
+        assert_eq!(flips.iter().position(|&done| done), Some(7));
+
+        // Three uneven increments end where one rescan of everything does.
+        let mut cursor = DrainCursor::new(correct, total);
+        assert!(!cursor.advance(&outputs[..3], view));
+        assert!(!cursor.advance(&outputs[..6], view));
+        assert_eq!(cursor.advance(&outputs, view), rescan(outputs.len()));
+        assert_eq!(cursor.committed, [3, 3]);
     }
 
     #[test]

@@ -78,7 +78,7 @@ mod population;
 mod source;
 
 pub use arrivals::ArrivalProcess;
-pub use latency::{account, committed_commands, LatencyStats, WorkloadReport};
+pub use latency::{account, committed_commands, DrainCursor, LatencyStats, WorkloadReport};
 pub use population::{ClientPopulation, GroupQueue, WorkloadError, WorkloadSpec};
 pub use source::BatchingSource;
 

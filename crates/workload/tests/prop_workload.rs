@@ -9,8 +9,10 @@ use minsync_net::sim::SimBuilder;
 use minsync_net::threaded::{run_threaded, ThreadedConfig};
 use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, Node};
 use minsync_smr::{ReplicaNode, SmrEvent, SmrMsg};
-use minsync_types::{ProcessId, SystemConfig};
-use minsync_workload::{command, ArrivalProcess, Batch, ClientPopulation, WorkloadSpec};
+use minsync_types::SystemConfig;
+use minsync_workload::{
+    command, ArrivalProcess, Batch, ClientPopulation, DrainCursor, WorkloadSpec,
+};
 use proptest::prelude::*;
 
 type Msg = SmrMsg<Batch>;
@@ -72,9 +74,8 @@ fn sim_command_logs(
         builder = builder.boxed_node(node);
     }
     let mut sim = builder.build();
-    let report = sim.run_until(move |outs| {
-        (0..n).all(|p| minsync_workload::committed_commands(outs, ProcessId::new(p)) >= total)
-    });
+    let mut drained = DrainCursor::new(n, total);
+    let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
     (0..n)
         .map(|p| {
             flatten(
@@ -149,6 +150,7 @@ proptest! {
             NetworkTopology::all_timely(4, 3),
         );
 
+        let mut drained = DrainCursor::new(4, total);
         let report = run_threaded(
             NetworkTopology::all_timely(4, 3),
             replica_nodes(system, &pop, batch),
@@ -157,16 +159,7 @@ proptest! {
                 timeout: Duration::from_secs(60),
                 seed: seed ^ 1,
             },
-            |outs| {
-                (0..4).all(|p| {
-                    outs.iter()
-                        .filter(|o| o.process.index() == p)
-                        .filter_map(|o| o.event.as_committed())
-                        .map(|(_, b)| b.len())
-                        .sum::<usize>()
-                        >= total
-                })
-            },
+            |outs| drained.advance(outs, |o| (o.process, &o.event)),
         );
         prop_assert!(!report.timed_out, "threaded run timed out");
         for (p, sim_log) in sim_logs.iter().enumerate() {

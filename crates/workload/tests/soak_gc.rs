@@ -9,7 +9,7 @@ use minsync_net::sim::SimBuilder;
 use minsync_net::NetworkTopology;
 use minsync_smr::{ReplicaNode, SmrEvent, SmrLimits};
 use minsync_types::{ProcessId, SystemConfig};
-use minsync_workload::{ArrivalProcess, WorkloadSpec};
+use minsync_workload::{ArrivalProcess, DrainCursor, WorkloadSpec};
 
 #[test]
 fn retired_slot_gc_keeps_live_state_bounded_over_10k_commands() {
@@ -46,26 +46,27 @@ fn retired_slot_gc_keeps_live_state_bounded_over_10k_commands() {
     let mut sim = builder.build();
     // Run until every replica committed everything AND retired its whole
     // log (quiescence of the GC control plane included).
+    let mut drained = DrainCursor::new(4, total);
     let report = sim.run_until(|outs| {
-        (0..4).all(|p| {
-            let committed = minsync_workload::committed_commands(outs, ProcessId::new(p)) >= total;
-            let retired_to = outs
-                .iter()
-                .filter(|o| o.process.index() == p)
-                .filter_map(|o| match o.event {
-                    SmrEvent::Retired { through } => Some(through),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            let last_slot = outs
-                .iter()
-                .filter(|o| o.process.index() == p)
-                .filter_map(|o| o.event.as_committed().map(|(slot, _)| slot))
-                .max()
-                .unwrap_or(u64::MAX);
-            committed && retired_to >= last_slot
-        })
+        drained.advance(outs, |o| (o.process, &o.event))
+            && (0..4).all(|p| {
+                let retired_to = outs
+                    .iter()
+                    .filter(|o| o.process.index() == p)
+                    .filter_map(|o| match o.event {
+                        SmrEvent::Retired { through } => Some(through),
+                        _ => None,
+                    })
+                    .max()
+                    .unwrap_or(0);
+                let last_slot = outs
+                    .iter()
+                    .filter(|o| o.process.index() == p)
+                    .filter_map(|o| o.event.as_committed().map(|(slot, _)| slot))
+                    .max()
+                    .unwrap_or(u64::MAX);
+                retired_to >= last_slot
+            })
     });
 
     // Every replica committed the full command space.

@@ -16,7 +16,7 @@ use minsync::net::{Env, NetworkTopology, Node};
 use minsync::smr::{ReplicaNode, SmrEvent, SmrMsg};
 use minsync::transport::mesh::{MeshConfig, TcpMesh};
 use minsync::types::{ProcessId, SystemConfig};
-use minsync::workload::{committed_commands, ArrivalProcess, Batch, WorkloadSpec};
+use minsync::workload::{ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 use minsync_telemetry::trace::{queues, TraceEvent, TraceKind, TraceRecorder};
 
 type Msg = ProtocolMsg<u64>;
@@ -245,10 +245,10 @@ fn smr_workload_commits_identically_on_both_substrates() {
         builder = builder.boxed_node(node);
     }
     let mut sim = builder.build();
-    let sim_report = sim.run_until(move |outs| {
-        (0..4).all(|p| committed_commands(outs, ProcessId::new(p)) >= total)
-    });
+    let mut drained = DrainCursor::new(4, total);
+    let sim_report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
 
+    let mut drained = DrainCursor::new(4, total);
     let threaded = run_threaded(
         topo,
         nodes(),
@@ -257,16 +257,7 @@ fn smr_workload_commits_identically_on_both_substrates() {
             timeout: Duration::from_secs(60),
             seed,
         },
-        |outs| {
-            (0..4).all(|p| {
-                outs.iter()
-                    .filter(|o| o.process.index() == p)
-                    .filter_map(|o| o.event.as_committed())
-                    .map(|(_, b)| b.len())
-                    .sum::<usize>()
-                    >= total
-            })
-        },
+        |outs| drained.advance(outs, |o| (o.process, &o.event)),
     );
     assert!(!threaded.timed_out, "threaded SMR run timed out");
 
