@@ -77,16 +77,6 @@ pub fn split_coordinator<V: Value>(
     }
 }
 
-/// Drops every outgoing `EA_RELAY`, starving line 6's `n − t` relay wait as
-/// much as a single process can.
-pub fn drop_relays<V: Value>(
-) -> impl FnMut(ProcessId, &ProtocolMsg<V>) -> Option<ProtocolMsg<V>> + Send {
-    move |_to: ProcessId, msg: &ProtocolMsg<V>| match msg {
-        ProtocolMsg::EaRelay { .. } => None,
-        other => Some(other.clone()),
-    }
-}
-
 /// Withholds all RB `ECHO` / `READY` participation: the process still
 /// initiates its own broadcasts but never helps anyone else's instance
 /// complete — a "free rider" liveness attack on the RB layer.

@@ -1,43 +1,26 @@
 //! Message authentication for the `minsync` stack: per-message MACs for the
-//! TCP transport and a signature abstraction for quorum certificates.
+//! TCP transport, and nothing else.
 //!
 //! The paper's model (Section 2.1) *assumes* a Byzantine process cannot
 //! impersonate another. The simulator and threaded substrates enforce that
 //! structurally (the router stamps true sender ids); the TCP transport
 //! cannot — a socket claims whatever sender id it likes. This crate closes
 //! that gap with an [`Authenticator`]: a per-process object that tags
-//! outgoing bytes and verifies claimed senders, plus `sign`/`verify_sig`
-//! for statements that must convince *many* verifiers (quorum
-//! certificates, [`QuorumCert`]).
+//! outgoing bytes and verifies claimed senders. There are no signatures:
+//! the paper's algorithm is signature-free, and so is every layer above
+//! this crate (DESIGN.md §1).
 //!
-//! Two implementations, both offline-friendly (the build environment has no
-//! network, so everything is hand-rolled and pinned to published test
-//! vectors — see [`hash`] and [`hmac`]):
-//!
-//! * [`HmacAuthenticator`] — **pairwise symmetric keys**: a trusted dealer
-//!   ([`HmacAuthenticator::deal`]) derives one key per unordered process
-//!   pair from a cluster master secret and hands each replica only the `n`
-//!   keys involving it. MACs are HMAC-SHA256 truncated to [`MAC_LEN`]
-//!   bytes over `direction ‖ payload`, so a Byzantine *member* still cannot
-//!   forge traffic between two *other* correct members (it lacks their pair
-//!   key), and a tag for `i → j` never verifies as `j → i` (the direction
-//!   is part of the MAC input).
-//! * [`ToySigner`] — a keyless, deterministic scheme for tests: tags and
-//!   signatures are plain truncated hashes that *anyone can compute*.
-//!
-//! # The signatures are NOT cryptographic
-//!
-//! Both implementations' `sign` is the **toy scheme**: a signature is a
-//! public hash of `(signer, statement)` — any process can forge any other
-//! process's "signature". What the toy scheme *does* model is the API and
-//! the distinct-verifier semantics real signatures would provide: a
-//! signature is one value that every receiver verifies the same way
-//! (unlike a MAC, which only the pair can check), which is exactly what a
-//! [`QuorumCert`] needs to replace `t + 1` echo messages with one
-//! transferable certificate. Swap in Ed25519 behind the same trait for a
-//! deployment; every protocol above this crate is agnostic to that. The
-//! *MAC* side of [`HmacAuthenticator`] is real keyed HMAC, so transport
-//! impersonation-resistance (experiment E15) does not rest on the toy part.
+//! The one implementation is offline-friendly (the build environment has
+//! no network, so everything is hand-rolled and pinned to published test
+//! vectors — see [`hash`] and [`hmac`]): [`HmacAuthenticator`] holds
+//! **pairwise symmetric keys**. A trusted dealer
+//! ([`HmacAuthenticator::deal`]) derives one key per unordered process
+//! pair from a cluster master secret and hands each replica only the `n`
+//! keys involving it. MACs are HMAC-SHA256 truncated to [`MAC_LEN`] bytes
+//! over `direction ‖ payload`, so a Byzantine *member* still cannot forge
+//! traffic between two *other* correct members (it lacks their pair key),
+//! and a tag for `i → j` never verifies as `j → i` (the direction is part
+//! of the MAC input).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,9 +38,6 @@ use hmac::hmac_sha256;
 /// MAC tag length in bytes (HMAC-SHA256 truncated; 128-bit tags).
 pub const MAC_LEN: usize = 16;
 
-/// Signature length in bytes.
-pub const SIG_LEN: usize = 32;
-
 /// Symmetric key length in bytes.
 pub const KEY_LEN: usize = 32;
 
@@ -68,18 +48,6 @@ pub struct Mac(pub [u8; MAC_LEN]);
 impl fmt::Debug for Mac {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Mac({})", to_hex(&self.0))
-    }
-}
-
-/// A (toy) signature over a statement — verifiable by *every* process, not
-/// just the recipient (see the crate docs for the non-cryptographic
-/// caveat).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Sig(pub [u8; SIG_LEN]);
-
-impl fmt::Debug for Sig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Sig({})", to_hex(&self.0))
     }
 }
 
@@ -99,8 +67,7 @@ fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 }
 
 /// Per-process authentication: MAC tagging/verification for point-to-point
-/// transport frames, and signing/verification for multi-verifier
-/// statements.
+/// transport frames.
 ///
 /// Implementations are shared across a mesh's writer and reader threads
 /// (`Arc<dyn Authenticator>`), hence `Send + Sync`.
@@ -119,12 +86,6 @@ pub trait Authenticator: Send + Sync + fmt::Debug {
 
     /// Verifies a tag for the channel `from → me`.
     fn verify(&self, from: ProcessId, msg: &[u8], mac: &Mac) -> bool;
-
-    /// Signs `msg` as `me` (toy scheme — see the crate docs).
-    fn sign(&self, msg: &[u8]) -> Sig;
-
-    /// Verifies `signer`'s signature over `msg`.
-    fn verify_sig(&self, signer: ProcessId, msg: &[u8], sig: &Sig) -> bool;
 }
 
 /// Domain-separation labels: every construction in this crate hashes under
@@ -133,25 +94,12 @@ mod domain {
     pub const PAIR: &[u8] = b"MSYN-AUTH-PAIR";
     pub const SELF: &[u8] = b"MSYN-AUTH-SELF";
     pub const MAC: &[u8] = b"MSYN-AUTH-MAC";
-    pub const TOYSIG: &[u8] = b"MSYN-AUTH-TOYSIG";
-    pub const TOYMAC: &[u8] = b"MSYN-AUTH-TOYMAC";
 }
 
 fn id_bytes(p: ProcessId) -> [u8; 4] {
     u32::try_from(p.index())
         .expect("process ids fit u32")
         .to_le_bytes()
-}
-
-/// The toy signature both implementations share: a public hash of
-/// `(signer, msg)`. Forgeable by construction; models distinct-verifier
-/// semantics only.
-fn toy_sign(signer: ProcessId, msg: &[u8]) -> Sig {
-    let mut h = Sha256::new();
-    h.update(domain::TOYSIG);
-    h.update(&id_bytes(signer));
-    h.update(msg);
-    Sig(h.finalize())
 }
 
 // ---------------------------------------------------------------------------
@@ -291,151 +239,6 @@ impl Authenticator for HmacAuthenticator {
             None => false, // out-of-range claimed sender
         }
     }
-
-    fn sign(&self, msg: &[u8]) -> Sig {
-        toy_sign(self.me, msg)
-    }
-
-    fn verify_sig(&self, signer: ProcessId, msg: &[u8], sig: &Sig) -> bool {
-        ct_eq(&toy_sign(signer, msg).0, &sig.0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Toy authenticator (keyless, deterministic)
-// ---------------------------------------------------------------------------
-
-/// The keyless implementation: tags and signatures are public hashes anyone
-/// can compute — **zero** impersonation resistance, by design. Useful where
-/// tests need deterministic authenticated plumbing without dealing keys,
-/// and as the second implementation pinning the [`Authenticator`] API.
-#[derive(Clone, Copy, Debug)]
-pub struct ToySigner {
-    me: ProcessId,
-}
-
-impl ToySigner {
-    /// A toy authenticator for process `me`.
-    pub fn new(me: ProcessId) -> Self {
-        ToySigner { me }
-    }
-
-    fn toy_mac(from: ProcessId, to: ProcessId, msg: &[u8]) -> Mac {
-        let mut h = Sha256::new();
-        h.update(domain::TOYMAC);
-        h.update(&id_bytes(from));
-        h.update(&id_bytes(to));
-        h.update(msg);
-        let full = h.finalize();
-        Mac(full[..MAC_LEN].try_into().expect("truncation fits"))
-    }
-}
-
-impl Authenticator for ToySigner {
-    fn me(&self) -> ProcessId {
-        self.me
-    }
-
-    fn tag(&self, to: ProcessId, msg: &[u8]) -> Mac {
-        Self::toy_mac(self.me, to, msg)
-    }
-
-    fn verify(&self, from: ProcessId, msg: &[u8], mac: &Mac) -> bool {
-        ct_eq(&Self::toy_mac(from, self.me, msg).0, &mac.0)
-    }
-
-    fn sign(&self, msg: &[u8]) -> Sig {
-        toy_sign(self.me, msg)
-    }
-
-    fn verify_sig(&self, signer: ProcessId, msg: &[u8], sig: &Sig) -> bool {
-        ct_eq(&toy_sign(signer, msg).0, &sig.0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Quorum certificates
-// ---------------------------------------------------------------------------
-
-/// A set of distinct-signer signatures over one statement — commit evidence
-/// a single message can carry, replacing `t + 1` independent echo messages
-/// (the receiver verifies the certificate instead of counting arrivals).
-///
-/// The container enforces signer distinctness on insertion; quorum size and
-/// signature validity are checked by [`QuorumCert::verify`] against the
-/// statement the *receiver* reconstructs, so a certificate transplanted
-/// onto a different statement fails.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct QuorumCert {
-    sigs: Vec<(ProcessId, Sig)>,
-}
-
-impl QuorumCert {
-    /// An empty certificate.
-    pub fn new() -> Self {
-        QuorumCert::default()
-    }
-
-    /// Adds one signer's signature; false (and no-op) if the signer is
-    /// already present.
-    pub fn add(&mut self, signer: ProcessId, sig: Sig) -> bool {
-        if self.sigs.iter().any(|(p, _)| *p == signer) {
-            return false;
-        }
-        self.sigs.push((signer, sig));
-        true
-    }
-
-    /// Number of distinct signers collected.
-    pub fn len(&self) -> usize {
-        self.sigs.len()
-    }
-
-    /// True if no signatures were collected.
-    pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
-    }
-
-    /// The `(signer, sig)` pairs (distinct signers by construction of
-    /// [`QuorumCert::add`]; decoded certificates must be re-checked via
-    /// [`QuorumCert::verify`]).
-    pub fn sigs(&self) -> &[(ProcessId, Sig)] {
-        &self.sigs
-    }
-
-    /// Builds a certificate from raw pairs (e.g. a wire decoder). Unlike
-    /// [`QuorumCert::add`]-built certs this may hold duplicate signers —
-    /// [`QuorumCert::verify`] rejects those.
-    pub fn from_sigs(sigs: Vec<(ProcessId, Sig)>) -> Self {
-        QuorumCert { sigs }
-    }
-
-    /// Full validation against `statement`: at least `quorum` signatures,
-    /// every signer distinct and `< n`, every signature valid. This is what
-    /// a receiver runs on a certificate that arrived over the network.
-    pub fn verify(
-        &self,
-        auth: &dyn Authenticator,
-        statement: &[u8],
-        n: usize,
-        quorum: usize,
-    ) -> bool {
-        if self.sigs.len() < quorum {
-            return false;
-        }
-        let mut seen = 0u128;
-        for (signer, sig) in &self.sigs {
-            let idx = signer.index();
-            if idx >= n || idx >= 128 || seen & (1 << idx) != 0 {
-                return false;
-            }
-            seen |= 1 << idx;
-            if !auth.verify_sig(*signer, statement, sig) {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +247,8 @@ impl QuorumCert {
 
 /// Digest of a value's `Debug` rendering — the same "canonical bytes of a
 /// generic value" convention the conformance layer's effect digests use, so
-/// signed statements over `V: Debug` need no extra codec bound.
+/// digests over `V: Debug` (the SMR layer's commit-prefix gauge) need no
+/// extra codec bound.
 pub fn debug_digest<T: fmt::Debug>(value: &T) -> [u8; 32] {
     Sha256::digest(format!("{value:?}").as_bytes())
 }
@@ -541,61 +345,6 @@ mod tests {
         bytes.extend_from_slice(&4u32.to_le_bytes());
         bytes.extend_from_slice(&[0; 4 * KEY_LEN]);
         assert!(HmacAuthenticator::from_hex(&to_hex(&bytes)).is_none());
-    }
-
-    #[test]
-    fn toy_signer_is_publicly_computable_by_design() {
-        let a = ToySigner::new(ProcessId::new(0));
-        let b = ToySigner::new(ProcessId::new(1));
-        let msg = b"statement";
-        let sig = a.sign(msg);
-        // Every process verifies it the same way (distinct-verifier
-        // semantics)…
-        assert!(a.verify_sig(ProcessId::new(0), msg, &sig));
-        assert!(b.verify_sig(ProcessId::new(0), msg, &sig));
-        assert!(!b.verify_sig(ProcessId::new(1), msg, &sig));
-        // …and — the documented caveat — anyone can forge it.
-        let forged = toy_sign(ProcessId::new(0), msg);
-        assert_eq!(sig, forged);
-        // Toy MACs verify across the pair.
-        let tag = a.tag(ProcessId::new(1), msg);
-        assert!(b.verify(ProcessId::new(0), msg, &tag));
-        assert!(!b.verify(ProcessId::new(2), msg, &tag));
-    }
-
-    #[test]
-    fn quorum_cert_checks_quorum_distinctness_and_statement() {
-        let ring = ring(4);
-        let statement = b"slot 3 committed batch-digest";
-        let mut cert = QuorumCert::new();
-        for (i, key) in ring.iter().enumerate().take(3) {
-            assert!(cert.add(ProcessId::new(i), key.sign(statement)));
-        }
-        assert!(
-            !cert.add(ProcessId::new(0), ring[0].sign(statement)),
-            "dup signer"
-        );
-        assert_eq!(cert.len(), 3);
-        // n − t = 3 of 4: valid.
-        assert!(cert.verify(&ring[3], statement, 4, 3));
-        // Short of quorum.
-        assert!(!cert.verify(&ring[3], statement, 4, 4));
-        // Transplanted onto another statement: every signature fails.
-        assert!(!cert.verify(&ring[3], b"some other statement", 4, 3));
-        // Duplicate signers smuggled in via from_sigs are rejected.
-        let dup = QuorumCert::from_sigs(vec![
-            (ProcessId::new(0), ring[0].sign(statement)),
-            (ProcessId::new(0), ring[0].sign(statement)),
-            (ProcessId::new(1), ring[1].sign(statement)),
-        ]);
-        assert!(!dup.verify(&ring[3], statement, 4, 3));
-        // Out-of-range signer.
-        let oor = QuorumCert::from_sigs(vec![
-            (ProcessId::new(7), toy_sign(ProcessId::new(7), statement)),
-            (ProcessId::new(0), ring[0].sign(statement)),
-            (ProcessId::new(1), ring[1].sign(statement)),
-        ]);
-        assert!(!oor.verify(&ring[3], statement, 4, 3));
     }
 
     #[test]

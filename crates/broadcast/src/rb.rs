@@ -275,19 +275,6 @@ where
         }
     }
 
-    /// Has this process RB-delivered instance `(origin, tag)`?
-    pub fn is_delivered(&self, origin: ProcessId, tag: &T) -> bool {
-        self.instances
-            .get(origin.index())
-            .and_then(|tags| tags.iter().rev().find(|(t, _)| t == tag))
-            .is_some_and(|(_, i)| i.delivered)
-    }
-
-    /// Number of instances with any state (diagnostics).
-    pub fn instance_count(&self) -> usize {
-        self.instances.iter().map(Vec::len).sum()
-    }
-
     /// The (created-on-demand) instance for `(origin, tag)`.
     fn instance(
         instances: &mut Vec<Vec<(T, Instance<V>)>>,

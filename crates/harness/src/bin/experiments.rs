@@ -8,134 +8,39 @@
 //! Prints GitHub-flavored markdown to stdout (paste-ready for
 //! `EXPERIMENTS.md`); `--csv DIR` additionally writes one CSV per table;
 //! `--list` prints the experiment catalog (id + one-line description) and
-//! exits without running anything.
+//! exits without running anything. Any other flag, and any id not in the
+//! catalog, is an error (exit status 2).
 //!
 //! E11, E13, E15, and E16 spawn real `minsync-node` OS processes — build
 //! them first
 //! (`cargo build --release -p minsync-transport`) or they abort with a hint.
 
-use minsync_harness::experiments;
-use minsync_harness::Table;
-
-type Runner = fn(bool) -> Table;
-
-/// The experiment catalog: id, one-line description, runner.
-fn catalog() -> Vec<(&'static str, &'static str, Runner)> {
-    vec![
-        (
-            "e1",
-            "Cooperative broadcast (Figure 1 / Theorem 1): CB-Validity, CB-Set quality, message cost",
-            experiments::e1_cb::run,
-        ),
-        (
-            "e2",
-            "Adopt-commit (Figure 2 / Theorem 2): AC properties under split and Byzantine proposals",
-            experiments::e2_ac::run,
-        ),
-        (
-            "e3",
-            "Eventual agreement (Figure 3 / Theorem 3): convergence once the bisource stabilizes",
-            experiments::e3_ea::run,
-        ),
-        (
-            "e4",
-            "Consensus (Figure 4 / Theorem 4): agreement/validity/termination, rounds and latency",
-            experiments::e4_consensus::run,
-        ),
-        (
-            "e5",
-            "Round complexity vs the §5.4 bound with a from-start ⟨t+1⟩bisource",
-            experiments::e5_rounds::run,
-        ),
-        (
-            "e6",
-            "Parameterized variant (§5.4): the k knob trading bisource strength for rounds",
-            experiments::e6_k_sweep::run,
-        ),
-        (
-            "e7",
-            "Ben-Or baseline (footnote 1): deterministic stack vs randomized binary consensus",
-            experiments::e7_baseline::run,
-        ),
-        (
-            "e8",
-            "Timeout policy f(r) and δ sensitivity (footnote 3)",
-            experiments::e8_timeouts::run,
-        ),
-        (
-            "e9",
-            "Message complexity by primitive (per-kind counts across the stack)",
-            experiments::e9_message_complexity::run,
-        ),
-        (
-            "e10",
-            "Batched SMR throughput/latency on the simulator (virtual-time, sim↔threaded equivalence)",
-            experiments::e10_smr::run,
-        ),
-        (
-            "e11",
-            "TCP cluster: n OS processes over minsync-wire on 127.0.0.1, wall-clock throughput/latency, silent+flood riders",
-            experiments::e11_transport::run,
-        ),
-        (
-            "e13",
-            "Liveness under churn: partition/heal, crash/rejoin via WAL, moving GST, adaptive champion targeting — sim + cluster",
-            experiments::e13_churn::run,
-        ),
-        (
-            "e14",
-            "Conformance: schedule exploration (reorder/delay/drop) over all five stacks + ac-quorum mutation smoke",
-            experiments::e14_conformance::run,
-        ),
-        (
-            "e15",
-            "Authenticated transport: impersonator severed vs accepted, quorum-certificate catch-up accounting",
-            experiments::e15_auth::run,
-        ),
-        (
-            "e16",
-            "Unified telemetry: per-substrate stage breakdowns, pipelining-window overlap, tracing overhead gate",
-            experiments::e16_telemetry::run,
-        ),
-        (
-            "e17",
-            "Live health plane: clean-run alarm silence, per-fault detection latency (stall/divergence/backlog/auth), watchdog passivity",
-            experiments::e17_health::run,
-        ),
-    ]
-}
+use minsync_harness::experiments::{catalog, select};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let runners = catalog();
+    let catalog = catalog();
+    let selected = select(&catalog, &args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     if args.iter().any(|a| a == "--list") {
-        for (name, description, _) in &runners {
+        for (name, description, _) in &catalog {
             println!("{name:>4}  {description}");
         }
         return;
     }
+    let quick = args.iter().any(|a| a == "--quick");
     let csv_dir = args
         .iter()
         .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            a.len() >= 2 && a.starts_with('e') && a[1..].chars().all(|c| c.is_ascii_digit())
-        })
-        .cloned()
-        .collect();
+        .and_then(|i| args.get(i + 1));
 
-    for (name, _, runner) in runners {
-        if !selected.is_empty() && !selected.iter().any(|s| s == name) {
-            continue;
-        }
+    for (name, _, runner) in selected {
         eprintln!("running {name}{}…", if quick { " (quick)" } else { "" });
         let table = runner(quick);
         println!("{table}");
-        if let Some(dir) = &csv_dir {
+        if let Some(dir) = csv_dir {
             let path = std::path::Path::new(dir).join(format!("{name}.csv"));
             if let Err(e) = table.save_csv(&path) {
                 eprintln!("failed to write {}: {e}", path.display());

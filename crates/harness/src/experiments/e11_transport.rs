@@ -21,9 +21,10 @@
 
 use std::time::Duration;
 
-use minsync_transport::cluster::{run_cluster, Behavior, ClusterReport, ClusterSpec};
+use minsync_transport::cluster::{Behavior, ClusterSpec};
 use minsync_workload::ArrivalProcess;
 
+use super::run_clean_case;
 use crate::Table;
 
 /// Tick length used by every E11 child (latency columns convert ticks to
@@ -53,61 +54,6 @@ fn spec(n: usize, t: usize, commands_per_client: usize, riders: Vec<Behavior>) -
     }
 }
 
-/// Runs one cluster case and asserts the distributed-agreement and
-/// liveness criteria.
-///
-/// # Panics
-///
-/// Panics if the cluster cannot be spawned (build `minsync-node` first —
-/// `cargo build --release -p minsync-transport`), a correct replica
-/// stalls, or the committed-log digests diverge.
-fn run_case(spec: &ClusterSpec) -> ClusterReport {
-    let report = run_cluster(spec).unwrap_or_else(|e| {
-        panic!(
-            "E11 n={} riders={:?}: cluster failed: {e}",
-            spec.n, spec.riders
-        )
-    });
-    let violations = report.violations();
-    assert!(
-        violations.is_empty(),
-        "E11 n={} riders={:?}: {violations:?}",
-        spec.n,
-        spec.riders
-    );
-    for r in &report.replicas {
-        if spec.riders.is_empty() {
-            // A clean run must never touch the flow-control cap or the MAC
-            // check: future traffic is bounded by the pipeline width and no
-            // honest frame fails verification, so a nonzero counter means
-            // honest traffic was discarded. Read straight off the child's
-            // registry snapshot — the metric names are the contract.
-            // Retired drops are NOT zero by invariant — a peer's instance
-            // can answer a straggler's echo *after* acking the slot, and
-            // that relay races the straggler's own ack on a different TCP
-            // stream — so they are surfaced in the table but only asserted
-            // in the deterministic sim (E13).
-            let counter = |name: &str| r.snapshot.counter(name).unwrap_or(0);
-            assert_eq!(
-                counter("smr.future_drops"),
-                0,
-                "E11 clean run dropped future traffic"
-            );
-            assert_eq!(
-                counter("mesh.auth_rejects"),
-                0,
-                "E11 clean run rejected a frame"
-            );
-            assert_eq!(
-                counter("smr.cert_rejects"),
-                0,
-                "E11 clean run rejected a certificate"
-            );
-        }
-    }
-    report
-}
-
 fn ms(ticks: u64) -> f64 {
     ticks as f64 * TICK.as_secs_f64() * 1000.0
 }
@@ -131,7 +77,7 @@ pub fn run(quick: bool) -> Table {
     for &(n, t) in sizes {
         for &riders in rider_sets {
             let spec = spec(n, t, commands_per_client, riders.to_vec());
-            let report = run_case(&spec);
+            let report = run_clean_case("E11", &spec);
             let slowest = report
                 .replicas
                 .iter()

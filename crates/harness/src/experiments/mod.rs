@@ -24,28 +24,171 @@ pub mod e8_timeouts;
 pub mod e9_message_complexity;
 pub mod ea_lab;
 
+use minsync_transport::cluster::{run_cluster, Behavior, ClusterReport, ClusterSpec};
+
 use crate::Table;
 
-/// Runs every experiment, returning the tables in order.
-pub fn run_all(quick: bool) -> Vec<Table> {
+/// One catalog row: id, one-line description, and the experiment's entry
+/// point (`quick` in, table out).
+pub type Entry = (&'static str, &'static str, fn(bool) -> Table);
+
+/// The experiment catalog, in the order the suite runs.
+pub fn catalog() -> Vec<Entry> {
     vec![
-        e1_cb::run(quick),
-        e2_ac::run(quick),
-        e3_ea::run(quick),
-        e4_consensus::run(quick),
-        e5_rounds::run(quick),
-        e6_k_sweep::run(quick),
-        e7_baseline::run(quick),
-        e8_timeouts::run(quick),
-        e9_message_complexity::run(quick),
-        e10_smr::run(quick),
-        e11_transport::run(quick),
-        e13_churn::run(quick),
-        e14_conformance::run(quick),
-        e15_auth::run(quick),
-        e16_telemetry::run(quick),
-        e17_health::run(quick),
+        (
+            "e1",
+            "Cooperative broadcast (Figure 1 / Theorem 1): CB-Validity, CB-Set quality, message cost",
+            e1_cb::run,
+        ),
+        (
+            "e2",
+            "Adopt-commit (Figure 2 / Theorem 2): AC properties under split and Byzantine proposals",
+            e2_ac::run,
+        ),
+        (
+            "e3",
+            "Eventual agreement (Figure 3 / Theorem 3): convergence once the bisource stabilizes",
+            e3_ea::run,
+        ),
+        (
+            "e4",
+            "Consensus (Figure 4 / Theorem 4): agreement/validity/termination, rounds and latency",
+            e4_consensus::run,
+        ),
+        (
+            "e5",
+            "Round complexity vs the §5.4 bound with a from-start ⟨t+1⟩bisource",
+            e5_rounds::run,
+        ),
+        (
+            "e6",
+            "Parameterized variant (§5.4): the k knob trading bisource strength for rounds",
+            e6_k_sweep::run,
+        ),
+        (
+            "e7",
+            "Ben-Or baseline (footnote 1): deterministic stack vs randomized binary consensus",
+            e7_baseline::run,
+        ),
+        (
+            "e8",
+            "Timeout policy f(r) and δ sensitivity (footnote 3)",
+            e8_timeouts::run,
+        ),
+        (
+            "e9",
+            "Message complexity by primitive (per-kind counts across the stack)",
+            e9_message_complexity::run,
+        ),
+        (
+            "e10",
+            "Batched SMR throughput/latency on the simulator (virtual-time, sim↔threaded equivalence)",
+            e10_smr::run,
+        ),
+        (
+            "e11",
+            "TCP cluster: n OS processes over minsync-wire on 127.0.0.1, wall-clock throughput/latency, silent+flood riders",
+            e11_transport::run,
+        ),
+        (
+            "e13",
+            "Liveness under churn: partition/heal, crash/rejoin via WAL, moving GST, adaptive champion targeting — sim + cluster",
+            e13_churn::run,
+        ),
+        (
+            "e14",
+            "Conformance: schedule exploration (reorder/delay/drop) over all five stacks + ac-quorum mutation smoke",
+            e14_conformance::run,
+        ),
+        (
+            "e15",
+            "Authenticated transport: an impersonator severed with MACs on, accepted with them off",
+            e15_auth::run,
+        ),
+        (
+            "e16",
+            "Unified telemetry: per-substrate stage breakdowns, pipelining-window overlap, tracing overhead gate",
+            e16_telemetry::run,
+        ),
+        (
+            "e17",
+            "Live health plane: clean-run alarm silence, per-fault detection latency (stall/divergence/backlog/auth), watchdog passivity",
+            e17_health::run,
+        ),
     ]
+}
+
+/// Picks the experiments the `experiments` binary's arguments name, in
+/// catalog order; none named means all of them. A positional argument
+/// that is not a catalog id (the value following `--csv` excepted) and a
+/// flag other than `--quick`/`--list`/`--csv` are errors: a mistyped id
+/// must not silently select nothing, or everything.
+pub fn select(catalog: &[Entry], args: &[String]) -> Result<Vec<Entry>, String> {
+    let mut named = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" | "--list" => {}
+            "--csv" => {
+                args.next().ok_or("--csv needs a directory")?;
+            }
+            id if catalog.iter().any(|(known, ..)| *known == id) => named.push(id),
+            other => {
+                let ids: Vec<&str> = catalog.iter().map(|(id, ..)| *id).collect();
+                return Err(format!(
+                    "unknown argument `{other}` (flags: --quick --list --csv DIR; \
+                     experiment ids: {})",
+                    ids.join(" ")
+                ));
+            }
+        }
+    }
+    Ok(catalog
+        .iter()
+        .filter(|(id, ..)| named.is_empty() || named.contains(id))
+        .copied()
+        .collect())
+}
+
+/// Runs one TCP-cluster case and asserts the distributed-agreement and
+/// liveness criteria; `tag` names the calling experiment in panics.
+///
+/// # Panics
+///
+/// Panics if the cluster cannot be spawned (build `minsync-node` first —
+/// `cargo build --release -p minsync-transport`), a correct replica
+/// stalls, or the committed-log digests diverge.
+pub(crate) fn run_clean_case(tag: &str, spec: &ClusterSpec) -> ClusterReport {
+    let case = format!(
+        "{tag} n={} auth={} riders={:?}",
+        spec.n, spec.auth, spec.riders
+    );
+    let report = run_cluster(spec).unwrap_or_else(|e| panic!("{case}: cluster failed: {e}"));
+    let violations = report.violations();
+    assert!(violations.is_empty(), "{case}: {violations:?}");
+    if spec.riders.iter().all(|b| *b == Behavior::Silent) {
+        // With no rider actively injecting traffic (silent ones only occupy
+        // fault slots), the flow-control cap and the MAC check must stay
+        // untouched: future traffic is bounded by the pipeline width and no
+        // honest frame fails verification, so a nonzero counter means honest
+        // traffic was discarded. Read straight off the child's registry
+        // snapshot — the metric names are the contract. Retired drops are
+        // NOT zero by invariant — a peer's instance can answer a straggler's
+        // echo *after* acking the slot, and that relay races the straggler's
+        // own ack on a different TCP stream — so they are surfaced in E11's
+        // table but only asserted in the deterministic sim (E13).
+        for r in &report.replicas {
+            for name in ["smr.future_drops", "mesh.auth_rejects"] {
+                assert_eq!(
+                    r.snapshot.counter(name).unwrap_or(0),
+                    0,
+                    "{case}: clean run counted {name} at replica {}",
+                    r.id
+                );
+            }
+        }
+    }
+    report
 }
 
 /// Seeds used per configuration.
@@ -72,10 +215,33 @@ mod tests {
 
     #[test]
     fn quick_suite_produces_all_tables() {
-        let tables = run_all(true);
-        assert_eq!(tables.len(), 16);
-        for t in &tables {
-            assert!(!t.rows().is_empty(), "{} produced no rows", t.title());
+        let catalog = catalog();
+        assert_eq!(catalog.len(), 16);
+        for (id, _, run) in catalog {
+            let table = run(true);
+            assert!(!table.rows().is_empty(), "{id} produced no rows");
         }
+    }
+
+    fn selected(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        select(&catalog(), &args).map(|picked| picked.iter().map(|(id, ..)| *id).collect())
+    }
+
+    #[test]
+    fn select_runs_exactly_what_is_named_and_rejects_the_rest() {
+        assert_eq!(selected(&["--quick"]).unwrap().len(), 16);
+        assert_eq!(selected(&["e15", "e11"]).unwrap(), ["e11", "e15"]);
+        // `--csv`'s value is a path, not an id.
+        assert_eq!(
+            selected(&["--quick", "--csv", "out", "e3"]).unwrap(),
+            ["e3"]
+        );
+        for bad in ["e12", "e150", "E15", "e15,e16", "--help"] {
+            let err = selected(&["e1", bad]).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+            assert!(err.contains("e17"), "lists the valid ids: {err}");
+        }
+        assert!(selected(&["--csv"]).is_err(), "--csv without a value");
     }
 }

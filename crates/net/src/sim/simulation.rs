@@ -288,13 +288,6 @@ where
         self
     }
 
-    /// Installs an already-boxed schedule oracle (for oracles chosen at
-    /// runtime).
-    pub fn with_boxed_schedule_oracle(mut self, oracle: Box<dyn ScheduleOracle<M>>) -> Self {
-        self.schedule = Some(oracle);
-        self
-    }
-
     /// Builds the simulation.
     ///
     /// # Panics
@@ -526,11 +519,6 @@ where
             write!(hasher, "{record:?}").expect("fnv writer is infallible");
         }
         hasher.0
-    }
-
-    /// True if process `p` has halted itself.
-    pub fn is_halted(&self, p: ProcessId) -> bool {
-        self.core.halted[p.index()]
     }
 
     /// Immutable access to a node (for state inspection in tests). The node

@@ -86,12 +86,6 @@ impl NetworkTopology {
         self
     }
 
-    /// Builder-style variant of [`set`](Self::set).
-    pub fn with_channel(mut self, from: ProcessId, to: ProcessId, timing: ChannelTiming) -> Self {
-        self.set(from, to, timing);
-        self
-    }
-
     /// The timing of the directed channel `from → to`.
     ///
     /// # Panics

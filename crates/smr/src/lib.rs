@@ -1,6 +1,6 @@
 //! State-machine replication on top of the paper's consensus: a pipeline of
 //! independent consensus instances, one per log slot, with commit
-//! acknowledgements, log garbage collection, and quorum-certified catch-up.
+//! acknowledgements, log garbage collection, and checkpoint catch-up.
 //!
 //! This is the application the paper's introduction motivates — and the
 //! standard way a single-shot consensus object is consumed downstream. Each
@@ -32,17 +32,8 @@
 //!   [`SmrMsg::Checkpoint`] — `t + 1` matching checkpoints carry at least
 //!   one correct sender, so the laggard may commit the certified value
 //!   directly even if its buffers dropped the original protocol traffic
-//!   (checkpoints double as acks from their sender);
-//! * with [`ReplicaNode::with_certs`] the catch-up evidence becomes a
-//!   **quorum certificate** (`minsync-auth`): commit acks carry a signature
-//!   over the commit statement ([`SmrMsg::SigAck`]), committed replicas
-//!   collect `n − t` of them into a [`QuorumCert`], and a single
-//!   [`SmrMsg::CertCheckpoint`] then convinces a laggard — one message where
-//!   the echo path needs `t + 1` matching [`SmrMsg::Checkpoint`]s (the
-//!   receiver verifies signatures instead of counting independent arrivals).
-//!   The certificate path is opportunistic: a replica that committed before
-//!   its peers' sig-acks arrived simply falls back to the echo path, so no
-//!   liveness rests on certificate availability.
+//!   (checkpoints double as acks from their sender). That is the only
+//!   catch-up path and it needs no signatures (DESIGN.md §5).
 //!
 //! Proposals come from a [`ProposalSource`]: the application-supplied rule
 //! for what a replica proposes in each slot. Sources are *batching* by
@@ -85,26 +76,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use minsync_auth::{debug_digest, Authenticator, QuorumCert, Sig};
+use minsync_auth::debug_digest;
 use minsync_core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg};
 use minsync_net::sim::OutputRecord;
 use minsync_net::{Effect, Env, Node, TimerId};
 use minsync_telemetry::trace::{TraceKind, TraceRecorder};
 use minsync_telemetry::{watch_name, Counter, Gauge, Registry};
 use minsync_types::{ProcessId, Value};
-
-/// The statement a replica signs when it commits `slot = value`: a domain
-/// prefix, the slot, and a digest of the value's canonical (`Debug`)
-/// rendering. Receivers reconstruct this from the `(slot, value)` they were
-/// handed, so a certificate transplanted onto a different slot or value
-/// fails verification.
-pub fn commit_statement<V: Value>(slot: u64, value: &V) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + 8 + 32);
-    out.extend_from_slice(b"MSYN-SMR-COMMIT");
-    out.extend_from_slice(&slot.to_le_bytes());
-    out.extend_from_slice(&debug_digest(value));
-    out
-}
 
 /// Live health gauges exported under the `watch.p<id>.*` naming contract
 /// consumed by [`minsync_telemetry::watchdog`] (see
@@ -170,40 +148,17 @@ pub enum SmrMsg<V> {
         /// Its decided value.
         value: V,
     },
-    /// An [`SmrMsg::Ack`] carrying the sender's signature over the commit
-    /// statement of `slot` (certificate mode only, see
-    /// [`ReplicaNode::with_certs`]). The ack floor is still cumulative;
-    /// the signature is specific to `slot`.
-    SigAck {
-        /// The highest committed slot (and the signed slot).
-        slot: u64,
-        /// Signature over [`commit_statement`]`(slot, value)`.
-        sig: Sig,
-    },
-    /// A checkpoint whose value is backed by an `n − t` quorum certificate:
-    /// **one** valid message commits the laggard, where the echo path needs
-    /// `t + 1` matching [`SmrMsg::Checkpoint`]s.
-    CertCheckpoint {
-        /// The decided slot.
-        slot: u64,
-        /// Its decided value.
-        value: V,
-        /// `n − t` distinct-signer signatures over the commit statement.
-        cert: QuorumCert,
-    },
 }
 
 impl<V> SmrMsg<V> {
     /// Classifier for [`minsync_net::sim::SimBuilder::classify`]: the
-    /// wrapped protocol kind for slot traffic, `"SMR_ACK"` / `"SMR_CKPT"` /
-    /// `"SMR_SIGACK"` / `"SMR_CERT_CKPT"` for the control plane.
+    /// wrapped protocol kind for slot traffic, `"SMR_ACK"` / `"SMR_CKPT"`
+    /// for the control plane.
     pub fn classify(msg: &SmrMsg<V>) -> &'static str {
         match msg {
             SmrMsg::Slot { msg, .. } => msg.kind(),
             SmrMsg::Ack { .. } => "SMR_ACK",
             SmrMsg::Checkpoint { .. } => "SMR_CKPT",
-            SmrMsg::SigAck { .. } => "SMR_SIGACK",
-            SmrMsg::CertCheckpoint { .. } => "SMR_CERT_CKPT",
         }
     }
 }
@@ -455,15 +410,6 @@ pub struct ReplicaNode<V, P> {
     future_drops: u64,
     /// Traffic for retired slots refused.
     retired_drops: u64,
-    /// Certificate mode (None = the classic echo path): signer/verifier for
-    /// commit statements, shared with whatever substrate runs the replica.
-    certs: Option<Arc<dyn Authenticator>>,
-    /// Per-slot commit signatures collected from [`SmrMsg::SigAck`]s (plus
-    /// our own, added on commit). A certificate is usable once it reaches
-    /// `n − t` distinct signers.
-    cert_sigs: BTreeMap<u64, QuorumCert>,
-    /// Invalid signatures and certificates refused.
-    cert_rejects: u64,
     /// Telemetry mirrors of the drop counters, for substrates that consume
     /// the node by value (the TCP mesh moves it into its run loop, so
     /// `minsync-node` can no longer ask the replica itself after the run).
@@ -471,7 +417,6 @@ pub struct ReplicaNode<V, P> {
     /// them in a shared registry.
     ctr_future_drops: Counter,
     ctr_retired_drops: Counter,
-    ctr_cert_rejects: Counter,
     /// Live health gauges (see [`ReplicaNode::with_watch`]); `None` keeps
     /// the hot path untouched.
     watch: Option<WatchGauges>,
@@ -537,12 +482,8 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             ckpt_votes: Vec::new(),
             future_drops: 0,
             retired_drops: 0,
-            certs: None,
-            cert_sigs: BTreeMap::new(),
-            cert_rejects: 0,
             ctr_future_drops: Counter::detached(),
             ctr_retired_drops: Counter::detached(),
-            ctr_cert_rejects: Counter::detached(),
             watch: None,
             trace: None,
             recovered: Vec::new(),
@@ -554,24 +495,13 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         }
     }
 
-    /// Switches the replica to **certificate mode**: commit acks become
-    /// [`SmrMsg::SigAck`]s carrying a signature over [`commit_statement`],
-    /// and laggard catch-up prefers a single quorum-certified
-    /// [`SmrMsg::CertCheckpoint`] over `t + 1` independent echoes. `auth`
-    /// must belong to the same process the replica runs as.
-    pub fn with_certs(mut self, auth: Arc<dyn Authenticator>) -> Self {
-        self.certs = Some(auth);
-        self
-    }
-
     /// Interns the replica's drop counters in a shared telemetry
-    /// [`Registry`] — `smr.future_drops`, `smr.retired_drops`, and
-    /// `smr.cert_rejects` — for substrates that consume the node by value:
-    /// any snapshot of the registry reads them, any time.
+    /// [`Registry`] — `smr.future_drops` and `smr.retired_drops` — for
+    /// substrates that consume the node by value: any snapshot of the
+    /// registry reads them, any time.
     pub fn with_registry(mut self, registry: &Registry) -> Self {
         self.ctr_future_drops = registry.counter("smr.future_drops");
         self.ctr_retired_drops = registry.counter("smr.retired_drops");
-        self.ctr_cert_rejects = registry.counter("smr.cert_rejects");
         self
     }
 
@@ -620,11 +550,11 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     /// recovered replica's observable log is byte-identical to one that
     /// never crashed; one cumulative ack then announces the recovered
     /// floor, and everything past the prefix is caught up through the
-    /// ordinary [`SmrMsg::Checkpoint`] / [`SmrMsg::CertCheckpoint`] path.
-    /// That path is guaranteed to still have the tail: full retirement
-    /// ([`SmrMsg::Ack`] floors) tracks the **minimum** floor across all
-    /// replicas, and the crashed replica's floor froze at its last ack —
-    /// no correct peer can have retired a slot the rejoiner is missing.
+    /// ordinary [`SmrMsg::Checkpoint`] path. That path is guaranteed to
+    /// still have the tail: full retirement ([`SmrMsg::Ack`] floors)
+    /// tracks the **minimum** floor across all replicas, and the crashed
+    /// replica's floor froze at its last ack — no correct peer can have
+    /// retired a slot the rejoiner is missing.
     ///
     /// The prefix itself comes from the replica's own stable storage (the
     /// standard crash-recovery assumption); it is trusted exactly as far
@@ -707,12 +637,6 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         self.retired_drops
     }
 
-    /// Invalid commit signatures / quorum certificates refused
-    /// (certificate mode only).
-    pub fn cert_rejects(&self) -> u64 {
-        self.cert_rejects
-    }
-
     fn count_future_drop(&mut self) {
         self.future_drops += 1;
         self.ctr_future_drops.inc();
@@ -721,11 +645,6 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     fn count_retired_drop(&mut self) {
         self.retired_drops += 1;
         self.ctr_retired_drops.inc();
-    }
-
-    fn count_cert_reject(&mut self) {
-        self.cert_rejects += 1;
-        self.ctr_cert_rejects.inc();
     }
 
     /// Records a stage event stamped with the environment's clock and
@@ -827,20 +746,8 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             slot,
             command: value.clone(),
         });
-        match &self.certs {
-            Some(auth) => {
-                // The ack doubles as our contribution to the slot's quorum
-                // certificate: sign the commit statement and keep a copy.
-                let sig = auth.sign(&commit_statement(slot, &value));
-                self.cert_sigs.entry(slot).or_default().add(auth.me(), sig);
-                self.recent.insert(slot, value);
-                env.broadcast(SmrMsg::SigAck { slot, sig });
-            }
-            None => {
-                self.recent.insert(slot, value);
-                env.broadcast(SmrMsg::Ack { slot });
-            }
-        }
+        self.recent.insert(slot, value);
+        env.broadcast(SmrMsg::Ack { slot });
         self.note_ack(slot, env.me(), env);
         self.try_retire(env);
         self.try_start(env);
@@ -899,7 +806,6 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             self.instances.remove(&slot);
             self.recent.remove(&slot);
             self.ckpt_sent.remove(&slot);
-            self.cert_sigs.remove(&slot);
         }
         self.low_water = new_floor;
         env.output(SmrEvent::Retired { through: new_floor });
@@ -922,25 +828,6 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         };
         if !self.ckpt_sent.entry(slot).or_default().insert(to.index()) {
             return; // already served
-        }
-        // Certificate mode, with a complete certificate in hand: one
-        // self-contained message replaces the peer's need for `t + 1`
-        // matching echoes. An incomplete certificate (we committed before
-        // our peers' sig-acks arrived) falls back to the echo path.
-        if self.certs.is_some() {
-            if let Some(cert) = self.cert_sigs.get(&slot) {
-                if cert.len() >= self.cfg.system.quorum() {
-                    env.send(
-                        to,
-                        SmrMsg::CertCheckpoint {
-                            slot,
-                            value: value.clone(),
-                            cert: cert.clone(),
-                        },
-                    );
-                    return;
-                }
-            }
         }
         env.send(
             to,
@@ -1033,24 +920,12 @@ impl<V: Value, P: ProposalSource<V>> Node for ReplicaNode<V, P> {
                     slot,
                     command: value.clone(),
                 });
-                if let Some(auth) = &self.certs {
-                    let sig = auth.sign(&commit_statement(slot, &value));
-                    self.cert_sigs.entry(slot).or_default().add(auth.me(), sig);
-                }
                 self.recent.insert(slot, value);
             }
             self.started = self.committed;
-            match &self.certs {
-                Some(auth) => {
-                    let slot = self.committed;
-                    let value = self.recent.get(&slot).expect("prefix is non-empty");
-                    let sig = auth.sign(&commit_statement(slot, value));
-                    env.broadcast(SmrMsg::SigAck { slot, sig });
-                }
-                None => env.broadcast(SmrMsg::Ack {
-                    slot: self.committed,
-                }),
-            }
+            env.broadcast(SmrMsg::Ack {
+                slot: self.committed,
+            });
             self.note_ack(self.committed, env.me(), env);
         }
         if self.limits.ckpt_retry > 0 {
@@ -1109,68 +984,6 @@ impl<V: Value, P: ProposalSource<V>> Node for ReplicaNode<V, P> {
             }
             SmrMsg::Checkpoint { slot, value } => {
                 self.on_checkpoint(from, slot, value, env);
-            }
-            SmrMsg::SigAck { slot, sig } => {
-                if slot == 0 || slot > self.target_slots {
-                    return;
-                }
-                // Collect the signature if we committed the slot and still
-                // hold its value (a signature for a slot we have not
-                // committed is unverifiable — the certificate path is
-                // opportunistic, see the crate docs).
-                if let Some(auth) = self.certs.clone() {
-                    if slot > self.low_water {
-                        if let Some(value) = self.recent.get(&slot) {
-                            if auth.verify_sig(from, &commit_statement(slot, value), &sig) {
-                                self.cert_sigs.entry(slot).or_default().add(from, sig);
-                            } else {
-                                self.count_cert_reject();
-                                return; // a forged ack raises no floors
-                            }
-                        }
-                    }
-                }
-                // Ack semantics, identical to SmrMsg::Ack.
-                if slot <= self.ack_floors[from.index()] {
-                    return;
-                }
-                self.note_ack(slot, from, env);
-                self.try_retire(env);
-                self.try_start(env);
-            }
-            SmrMsg::CertCheckpoint { slot, value, cert } => {
-                let Some(auth) = self.certs.clone() else {
-                    // Certificate mode off: grade it down to one ordinary
-                    // checkpoint vote from its sender.
-                    self.on_checkpoint(from, slot, value, env);
-                    return;
-                };
-                if slot == 0 || slot > self.target_slots {
-                    return;
-                }
-                let n = self.cfg.system.n();
-                let quorum = self.cfg.system.quorum();
-                if !cert.verify(auth.as_ref(), &commit_statement(slot, &value), n, quorum) {
-                    self.count_cert_reject();
-                    return;
-                }
-                // A correct sender only serves slots it committed, so the
-                // message doubles as a cumulative ack — as with Checkpoint.
-                if slot > self.ack_floors[from.index()] {
-                    self.note_ack(slot, from, env);
-                    self.try_retire(env);
-                    self.try_start(env);
-                }
-                if slot != self.committed + 1 {
-                    return; // stale, or a slot we cannot use yet
-                }
-                // One valid certificate commits directly: n − t signers
-                // include a correct majority vouching for the value.
-                self.instances.remove(&slot);
-                if let Some(msgs) = self.pending.remove(&slot) {
-                    self.buffered -= msgs.len();
-                }
-                self.commit(slot, value, env);
             }
         }
     }
@@ -1746,218 +1559,5 @@ mod tests {
             SmrMsg::<u64>::classify(&SmrMsg::Checkpoint { slot: 1, value: 0 }),
             "SMR_CKPT"
         );
-        let sig = ToySigner::new(ProcessId::new(0)).sign(b"s");
-        assert_eq!(
-            SmrMsg::<u64>::classify(&SmrMsg::SigAck { slot: 1, sig }),
-            "SMR_SIGACK"
-        );
-        assert_eq!(
-            SmrMsg::<u64>::classify(&SmrMsg::CertCheckpoint {
-                slot: 1,
-                value: 0,
-                cert: QuorumCert::new()
-            }),
-            "SMR_CERT_CKPT"
-        );
-    }
-
-    // -- certificate mode --------------------------------------------------
-
-    use minsync_auth::{HmacAuthenticator, ToySigner};
-
-    fn cert_replica(ring: &[HmacAuthenticator], me: usize) -> ReplicaNode<u64, TwoClientSource> {
-        ReplicaNode::new(cfg4(), TwoClientSource::new(1), 10).with_certs(Arc::new(ring[me].clone()))
-    }
-
-    fn env_for(me: usize) -> Env<SmrMsg<u64>, SmrEvent<u64>> {
-        let mut env = Env::new(4, 0);
-        env.prepare(ProcessId::new(me), minsync_net::VirtualTime::ZERO);
-        env
-    }
-
-    #[test]
-    fn one_valid_cert_checkpoint_commits_a_laggard() {
-        let ring = HmacAuthenticator::deal(b"smr-cert-test", 4);
-        let mut r = cert_replica(&ring, 0);
-        let mut env = env_for(0);
-        r.on_start(&mut env);
-        let _ = env.take_buffer();
-        let statement = commit_statement(1, &77u64);
-        let mut cert = QuorumCert::new();
-        for (i, key) in ring.iter().enumerate().skip(1) {
-            cert.add(ProcessId::new(i), key.sign(&statement));
-        }
-        // The echo path needs t + 1 = 2 matching checkpoints; one certified
-        // message suffices.
-        r.on_message(
-            ProcessId::new(1),
-            SmrMsg::CertCheckpoint {
-                slot: 1,
-                value: 77,
-                cert,
-            },
-            &mut env,
-        );
-        assert_eq!(r.committed_count(), 1);
-        assert_eq!(r.cert_rejects(), 0);
-    }
-
-    #[test]
-    fn transplanted_and_short_certs_are_refused() {
-        let ring = HmacAuthenticator::deal(b"smr-cert-test", 4);
-        let mut r = cert_replica(&ring, 0);
-        let mut env = env_for(0);
-        r.on_start(&mut env);
-        let _ = env.take_buffer();
-        // A perfectly good certificate — for a different value.
-        let statement = commit_statement(1, &78u64);
-        let mut cert = QuorumCert::new();
-        for (i, key) in ring.iter().enumerate().skip(1) {
-            cert.add(ProcessId::new(i), key.sign(&statement));
-        }
-        r.on_message(
-            ProcessId::new(1),
-            SmrMsg::CertCheckpoint {
-                slot: 1,
-                value: 77,
-                cert,
-            },
-            &mut env,
-        );
-        assert_eq!(r.committed_count(), 0, "transplanted cert must not commit");
-        assert_eq!(r.cert_rejects(), 1);
-        // A short certificate (t + 1 < n − t signers) is not commit
-        // evidence either — that is the whole point of the quorum bound.
-        let statement = commit_statement(1, &77u64);
-        let mut short = QuorumCert::new();
-        for (i, key) in ring.iter().enumerate().take(3).skip(1) {
-            short.add(ProcessId::new(i), key.sign(&statement));
-        }
-        r.on_message(
-            ProcessId::new(1),
-            SmrMsg::CertCheckpoint {
-                slot: 1,
-                value: 77,
-                cert: short,
-            },
-            &mut env,
-        );
-        assert_eq!(r.committed_count(), 0);
-        assert_eq!(r.cert_rejects(), 2);
-    }
-
-    #[test]
-    fn sig_acks_assemble_a_cert_that_serves_laggards() {
-        let ring = HmacAuthenticator::deal(b"smr-cert-test", 4);
-        let mut r = cert_replica(&ring, 0);
-        let mut env = env_for(0);
-        r.on_start(&mut env);
-        let _ = env.take_buffer();
-        // Commit slot 1 via the echo path (t + 1 matching checkpoints).
-        for peer in [1, 2] {
-            r.on_message(
-                ProcessId::new(peer),
-                SmrMsg::Checkpoint { slot: 1, value: 77 },
-                &mut env,
-            );
-        }
-        assert_eq!(r.committed_count(), 1);
-        // Our commit broadcast a SigAck, not a plain Ack.
-        let broadcast: Vec<_> = env
-            .take_buffer()
-            .into_iter()
-            .filter_map(|e| match e {
-                Effect::Broadcast { msg } => Some(SmrMsg::classify(&msg).to_owned()),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            broadcast.contains(&"SMR_SIGACK".to_owned()),
-            "{broadcast:?}"
-        );
-        // Two peers' signatures complete the n − t = 3 certificate (ours
-        // was added on commit).
-        let statement = commit_statement(1, &77u64);
-        for peer in [1usize, 2] {
-            r.on_message(
-                ProcessId::new(peer),
-                SmrMsg::SigAck {
-                    slot: 1,
-                    sig: ring[peer].sign(&statement),
-                },
-                &mut env,
-            );
-        }
-        let _ = env.take_buffer();
-        // A laggard's slot traffic is now answered with one certified
-        // checkpoint instead of an echo.
-        r.on_message(
-            ProcessId::new(3),
-            SmrMsg::Slot {
-                slot: 1,
-                msg: garbage_msg(),
-            },
-            &mut env,
-        );
-        let replies: Vec<_> = env
-            .drain()
-            .filter_map(|e| match e {
-                Effect::Send { to, msg } => Some((to, msg)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(replies.len(), 1);
-        let (to, msg) = &replies[0];
-        assert_eq!(*to, ProcessId::new(3));
-        match msg {
-            SmrMsg::CertCheckpoint { slot, value, cert } => {
-                assert_eq!((*slot, *value), (1, 77));
-                assert!(cert.verify(&ring[3], &statement, 4, 3));
-            }
-            other => panic!("expected a certified checkpoint, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn forged_sig_acks_are_counted_and_raise_no_floors() {
-        let ring = HmacAuthenticator::deal(b"smr-cert-test", 4);
-        let mut r = cert_replica(&ring, 0);
-        let mut env = env_for(0);
-        r.on_start(&mut env);
-        let _ = env.take_buffer();
-        for peer in [1, 2] {
-            r.on_message(
-                ProcessId::new(peer),
-                SmrMsg::Checkpoint { slot: 1, value: 77 },
-                &mut env,
-            );
-        }
-        assert_eq!(r.committed_count(), 1);
-        // Floors so far: me = 1, p1 = p2 = 1 (checkpoints double as acks),
-        // p3 = 0 — retirement waits on p3.
-        assert_eq!(r.low_water(), 0);
-        // A forged signature from p3 is refused outright: it neither joins
-        // the certificate nor counts as an ack.
-        r.on_message(
-            ProcessId::new(3),
-            SmrMsg::SigAck {
-                slot: 1,
-                sig: ring[3].sign(b"some other statement"),
-            },
-            &mut env,
-        );
-        assert_eq!(r.cert_rejects(), 1);
-        assert_eq!(r.low_water(), 0, "a forged ack must not advance GC");
-        // The genuine article retires the slot.
-        r.on_message(
-            ProcessId::new(3),
-            SmrMsg::SigAck {
-                slot: 1,
-                sig: ring[3].sign(&commit_statement(1, &77u64)),
-            },
-            &mut env,
-        );
-        assert_eq!(r.cert_rejects(), 1);
-        assert_eq!(r.low_water(), 1);
     }
 }

@@ -323,12 +323,6 @@ impl Snapshot {
         self.set(name, MetricValue::Gauge(v));
     }
 
-    /// Inserts or replaces a histogram entry.
-    pub fn set_histogram(&mut self, name: &str, h: HistogramSnapshot) {
-        check_name(name);
-        self.set(name, MetricValue::Histogram(Box::new(h)));
-    }
-
     /// Renders the line-oriented text format:
     ///
     /// ```text

@@ -335,11 +335,6 @@ impl MeshCounters {
         self.outbound_dropped[peer].get()
     }
 
-    /// Outbound messages dropped across all peers so far.
-    pub fn outbound_dropped_total(&self) -> u64 {
-        self.outbound_dropped.iter().map(Counter::get).sum()
-    }
-
     /// Inbound connections cut for undecodable bytes so far.
     pub fn decode_disconnects(&self) -> u64 {
         self.decode_disconnects.get()

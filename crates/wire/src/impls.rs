@@ -2,7 +2,6 @@
 //! primitives, sequences and options, and the protocol / SMR / workload
 //! message types (see the crate docs for the format rules).
 
-use minsync_auth::{QuorumCert, Sig, SIG_LEN};
 use minsync_broadcast::RbMsg;
 use minsync_core::{CbId, ProtocolMsg, RbTag};
 use minsync_smr::SmrMsg;
@@ -278,50 +277,6 @@ impl<V: Wire> Wire for ProtocolMsg<V> {
 }
 
 // ---------------------------------------------------------------------------
-// Authentication layer
-// ---------------------------------------------------------------------------
-
-impl Wire for Sig {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Sig(*take::<SIG_LEN>(input)?))
-    }
-}
-
-impl Wire for QuorumCert {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(
-            &u32::try_from(self.len())
-                .expect("cert fits u32")
-                .to_le_bytes(),
-        );
-        for (signer, sig) in self.sigs() {
-            signer.encode_into(out);
-            sig.encode_into(out);
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let len = u32::decode(input)? as usize;
-        // Allocation bound, as for Vec: each entry is 4 + SIG_LEN bytes.
-        if len > input.len() / (4 + SIG_LEN) {
-            return Err(WireError::Truncated);
-        }
-        let mut sigs = Vec::with_capacity(len);
-        for _ in 0..len {
-            sigs.push((ProcessId::decode(input)?, Sig::decode(input)?));
-        }
-        // Signer distinctness / quorum size are semantic checks the
-        // receiver runs via QuorumCert::verify against its reconstructed
-        // statement; the codec only bounds the allocation.
-        Ok(QuorumCert::from_sigs(sigs))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SMR / workload layer
 // ---------------------------------------------------------------------------
 
@@ -342,17 +297,6 @@ impl<V: Wire> Wire for SmrMsg<V> {
                 slot.encode_into(out);
                 value.encode_into(out);
             }
-            SmrMsg::SigAck { slot, sig } => {
-                out.push(3);
-                slot.encode_into(out);
-                sig.encode_into(out);
-            }
-            SmrMsg::CertCheckpoint { slot, value, cert } => {
-                out.push(4);
-                slot.encode_into(out);
-                value.encode_into(out);
-                cert.encode_into(out);
-            }
         }
     }
 
@@ -369,15 +313,7 @@ impl<V: Wire> Wire for SmrMsg<V> {
                 slot: u64::decode(input)?,
                 value: V::decode(input)?,
             }),
-            3 => Ok(SmrMsg::SigAck {
-                slot: u64::decode(input)?,
-                sig: Sig::decode(input)?,
-            }),
-            4 => Ok(SmrMsg::CertCheckpoint {
-                slot: u64::decode(input)?,
-                value: V::decode(input)?,
-                cert: QuorumCert::decode(input)?,
-            }),
+            // Tags 3 and 4 (the deleted signature path) are retired, never reused.
             tag => Err(WireError::InvalidTag { ty: "SmrMsg", tag }),
         }
     }
@@ -396,7 +332,6 @@ impl Wire for Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minsync_auth::Authenticator;
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = value.encode();
@@ -447,35 +382,6 @@ mod tests {
             slot: 4,
             value: Batch(vec![u64::MAX]),
         });
-        let sig =
-            |i: usize| minsync_auth::ToySigner::new(ProcessId::new(i)).sign(b"commit statement");
-        round_trip::<SmrMsg<Batch>>(SmrMsg::SigAck {
-            slot: 5,
-            sig: sig(1),
-        });
-        let mut cert = QuorumCert::new();
-        for i in 0..3 {
-            cert.add(ProcessId::new(i), sig(i));
-        }
-        round_trip(cert.clone());
-        round_trip(QuorumCert::new());
-        round_trip::<SmrMsg<Batch>>(SmrMsg::CertCheckpoint {
-            slot: 6,
-            value: Batch(vec![7, 8]),
-            cert,
-        });
-    }
-
-    #[test]
-    fn cert_count_is_checked_against_remaining_input() {
-        // Claims 2^32 − 1 signatures with a tiny body: must fail fast
-        // without allocating.
-        let mut bytes = u32::MAX.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&[0; 36]);
-        assert_eq!(
-            QuorumCert::decode(&mut bytes.as_slice()),
-            Err(WireError::Truncated)
-        );
     }
 
     #[test]
@@ -501,6 +407,15 @@ mod tests {
             bool::decode(&mut [7u8].as_slice()),
             Err(WireError::InvalidTag { ty: "bool", tag: 7 })
         );
+        // The retired signature-path tags stay invalid, whatever follows.
+        for tag in [3u8, 4] {
+            let mut body = [0u8; 16];
+            body[0] = tag;
+            assert_eq!(
+                SmrMsg::<Batch>::decode(&mut body.as_slice()),
+                Err(WireError::InvalidTag { ty: "SmrMsg", tag })
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! garbage, absurd length announcements — never panic and never make the
 //! decoder allocate beyond the frame cap.
 
-use minsync_auth::{HmacAuthenticator, QuorumCert, Sig};
+use minsync_auth::HmacAuthenticator;
 use minsync_broadcast::RbMsg;
 use minsync_core::{CbId, ProtocolMsg, RbTag};
 use minsync_net::sim::{CauseRecord, EffectRecord, InvocationCause};
@@ -76,28 +76,11 @@ fn arb_protocol_msg() -> impl Strategy<Value = ProtocolMsg<Batch>> {
     ]
 }
 
-fn arb_sig() -> impl Strategy<Value = Sig> {
-    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(a, b, c, d)| {
-        let mut bytes = [0u8; 32];
-        for (chunk, word) in bytes.chunks_exact_mut(8).zip([a, b, c, d]) {
-            chunk.copy_from_slice(&word.to_le_bytes());
-        }
-        Sig(bytes)
-    })
-}
-
-fn arb_cert() -> impl Strategy<Value = QuorumCert> {
-    proptest::collection::vec((arb_process(), arb_sig()), 0..6).prop_map(QuorumCert::from_sigs)
-}
-
 fn arb_smr_msg() -> impl Strategy<Value = SmrMsg<Batch>> {
     prop_oneof![
         (any::<u64>(), arb_protocol_msg()).prop_map(|(slot, msg)| SmrMsg::Slot { slot, msg }),
         any::<u64>().prop_map(|slot| SmrMsg::Ack { slot }),
         (any::<u64>(), arb_batch()).prop_map(|(slot, value)| SmrMsg::Checkpoint { slot, value }),
-        (any::<u64>(), arb_sig()).prop_map(|(slot, sig)| SmrMsg::SigAck { slot, sig }),
-        (any::<u64>(), arb_batch(), arb_cert())
-            .prop_map(|(slot, value, cert)| SmrMsg::CertCheckpoint { slot, value, cert }),
     ]
 }
 
@@ -328,14 +311,6 @@ proptest! {
         bytes.extend_from_slice(&body);
         let result = Vec::<u64>::decode(&mut bytes.as_slice());
         if count as usize > body.len() {
-            prop_assert_eq!(result, Err(WireError::Truncated));
-        }
-        // Same property for the certificate container: each claimed entry
-        // needs 36 bytes of input.
-        let mut bytes = count.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&body);
-        let result = QuorumCert::decode(&mut bytes.as_slice());
-        if count as usize > body.len() / 36 {
             prop_assert_eq!(result, Err(WireError::Truncated));
         }
     }

@@ -16,8 +16,8 @@
 //!   the parameterized variant of Section 5.4), the consensus algorithm
 //!   (Figure 4), and the ⊥-validity variant (Section 7);
 //! * [`auth`] — message authentication (hand-rolled SHA-256/HMAC pinned to
-//!   published vectors, pairwise MACs, toy signatures, quorum
-//!   certificates) closing the transport's no-impersonation gap;
+//!   published vectors, pairwise MACs — no signatures) closing the
+//!   transport's no-impersonation gap;
 //! * [`adversary`] — Byzantine behaviors and adversarial schedulers;
 //! * [`baselines`] — Ben-Or-style randomized binary consensus for
 //!   comparison;
