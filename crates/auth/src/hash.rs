@@ -88,13 +88,17 @@ impl Sha256 {
     /// Pads, runs the final blocks, and returns the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != BLOCK_LEN - 8 {
-            self.update(&[0]);
+        // `update` leaves `buf_len < BLOCK_LEN`, so the 0x80 marker always
+        // fits; the 8 length bytes need a second block when it lands past
+        // byte 55.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= BLOCK_LEN - 8 {
+            self.compress(&block);
+            block = [0; BLOCK_LEN];
         }
-        // Manual last block: `update` would count these length bytes.
-        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -188,6 +192,44 @@ mod tests {
             hex(&h.finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// The padding boundaries: 55 bytes is the longest message whose
+    /// marker and length share its last block, 56–63 need a block of their
+    /// own for the length, 64 starts a fresh one (and the same one block
+    /// later). Outputs recorded from the byte-at-a-time padding this
+    /// replaced.
+    #[test]
+    fn padding_boundary_lengths() {
+        let data: Vec<u8> = (0..120u16).map(|i| (i % 251) as u8).collect();
+        for (len, expected) in [
+            (
+                55,
+                "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59",
+            ),
+            (
+                56,
+                "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562",
+            ),
+            (
+                63,
+                "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488",
+            ),
+            (
+                64,
+                "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+            ),
+            (
+                119,
+                "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6",
+            ),
+            (
+                120,
+                "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c",
+            ),
+        ] {
+            assert_eq!(hex(&Sha256::digest(&data[..len])), expected, "{len} bytes");
+        }
     }
 
     /// Incremental updates split at every boundary agree with one-shot.

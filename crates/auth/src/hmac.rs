@@ -3,17 +3,22 @@
 
 use crate::hash::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
-/// `HMAC-SHA256(key, msg)`.
-///
-/// Keys longer than the 64-byte block are hashed down first, shorter keys
-/// are zero-padded — the standard RFC 2104 preprocessing.
-pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
+/// The RFC 2104 key preprocessing: keys longer than the 64-byte block are
+/// hashed down first, shorter keys are zero-padded.
+fn block_key(key: &[u8]) -> [u8; BLOCK_LEN] {
     let mut block_key = [0u8; BLOCK_LEN];
     if key.len() > BLOCK_LEN {
         block_key[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
     } else {
         block_key[..key.len()].copy_from_slice(key);
     }
+    block_key
+}
+
+/// `HMAC-SHA256(key, msg)` — the reference one-shot [`HmacKey`] is tested
+/// against.
+pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
+    let block_key = block_key(key);
     let mut inner = Sha256::new();
     let ipad: Vec<u8> = block_key.iter().map(|b| b ^ 0x36).collect();
     inner.update(&ipad);
@@ -25,6 +30,43 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; DIGEST_LEN] {
     outer.update(&opad);
     outer.update(&inner_digest);
     outer.finalize()
+}
+
+/// An HMAC-SHA256 key with both pads already absorbed: the inner and outer
+/// hash states after their first block, computed once per key. A MAC then
+/// costs the message's own compressions plus two, with no allocation and
+/// no copy of the message — per frame, that is what is left of the auth
+/// cost once frames are small.
+///
+/// Deliberately not `Debug`: the midstates are key material.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Absorbs `key`'s pads.
+    pub fn new(key: &[u8]) -> Self {
+        let block_key = block_key(key);
+        let mut inner = Sha256::new();
+        inner.update(&block_key.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&block_key.map(|b| b ^ 0x5c));
+        HmacKey { inner, outer }
+    }
+
+    /// `HMAC-SHA256(key, pieces[0] ‖ pieces[1] ‖ …)`, byte-identical to
+    /// [`hmac_sha256`] over the concatenation.
+    pub fn mac(&self, pieces: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut inner = self.inner.clone();
+        for piece in pieces {
+            inner.update(piece);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
 }
 
 #[cfg(test)]
@@ -66,6 +108,26 @@ mod tests {
             )),
             "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
         );
+    }
+
+    /// The precomputed-midstate path against the one-shot, across the
+    /// padding boundaries of the inner hash, key lengths on both sides of
+    /// the block size, and every way of cutting the message in two.
+    #[test]
+    fn midstate_key_matches_the_one_shot() {
+        let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        for key in [&b"Jefe"[..], &[0x0b; 32], &[0xaa; 64], &[0xaa; 131]] {
+            let fast = HmacKey::new(key);
+            for len in [0, 1, 55, 56, 64, 4096] {
+                let msg = &data[..len];
+                let expected = hmac_sha256(key, msg);
+                assert_eq!(fast.mac(&[msg]), expected, "{len} bytes, one piece");
+                for cut in [0, len / 2, len] {
+                    let (a, b) = msg.split_at(cut);
+                    assert_eq!(fast.mac(&[a, b]), expected, "{len} bytes cut at {cut}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Message authentication for the `minsync` stack: per-message MACs for the
-//! TCP transport, and nothing else.
+//! TCP transport, and the SHA-256 [`Digest`] the SMR layer agrees on in
+//! place of a batch (DESIGN.md §6) — nothing else.
 //!
 //! The paper's model (Section 2.1) *assumes* a Byzantine process cannot
 //! impersonate another. The simulator and threaded substrates enforce that
@@ -20,7 +21,9 @@
 //! over `direction ‖ payload`, so a Byzantine *member* still cannot forge
 //! traffic between two *other* correct members (it lacks their pair key),
 //! and a tag for `i → j` never verifies as `j → i` (the direction is part
-//! of the MAC input).
+//! of the MAC input). Each key's HMAC pads are absorbed once, at dealing
+//! time ([`hmac::HmacKey`]), and a frame is streamed through the saved
+//! states: no allocation and no copy per tag.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +36,7 @@ use core::fmt;
 use minsync_types::ProcessId;
 
 use hash::Sha256;
-use hmac::hmac_sha256;
+use hmac::{hmac_sha256, HmacKey};
 
 /// MAC tag length in bytes (HMAC-SHA256 truncated; 128-bit tags).
 pub const MAC_LEN: usize = 16;
@@ -110,11 +113,15 @@ fn id_bytes(p: ProcessId) -> [u8; 4] {
 ///
 /// `keys[j]` is the key shared with process `j` (`keys[me]` is a private
 /// self key, never used on a wire). MAC input is
-/// `MAC-domain ‖ from ‖ to ‖ msg`, binding the channel direction.
+/// `MAC-domain ‖ from ‖ to ‖ msg`, binding the channel direction; the four
+/// pieces are streamed through `macs[j]`, the key's precomputed
+/// [`HmacKey`], so tagging or verifying a frame neither copies it nor
+/// allocates.
 #[derive(Clone)]
 pub struct HmacAuthenticator {
     me: ProcessId,
     keys: Vec<[u8; KEY_LEN]>,
+    macs: Vec<HmacKey>,
 }
 
 impl fmt::Debug for HmacAuthenticator {
@@ -160,12 +167,14 @@ impl HmacAuthenticator {
                         }
                     })
                     .collect();
-                HmacAuthenticator {
-                    me: ProcessId::new(i),
-                    keys,
-                }
+                HmacAuthenticator::from_keys(ProcessId::new(i), keys)
             })
             .collect()
+    }
+
+    fn from_keys(me: ProcessId, keys: Vec<[u8; KEY_LEN]>) -> Self {
+        let macs = keys.iter().map(|key| HmacKey::new(key)).collect();
+        HmacAuthenticator { me, keys, macs }
     }
 
     /// Cluster size this keyring was dealt for.
@@ -201,21 +210,13 @@ impl HmacAuthenticator {
             .chunks_exact(KEY_LEN)
             .map(|c| c.try_into().expect("exact chunk"))
             .collect();
-        Some(HmacAuthenticator {
-            me: ProcessId::new(me),
-            keys,
-        })
+        Some(HmacAuthenticator::from_keys(ProcessId::new(me), keys))
     }
 
     fn mac(&self, from: ProcessId, to: ProcessId, msg: &[u8]) -> Option<Mac> {
         let peer = if from == self.me { to } else { from };
-        let key = self.keys.get(peer.index())?;
-        let mut input = Vec::with_capacity(domain::MAC.len() + 8 + msg.len());
-        input.extend_from_slice(domain::MAC);
-        input.extend_from_slice(&id_bytes(from));
-        input.extend_from_slice(&id_bytes(to));
-        input.extend_from_slice(msg);
-        let full = hmac_sha256(key, &input);
+        let key = self.macs.get(peer.index())?;
+        let full = key.mac(&[domain::MAC, &id_bytes(from), &id_bytes(to), msg]);
         Some(Mac(full[..MAC_LEN].try_into().expect("truncation fits")))
     }
 }
@@ -247,10 +248,31 @@ impl Authenticator for HmacAuthenticator {
 
 /// Digest of a value's `Debug` rendering — the same "canonical bytes of a
 /// generic value" convention the conformance layer's effect digests use, so
-/// digests over `V: Debug` (the SMR layer's commit-prefix gauge) need no
-/// extra codec bound.
+/// digests over `V: Debug` (the SMR layer's agreed-on digests and its
+/// commit-prefix gauge) need no extra codec bound.
 pub fn debug_digest<T: fmt::Debug>(value: &T) -> [u8; 32] {
     Sha256::digest(format!("{value:?}").as_bytes())
+}
+
+/// The SHA-256 [`debug_digest`] of a value, as a value in its own right:
+/// what the SMR layer runs the paper's consensus over in place of the
+/// batch it stands for (DESIGN.md §6). Fixed-size and `Copy`, ordered and
+/// hashable, so it satisfies `minsync_types::Value`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Digest(pub [u8; 32]);
+
+impl Digest {
+    /// The digest of `value`.
+    pub fn of<T: fmt::Debug>(value: &T) -> Digest {
+        Digest(debug_digest(value))
+    }
+}
+
+/// The first four bytes in hex: enough to tell digests apart in a trace.
+impl fmt::Debug for Digest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Digest({}…)", to_hex(&self.0[..4]))
+    }
 }
 
 /// Lowercase hex encoding.
@@ -360,6 +382,40 @@ mod tests {
     fn debug_digest_separates_values() {
         assert_ne!(debug_digest(&1u64), debug_digest(&2u64));
         assert_eq!(debug_digest(&vec![1, 2]), debug_digest(&vec![1, 2]));
+    }
+
+    #[test]
+    fn digest_is_the_debug_digest_with_a_short_rendering() {
+        let d = Digest::of(&vec![1u64, 2]);
+        assert_eq!(d.0, debug_digest(&vec![1u64, 2]));
+        assert_ne!(d, Digest::of(&vec![1u64, 3]));
+        assert_eq!(format!("{d:?}"), format!("Digest({}…)", to_hex(&d.0[..4])));
+    }
+
+    /// The streamed, precomputed-pad MAC is the one-shot HMAC over
+    /// `domain ‖ from ‖ to ‖ msg` under the pair key, truncated — at every
+    /// padding boundary of the inner hash — and one tag recorded before the
+    /// pads were precomputed still verifies.
+    #[test]
+    fn tags_equal_the_one_shot_over_the_concatenated_input() {
+        let ring = ring(4);
+        let (from, to) = (ProcessId::new(1), ProcessId::new(2));
+        let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        for len in [0, 1, 55, 56, 64, 4096] {
+            let msg = &data[..len];
+            let mut input = domain::MAC.to_vec();
+            input.extend_from_slice(&id_bytes(from));
+            input.extend_from_slice(&id_bytes(to));
+            input.extend_from_slice(msg);
+            let expected = hmac_sha256(&ring[1].keys[2], &input);
+            let tag = ring[1].tag(to, msg);
+            assert_eq!(tag.0, expected[..MAC_LEN], "{len} bytes");
+            assert!(ring[2].verify(from, msg, &tag), "{len} bytes");
+        }
+        assert_eq!(
+            to_hex(&ring[1].tag(to, &data[..64]).0),
+            "d4cb5472c625883dbf16e03b55b322d5"
+        );
     }
 
     #[test]

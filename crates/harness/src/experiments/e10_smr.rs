@@ -22,7 +22,7 @@ use minsync_core::{ConsensusConfig, ProtocolMsg};
 use minsync_net::sim::SimBuilder;
 use minsync_net::threaded::{run_threaded, ThreadedConfig};
 use minsync_net::Node;
-use minsync_smr::{ReplicaNode, SmrEvent, SmrMsg};
+use minsync_smr::{Digest, ReplicaNode, SmrEvent, SmrMsg};
 use minsync_types::{ProcessId, Round, SystemConfig};
 use minsync_workload::{
     account, command, ArrivalProcess, Batch, ClientPopulation, DrainCursor, WorkloadReport,
@@ -173,12 +173,22 @@ fn replica_lineup(
                 2,
                 8,
                 2_000,
-                move |i| SmrMsg::Slot {
-                    slot: 2 + (i % (target.max(3) - 2)),
-                    msg: ProtocolMsg::EaProp2 {
-                        round: Round::FIRST,
-                        value: Batch(vec![u64::MAX]),
-                    },
+                // Slot garbage and bogus proposals, alternating, swept over
+                // every future slot.
+                move |i| {
+                    let slot = 2 + (i / 2 % (target.max(3) - 2));
+                    let value = Batch(vec![u64::MAX]);
+                    if i % 2 == 0 {
+                        SmrMsg::Slot {
+                            slot,
+                            msg: ProtocolMsg::EaProp2 {
+                                round: Round::FIRST,
+                                value: Digest([0xFF; 32]),
+                            },
+                        }
+                    } else {
+                        SmrMsg::Payload { slot, value }
+                    }
                 },
             ))),
             Rider::None => unreachable!("no faulty slots to fill"),

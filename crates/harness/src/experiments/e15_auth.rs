@@ -3,7 +3,7 @@
 //! PR 5's TCP cluster trusted whatever sender id a socket announced — the
 //! paper's no-impersonation assumption held only by convention. This
 //! experiment measures the `minsync-auth` layer closing that gap, in two
-//! arms:
+//! adversarial arms:
 //!
 //! 1. **Severing** — a real multi-process cluster with an impersonator
 //!    rider (forged handshakes claiming `t + 1` other replicas' identities,
@@ -18,9 +18,12 @@
 //!    submitted, visible as a digest split against a clean run of the
 //!    identical workload.
 //!
-//! The MAC-on-every-frame throughput cost is the `tcp_n4_bulk_auth`
-//! workload and the `auth.*` rows of `benchmark/`; the forged-tag fuzz
-//! coverage lives in `crates/wire/tests/prop_wire.rs`.
+//! A third, all-correct arm runs the benchmark's bulk shape (4 KiB batches
+//! over MAC'd sockets) for a few slots, so CI sends a multi-KiB value
+//! through the authenticated path at all. The MAC-on-every-frame
+//! throughput cost is the `tcp_n4_bulk_auth` workload and the `auth.*`
+//! rows of `benchmark/`; the forged-tag fuzz coverage lives in
+//! `crates/wire/tests/prop_wire.rs`.
 
 use minsync_transport::cluster::{run_cluster, Behavior, ClusterSpec};
 use minsync_workload::ArrivalProcess;
@@ -68,6 +71,39 @@ fn severing_row(n: usize, t: usize) -> [String; 7] {
         format!("{:.0}", report.cmds_per_sec()),
         auth_rejects.to_string(),
         cuts.to_string(),
+    ]
+}
+
+/// The bulk arm: the benchmark's `tcp_n4_bulk_auth` shape — 512 closed-loop
+/// clients, 4 KiB batches, MACs on — for 20 slots, all replicas correct. The
+/// one place outside `benchmark/` where a multi-KiB value crosses a MAC'd
+/// socket; `run_clean_case` asserts agreement, liveness and that no
+/// defence counter (`smr.future_drops`, `mesh.auth_rejects`,
+/// `smr.payload_waits`, `smr.payload_mismatch`) moved.
+fn bulk_row() -> [String; 7] {
+    const CLIENTS: usize = 512;
+    const SLOTS: usize = 20;
+    let report = run_clean_case(
+        "E15 bulk",
+        &ClusterSpec {
+            clients_per_group: CLIENTS,
+            commands_per_client: SLOTS,
+            batch: CLIENTS,
+            arrivals: ArrivalProcess::ClosedLoop { think: 0 },
+            seed: 7,
+            auth: true,
+            ..ClusterSpec::default()
+        },
+    );
+    let slots = report.replicas[0].slots;
+    [
+        "bulk".to_string(),
+        "4".to_string(),
+        "1".to_string(),
+        format!("auth, {CLIENTS}-command batches"),
+        format!("agreed, {slots} slots, {:.0} cmds/s", report.cmds_per_sec()),
+        "auth_rejects=0".to_string(),
+        "cuts=0".to_string(),
     ]
 }
 
@@ -133,6 +169,8 @@ pub fn run(quick: bool) -> Table {
             format!("cuts={cuts}"),
         ]);
     }
+
+    table.push_row(bulk_row());
 
     // Arm 2: acceptance (n = 4 suffices — the property is binary).
     let (clean, poisoned) = acceptance_digests(4, 1);

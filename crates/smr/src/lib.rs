@@ -5,7 +5,25 @@
 //! This is the application the paper's introduction motivates — and the
 //! standard way a single-shot consensus object is consumed downstream. Each
 //! [`ReplicaNode`] runs one [`ConsensusNode`] per slot behind a
-//! slot-stamping adapter:
+//! slot-stamping adapter.
+//!
+//! **Value flow: agree on digests, ship each payload once.** A slot's
+//! instance never sees the proposal `V`; it runs Figures 1–4 unmodified
+//! over the proposal's 32-byte SHA-256 [`Digest`]. The proposal itself
+//! crosses the network once per proposer: starting slot `s`, a replica
+//! sends [`SmrMsg::Payload`] to each of the `n − 1` others (ahead of its
+//! first consensus message), keeps its own copy, and proposes the digest.
+//! A replica commits slot `s` when its instance has decided `d` **and** it
+//! holds a payload whose digest is `d`. So a decision costs
+//! O(n·|v| + n³·|h|) bytes where carrying `V` in every message cost
+//! O(n³·|v|). Why that is safe — CONS-Validity over digests makes `d` some
+//! *correct* replica's proposal, and that replica sent its payload to
+//! everyone over reliable channels — is DESIGN.md §6. When every correct
+//! replica proposes the same batch (one routing group) the decided payload
+//! is the replica's own and is held at decide time; with several
+//! proposals a losing proposer that decides first parks the decision
+//! ([`ReplicaNode::payload_waits`]), keeps servicing reliable broadcast,
+//! and commits when the payload lands.
 //!
 //! * slot `s + 1` starts locally once slot `s` commits (pipelined, not
 //!   lock-stepped: different replicas may be several slots apart), subject
@@ -13,7 +31,11 @@
 //! * messages for slots a replica has not reached yet are buffered and
 //!   replayed on entry — up to the caps of [`SmrLimits`], so a Byzantine
 //!   flooder cannot grow memory without bound (overflow is counted in
-//!   [`ReplicaNode::future_drops`]);
+//!   [`ReplicaNode::future_drops`]). Both bounds are in bytes, not just
+//!   entries: a buffered message is a fixed-size `ProtocolMsg<Digest>`,
+//!   and payloads sit in per-sender cells — at most one per (slot within
+//!   the horizon, sender), first one wins — so a flooder can displace
+//!   nobody's payload;
 //! * on commit a replica broadcasts [`SmrMsg::Ack`] — acks are
 //!   **cumulative** (one floor per peer, O(n) ack state; a lost ack is
 //!   repaired by any later one). Decided consensus instances are dropped
@@ -29,11 +51,12 @@
 //! * laggards catch up in two ways: instances not yet past the quorum-ack
 //!   floor still service reliable broadcast (RB-Termination-2 per slot),
 //!   and committed replicas answer a laggard's slot traffic with
-//!   [`SmrMsg::Checkpoint`] — `t + 1` matching checkpoints carry at least
-//!   one correct sender, so the laggard may commit the certified value
-//!   directly even if its buffers dropped the original protocol traffic
-//!   (checkpoints double as acks from their sender). That is the only
-//!   catch-up path and it needs no signatures (DESIGN.md §5).
+//!   [`SmrMsg::Checkpoint`] — which carries the value itself; `t + 1`
+//!   matching checkpoints carry at least one correct sender, so the
+//!   laggard may commit the certified value directly even if its buffers
+//!   dropped the original protocol traffic or the payload (checkpoints
+//!   double as acks from their sender). That is the only catch-up path,
+//!   it needs no signatures and no pull message (DESIGN.md §5, §6).
 //!
 //! Proposals come from a [`ProposalSource`]: the application-supplied rule
 //! for what a replica proposes in each slot. Sources are *batching* by
@@ -76,7 +99,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use minsync_auth::debug_digest;
+pub use minsync_auth::Digest;
 use minsync_core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg};
 use minsync_net::sim::OutputRecord;
 use minsync_net::{Effect, Env, Node, TimerId};
@@ -94,7 +117,7 @@ struct WatchGauges {
     committed_cmds: Gauge,
     ckpt_slot: Gauge,
     ckpt_digest: Gauge,
-    /// FNV-1a fold of every committed `(slot, debug_digest(value))`, in
+    /// FNV-1a fold of every committed `(slot, Digest::of(value))`, in
     /// commit order — two replicas expose equal digests at equal floors
     /// iff their committed prefixes are identical.
     digest: u64,
@@ -105,8 +128,10 @@ impl WatchGauges {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     /// Folds one commit into the digest and publishes the new floor.
-    fn on_commit<V: Value>(&mut self, slot: u64, value: &V) {
-        for byte in slot.to_le_bytes().into_iter().chain(debug_digest(value)) {
+    /// `value` is the digest the slot committed under — the one consensus
+    /// agreed on — so the gauge costs no second hash of the batch.
+    fn on_commit(&mut self, slot: u64, value: Digest) {
+        for byte in slot.to_le_bytes().into_iter().chain(value.0) {
             self.digest ^= u64::from(byte);
             self.digest = self.digest.wrapping_mul(Self::PRIME);
         }
@@ -121,12 +146,14 @@ impl WatchGauges {
 /// and catch-up control plane.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SmrMsg<V> {
-    /// Consensus traffic for log slot `slot` (1-based).
+    /// Consensus traffic for log slot `slot` (1-based). The instance
+    /// agrees on the [`Digest`] of a proposal, never on the proposal: the
+    /// ≈ 14·n³ messages of a decision are fixed-size whatever `V` is.
     Slot {
         /// The slot the wrapped message belongs to.
         slot: u64,
         /// The wrapped consensus-protocol message.
-        msg: ProtocolMsg<V>,
+        msg: ProtocolMsg<Digest>,
     },
     /// "I committed every slot up to and including `slot`": broadcast by
     /// every replica on commit. Acks are **cumulative** (commits are in
@@ -148,17 +175,30 @@ pub enum SmrMsg<V> {
         /// Its decided value.
         value: V,
     },
+    /// "My proposal for slot `slot` is `value`": sent once by every
+    /// proposer to each other replica, ahead of its first consensus
+    /// message for the slot. The only slot-path message that carries a
+    /// `V`; a replica commits a slot once its instance decided `d` and it
+    /// holds a payload whose digest is `d`.
+    Payload {
+        /// The slot proposed for.
+        slot: u64,
+        /// The sender's proposal.
+        value: V,
+    },
 }
 
 impl<V> SmrMsg<V> {
     /// Classifier for [`minsync_net::sim::SimBuilder::classify`]: the
-    /// wrapped protocol kind for slot traffic, `"SMR_ACK"` / `"SMR_CKPT"`
-    /// for the control plane.
+    /// wrapped protocol kind for slot traffic, `"SMR_PAYLOAD"` for
+    /// proposal dissemination, `"SMR_ACK"` / `"SMR_CKPT"` for the control
+    /// plane.
     pub fn classify(msg: &SmrMsg<V>) -> &'static str {
         match msg {
             SmrMsg::Slot { msg, .. } => msg.kind(),
             SmrMsg::Ack { .. } => "SMR_ACK",
             SmrMsg::Checkpoint { .. } => "SMR_CKPT",
+            SmrMsg::Payload { .. } => "SMR_PAYLOAD",
         }
     }
 }
@@ -286,6 +326,21 @@ impl ProposalSource<u64> for TwoClientSource {
 /// Resource bounds of one [`ReplicaNode`]: how far the pipeline may run
 /// ahead and how much future-slot traffic may be buffered.
 ///
+/// Both buffers are bounded in **bytes**, not just in entries:
+///
+/// * a buffered future-slot message is a `ProtocolMsg<Digest>` — fixed
+///   size (a few dozen bytes) whatever `V` is — so [`Self::max_buffered`]
+///   messages are at most `max_buffered × size_of::<ProtocolMsg<Digest>>()`
+///   bytes;
+/// * proposals ([`SmrMsg::Payload`], the one slot-path message that
+///   carries a `V`) are held in per-sender cells outside that buffer: at
+///   most one per (slot, sender), for slots in
+///   `(committed, committed + 1 + future_horizon]` only, freed when the
+///   slot commits — at most `n × (future_horizon + 1)` values, each at
+///   most the substrate's frame cap. A sender's second payload for a slot
+///   is ignored, so a flooder can displace nobody's payload, its own
+///   included.
+///
 /// The defaults are generous enough that honest traffic is never dropped in
 /// practice; shrink them in tests to exercise the drop paths. Even when a
 /// bound is hit and honest traffic is discarded, liveness is preserved by
@@ -298,11 +353,12 @@ pub struct SmrLimits {
     /// replica can outrun the slowest quorum (and hence how much the
     /// others must buffer for it).
     pub window: u64,
-    /// Messages for slots beyond `committed + 1 + horizon` are dropped —
-    /// a flooder cannot reserve buffer space arbitrarily far in the
-    /// future. Should comfortably exceed `window`.
+    /// Messages and payloads for slots beyond `committed + 1 + horizon`
+    /// are dropped — a flooder cannot reserve buffer space arbitrarily far
+    /// in the future. Should comfortably exceed `window`.
     pub future_horizon: u64,
-    /// Total cap on buffered future-slot messages across all slots.
+    /// Total cap on buffered future-slot messages across all slots
+    /// (payloads are bounded separately, per sender — see above).
     pub max_buffered: usize,
     /// Checkpoint-retry period in ticks; `0` (the default) disables it.
     ///
@@ -314,15 +370,17 @@ pub struct SmrLimits {
     /// that clears the served-checkpoint marks, re-broadcasts its own
     /// cumulative ack floor, *pushes* one checkpoint per period to every
     /// peer whose floor trails (a quiescent rejoiner cannot be relied on
-    /// to ask), and re-broadcasts every message its head-of-line
-    /// consensus instance has sent so far (loss can wedge the next slot
-    /// at **all** replicas at once — no one committed it, so there is no
-    /// checkpoint to push; sub-protocol state is keyed by sender, so the
-    /// duplicates are no-ops). Amplification stays bounded: at most one
-    /// reply per peer per slot per period, and one head-of-line replay
-    /// per period. Enable this on lossy substrates (real sockets under
-    /// fault injection, drop-oracle simulations); the default stays off
-    /// so loss-free runs keep their recorded golden traces.
+    /// to ask), and re-sends its head-of-line slot's own
+    /// [`SmrMsg::Payload`] and every message that slot's consensus
+    /// instance has broadcast so far (loss can wedge the next slot at
+    /// **all** replicas at once — no one committed it, so there is no
+    /// checkpoint to push; sub-protocol state and payload cells are keyed
+    /// by sender, so the duplicates are no-ops). Amplification stays
+    /// bounded: at most one reply per peer per slot per period, and one
+    /// head-of-line replay per period. Enable this on lossy substrates
+    /// (real sockets under fault injection, drop-oracle simulations); the
+    /// default stays off so loss-free runs keep their recorded golden
+    /// traces.
     pub ckpt_retry: u64,
 }
 
@@ -356,6 +414,35 @@ impl ProcSet {
 /// [`ReplicaNode::with_commit_log`]).
 type CommitLog<V> = Box<dyn FnMut(u64, &V) + Send>;
 
+/// One held proposal: who sent it, its digest, the value.
+type PayloadCell<V> = (ProcessId, Digest, V);
+
+/// Sends `value` as this replica's proposal for `slot` to each of the
+/// `n − 1` other replicas.
+fn send_payload<V: Value>(env: &mut Env<SmrMsg<V>, SmrEvent<V>>, slot: u64, value: &V) {
+    let me = env.me();
+    for p in (0..env.n()).map(ProcessId::new).filter(|p| *p != me) {
+        env.send(
+            p,
+            SmrMsg::Payload {
+                slot,
+                value: value.clone(),
+            },
+        );
+    }
+}
+
+/// The digest of `value`, taken from a cell already holding an equal value
+/// when there is one: with one routing group every replica proposes the
+/// same batch, so each replica hashes it once per slot — on whichever copy
+/// it sees first — and compares the rest.
+fn digest_among<V: Value>(cells: &[PayloadCell<V>], value: &V) -> Digest {
+    cells
+        .iter()
+        .find(|(_, _, held)| held == value)
+        .map_or_else(|| Digest::of(value), |(_, digest, _)| *digest)
+}
+
 /// One replica: a pipeline of consensus instances, one per log slot, plus
 /// the ack/retire/checkpoint control plane described in the crate docs.
 ///
@@ -382,11 +469,20 @@ pub struct ReplicaNode<V, P> {
     /// quorum-ack floor. Decided instances keep servicing reliable
     /// broadcast until an `n − t` quorum acked them; beyond that laggards
     /// are caught up via checkpoints, so the instances are dropped.
-    instances: BTreeMap<u64, ConsensusNode<V>>,
+    instances: BTreeMap<u64, ConsensusNode<Digest>>,
     /// Committed-but-unretired values, kept for checkpoint replies.
     recent: BTreeMap<u64, V>,
     /// Buffered messages for not-yet-started slots.
-    pending: BTreeMap<u64, Vec<(ProcessId, ProtocolMsg<V>)>>,
+    pending: BTreeMap<u64, Vec<(ProcessId, ProtocolMsg<Digest>)>>,
+    /// Proposals held for uncommitted slots, one cell per sender (this
+    /// replica's own included) with the digest it was proposed under. Bounded
+    /// per sender (see [`SmrLimits`]); a slot's cells are freed on commit.
+    payloads: BTreeMap<u64, Vec<PayloadCell<V>>>,
+    /// `(slot, d)`: slot `committed + 1`'s instance decided `d` before a
+    /// payload with that digest was held. The instance keeps servicing
+    /// reliable broadcast; the commit happens on the matching
+    /// [`SmrMsg::Payload`] or on `t + 1` checkpoints, whichever is first.
+    parked: Option<(u64, Digest)>,
     /// Total buffered message count (the `max_buffered` gauge).
     buffered: usize,
     /// Per-peer **cumulative** ack floors: `ack_floors[p] = f` means `p`
@@ -410,6 +506,10 @@ pub struct ReplicaNode<V, P> {
     future_drops: u64,
     /// Traffic for retired slots refused.
     retired_drops: u64,
+    /// Slots whose instance decided before the decided payload was held.
+    payload_waits: u64,
+    /// Payloads for the parked slot whose digest was not the decided one.
+    payload_mismatch: u64,
     /// Telemetry mirrors of the drop counters, for substrates that consume
     /// the node by value (the TCP mesh moves it into its run loop, so
     /// `minsync-node` can no longer ask the replica itself after the run).
@@ -417,6 +517,8 @@ pub struct ReplicaNode<V, P> {
     /// them in a shared registry.
     ctr_future_drops: Counter,
     ctr_retired_drops: Counter,
+    ctr_payload_waits: Counter,
+    ctr_payload_mismatch: Counter,
     /// Live health gauges (see [`ReplicaNode::with_watch`]); `None` keeps
     /// the hot path untouched.
     watch: Option<WatchGauges>,
@@ -439,12 +541,12 @@ pub struct ReplicaNode<V, P> {
     /// are a stronger adversary) eventually re-offers every peer its
     /// missing pieces. An entry is dropped when its slot commits, so the
     /// memory held is bounded by the instances still in flight.
-    outbox: BTreeMap<u64, Vec<ProtocolMsg<V>>>,
+    outbox: BTreeMap<u64, Vec<ProtocolMsg<Digest>>>,
     timer_slots: BTreeMap<TimerId, u64>,
     /// Child environment all slot instances run on (created lazily on
     /// first drive; seed irrelevant — slot instances are deterministic and
     /// never draw randomness).
-    slot_env: Option<Env<ProtocolMsg<V>, ConsensusEvent<V>>>,
+    slot_env: Option<Env<ProtocolMsg<Digest>, ConsensusEvent<Digest>>>,
 }
 
 impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
@@ -473,6 +575,8 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             instances: BTreeMap::new(),
             recent: BTreeMap::new(),
             pending: BTreeMap::new(),
+            payloads: BTreeMap::new(),
+            parked: None,
             buffered: 0,
             ack_floors: vec![0; n],
             instance_floor: 0,
@@ -482,8 +586,12 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             ckpt_votes: Vec::new(),
             future_drops: 0,
             retired_drops: 0,
+            payload_waits: 0,
+            payload_mismatch: 0,
             ctr_future_drops: Counter::detached(),
             ctr_retired_drops: Counter::detached(),
+            ctr_payload_waits: Counter::detached(),
+            ctr_payload_mismatch: Counter::detached(),
             watch: None,
             trace: None,
             recovered: Vec::new(),
@@ -495,13 +603,15 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         }
     }
 
-    /// Interns the replica's drop counters in a shared telemetry
-    /// [`Registry`] — `smr.future_drops` and `smr.retired_drops` — for
-    /// substrates that consume the node by value: any snapshot of the
-    /// registry reads them, any time.
+    /// Interns the replica's counters in a shared telemetry [`Registry`]
+    /// — `smr.future_drops`, `smr.retired_drops`, `smr.payload_waits` and
+    /// `smr.payload_mismatch` — for substrates that consume the node by
+    /// value: any snapshot of the registry reads them, any time.
     pub fn with_registry(mut self, registry: &Registry) -> Self {
         self.ctr_future_drops = registry.counter("smr.future_drops");
         self.ctr_retired_drops = registry.counter("smr.retired_drops");
+        self.ctr_payload_waits = registry.counter("smr.payload_waits");
+        self.ctr_payload_mismatch = registry.counter("smr.payload_mismatch");
         self
     }
 
@@ -637,6 +747,19 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         self.retired_drops
     }
 
+    /// Slots whose instance decided a digest before a payload with that
+    /// digest was held (0 whenever every correct replica proposes the same
+    /// value: a replica's own proposal is then the decided payload).
+    pub fn payload_waits(&self) -> u64 {
+        self.payload_waits
+    }
+
+    /// Payloads that arrived for a slot waiting on its decided payload
+    /// and did not have the decided digest.
+    pub fn payload_mismatch(&self) -> u64 {
+        self.payload_mismatch
+    }
+
     fn count_future_drop(&mut self) {
         self.future_drops += 1;
         self.ctr_future_drops.inc();
@@ -665,7 +788,14 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             self.started = slot;
             self.trace_stage(env, TraceKind::Proposed { slot });
             let proposal = self.source.propose(slot);
-            let node = ConsensusNode::new(self.cfg, proposal).expect("config validated");
+            // Ship the proposal once, ahead of the instance's first message
+            // (on FIFO links a peer that sees our CB INIT already holds
+            // what it names), then agree on its digest.
+            send_payload(env, slot, &proposal);
+            let cells = self.payloads.entry(slot).or_default();
+            let digest = digest_among(cells, &proposal);
+            cells.push((env.me(), digest, proposal));
+            let node = ConsensusNode::new(self.cfg, digest).expect("config validated");
             self.instances.insert(slot, node);
             self.drive(slot, env, |node, ienv| node.on_start(ienv));
             for (from, msg) in self.pending.remove(&slot).unwrap_or_default() {
@@ -684,7 +814,10 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         &mut self,
         slot: u64,
         env: &mut Env<SmrMsg<V>, SmrEvent<V>>,
-        f: impl FnOnce(&mut ConsensusNode<V>, &mut Env<ProtocolMsg<V>, ConsensusEvent<V>>),
+        f: impl FnOnce(
+            &mut ConsensusNode<Digest>,
+            &mut Env<ProtocolMsg<Digest>, ConsensusEvent<Digest>>,
+        ),
     ) {
         let Some(node) = self.instances.get_mut(&slot) else {
             return;
@@ -718,15 +851,84 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         }
         for event in events {
             if let ConsensusEvent::Decided { value } = event {
-                self.commit(slot, value, env);
+                self.on_decided(slot, value, env);
             }
         }
+    }
+
+    /// Slot `slot`'s instance decided `digest`: commit the payload it
+    /// names if held, else park the decision until the payload (or `t + 1`
+    /// checkpoints) arrives. CONS-Validity makes `digest` some correct
+    /// replica's proposal, and that replica sent its payload to everyone
+    /// (DESIGN.md §6).
+    fn on_decided(&mut self, slot: u64, digest: Digest, env: &mut Env<SmrMsg<V>, SmrEvent<V>>) {
+        if slot != self.committed + 1 {
+            return;
+        }
+        let held = self.payloads.get_mut(&slot).and_then(|cells| {
+            let at = cells.iter().position(|(_, d, _)| *d == digest)?;
+            Some(cells.swap_remove(at).2)
+        });
+        match held {
+            Some(value) => self.commit(slot, digest, value, env),
+            None => {
+                self.parked = Some((slot, digest));
+                self.payload_waits += 1;
+                self.ctr_payload_waits.inc();
+            }
+        }
+    }
+
+    /// Stores `from`'s proposal for `slot` in its cell — the first one
+    /// only, and only for slots within the horizon — and commits the slot
+    /// if it was parked on exactly this payload.
+    fn on_payload(
+        &mut self,
+        from: ProcessId,
+        slot: u64,
+        value: V,
+        env: &mut Env<SmrMsg<V>, SmrEvent<V>>,
+    ) {
+        if slot == 0 || slot > self.target_slots {
+            return; // out-of-range slot: Byzantine garbage
+        }
+        if slot <= self.low_water {
+            self.count_retired_drop();
+            return;
+        }
+        if slot <= self.committed {
+            return; // late copy (a replay, or a laggard's proposal)
+        }
+        if slot > self.committed + 1 + self.limits.future_horizon {
+            self.count_future_drop();
+            return;
+        }
+        let cells = self.payloads.entry(slot).or_default();
+        if cells.iter().any(|(sender, ..)| *sender == from) {
+            return; // one cell per (slot, sender)
+        }
+        let digest = digest_among(cells, &value);
+        if self.parked == Some((slot, digest)) {
+            self.commit(slot, digest, value, env);
+            return;
+        }
+        if self.parked.is_some_and(|(parked, _)| parked == slot) {
+            self.payload_mismatch += 1;
+            self.ctr_payload_mismatch.inc();
+        }
+        cells.push((from, digest, value));
     }
 
     /// Commits `slot` (in order only — duplicates and out-of-order calls
     /// are ignored): notifies the source, announces the commit, broadcasts
     /// the GC ack, and advances the pipeline.
-    fn commit(&mut self, slot: u64, value: V, env: &mut Env<SmrMsg<V>, SmrEvent<V>>) {
+    fn commit(
+        &mut self,
+        slot: u64,
+        digest: Digest,
+        value: V,
+        env: &mut Env<SmrMsg<V>, SmrEvent<V>>,
+    ) {
         if slot != self.committed + 1 {
             return;
         }
@@ -736,11 +938,13 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         self.committed = slot;
         self.trace_stage(env, TraceKind::Committed { slot });
         if let Some(watch) = &mut self.watch {
-            watch.on_commit(slot, &value);
+            watch.on_commit(slot, digest);
         }
         self.ckpt_seen = ProcSet::default();
         self.ckpt_votes.clear();
         self.outbox.remove(&slot);
+        self.payloads.remove(&slot);
+        self.parked = None;
         self.source.on_commit(slot, &value);
         env.output(SmrEvent::Committed {
             slot,
@@ -882,7 +1086,8 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             if let Some(msgs) = self.pending.remove(&slot) {
                 self.buffered -= msgs.len();
             }
-            self.commit(slot, value, env);
+            let digest = digest_among(self.payloads.get(&slot).map_or(&[], Vec::as_slice), &value);
+            self.commit(slot, digest, value, env);
         }
     }
 }
@@ -913,7 +1118,7 @@ impl<V: Value, P: ProposalSource<V>> Node for ReplicaNode<V, P> {
                 self.committed = slot;
                 self.trace_stage(env, TraceKind::Committed { slot });
                 if let Some(watch) = &mut self.watch {
-                    watch.on_commit(slot, &value);
+                    watch.on_commit(slot, Digest::of(&value));
                 }
                 self.source.on_commit(slot, &value);
                 env.output(SmrEvent::Committed {
@@ -985,6 +1190,9 @@ impl<V: Value, P: ProposalSource<V>> Node for ReplicaNode<V, P> {
             SmrMsg::Checkpoint { slot, value } => {
                 self.on_checkpoint(from, slot, value, env);
             }
+            SmrMsg::Payload { slot, value } => {
+                self.on_payload(from, slot, value, env);
+            }
         }
     }
 
@@ -1017,10 +1225,20 @@ impl<V: Value, P: ProposalSource<V>> Node for ReplicaNode<V, P> {
             // Loss can also wedge the *next* slot's consensus at every
             // replica at once — no one committed it, so there is no
             // checkpoint to push. Replay everything our head-of-line
-            // instance has said: receivers key sub-protocol state by
-            // sender (duplicates are no-ops), and peers already past the
-            // slot answer with a checkpoint instead.
+            // slot has said, our proposal first: receivers key payload
+            // cells and sub-protocol state by sender (duplicates are
+            // no-ops), and peers already past the slot answer with a
+            // checkpoint instead.
             let head = self.committed + 1;
+            let me = env.me();
+            let own = self.payloads.get(&head).and_then(|cells| {
+                cells
+                    .iter()
+                    .find_map(|(from, _, value)| (*from == me).then_some(value))
+            });
+            if let Some(value) = own {
+                send_payload(env, head, value);
+            }
             if let Some(msgs) = self.outbox.get(&head) {
                 for msg in msgs {
                     env.broadcast(SmrMsg::Slot {
@@ -1084,11 +1302,36 @@ mod tests {
 
     /// A syntactically valid protocol message for drop-path tests (its
     /// content never reaches an instance in those tests).
-    fn garbage_msg() -> ProtocolMsg<u64> {
+    fn garbage_msg() -> ProtocolMsg<Digest> {
         ProtocolMsg::EaProp2 {
             round: Round::FIRST,
-            value: 0,
+            value: Digest([0; 32]),
         }
+    }
+
+    /// A started replica 0 of `cfg4()` (slot 1 proposed, start effects
+    /// discarded) and its environment.
+    fn started(
+        limits: SmrLimits,
+    ) -> (
+        ReplicaNode<u64, TwoClientSource>,
+        Env<SmrMsg<u64>, SmrEvent<u64>>,
+    ) {
+        let mut r = ReplicaNode::new(cfg4(), TwoClientSource::new(1), 1000).with_limits(limits);
+        let mut env = Env::new(4, 0);
+        env.prepare(ProcessId::new(0), minsync_net::VirtualTime::ZERO);
+        r.on_start(&mut env);
+        let _ = env.take_buffer();
+        (r, env)
+    }
+
+    fn commits(env: &mut Env<SmrMsg<u64>, SmrEvent<u64>>) -> Vec<(u64, u64)> {
+        env.drain()
+            .filter_map(|e| match e {
+                Effect::Output(SmrEvent::Committed { slot, command }) => Some((slot, command)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -1178,6 +1421,236 @@ mod tests {
         }
         assert_eq!(r.buffered_len(), 16);
         assert_eq!(r.future_drops(), 200 - 16);
+    }
+
+    /// The two byte bounds of [`SmrLimits`] under one flooder: slot
+    /// garbage is capped by `max_buffered` fixed-size messages, payloads by
+    /// one cell per (slot in horizon, sender) — and the flood displaces
+    /// nothing an honest replica sent.
+    #[test]
+    fn payload_cells_are_bounded_per_sender_and_evict_nobody() {
+        let (mut r, mut env) = started(SmrLimits {
+            window: 4,
+            future_horizon: 8,
+            max_buffered: 16,
+            ckpt_retry: 0,
+        });
+        let (honest, flooder) = (ProcessId::new(1), ProcessId::new(3));
+        // An honest replica one slot ahead of us ships its proposal.
+        r.on_message(
+            honest,
+            SmrMsg::Payload {
+                slot: 2,
+                value: 2000,
+            },
+            &mut env,
+        );
+        // The flooder sweeps every slot of the log three times over with
+        // bogus proposals and slot garbage.
+        let mut beyond_horizon = 0;
+        for round in 0..3u64 {
+            for slot in 1..=1000u64 {
+                r.on_message(
+                    flooder,
+                    SmrMsg::Payload {
+                        slot,
+                        value: 0xDEAD + round,
+                    },
+                    &mut env,
+                );
+                r.on_message(
+                    flooder,
+                    SmrMsg::Slot {
+                        slot,
+                        msg: garbage_msg(),
+                    },
+                    &mut env,
+                );
+                beyond_horizon += u64::from(slot > 1 + 8);
+            }
+        }
+        // Slots 1..=9 are within the horizon (`future_horizon + 1` of
+        // them): one cell each, first wins.
+        let held_from = |sender: ProcessId| {
+            let cells = r.payloads.values().flatten();
+            cells.filter(|(from, ..)| *from == sender).count()
+        };
+        assert_eq!(held_from(flooder), 8 + 1);
+        assert_eq!(held_from(honest), 1, "honest payload evicted");
+        assert_eq!(held_from(ProcessId::new(0)), 1, "own proposal");
+        assert!(r
+            .payloads
+            .values()
+            .flatten()
+            .all(|(from, _, value)| *from != flooder || *value == 0xDEAD));
+        assert_eq!(r.buffered_len(), 16);
+        // Every drop is the flooder's: its payloads beyond the horizon,
+        // plus all its slot garbage but the 16 buffered messages (slot 1 is
+        // started, so its garbage reaches the instance instead).
+        let garbage_dropped = 3 * 999 - 16;
+        assert_eq!(r.future_drops(), beyond_horizon + garbage_dropped);
+        assert!(commits(&mut env).is_empty());
+    }
+
+    /// The instance decided a digest whose payload is not held: no commit,
+    /// the instance keeps servicing reliable broadcast, a non-matching
+    /// payload is counted and kept, the matching one commits exactly once.
+    #[test]
+    fn a_decision_without_its_payload_parks_until_the_payload_arrives() {
+        let (mut r, mut env) = started(SmrLimits::default());
+        let winner = 2000u64;
+        let d = Digest::of(&winner);
+        r.on_decided(1, d, &mut env);
+        assert_eq!(r.committed_count(), 0);
+        assert_eq!((r.payload_waits(), r.payload_mismatch()), (1, 0));
+        assert!(commits(&mut env).is_empty());
+        // Parked, not stopped: a peer's RB INIT is still echoed.
+        r.on_message(
+            ProcessId::new(2),
+            SmrMsg::Slot {
+                slot: 1,
+                msg: ProtocolMsg::Rb(minsync_broadcast::RbMsg::Init {
+                    tag: minsync_core::RbTag::Decide,
+                    value: d,
+                }),
+            },
+            &mut env,
+        );
+        assert!(
+            env.drain().any(|e| matches!(
+                e,
+                Effect::Broadcast {
+                    msg: SmrMsg::Slot {
+                        slot: 1,
+                        msg: ProtocolMsg::Rb(minsync_broadcast::RbMsg::Echo { .. })
+                    }
+                }
+            )),
+            "reliable broadcast still serviced while parked"
+        );
+        // Not the decided payload: counted, not committed.
+        r.on_message(
+            ProcessId::new(3),
+            SmrMsg::Payload {
+                slot: 1,
+                value: 666,
+            },
+            &mut env,
+        );
+        assert_eq!(r.committed_count(), 0);
+        assert_eq!(r.payload_mismatch(), 1);
+        // The decided payload: committed, once — a second copy from another
+        // sender is a late copy of a committed slot.
+        for from in [1, 2] {
+            r.on_message(
+                ProcessId::new(from),
+                SmrMsg::Payload {
+                    slot: 1,
+                    value: winner,
+                },
+                &mut env,
+            );
+        }
+        assert_eq!(r.committed_count(), 1);
+        assert_eq!(commits(&mut env), [(1, winner)]);
+        assert!(r.parked.is_none() && !r.payloads.contains_key(&1));
+        assert_eq!((r.payload_waits(), r.payload_mismatch()), (1, 1));
+    }
+
+    /// A payload that arrived before the decision is committed at decision
+    /// time, with no wait counted.
+    #[test]
+    fn a_decision_commits_a_payload_already_held() {
+        let (mut r, mut env) = started(SmrLimits::default());
+        r.on_message(
+            ProcessId::new(1),
+            SmrMsg::Payload {
+                slot: 1,
+                value: 2000,
+            },
+            &mut env,
+        );
+        r.on_decided(1, Digest::of(&2000u64), &mut env);
+        assert_eq!(commits(&mut env), [(1, 2000)]);
+        assert_eq!((r.payload_waits(), r.payload_mismatch()), (0, 0));
+    }
+
+    /// `t + 1` checkpoints beat the payload to a parked slot: they commit
+    /// it and clear the parked state, and the payload, when it finally
+    /// comes, is a late copy.
+    #[test]
+    fn checkpoints_commit_a_parked_slot_and_clear_it() {
+        let (mut r, mut env) = started(SmrLimits::default());
+        r.on_decided(1, Digest::of(&2000u64), &mut env);
+        for p in [1, 2] {
+            r.on_message(
+                ProcessId::new(p),
+                SmrMsg::Checkpoint {
+                    slot: 1,
+                    value: 2000,
+                },
+                &mut env,
+            );
+        }
+        assert_eq!(r.committed_count(), 1);
+        assert!(r.parked.is_none());
+        r.on_message(
+            ProcessId::new(3),
+            SmrMsg::Payload {
+                slot: 1,
+                value: 2000,
+            },
+            &mut env,
+        );
+        assert_eq!(commits(&mut env), [(1, 2000)]);
+        assert_eq!(r.payload_mismatch(), 0);
+    }
+
+    /// The lossy-link replay re-offers the head slot's proposal to every
+    /// other replica, ahead of the recorded broadcasts that name it.
+    #[test]
+    fn ckpt_retry_replays_the_head_slots_own_payload() {
+        let mut r: ReplicaNode<u64, TwoClientSource> =
+            ReplicaNode::new(cfg4(), TwoClientSource::new(1), 10).with_limits(SmrLimits {
+                ckpt_retry: 10,
+                ..SmrLimits::default()
+            });
+        let mut env = Env::new(4, 0);
+        env.prepare(ProcessId::new(0), minsync_net::VirtualTime::ZERO);
+        r.on_start(&mut env);
+        let start: Vec<_> = env.drain().collect();
+        let retry = start
+            .iter()
+            .find_map(|e| match e {
+                Effect::SetTimer { id, delay: 10 } => Some(*id),
+                _ => None,
+            })
+            .expect("retry timer armed on start");
+        let sends = |effects: &[Effect<SmrMsg<u64>, SmrEvent<u64>>]| -> Vec<String> {
+            effects
+                .iter()
+                .filter(|e| matches!(e, Effect::Send { .. } | Effect::Broadcast { .. }))
+                .map(|e| format!("{e:?}"))
+                .collect()
+        };
+        let first = sends(&start);
+        assert_eq!(
+            first[..3],
+            [1, 2, 3].map(|p| format!(
+                "{:?}",
+                Effect::<SmrMsg<u64>, SmrEvent<u64>>::Send {
+                    to: ProcessId::new(p),
+                    msg: SmrMsg::Payload {
+                        slot: 1,
+                        value: 1000
+                    }
+                }
+            )),
+            "the proposal goes to each other replica before any slot traffic"
+        );
+        r.on_timer(retry, &mut env);
+        let replay: Vec<_> = env.drain().collect();
+        assert_eq!(sends(&replay), first, "everything slot 1 said, again");
     }
 
     #[test]
@@ -1558,6 +2031,10 @@ mod tests {
         assert_eq!(
             SmrMsg::<u64>::classify(&SmrMsg::Checkpoint { slot: 1, value: 0 }),
             "SMR_CKPT"
+        );
+        assert_eq!(
+            SmrMsg::<u64>::classify(&SmrMsg::Payload { slot: 1, value: 0 }),
+            "SMR_PAYLOAD"
         );
     }
 }

@@ -2,14 +2,16 @@
 //! under asynchrony and Byzantine faults, pipelined slots, log GC, and the
 //! bounded future-slot buffer under a flooding adversary.
 
-use minsync_adversary::{FloodNode, SilentNode};
+use minsync_adversary::{FilterNode, FloodNode, SilentNode};
 use minsync_core::ConsensusConfig;
-use minsync_net::sim::SimBuilder;
-use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, Node};
+use minsync_net::sim::{ScheduleCommand, SimBuilder};
+use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, Node, VirtualTime};
 use minsync_smr::{
-    collect_logs, committed_count, ReplicaNode, SmrEvent, SmrLimits, SmrMsg, TwoClientSource,
+    collect_logs, committed_count, Digest, ReplicaNode, SmrEvent, SmrLimits, SmrMsg,
+    TwoClientSource,
 };
-use minsync_types::SystemConfig;
+use minsync_telemetry::Registry;
+use minsync_types::{ProcessId, SystemConfig};
 
 type Msg = SmrMsg<u64>;
 type Out = SmrEvent<u64>;
@@ -180,19 +182,22 @@ fn all_correct_run_retires_the_whole_log() {
     }
 }
 
-/// Regression test for the bounded future-slot buffer: a Byzantine flooder
-/// sweeping *in-range* future slots (so every copy reaches the
-/// horizon/buffer logic rather than the out-of-range early return) must
-/// not stop the correct replicas from building identical logs, and the
-/// flood volume must vastly exceed what any replica is allowed to buffer.
-/// The exact `future_drops`/`buffered_len` arithmetic of the same drop
-/// paths is pinned sans-io by the unit tests in `minsync-smr`.
+/// Regression test for the two bounded buffers: a Byzantine flooder
+/// spraying bogus proposals and slot garbage at every *in-range* future
+/// slot (so every copy reaches the horizon/buffer logic rather than the
+/// out-of-range early return) must not stop the correct replicas from
+/// building identical logs, and the flood volume must vastly exceed what
+/// any replica is allowed to hold. The drops are the flooder's alone: the
+/// same lineup with the flooder silent drops nothing. The exact
+/// `future_drops`/`buffered_len`/per-sender-cell arithmetic of the same
+/// drop paths is pinned sans-io by the unit tests in `minsync-smr`.
 #[test]
 fn flooding_adversary_cannot_break_liveness_or_memory() {
     // The log is long (64 target slots) but the run only needs the first
     // few commits: the flood's slot sweep stays inside `target_slots`, so
     // replicas at slot ~2 see slots up to 64 — some within the horizon
-    // (buffered until the 32-message cap), most beyond it (dropped).
+    // (buffered until the 32-message cap, one payload cell per slot), most
+    // beyond it (dropped).
     const TARGET: u64 = 64;
     const CHECK: u64 = 6;
     let n = 4;
@@ -204,36 +209,55 @@ fn flooding_adversary_cannot_break_liveness_or_memory() {
         max_buffered: 32, // tiny on purpose: the flood must overflow it
         ckpt_retry: 0,
     };
-    let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, 3))
-        .seed(13)
-        .max_events(20_000_000);
-    for i in 0..n - 1 {
-        builder = builder.node(
-            ReplicaNode::new(cfg, TwoClientSource::new(1 + (i as u64 % 2)), TARGET)
-                .with_limits(limits),
-        );
-    }
-    builder = builder.boxed_node(Box::new(FloodNode::<Msg, Out, _>::new(1, 16, 200, |i| {
-        SmrMsg::Slot {
-            slot: 2 + (i % (TARGET - 1)),
-            msg: minsync_core::ProtocolMsg::EaProp2 {
-                round: minsync_types::Round::FIRST,
-                value: 0xDEAD,
-            },
+    let run = |rider: Box<dyn Node<Msg = Msg, Output = Out>>| {
+        let registries: Vec<Registry> = (0..n - 1).map(|_| Registry::new()).collect();
+        let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, 3))
+            .seed(13)
+            .max_events(20_000_000);
+        for (i, registry) in registries.iter().enumerate() {
+            builder = builder.node(
+                ReplicaNode::new(cfg, TwoClientSource::new(1 + (i as u64 % 2)), TARGET)
+                    .with_limits(limits)
+                    .with_registry(registry),
+            );
         }
-    })) as Box<dyn Node<Msg = Msg, Output = Out>>);
-    let mut sim = builder.build();
-    let report = sim.run_until(move |outs| {
-        (0..n - 1).all(|p| committed_count(outs, minsync_types::ProcessId::new(p)) >= CHECK)
-    });
+        let mut sim = builder.boxed_node(rider).build();
+        let report = sim.run_until(move |outs| {
+            (0..n - 1).all(|p| committed_count(outs, ProcessId::new(p)) >= CHECK)
+        });
+        let drops: Vec<u64> = registries
+            .iter()
+            .map(|r| r.snapshot().counter("smr.future_drops").unwrap_or(0))
+            .collect();
+        (report, drops)
+    };
+    let (report, drops) = run(Box::new(FloodNode::<Msg, Out, _>::new(1, 16, 200, |i| {
+        let slot = 2 + (i / 2 % (TARGET - 1));
+        if i % 2 == 0 {
+            SmrMsg::Slot {
+                slot,
+                msg: minsync_core::ProtocolMsg::EaProp2 {
+                    round: minsync_types::Round::FIRST,
+                    value: Digest::of(&0xDEADu64),
+                },
+            }
+        } else {
+            SmrMsg::Payload {
+                slot,
+                value: 0xDEAD,
+            }
+        }
+    })));
     // The flood really flowed (16 msgs × 200 bursts × n destinations),
-    // and each replica could buffer at most 32 of those ~3200 copies.
+    // and each replica could buffer at most 32 of those ~1600 slot
+    // messages and 17 of those ~1600 payloads.
     assert!(
-        report
-            .metrics
-            .sent_by_process(minsync_types::ProcessId::new(n - 1))
-            >= 10_000,
+        report.metrics.sent_by_process(ProcessId::new(n - 1)) >= 10_000,
         "flood too small to prove anything"
+    );
+    assert!(
+        drops.iter().all(|&d| d > 2_000),
+        "every replica refused most of the flood: {drops:?}"
     );
     // Liveness: every correct replica committed the checked prefix, and
     // the prefixes are identical.
@@ -246,4 +270,182 @@ fn flooding_adversary_cannot_break_liveness_or_memory() {
         // No flooded command ever entered a log.
         assert!(log.values().all(|&c| c != 0xDEAD));
     }
+    // With the fourth replica silent instead, nothing is dropped: honest
+    // traffic never comes near either bound.
+    let (_, quiet) = run(Box::new(SilentNode::<Msg, Out>::new()));
+    assert_eq!(quiet, [0, 0, 0], "honest traffic was dropped");
+}
+
+/// Counters of each of the first `replicas` replicas after a run.
+fn counters(registries: &[Registry], name: &str) -> Vec<u64> {
+    registries
+        .iter()
+        .map(|r| r.snapshot().counter(name).unwrap_or(0))
+        .collect()
+}
+
+/// Two proposals per slot (the crate doc-test's population): whichever
+/// wins, the two replicas that proposed the other value commit the winner's
+/// payload — shipped to them once by its proposers — and the logs agree.
+/// With the payloads held back past the decision the losers park and
+/// commit on arrival; the log is the same.
+#[test]
+fn losing_proposers_commit_the_winners_payload() {
+    const SLOTS: u64 = 6;
+    let cfg = ConsensusConfig::paper(SystemConfig::new(4, 1).unwrap());
+    let run = |late_payloads: bool| {
+        let registries: Vec<Registry> = (0..4).map(|_| Registry::new()).collect();
+        let topo = NetworkTopology::uniform(
+            4,
+            ChannelTiming::asynchronous(DelayLaw::Uniform { min: 1, max: 5 }),
+        );
+        let mut builder = SimBuilder::new(topo).seed(7).with_schedule_oracle(
+            move |_f: ProcessId, _t: ProcessId, _at: VirtualTime, msg: &Msg, _d: u64| match msg {
+                SmrMsg::Payload { .. } if late_payloads => ScheduleCommand::After(2_000),
+                _ => ScheduleCommand::Default,
+            },
+        );
+        for (i, registry) in registries.iter().enumerate() {
+            builder = builder.node(
+                ReplicaNode::new(cfg, TwoClientSource::new(1 + (i as u64 % 2)), SLOTS)
+                    .with_registry(registry),
+            );
+        }
+        let mut sim = builder.build();
+        let report =
+            sim.run_until(|outs| (0..4).all(|p| committed_count(outs, ProcessId::new(p)) >= SLOTS));
+        let logs = collect_logs(&report.outputs);
+        assert_logs_identical(&logs, 4, SLOTS);
+        let log: Vec<u64> = logs[&0].values().copied().collect();
+        (
+            log,
+            counters(&registries, "smr.payload_waits"),
+            counters(&registries, "smr.payload_mismatch"),
+        )
+    };
+    let (log, waits, mismatch) = run(false);
+    // Every slot, two replicas committed a command they did not propose.
+    for client in [1, 2] {
+        assert!(
+            log.iter().any(|&c| TwoClientSource::client_of(c) == client),
+            "client {client} never won a slot: {log:?}"
+        );
+    }
+    assert_eq!(waits, [0; 4], "payloads land long before the decision");
+    assert_eq!(mismatch, [0; 4]);
+
+    let (late_log, waits, _) = run(true);
+    assert!(
+        late_log
+            .iter()
+            .all(|&c| matches!(TwoClientSource::client_of(c), 1 | 2)),
+        "{late_log:?}"
+    );
+    assert!(
+        waits.iter().sum::<u64>() >= SLOTS,
+        "each slot's losers decided before the winner's payload: {waits:?}"
+    );
+}
+
+/// A replica that runs the protocol honestly — on its own digest — but
+/// never ships the payload.
+fn digest_only(
+    cfg: ConsensusConfig,
+    source: impl FnMut(u64) -> u64 + Send + 'static,
+    slots: u64,
+    limits: SmrLimits,
+) -> Box<dyn Node<Msg = Msg, Output = Out>> {
+    Box::new(FilterNode::new(
+        ReplicaNode::new(cfg, source, slots).with_limits(limits),
+        |_to, msg: &Msg| match msg {
+            SmrMsg::Payload { .. } | SmrMsg::Checkpoint { .. } => None,
+            other => Some(other.clone()),
+        },
+    ))
+}
+
+/// CONS-Validity over digests (DESIGN.md §6): a Byzantine proposer running
+/// the protocol on a digest nobody holds the preimage of cannot get it
+/// decided — one process is not `t + 1` — so no correct replica is ever
+/// left waiting for a payload that does not exist.
+#[test]
+fn a_digest_without_a_payload_is_never_decided() {
+    const SLOTS: u64 = 5;
+    let cfg = ConsensusConfig::paper(SystemConfig::new(4, 1).unwrap());
+    let registries: Vec<Registry> = (0..3).map(|_| Registry::new()).collect();
+    let mut builder = SimBuilder::new(NetworkTopology::all_timely(4, 3)).seed(3);
+    for registry in &registries {
+        builder = builder
+            .node(ReplicaNode::new(cfg, |slot: u64| 100 + slot, SLOTS).with_registry(registry));
+    }
+    builder = builder.boxed_node(digest_only(
+        cfg,
+        |slot| 900 + slot,
+        SLOTS,
+        SmrLimits::default(),
+    ));
+    let mut sim = builder.build();
+    let report =
+        sim.run_until(|outs| (0..3).all(|p| committed_count(outs, ProcessId::new(p)) >= SLOTS));
+    let logs = collect_logs(&report.outputs);
+    assert_logs_identical(&logs, 3, SLOTS);
+    let expected: Vec<u64> = (1..=SLOTS).map(|slot| 100 + slot).collect();
+    assert_eq!(logs[&0].values().copied().collect::<Vec<_>>(), expected);
+    assert_eq!(counters(&registries, "smr.payload_waits"), [0; 3]);
+}
+
+/// Lossy links (outside the paper's model; `ckpt_retry` is the repair): a
+/// slot with two proposals whose only correct proposer of the winning one
+/// loses the first copy of its payload to every peer. Its second supporter
+/// is a Byzantine replica that never ships a payload, so nobody else can
+/// supply it, and a lone holder's checkpoints are one short of `t + 1`:
+/// only the head-of-line replay, re-sending the payload while the slot is
+/// still in flight, lets the other two commit what was decided.
+#[test]
+fn ckpt_retry_replays_a_lost_payload() {
+    const SLOTS: u64 = 4;
+    const LONE: usize = 1;
+    let cfg = ConsensusConfig::paper(SystemConfig::new(4, 1).unwrap());
+    let limits = SmrLimits {
+        ckpt_retry: 10,
+        ..SmrLimits::default()
+    };
+    let lone = |slot: u64| 100 + slot;
+    let mut seen = std::collections::BTreeSet::new();
+    // Replicas 0 (Byzantine) and 1 support the lone value, and on an
+    // all-timely network their messages are processed first: it wins.
+    let mut builder = SimBuilder::new(NetworkTopology::all_timely(4, 3))
+        .seed(5)
+        .max_events(2_000_000)
+        .with_schedule_oracle(
+            move |from: ProcessId, to: ProcessId, _at: VirtualTime, msg: &Msg, _d: u64| match msg {
+                SmrMsg::Payload { slot, .. }
+                    if from.index() == LONE && seen.insert((*slot, to)) =>
+                {
+                    ScheduleCommand::Drop
+                }
+                _ => ScheduleCommand::Default,
+            },
+        )
+        .boxed_node(digest_only(cfg, lone, SLOTS, limits))
+        .node(ReplicaNode::new(cfg, lone, SLOTS).with_limits(limits));
+    for _ in 2..4 {
+        builder =
+            builder.node(ReplicaNode::new(cfg, |slot: u64| 200 + slot, SLOTS).with_limits(limits));
+    }
+    let mut sim = builder.build();
+    let report =
+        sim.run_until(|outs| (1..4).all(|p| committed_count(outs, ProcessId::new(p)) >= SLOTS));
+    assert!(
+        report.metrics.messages_suppressed >= 3 * SLOTS,
+        "the oracle dropped the lone proposer's first payload copies"
+    );
+    let logs = collect_logs(&report.outputs);
+    assert_logs_identical(&logs, 3, SLOTS);
+    let expected: Vec<u64> = (1..=SLOTS).map(lone).collect();
+    assert_eq!(
+        logs[&2].values().copied().collect::<Vec<_>>(),
+        expected,
+        "the lone proposer's value must win, or the run proves nothing about the replay"
+    );
 }

@@ -65,7 +65,7 @@ use minsync_core::{ConsensusConfig, ProtocolMsg};
 use minsync_net::driver::WallClock;
 use minsync_net::sim::OutputRecord;
 use minsync_net::{Node, VirtualTime};
-use minsync_smr::{ReplicaNode, SmrEvent, SmrLimits, SmrMsg};
+use minsync_smr::{Digest, ReplicaNode, SmrEvent, SmrLimits, SmrMsg};
 use minsync_telemetry::trace::{TraceKind, TraceMeta, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 use minsync_telemetry::{Registry, Sampler, Watchdog, WatchdogConfig};
 use minsync_transport::cluster::{control, parse_arrival, Behavior, LogDigest};
@@ -373,12 +373,18 @@ fn run(args: Args) -> Result<(), String> {
             // must disconnect those connections, not die).
             spawn_garbage_dialers(me, args.n, &peers, Arc::clone(&stop_flag));
             Box::new(FloodNode::<Msg, Out, _>::new(2, 64, u64::MAX, move |i| {
-                SmrMsg::Slot {
-                    slot: 2 + (i % target.max(3)),
-                    msg: ProtocolMsg::EaProp2 {
-                        round: Round::FIRST,
-                        value: Batch(vec![u64::MAX]),
-                    },
+                let slot = 2 + (i / 2 % target.max(3));
+                let value = Batch(vec![u64::MAX]);
+                if i % 2 == 0 {
+                    SmrMsg::Slot {
+                        slot,
+                        msg: ProtocolMsg::EaProp2 {
+                            round: Round::FIRST,
+                            value: Digest([0xFF; 32]),
+                        },
+                    }
+                } else {
+                    SmrMsg::Payload { slot, value }
                 }
             }))
         }

@@ -4,7 +4,7 @@
 
 use minsync_broadcast::RbMsg;
 use minsync_core::{CbId, ProtocolMsg, RbTag};
-use minsync_smr::SmrMsg;
+use minsync_smr::{Digest, SmrMsg};
 use minsync_types::{ProcessId, Round};
 use minsync_workload::Batch;
 
@@ -280,6 +280,17 @@ impl<V: Wire> Wire for ProtocolMsg<V> {
 // SMR / workload layer
 // ---------------------------------------------------------------------------
 
+/// 32 raw bytes, no length prefix.
+impl Wire for Digest {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Digest(*take::<32>(input)?))
+    }
+}
+
 impl<V: Wire> Wire for SmrMsg<V> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
@@ -297,6 +308,11 @@ impl<V: Wire> Wire for SmrMsg<V> {
                 slot.encode_into(out);
                 value.encode_into(out);
             }
+            SmrMsg::Payload { slot, value } => {
+                out.push(5);
+                slot.encode_into(out);
+                value.encode_into(out);
+            }
         }
     }
 
@@ -310,6 +326,10 @@ impl<V: Wire> Wire for SmrMsg<V> {
                 slot: u64::decode(input)?,
             }),
             2 => Ok(SmrMsg::Checkpoint {
+                slot: u64::decode(input)?,
+                value: V::decode(input)?,
+            }),
+            5 => Ok(SmrMsg::Payload {
                 slot: u64::decode(input)?,
                 value: V::decode(input)?,
             }),
@@ -370,12 +390,17 @@ mod tests {
             round: r,
             value: None,
         });
+        round_trip(Digest([0xA5; 32]));
         round_trip::<SmrMsg<Batch>>(SmrMsg::Slot {
             slot: 9,
             msg: ProtocolMsg::EaCoord {
                 round: r,
-                value: Batch(Vec::new()),
+                value: Digest::of(&Batch(Vec::new())),
             },
+        });
+        round_trip::<SmrMsg<Batch>>(SmrMsg::Payload {
+            slot: 9,
+            value: Batch(vec![7, 8]),
         });
         round_trip::<SmrMsg<Batch>>(SmrMsg::Ack { slot: 3 });
         round_trip::<SmrMsg<Batch>>(SmrMsg::Checkpoint {
@@ -407,6 +432,20 @@ mod tests {
             bool::decode(&mut [7u8].as_slice()),
             Err(WireError::InvalidTag { ty: "bool", tag: 7 })
         );
+        // A payload cut anywhere is an error, never a panic or a short value.
+        let payload = SmrMsg::<Batch>::Payload {
+            slot: 3,
+            value: Batch(vec![1, 2, 3]),
+        }
+        .encode();
+        assert_eq!(payload[0], 5);
+        for cut in 0..payload.len() {
+            assert_eq!(
+                SmrMsg::<Batch>::decode(&mut &payload[..cut]),
+                Err(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
         // The retired signature-path tags stay invalid, whatever follows.
         for tag in [3u8, 4] {
             let mut body = [0u8; 16];

@@ -9,7 +9,7 @@ use minsync_broadcast::RbMsg;
 use minsync_core::{CbId, ProtocolMsg, RbTag};
 use minsync_net::sim::{CauseRecord, EffectRecord, InvocationCause};
 use minsync_net::{Effect, TimerId, VirtualTime};
-use minsync_smr::SmrMsg;
+use minsync_smr::{Digest, SmrMsg};
 use minsync_types::{ProcessId, Round};
 use minsync_wire::{
     decode_frame, encode_frame, encode_frame_tagged, split_frame, tagged_frame_cap,
@@ -50,15 +50,24 @@ fn arb_rb_tag() -> impl Strategy<Value = RbTag> {
     ]
 }
 
-fn arb_rb_msg() -> impl Strategy<Value = RbMsg<RbTag, Batch>> {
+fn arb_digest() -> impl Strategy<Value = Digest> {
+    proptest::collection::vec(any::<u8>(), 32..33)
+        .prop_map(|bytes| Digest(bytes.try_into().expect("32 bytes")))
+}
+
+/// Reliable-broadcast messages over the values `value()` draws: batches in
+/// consensus-level traces, digests inside SMR slot traffic.
+fn arb_rb_msg<S: Strategy + 'static>(
+    value: fn() -> S,
+) -> impl Strategy<Value = RbMsg<RbTag, S::Value>> {
     prop_oneof![
-        (arb_rb_tag(), arb_batch()).prop_map(|(tag, value)| RbMsg::Init { tag, value }),
-        (arb_process(), arb_rb_tag(), arb_batch()).prop_map(|(origin, tag, value)| RbMsg::Echo {
+        (arb_rb_tag(), value()).prop_map(|(tag, value)| RbMsg::Init { tag, value }),
+        (arb_process(), arb_rb_tag(), value()).prop_map(|(origin, tag, value)| RbMsg::Echo {
             origin,
             tag,
             value
         }),
-        (arb_process(), arb_rb_tag(), arb_batch()).prop_map(|(origin, tag, value)| RbMsg::Ready {
+        (arb_process(), arb_rb_tag(), value()).prop_map(|(origin, tag, value)| RbMsg::Ready {
             origin,
             tag,
             value
@@ -66,21 +75,29 @@ fn arb_rb_msg() -> impl Strategy<Value = RbMsg<RbTag, Batch>> {
     ]
 }
 
-fn arb_protocol_msg() -> impl Strategy<Value = ProtocolMsg<Batch>> {
+fn arb_protocol_msg_of<S: Strategy + 'static>(
+    value: fn() -> S,
+) -> impl Strategy<Value = ProtocolMsg<S::Value>> {
     prop_oneof![
-        arb_rb_msg().prop_map(ProtocolMsg::Rb),
-        (arb_round(), arb_batch()).prop_map(|(round, value)| ProtocolMsg::EaProp2 { round, value }),
-        (arb_round(), arb_batch()).prop_map(|(round, value)| ProtocolMsg::EaCoord { round, value }),
-        (arb_round(), proptest::option::of(arb_batch()))
+        arb_rb_msg(value).prop_map(ProtocolMsg::Rb),
+        (arb_round(), value()).prop_map(|(round, value)| ProtocolMsg::EaProp2 { round, value }),
+        (arb_round(), value()).prop_map(|(round, value)| ProtocolMsg::EaCoord { round, value }),
+        (arb_round(), proptest::option::of(value()))
             .prop_map(|(round, value)| ProtocolMsg::EaRelay { round, value }),
     ]
 }
 
+fn arb_protocol_msg() -> impl Strategy<Value = ProtocolMsg<Batch>> {
+    arb_protocol_msg_of(arb_batch)
+}
+
 fn arb_smr_msg() -> impl Strategy<Value = SmrMsg<Batch>> {
     prop_oneof![
-        (any::<u64>(), arb_protocol_msg()).prop_map(|(slot, msg)| SmrMsg::Slot { slot, msg }),
+        (any::<u64>(), arb_protocol_msg_of(arb_digest))
+            .prop_map(|(slot, msg)| SmrMsg::Slot { slot, msg }),
         any::<u64>().prop_map(|slot| SmrMsg::Ack { slot }),
         (any::<u64>(), arb_batch()).prop_map(|(slot, value)| SmrMsg::Checkpoint { slot, value }),
+        (any::<u64>(), arb_batch()).prop_map(|(slot, value)| SmrMsg::Payload { slot, value }),
     ]
 }
 
@@ -178,7 +195,7 @@ proptest! {
     }
 
     #[test]
-    fn rb_messages_round_trip(msg in arb_rb_msg()) {
+    fn rb_messages_round_trip(msg in arb_rb_msg(arb_batch)) {
         round_trips(&msg)?;
     }
 
@@ -190,6 +207,12 @@ proptest! {
     #[test]
     fn smr_messages_round_trip(msg in arb_smr_msg()) {
         round_trips(&msg)?;
+    }
+
+    #[test]
+    fn digests_round_trip(digest in arb_digest()) {
+        round_trips(&digest)?;
+        prop_assert_eq!(digest.encode().len(), 32);
     }
 
     #[test]
