@@ -17,7 +17,10 @@
 //! garbage bytes dialed at every peer). The cluster must drain without
 //! stalling either way — bounded outbound queues absorb the flood, decode
 //! errors cost the flooder its connections (visible in the `cuts` column),
-//! and the committed logs stay digest-identical to the clean run.
+//! and the committed logs stay digest-identical to the clean run. The
+//! `frames/write` column is the writers' mean burst: protocol frames per
+//! `write_all` (`mesh.frames_written ÷ mesh.writes`, summed over correct
+//! replicas).
 
 use std::time::Duration;
 
@@ -63,8 +66,18 @@ pub fn run(quick: bool) -> Table {
     let mut table = Table::new(
         "E11 — TCP cluster: wall-clock throughput/latency (n OS processes on 127.0.0.1, m = 1)",
         [
-            "n", "t", "faults", "cmds", "wall ms", "cmds/s", "p50 ms", "p95 ms", "p99 ms", "drops",
+            "n",
+            "t",
+            "faults",
+            "cmds",
+            "wall ms",
+            "cmds/s",
+            "p50 ms",
+            "p95 ms",
+            "p99 ms",
+            "drops",
             "cuts",
+            "frames/write",
         ],
     );
     let sizes: &[(usize, usize)] = if quick {
@@ -89,6 +102,15 @@ pub fn run(quick: bool) -> Table {
                 .iter()
                 .map(|r| r.decode_disconnects + r.handshake_rejects)
                 .sum();
+            let total = |name: &str| -> u64 {
+                report
+                    .replicas
+                    .iter()
+                    .map(|r| r.snapshot.counter(name).unwrap_or(0))
+                    .sum()
+            };
+            let frames_per_write =
+                total("mesh.frames_written") as f64 / total("mesh.writes") as f64;
             table.push_row([
                 n.to_string(),
                 t.to_string(),
@@ -101,6 +123,7 @@ pub fn run(quick: bool) -> Table {
                 format!("{:.2}", ms(slowest.lat_p99)),
                 drops.to_string(),
                 cuts.to_string(),
+                format!("{frames_per_write:.1}"),
             ]);
         }
     }

@@ -166,6 +166,17 @@ pub(crate) fn run_clean_case(tag: &str, spec: &ClusterSpec) -> ClusterReport {
     let report = run_cluster(spec).unwrap_or_else(|e| panic!("{case}: cluster failed: {e}"));
     let violations = report.violations();
     assert!(violations.is_empty(), "{case}: {violations:?}");
+    // Writers coalesce bursts: every replica wrote frames, and never in
+    // more `write_all` calls than frames.
+    for r in &report.replicas {
+        let writes = r.snapshot.counter("mesh.writes").unwrap_or(0);
+        let frames = r.snapshot.counter("mesh.frames_written").unwrap_or(0);
+        assert!(
+            0 < writes && writes <= frames,
+            "{case}: replica {} wrote {frames} frames in {writes} writes",
+            r.id
+        );
+    }
     if spec.riders.iter().all(|b| *b == Behavior::Silent) {
         // With no rider actively injecting traffic (silent ones only occupy
         // fault slots), the flow-control cap and the MAC check must stay

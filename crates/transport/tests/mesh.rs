@@ -569,3 +569,90 @@ fn forged_handshakes_cannot_evict_the_genuine_connection() {
         "forged bytes never reached the codec"
     );
 }
+
+/// A writer coalesces its backlog: 2 000 messages queued toward a peer that
+/// is not listening yet all arrive once it binds — exactly once, in FIFO
+/// order — and the writer spent at most ⌈bytes ÷ 16 KiB⌉ + 2 `write_all`
+/// calls on them, not one per frame.
+#[test]
+fn queued_backlog_reaches_a_late_peer_in_order_in_few_writes() {
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    use minsync_telemetry::Registry;
+
+    const MESSAGES: u64 = 2_000;
+    const COALESCE_BYTES: u64 = 16 * 1024;
+
+    /// Queues `0..MESSAGES` to peer 1 in its first turn.
+    struct Burst;
+    impl Node for Burst {
+        type Msg = u64;
+        type Output = u64;
+
+        fn on_start(&mut self, env: &mut Env<u64, u64>) {
+            for i in 0..MESSAGES {
+                env.send(ProcessId::new(1), i);
+            }
+        }
+
+        fn on_message(&mut self, _: ProcessId, _: u64, _: &mut Env<u64, u64>) {}
+    }
+
+    // Reserve an address for peer 1, then free it: until the late bind
+    // below, process 0's dials are refused and its queue backs up.
+    let late_addr = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let a = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let peers = vec![a.local_addr().unwrap(), late_addr];
+    let registry = Arc::new(Registry::new());
+    let config = MeshConfig {
+        registry: Some(Arc::clone(&registry)),
+        ..quick_config()
+    };
+    let peers_a = peers.clone();
+    let sender = std::thread::spawn(move || {
+        a.run(Box::new(Burst), &peers_a, &config, |_, c| {
+            c.frames_written() >= MESSAGES
+        })
+    });
+    // The whole burst sits in the writer queue before the peer exists.
+    let queued = Instant::now();
+    while registry.snapshot().gauge("link.backlog.p1") != Some(MESSAGES)
+        || registry
+            .snapshot()
+            .counter("mesh.dial_backoffs")
+            .unwrap_or(0)
+            == 0
+    {
+        assert!(
+            queued.elapsed() < Duration::from_secs(10),
+            "burst never queued"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let b = TcpMesh::bind(ProcessId::new(1), late_addr).unwrap();
+    let report_b = b.run(Box::new(Collector), &peers, &quick_config(), |outs, _| {
+        outs.len() as u64 >= MESSAGES
+    });
+    let report_a = sender.join().unwrap();
+    assert!(!report_a.timed_out && !report_b.timed_out);
+    let got: Vec<u64> = report_b.outputs.iter().map(|o| o.event).collect();
+    assert_eq!(got, (0..MESSAGES).collect::<Vec<_>>(), "exactly once, FIFO");
+    assert_eq!(report_a.reconnects, 0, "no replay could have duplicated");
+    let snapshot = registry.snapshot();
+    let writes = snapshot.counter("mesh.writes").unwrap();
+    let frames = snapshot.counter("mesh.frames_written").unwrap();
+    assert_eq!(frames, MESSAGES);
+    let mut encoded = Vec::new();
+    for i in 0..MESSAGES {
+        encode_frame(&i, &mut encoded, DEFAULT_MAX_FRAME).unwrap();
+    }
+    let bytes = encoded.len() as u64;
+    assert!(
+        writes <= bytes.div_ceil(COALESCE_BYTES) + 2,
+        "{writes} writes for {bytes} bytes"
+    );
+}
