@@ -72,8 +72,9 @@ fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 /// Per-process authentication: MAC tagging/verification for point-to-point
 /// transport frames.
 ///
-/// Implementations are shared across a mesh's writer and reader threads
-/// (`Arc<dyn Authenticator>`), hence `Send + Sync`.
+/// Implementations are shared by reference (`Arc<dyn Authenticator>`, one
+/// per replica, handed to the mesh and to attacker threads alike), hence
+/// `Send + Sync`.
 ///
 /// Design note: `tag` takes the *receiver* (and `verify` the claimed
 /// *sender*) because the HMAC implementation keys MACs per process pair —

@@ -4,7 +4,7 @@
 //!
 //! Every earlier experiment exchanged messages as in-memory Rust values;
 //! E11 is the first where the paper's claims must survive sockets: length-
-//! prefixed frames, partial reads, per-peer writer queues, reconnects, and
+//! prefixed frames, partial reads, per-peer send queues, reconnects, and
 //! real OS scheduling. Each case spawns a `minsync-node` cluster through
 //! `minsync_transport::cluster`, drains a deterministic m = 1 workload
 //! (batch content is a pure function of the commit stream, so every
@@ -18,9 +18,10 @@
 //! stalling either way — bounded outbound queues absorb the flood, decode
 //! errors cost the flooder its connections (visible in the `cuts` column),
 //! and the committed logs stay digest-identical to the clean run. The
-//! `frames/write` column is the writers' mean burst: protocol frames per
-//! `write_all` (`mesh.frames_written ÷ mesh.writes`, summed over correct
-//! replicas).
+//! `frames/write` column is the mean burst: protocol frames per socket
+//! `write` (`mesh.frames_written ÷ mesh.writes`, summed over correct
+//! replicas). `threads` is the most OS threads any correct replica ran
+//! (`node.threads`): the mesh loop plus the control-pipe reader.
 
 use std::time::Duration;
 
@@ -78,6 +79,7 @@ pub fn run(quick: bool) -> Table {
             "drops",
             "cuts",
             "frames/write",
+            "threads",
         ],
     );
     let sizes: &[(usize, usize)] = if quick {
@@ -96,21 +98,17 @@ pub fn run(quick: bool) -> Table {
                 .iter()
                 .max_by_key(|r| r.wall)
                 .expect("at least one correct replica");
-            let drops: u64 = report.replicas.iter().map(|r| r.outbound_dropped).sum();
-            let cuts: u64 = report
-                .replicas
-                .iter()
-                .map(|r| r.decode_disconnects + r.handshake_rejects)
-                .sum();
-            let total = |name: &str| -> u64 {
-                report
-                    .replicas
-                    .iter()
-                    .map(|r| r.snapshot.counter(name).unwrap_or(0))
-                    .sum()
-            };
+            let total = |prefix| report.sum_counters(prefix);
+            let drops = total("mesh.outbound_dropped.");
+            let cuts = total("mesh.decode_disconnects") + total("mesh.handshake_rejects");
             let frames_per_write =
                 total("mesh.frames_written") as f64 / total("mesh.writes") as f64;
+            let threads = report
+                .replicas
+                .iter()
+                .filter_map(|r| r.snapshot.gauge("node.threads"))
+                .max()
+                .map_or("-".to_string(), |t| t.to_string());
             table.push_row([
                 n.to_string(),
                 t.to_string(),
@@ -124,6 +122,7 @@ pub fn run(quick: bool) -> Table {
                 drops.to_string(),
                 cuts.to_string(),
                 format!("{frames_per_write:.1}"),
+                threads,
             ]);
         }
     }

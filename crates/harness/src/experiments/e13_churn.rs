@@ -201,10 +201,14 @@ fn sim_run(
     )
 }
 
+/// Commands per client on the cluster: still committing when the first
+/// disruption lands ≈ 10 ms in (the simulator's 8–20 drain in a few ms),
+/// and inside the flow-control window a rejoiner starts with.
+const CLUSTER_COMMANDS_PER_CLIENT: usize = 48;
+
 /// Cluster-side churn plan for one scenario. Step offsets are wall-clock
 /// milliseconds from the moment every child holds the peer list, and they
-/// are deliberately *early* (first disruption ≈ 10 ms in): a loopback
-/// cluster drains these workloads in tens of milliseconds, so a late
+/// are deliberately *early* (first disruption ≈ 10 ms in): a late
 /// disruption would fire into an already-finished run and measure
 /// nothing. The laggard each plan creates cannot report until its heal
 /// (or restart) step fires, which keeps the orchestrator loop alive
@@ -346,7 +350,7 @@ pub fn run(quick: bool) -> Table {
 
         // Cluster: one clean baseline per size (an empty plan), then every
         // scenario as a real process-level disruption.
-        let spec = cluster_spec(n, t, commands_per_client, seed);
+        let spec = cluster_spec(n, t, CLUSTER_COMMANDS_PER_CLIENT, seed);
         let base = run_churn_cluster(&spec, &ChurnPlan::new()).unwrap_or_else(|e| {
             panic!("E13 baseline n={n}: cluster failed: {e}");
         });
@@ -354,13 +358,13 @@ pub fn run(quick: bool) -> Table {
         for scenario in Scenario::ALL {
             let report = cluster_run(scenario, &spec);
             let wall = slowest_wall_ms(&report);
-            let dropped: u64 = report.replicas.iter().map(|r| r.outbound_dropped).sum();
+            let dropped = report.sum_counters("mesh.outbound_dropped.");
             table.push_row([
                 scenario.label().to_string(),
                 "cluster".to_string(),
                 n.to_string(),
                 t.to_string(),
-                total.to_string(),
+                spec.total_commands().to_string(),
                 format!("{base_ms:.1}"),
                 format!("{wall:.1}"),
                 format!("+{:.1}", (wall - base_ms).max(0.0)),

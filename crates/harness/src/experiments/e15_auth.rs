@@ -48,8 +48,8 @@ fn spec(n: usize, t: usize, auth: bool, riders: Vec<Behavior>) -> ClusterSpec {
 fn severing_row(n: usize, t: usize) -> [String; 7] {
     let spec = spec(n, t, true, vec![Behavior::Impersonate]);
     let report = run_clean_case("E15", &spec);
-    let auth_rejects: u64 = report.replicas.iter().map(|r| r.auth_rejects).sum();
-    let cuts: u64 = report.replicas.iter().map(|r| r.decode_disconnects).sum();
+    let auth_rejects = report.sum_counters("mesh.auth_rejects");
+    let cuts = report.sum_counters("mesh.decode_disconnects");
     assert!(
         auth_rejects > 0,
         "E15 n={n}: no replica ever severed a forged stream at the MAC layer"

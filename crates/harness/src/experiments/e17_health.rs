@@ -24,7 +24,7 @@
 //!    * a crash (sim: permanent isolation; cluster: SIGKILL of the silent
 //!      rider, no restart) → **Stall** from the victim's flat floor on the
 //!      simulator, **QueueSaturation** on the cluster as the survivors'
-//!      writer queues to the dead peer pin above the limit;
+//!      send queues to the dead peer pin above the limit;
 //!    * an impersonator rider against an authenticated cluster →
 //!      **AuthRejectRate** as the MAC-reject counter advances between
 //!      samples;
@@ -80,6 +80,10 @@ const TICK: Duration = Duration::from_micros(200);
 
 /// Sampling period of every cluster arm, in wall-clock milliseconds.
 const CLUSTER_PERIOD_MS: u64 = 10;
+
+/// Commands per client in the cluster fault arms, so the log still grows
+/// when the fault lands 8–10 ms in (8 per client drain in a few ms).
+const FAULT_ARM_COMMANDS: usize = 64;
 
 /// Sampling period of every simulator arm, in virtual ticks.
 const SIM_PERIOD: u64 = 25;
@@ -488,7 +492,7 @@ fn cluster_clean(n: usize, t: usize, seed: u64) -> u64 {
 fn cluster_stall(n: usize, t: usize, seed: u64) -> (f64, f64) {
     let victim = n - 1;
     let part_at_ms = 10;
-    let spec = cluster_spec(n, t, 8, seed);
+    let spec = cluster_spec(n, t, FAULT_ARM_COMMANDS, seed);
     let plan = ChurnPlan::new()
         .step(
             Duration::from_millis(part_at_ms),
@@ -525,14 +529,14 @@ fn cluster_stall(n: usize, t: usize, seed: u64) -> (f64, f64) {
 }
 
 /// Cluster crash arm: SIGKILL the silent rider and never restart it. The
-/// survivors' writers to the dead peer fall into reconnect backoff while
+/// survivors' connections to the dead peer fall into reconnect backoff while
 /// the replicated log keeps broadcasting, so their `link.backlog.p<dead>`
 /// gauges pin above the limit → `QueueSaturation`. Returns
 /// `(latency ms, peak backlog)`.
 fn cluster_crash_backlog(n: usize, t: usize, seed: u64) -> (f64, u64) {
     let dead = n - 1;
     let kill_at_ms = 8;
-    let mut spec = cluster_spec(n, t, 8, seed);
+    let mut spec = cluster_spec(n, t, FAULT_ARM_COMMANDS, seed);
     spec.riders = vec![Behavior::Silent];
     let plan = ChurnPlan::new().step(
         Duration::from_millis(kill_at_ms),
@@ -570,7 +574,7 @@ fn cluster_crash_backlog(n: usize, t: usize, seed: u64) -> (f64, u64) {
 /// traffic never fails a MAC, as E15 asserts). Returns
 /// `(detection ms from run start, total rejects)`.
 fn cluster_auth(n: usize, t: usize, seed: u64) -> (f64, u64) {
-    let mut spec = cluster_spec(n, t, 8, seed);
+    let mut spec = cluster_spec(n, t, FAULT_ARM_COMMANDS, seed);
     spec.riders = vec![Behavior::Impersonate];
     spec.auth = true;
     let report = run_churn_cluster(&spec, &ChurnPlan::new())

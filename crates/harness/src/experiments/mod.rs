@@ -166,14 +166,20 @@ pub(crate) fn run_clean_case(tag: &str, spec: &ClusterSpec) -> ClusterReport {
     let report = run_cluster(spec).unwrap_or_else(|e| panic!("{case}: cluster failed: {e}"));
     let violations = report.violations();
     assert!(violations.is_empty(), "{case}: {violations:?}");
-    // Writers coalesce bursts: every replica wrote frames, and never in
-    // more `write_all` calls than frames.
+    // Every replica wrote frames, in no more `write` calls than frames, on
+    // at most two threads: the mesh loop and the control-pipe reader.
     for r in &report.replicas {
         let writes = r.snapshot.counter("mesh.writes").unwrap_or(0);
         let frames = r.snapshot.counter("mesh.frames_written").unwrap_or(0);
         assert!(
             0 < writes && writes <= frames,
             "{case}: replica {} wrote {frames} frames in {writes} writes",
+            r.id
+        );
+        let threads = r.snapshot.gauge("node.threads");
+        assert!(
+            threads.map_or(true, |t| t <= 2),
+            "{case}: replica {} ran {threads:?} threads",
             r.id
         );
     }

@@ -10,22 +10,21 @@
 //! |------|----------|-------------|
 //! | simulator | `sim::simulation` | the virtual-time event queue |
 //! | threaded  | [`crate::threaded`] | the delay-router thread |
-//! | TCP mesh  | `minsync-transport` | per-peer writer queues + a self-queue |
+//! | TCP mesh  | `minsync-transport` | per-peer send queues + a self-queue |
 //! | replayer  | `minsync-conformance` | `(seq, msg)` bookkeeping |
 //!
 //! The two wall-clock substrates additionally share [`WallClockLoop`]: the
 //! `Instant` timer heap ([`WallTimers`]), the one wall-clock → tick
-//! conversion ([`WallClock`]), and the node thread's loop body.
+//! conversion ([`WallClock`]), and the node thread's loop body; each link
+//! waits for inbound traffic its own way ([`WallClockLink::recv`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
-use minsync_telemetry::trace::{queues, TraceKind, TraceRecorder};
+use minsync_telemetry::trace::{TraceKind, TraceRecorder};
 use minsync_types::ProcessId;
 
 use crate::sim::InvocationCause;
@@ -252,16 +251,18 @@ pub trait WallClockLink<M: Clone, O>: Link<M, O> {
     fn pop_self(&mut self) -> Option<(ProcessId, M)> {
         None
     }
+
+    /// Waits at most `timeout` for the next message from another process:
+    /// the loop's one blocking point. `None` when the wait ends without one.
+    fn recv(&mut self, timeout: Duration) -> Option<(ProcessId, M)>;
 }
 
-/// One node's wall-clock event loop: *self-queue → due timers → inbox*,
+/// One node's wall-clock event loop: *self-queue → due timers → inbound*,
 /// every invocation through [`step`].
 pub struct WallClockLoop<M, O> {
     me: ProcessId,
     env: Env<M, O>,
-    /// The trace ring and the inbox's shadow depth (producers increment it
-    /// per traced enqueue, this loop decrements it per dequeue).
-    trace: Option<(Arc<TraceRecorder>, Arc<AtomicU64>)>,
+    trace: Option<Arc<TraceRecorder>>,
 }
 
 impl<M, O> WallClockLoop<M, O>
@@ -271,34 +272,28 @@ where
 {
     /// A loop for process `me` of `n`, its node-visible random stream
     /// seeded from `seed`.
-    pub fn new(
-        me: ProcessId,
-        n: usize,
-        seed: u64,
-        trace: Option<(Arc<TraceRecorder>, Arc<AtomicU64>)>,
-    ) -> Self {
+    pub fn new(me: ProcessId, n: usize, seed: u64, trace: Option<Arc<TraceRecorder>>) -> Self {
         let mut env = Env::new(n, seed);
-        if let Some((ring, _)) = &trace {
+        if let Some(ring) = &trace {
             env.set_trace(Arc::clone(ring));
         }
         WallClockLoop { me, env, trace }
     }
 
-    /// Starts `node` and drives it until it halts, `keep_going` returns
-    /// false, or every inbox sender is gone. `keep_going` runs at the top
-    /// of every turn — including the turn that follows a halt, so a caller
-    /// reporting off it sees the node's final effects.
+    /// Starts `node` and drives it until it halts or `keep_going` returns
+    /// false. `keep_going` runs at the top of every turn — including the
+    /// turn that follows a halt, so a caller reporting off it sees the
+    /// node's final effects.
     pub fn run<L: WallClockLink<M, O>>(
         &mut self,
         node: &mut dyn Node<Msg = M, Output = O>,
         link: &mut L,
-        inbox: &Receiver<(ProcessId, M)>,
         mut record: Option<Recorder<'_, M, O>>,
         mut keep_going: impl FnMut(&L) -> bool,
     ) {
         let mut invoke = |this: &mut Self, link: &mut L, cause: InvocationCause<M>| {
             let hooks = StepHooks {
-                trace: this.trace.as_ref().map(|(ring, _)| ring.as_ref()),
+                trace: this.trace.as_deref(),
                 // (`as_deref_mut` cannot shorten the trait object's lifetime.)
                 record: match &mut record {
                     Some(f) => Some(&mut **f),
@@ -335,31 +330,10 @@ where
             if fired || link.timers().halted() {
                 continue;
             }
-            match inbox.recv_timeout(link.timers().wait()) {
-                Ok((from, msg)) => {
-                    self.note_dequeue(link.timers().clock());
-                    invoke(self, link, InvocationCause::Deliver { from, msg });
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
+            let wait = link.timers().wait();
+            if let Some((from, msg)) = link.recv(wait) {
+                invoke(self, link, InvocationCause::Deliver { from, msg });
             }
-        }
-    }
-
-    /// Traces one inbox dequeue with the post-dequeue depth.
-    fn note_dequeue(&self, clock: WallClock) {
-        if let Some((ring, depth)) = &self.trace {
-            let depth = depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                    Some(d.saturating_sub(1))
-                })
-                .unwrap_or(0)
-                .saturating_sub(1);
-            let kind = TraceKind::Dequeue {
-                queue: queues::INBOX,
-                depth,
-            };
-            ring.record_at(clock.ticks(), self.me.index() as u32, kind);
         }
     }
 }
@@ -370,8 +344,6 @@ mod tests {
     use std::collections::VecDeque;
     use std::rc::Rc;
     use std::sync::Mutex;
-
-    use crossbeam::channel::unbounded;
 
     use super::*;
 
@@ -433,6 +405,12 @@ mod tests {
 
         fn pop_self(&mut self) -> Option<(ProcessId, u32)> {
             self.self_queue.pop_front()
+        }
+
+        /// Nobody else ever sends: the wait runs out.
+        fn recv(&mut self, timeout: Duration) -> Option<(ProcessId, u32)> {
+            std::thread::sleep(timeout);
+            None
         }
     }
 
@@ -561,16 +539,15 @@ mod tests {
         assert!(matches!(kinds.last(), Some(TraceKind::HandlerStep { .. })));
     }
 
-    /// Runs `node` on a [`WallClockLoop`] over a [`FakeLink`] with an
-    /// empty, open inbox; returns the number of `keep_going` calls and
-    /// what the last one saw on the link's log.
+    /// Runs `node` on a [`WallClockLoop`] over a [`FakeLink`]; returns the
+    /// number of `keep_going` calls and what the last one saw on the
+    /// link's log.
     fn run_loop(
         node: &mut dyn Node<Msg = u32, Output = u32>,
         link: &mut FakeLink,
     ) -> (usize, Vec<String>) {
-        let (_inbox_tx, inbox) = unbounded();
         let (mut calls, mut last_seen) = (0, Vec::new());
-        WallClockLoop::new(link.me, 2, 0, None).run(node, link, &inbox, None, |link| {
+        WallClockLoop::new(link.me, 2, 0, None).run(node, link, None, |link| {
             calls += 1;
             last_seen = logged(&link.log);
             true

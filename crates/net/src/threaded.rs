@@ -10,8 +10,9 @@
 //! Each node thread is a [`WallClockLoop`] over a router-handle
 //! [`Link`]: sends and broadcasts go to the router (a broadcast travels as
 //! *one* router command and is fanned out there, with a single send
-//! timestamp), outputs flow to the collector. What lives here is what is
-//! this substrate's own: the delay router and the collector.
+//! timestamp), outputs flow to the collector, and the loop waits on the
+//! node's inbox channel. What lives here is what is this substrate's own:
+//! the delay router, the inboxes and the collector.
 
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use minsync_telemetry::trace::{queues, TraceKind, TraceRecorder};
 use minsync_types::ProcessId;
 use rand::rngs::SplitMix64;
@@ -287,11 +288,13 @@ where
             timers: WallTimers::new(clock),
             router: router_tx.clone(),
             outputs: output_tx.clone(),
+            inbox,
+            trace: trace
+                .clone()
+                .map(|ring| (ring, Arc::clone(&inbox_depths[idx]))),
         };
         let record_tx = record.then(|| record_tx.clone());
-        let trace = trace
-            .clone()
-            .map(|ring| (ring, Arc::clone(&inbox_depths[idx])));
+        let ring = trace.clone();
         let shutdown = Arc::clone(&shutdown);
         let seed = crate::derive_stream(
             config.seed,
@@ -307,10 +310,9 @@ where
                     });
                 }
             });
-            WallClockLoop::new(me, n, seed, trace).run(
+            WallClockLoop::new(me, n, seed, ring).run(
                 node.as_mut(),
                 &mut link,
-                &inbox,
                 record.as_mut().map(|r| r as Recorder<'_, M, O>),
                 |_| !shutdown.load(Ordering::Relaxed),
             );
@@ -355,12 +357,15 @@ where
 }
 
 /// A node thread's [`Link`]: the handle into the delay router and the
-/// collector.
+/// collector, and the node's inbox.
 struct RouterLink<M, O> {
     me: ProcessId,
     timers: WallTimers,
     router: Sender<RouterCmd<M>>,
     outputs: Sender<ThreadedOutput<O>>,
+    inbox: Receiver<(ProcessId, M)>,
+    /// The trace ring and the inbox's shadow depth (router: +1, `recv`: −1).
+    trace: Option<(Arc<TraceRecorder>, Arc<AtomicU64>)>,
 }
 
 impl<M: Clone, O> Link<M, O> for RouterLink<M, O> {
@@ -394,6 +399,26 @@ impl<M: Clone, O> Link<M, O> for RouterLink<M, O> {
 impl<M: Clone, O> WallClockLink<M, O> for RouterLink<M, O> {
     fn timers(&mut self) -> &mut WallTimers {
         &mut self.timers
+    }
+
+    /// The inbox closes only once the router exits, after the shutdown flag
+    /// is up: the loop's next `keep_going` ends the run.
+    fn recv(&mut self, timeout: Duration) -> Option<(ProcessId, M)> {
+        let got = self.inbox.recv_timeout(timeout).ok()?;
+        if let Some((ring, depth)) = &self.trace {
+            let depth = depth
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+                    Some(d.saturating_sub(1))
+                })
+                .unwrap_or(0)
+                .saturating_sub(1);
+            let kind = TraceKind::Dequeue {
+                queue: queues::INBOX,
+                depth,
+            };
+            ring.record_at(self.timers.clock().ticks(), self.me.index() as u32, kind);
+        }
+        Some(got)
     }
 }
 

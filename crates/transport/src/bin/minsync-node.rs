@@ -234,7 +234,7 @@ fn run(args: Args) -> Result<(), String> {
 
     // Stop flag: raised by STOP on stdin, or by stdin closing (the
     // orchestrator died — never outlive it). Link faults: flipped by
-    // PART/HEAL on stdin, consulted by every mesh writer.
+    // PART/HEAL on stdin, consulted by the mesh on every send.
     let stop_flag = Arc::new(AtomicBool::new(false));
     let faults = Arc::new(LinkFaults::new(args.n));
     let peers = match args.peers.clone() {
@@ -559,6 +559,11 @@ fn print_stats(
     registry
         .gauge("node.lat_mean_milli")
         .set((lat.mean * 1000.0).round() as u64);
+    // This process's OS threads: the mesh loop and the stdin watcher for a
+    // correct replica. Left unset where there is no `/proc`.
+    if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
+        registry.gauge("node.threads").set(tasks.count() as u64);
+    }
     print!("{}", registry.snapshot().to_text());
     println!("{}", control::DONE);
     std::io::stdout().flush().ok();

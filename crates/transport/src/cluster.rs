@@ -281,27 +281,12 @@ pub struct ReplicaStats {
     pub lat_p99: u64,
     /// Mean latency, ticks.
     pub lat_mean: f64,
-    /// Outbound messages this replica dropped across all peers (bounded
-    /// writer queues + broken-connection losses).
-    pub outbound_dropped: u64,
-    /// Inbound connections this replica cut for undecodable bytes.
-    pub decode_disconnects: u64,
-    /// Inbound connections this replica refused at the handshake.
-    pub handshake_rejects: u64,
-    /// Inbound connections this replica severed for failed MAC checks
-    /// (forged handshake tags and forged frame tags alike); always zero
-    /// when the cluster runs unauthenticated.
-    pub auth_rejects: u64,
-    /// Future-slot messages the SMR layer dropped at its horizon/buffer
-    /// caps; zero in a clean run.
-    pub future_drops: u64,
-    /// Messages the SMR layer refused for already-retired slots; zero in a
-    /// clean run.
-    pub retired_drops: u64,
-    /// The child's full metrics snapshot, when it reported in the
-    /// `STAT v1` format — every `mesh.*`/`smr.*`/`node.*` metric the
-    /// summary fields above were extracted from, for callers that need
-    /// counters without a dedicated field (keepalives, cert rejects, …).
+    /// The child's full metrics snapshot (`STAT v1`): the `node.*` gauges
+    /// the summary fields above were extracted from, and every transport
+    /// and SMR counter — `mesh.outbound_dropped.p<i>`,
+    /// `mesh.decode_disconnects`, `mesh.handshake_rejects`,
+    /// `mesh.auth_rejects`, `smr.future_drops`, `smr.retired_drops`, … —
+    /// by name.
     pub snapshot: Snapshot,
     /// The reassembled live stat stream, when the run asked for one
     /// ([`ClusterSpec::stats_period`]); empty otherwise. Each point is the
@@ -356,6 +341,14 @@ impl ClusterReport {
             }
         }
         violations
+    }
+
+    /// Every counter whose name starts with `prefix`, summed over the
+    /// correct replicas' snapshots (`mesh.outbound_dropped.` sums the
+    /// per-peer drops too).
+    pub fn sum_counters(&self, prefix: &str) -> u64 {
+        let replicas = self.replicas.iter();
+        replicas.map(|r| r.snapshot.sum_counters(prefix)).sum()
     }
 
     /// Cluster throughput in commands per wall-clock second, measured at
@@ -1149,8 +1142,7 @@ fn recv_line(rx: &Receiver<ChildLine>, wake: Instant) -> Result<Option<ChildLine
 
 /// Parses one correct replica's statistics block: a `minsync-telemetry`
 /// registry snapshot (`STAT v1 … END STAT`). The summary fields come out of
-/// `node.*` gauges, the defense counters out of the `mesh.*`/`smr.*`
-/// metrics, and the whole snapshot rides along in
+/// `node.*` gauges, and the whole snapshot rides along in
 /// [`ReplicaStats::snapshot`].
 fn parse_stats(id: usize, block: &[String]) -> Result<ReplicaStats, ClusterError> {
     let text = block.join("\n");
@@ -1161,7 +1153,6 @@ fn parse_stats(id: usize, block: &[String]) -> Result<ReplicaStats, ClusterError
             what: format!("snapshot missing {name} gauge"),
         })
     };
-    let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
     Ok(ReplicaStats {
         id,
         committed: gauge("node.committed_commands")? as usize,
@@ -1173,12 +1164,6 @@ fn parse_stats(id: usize, block: &[String]) -> Result<ReplicaStats, ClusterError
         lat_p95: gauge("node.lat_p95")?,
         lat_p99: gauge("node.lat_p99")?,
         lat_mean: gauge("node.lat_mean_milli")? as f64 / 1000.0,
-        outbound_dropped: snapshot.sum_counters("mesh.outbound_dropped."),
-        decode_disconnects: counter("mesh.decode_disconnects"),
-        handshake_rejects: counter("mesh.handshake_rejects"),
-        auth_rejects: counter("mesh.auth_rejects"),
-        future_drops: counter("smr.future_drops"),
-        retired_drops: counter("smr.retired_drops"),
         snapshot,
         series: TimeSeries::with_capacity(1),
     })
@@ -1251,12 +1236,6 @@ mod tests {
         assert!((stats.wall.as_secs_f64() - 0.4125).abs() < 1e-9);
         assert_eq!(stats.lat_p99, 40);
         assert!((stats.lat_mean - 12.75).abs() < 1e-9);
-        assert_eq!(stats.outbound_dropped, 3, "summed across peers");
-        assert_eq!(stats.decode_disconnects, 1);
-        assert_eq!(stats.handshake_rejects, 0, "absent counters read zero");
-        assert_eq!(stats.auth_rejects, 2);
-        assert_eq!(stats.future_drops, 5);
-        assert_eq!(stats.retired_drops, 4);
         // The full snapshot rides along for fields without a summary slot.
         assert_eq!(stats.snapshot.counter("mesh.keepalives"), Some(9));
     }
@@ -1281,7 +1260,6 @@ mod tests {
         let block: Vec<String> = snap.to_text().lines().map(str::to_string).collect();
         let stats = parse_stats(2, &block).unwrap();
         assert_eq!((stats.committed, stats.slots, stats.digest), (1, 2, 3));
-        assert_eq!(stats.outbound_dropped, 0, "absent counters read zero");
 
         // A snapshot missing any one summary gauge is a protocol error
         // naming the gauge, not a zero-filled report.
@@ -1369,12 +1347,6 @@ mod tests {
             lat_p95: 2,
             lat_p99: 3,
             lat_mean: 1.5,
-            outbound_dropped: 0,
-            decode_disconnects: 0,
-            handshake_rejects: 0,
-            auth_rejects: 0,
-            future_drops: 0,
-            retired_drops: 0,
             snapshot: Snapshot::empty(),
             series: TimeSeries::with_capacity(1),
         }

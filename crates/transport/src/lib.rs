@@ -6,9 +6,11 @@
 //! runtime. This crate adds the third and most production-shaped one:
 //!
 //! * [`TcpMesh`] ([`mesh`]) — one mesh instance per process, speaking the
-//!   `minsync-wire` byte protocol over `std::net::TcpStream` threads, with
+//!   `minsync-wire` byte protocol over nonblocking `std::net::TcpStream`s
+//!   from one thread (a `poll(2)` loop, the crate's only `unsafe`), with
 //!   bounded outbound queues (slow or Byzantine peers cost drops, never
-//!   stalls), decode-error disconnects (garbage bytes cost the sender its
+//!   stalls), round-robin reads (a flooding peer gets an honest peer's
+//!   share), decode-error disconnects (garbage bytes cost the sender its
 //!   connection, never the receiver its process), reconnect with backoff,
 //!   and wall-clock timers on the shared
 //!   [`TimerTable`](minsync_net::TimerTable) generation scheme.
@@ -22,11 +24,13 @@
 //! SMR + workload pipeline from `minsync-smr` / `minsync-workload`, run on
 //! a mesh; see the README's cluster walkthrough.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;
 pub mod mesh;
+#[allow(unsafe_code)]
+mod poll;
 
 pub use cluster::{
     run_churn_cluster, run_cluster, Behavior, ChurnAction, ChurnPlan, ChurnStep, ClusterError,

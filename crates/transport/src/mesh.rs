@@ -1,45 +1,42 @@
 //! The TCP mesh: a wall-clock substrate running one sans-io [`Node`] per
-//! process over real `std::net` sockets.
+//! process over real `std::net` sockets, on one thread.
 //!
-//! Where the threaded runtime (`minsync_net::threaded`) keeps every process
-//! in one address space and routes messages through an in-memory router,
-//! the mesh puts each process in its own OS process (or at least its own
-//! mesh instance) and speaks the `minsync-wire` byte protocol over
-//! `n · (n − 1)` directed TCP connections — one per ordered process pair,
-//! mirroring the paper's directed-channel model. Each mesh instance:
+//! Where the threaded runtime (`minsync_net::threaded`) routes messages
+//! through an in-memory router, the mesh puts each process in its own OS
+//! process (or at least its own mesh instance) and speaks the
+//! `minsync-wire` byte protocol over `n · (n − 1)` directed TCP connections,
+//! mirroring the paper's directed-channel model. Like the paper's process,
+//! a mesh instance is one sequential automaton: [`TcpMesh::run`] drives the
+//! node with the code every substrate shares ([`WallClockLoop`] over this
+//! module's [`Link`]) and does all socket work on the same thread. Each
+//! turn it
 //!
-//! * **Dials** one outbound connection per peer from a dedicated *writer
-//!   thread*. The node loop hands messages to writers through **bounded
-//!   queues** with `try_send`: when a peer is slow, dead, or Byzantine and
-//!   its queue fills, messages are dropped and counted
-//!   ([`MeshReport::outbound_dropped`]) — a misbehaving peer can never
-//!   stall the replica. Writers reconnect with exponential backoff; while
-//!   one is dialing, its queue buffers up to capacity (delivered late
-//!   after the re-handshake — protocols already tolerate arbitrary delay)
-//!   and overflow beyond capacity is dropped and counted, so the paper's
-//!   "reliable channel" assumption degrades to best-effort exactly at the
-//!   moment the network itself misbehaves.
-//! * **Coalesces** what its queue holds: a writer woken by one message
-//!   drains everything else already queued (up to 16 KiB) into the same
-//!   buffer — each message still its own encoded, MAC'd frame — and hands
-//!   the burst to the kernel with one `write_all`
-//!   ([`MeshCounters::writes`] vs [`MeshCounters::frames_written`]). The
-//!   frames also go, as bytes, into a bounded replay ring that is re-sent
-//!   after a reconnect.
-//! * **Accepts** inbound connections on a listener; each gets a *reader
-//!   thread* that first requires a valid [`Hello`] handshake (magic, codec
-//!   version, cluster size, claimed sender id) and then decodes
-//!   length-prefixed frames incrementally — arbitrary packetization is fine
-//!   ([`minsync_wire::split_frame`] just waits for more bytes). Any decode
-//!   error, oversized frame announcement, or handshake mismatch disconnects
-//!   *that peer's connection* and counts it; the process never dies on
-//!   received bytes.
-//! * **Drives the node** with the code every substrate shares
-//!   ([`minsync_net::driver`]): the node loop is a [`WallClockLoop`], every
-//!   invocation a `driver::step`, and what this module adds is the
-//!   [`Link`] those effects go to — per-peer writer queues, plus an
-//!   in-memory queue for self-addressed traffic (the paper's always-timely
-//!   virtual self-channel).
+//! * **flushes** every connected peer: the node's sends wait, unencoded, in
+//!   a per-peer queue of at most 16 Ki messages (overflow is dropped and
+//!   counted in [`MeshReport::outbound_dropped`], so a slow, dead or
+//!   Byzantine peer never stalls the replica); up to 16 KiB of them become
+//!   frames, each encoded and MAC'd on its own, handed to the kernel with
+//!   one nonblocking `write` (`mesh.writes` vs
+//!   [`MeshCounters::frames_written`]). A partial write keeps its tail for
+//!   the next turn; a tail stuck for 500 ms (a peer that accepts but never
+//!   reads) costs the connection. Frames also enter a bounded replay ring,
+//!   re-sent after a reconnect;
+//! * **waits** in `poll(2)` on the listener, the inbound sockets, and the
+//!   outbound sockets with bytes to send, until one is ready or the next
+//!   timer, keepalive or dial is due;
+//! * **reads** each ready inbound connection once. A connection owes a
+//!   valid [`Hello`] (magic, codec version, cluster size, claimed sender)
+//!   within 5 s, then yields length-prefixed frames under any
+//!   packetization. Each connection hands the node at most 64 frames per
+//!   turn, round-robin, and is read again only once they are used up, so a
+//!   flooding peer gets an honest peer's share and its own TCP window
+//!   pushes back on it alone. A decode error, oversized frame announcement
+//!   or handshake mismatch cuts *that connection* and counts it; the
+//!   process never dies on received bytes.
+//!
+//! Nothing in the loop waits on a peer except a dial, attempted only once
+//! the peer's reconnect backoff has elapsed and bounded by 250 ms; on
+//! loopback a refused dial returns at once.
 //!
 //! Identity is *claimed* by default — see [`Hello`] — but a mesh configured
 //! with an [`Authenticator`] ([`MeshConfig::auth`]) **proves** it: the
@@ -55,12 +52,11 @@ use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use minsync_auth::Authenticator;
 use minsync_net::driver::{Link, WallClock, WallClockLink, WallClockLoop, WallTimers};
 use minsync_net::{derive_stream, stream_of, Node, TimerId};
@@ -73,9 +69,53 @@ use minsync_wire::{
     HELLO_LEN, KEEPALIVE_FRAME, MAGIC, PING_TAG, PONG_TAG,
 };
 
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
+
 /// Stream-namespace tag of the TCP mesh (`"MESH"`), keeping its derived
 /// seeds disjoint from every other consumer of the same base seed.
 const MESH_STREAM_TAG: u32 = 0x4D45_5348;
+
+/// Messages queued toward one peer; further sends are dropped and counted.
+const OUTBOUND_CAPACITY: usize = 16 * 1024;
+
+/// Hard cap on one frame's body, both directions.
+const MAX_FRAME: usize = DEFAULT_MAX_FRAME;
+
+/// First reconnect delay after a failed dial; doubles per failure.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Ceiling of the reconnect backoff.
+const MAX_BACKOFF: Duration = Duration::from_millis(200);
+
+/// Per-attempt TCP connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Cap on simultaneously live inbound connections: a Byzantine peer
+/// opening sockets in a loop exhausts this, not the process's descriptors.
+const MAX_CONNECTIONS: usize = 64;
+
+/// An inbound connection that has not completed its [`Hello`] by then is
+/// cut, so half-open or silent sockets cannot pin connection slots.
+const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
+
+/// An outbound connection whose unsent bytes make no progress for this
+/// long is cut and redialed: a peer that accepts but never reads.
+const WRITE_STALL: Duration = Duration::from_millis(500);
+
+/// Events one inbound connection may hand the node per turn before the
+/// next connection's turn.
+const FRAMES_PER_TURN: usize = 64;
+
+/// Bytes one read takes off an inbound socket.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Byte budget of a peer's [`ReplayRing`].
+const REPLAY_BYTES: usize = 1 << 20;
+
+/// A flush stops encoding queued messages once this many bytes wait to be
+/// written: a burst of small frames costs one syscall, and a 4 KiB payload
+/// never waits behind more than this.
+const COALESCE_BYTES: usize = 16 * 1024;
 
 /// Tuning knobs of one mesh instance.
 #[derive(Clone, Debug)]
@@ -92,35 +132,18 @@ pub struct MeshConfig {
     /// from the simulator's and workload generator's streams of the same
     /// base seed.
     pub seed: u64,
-    /// Capacity of each per-peer outbound queue; overflow is dropped and
-    /// counted, never blocked on.
-    pub outbound_capacity: usize,
-    /// Capacity of the inbound queue readers feed. A full inbox blocks the
-    /// reader thread (TCP backpressure toward the sender), not the node.
-    pub inbox_capacity: usize,
-    /// Hard cap on one frame's payload (encode and decode side).
-    pub max_frame: usize,
-    /// First reconnect delay after a failed dial; doubles per failure.
-    pub initial_backoff: Duration,
-    /// Ceiling of the reconnect backoff.
-    pub max_backoff: Duration,
-    /// Per-attempt TCP connect timeout.
-    pub connect_timeout: Duration,
-    /// Idle interval after which a writer probes its connection with a
-    /// keepalive frame (and notices a dead peer). Churn tests tighten this;
-    /// the default matches the historical hard-coded 50 ms.
+    /// Period of the RTT probe on every outbound connection; a connection
+    /// that carried no protocol frame for a period also gets a keepalive
+    /// frame, so a dead peer is noticed. Churn tests tighten this.
     pub keepalive: Duration,
-    /// Cap on simultaneously live inbound connections (a Byzantine peer
-    /// opening sockets in a loop exhausts this, not the process's threads).
-    pub max_connections: usize,
-    /// Message authentication. `None` (the default) runs the mesh open, as
-    /// before: sender ids are trusted as claimed. `Some` requires a valid
+    /// Message authentication. `None` (the default) runs the mesh open:
+    /// sender ids are trusted as claimed. `Some` requires a valid
     /// key-confirmation tag on every inbound handshake and a valid MAC on
     /// every inbound frame — checked **before** the payload reaches the
-    /// decoder — and tags all outbound traffic. Note the frame cap
-    /// ([`MeshConfig::max_frame`]) keeps applying to the message *body*:
-    /// readers admit [`tagged_frame_cap`]`(max_frame)` bytes so the MAC
-    /// rides for free instead of stealing payload capacity.
+    /// decoder — and tags all outbound traffic. The frame cap
+    /// ([`DEFAULT_MAX_FRAME`]) keeps applying to the message *body*: readers
+    /// admit [`tagged_frame_cap`] bytes, so the MAC rides for free instead
+    /// of stealing payload capacity.
     pub auth: Option<Arc<dyn Authenticator>>,
     /// Per-peer outbound drop switches for fault injection. `None` (the
     /// default) sends everywhere; `Some` lets an orchestrator partition and
@@ -128,8 +151,8 @@ pub struct MeshConfig {
     /// are counted per peer in [`MeshReport::outbound_dropped`].
     pub faults: Option<Arc<LinkFaults>>,
     /// Telemetry registry the mesh interns its transport counters in
-    /// (`mesh.*` — see [`MeshCounters`]). `None` keeps them as detached
-    /// handles: the report and stop-predicate accessors work either way.
+    /// (`mesh.*` — see [`MeshCounters`]). With `None` the report and
+    /// stop-predicate accessors work all the same.
     pub registry: Option<Arc<Registry>>,
     /// Structured-trace hook. When set, the mesh stamps effect, queue
     /// enqueue/dequeue, timer, handler-step, and frame codec-timing events
@@ -144,14 +167,7 @@ impl Default for MeshConfig {
             tick: Duration::from_micros(200),
             timeout: Duration::from_secs(30),
             seed: 0,
-            outbound_capacity: 16 * 1024,
-            inbox_capacity: 64 * 1024,
-            max_frame: DEFAULT_MAX_FRAME,
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(200),
-            connect_timeout: Duration::from_millis(250),
             keepalive: Duration::from_millis(50),
-            max_connections: 64,
             auth: None,
             faults: None,
             registry: None,
@@ -162,12 +178,13 @@ impl Default for MeshConfig {
 
 /// Per-peer outbound drop switches — the cluster-side analog of the
 /// simulator's churn oracle. The orchestrator (or a `PART`/`HEAL` control
-/// verb in `minsync-node`) flips flags while the mesh runs; a blocked peer's
-/// traffic is counted into `outbound_dropped` and never reaches the socket,
-/// so a symmetric pair of `LinkFaults` on both sides of a cut is a real
-/// bidirectional partition. Healing is just clearing the flags: the writer
-/// threads and their reconnect/backoff machinery never notice the fault,
-/// which is exactly the "network came back" shape churn recovery must absorb.
+/// verb, flipped from `minsync-node`'s stdin thread) sets flags while the
+/// mesh runs; a blocked peer's traffic is counted into `outbound_dropped`
+/// and never reaches its queue, so a symmetric pair of `LinkFaults` on both
+/// sides of a cut is a real bidirectional partition. Healing is just
+/// clearing the flags: the connections and their reconnect/backoff
+/// machinery never notice the fault, which is exactly the "network came
+/// back" shape churn recovery must absorb.
 #[derive(Debug)]
 pub struct LinkFaults {
     blocked: Vec<AtomicBool>,
@@ -225,49 +242,40 @@ pub struct MeshReport<O> {
     /// True if the run hit [`MeshConfig::timeout`] before the stop
     /// predicate was satisfied.
     pub timed_out: bool,
-    /// Per-peer outbound messages dropped (full queue, or lost to a broken
-    /// connection mid-write). Index = peer id; the self slot stays 0.
+    /// Per-peer outbound messages dropped (full queue, blocked link, or an
+    /// unsendable oversized message). Index = peer id; the self slot stays 0.
     pub outbound_dropped: Vec<u64>,
     /// Inbound connections dropped because their bytes failed to decode
     /// (garbage frames, oversized frame announcements, trailing bytes).
     pub decode_disconnects: u64,
-    /// Inbound connections rejected at the handshake (bad magic, version
-    /// or cluster-size mismatch, out-of-range or self-claiming sender id).
+    /// Inbound connections rejected at the handshake (bad magic, version or
+    /// cluster size, bad or self-claiming sender id, or 5 s without one).
     pub handshake_rejects: u64,
-    /// Inbound connections refused before the handshake because the
-    /// [`MeshConfig::max_connections`] cap was reached.
-    pub accept_rejects: u64,
-    /// Successful writer re-connections after the first connect per peer.
+    /// Successful re-connections after the first connect per peer.
     pub reconnects: u64,
     /// Inbound connections cut for failed authentication (a handshake tag
     /// or frame MAC that did not verify) — always 0 on an open mesh.
     pub auth_rejects: u64,
-    /// Idle keepalive probes written by the writer threads.
-    pub keepalives: u64,
-    /// Failed dial attempts that triggered a reconnect-backoff sleep.
-    pub dial_backoffs: u64,
-    /// RTT probes written by the writer threads.
+    /// RTT probes written.
     pub pings: u64,
     /// Final per-peer RTT EWMA in ticks (see [`MeshCounters::rtt_ewma`]);
     /// index = peer id, 0 at the self slot and for peers never measured.
     pub rtt_ewma: Vec<u64>,
 }
 
-/// Live transport counters, shared across the mesh's threads and handed to
-/// the stop predicate on every evaluation — a replica can report transport
-/// health (drops, Byzantine disconnects) *while the mesh is still running*,
-/// which is how `minsync-node` fills its statistics block before lingering
-/// for laggards.
+/// Live transport counters, handed to the stop predicate on every
+/// evaluation — a replica can report transport health (drops, Byzantine
+/// disconnects) *while the mesh is still running*, which is how
+/// `minsync-node` fills its statistics block before lingering for
+/// laggards.
 ///
-/// The counters are telemetry handles: when [`MeshConfig::registry`] is
-/// set they are interned there under `mesh.*` names (per-peer drops as
-/// `mesh.outbound_dropped.p<i>`, the connection count as the gauge
-/// `mesh.live_connections`), so a registry snapshot carries transport
-/// health with no extra plumbing. Without a registry they are detached
-/// handles — same behaviour, just unnamed.
+/// The counters are telemetry handles interned in [`MeshConfig::registry`]
+/// (or a private registry) under `mesh.*` names — per-peer drops as
+/// `mesh.outbound_dropped.p<i>`, `mesh.writes` as the socket writes that
+/// carried frames (`frames_written ÷ writes` is the mean burst) — so a
+/// registry snapshot carries transport health with no extra plumbing.
 #[derive(Debug)]
 pub struct MeshCounters {
-    shutdown: AtomicBool,
     decode_disconnects: Counter,
     handshake_rejects: Counter,
     accept_rejects: Counter,
@@ -281,29 +289,23 @@ pub struct MeshCounters {
     frames_written: Counter,
     outbound_dropped: Vec<Counter>,
     /// Per-peer RTT EWMA gauges (`link.rtt_ewma.p<i>`, in ticks): each
-    /// writer pings its peer on the keepalive cadence, the peer's reader
-    /// echoes a pong through its own writer queue, and this side's reader
-    /// folds the measured round trip as `ewma ← (7·ewma + rtt) / 8` —
-    /// so the estimate covers the wire *and* the peer's outbound backlog,
-    /// which is exactly the responsiveness a repair policy cares about.
+    /// outbound connection pings its peer on the keepalive cadence, the
+    /// peer echoes a pong over its own connection back, and this side folds
+    /// the measured round trip as `ewma ← (7·ewma + rtt) / 8` — so the
+    /// estimate covers the wire *and* the peer's turn, which is exactly the
+    /// responsiveness a repair policy cares about.
     rtt_ewma: Vec<Gauge>,
-    /// Per-peer outbound queue depth gauges (`link.backlog.p<i>`).
+    /// Per-peer send-queue lengths (`link.backlog.p<i>`).
     backlog: Vec<Gauge>,
-    /// Per-sender handshake epochs: only the *newest* connection claiming a
-    /// sender id stays alive (see `reader_loop`), so an attacker holding
-    /// sockets open cannot pin connection slots — and a correct peer's
-    /// reconnect always supersedes its own stale connection.
-    sender_epochs: Vec<AtomicU64>,
 }
 
 impl MeshCounters {
     fn new(n: usize, registry: Option<&Registry>) -> Self {
-        let counter = |name: &str| match registry {
-            Some(r) => r.counter(name),
-            None => Counter::detached(),
-        };
+        let private = Registry::new();
+        let registry = registry.unwrap_or(&private);
+        let counter = |name: &str| registry.counter(name);
+        let gauge = |name: &str| registry.gauge(name);
         MeshCounters {
-            shutdown: AtomicBool::new(false),
             decode_disconnects: counter("mesh.decode_disconnects"),
             handshake_rejects: counter("mesh.handshake_rejects"),
             accept_rejects: counter("mesh.accept_rejects"),
@@ -311,10 +313,7 @@ impl MeshCounters {
             auth_rejects: counter("mesh.auth_rejects"),
             keepalives: counter("mesh.keepalives"),
             dial_backoffs: counter("mesh.dial_backoffs"),
-            live_connections: match registry {
-                Some(r) => r.gauge("mesh.live_connections"),
-                None => Gauge::detached(),
-            },
+            live_connections: gauge("mesh.live_connections"),
             pings: counter("mesh.pings"),
             writes: counter("mesh.writes"),
             frames_written: counter("mesh.frames_written"),
@@ -322,23 +321,12 @@ impl MeshCounters {
                 .map(|p| counter(&format!("mesh.outbound_dropped.p{p}")))
                 .collect(),
             rtt_ewma: (0..n)
-                .map(|p| match registry {
-                    Some(r) => r.gauge(&format!("link.rtt_ewma.p{p}")),
-                    None => Gauge::detached(),
-                })
+                .map(|p| gauge(&format!("link.rtt_ewma.p{p}")))
                 .collect(),
             backlog: (0..n)
-                .map(|p| match registry {
-                    Some(r) => r.gauge(&format!("link.backlog.p{p}")),
-                    None => Gauge::detached(),
-                })
+                .map(|p| gauge(&format!("link.backlog.p{p}")))
                 .collect(),
-            sender_epochs: (0..n).map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    fn shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
     }
 
     /// Outbound messages dropped toward `peer` so far.
@@ -356,12 +344,7 @@ impl MeshCounters {
         self.handshake_rejects.get()
     }
 
-    /// Inbound connections refused at the connection cap so far.
-    pub fn accept_rejects(&self) -> u64 {
-        self.accept_rejects.get()
-    }
-
-    /// Successful writer re-connections so far.
+    /// Successful re-connections so far.
     pub fn reconnects(&self) -> u64 {
         self.reconnects.get()
     }
@@ -371,29 +354,7 @@ impl MeshCounters {
         self.auth_rejects.get()
     }
 
-    /// Idle keepalive probes written so far.
-    pub fn keepalives(&self) -> u64 {
-        self.keepalives.get()
-    }
-
-    /// Failed dial attempts (each followed by a backoff sleep) so far.
-    pub fn dial_backoffs(&self) -> u64 {
-        self.dial_backoffs.get()
-    }
-
-    /// RTT probes written so far (idle cadence plus under-load refreshes).
-    pub fn pings(&self) -> u64 {
-        self.pings.get()
-    }
-
-    /// `write_all` calls that carried protocol frames so far: writers
-    /// coalesce each queued burst into one, so `frames_written ÷ writes`
-    /// is the mean burst.
-    pub fn writes(&self) -> u64 {
-        self.writes.get()
-    }
-
-    /// Protocol frames written to sockets so far (replays excluded).
+    /// Protocol frames the kernel accepted so far (replays excluded).
     pub fn frames_written(&self) -> u64 {
         self.frames_written.get()
     }
@@ -413,21 +374,14 @@ impl MeshCounters {
         };
         self.rtt_ewma[peer].set(next.max(1));
     }
-}
 
-/// Wall-clock → tick trace context shared with the mesh's I/O threads, so
-/// reader and writer threads can stamp queue and codec events on the same
-/// clock as the node loop.
-#[derive(Debug)]
-struct TraceCtx {
-    trace: Arc<TraceRecorder>,
-    clock: WallClock,
-    me: u32,
-}
-
-impl TraceCtx {
-    fn record(&self, kind: TraceKind) {
-        self.trace.record_at(self.clock.ticks(), self.me, kind);
+    /// Counts an inbound connection cut for `why`.
+    fn cut(&self, why: Cut) {
+        match why {
+            Cut::Handshake => self.handshake_rejects.inc(),
+            Cut::Auth => self.auth_rejects.inc(),
+            Cut::Decode => self.decode_disconnects.inc(),
+        }
     }
 }
 
@@ -465,8 +419,8 @@ impl TcpMesh {
     /// Runs `node` against the peers at `peers` (index = process id;
     /// `peers[me]` is this process's own address and is never dialed) until
     /// `stop` returns true over the collected outputs and live transport
-    /// counters, the node halts, or the timeout elapses. The node loop runs
-    /// on the calling thread.
+    /// counters, the node halts, or the timeout elapses. Everything — the
+    /// node and every socket — runs on the calling thread.
     ///
     /// # Panics
     ///
@@ -486,137 +440,72 @@ impl TcpMesh {
         let me = self.me;
         assert!(n >= 2, "a mesh of one process has no wires");
         assert!(me.index() < n, "process id out of range");
+        self.listener
+            .set_nonblocking(true)
+            .expect("listener nonblocking mode");
         let clock = WallClock::new(Instant::now(), config.tick);
-        let shared = Arc::new(MeshCounters::new(n, config.registry.as_deref()));
-        let trace_ctx = config.trace.as_ref().map(|trace| {
-            Arc::new(TraceCtx {
-                trace: Arc::clone(trace),
-                clock,
-                me: me.index() as u32,
-            })
-        });
-        // Queue depths live beside the channels (the vendored channel has no
-        // len()); they exist only to label trace events and are untouched —
-        // like every hook here — when tracing is off.
-        let inbox_depth = Arc::new(AtomicU64::new(0));
-
-        // Outbound plumbing first (readers route pong echoes through the
-        // writer queues, so the channels must exist before the acceptor):
-        // one writer thread + bounded queue per peer.
-        let mut peer_txs: Vec<Option<Sender<WriterCmd<M>>>> = Vec::with_capacity(n);
-        let mut writers: Vec<JoinHandle<()>> = Vec::new();
-        let outbound_depths: Vec<Arc<AtomicU64>> =
-            (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        for (peer, &addr) in peers.iter().enumerate() {
-            if peer == me.index() {
-                peer_txs.push(None);
-                continue;
-            }
-            let (tx, rx) = bounded::<WriterCmd<M>>(config.outbound_capacity);
-            peer_txs.push(Some(tx));
-            writers.push(spawn_writer::<M>(
-                WriterSpec {
-                    me,
-                    n: n as u32,
-                    peer,
-                    addr,
-                    max_frame: config.max_frame,
-                    initial_backoff: config.initial_backoff,
-                    max_backoff: config.max_backoff,
-                    connect_timeout: config.connect_timeout,
-                    keepalive: config.keepalive,
-                    auth: config.auth.clone(),
-                    trace: trace_ctx.clone(),
-                    depth: Arc::clone(&outbound_depths[peer]),
-                    clock,
-                },
-                rx,
-                Arc::clone(&shared),
-            ));
-        }
-
-        // Inbound plumbing: readers feed one bounded inbox.
-        let (inbox_tx, inbox_rx) = bounded::<(ProcessId, M)>(config.inbox_capacity);
-        let acceptor = spawn_acceptor::<M>(
-            self.listener,
-            inbox_tx,
-            Arc::clone(&shared),
-            config.max_connections,
-            ReaderConfig {
-                me,
-                n,
-                max_frame: config.max_frame,
-                auth: config.auth.clone(),
-                trace: trace_ctx.clone(),
-                inbox_depth: Arc::clone(&inbox_depth),
-                pong_txs: peer_txs.clone(),
-                clock,
-            },
-        );
-
-        // The node loop, on this thread.
+        let ctx = MeshCtx::new(me, n, config, clock);
+        let now = Instant::now();
         let mut link = MeshLink {
-            me,
-            peer_txs,
-            counters: &shared,
+            listener: self.listener,
+            peers: peers
+                .iter()
+                .enumerate()
+                .map(|(p, &addr)| {
+                    (p != me.index()).then(|| Peer::new(addr, ProcessId::new(p), &ctx, now))
+                })
+                .collect(),
+            inbound: Vec::new(),
+            ready: VecDeque::new(),
+            ctx,
             self_queue: VecDeque::new(),
             timers: WallTimers::new(clock),
             outputs: Vec::new(),
             faults: config.faults.clone(),
-            trace: trace_ctx,
-            outbound_depths,
+            chunk: vec![0; READ_CHUNK],
         };
         let seed = derive_stream(
             config.seed,
             stream_of(MESH_STREAM_TAG, me.index() as u32 + 1),
         );
-        let trace = config.trace.clone().map(|ring| (ring, inbox_depth));
         let mut timed_out = false;
-        WallClockLoop::new(me, n, seed, trace).run(
+        WallClockLoop::new(me, n, seed, config.trace.clone()).run(
             node.as_mut(),
             &mut link,
-            &inbox_rx,
             None,
             // The loop asks even on the halting turn: callers report off
             // the stop predicate (minsync-node prints its statistics block
             // there), and a node emitting its final Output and Halt in one
             // effect batch must not lose that last callback.
             |link| {
-                if stop(&link.outputs, &shared) || link.timers.halted() {
+                if stop(&link.outputs, &link.ctx.counters) || link.timers.halted() {
                     return false;
                 }
                 timed_out = clock.elapsed() >= config.timeout;
                 !timed_out
             },
         );
-
-        // Teardown: flag everyone down, unblock readers stuck on a full
-        // inbox by dropping the receiver, then join.
-        shared.shutdown.store(true, Ordering::Relaxed);
-        drop(inbox_rx);
-        let MeshLink {
-            outputs, peer_txs, ..
-        } = link;
-        drop(peer_txs);
-        for w in writers {
-            let _ = w.join();
+        // The node's last sends still reach the kernel (no dial, though:
+        // teardown never waits on a peer).
+        let now = Instant::now();
+        for peer in link.peers.iter_mut().flatten() {
+            if peer.stream.is_some() {
+                peer.flush(now, &link.ctx);
+            }
         }
-        let _ = acceptor.join();
 
+        let c = &link.ctx.counters;
         MeshReport {
-            outputs,
             elapsed: clock.elapsed(),
             timed_out,
-            outbound_dropped: (0..n).map(|p| shared.outbound_dropped(p)).collect(),
-            decode_disconnects: shared.decode_disconnects(),
-            handshake_rejects: shared.handshake_rejects(),
-            accept_rejects: shared.accept_rejects(),
-            reconnects: shared.reconnects(),
-            auth_rejects: shared.auth_rejects(),
-            keepalives: shared.keepalives(),
-            dial_backoffs: shared.dial_backoffs(),
-            pings: shared.pings(),
-            rtt_ewma: (0..n).map(|p| shared.rtt_ewma(p)).collect(),
+            outbound_dropped: (0..n).map(|p| c.outbound_dropped(p)).collect(),
+            decode_disconnects: c.decode_disconnects(),
+            handshake_rejects: c.handshake_rejects(),
+            reconnects: c.reconnects(),
+            auth_rejects: c.auth_rejects(),
+            pings: c.pings.get(),
+            rtt_ewma: (0..n).map(|p| c.rtt_ewma(p)).collect(),
+            outputs: link.outputs,
         }
     }
 }
@@ -625,53 +514,100 @@ impl TcpMesh {
 // The node's link
 // ---------------------------------------------------------------------------
 
-/// The node loop's [`Link`]: the writer queues and the self-delivery queue.
-struct MeshLink<'a, M, O> {
+/// What every connection consults and no connection changes: the cluster's
+/// rules, the clock, the counters and the trace hook.
+struct MeshCtx {
     me: ProcessId,
-    /// Outbound queue per peer (`None` at the self slot).
-    peer_txs: Vec<Option<Sender<WriterCmd<M>>>>,
-    counters: &'a MeshCounters,
+    n: usize,
+    auth: Option<Arc<dyn Authenticator>>,
+    /// Largest frame a reader admits: with auth on, a max-size body plus
+    /// its MAC tag.
+    read_cap: usize,
+    keepalive: Duration,
+    /// RTT probe stamps are its elapsed nanoseconds; trace stamps its ticks.
+    clock: WallClock,
+    counters: MeshCounters,
+    trace: Option<Arc<TraceRecorder>>,
+}
+
+impl MeshCtx {
+    fn new(me: ProcessId, n: usize, config: &MeshConfig, clock: WallClock) -> Self {
+        MeshCtx {
+            me,
+            n,
+            auth: config.auth.clone(),
+            read_cap: match config.auth {
+                Some(_) => tagged_frame_cap(MAX_FRAME),
+                None => MAX_FRAME,
+            },
+            keepalive: config.keepalive,
+            clock,
+            counters: MeshCounters::new(n, config.registry.as_deref()),
+            trace: config.trace.clone(),
+        }
+    }
+
+    /// An RTT probe's stamp: nanoseconds on the mesh clock.
+    fn stamp(&self) -> u64 {
+        self.clock.elapsed().as_nanos() as u64
+    }
+
+    /// Stamps `kind` into the trace ring, if there is one.
+    fn record(&self, kind: TraceKind) {
+        if let Some(trace) = &self.trace {
+            trace.record_at(self.clock.ticks(), self.me.index() as u32, kind);
+        }
+    }
+}
+
+/// The node loop's [`Link`], and everything the mesh's one thread owns: the
+/// listener, both sides of every connection, the self-channel and the
+/// timers.
+struct MeshLink<M, O> {
+    listener: TcpListener,
+    /// Outbound side per peer (`None` at the self slot).
+    peers: Vec<Option<Peer<M>>>,
+    /// Inbound connections, in accept order (the round-robin order).
+    inbound: Vec<InConn>,
+    /// The messages this turn decoded, in round-robin order, not yet handed
+    /// to the node (the trace's inbox).
+    ready: VecDeque<(ProcessId, M)>,
+    ctx: MeshCtx,
     /// The paper's virtual self-channel: always timely, in-memory.
     self_queue: VecDeque<(ProcessId, M)>,
     timers: WallTimers,
     outputs: Vec<MeshOutput<O>>,
     faults: Option<Arc<LinkFaults>>,
-    trace: Option<Arc<TraceCtx>>,
-    /// Shadow depths of the per-peer writer queues (trace labels only).
-    outbound_depths: Vec<Arc<AtomicU64>>,
+    /// Read buffer shared by every inbound connection.
+    chunk: Vec<u8>,
 }
 
-impl<M: Clone, O> Link<M, O> for MeshLink<'_, M, O> {
+impl<M: Clone + Wire, O> Link<M, O> for MeshLink<M, O> {
     /// Queues `msg` toward `to` without ever blocking: self-delivery goes
-    /// through the local queue, remote delivery through the peer's bounded
-    /// writer queue (overflow dropped and counted).
+    /// through the local queue, remote delivery into the peer's bounded
+    /// send queue (overflow dropped and counted).
     fn send(&mut self, to: ProcessId, msg: M) {
         let to = to.index();
-        match &self.peer_txs[to] {
-            None => self.self_queue.push_back((self.me, msg)),
-            Some(tx) => {
-                // Injected link faults sit in front of the queue: a blocked
-                // peer's traffic is counted as dropped and never queued, so a
-                // heal does not release a backlog of stale partition-era
-                // frames. The self-channel (above) is never faultable.
-                if self.faults.as_ref().is_some_and(|f| f.is_blocked(to)) {
-                    self.counters.outbound_dropped[to].inc();
-                    return;
-                }
-                if tx.try_send(WriterCmd::Msg(msg)).is_err() {
-                    self.counters.outbound_dropped[to].inc();
-                } else {
-                    let depth = self.outbound_depths[to].fetch_add(1, Ordering::Relaxed) + 1;
-                    self.counters.backlog[to].set(depth);
-                    if let Some(ctx) = &self.trace {
-                        ctx.record(TraceKind::Enqueue {
-                            queue: queues::OUTBOUND_BASE + to as u32,
-                            depth,
-                        });
-                    }
-                }
-            }
+        let Some(peer) = &mut self.peers[to] else {
+            self.self_queue.push_back((self.ctx.me, msg));
+            return;
+        };
+        // Injected link faults sit in front of the queue: a blocked peer's
+        // traffic is counted as dropped and never queued, so a heal does
+        // not release a backlog of stale partition-era frames. The
+        // self-channel (above) is never faultable.
+        let blocked = self.faults.as_ref().is_some_and(|f| f.is_blocked(to));
+        if blocked || peer.queue.len() >= OUTBOUND_CAPACITY {
+            self.ctx.counters.outbound_dropped[to].inc();
+            return;
         }
+        peer.queue.push_back(msg);
+        let depth = peer.queue.len() as u64;
+        self.ctx.counters.backlog[to].set(depth);
+        self.ctx.record(TraceKind::Enqueue {
+            queue: queues::OUTBOUND_BASE + to as u32,
+            depth,
+        });
     }
 
     fn set_timer(&mut self, id: TimerId, delay: u64) {
@@ -690,7 +626,7 @@ impl<M: Clone, O> Link<M, O> for MeshLink<'_, M, O> {
     }
 }
 
-impl<M: Clone, O> WallClockLink<M, O> for MeshLink<'_, M, O> {
+impl<M: Clone + Wire, O> WallClockLink<M, O> for MeshLink<M, O> {
     fn timers(&mut self) -> &mut WallTimers {
         &mut self.timers
     }
@@ -698,55 +634,404 @@ impl<M: Clone, O> WallClockLink<M, O> for MeshLink<'_, M, O> {
     fn pop_self(&mut self) -> Option<(ProcessId, M)> {
         self.self_queue.pop_front()
     }
+
+    /// The next message this turn decoded; once they are all handed over,
+    /// a new turn of socket I/O first.
+    fn recv(&mut self, timeout: Duration) -> Option<(ProcessId, M)> {
+        if self.ready.is_empty() {
+            self.turn(timeout);
+        }
+        let got = self.ready.pop_front()?;
+        self.ctx.record(TraceKind::Dequeue {
+            queue: queues::INBOX,
+            depth: self.ready.len() as u64,
+        });
+        Some(got)
+    }
+}
+
+impl<M: Clone + Wire, O> MeshLink<M, O> {
+    /// One turn of socket I/O: flush every peer, wait in `poll(2)`, read
+    /// each ready connection once, accept, then let every connection hand
+    /// over up to [`FRAMES_PER_TURN`] events, round-robin.
+    fn turn(&mut self, timeout: Duration) {
+        let now = Instant::now();
+        let rejects = &self.ctx.counters.handshake_rejects;
+        self.inbound.retain(|c| {
+            let expired = c.bytes.sender.is_none() && now - c.opened >= HANDSHAKE_DEADLINE;
+            if expired && !c.closed {
+                rejects.inc();
+            }
+            !c.closed && !expired
+        });
+        for peer in self.peers.iter_mut().flatten() {
+            peer.flush(now, &self.ctx);
+        }
+
+        // Frames left over from the last turn mean work now; otherwise sleep
+        // until a socket is ready or the next timer, probe or dial is due.
+        let mut wait = timeout;
+        if self.inbound.iter().any(|c| !c.starved) {
+            wait = Duration::ZERO;
+        }
+        let mut fds = Vec::with_capacity(1 + self.inbound.len() + self.peers.len());
+        fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+        // One entry per inbound connection (index-aligned with `inbound`);
+        // only a starved one asks to be read.
+        for c in &self.inbound {
+            let events = if c.starved { POLLIN } else { 0 };
+            fds.push(PollFd::new(c.stream.as_raw_fd(), events));
+        }
+        for peer in self.peers.iter().flatten() {
+            let Some(stream) = &peer.stream else {
+                wait = wait.min(peer.out.next_dial.saturating_duration_since(now));
+                continue;
+            };
+            let probe = peer.out.last_ping + self.ctx.keepalive;
+            wait = wait.min(probe.saturating_duration_since(now));
+            if !peer.out.unsent.is_empty() || !peer.queue.is_empty() {
+                fds.push(PollFd::new(stream.as_raw_fd(), POLLOUT));
+            }
+        }
+        poll::wait(&mut fds, wait).expect("poll(2) over the mesh's own sockets");
+
+        for (c, fd) in self.inbound.iter_mut().zip(&fds[1..]) {
+            if !c.starved || !fd.ready() {
+                continue;
+            }
+            match c.stream.read(&mut self.chunk) {
+                Ok(0) => c.closed = true,
+                Ok(k) => {
+                    c.bytes.feed(&self.chunk[..k]);
+                    c.starved = false;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(_) => c.closed = true,
+            }
+        }
+        if fds[0].ready() {
+            self.accept(Instant::now());
+        }
+        self.ctx
+            .counters
+            .live_connections
+            .set(self.inbound.len() as u64);
+        for i in 0..self.inbound.len() {
+            self.drain(i);
+        }
+    }
+
+    /// Takes every pending connection off the listener.
+    fn accept(&mut self, now: Instant) {
+        while let Ok((stream, _)) = self.listener.accept() {
+            if self.inbound.len() >= MAX_CONNECTIONS {
+                // Socket-exhaustion defense: refuse — and count it, so a
+                // lockout is visible.
+                self.ctx.counters.accept_rejects.inc();
+                continue;
+            }
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            self.inbound.push(InConn {
+                stream,
+                bytes: Inbound::default(),
+                opened: now,
+                starved: true,
+                closed: false,
+            });
+        }
+    }
+
+    /// Acts on up to [`FRAMES_PER_TURN`] events of inbound connection `i`;
+    /// its protocol messages join [`MeshLink::ready`].
+    fn drain(&mut self, i: usize) {
+        for _ in 0..FRAMES_PER_TURN {
+            let c = &mut self.inbound[i];
+            if c.closed || c.starved {
+                return;
+            }
+            let event = match c.bytes.next::<M>(&self.ctx) {
+                Ok(Some(event)) => event,
+                Ok(None) => {
+                    c.starved = true;
+                    return;
+                }
+                Err(why) => {
+                    c.closed = true;
+                    self.ctx.counters.cut(why);
+                    return;
+                }
+            };
+            let from = c.bytes.sender.expect("events follow the handshake");
+            match event {
+                // Only the newest connection per sender lives, so neither
+                // hello'd sockets held open nor a stale half-open one pin a
+                // slot. With auth on the Hello was key-confirmed before it
+                // got here: a forgery cannot evict the genuine connection.
+                Event::Hello(_) => {
+                    for (j, other) in self.inbound.iter_mut().enumerate() {
+                        if j != i && other.bytes.sender == Some(from) {
+                            other.closed = true;
+                        }
+                    }
+                }
+                // Connections are unidirectional: the echo travels over
+                // this side's own connection to the pinger. Best-effort — a
+                // lost pong just skips one RTT observation.
+                Event::Ping(stamp) => {
+                    if let Some(peer) = &mut self.peers[from.index()] {
+                        if peer.stream.is_some() {
+                            peer.out.pong(stamp);
+                        }
+                    }
+                }
+                Event::Pong(stamp) => {
+                    let rtt = Duration::from_nanos(self.ctx.stamp().saturating_sub(stamp));
+                    let ticks = self.ctx.clock.ticks_of(rtt).max(1);
+                    self.ctx.counters.observe_rtt(from.index(), ticks);
+                }
+                Event::Msg(msg) => {
+                    self.ready.push_back((from, msg));
+                    self.ctx.record(TraceKind::Enqueue {
+                        queue: queues::INBOX,
+                        depth: self.ready.len() as u64,
+                    });
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Writer side
+// Outbound side
 // ---------------------------------------------------------------------------
 
-/// What rides a writer's queue: protocol messages from the node loop, or
-/// pong echoes a reader owes the peer that pinged it (a reader cannot
-/// write to its inbound socket's other direction — connections are
-/// unidirectional — so the echo travels over this side's own outbound
-/// connection to that peer).
-enum WriterCmd<M> {
-    /// A protocol message (framed through the codec, MAC'd, replayed).
-    Msg(M),
-    /// Echo of an RTT probe: the originator's stamp, returned verbatim as
-    /// a raw control frame (no codec, no MAC, no replay).
-    Pong(u64),
-}
-
-/// Everything a writer thread needs to know about its peer.
-struct WriterSpec {
-    me: ProcessId,
-    n: u32,
-    peer: usize,
+/// One remote peer's outbound side: the messages the node queued for it,
+/// and the connection (while one is up) their frames leave on.
+struct Peer<M> {
     addr: SocketAddr,
-    max_frame: usize,
-    initial_backoff: Duration,
-    max_backoff: Duration,
-    connect_timeout: Duration,
-    keepalive: Duration,
-    auth: Option<Arc<dyn Authenticator>>,
-    trace: Option<Arc<TraceCtx>>,
-    /// Shadow depth of this writer's queue (trace labels and the
-    /// `link.backlog.p<i>` gauge).
-    depth: Arc<AtomicU64>,
-    /// The mesh's clock: RTT probe stamps are its elapsed nanoseconds,
-    /// shared with the readers that resolve the echoes.
-    clock: WallClock,
+    to: ProcessId,
+    queue: VecDeque<M>,
+    stream: Option<TcpStream>,
+    out: Outbound,
 }
 
-/// Byte budget of a writer's [`ReplayRing`].
-const WRITER_REPLAY_BYTES: usize = 1 << 20;
+impl<M: Wire> Peer<M> {
+    fn new(addr: SocketAddr, to: ProcessId, ctx: &MeshCtx, now: Instant) -> Self {
+        let hello = match &ctx.auth {
+            Some(auth) => Hello::authenticated(ctx.n as u32, auth.as_ref(), to),
+            None => Hello::new(ctx.me, ctx.n as u32),
+        };
+        Peer {
+            addr,
+            to,
+            queue: VecDeque::new(),
+            stream: None,
+            out: Outbound::new(hello.encode(), now),
+        }
+    }
 
-/// A writer stops draining its queue into the pending `write_all` once the
-/// buffer holds this many bytes: a burst of small frames costs one syscall,
-/// and a 4 KiB payload never waits behind more than this.
-const COALESCE_BYTES: usize = 16 * 1024;
+    /// Dials if disconnected and due, then probes, coalesces the queue into
+    /// the unsent bytes, and hands them to the kernel with one `write`.
+    fn flush(&mut self, now: Instant, ctx: &MeshCtx) {
+        let (counters, out) = (&ctx.counters, &mut self.out);
+        if self.stream.is_none() {
+            if now < out.next_dial {
+                return;
+            }
+            let Ok(stream) = dial(self.addr) else {
+                counters.dial_backoffs.inc();
+                out.next_dial = now + out.backoff;
+                out.backoff = (out.backoff * 2).min(MAX_BACKOFF);
+                return;
+            };
+            self.stream = Some(stream);
+            out.connected(now, ctx);
+        }
+        if out.unsent.is_empty() {
+            out.progress = now;
+        }
+        // One probe per keepalive period, behind a keepalive frame when no
+        // protocol frame went out since the last one.
+        if now >= out.last_ping + ctx.keepalive {
+            if !out.busy {
+                out.unsent.extend_from_slice(&KEEPALIVE_FRAME);
+                counters.keepalives.inc();
+            }
+            out.ping(now, ctx);
+        }
+        let to = self.to.index();
+        while out.unsent.len() < COALESCE_BYTES {
+            let Some(msg) = self.queue.pop_front() else {
+                break;
+            };
+            ctx.record(TraceKind::Dequeue {
+                queue: queues::OUTBOUND_BASE + to as u32,
+                depth: self.queue.len() as u64,
+            });
+            if !out.encode(&msg, self.to, ctx) {
+                // Oversized local message: unsendable, count it.
+                counters.outbound_dropped[to].inc();
+            }
+        }
+        counters.backlog[to].set(self.queue.len() as u64);
+        let Some(stream) = self.stream.as_mut().filter(|_| !out.unsent.is_empty()) else {
+            return;
+        };
+        let broken = match stream.write(&out.unsent) {
+            Ok(k) => {
+                if out.frames > 0 {
+                    counters.writes.inc();
+                }
+                out.unsent.drain(..k);
+                if k > 0 {
+                    out.progress = now;
+                }
+                if out.unsent.is_empty() {
+                    counters.frames_written.add(std::mem::take(&mut out.frames));
+                }
+                false
+            }
+            Err(e) => e.kind() != io::ErrorKind::WouldBlock,
+        };
+        if broken || (!out.unsent.is_empty() && now - out.progress >= WRITE_STALL) {
+            // The unsent frames are in the replay ring already; redial now.
+            self.stream = None;
+            out.unsent.clear();
+            out.frames = 0;
+            out.next_dial = now;
+        }
+    }
+}
 
-/// A writer's replay window: its most recent protocol frames, as one
+/// One nonblocking, unbuffered connection to `addr`.
+fn dial(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// The bytes of one outbound connection, without the socket: what is due
+/// on the wire next, the replay window, and the dial and probe schedule.
+///
+/// The protocols assume reliable channels, so a frame that dies with a
+/// broken connection is a liveness hole — and TCP reports a break only on
+/// a *later* write. Recent frames therefore ride a replay ring re-sent
+/// after every reconnect (every layer above dedups by sender), and an idle
+/// connection is probed every keepalive period, so a dead one is noticed.
+struct Outbound {
+    /// This side's [`Hello`] to the peer, first on every connection.
+    hello: Vec<u8>,
+    /// Bytes the kernel has not accepted yet, oldest first.
+    unsent: Vec<u8>,
+    /// Protocol frames in `unsent`, counted as written once it drains.
+    frames: u64,
+    replay: ReplayRing,
+    connects: u64,
+    backoff: Duration,
+    /// Earliest next dial while disconnected.
+    next_dial: Instant,
+    last_ping: Instant,
+    /// Protocol frames were queued since `last_ping` (an idle connection's
+    /// probe rides behind a keepalive frame).
+    busy: bool,
+    /// Last time `unsent` was empty or a write made progress.
+    progress: Instant,
+}
+
+impl Outbound {
+    fn new(hello: Vec<u8>, now: Instant) -> Self {
+        Outbound {
+            hello,
+            unsent: Vec::new(),
+            frames: 0,
+            replay: ReplayRing::new(REPLAY_BYTES),
+            connects: 0,
+            backoff: INITIAL_BACKOFF,
+            next_dial: now,
+            last_ping: now,
+            busy: false,
+            progress: now,
+        }
+    }
+
+    /// A connection came up: the hello, the replay window, and an RTT
+    /// probe right away — without it a link that lives shorter than one
+    /// keepalive period is never measured.
+    fn connected(&mut self, now: Instant, ctx: &MeshCtx) {
+        self.connects += 1;
+        if self.connects > 1 {
+            ctx.counters.reconnects.inc();
+        }
+        self.backoff = INITIAL_BACKOFF;
+        self.unsent.clear();
+        self.unsent.extend_from_slice(&self.hello);
+        let (older, newer) = self.replay.as_slices();
+        self.unsent.extend_from_slice(older);
+        self.unsent.extend_from_slice(newer);
+        self.frames = 0;
+        self.ping(now, ctx);
+    }
+
+    /// Appends an RTT probe.
+    fn ping(&mut self, now: Instant, ctx: &MeshCtx) {
+        self.unsent
+            .extend_from_slice(&control_frame(PING_TAG, ctx.stamp()));
+        ctx.counters.pings.inc();
+        self.last_ping = now;
+        self.busy = false;
+    }
+
+    /// Echoes a peer's RTT probe (never replayed); skipped while a full
+    /// burst waits, so a ping flood cannot grow the buffer.
+    fn pong(&mut self, stamp: u64) {
+        if self.unsent.len() < COALESCE_BYTES {
+            self.unsent
+                .extend_from_slice(&control_frame(PONG_TAG, stamp));
+        }
+    }
+
+    /// Appends `msg`'s frame (MAC'd when the mesh authenticates), stamping
+    /// its codec time when tracing. `false` for an unsendable (oversized)
+    /// message, which leaves the bytes as they were.
+    fn encode<M: Wire>(&mut self, msg: &M, to: ProcessId, ctx: &MeshCtx) -> bool {
+        let start = self.unsent.len();
+        let encode = |buf: &mut Vec<u8>| match &ctx.auth {
+            Some(auth) => encode_frame_tagged(msg, buf, MAX_FRAME, auth.as_ref(), to),
+            None => encode_frame(msg, buf, MAX_FRAME),
+        };
+        // Untraced runs call the plain codec — the timing probe costs two
+        // clock reads per frame, paid only when someone will look.
+        let encoded = match &ctx.trace {
+            Some(_) => {
+                let t0 = Instant::now();
+                let res = encode(&mut self.unsent);
+                ctx.record(TraceKind::FrameEncoded {
+                    bytes: (self.unsent.len() - start) as u64,
+                    nanos: t0.elapsed().as_nanos() as u64,
+                });
+                res
+            }
+            None => encode(&mut self.unsent),
+        };
+        if encoded.is_err() {
+            return false;
+        }
+        // Into the ring *before* the write: a failed write is then a
+        // retransmission matter, not a loss. Frames evicted past the byte
+        // budget may or may not have been delivered — they are not counted
+        // as drops, the ring is a best-effort replay window.
+        self.replay.push(&self.unsent[start..]);
+        self.frames += 1;
+        self.busy = true;
+        true
+    }
+}
+
+/// A connection's replay window: its most recent protocol frames, as one
 /// contiguous byte queue plus each frame's length. Past the byte budget the
 /// oldest frames are evicted — never the newest, however large. Holds `Msg`
 /// frames only: pongs, pings and keepalives are best-effort and never
@@ -787,498 +1072,150 @@ impl ReplayRing {
     }
 }
 
-/// Appends `msg`'s frame (MAC'd when the mesh authenticates) to `buf`,
-/// stamping its codec time when tracing. `false` for an unsendable
-/// (oversized) message, which leaves `buf` as it was.
-fn encode_msg<M: Wire>(spec: &WriterSpec, msg: &M, buf: &mut Vec<u8>) -> bool {
-    let start = buf.len();
-    let to = ProcessId::new(spec.peer);
-    let encode = |buf: &mut Vec<u8>| match &spec.auth {
-        Some(auth) => encode_frame_tagged(msg, buf, spec.max_frame, auth.as_ref(), to),
-        None => encode_frame(msg, buf, spec.max_frame),
-    };
-    // Untraced runs call the plain codec — the timing probe costs two clock
-    // reads per frame, paid only when someone will look at the result.
-    let encoded = match &spec.trace {
-        Some(ctx) => {
-            let t0 = Instant::now();
-            let res = encode(buf);
-            ctx.record(TraceKind::FrameEncoded {
-                bytes: (buf.len() - start) as u64,
-                nanos: t0.elapsed().as_nanos() as u64,
-            });
-            res
-        }
-        None => encode(buf),
-    };
-    encoded.is_ok()
-}
-
-fn spawn_writer<M>(
-    spec: WriterSpec,
-    rx: Receiver<WriterCmd<M>>,
-    shared: Arc<MeshCounters>,
-) -> JoinHandle<()>
-where
-    M: Wire + Send + 'static,
-{
-    std::thread::spawn(move || {
-        let peer_id = ProcessId::new(spec.peer);
-        let hello = match &spec.auth {
-            Some(auth) => Hello::authenticated(spec.n, auth.as_ref(), peer_id),
-            None => Hello::new(spec.me, spec.n),
-        }
-        .encode();
-        let mut backoff = spec.initial_backoff;
-        let mut connects = 0u64;
-        let mut buf = Vec::new();
-        // The protocol stack assumes reliable channels: every consensus
-        // message is sent exactly once, so a frame that dies with a broken
-        // connection is a liveness hole (most insidiously when the peer's
-        // epoch rule evicts this connection — e.g. under an impersonation
-        // storm — and TCP only reports the break on a *later* write). Two
-        // mechanisms close the gap: recently written frames ride a bounded
-        // replay ring that is re-sent wholesale after every reconnect
-        // (every layer above dedups by sender, so duplicates are free), and
-        // an idle writer probes the socket with keepalive frames so a dead
-        // connection is noticed in ~100ms instead of never.
-        let mut replay = ReplayRing::new(WRITER_REPLAY_BYTES);
-        'reconnect: while !shared.shutdown() {
-            let mut stream = match TcpStream::connect_timeout(&spec.addr, spec.connect_timeout) {
-                Ok(s) => s,
-                Err(_) => {
-                    shared.dial_backoffs.inc();
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(spec.max_backoff);
-                    continue 'reconnect;
-                }
-            };
-            backoff = spec.initial_backoff;
-            connects += 1;
-            if connects > 1 {
-                shared.reconnects.inc();
-            }
-            let _ = stream.set_nodelay(true);
-            // A peer that accepts but never reads would otherwise pin this
-            // thread in write_all forever (and hang shutdown): bound every
-            // write, and treat a timeout like any broken connection.
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-            if stream.write_all(&hello).is_err() {
-                continue 'reconnect;
-            }
-            let (older, newer) = replay.as_slices();
-            if stream.write_all(older).is_err() || stream.write_all(newer).is_err() {
-                continue 'reconnect;
-            }
-            // Seed the RTT estimate at establishment: one probe right after
-            // the hello, then on the keepalive cadence. Without it a link
-            // that lives shorter than one keepalive is never measured.
-            shared.pings.inc();
-            let stamp = spec.clock.elapsed().as_nanos() as u64;
-            if stream.write_all(&control_frame(PING_TAG, stamp)).is_err() {
-                continue 'reconnect;
-            }
-            let mut last_ping = Instant::now();
-            loop {
-                let mut next = match rx.recv_timeout(spec.keepalive) {
-                    Ok(cmd) => Some(cmd),
-                    Err(RecvTimeoutError::Timeout) => {
-                        if shared.shutdown() {
-                            return;
-                        }
-                        shared.keepalives.inc();
-                        shared.pings.inc();
-                        last_ping = Instant::now();
-                        let stamp = spec.clock.elapsed().as_nanos() as u64;
-                        buf.clear();
-                        buf.extend_from_slice(&KEEPALIVE_FRAME);
-                        buf.extend_from_slice(&control_frame(PING_TAG, stamp));
-                        if stream.write_all(&buf).is_err() {
-                            continue 'reconnect;
-                        }
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return,
-                };
-                // One burst, one syscall: drain what else is queued, up to
-                // the byte budget, into `buf` and write it with one
-                // `write_all`.
-                buf.clear();
-                let mut frames = 0u64;
-                while let Some(cmd) = next {
-                    if let WriterCmd::Msg(_) = cmd {
-                        let depth = spec
-                            .depth
-                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                                Some(d.saturating_sub(1))
-                            })
-                            .unwrap_or(0)
-                            .saturating_sub(1);
-                        shared.backlog[spec.peer].set(depth);
-                        if let Some(ctx) = &spec.trace {
-                            ctx.record(TraceKind::Dequeue {
-                                queue: queues::OUTBOUND_BASE + spec.peer as u32,
-                                depth,
-                            });
-                        }
-                    }
-                    if shared.shutdown() {
-                        // Teardown outranks the backlog: against a slow (or
-                        // byte-at-a-time Byzantine) reader, draining a full
-                        // queue at up to one write timeout per burst could
-                        // hold the mesh's join far past its wall-clock cap.
-                        // The burst's protocol frames, the popped message
-                        // included, are discarded — count them like every
-                        // other drop.
-                        let popped = u64::from(matches!(cmd, WriterCmd::Msg(_)));
-                        shared.outbound_dropped[spec.peer].add(frames + popped);
-                        return;
-                    }
-                    match cmd {
-                        // Echo the peer's RTT probe. Raw control frame:
-                        // best-effort (no replay ring) — a lost pong just
-                        // skips one RTT observation.
-                        WriterCmd::Pong(stamp) => {
-                            buf.extend_from_slice(&control_frame(PONG_TAG, stamp));
-                        }
-                        WriterCmd::Msg(msg) => {
-                            let start = buf.len();
-                            if encode_msg(&spec, &msg, &mut buf) {
-                                // Into the ring *before* the write: a failed
-                                // write is then a retransmission matter, not
-                                // a loss (the frame goes out with the replay
-                                // on reconnect). Frames evicted past the byte
-                                // budget may or may not have been delivered —
-                                // they are not counted as drops, the ring is a
-                                // best-effort replay window.
-                                replay.push(&buf[start..]);
-                                frames += 1;
-                            } else {
-                                // Oversized local message: unsendable, count it.
-                                shared.outbound_dropped[spec.peer].inc();
-                            }
-                        }
-                    }
-                    next = if buf.len() < COALESCE_BYTES {
-                        rx.try_recv().ok()
-                    } else {
-                        None
-                    };
-                }
-                // Refresh the RTT estimate under load too: without this, a
-                // busy connection would only ever be measured while idle.
-                if frames > 0 && last_ping.elapsed() >= spec.keepalive {
-                    last_ping = Instant::now();
-                    shared.pings.inc();
-                    let stamp = spec.clock.elapsed().as_nanos() as u64;
-                    buf.extend_from_slice(&control_frame(PING_TAG, stamp));
-                }
-                if buf.is_empty() {
-                    continue; // nothing but unsendable messages
-                }
-                if stream.write_all(&buf).is_err() {
-                    continue 'reconnect;
-                }
-                if frames > 0 {
-                    shared.writes.inc();
-                    shared.frames_written.add(frames);
-                }
-            }
-        }
-    })
-}
-
 // ---------------------------------------------------------------------------
-// Reader side
+// Inbound side
 // ---------------------------------------------------------------------------
 
-/// The per-connection knobs every reader inherits from the mesh.
-struct ReaderConfig<M> {
-    me: ProcessId,
-    n: usize,
-    max_frame: usize,
-    auth: Option<Arc<dyn Authenticator>>,
-    trace: Option<Arc<TraceCtx>>,
-    /// Shadow depth of the inbox (trace labels only).
-    inbox_depth: Arc<AtomicU64>,
-    /// Writer queues (self slot `None`), for routing a pong echo back to
-    /// whichever peer pinged this reader's connection.
-    pong_txs: Vec<Option<Sender<WriterCmd<M>>>>,
-    /// The clock RTT probe stamps are measured against (shared with the
-    /// writer threads) and converted to ticks — the RTT gauges' unit — by.
-    clock: WallClock,
+/// An inbound connection: its socket and its bytes.
+struct InConn {
+    stream: TcpStream,
+    bytes: Inbound,
+    opened: Instant,
+    /// Yields nothing more until more bytes arrive.
+    starved: bool,
+    /// Cut, superseded or closed by the peer: reaped next turn.
+    closed: bool,
 }
 
-// Manual impl: `derive(Clone)` would demand `M: Clone`, which readers
-// never need (they only clone the channel handles).
-impl<M> Clone for ReaderConfig<M> {
-    fn clone(&self) -> Self {
-        ReaderConfig {
-            me: self.me,
-            n: self.n,
-            max_frame: self.max_frame,
-            auth: self.auth.clone(),
-            trace: self.trace.clone(),
-            inbox_depth: Arc::clone(&self.inbox_depth),
-            pong_txs: self.pong_txs.clone(),
-            clock: self.clock,
-        }
-    }
+/// What an inbound connection yields.
+#[derive(Debug, PartialEq)]
+enum Event<M> {
+    /// The handshake passed: every later event is from this sender.
+    Hello(ProcessId),
+    /// A protocol message.
+    Msg(M),
+    /// The peer's RTT probe, owed an echo.
+    Ping(u64),
+    /// The echo of one of this side's probes.
+    Pong(u64),
 }
 
-fn spawn_acceptor<M>(
-    listener: TcpListener,
-    inbox: Sender<(ProcessId, M)>,
-    shared: Arc<MeshCounters>,
-    max_connections: usize,
-    reader: ReaderConfig<M>,
-) -> JoinHandle<()>
-where
-    M: Wire + Send + 'static,
-{
-    std::thread::spawn(move || {
-        listener
-            .set_nonblocking(true)
-            .expect("listener nonblocking mode");
-        let mut readers: Vec<JoinHandle<()>> = Vec::new();
-        while !shared.shutdown() {
-            // Reap finished readers as we go: a Byzantine peer cycling
-            // short-lived connections must not accumulate dead threads'
-            // stacks for the life of the run.
-            readers.retain(|r| !r.is_finished());
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if shared.live_connections.get() as usize >= max_connections {
-                        // Socket-exhaustion defense: refuse, don't spawn —
-                        // and count it, so a lockout is visible.
-                        shared.accept_rejects.inc();
-                        drop(stream);
-                        continue;
-                    }
-                    shared.live_connections.inc();
-                    let inbox = inbox.clone();
-                    let shared = Arc::clone(&shared);
-                    let reader = reader.clone();
-                    readers.push(std::thread::spawn(move || {
-                        reader_loop::<M>(stream, inbox, &shared, reader);
-                        shared.live_connections.dec();
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-        for r in readers {
-            let _ = r.join();
-        }
-    })
+/// Why an inbound connection is cut.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Cut {
+    /// Foreign protocol, incompatible version, wrong cluster, or an
+    /// out-of-range or self-claiming sender id.
+    Handshake,
+    /// A handshake tag or frame MAC that does not verify.
+    Auth,
+    /// Undecodable bytes or an oversized frame announcement.
+    Decode,
 }
 
-/// Reads one connection until EOF, error, shutdown, or Byzantine bytes.
+/// The bytes of one inbound connection, without the socket: a [`Hello`]
+/// first, then frames, each checked before the codec sees it.
 ///
-/// The loop tolerates arbitrary packetization: bytes accumulate in a local
-/// buffer and frames are split off as they complete. The buffer stays
-/// bounded by `max_frame` plus one read chunk — a peer announcing a larger
-/// frame is disconnected at the header, before any payload is buffered.
-fn reader_loop<M>(
-    mut stream: TcpStream,
-    inbox: Sender<(ProcessId, M)>,
-    shared: &MeshCounters,
-    config: ReaderConfig<M>,
-) where
-    M: Wire + Send + 'static,
-{
-    let ReaderConfig {
-        me,
-        n,
-        max_frame,
-        auth,
-        trace,
-        inbox_depth,
-        pong_txs,
-        clock,
-    } = config;
-    // With auth on, the sender's MAC tag rides inside the frame body, so a
-    // max-size message legitimately occupies `max_frame + FRAME_TAG_OVERHEAD`
-    // bytes on the wire. Admit exactly that much; the cap still binds.
-    let read_cap = match auth {
-        Some(_) => tagged_frame_cap(max_frame),
-        None => max_frame,
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut sender: Option<ProcessId> = None;
-    // Two defenses keep connection slots reclaimable: connections that
-    // never complete a valid Hello are cut at a deadline, and completing a
-    // Hello claims the sender's *epoch* — only the newest connection per
-    // claimed sender survives, so neither an attacker holding hello'd
-    // sockets open nor a correct peer's own stale half-open connection can
-    // pin a slot (the reconnect supersedes it).
-    let mut my_epoch = 0;
-    let opened = Instant::now();
-    const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
-    while !shared.shutdown() {
-        match sender {
-            None if opened.elapsed() >= HANDSHAKE_DEADLINE => {
-                shared.handshake_rejects.inc();
-                return;
+/// The buffer stays bounded by one frame plus one read: the shell feeds
+/// bytes only once [`Inbound::next`] asked for more, and a peer announcing
+/// an oversized frame is cut at the header, before any payload is kept.
+#[derive(Default)]
+struct Inbound {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already consumed.
+    at: usize,
+    /// The sender, once the handshake passed.
+    sender: Option<ProcessId>,
+}
+
+impl Inbound {
+    /// Appends bytes read off the socket.
+    fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.at);
+        self.at = 0;
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next event the buffered bytes complete; `Ok(None)` until more
+    /// bytes arrive.
+    fn next<M: Wire>(&mut self, ctx: &MeshCtx) -> Result<Option<Event<M>>, Cut> {
+        let Some(from) = self.sender else {
+            // A foreign protocol is cut the moment its prefix diverges
+            // from the magic, without waiting for a full Hello.
+            let k = self.buf.len().min(MAGIC.len());
+            if self.buf[..k] != MAGIC[..k] {
+                return Err(Cut::Handshake);
             }
-            Some(from)
-                if shared.sender_epochs[from.index()].load(Ordering::Relaxed) != my_epoch =>
-            {
-                return; // superseded by a newer connection from this sender
+            if self.buf.len() < HELLO_LEN {
+                return Ok(None);
             }
-            _ => {}
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // clean EOF
-            Ok(k) => {
-                buf.extend_from_slice(&chunk[..k]);
-                if sender.is_none() {
-                    // A foreign protocol is cut the moment its prefix
-                    // diverges from the magic — don't hold the connection
-                    // to the handshake deadline waiting for a full Hello
-                    // that can no longer arrive.
-                    let k = buf.len().min(MAGIC.len());
-                    if buf[..k] != MAGIC[..k] {
-                        shared.handshake_rejects.inc();
-                        return;
-                    }
-                    if buf.len() < HELLO_LEN {
-                        continue; // partial handshake: wait for more bytes
-                    }
-                    let mut input = buf.as_slice();
-                    match Hello::decode(&mut input) {
-                        Ok(hello)
-                            if hello.n as usize == n
-                                && hello.sender.index() < n
-                                && hello.sender != me =>
-                        {
-                            // Key confirmation comes BEFORE the epoch claim:
-                            // a forged Hello must not supersede (and thereby
-                            // kill) the genuine sender's live connection.
-                            if let Some(auth) = &auth {
-                                if !hello.verify_auth(auth.as_ref()) {
-                                    shared.auth_rejects.inc();
-                                    return;
-                                }
-                            }
-                            sender = Some(hello.sender);
-                            my_epoch = shared.sender_epochs[hello.sender.index()]
-                                .fetch_add(1, Ordering::Relaxed)
-                                + 1;
-                            buf.drain(..HELLO_LEN);
-                        }
-                        _ => {
-                            // Foreign protocol, incompatible version, wrong
-                            // cluster, or an impersonation attempt.
-                            shared.handshake_rejects.inc();
-                            return;
-                        }
-                    }
+            let hello = Hello::decode(&mut self.buf.as_slice()).map_err(|_| Cut::Handshake)?;
+            let sender = hello.sender;
+            if hello.n as usize != ctx.n || sender.index() >= ctx.n || sender == ctx.me {
+                return Err(Cut::Handshake);
+            }
+            if let Some(auth) = &ctx.auth {
+                if !hello.verify_auth(auth.as_ref()) {
+                    return Err(Cut::Auth);
                 }
-                let from = sender.expect("handshake complete");
-                let mut consumed = 0;
-                loop {
-                    match split_frame(&buf[consumed..], read_cap) {
-                        Ok(None) => break,
-                        Ok(Some((payload, used))) => {
-                            if payload.is_empty() {
-                                // Idle keepalive probe: liveness only. It is
-                                // skipped before MAC verification — it has no
-                                // payload, so forging one achieves nothing.
-                                consumed += used;
-                                continue;
-                            }
-                            if let Some((tag, stamp)) = split_control(payload) {
-                                // RTT plumbing, recognized (like keepalives)
-                                // before MAC verification: control frames
-                                // carry no protocol data, so the worst a
-                                // forgery can do is nudge a health gauge.
-                                consumed += used;
-                                if tag == PING_TAG {
-                                    // The echo owed travels over our own
-                                    // outbound connection to the pinger
-                                    // (connections are unidirectional); a
-                                    // full queue just drops the echo and
-                                    // skips one RTT observation.
-                                    if let Some(tx) = &pong_txs[from.index()] {
-                                        let _ = tx.try_send(WriterCmd::Pong(stamp));
-                                    }
-                                } else {
-                                    debug_assert_eq!(tag, PONG_TAG);
-                                    let now = clock.elapsed().as_nanos() as u64;
-                                    let rtt = Duration::from_nanos(now.saturating_sub(stamp));
-                                    shared.observe_rtt(from.index(), clock.ticks_of(rtt).max(1));
-                                }
-                                continue;
-                            }
-                            // The MAC is checked before any byte reaches the
-                            // codec: forged frames are cut without giving the
-                            // decoder attacker-controlled input.
-                            let body = match &auth {
-                                Some(a) => match verify_frame_tag(payload, a.as_ref(), from) {
-                                    Ok(body) => body,
-                                    Err(_) => {
-                                        shared.auth_rejects.inc();
-                                        return;
-                                    }
-                                },
-                                None => payload,
-                            };
-                            let decoded = match &trace {
-                                Some(ctx) => {
-                                    let (res, nanos) = decode_frame_timed::<M>(body);
-                                    ctx.record(TraceKind::FrameDecoded {
-                                        bytes: body.len() as u64,
-                                        nanos,
-                                    });
-                                    res
-                                }
-                                None => decode_frame::<M>(body),
-                            };
-                            match decoded {
-                                Ok(msg) => {
-                                    consumed += used;
-                                    if inbox.send((from, msg)).is_err() {
-                                        return; // node loop is gone
-                                    }
-                                    if let Some(ctx) = &trace {
-                                        let depth = inbox_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                                        ctx.record(TraceKind::Enqueue {
-                                            queue: queues::INBOX,
-                                            depth,
-                                        });
-                                    }
-                                }
-                                Err(_) => {
-                                    shared.decode_disconnects.inc();
-                                    return;
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            shared.decode_disconnects.inc();
-                            return;
-                        }
-                    }
+            }
+            self.sender = Some(sender);
+            self.at = HELLO_LEN;
+            return Ok(Some(Event::Hello(sender)));
+        };
+        loop {
+            let split = split_frame(&self.buf[self.at..], ctx.read_cap);
+            let Some((payload, used)) = split.map_err(|_| Cut::Decode)? else {
+                return Ok(None);
+            };
+            self.at += used;
+            if payload.is_empty() {
+                // Idle keepalive probe: liveness only. It is skipped before
+                // MAC verification — it has no payload, so forging one
+                // achieves nothing.
+                continue;
+            }
+            // RTT plumbing, recognized (like keepalives) before MAC
+            // verification: control frames carry no protocol data, so the
+            // worst a forgery can do is nudge a health gauge.
+            if let Some((tag, stamp)) = split_control(payload) {
+                return Ok(Some(if tag == PING_TAG {
+                    Event::Ping(stamp)
+                } else {
+                    Event::Pong(stamp)
+                }));
+            }
+            // The MAC is checked before any byte reaches the codec: forged
+            // frames are cut without giving the decoder attacker-controlled
+            // input.
+            let body = match &ctx.auth {
+                Some(auth) => {
+                    verify_frame_tag(payload, auth.as_ref(), from).map_err(|_| Cut::Auth)?
                 }
-                buf.drain(..consumed);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => return,
+                None => payload,
+            };
+            let decoded = match &ctx.trace {
+                Some(_) => {
+                    let (res, nanos) = decode_frame_timed::<M>(body);
+                    ctx.record(TraceKind::FrameDecoded {
+                        bytes: body.len() as u64,
+                        nanos,
+                    });
+                    res
+                }
+                None => decode_frame::<M>(body),
+            };
+            return decoded
+                .map(|msg| Some(Event::Msg(msg)))
+                .map_err(|_| Cut::Decode);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use minsync_auth::HmacAuthenticator;
+    use minsync_wire::WIRE_VERSION;
+
     use super::*;
 
     fn frame(len: usize, fill: u8) -> Vec<u8> {
@@ -1335,5 +1272,151 @@ mod tests {
         );
         ring.push(&frame(4, 3));
         assert_eq!(replayed(&ring), frame(4, 3));
+    }
+
+    /// Process 0's view of a 4-process cluster, MAC'd or open.
+    fn ctx(auth: Option<HmacAuthenticator>) -> MeshCtx {
+        let config = MeshConfig {
+            auth: auth.map(|a| Arc::new(a) as Arc<dyn Authenticator>),
+            ..MeshConfig::default()
+        };
+        let clock = WallClock::new(Instant::now(), config.tick);
+        MeshCtx::new(ProcessId::new(0), 4, &config, clock)
+    }
+
+    /// Feeds `bytes` one at a time, taking every event each byte
+    /// completes; stops at the first cut.
+    fn drip(ctx: &MeshCtx, bytes: &[u8]) -> (Vec<Event<u64>>, Option<Cut>) {
+        let mut conn = Inbound::default();
+        let mut events = Vec::new();
+        for &b in bytes {
+            conn.feed(&[b]);
+            loop {
+                match conn.next::<u64>(ctx) {
+                    Ok(Some(event)) => events.push(event),
+                    Ok(None) => break,
+                    Err(why) => return (events, Some(why)),
+                }
+            }
+        }
+        (events, None)
+    }
+
+    /// Hostile and benign byte streams, dripped one byte at a time into
+    /// the inbound state: each yields exactly its events, then its cut.
+    #[test]
+    fn inbound_bytes_yield_events_and_cuts_one_byte_at_a_time() {
+        let keys = HmacAuthenticator::deal(b"mesh-inbound-table", 4);
+        let (open, macd) = (ctx(None), ctx(Some(keys[0].clone())));
+        let p1 = ProcessId::new(1);
+        let hello = Hello::new(p1, 4).encode();
+        let cat = |parts: &[&[u8]]| parts.concat();
+        let plain = |v: u64| {
+            let mut f = Vec::new();
+            encode_frame(&v, &mut f, MAX_FRAME).unwrap();
+            f
+        };
+        let tagged = |v: u64| {
+            let mut f = Vec::new();
+            encode_frame_tagged(&v, &mut f, MAX_FRAME, &keys[1], ProcessId::new(0)).unwrap();
+            f
+        };
+        let genuine = Hello::authenticated(4, &keys[1], ProcessId::new(0)).encode();
+        let mut forged_frame = tagged(7);
+        *forged_frame.last_mut().unwrap() ^= 1;
+        let mut future = hello.clone();
+        future[4..6].copy_from_slice(&(WIRE_VERSION + 1).to_le_bytes());
+        let ping = control_frame(PING_TAG, 5);
+        let pong = control_frame(PONG_TAG, 9);
+
+        type Case<'a> = (&'a str, &'a MeshCtx, Vec<u8>, Vec<Event<u64>>, Option<Cut>);
+        let cases: Vec<Case> = vec![
+            (
+                "bad magic",
+                &open,
+                b"GET / HTTP/1.1\r\n".to_vec(),
+                vec![],
+                Some(Cut::Handshake),
+            ),
+            (
+                "future version",
+                &open,
+                future,
+                vec![],
+                Some(Cut::Handshake),
+            ),
+            (
+                "wrong n",
+                &open,
+                Hello::new(p1, 9).encode(),
+                vec![],
+                Some(Cut::Handshake),
+            ),
+            (
+                "self-claim",
+                &open,
+                Hello::new(ProcessId::new(0), 4).encode(),
+                vec![],
+                Some(Cut::Handshake),
+            ),
+            (
+                "out-of-range sender",
+                &open,
+                Hello::new(ProcessId::new(4), 4).encode(),
+                vec![],
+                Some(Cut::Handshake),
+            ),
+            (
+                "oversized header",
+                &open,
+                cat(&[&hello, &u32::MAX.to_le_bytes()]),
+                vec![Event::Hello(p1)],
+                Some(Cut::Decode),
+            ),
+            (
+                "trailing byte",
+                &open,
+                cat(&[&hello, &9u32.to_le_bytes(), &[0xFF; 9]]),
+                vec![Event::Hello(p1)],
+                Some(Cut::Decode),
+            ),
+            (
+                "ping and pong between frames",
+                &open,
+                cat(&[&hello, &plain(7), &ping, &KEEPALIVE_FRAME, &pong, &plain(8)]),
+                vec![
+                    Event::Hello(p1),
+                    Event::Msg(7),
+                    Event::Ping(5),
+                    Event::Pong(9),
+                    Event::Msg(8),
+                ],
+                None,
+            ),
+            (
+                "unconfirmed hello",
+                &macd,
+                hello.clone(),
+                vec![],
+                Some(Cut::Auth),
+            ),
+            (
+                "forged frame MAC",
+                &macd,
+                cat(&[&genuine, &tagged(6), &forged_frame]),
+                vec![Event::Hello(p1), Event::Msg(6)],
+                Some(Cut::Auth),
+            ),
+            (
+                "untagged frame",
+                &macd,
+                cat(&[&genuine, &plain(7)]),
+                vec![Event::Hello(p1)],
+                Some(Cut::Auth),
+            ),
+        ];
+        for (name, ctx, bytes, events, cut) in cases {
+            assert_eq!(drip(ctx, &bytes), (events, cut), "{name}");
+        }
     }
 }

@@ -53,11 +53,8 @@ fn flooding_rider_is_survived_and_disconnected() {
     // The flooder's garbage-byte arm must have been cut at least once
     // somewhere in the cluster — the decode-error-disconnect defense at
     // work (the protocol-spam arm is absorbed by the SMR bounded buffers).
-    let cuts: u64 = report
-        .replicas
-        .iter()
-        .map(|r| r.decode_disconnects + r.handshake_rejects)
-        .sum();
+    let cuts = report.sum_counters("mesh.decode_disconnects")
+        + report.sum_counters("mesh.handshake_rejects");
     assert!(cuts >= 1, "no replica ever cut the garbage dialer");
 }
 
@@ -73,9 +70,11 @@ fn authenticated_cluster_agrees_over_tcp() {
     assert_eq!(report.replicas.len(), 4);
     let violations = report.violations();
     assert!(violations.is_empty(), "authenticated: {violations:?}");
-    for r in &report.replicas {
-        assert_eq!(r.auth_rejects, 0, "honest traffic must always verify");
-    }
+    assert_eq!(
+        report.sum_counters("mesh.auth_rejects"),
+        0,
+        "honest traffic must always verify"
+    );
 }
 
 /// An impersonator rider forging other replicas' identities against an
@@ -94,11 +93,11 @@ fn authenticated_cluster_severs_an_impersonator() {
         violations.is_empty(),
         "forged identities must not steer agreement: {violations:?}"
     );
-    let auth_rejects: u64 = report.replicas.iter().map(|r| r.auth_rejects).sum();
+    let auth_rejects = report.sum_counters("mesh.auth_rejects");
     assert!(auth_rejects >= 1, "no replica ever severed a forged stream");
     // The impersonator's valid-MAC-but-undecodable arm passes the MAC
     // check and must die at the codec instead.
-    let cuts: u64 = report.replicas.iter().map(|r| r.decode_disconnects).sum();
+    let cuts = report.sum_counters("mesh.decode_disconnects");
     assert!(cuts >= 1, "the valid-MAC garbage arm was never cut");
 }
 
@@ -113,9 +112,11 @@ fn unauthenticated_cluster_accepts_the_forged_stream() {
     let clean = run_cluster(&spec(4, 1, vec![Behavior::Silent])).expect("clean cluster");
     let poisoned = run_cluster(&spec(4, 1, vec![Behavior::Impersonate])).expect("poisoned cluster");
     assert_eq!(poisoned.replicas.len(), 3);
-    for r in &poisoned.replicas {
-        assert_eq!(r.auth_rejects, 0, "nothing to sever without keys");
-    }
+    assert_eq!(
+        poisoned.sum_counters("mesh.auth_rejects"),
+        0,
+        "nothing to sever without keys"
+    );
     // The flood test proves model-legal noise cannot move the m=1 log; the
     // impersonator's forgery *does* move it.
     assert!(

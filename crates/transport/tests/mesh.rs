@@ -7,7 +7,9 @@ use std::time::Duration;
 
 use minsync_auth::HmacAuthenticator;
 use minsync_net::{Env, Node, TimerId};
-use minsync_transport::mesh::{LinkFaults, MeshConfig, MeshReport, TcpMesh};
+use minsync_transport::mesh::{
+    LinkFaults, MeshConfig, MeshCounters, MeshOutput, MeshReport, TcpMesh,
+};
 use minsync_types::ProcessId;
 use minsync_wire::{
     encode_frame, encode_frame_tagged, Hello, DEFAULT_MAX_FRAME, HELLO_LEN, WIRE_VERSION,
@@ -167,7 +169,7 @@ fn mesh_timers_fire_and_cancel() {
     }
 
     let a = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
-    // Peer 1 never exists; its writer just backs off in the background.
+    // Peer 1 never exists; its dials just back off in the background.
     let peers = vec![
         a.local_addr().unwrap(),
         "127.0.0.1:1".parse::<SocketAddr>().unwrap(),
@@ -451,9 +453,8 @@ fn link_faults_block_then_heal_outbound_traffic() {
     let b = TcpMesh::bind(ProcessId::new(1), "127.0.0.1:0".parse().unwrap()).unwrap();
     let peers = vec![a.local_addr().unwrap(), b.local_addr().unwrap()];
     let peers_b = peers.clone();
-    // B lingers past its first echo: stopping immediately would race its
-    // writer thread (teardown outranks the backlog and would discard the
-    // still-queued reply frame).
+    // B lingers past its first echo, so the reply has long left its queue
+    // when it stops.
     let mut served_since = None;
     let echo = std::thread::spawn(move || {
         b.run(Box::new(Echo), &peers_b, &quick_config(), move |outs, _| {
@@ -570,10 +571,10 @@ fn forged_handshakes_cannot_evict_the_genuine_connection() {
     );
 }
 
-/// A writer coalesces its backlog: 2 000 messages queued toward a peer that
+/// A flush coalesces the backlog: 2 000 messages queued toward a peer that
 /// is not listening yet all arrive once it binds — exactly once, in FIFO
-/// order — and the writer spent at most ⌈bytes ÷ 16 KiB⌉ + 2 `write_all`
-/// calls on them, not one per frame.
+/// order — in at most ⌈bytes ÷ 16 KiB⌉ + 2 socket writes, not one per
+/// frame.
 #[test]
 fn queued_backlog_reaches_a_late_peer_in_order_in_few_writes() {
     use std::sync::Arc;
@@ -618,7 +619,7 @@ fn queued_backlog_reaches_a_late_peer_in_order_in_few_writes() {
             c.frames_written() >= MESSAGES
         })
     });
-    // The whole burst sits in the writer queue before the peer exists.
+    // The whole burst sits in the send queue before the peer exists.
     let queued = Instant::now();
     while registry.snapshot().gauge("link.backlog.p1") != Some(MESSAGES)
         || registry
@@ -655,4 +656,201 @@ fn queued_backlog_reaches_a_late_peer_in_order_in_few_writes() {
         writes <= bytes.div_ceil(COALESCE_BYTES) + 2,
         "{writes} writes for {bytes} bytes"
     );
+}
+
+/// Wire bytes are pinned: the `Msg` frames a raw listener receives for a
+/// fixed message sequence hash to constants, once plain and once MAC'd.
+/// Control frames (keepalives, pings, pongs) are skipped — their timing is
+/// the transport's, not the protocol's.
+#[test]
+fn msg_frames_on_the_wire_are_pinned() {
+    use std::sync::Arc;
+
+    use minsync_auth::Authenticator;
+    use minsync_wire::{split_control, split_frame, tagged_frame_cap};
+
+    const MESSAGES: u64 = 300;
+
+    /// Sends `MESSAGES` vectors of varied length to peer 1 at start.
+    struct Sequence;
+    impl Node for Sequence {
+        type Msg = Vec<u64>;
+        type Output = u64;
+
+        fn on_start(&mut self, env: &mut Env<Vec<u64>, u64>) {
+            for i in 0..MESSAGES {
+                env.send(ProcessId::new(1), (0..i % 11).map(|k| i * 31 + k).collect());
+            }
+        }
+
+        fn on_message(&mut self, _: ProcessId, _: Vec<u64>, _: &mut Env<Vec<u64>, u64>) {}
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    let digest = |auth: Option<Arc<dyn Authenticator>>| -> u64 {
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mesh = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
+        let peers = [mesh.local_addr().unwrap(), peer.local_addr().unwrap()];
+        let cap = tagged_frame_cap(DEFAULT_MAX_FRAME);
+        let reader = std::thread::spawn(move || {
+            let (mut stream, _) = peer.accept().unwrap();
+            let mut hello = [0u8; HELLO_LEN];
+            stream.read_exact(&mut hello).unwrap();
+            let (mut buf, mut frames, mut msgs) = (Vec::new(), Vec::new(), 0);
+            let mut chunk = [0u8; 4096];
+            while msgs < MESSAGES {
+                let k = stream.read(&mut chunk).unwrap();
+                assert!(k > 0, "mesh closed after {msgs} frames");
+                buf.extend_from_slice(&chunk[..k]);
+                let mut used = 0;
+                while let Some((payload, len)) = split_frame(&buf[used..], cap).unwrap() {
+                    if !payload.is_empty() && split_control(payload).is_none() {
+                        frames.extend_from_slice(&buf[used..used + len]);
+                        msgs += 1;
+                    }
+                    used += len;
+                }
+                buf.drain(..used);
+            }
+            fnv1a(&frames)
+        });
+        let config = MeshConfig {
+            auth,
+            ..quick_config()
+        };
+        let report = mesh.run(Box::new(Sequence), &peers, &config, |_, c| {
+            c.frames_written() >= MESSAGES
+        });
+        assert!(!report.timed_out);
+        reader.join().unwrap()
+    };
+    let plain = digest(None);
+    let mut ring = HmacAuthenticator::deal(b"wire-pin", 2);
+    let macd = digest(Some(Arc::new(ring.remove(0))));
+    assert_eq!(
+        plain, 0x1275_cef0_e5ae_3e7c,
+        "plain frames moved: {plain:#018x}"
+    );
+    assert_eq!(
+        macd, 0xf40e_cbb1_3ba7_f6f0,
+        "MAC'd frames moved: {macd:#018x}"
+    );
+}
+
+/// One stuck socket must not stall the replica. Two honest meshes (p0 and
+/// p1) share a 5-process cluster with three hostile peers: p2's address
+/// accepts every connection and never reads, so the queue toward it
+/// overflows; one dialer sends half a `Hello` and then nothing; another
+/// claims p4 and sends its handshake and one frame a byte at a time. Both
+/// honest meshes still exchange their values and take the trickled one,
+/// and the overflow toward p2 is counted as drops.
+#[test]
+fn one_stuck_socket_does_not_stall_the_replica() {
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    /// Messages each honest mesh sends the sink: more than a peer's queue
+    /// holds.
+    const TO_SINK: usize = 20_000;
+
+    /// Broadcasts its value, buries p2 in 256-byte messages, and outputs
+    /// the first word of everything it hears.
+    struct Stubborn(u64);
+    impl Node for Stubborn {
+        type Msg = Vec<u64>;
+        type Output = u64;
+
+        fn on_start(&mut self, env: &mut Env<Vec<u64>, u64>) {
+            env.broadcast(vec![self.0]);
+            for _ in 0..TO_SINK {
+                env.send(ProcessId::new(2), vec![self.0; 32]);
+            }
+        }
+
+        fn on_message(&mut self, _: ProcessId, msg: Vec<u64>, env: &mut Env<Vec<u64>, u64>) {
+            env.output(msg[0]);
+        }
+    }
+
+    let done = Arc::new(AtomicBool::new(false));
+    let sink = TcpListener::bind("127.0.0.1:0").unwrap();
+    let sink_addr = sink.local_addr().unwrap();
+    sink.set_nonblocking(true).unwrap();
+    let sink = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            while !done.load(Ordering::Relaxed) {
+                match sink.accept() {
+                    Ok((stream, _)) => held.push(stream),
+                    Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                }
+            }
+            held.len()
+        })
+    };
+    let a = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let b = TcpMesh::bind(ProcessId::new(1), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let refused: SocketAddr = "127.0.0.1:1".parse().unwrap();
+    let peers = vec![
+        a.local_addr().unwrap(),
+        b.local_addr().unwrap(),
+        sink_addr,
+        refused,
+        refused,
+    ];
+    let hostile: Vec<_> = peers[..2]
+        .iter()
+        .map(|&addr| {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut half = TcpStream::connect(addr).unwrap();
+                half.write_all(&Hello::new(ProcessId::new(3), 5).encode()[..HELLO_LEN / 2])
+                    .unwrap();
+                let mut trickle = TcpStream::connect(addr).unwrap();
+                let mut bytes = Hello::new(ProcessId::new(4), 5).encode();
+                encode_frame(&vec![400u64], &mut bytes, DEFAULT_MAX_FRAME).unwrap();
+                for byte in bytes {
+                    trickle.write_all(&[byte]).unwrap();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                while !done.load(Ordering::Relaxed) {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                drop((half, trickle));
+            })
+        })
+        .collect();
+
+    fn stop(outs: &[MeshOutput<u64>], c: &MeshCounters) -> bool {
+        let heard: BTreeSet<u64> = outs.iter().map(|o| o.event).collect();
+        heard == BTreeSet::from([100, 200, 400]) && c.outbound_dropped(2) > 0
+    }
+    let peers_b = peers.clone();
+    let honest_b =
+        std::thread::spawn(move || b.run(Box::new(Stubborn(200)), &peers_b, &quick_config(), stop));
+    let report_a = a.run(Box::new(Stubborn(100)), &peers, &quick_config(), stop);
+    let report_b = honest_b.join().unwrap();
+    done.store(true, Ordering::Relaxed);
+    for h in hostile {
+        h.join().unwrap();
+    }
+    assert!(
+        sink.join().unwrap() >= 2,
+        "both honest meshes dialed the sink"
+    );
+    for (name, report) in [("p0", &report_a), ("p1", &report_b)] {
+        assert!(!report.timed_out, "{name} stalled");
+        assert!(
+            report.outbound_dropped[2] >= (TO_SINK - 16 * 1024) as u64,
+            "{name}: overflow toward the sink not counted: {:?}",
+            report.outbound_dropped
+        );
+    }
 }
