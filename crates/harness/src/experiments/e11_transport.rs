@@ -26,9 +26,8 @@
 use std::time::Duration;
 
 use minsync_transport::cluster::{Behavior, ClusterSpec};
-use minsync_workload::ArrivalProcess;
 
-use super::run_clean_case;
+use super::{rider_spec, run_clean_case, slowest};
 use crate::Table;
 
 /// Tick length used by every E11 child (latency columns convert ticks to
@@ -41,20 +40,6 @@ fn rider_label(riders: &[Behavior]) -> &'static str {
         [Behavior::Silent] => "silent×1",
         [Behavior::Flood] => "flood×1",
         _ => "mixed",
-    }
-}
-
-fn spec(n: usize, t: usize, commands_per_client: usize, riders: Vec<Behavior>) -> ClusterSpec {
-    ClusterSpec {
-        n,
-        t,
-        clients_per_group: 4,
-        commands_per_client,
-        arrivals: ArrivalProcess::Poisson { mean_gap: 1.0 },
-        seed: 7,
-        riders,
-        tick: TICK,
-        ..ClusterSpec::default()
     }
 }
 
@@ -91,13 +76,13 @@ pub fn run(quick: bool) -> Table {
     let rider_sets: &[&[Behavior]] = &[&[], &[Behavior::Silent], &[Behavior::Flood]];
     for &(n, t) in sizes {
         for &riders in rider_sets {
-            let spec = spec(n, t, commands_per_client, riders.to_vec());
+            let spec = ClusterSpec {
+                commands_per_client,
+                tick: TICK,
+                ..rider_spec(n, t, riders.to_vec())
+            };
             let report = run_clean_case("E11", &spec);
-            let slowest = report
-                .replicas
-                .iter()
-                .max_by_key(|r| r.wall)
-                .expect("at least one correct replica");
+            let slowest = slowest(&report);
             let total = |prefix| report.sum_counters(prefix);
             let drops = total("mesh.outbound_dropped.");
             let cuts = total("mesh.decode_disconnects") + total("mesh.handshake_rejects");

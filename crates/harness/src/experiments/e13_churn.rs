@@ -44,6 +44,7 @@ use minsync_transport::cluster::{
 use minsync_types::{ProcessId, SystemConfig};
 use minsync_workload::{ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 
+use super::{churn_spec, slowest};
 use crate::topology::TopologySpec;
 use crate::Table;
 
@@ -246,21 +247,6 @@ fn cluster_plan(scenario: Scenario, n: usize) -> ChurnPlan {
     }
 }
 
-fn cluster_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> ClusterSpec {
-    ClusterSpec {
-        n,
-        t,
-        commands_per_client,
-        batch: 4,
-        // Arrival gaps are in child ticks, which compress under load —
-        // what matters is that the slot count stays inside the
-        // flow-control window a rejoiner starts with.
-        arrivals: ArrivalProcess::Poisson { mean_gap: 100.0 },
-        seed,
-        ..ClusterSpec::default()
-    }
-}
-
 /// Runs one churn cluster case and asserts agreement and liveness.
 ///
 /// # Panics
@@ -279,17 +265,6 @@ fn cluster_run(scenario: Scenario, spec: &ClusterSpec) -> ClusterReport {
         spec.n
     );
     report
-}
-
-fn slowest_wall_ms(report: &ClusterReport) -> f64 {
-    report
-        .replicas
-        .iter()
-        .map(|r| r.wall)
-        .max()
-        .expect("at least one correct replica")
-        .as_secs_f64()
-        * 1000.0
 }
 
 /// Runs E13.
@@ -350,14 +325,14 @@ pub fn run(quick: bool) -> Table {
 
         // Cluster: one clean baseline per size (an empty plan), then every
         // scenario as a real process-level disruption.
-        let spec = cluster_spec(n, t, CLUSTER_COMMANDS_PER_CLIENT, seed);
+        let spec = churn_spec(n, t, CLUSTER_COMMANDS_PER_CLIENT, seed);
         let base = run_churn_cluster(&spec, &ChurnPlan::new()).unwrap_or_else(|e| {
             panic!("E13 baseline n={n}: cluster failed: {e}");
         });
-        let base_ms = slowest_wall_ms(&base);
+        let base_ms = slowest(&base).wall.as_secs_f64() * 1000.0;
         for scenario in Scenario::ALL {
             let report = cluster_run(scenario, &spec);
-            let wall = slowest_wall_ms(&report);
+            let wall = slowest(&report).wall.as_secs_f64() * 1000.0;
             let dropped = report.sum_counters("mesh.outbound_dropped.");
             table.push_row([
                 scenario.label().to_string(),

@@ -28,19 +28,13 @@
 use minsync_transport::cluster::{run_cluster, Behavior, ClusterSpec};
 use minsync_workload::ArrivalProcess;
 
-use super::run_clean_case;
+use super::{rider_spec, run_clean_case, slowest};
 use crate::Table;
 
 fn spec(n: usize, t: usize, auth: bool, riders: Vec<Behavior>) -> ClusterSpec {
     ClusterSpec {
-        n,
-        t,
-        clients_per_group: 4,
-        arrivals: ArrivalProcess::Poisson { mean_gap: 1.0 },
-        seed: 7,
-        riders,
         auth,
-        ..ClusterSpec::default()
+        ..rider_spec(n, t, riders)
     }
 }
 
@@ -58,16 +52,12 @@ fn severing_row(n: usize, t: usize) -> [String; 7] {
         cuts > 0,
         "E15 n={n}: the valid-MAC garbage arm was never cut at the codec"
     );
-    let slowest = report
-        .replicas
-        .iter()
-        .max_by_key(|r| r.wall)
-        .expect("at least one correct replica");
+    let wall = slowest(&report).wall;
     [
         n.to_string(),
         t.to_string(),
         "auth+impersonator".to_string(),
-        format!("{:.1}", slowest.wall.as_secs_f64() * 1000.0),
+        format!("{:.1}", wall.as_secs_f64() * 1000.0),
         format!("{:.0}", report.cmds_per_sec()),
         auth_rejects.to_string(),
         cuts.to_string(),

@@ -61,6 +61,7 @@ use minsync_transport::cluster::{run_cluster, ClusterReport, ClusterSpec};
 use minsync_types::SystemConfig;
 use minsync_workload::{ArrivalProcess, Batch, ClientPopulation, DrainCursor, WorkloadSpec};
 
+use super::slowest;
 use crate::runner::ConsensusRunBuilder;
 use crate::Table;
 
@@ -574,14 +575,7 @@ pub fn run(quick: bool) -> Table {
         "—".to_string(),
         format!("{} vs {}", pipelined.eager, serialized.eager),
     ]);
-    let wall = |arm: &ClusterArm| {
-        arm.report
-            .replicas
-            .iter()
-            .map(|r| r.wall)
-            .max()
-            .unwrap_or_default()
-    };
+    let wall = |arm: &ClusterArm| slowest(&arm.report).wall;
     table.push_row([
         "tcp-window".to_string(),
         "drain wall ms w64 vs w1".to_string(),

@@ -70,6 +70,7 @@ use minsync_transport::cluster::{
 use minsync_types::{ProcessId, SystemConfig};
 use minsync_workload::{ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 
+use super::churn_spec;
 use crate::Table;
 
 type Msg = SmrMsg<Batch>;
@@ -421,15 +422,9 @@ fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
 
 fn cluster_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> ClusterSpec {
     ClusterSpec {
-        n,
-        t,
-        commands_per_client,
-        batch: 4,
-        arrivals: ArrivalProcess::Poisson { mean_gap: 100.0 },
-        seed,
         tick: TICK,
         stats_period: Some(Duration::from_millis(CLUSTER_PERIOD_MS)),
-        ..ClusterSpec::default()
+        ..churn_spec(n, t, commands_per_client, seed)
     }
 }
 

@@ -24,7 +24,8 @@ pub mod e8_timeouts;
 pub mod e9_message_complexity;
 pub mod ea_lab;
 
-use minsync_transport::cluster::{run_cluster, Behavior, ClusterReport, ClusterSpec};
+use minsync_transport::cluster::{run_cluster, Behavior, ClusterReport, ClusterSpec, ReplicaStats};
+use minsync_workload::ArrivalProcess;
 
 use crate::Table;
 
@@ -213,6 +214,51 @@ pub(crate) fn run_clean_case(tag: &str, spec: &ClusterSpec) -> ClusterReport {
         }
     }
     report
+}
+
+/// The slowest correct replica of a cluster run; its `wall` is the run's
+/// drain time.
+///
+/// # Panics
+///
+/// Panics if the run has no correct replica.
+pub(crate) fn slowest(report: &ClusterReport) -> &ReplicaStats {
+    report
+        .replicas
+        .iter()
+        .max_by_key(|r| r.wall)
+        .expect("at least one correct replica")
+}
+
+/// E11 and E15's cluster: four Poisson clients per group, seed 7, `riders`
+/// in the fault slots. Callers add their own knobs with struct-update
+/// syntax.
+pub(crate) fn rider_spec(n: usize, t: usize, riders: Vec<Behavior>) -> ClusterSpec {
+    ClusterSpec {
+        n,
+        t,
+        clients_per_group: 4,
+        arrivals: ArrivalProcess::Poisson { mean_gap: 1.0 },
+        seed: 7,
+        riders,
+        ..ClusterSpec::default()
+    }
+}
+
+/// E13 and E17's cluster for mid-run faults: batch 4, arrivals 100 ticks
+/// apart. Arrival gaps are in child ticks, which compress under load; what
+/// matters is that the slot count stays inside the flow-control window a
+/// rejoiner starts with.
+pub(crate) fn churn_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> ClusterSpec {
+    ClusterSpec {
+        n,
+        t,
+        commands_per_client,
+        batch: 4,
+        arrivals: ArrivalProcess::Poisson { mean_gap: 100.0 },
+        seed,
+        ..ClusterSpec::default()
+    }
 }
 
 /// Seeds used per configuration.

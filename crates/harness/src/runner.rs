@@ -1,3 +1,4 @@
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use minsync_core::{ConsensusConfig, ConsensusEvent, ProtocolMsg, TimeoutPolicy};
@@ -199,9 +200,9 @@ impl ConsensusRunBuilder {
     }
 
     /// Executes the same run description once per seed in `seeds`, fanned
-    /// across OS threads (one crossbeam work queue feeding
-    /// `available_parallelism` workers), and returns the outcomes sorted by
-    /// seed.
+    /// across `available_parallelism` scoped worker threads (each claims the
+    /// next seed from a shared atomic index), and returns the outcomes sorted
+    /// by seed.
     ///
     /// Sans-io makes this safe and exact: every per-seed simulation owns
     /// its nodes outright (no substrate borrows), so runs are fully
@@ -249,33 +250,26 @@ impl ConsensusRunBuilder {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(4)
             .min(seeds.len());
-        let (work_tx, work_rx) = crossbeam::channel::unbounded::<u64>();
-        let (result_tx, result_rx) =
-            crossbeam::channel::unbounded::<Result<(u64, RunOutcome), HarnessError>>();
-        for seed in &seeds {
-            work_tx.send(*seed).expect("receiver alive");
-        }
-        drop(work_tx);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let work_rx = work_rx.clone();
-                let result_tx = result_tx.clone();
-                let spec = &spec;
-                scope.spawn(move || {
-                    while let Ok(seed) = work_rx.recv() {
-                        let outcome = spec.build(seed).and_then(ConsensusRunBuilder::run);
-                        if result_tx.send(outcome.map(|o| (seed, o))).is_err() {
-                            break;
+        let next = AtomicUsize::new(0);
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        while let Some(&seed) = seeds.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let outcome = spec.build(seed).and_then(ConsensusRunBuilder::run);
+                            done.push(outcome.map(|o| (seed, o)));
                         }
-                    }
-                });
-            }
+                        done
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("run_seeds worker panicked"))
+                .collect()
         });
-        drop(result_tx);
-        let mut results = Vec::with_capacity(seeds.len());
-        for outcome in result_rx.iter() {
-            results.push(outcome?);
-        }
+        let mut results = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
         results.sort_by_key(|(seed, _)| *seed);
         Ok(results)
     }

@@ -14,7 +14,7 @@
 //!   seeds yield identical executions, which makes the paper's *eventual*
 //!   assumptions testable.
 //! * [`threaded`] — a live runtime executing the same [`Node`] automata on
-//!   OS threads with crossbeam channels and a delay-injecting router, for
+//!   OS threads with std channels and a delay-injecting router, for
 //!   examples that want wall-clock behavior.
 //!
 //! # The sans-io automaton API

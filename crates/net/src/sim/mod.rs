@@ -25,6 +25,5 @@ pub use metrics::Metrics;
 pub use oracle::{DelayOracle, ScheduleCommand, ScheduleOracle};
 pub use queue::EventQueue;
 pub use simulation::{
-    CauseRecord, DeliveryRecord, EffectRecord, InvocationCause, OutputRecord, RunReport,
-    SimBuilder, Simulation,
+    CauseRecord, EffectRecord, InvocationCause, OutputRecord, RunReport, SimBuilder, Simulation,
 };

@@ -14,19 +14,6 @@ use super::queue::EventQueue;
 use crate::driver::{step, Link, Recorder, StepHooks};
 use crate::{ChannelTiming, Effect, Env, NetworkTopology, Node, TimerId, TimerTable, VirtualTime};
 
-/// One recorded message delivery (see [`SimBuilder::log_deliveries`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeliveryRecord {
-    /// Delivery time.
-    pub time: VirtualTime,
-    /// True sender.
-    pub from: ProcessId,
-    /// Destination.
-    pub to: ProcessId,
-    /// Message kind per the installed classifier (`"?"` without one).
-    pub kind: &'static str,
-}
-
 /// One observable event emitted by a node via [`crate::Env::output`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutputRecord<O> {
@@ -127,7 +114,6 @@ pub struct SimBuilder<M, O> {
     classifier: Option<fn(&M) -> &'static str>,
     oracle: Option<Box<dyn DelayOracle<M>>>,
     schedule: Option<Box<dyn ScheduleOracle<M>>>,
-    log_deliveries: usize,
     record_effects: usize,
     record_causes: usize,
     trace: Option<Arc<TraceRecorder>>,
@@ -152,7 +138,6 @@ where
             classifier: None,
             oracle: None,
             schedule: None,
-            log_deliveries: 0,
             record_effects: 0,
             record_causes: 0,
             trace: None,
@@ -196,15 +181,6 @@ where
     /// Installs a message classifier for per-kind metrics.
     pub fn classify(mut self, f: fn(&M) -> &'static str) -> Self {
         self.classifier = Some(f);
-        self
-    }
-
-    /// Records the first `capacity` message deliveries as
-    /// [`DeliveryRecord`]s (timestamp, sender, destination, classified
-    /// kind) for debugging; read them back via
-    /// [`Simulation::delivery_log`].
-    pub fn log_deliveries(mut self, capacity: usize) -> Self {
-        self.log_deliveries = capacity;
         self
     }
 
@@ -339,8 +315,6 @@ where
             trace: self.trace,
             max_time: self.max_time,
             max_events: self.max_events,
-            delivery_log: Vec::new(),
-            delivery_log_capacity: self.log_deliveries,
             effect_trace: Vec::new(),
             effect_trace_capacity: self.record_effects,
             cause_trace: Vec::new(),
@@ -387,8 +361,6 @@ pub struct Simulation<M, O> {
     trace: Option<Arc<TraceRecorder>>,
     max_time: Option<VirtualTime>,
     max_events: u64,
-    delivery_log: Vec<DeliveryRecord>,
-    delivery_log_capacity: usize,
     effect_trace: Vec<EffectRecord<M, O>>,
     effect_trace_capacity: usize,
     cause_trace: Vec<CauseRecord<M>>,
@@ -484,12 +456,6 @@ where
     /// is nothing to record.
     pub fn stat_series(&self) -> &TimeSeries {
         &self.stat_series
-    }
-
-    /// Recorded deliveries (empty unless [`SimBuilder::log_deliveries`] was
-    /// used; capped at the configured capacity).
-    pub fn delivery_log(&self) -> &[DeliveryRecord] {
-        &self.delivery_log
     }
 
     /// Recorded per-invocation effect streams (empty unless
@@ -618,16 +584,8 @@ where
         }
         let cause = match kind {
             EventKind::Start(_) => InvocationCause::Start,
-            EventKind::Deliver { from, to, msg } => {
+            EventKind::Deliver { from, msg, .. } => {
                 core.metrics.messages_delivered += 1;
-                if self.delivery_log.len() < self.delivery_log_capacity {
-                    self.delivery_log.push(DeliveryRecord {
-                        time,
-                        from,
-                        to,
-                        kind: core.classifier.map_or("?", |c| c(&msg)),
-                    });
-                }
                 InvocationCause::Deliver { from, msg }
             }
             EventKind::Timer { timer, .. } => {

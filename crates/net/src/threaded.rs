@@ -17,10 +17,10 @@
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use minsync_telemetry::trace::{queues, TraceKind, TraceRecorder};
 use minsync_types::ProcessId;
 use rand::rngs::SplitMix64;
@@ -157,20 +157,16 @@ where
     let clock = WallClock::new(Instant::now(), config.tick);
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    let (router_tx, router_rx) = unbounded::<RouterCmd<M>>();
-    let (output_tx, output_rx) = unbounded::<ThreadedOutput<O>>();
-    let (record_tx, record_rx) = unbounded::<EffectRecord<M, O>>();
+    let (router_tx, router_rx) = channel::<RouterCmd<M>>();
+    let (output_tx, output_rx) = channel::<ThreadedOutput<O>>();
+    let (record_tx, record_rx) = channel::<EffectRecord<M, O>>();
 
-    let mut inbox_txs = Vec::with_capacity(n);
-    let mut inbox_rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        // Bounded inboxes apply gentle backpressure to runaway senders.
-        let (tx, rx) = bounded::<(ProcessId, M)>(64 * 1024);
-        inbox_txs.push(tx);
-        inbox_rxs.push(rx);
-    }
-    // Inbox depth tracking exists only for telemetry (the vendored channel
-    // has no len()); untraced runs never touch the atomics.
+    // Unbounded like the router's own input: a bound here would cap no
+    // memory, only let one slow node stall every delivery.
+    let (inbox_txs, inbox_rxs): (Vec<_>, Vec<_>) =
+        (0..n).map(|_| channel::<(ProcessId, M)>()).unzip();
+    // Inbox depth tracking exists only for telemetry (std's channel has no
+    // len()); untraced runs never touch the atomics.
     let inbox_depths: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
 
     // Router thread: applies channel delays, then forwards into inboxes.
@@ -278,8 +274,8 @@ where
     };
 
     // Node threads. Each worker owns its inbox receiver outright, so a node
-    // that halts or shuts down closes its inbox and the router's blocking
-    // send into it fails instead of waiting on a full queue forever.
+    // that halts or shuts down closes its inbox and the router's sends into
+    // it fail instead of queueing for nobody.
     let mut handles = Vec::with_capacity(n);
     for (idx, (mut node, inbox)) in nodes.into_iter().zip(inbox_rxs).enumerate() {
         let me = ProcessId::new(idx);
@@ -534,9 +530,9 @@ mod tests {
         assert_eq!(report.outputs[0].event, "fired");
     }
 
-    /// p0 halts on start. p1 sends it more messages than its inbox holds,
-    /// then one to itself; the router delivers in send order, so p1 hears
-    /// itself only if the router got past the dead node's full inbox.
+    /// p0 halts on start. p1 floods it with 70 000 messages, then sends one
+    /// to itself; the router delivers in send order, so p1 hears itself
+    /// only if the router got past the dead node's inbox.
     struct HaltOrFlood;
 
     impl Node for HaltOrFlood {

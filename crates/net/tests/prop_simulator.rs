@@ -244,28 +244,3 @@ fn cancelled_then_reused_timer_generation_never_fires_stale() {
     assert_eq!(report.outputs.len(), 1, "exactly the live timer fires");
     assert_eq!(report.metrics.timers_fired, 1);
 }
-
-#[test]
-fn delivery_log_records_classified_deliveries() {
-    fn classify(m: &u32) -> &'static str {
-        if *m < 2 {
-            "low"
-        } else {
-            "high"
-        }
-    }
-    let topo = NetworkTopology::all_timely(3, 2);
-    let mut builder = SimBuilder::new(topo)
-        .seed(1)
-        .classify(classify)
-        .log_deliveries(5);
-    for _ in 0..3 {
-        builder = builder.node(Gossip { budget: 3 });
-    }
-    let mut sim = builder.build();
-    let _ = sim.run();
-    let log = sim.delivery_log();
-    assert_eq!(log.len(), 5, "log capped at capacity");
-    assert!(log.iter().all(|r| r.kind == "low" || r.kind == "high"));
-    assert!(log.windows(2).all(|w| w[0].time <= w[1].time));
-}

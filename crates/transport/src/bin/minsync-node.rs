@@ -144,7 +144,7 @@ fn parse_args() -> Result<Args, String> {
             "--commands" => {
                 args.commands = value.parse().map_err(|e| format!("--commands: {e}"))?
             }
-            "--batch" => args.batch = value.parse().map_err(|e| format!("--batch: {e}"))?,
+            "--batch" => args.batch = at_least_one(flag, value)? as usize,
             "--arrival" => {
                 args.arrival =
                     parse_arrival(value).ok_or_else(|| format!("--arrival: bad spec {value}"))?
@@ -154,10 +154,7 @@ fn parse_args() -> Result<Args, String> {
                 args.behavior = Behavior::parse(value)
                     .ok_or_else(|| format!("--behavior: unknown behavior {value}"))?
             }
-            "--tick-us" => {
-                args.tick =
-                    Duration::from_micros(value.parse().map_err(|e| format!("--tick-us: {e}"))?)
-            }
+            "--tick-us" => args.tick = Duration::from_micros(at_least_one(flag, value)?),
             "--timeout-ms" => {
                 args.timeout =
                     Duration::from_millis(value.parse().map_err(|e| format!("--timeout-ms: {e}"))?)
@@ -172,20 +169,10 @@ fn parse_args() -> Result<Args, String> {
             "--ckpt-retry" => {
                 args.ckpt_retry = value.parse().map_err(|e| format!("--ckpt-retry: {e}"))?
             }
-            "--window" => {
-                let window: u64 = value.parse().map_err(|e| format!("--window: {e}"))?;
-                if window == 0 {
-                    return Err("--window: must be at least 1".into());
-                }
-                args.window = Some(window);
-            }
+            "--window" => args.window = Some(at_least_one(flag, value)?),
             "--trace" => args.trace = Some(PathBuf::from(value)),
             "--stats-period" => {
-                let ms: u64 = value.parse().map_err(|e| format!("--stats-period: {e}"))?;
-                if ms == 0 {
-                    return Err("--stats-period: must be at least 1 ms".into());
-                }
-                args.stats_period = Some(Duration::from_millis(ms));
+                args.stats_period = Some(Duration::from_millis(at_least_one(flag, value)?))
             }
             other => return Err(format!("unknown flag {other}")),
         }
@@ -206,6 +193,15 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// Parses `flag`'s value as a count that must be at least 1: a zero batch
+/// proposes nothing, a zero tick makes every timer due at once.
+fn at_least_one(flag: &str, value: &str) -> Result<u64, String> {
+    match value.parse() {
+        Ok(0) => Err(format!("{flag}: must be at least 1")),
+        parsed => parsed.map_err(|e| format!("{flag}: {e}")),
+    }
 }
 
 fn main() {

@@ -21,9 +21,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use minsync_auth::HmacAuthenticator;
 use minsync_telemetry::{Sample, Snapshot, TimeSeries, STREAM_FOOTER, STREAM_HEADER};
 use minsync_workload::ArrivalProcess;
@@ -731,7 +731,7 @@ fn orchestrate(
 
     // One reader thread per child funnels control lines into a channel, so
     // the orchestrator never blocks on a single quiet pipe.
-    let (line_tx, line_rx) = unbounded::<ChildLine>();
+    let (line_tx, line_rx) = channel::<ChildLine>();
     let mut stdins: Vec<Option<ChildStdin>> = Vec::with_capacity(spec.n);
     for (id, child) in children.iter_mut().enumerate() {
         stdins.push(Some(attach_reader(id, child, &line_tx)));

@@ -42,7 +42,8 @@
 //! with an [`Authenticator`] ([`MeshConfig::auth`]) **proves** it: the
 //! handshake carries a key-confirmation tag, every frame carries a MAC over
 //! its body verified *before* the decoder sees a byte, and any forgery cuts
-//! the connection and counts in [`MeshReport::auth_rejects`]. That closes
+//! the connection and counts in `mesh.auth_rejects`
+//! ([`MeshCounters::auth_rejects`]). That closes
 //! the paper's no-impersonation assumption (Section 2.1) over real sockets.
 //! Delivery is FIFO per directed channel (TCP) with no cross-channel
 //! ordering, exactly the guarantee the protocols were verified against on
@@ -140,7 +141,8 @@ pub struct MeshConfig {
     /// sender ids are trusted as claimed. `Some` requires a valid
     /// key-confirmation tag on every inbound handshake and a valid MAC on
     /// every inbound frame — checked **before** the payload reaches the
-    /// decoder — and tags all outbound traffic. The frame cap
+    /// decoder — and tags all outbound traffic; a failed check cuts the
+    /// connection and counts in `mesh.auth_rejects`. The frame cap
     /// ([`DEFAULT_MAX_FRAME`]) keeps applying to the message *body*: readers
     /// admit [`tagged_frame_cap`] bytes, so the MAC rides for free instead
     /// of stealing payload capacity.
@@ -244,23 +246,9 @@ pub struct MeshReport<O> {
     pub timed_out: bool,
     /// Per-peer outbound messages dropped (full queue, blocked link, or an
     /// unsendable oversized message). Index = peer id; the self slot stays 0.
+    /// Every other transport counter lives only in [`MeshCounters`] and
+    /// the registry.
     pub outbound_dropped: Vec<u64>,
-    /// Inbound connections dropped because their bytes failed to decode
-    /// (garbage frames, oversized frame announcements, trailing bytes).
-    pub decode_disconnects: u64,
-    /// Inbound connections rejected at the handshake (bad magic, version or
-    /// cluster size, bad or self-claiming sender id, or 5 s without one).
-    pub handshake_rejects: u64,
-    /// Successful re-connections after the first connect per peer.
-    pub reconnects: u64,
-    /// Inbound connections cut for failed authentication (a handshake tag
-    /// or frame MAC that did not verify) — always 0 on an open mesh.
-    pub auth_rejects: u64,
-    /// RTT probes written.
-    pub pings: u64,
-    /// Final per-peer RTT EWMA in ticks (see [`MeshCounters::rtt_ewma`]);
-    /// index = peer id, 0 at the self slot and for peers never measured.
-    pub rtt_ewma: Vec<u64>,
 }
 
 /// Live transport counters, handed to the stop predicate on every
@@ -334,22 +322,27 @@ impl MeshCounters {
         self.outbound_dropped[peer].get()
     }
 
-    /// Inbound connections cut for undecodable bytes so far.
+    /// Inbound connections cut for undecodable bytes so far (garbage
+    /// frames, oversized frame announcements, trailing bytes).
     pub fn decode_disconnects(&self) -> u64 {
         self.decode_disconnects.get()
     }
 
-    /// Inbound connections refused at the handshake so far.
+    /// Inbound connections refused at the handshake so far (bad magic,
+    /// version or cluster size, bad or self-claiming sender id, or 5 s
+    /// without one).
     pub fn handshake_rejects(&self) -> u64 {
         self.handshake_rejects.get()
     }
 
-    /// Successful re-connections so far.
+    /// Successful re-connections after the first connect per peer so far.
     pub fn reconnects(&self) -> u64 {
         self.reconnects.get()
     }
 
-    /// Inbound connections cut for failed authentication so far.
+    /// Inbound connections cut for failed authentication so far (a
+    /// handshake tag or frame MAC that did not verify) — always 0 on an
+    /// open mesh.
     pub fn auth_rejects(&self) -> u64 {
         self.auth_rejects.get()
     }
@@ -499,12 +492,6 @@ impl TcpMesh {
             elapsed: clock.elapsed(),
             timed_out,
             outbound_dropped: (0..n).map(|p| c.outbound_dropped(p)).collect(),
-            decode_disconnects: c.decode_disconnects(),
-            handshake_rejects: c.handshake_rejects(),
-            reconnects: c.reconnects(),
-            auth_rejects: c.auth_rejects(),
-            pings: c.pings.get(),
-            rtt_ewma: (0..n).map(|p| c.rtt_ewma(p)).collect(),
             outputs: link.outputs,
         }
     }

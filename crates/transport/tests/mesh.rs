@@ -3,10 +3,12 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 use minsync_auth::HmacAuthenticator;
 use minsync_net::{Env, Node, TimerId};
+use minsync_telemetry::Registry;
 use minsync_transport::mesh::{
     LinkFaults, MeshConfig, MeshCounters, MeshOutput, MeshReport, TcpMesh,
 };
@@ -50,6 +52,25 @@ fn quick_config() -> MeshConfig {
     }
 }
 
+/// `config` with a fresh registry attached, so a test reads the run's final
+/// `mesh.*` counters from its snapshot.
+fn registered(config: MeshConfig) -> (MeshConfig, Arc<Registry>) {
+    let registry = Arc::new(Registry::new());
+    let config = MeshConfig {
+        registry: Some(Arc::clone(&registry)),
+        ..config
+    };
+    (config, registry)
+}
+
+/// Final value of counter `name` in `registry`.
+fn counter(registry: &Registry, name: &str) -> u64 {
+    registry
+        .snapshot()
+        .counter(name)
+        .expect("mesh counter interned")
+}
+
 /// Two mesh instances exchange broadcasts: every process sees both values
 /// (its peer's over TCP, its own over the self-channel).
 #[test]
@@ -66,7 +87,8 @@ fn two_meshes_broadcast_to_each_other() {
             |outs, _| outs.len() >= 2,
         )
     });
-    let report_a = a.run(Box::new(Caster(100)), &peers, &quick_config(), |outs, _| {
+    let (config_a, registry_a) = registered(quick_config());
+    let report_a = a.run(Box::new(Caster(100)), &peers, &config_a, |outs, _| {
         outs.len() >= 2
     });
     let report_b = handle.join().unwrap();
@@ -78,19 +100,16 @@ fn two_meshes_broadcast_to_each_other() {
     assert!(!report_a.timed_out && !report_b.timed_out);
     assert_eq!(sorted(&report_a), [100, 200]);
     assert_eq!(sorted(&report_b), [100, 200]);
-    assert_eq!(report_a.decode_disconnects, 0);
+    assert_eq!(counter(&registry_a, "mesh.decode_disconnects"), 0);
 }
 
 /// The RTT plumbing measures live links: after a couple of keepalive
 /// periods each side's ping has been echoed back, so the per-peer
-/// `link.rtt_ewma` gauge is populated (and exported through the registry
-/// and the report) while the self slot stays unmeasured.
+/// `link.rtt_ewma` gauge is populated (and exported through the registry)
+/// while the self slot stays unmeasured.
 #[test]
 fn rtt_probes_populate_per_peer_gauges() {
-    use std::sync::Arc;
     use std::time::Instant;
-
-    use minsync_telemetry::Registry;
 
     let a = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
     let b = TcpMesh::bind(ProcessId::new(1), "127.0.0.1:0".parse().unwrap()).unwrap();
@@ -109,40 +128,41 @@ fn rtt_probes_populate_per_peer_gauges() {
     let peers_b = peers.clone();
     let handle = std::thread::spawn(move || {
         let hold = Instant::now();
-        b.run(
-            Box::new(Caster(200)),
-            &peers_b,
-            &config_b,
-            move |outs, _| {
-                // Stay up long enough for a's ping to be echoed back.
-                !outs.is_empty() && hold.elapsed() >= Duration::from_millis(300)
-            },
-        )
+        let mut rtt_b = 0;
+        let report = b.run(Box::new(Caster(200)), &peers_b, &config_b, |outs, c| {
+            rtt_b = c.rtt_ewma(0);
+            // Stay up long enough for a's ping to be echoed back.
+            !outs.is_empty() && hold.elapsed() >= Duration::from_millis(300)
+        });
+        (report, rtt_b)
     });
     let hold = Instant::now();
     let report_a = a.run(Box::new(Caster(100)), &peers, &config, move |_, c| {
         c.rtt_ewma(1) > 0 && hold.elapsed() >= Duration::from_millis(300)
     });
-    let report_b = handle.join().unwrap();
+    let (report_b, rtt_b) = handle.join().unwrap();
     assert!(!report_a.timed_out && !report_b.timed_out);
-    assert!(report_a.pings > 0, "idle cadence sends probes");
-    assert!(report_a.rtt_ewma[1] > 0, "peer link measured");
-    assert_eq!(report_a.rtt_ewma[0], 0, "self slot never measured");
+    let snapshot = registry.snapshot();
+    assert!(
+        snapshot.counter("mesh.pings") > Some(0),
+        "idle cadence sends probes"
+    );
+    let rtt = snapshot.gauge("link.rtt_ewma.p1").expect("peer gauge");
+    assert!(rtt > 0, "peer link measured");
+    assert_eq!(
+        snapshot.gauge("link.rtt_ewma.p0"),
+        Some(0),
+        "self slot never measured"
+    );
     // A loopback round trip sits far below a second: the estimate must be
     // in a sane range, not just nonzero (tick = 200µs → 5000 ticks/s).
     assert!(
-        report_a.rtt_ewma[1] < 5_000,
-        "rtt_ewma {} ticks is implausible for loopback",
-        report_a.rtt_ewma[1]
-    );
-    let snapshot = registry.snapshot();
-    assert_eq!(
-        snapshot.gauge("link.rtt_ewma.p1"),
-        Some(report_a.rtt_ewma[1])
+        rtt < 5_000,
+        "rtt_ewma {rtt} ticks is implausible for loopback"
     );
     assert!(snapshot.gauge("link.backlog.p1").is_some());
-    // b ran without a registry: detached handles still fed its report.
-    assert!(report_b.rtt_ewma[0] > 0, "detached gauges still measure");
+    // b ran without a registry: its private handles still measured.
+    assert!(rtt_b > 0, "detached gauges still measure");
 }
 
 /// Timers fire and cancel through the shared generation table, mapped to
@@ -230,25 +250,24 @@ fn garbage_bytes_disconnect_the_peer_not_the_process() {
         drop((s1, s2, s3, s4, s5));
     });
 
-    let report = mesh.run(
-        Box::new(Collector),
-        &peers,
-        &quick_config(),
-        |outs, counters| {
-            outs.iter().any(|o| o.event == 42)
-                && counters.decode_disconnects() >= 2
-                && counters.handshake_rejects() >= 2
-        },
-    );
+    let (config, registry) = registered(quick_config());
+    let report = mesh.run(Box::new(Collector), &peers, &config, |outs, counters| {
+        outs.iter().any(|o| o.event == 42)
+            && counters.decode_disconnects() >= 2
+            && counters.handshake_rejects() >= 2
+    });
     poker.join().unwrap();
     assert!(!report.timed_out, "mesh survived and delivered");
     assert_eq!(report.outputs.len(), 1);
     assert_eq!(report.outputs[0].event, 42);
     assert!(
-        report.decode_disconnects >= 2,
+        counter(&registry, "mesh.decode_disconnects") >= 2,
         "garbage frame + oversized header"
     );
-    assert!(report.handshake_rejects >= 2, "bad magic + future version");
+    assert!(
+        counter(&registry, "mesh.handshake_rejects") >= 2,
+        "bad magic + future version"
+    );
 }
 
 /// The handshake pins the cluster size and forbids claiming the host's own
@@ -270,15 +289,13 @@ fn handshake_rejects_wrong_cluster_and_impersonation() {
         std::thread::sleep(Duration::from_millis(300));
         drop((s1, s2));
     });
-    let report = mesh.run(
-        Box::new(Collector),
-        &peers,
-        &quick_config(),
-        |_, counters| counters.handshake_rejects() >= 2,
-    );
+    let (config, registry) = registered(quick_config());
+    let report = mesh.run(Box::new(Collector), &peers, &config, |_, counters| {
+        counters.handshake_rejects() >= 2
+    });
     poker.join().unwrap();
     assert!(!report.timed_out);
-    assert_eq!(report.handshake_rejects, 2);
+    assert_eq!(counter(&registry, "mesh.handshake_rejects"), 2);
     assert!(report.outputs.is_empty(), "no traffic was ever accepted");
 }
 
@@ -341,11 +358,12 @@ fn writer_reconnects_after_peer_drops_the_connection() {
 
     let mesh = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
     let peers = vec![mesh.local_addr().unwrap(), peer_addr];
-    let report = mesh.run(Box::new(Beacon), &peers, &quick_config(), |_, counters| {
+    let (config, registry) = registered(quick_config());
+    let report = mesh.run(Box::new(Beacon), &peers, &config, |_, counters| {
         counters.reconnects() >= 1
     });
     assert!(!report.timed_out, "writer reconnected");
-    assert!(report.reconnects >= 1);
+    assert!(counter(&registry, "mesh.reconnects") >= 1);
     server.join().unwrap();
 }
 
@@ -445,7 +463,7 @@ fn link_faults_block_then_heal_outbound_traffic() {
         }
     }
 
-    let faults = std::sync::Arc::new(LinkFaults::new(2));
+    let faults = Arc::new(LinkFaults::new(2));
     faults.block(1);
     assert!(faults.is_blocked(1) && !faults.is_blocked(0));
 
@@ -466,14 +484,14 @@ fn link_faults_block_then_heal_outbound_traffic() {
         })
     });
     let healer = {
-        let faults = std::sync::Arc::clone(&faults);
+        let faults = Arc::clone(&faults);
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(300));
             faults.heal();
         })
     };
     let config = MeshConfig {
-        faults: Some(std::sync::Arc::clone(&faults)),
+        faults: Some(Arc::clone(&faults)),
         ..quick_config()
     };
     let report_a = a.run(Box::new(Beacon), &peers, &config, |outs, _| {
@@ -520,10 +538,10 @@ fn forged_handshakes_cannot_evict_the_genuine_connection() {
     let mesh = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
     let addr = mesh.local_addr().unwrap();
     let peers = vec![addr, "127.0.0.1:1".parse().unwrap()];
-    let config = MeshConfig {
-        auth: Some(std::sync::Arc::new(my_auth)),
+    let (config, registry) = registered(MeshConfig {
+        auth: Some(Arc::new(my_auth)),
         ..quick_config()
-    };
+    });
 
     let poker = std::thread::spawn(move || {
         let frame = |v: u64| {
@@ -564,9 +582,13 @@ fn forged_handshakes_cannot_evict_the_genuine_connection() {
     assert!(!report.timed_out, "genuine traffic survived the forgeries");
     let events: Vec<u64> = report.outputs.iter().map(|o| o.event).collect();
     assert_eq!(events, [1, 2], "both genuine frames on one connection");
-    assert!(report.auth_rejects >= 3, "every forgery was severed");
+    assert!(
+        counter(&registry, "mesh.auth_rejects") >= 3,
+        "every forgery was severed"
+    );
     assert_eq!(
-        report.decode_disconnects, 0,
+        counter(&registry, "mesh.decode_disconnects"),
+        0,
         "forged bytes never reached the codec"
     );
 }
@@ -577,10 +599,7 @@ fn forged_handshakes_cannot_evict_the_genuine_connection() {
 /// frame.
 #[test]
 fn queued_backlog_reaches_a_late_peer_in_order_in_few_writes() {
-    use std::sync::Arc;
     use std::time::Instant;
-
-    use minsync_telemetry::Registry;
 
     const MESSAGES: u64 = 2_000;
     const COALESCE_BYTES: u64 = 16 * 1024;
@@ -608,11 +627,7 @@ fn queued_backlog_reaches_a_late_peer_in_order_in_few_writes() {
         .unwrap();
     let a = TcpMesh::bind(ProcessId::new(0), "127.0.0.1:0".parse().unwrap()).unwrap();
     let peers = vec![a.local_addr().unwrap(), late_addr];
-    let registry = Arc::new(Registry::new());
-    let config = MeshConfig {
-        registry: Some(Arc::clone(&registry)),
-        ..quick_config()
-    };
+    let (config, registry) = registered(quick_config());
     let peers_a = peers.clone();
     let sender = std::thread::spawn(move || {
         a.run(Box::new(Burst), &peers_a, &config, |_, c| {
@@ -642,7 +657,11 @@ fn queued_backlog_reaches_a_late_peer_in_order_in_few_writes() {
     assert!(!report_a.timed_out && !report_b.timed_out);
     let got: Vec<u64> = report_b.outputs.iter().map(|o| o.event).collect();
     assert_eq!(got, (0..MESSAGES).collect::<Vec<_>>(), "exactly once, FIFO");
-    assert_eq!(report_a.reconnects, 0, "no replay could have duplicated");
+    assert_eq!(
+        counter(&registry, "mesh.reconnects"),
+        0,
+        "no replay could have duplicated"
+    );
     let snapshot = registry.snapshot();
     let writes = snapshot.counter("mesh.writes").unwrap();
     let frames = snapshot.counter("mesh.frames_written").unwrap();
@@ -664,8 +683,6 @@ fn queued_backlog_reaches_a_late_peer_in_order_in_few_writes() {
 /// the transport's, not the protocol's.
 #[test]
 fn msg_frames_on_the_wire_are_pinned() {
-    use std::sync::Arc;
-
     use minsync_auth::Authenticator;
     use minsync_wire::{split_control, split_frame, tagged_frame_cap};
 
@@ -753,7 +770,6 @@ fn msg_frames_on_the_wire_are_pinned() {
 fn one_stuck_socket_does_not_stall_the_replica() {
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     /// Messages each honest mesh sends the sink: more than a peer's queue
     /// holds.

@@ -1,4 +1,4 @@
-//! The same consensus automaton, live on OS threads: crossbeam channels,
+//! The same consensus automaton, live on OS threads: std channels,
 //! wall-clock delays, a real router injecting per-channel latency.
 //!
 //! ```text
