@@ -72,42 +72,52 @@ impl HmacKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::{paths, pinned};
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     /// RFC 4231 test cases 1, 2, 6, and 7 — short key, short-key-with-
-    /// padding, oversized key, and oversized key with long data.
+    /// padding, oversized key, and oversized key with long data — on both
+    /// compression paths.
     #[test]
     fn rfc4231_vectors() {
-        // Case 1.
-        assert_eq!(
-            hex(&hmac_sha256(&[0x0b; 20], b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        // Case 2: "Jefe" / "what do ya want for nothing?".
-        assert_eq!(
-            hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        // Case 6: 131-byte key (hashed down), "Test Using Larger Than
-        // Block-Size Key - Hash Key First".
-        assert_eq!(
-            hex(&hmac_sha256(
-                &[0xaa; 131],
-                b"Test Using Larger Than Block-Size Key - Hash Key First"
-            )),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
-        // Case 7: 131-byte key, long data.
-        assert_eq!(
-            hex(&hmac_sha256(
-                &[0xaa; 131],
-                b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm."
-            )),
-            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
-        );
+        for (path, kernel) in paths() {
+            pinned(kernel, || {
+                // Case 1.
+                assert_eq!(
+                    hex(&hmac_sha256(&[0x0b; 20], b"Hi There")),
+                    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+                    "{path}"
+                );
+                // Case 2: "Jefe" / "what do ya want for nothing?".
+                assert_eq!(
+                    hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
+                    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+                    "{path}"
+                );
+                // Case 6: 131-byte key (hashed down), "Test Using Larger
+                // Than Block-Size Key - Hash Key First".
+                assert_eq!(
+                    hex(&hmac_sha256(
+                        &[0xaa; 131],
+                        b"Test Using Larger Than Block-Size Key - Hash Key First"
+                    )),
+                    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+                    "{path}"
+                );
+                // Case 7: 131-byte key, long data.
+                assert_eq!(
+                    hex(&hmac_sha256(
+                        &[0xaa; 131],
+                        b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm."
+                    )),
+                    "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+                    "{path}"
+                );
+            });
+        }
     }
 
     /// The precomputed-midstate path against the one-shot, across the
@@ -127,6 +137,32 @@ mod tests {
                     assert_eq!(fast.mac(&[a, b]), expected, "{len} bytes cut at {cut}");
                 }
             }
+        }
+    }
+
+    /// The midstate key, on each path, against the one-shot on the scalar
+    /// path: every length 0..=300 and 1 MiB.
+    #[test]
+    fn midstate_key_matches_the_one_shot_on_every_length() {
+        let data: Vec<u8> = (0..1u32 << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        let lengths: Vec<usize> = (0..=300).chain([data.len()]).collect();
+        let paths = paths();
+        let (_, scalar) = paths[0];
+        let expected: Vec<_> = pinned(scalar, || {
+            lengths
+                .iter()
+                .map(|&len| hmac_sha256(b"Jefe", &data[..len]))
+                .collect()
+        });
+        for (path, kernel) in paths {
+            pinned(kernel, || {
+                let key = HmacKey::new(b"Jefe");
+                for (&len, expected) in lengths.iter().zip(&expected) {
+                    assert_eq!(&key.mac(&[&data[..len]]), expected, "{path}, {len} bytes");
+                }
+            });
         }
     }
 

@@ -24,14 +24,18 @@
 //! of the MAC input). Each key's HMAC pads are absorbed once, at dealing
 //! time ([`hmac::HmacKey`]), and a frame is streamed through the saved
 //! states: no allocation and no copy per tag.
+//!
+//! The crate's one `unsafe` island is the SHA-NI compression kernel in
+//! [`hash`], reached only after runtime detection finds the instructions;
+//! everywhere else `unsafe` stays an error.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hash;
 pub mod hmac;
 
-use core::fmt;
+use core::fmt::{self, Write as _};
 
 use minsync_types::ProcessId;
 
@@ -252,7 +256,20 @@ impl Authenticator for HmacAuthenticator {
 /// digests over `V: Debug` (the SMR layer's agreed-on digests and its
 /// commit-prefix gauge) need no extra codec bound.
 pub fn debug_digest<T: fmt::Debug>(value: &T) -> [u8; 32] {
-    Sha256::digest(format!("{value:?}").as_bytes())
+    let mut hasher = DebugHasher(Sha256::new());
+    write!(hasher, "{value:?}").expect("hashing a rendering never fails");
+    hasher.0.finalize()
+}
+
+/// Streams a `Debug` rendering into the hash as it is written: the bytes
+/// `format!` would have built, without building them.
+struct DebugHasher(Sha256);
+
+impl fmt::Write for DebugHasher {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The SHA-256 [`debug_digest`] of a value, as a value in its own right:

@@ -15,6 +15,8 @@
 //! them first
 //! (`cargo build --release -p minsync-transport`) or they abort with a hint.
 
+#![forbid(unsafe_code)]
+
 use minsync_harness::experiments::{catalog, select};
 
 fn main() {

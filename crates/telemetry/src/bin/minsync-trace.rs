@@ -11,6 +11,8 @@
 //! p50 or p99 regressed more than `PCT` percent against the baseline.
 //! Without the flag the diff stays informational (exit 0), as before.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use minsync_telemetry::analyze::{

@@ -51,6 +51,8 @@
 //! `--timeout-ms`. Byzantine behaviors never report; they run until
 //! `STOP`.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;

@@ -29,7 +29,6 @@
 
 pub mod cluster;
 pub mod mesh;
-#[allow(unsafe_code)]
 mod poll;
 
 pub use cluster::{

@@ -869,15 +869,12 @@ impl<M: Wire> Peer<M> {
         };
         let broken = match stream.write(&out.unsent) {
             Ok(k) => {
-                if out.frames > 0 {
+                if !out.ends.is_empty() {
                     counters.writes.inc();
                 }
-                out.unsent.drain(..k);
+                counters.frames_written.add(out.wrote(k));
                 if k > 0 {
                     out.progress = now;
-                }
-                if out.unsent.is_empty() {
-                    counters.frames_written.add(std::mem::take(&mut out.frames));
                 }
                 false
             }
@@ -887,7 +884,7 @@ impl<M: Wire> Peer<M> {
             // The unsent frames are in the replay ring already; redial now.
             self.stream = None;
             out.unsent.clear();
-            out.frames = 0;
+            out.ends.clear();
             out.next_dial = now;
         }
     }
@@ -914,8 +911,9 @@ struct Outbound {
     hello: Vec<u8>,
     /// Bytes the kernel has not accepted yet, oldest first.
     unsent: Vec<u8>,
-    /// Protocol frames in `unsent`, counted as written once it drains.
-    frames: u64,
+    /// Where each protocol frame queued in `unsent` ends, oldest first: a
+    /// frame counts as written once a write passes its end.
+    ends: VecDeque<usize>,
     replay: ReplayRing,
     connects: u64,
     backoff: Duration,
@@ -934,7 +932,7 @@ impl Outbound {
         Outbound {
             hello,
             unsent: Vec::new(),
-            frames: 0,
+            ends: VecDeque::new(),
             replay: ReplayRing::new(REPLAY_BYTES),
             connects: 0,
             backoff: INITIAL_BACKOFF,
@@ -959,8 +957,21 @@ impl Outbound {
         let (older, newer) = self.replay.as_slices();
         self.unsent.extend_from_slice(older);
         self.unsent.extend_from_slice(newer);
-        self.frames = 0;
+        self.ends.clear();
         self.ping(now, ctx);
+    }
+
+    /// The kernel accepted the first `k` unsent bytes: drops them and
+    /// returns how many protocol frames they completed — a frame split by a
+    /// partial write counts once its last byte is out.
+    fn wrote(&mut self, k: usize) -> u64 {
+        self.unsent.drain(..k);
+        let done = self.ends.iter().take_while(|&&end| end <= k).count();
+        self.ends.drain(..done);
+        for end in &mut self.ends {
+            *end -= k;
+        }
+        done as u64
     }
 
     /// Appends an RTT probe.
@@ -1012,7 +1023,7 @@ impl Outbound {
         // budget may or may not have been delivered — they are not counted
         // as drops, the ring is a best-effort replay window.
         self.replay.push(&self.unsent[start..]);
-        self.frames += 1;
+        self.ends.push_back(self.unsent.len());
         self.busy = true;
         true
     }
@@ -1259,6 +1270,42 @@ mod tests {
         );
         ring.push(&frame(4, 3));
         assert_eq!(replayed(&ring), frame(4, 3));
+    }
+
+    /// `frames_written` follows partial writes: a frame counts once the
+    /// write that carries its last byte lands — not when the whole queue
+    /// drains, and never for the hello, replay or probe bytes around it.
+    #[test]
+    fn partial_writes_retire_the_frames_they_complete() {
+        let ctx = ctx(None);
+        let now = Instant::now();
+        let mut out = Outbound::new(b"hello".to_vec(), now);
+        out.connected(now, &ctx);
+        for msg in 0..4u64 {
+            assert!(out.encode(&msg, ProcessId::new(1), &ctx));
+        }
+        out.pong(7);
+        let total = out.unsent.len();
+        let ends = Vec::from(out.ends.clone());
+        assert_eq!(out.wrote(0), 0, "nothing written");
+        assert_eq!(
+            out.wrote(ends[0] - 1),
+            0,
+            "hello, ping and all but one byte of frame 0"
+        );
+        assert_eq!(
+            out.wrote(1),
+            1,
+            "frame 0's last byte, ending on its boundary"
+        );
+        assert_eq!(
+            out.wrote(ends[2] + 1 - ends[0]),
+            2,
+            "frames 1 and 2 and the first byte of frame 3 at once"
+        );
+        assert_eq!(out.unsent.len(), total - ends[2] - 1);
+        assert_eq!(out.wrote(out.unsent.len()), 1, "frame 3 and the pong");
+        assert!(out.unsent.is_empty() && out.ends.is_empty());
     }
 
     /// Process 0's view of a 4-process cluster, MAC'd or open.

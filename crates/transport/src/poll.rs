@@ -1,6 +1,8 @@
 //! `poll(2)`, the crate's one foreign call, where the mesh's loop sleeps:
 //! std links the C library but does not expose `poll`.
 
+#![allow(unsafe_code)]
+
 use std::io;
 use std::os::fd::RawFd;
 use std::os::raw::{c_int, c_short};

@@ -11,6 +11,8 @@
 //! Prints the outcome (decision, rounds, latency, per-kind message counts)
 //! and exits non-zero if any of the paper's three properties failed.
 
+#![forbid(unsafe_code)]
+
 use minsync::harness::{ConsensusRunBuilder, FaultPlan, TopologySpec};
 use minsync::net::DelayLaw;
 use minsync::types::{ProcessId, SystemConfig};
