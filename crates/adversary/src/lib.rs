@@ -24,9 +24,6 @@
 //!   deliberately model-**illegal** behavior: it forges other processes'
 //!   sender identities at the byte level, probing the assumption the others
 //!   take for granted (an authenticated transport must sever it);
-//! * [`ScriptedNode`] — replays a recorded effect trace verbatim (the
-//!   perfect mimic), reproducing a simulated execution byte-for-byte from
-//!   a [`minsync_net::sim::SimBuilder::record_effects`] recording;
 //! * [`oracles`] — delay oracles for the simulator's
 //!   [`DelayOracle`](minsync_net::sim::DelayOracle) hook, which schedule the
 //!   channels the model leaves asynchronous as adversarially as the model
@@ -58,7 +55,7 @@ pub use filter::FilterNode;
 pub use flood::FloodNode;
 pub use impersonate::{CaptureHandle, CaptureNode};
 pub use random_node::RandomProtocolNode;
-pub use replay::{ReplayNode, ScriptedNode};
+pub use replay::ReplayNode;
 pub use silent::{CrashNode, SilentNode};
 
 // Re-exported for mutator signatures.

@@ -2,8 +2,7 @@ use core::fmt::Debug;
 use core::marker::PhantomData;
 use std::collections::VecDeque;
 
-use minsync_net::sim::EffectRecord;
-use minsync_net::{Effect, Env, Node, TimerId};
+use minsync_net::{Env, Node};
 use minsync_types::ProcessId;
 
 /// A Byzantine process that records every message it receives and replays
@@ -81,83 +80,6 @@ where
     }
 }
 
-/// A node that replays a recorded per-invocation effect stream verbatim —
-/// the perfect mimic.
-///
-/// Build one per process from a full effect trace recorded with
-/// [`minsync_net::sim::SimBuilder::record_effects`]. Run the same topology
-/// and seed with `ScriptedNode`s in every slot and the execution reproduces
-/// the original byte-for-byte: every handler invocation pops the next
-/// recorded effect batch and queues it unchanged, so the same messages are
-/// sent at the same instants, the same timers fire, and the same outputs
-/// appear. The effect-trace digests of the two runs are equal.
-///
-/// As a Byzantine behavior this is the strongest replay adversary the
-/// model admits: a process that perfectly mimics an observed honest
-/// execution (without being able to forge its identity).
-pub struct ScriptedNode<M, O> {
-    script: VecDeque<Vec<Effect<M, O>>>,
-}
-
-impl<M: Clone, O: Clone> ScriptedNode<M, O> {
-    /// Extracts process `p`'s invocation script from a recorded trace.
-    pub fn from_trace(trace: &[EffectRecord<M, O>], p: ProcessId) -> Self {
-        ScriptedNode {
-            script: trace
-                .iter()
-                .filter(|r| r.process == p)
-                .map(|r| r.effects.clone())
-                .collect(),
-        }
-    }
-
-    /// Remaining scripted invocations.
-    pub fn remaining(&self) -> usize {
-        self.script.len()
-    }
-
-    fn replay_next(&mut self, env: &mut Env<M, O>) {
-        if let Some(effects) = self.script.pop_front() {
-            for effect in effects {
-                env.push(effect);
-            }
-        }
-    }
-}
-
-impl<M, O> Debug for ScriptedNode<M, O> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ScriptedNode")
-            .field("remaining", &self.script.len())
-            .finish()
-    }
-}
-
-impl<M, O> Node for ScriptedNode<M, O>
-where
-    M: Clone + Debug + Send + 'static,
-    O: Clone + Debug + Send + 'static,
-{
-    type Msg = M;
-    type Output = O;
-
-    fn on_start(&mut self, env: &mut Env<M, O>) {
-        self.replay_next(env);
-    }
-
-    fn on_message(&mut self, _from: ProcessId, _msg: M, env: &mut Env<M, O>) {
-        self.replay_next(env);
-    }
-
-    fn on_timer(&mut self, _timer: TimerId, env: &mut Env<M, O>) {
-        self.replay_next(env);
-    }
-
-    fn label(&self) -> &'static str {
-        "byz-scripted"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,78 +112,6 @@ mod tests {
         // The replayer received 2 broadcasts and replayed each once.
         assert!(report.metrics.sent_by_process(ProcessId::new(2)) >= 1);
         assert!(report.metrics.sent_by_process(ProcessId::new(2)) <= 4);
-    }
-
-    /// Recording a run and re-running it with ScriptedNodes in every slot
-    /// reproduces the execution byte-for-byte (equal trace digests).
-    #[test]
-    fn scripted_nodes_replay_byte_identically() {
-        use minsync_net::{ChannelTiming, DelayLaw};
-
-        /// Broadcasts on a timer, echoes what it hears — exercises sends,
-        /// broadcasts, timers, outputs, and halt in one automaton.
-        #[derive(Debug)]
-        struct Busy {
-            heard: u32,
-        }
-        impl Node for Busy {
-            type Msg = u32;
-            type Output = u32;
-            fn on_start(&mut self, env: &mut Env<u32, u32>) {
-                let _ = env.set_timer(3 + env.me().index() as u64);
-            }
-            fn on_timer(&mut self, _t: TimerId, env: &mut Env<u32, u32>) {
-                env.broadcast(env.me().index() as u32);
-            }
-            fn on_message(&mut self, from: ProcessId, msg: u32, env: &mut Env<u32, u32>) {
-                self.heard += 1;
-                env.output(msg);
-                if self.heard < 4 && from != env.me() {
-                    env.send(from, msg + 10);
-                } else if self.heard >= 6 {
-                    env.halt();
-                }
-            }
-        }
-
-        let topo = NetworkTopology::uniform(
-            3,
-            ChannelTiming::asynchronous(DelayLaw::Uniform { min: 1, max: 20 }),
-        );
-        let mut original = SimBuilder::new(topo.clone())
-            .seed(11)
-            .node(Busy { heard: 0 })
-            .node(Busy { heard: 0 })
-            .node(Busy { heard: 0 })
-            .record_effects(usize::MAX)
-            .build();
-        let report = original.run();
-        let trace = original.effect_trace().to_vec();
-        assert!(!trace.is_empty());
-
-        // Same topology and seed, every slot a ScriptedNode.
-        let mut replayed = SimBuilder::new(topo).seed(11).record_effects(usize::MAX);
-        for p in 0..3 {
-            replayed = replayed.node(ScriptedNode::from_trace(&trace, ProcessId::new(p)));
-        }
-        let mut replayed = replayed.build();
-        let replay_report = replayed.run();
-
-        assert_eq!(
-            original.effect_trace_digest(),
-            replayed.effect_trace_digest(),
-            "replay must be byte-identical"
-        );
-        assert_eq!(original.effect_trace(), replayed.effect_trace());
-        assert_eq!(
-            report.metrics.messages_sent,
-            replay_report.metrics.messages_sent
-        );
-        assert_eq!(report.final_time, replay_report.final_time);
-        for p in 0..3 {
-            let scripted = replayed.node(ProcessId::new(p));
-            assert_eq!(scripted.label(), "byz-scripted");
-        }
     }
 
     #[test]

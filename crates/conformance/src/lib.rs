@@ -8,12 +8,11 @@
 //!   the deterministic simulator is captured as a versioned, [`Wire`]-encoded
 //!   transcript — per-invocation `(cause, effects)` pairs, which is exactly
 //!   the input/output contract of the sans-io [`Node`](minsync_net::Node)
-//!   API. Committed trace files become regression fixtures: the replayer
-//!   drives fresh protocol automata through the recorded causes and asserts
-//!   byte-identical effect streams, with no simulator in the loop; the
-//!   scripted replayers check the same bytes against the simulator and the
-//!   threaded runtime via
-//!   [`ScriptedNode`](minsync_adversary::ScriptedNode).
+//!   API. Committed trace files become regression fixtures: the one
+//!   replayer, [`replay_direct`], drives fresh protocol automata through
+//!   the recorded causes and asserts byte-identical effect streams, with no
+//!   simulator in the loop; re-recording each scenario must reproduce its
+//!   fixture byte for byte, which pins the simulator too.
 //! * **Schedule exploration** ([`explorer`], [`mutation`]): a bounded
 //!   DFS / random walk over message reorderings and drops (within the
 //!   `t`-faults budget) through the simulator's
@@ -40,37 +39,6 @@ pub use explorer::{
     ViolationKind,
 };
 pub use mutation::{mutation_smoke, MutationSmoke};
-pub use replay::{replay_direct, replay_scripted_sim, replay_threaded, ReplayError};
+pub use replay::{replay_direct, ReplayError};
 pub use scenario::{golden_scenarios, GoldenScenario};
 pub use trace::{Trace, TraceError, TraceStep, TRACE_MAGIC, TRACE_VERSION};
-
-/// FNV-1a over a byte slice — the digest used for trace files.
-///
-/// Unlike [`Simulation::effect_trace_digest`], which hashes the `Debug`
-/// formatting of the in-memory records, this digest hashes the *structured
-/// wire encoding*: it is pinned to the byte format (and its explicit
-/// version), not to however `#[derive(Debug)]` happens to print a struct
-/// this release.
-///
-/// [`Simulation::effect_trace_digest`]: minsync_net::sim::Simulation::effect_trace_digest
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Classic FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-}

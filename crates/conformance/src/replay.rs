@@ -1,40 +1,30 @@
-//! Replayers: three independent ways to check a recorded [`Trace`] against
-//! the current implementation.
+//! The replayer: [`replay_direct`] checks a recorded [`Trace`] against the
+//! current implementation with no substrate at all. Fresh protocol
+//! automata are driven through the recorded causes with a bare [`Env`],
+//! and every invocation's queued effects must be **byte-identical** to the
+//! recording: any behavioral drift in a protocol (different message,
+//! different timer, different order) fails on the exact divergent
+//! invocation.
 //!
-//! * [`replay_direct`] — no substrate at all: fresh protocol automata are
-//!   driven through the recorded causes with a bare
-//!   [`Env`], and every invocation's queued effects must
-//!   be **byte-identical** to the recording. This is the strongest check:
-//!   any behavioral drift in a protocol (different message, different
-//!   timer, different order) fails on the exact divergent invocation.
-//! * [`replay_scripted_sim`] — the recorded effect stream is replayed by
-//!   [`ScriptedNode`]s on the deterministic simulator (same topology, same
-//!   seed): the re-recorded trace must reproduce the original, which pins
-//!   the *simulator's* routing, timing, and timer semantics.
-//! * [`replay_threaded`] — the same scripted line-up on the threaded
-//!   runtime: per-process effect streams must match the recording
-//!   (cross-process interleaving is OS-dependent and not compared).
+//! The automata are deterministic and sans-io, so this checks everything
+//! a recording holds about them. Drift in the *simulator* (routing,
+//! timing, timers) is caught elsewhere: re-recording a golden scenario must
+//! reproduce its committed fixture byte for byte.
 
 use core::fmt::Debug;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use minsync_adversary::ScriptedNode;
 use minsync_net::driver::{step, Link, StepHooks};
-use minsync_net::sim::{InvocationCause, SimBuilder};
-use minsync_net::threaded::{run_threaded_with, ThreadedConfig, ThreadedHooks};
-use minsync_net::{
-    derive_stream, Effect, Env, NetworkTopology, Node, TimerId, TimerTable, VirtualTime,
-};
+use minsync_net::sim::InvocationCause;
+use minsync_net::{derive_stream, Effect, Env, Node, TimerId, TimerTable, VirtualTime};
 use minsync_types::ProcessId;
-use minsync_wire::Wire;
 
 use crate::trace::Trace;
 
 /// Why a replay diverged from the recording.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplayError {
-    /// The caller supplied the wrong number of nodes or a topology of the
-    /// wrong size.
+    /// The caller supplied the wrong number of nodes.
     WrongSize {
         /// Processes in the trace.
         expected: usize,
@@ -51,24 +41,13 @@ pub enum ReplayError {
     },
     /// An invocation queued different effects than the recording.
     EffectMismatch {
-        /// Global step index (direct/sim replay) or per-process invocation
-        /// index (threaded replay).
+        /// Global step index.
         step: usize,
         /// The process.
         process: ProcessId,
         /// Recorded and replayed effects, `Debug`-formatted.
         detail: String,
     },
-    /// The replayed run produced fewer invocations than the recording.
-    ShortReplay {
-        /// Invocations recorded.
-        expected: usize,
-        /// Invocations replayed.
-        got: usize,
-    },
-    /// The threaded run hit its wall-clock timeout before reproducing
-    /// every recorded output.
-    Timeout,
     /// The trace is internally inconsistent — it could not have been
     /// produced by the simulator (e.g. a delivery with no matching send, or
     /// a cancelled timer firing that should have produced an invocation).
@@ -94,13 +73,6 @@ impl core::fmt::Display for ReplayError {
                 process,
                 detail,
             } => write!(f, "step {step} ({process:?}): effects diverged: {detail}"),
-            ReplayError::ShortReplay { expected, got } => {
-                write!(
-                    f,
-                    "replay produced {got} invocations, recording has {expected}"
-                )
-            }
-            ReplayError::Timeout => write!(f, "threaded replay timed out"),
             ReplayError::Inconsistent { step, detail } => {
                 write!(f, "step {step}: trace is inconsistent: {detail}")
             }
@@ -303,149 +275,4 @@ impl<M: Clone, O> Link<M, O> for Book<M> {
     fn halt(&mut self) {
         self.halted[self.me.index()] = true;
     }
-}
-
-/// Replays the trace on the deterministic simulator with a
-/// [`ScriptedNode`] in every slot and asserts the re-recorded effect trace
-/// reproduces the original.
-///
-/// The recorded run may have stopped mid-flight (a predicate fired with
-/// messages still queued); the replay runs to quiescence, so it may append
-/// extra invocations past the recorded prefix — those must all be
-/// effect-empty (exhausted scripts reacting to leftover deliveries).
-///
-/// # Errors
-///
-/// The [`ReplayError`] pinpointing the first divergent step.
-pub fn replay_scripted_sim<M, O>(
-    trace: &Trace<M, O>,
-    topology: NetworkTopology,
-) -> Result<(), ReplayError>
-where
-    M: Wire + Clone + Debug + Send + PartialEq + 'static,
-    O: Wire + Clone + Debug + Send + PartialEq + 'static,
-{
-    let n = trace.n as usize;
-    if topology.n() != n {
-        return Err(ReplayError::WrongSize {
-            expected: n,
-            got: topology.n(),
-        });
-    }
-    let records = trace.effect_records();
-    let mut builder = SimBuilder::new(topology)
-        .seed(trace.seed)
-        .record_effects(usize::MAX);
-    for p in 0..n {
-        builder = builder.node(ScriptedNode::from_trace(&records, ProcessId::new(p)));
-    }
-    let mut sim = builder.build();
-    sim.run();
-    let replayed = sim.effect_trace();
-    if replayed.len() < records.len() {
-        return Err(ReplayError::ShortReplay {
-            expected: records.len(),
-            got: replayed.len(),
-        });
-    }
-    for (i, (got, want)) in replayed.iter().zip(&records).enumerate() {
-        if got != want {
-            return Err(ReplayError::EffectMismatch {
-                step: i,
-                process: want.process,
-                detail: format!("recorded {want:?}, replayed {got:?}"),
-            });
-        }
-    }
-    for (i, extra) in replayed.iter().enumerate().skip(records.len()) {
-        if !extra.effects.is_empty() {
-            return Err(ReplayError::EffectMismatch {
-                step: i,
-                process: extra.process,
-                detail: format!("unexpected post-recording effects {:?}", extra.effects),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Replays the trace on the threaded runtime and asserts each process's
-/// effect stream matches the recording.
-///
-/// Cross-process interleaving is OS-dependent, so only per-process
-/// subsequences are compared; invocations past a process's recorded count
-/// must be effect-empty. The run stops once every recorded output has
-/// reappeared (or times out per `config`).
-///
-/// # Errors
-///
-/// The [`ReplayError`] pinpointing the first divergent invocation.
-pub fn replay_threaded<M, O>(
-    trace: &Trace<M, O>,
-    topology: NetworkTopology,
-    config: ThreadedConfig,
-) -> Result<(), ReplayError>
-where
-    M: Wire + Clone + Debug + Send + PartialEq + 'static,
-    O: Wire + Clone + Debug + Send + PartialEq + 'static,
-{
-    let n = trace.n as usize;
-    if topology.n() != n {
-        return Err(ReplayError::WrongSize {
-            expected: n,
-            got: topology.n(),
-        });
-    }
-    let records = trace.effect_records();
-    let nodes: Vec<Box<dyn Node<Msg = M, Output = O>>> = (0..n)
-        .map(|p| {
-            Box::new(ScriptedNode::from_trace(&records, ProcessId::new(p)))
-                as Box<dyn Node<Msg = M, Output = O>>
-        })
-        .collect();
-    let expected_outputs = trace.output_count();
-    let hooks = ThreadedHooks {
-        record: true,
-        ..ThreadedHooks::default()
-    };
-    let (report, recorded) = run_threaded_with(topology, nodes, config, hooks, |outs| {
-        outs.len() >= expected_outputs
-    });
-    if report.timed_out {
-        return Err(ReplayError::Timeout);
-    }
-    for p in 0..n {
-        let process = ProcessId::new(p);
-        let golden: Vec<&Vec<Effect<M, O>>> = records
-            .iter()
-            .filter(|r| r.process == process)
-            .map(|r| &r.effects)
-            .collect();
-        let replayed: Vec<&Vec<Effect<M, O>>> = recorded
-            .iter()
-            .filter(|r| r.process == process)
-            .map(|r| &r.effects)
-            .collect();
-        for (i, got) in replayed.iter().enumerate() {
-            match golden.get(i) {
-                Some(want) if got != want => {
-                    return Err(ReplayError::EffectMismatch {
-                        step: i,
-                        process,
-                        detail: format!("recorded {want:?}, replayed {got:?}"),
-                    });
-                }
-                Some(_) => {}
-                None if !got.is_empty() => {
-                    return Err(ReplayError::EffectMismatch {
-                        step: i,
-                        process,
-                        detail: format!("unexpected post-recording effects {got:?}"),
-                    });
-                }
-                None => {}
-            }
-        }
-    }
-    Ok(())
 }

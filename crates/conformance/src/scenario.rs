@@ -2,11 +2,11 @@
 //!
 //! Each [`GoldenScenario`] pairs a deterministic *recorder* (build the
 //! simulator line-up, run it, encode the trace) with a *verifier* (decode
-//! committed bytes, replay them through [`crate::replay::replay_direct`]
-//! and [`crate::replay::replay_scripted_sim`]). Fixture files under
-//! `tests/fixtures/` are the recorder's output, committed to the repo; the
-//! fixture test re-verifies them on every build, and re-records to check
-//! the recorder itself hasn't drifted from the committed bytes.
+//! committed bytes, replay them through [`crate::replay::replay_direct`]).
+//! Fixture files under `tests/fixtures/` are the recorder's output,
+//! committed to the repo; the fixture test re-verifies them on every build,
+//! and re-records to check the recorder itself — protocols, simulator and
+//! wire format — hasn't drifted from the committed bytes.
 
 use core::fmt::Debug;
 
@@ -15,13 +15,12 @@ use minsync_core::{
     ConsensusNode, EaNode, EaNodeEvent, ProtocolMsg, TimeoutPolicy,
 };
 use minsync_net::sim::{OutputRecord, SimBuilder};
-use minsync_net::threaded::ThreadedConfig;
 use minsync_net::{NetworkTopology, Node};
 use minsync_smr::{ReplicaNode, SmrEvent, SmrMsg, TwoClientSource};
 use minsync_types::{ProcessId, RoundSchedule, SystemConfig};
 use minsync_wire::Wire;
 
-use crate::replay::{replay_direct, replay_scripted_sim, replay_threaded};
+use crate::replay::replay_direct;
 use crate::trace::Trace;
 
 /// One canonical recorded run: how to produce it and how to check it.
@@ -35,9 +34,8 @@ pub struct GoldenScenario {
     pub name: &'static str,
     /// Runs the scenario on the simulator and returns the encoded trace.
     pub record: fn() -> Vec<u8>,
-    /// Decodes `bytes` and replays them on every substrate (direct,
-    /// scripted simulator, threaded runtime), returning the first
-    /// divergence as text.
+    /// Decodes `bytes` and replays them through [`replay_direct`],
+    /// returning the first divergence as text.
     pub verify: fn(&[u8]) -> Result<(), String>,
 }
 
@@ -113,26 +111,26 @@ where
         .encode()
 }
 
-/// Decodes `bytes` and replays them on all three substrates with the
-/// scenario's fresh node line-up.
+/// Decodes `bytes` and replays them with the scenario's fresh node
+/// line-up.
 fn verify_generic<M, O>(bytes: &[u8], make_nodes: fn() -> Lineup<M, O>) -> Result<(), String>
 where
     M: Wire + Clone + Debug + Send + PartialEq + 'static,
     O: Wire + Clone + Debug + Send + PartialEq + 'static,
 {
     let trace = Trace::<M, O>::decode(bytes).map_err(|e| format!("decode: {e}"))?;
-    replay_direct(&trace, make_nodes()).map_err(|e| format!("direct replay: {e}"))?;
-    replay_scripted_sim(&trace, topology()).map_err(|e| format!("sim replay: {e}"))?;
-    replay_threaded(&trace, topology(), ThreadedConfig::default())
-        .map_err(|e| format!("threaded replay: {e}"))?;
-    Ok(())
+    replay_direct(&trace, make_nodes()).map_err(|e| format!("replay: {e}"))
 }
 
 // --- consensus ---
 
-fn consensus_nodes() -> Vec<Box<dyn Node<Msg = ProtocolMsg<u64>, Output = ConsensusEvent<u64>>>> {
+fn consensus_nodes() -> Lineup<ProtocolMsg<u64>, ConsensusEvent<u64>> {
+    consensus_lineup([3, 8, 3, 8])
+}
+
+fn consensus_lineup(proposals: [u64; N]) -> Lineup<ProtocolMsg<u64>, ConsensusEvent<u64>> {
     let cfg = ConsensusConfig::paper(system());
-    [3u64, 8, 3, 8]
+    proposals
         .into_iter()
         .map(|v| {
             Box::new(ConsensusNode::new(cfg, v).expect("paper config is valid"))
@@ -263,7 +261,12 @@ fn verify_smr(bytes: &[u8]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    use minsync_net::sim::InvocationCause;
+    use minsync_net::TimerId;
+    use minsync_types::Round;
+
     use super::*;
+    use crate::replay::ReplayError;
 
     #[test]
     fn every_scenario_records_and_verifies() {
@@ -293,5 +296,80 @@ mod tests {
         let idx = bytes.len() - 9;
         bytes[idx] ^= 0x40;
         assert!((scenario.verify)(&bytes).is_err());
+    }
+
+    type ConsensusTrace = Trace<ProtocolMsg<u64>, ConsensusEvent<u64>>;
+
+    fn consensus_trace() -> ConsensusTrace {
+        Trace::decode(&record_consensus()).expect("fresh recording decodes")
+    }
+
+    /// Index and cause of the first delivery in `trace`.
+    fn first_delivery(
+        trace: &mut ConsensusTrace,
+    ) -> (usize, &mut InvocationCause<ProtocolMsg<u64>>) {
+        trace
+            .steps
+            .iter_mut()
+            .map(|s| &mut s.cause.cause)
+            .enumerate()
+            .find(|(_, c)| matches!(c, InvocationCause::Deliver { .. }))
+            .expect("the consensus recording delivers messages")
+    }
+
+    #[test]
+    fn replay_names_the_process_whose_proposal_changed() {
+        let err = replay_direct(&consensus_trace(), consensus_lineup([3, 8, 3, 9]));
+        assert!(
+            matches!(err, Err(ReplayError::EffectMismatch { process, .. }) if process == ProcessId::new(3)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn replay_rejects_a_delivery_nobody_sent() {
+        let mut trace = consensus_trace();
+        let (i, cause) = first_delivery(&mut trace);
+        let InvocationCause::Deliver { msg, .. } = cause else {
+            unreachable!()
+        };
+        *msg = ProtocolMsg::EaCoord {
+            round: Round::new(99),
+            value: 77,
+        };
+        let err = replay_direct(&trace, consensus_nodes());
+        assert!(
+            matches!(err, Err(ReplayError::Inconsistent { step, .. }) if step == i),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn replay_rejects_a_timer_that_was_never_armed() {
+        // Round 1 decides on this topology, so no timer ever fires: turn a
+        // delivery into a firing of an id nobody armed.
+        let mut trace = consensus_trace();
+        let (i, cause) = first_delivery(&mut trace);
+        *cause = InvocationCause::Timer {
+            id: TimerId::from_raw(u64::MAX),
+        };
+        let process = trace.steps[i].cause.process;
+        assert_eq!(
+            replay_direct(&trace, consensus_nodes()),
+            Err(ReplayError::StaleTimer { step: i, process })
+        );
+    }
+
+    #[test]
+    fn replay_rejects_a_line_up_one_node_short() {
+        let mut nodes = consensus_nodes();
+        nodes.pop();
+        assert_eq!(
+            replay_direct(&consensus_trace(), nodes),
+            Err(ReplayError::WrongSize {
+                expected: N,
+                got: N - 1
+            })
+        );
     }
 }

@@ -17,9 +17,8 @@
 //! when the format moves.
 
 use minsync_net::sim::{CauseRecord, EffectRecord};
+use minsync_types::fnv1a;
 use minsync_wire::{Wire, WireError};
-
-use crate::fnv1a;
 
 /// Magic tag opening every trace file (distinct from the transport's
 /// `MSYN` so a trace is never mistaken for a socket stream).
@@ -68,8 +67,8 @@ pub enum TraceError {
     },
     /// Cause and effect streams disagree at `index` (different lengths, or
     /// a step whose cause and effects name different times/processes) —
-    /// the recording capacities were too small or the streams are from
-    /// different runs.
+    /// the recording capacities were too small, the streams are from
+    /// different runs, or a decoded file was altered.
     Misaligned {
         /// First mismatching step index (or the shorter stream's length).
         index: usize,
@@ -145,22 +144,34 @@ where
                 index: causes.len().min(effects.len()),
             });
         }
-        let mut steps = Vec::with_capacity(causes.len());
-        for (i, (c, e)) in causes.iter().zip(effects).enumerate() {
-            if c.time != e.time || c.process != e.process {
-                return Err(TraceError::Misaligned { index: i });
-            }
-            steps.push(TraceStep {
+        let steps = causes
+            .iter()
+            .zip(effects)
+            .map(|(c, e)| TraceStep {
                 cause: c.clone(),
                 effects: e.clone(),
-            });
-        }
-        Ok(Trace {
+            })
+            .collect();
+        Trace {
             n,
             seed,
             scenario: scenario.into(),
             steps,
-        })
+        }
+        .aligned()
+    }
+
+    /// `self`, if every step's effect record names the time and process of
+    /// its cause.
+    fn aligned(self) -> Result<Self, TraceError> {
+        match self
+            .steps
+            .iter()
+            .position(|s| s.cause.time != s.effects.time || s.cause.process != s.effects.process)
+        {
+            Some(index) => Err(TraceError::Misaligned { index }),
+            None => Ok(self),
+        }
     }
 
     /// Serializes the trace: magic, version, header, steps.
@@ -180,8 +191,9 @@ where
     ///
     /// # Errors
     ///
-    /// [`TraceError`] on bad magic, unknown version, malformed bytes, or
-    /// trailing garbage.
+    /// [`TraceError`] on bad magic, unknown version, malformed bytes,
+    /// trailing garbage, or a step whose effects name another time or
+    /// process than its cause.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
         let mut input = bytes;
         let Some(magic) = input.get(..4) else {
@@ -207,30 +219,18 @@ where
         if !input.is_empty() {
             return Err(TraceError::TrailingBytes { extra: input.len() });
         }
-        Ok(trace)
+        trace.aligned()
     }
 
-    /// FNV-1a digest of the encoded bytes — the *structured* digest, pinned
-    /// to the wire format rather than to `Debug` formatting (see
-    /// [`crate::fnv1a`]).
+    /// FNV-1a digest of the encoded bytes — the *structured* digest. Unlike
+    /// [`Simulation::effect_trace_digest`], which hashes the `Debug`
+    /// rendering of the in-memory records, it is pinned to the byte format
+    /// (and its explicit version), not to however `#[derive(Debug)]` prints
+    /// a struct this release.
+    ///
+    /// [`Simulation::effect_trace_digest`]: minsync_net::sim::Simulation::effect_trace_digest
     pub fn digest(&self) -> u64 {
         fnv1a(&self.encode())
-    }
-
-    /// The effect records alone, in order — the shape
-    /// [`ScriptedNode::from_trace`](minsync_adversary::ScriptedNode::from_trace)
-    /// consumes.
-    pub fn effect_records(&self) -> Vec<EffectRecord<M, O>> {
-        self.steps.iter().map(|s| s.effects.clone()).collect()
-    }
-
-    /// Count of `Effect::Output` entries across the whole trace.
-    pub fn output_count(&self) -> usize {
-        self.steps
-            .iter()
-            .flat_map(|s| &s.effects.effects)
-            .filter(|e| matches!(e, minsync_net::Effect::Output(_)))
-            .count()
     }
 }
 
@@ -280,7 +280,6 @@ mod tests {
         let back = Trace::<u64, u64>::decode(&bytes).unwrap();
         assert_eq!(back, t);
         assert_eq!(back.digest(), t.digest());
-        assert_eq!(t.output_count(), 1);
     }
 
     #[test]
@@ -320,6 +319,16 @@ mod tests {
         effects.pop();
         assert_eq!(
             Trace::from_run(2, 42, "tiny", &causes, &effects),
+            Err(TraceError::Misaligned { index: 1 })
+        );
+    }
+
+    #[test]
+    fn decode_rejects_an_effect_record_at_another_tick() {
+        let mut t = tiny();
+        t.steps[1].effects.time = VirtualTime::from_ticks(4);
+        assert_eq!(
+            Trace::<u64, u64>::decode(&t.encode()),
             Err(TraceError::Misaligned { index: 1 })
         );
     }

@@ -4,8 +4,9 @@
 //! [`golden_scenarios`] recorder. The test (a) re-records the scenario and
 //! demands the bytes match the committed file — so silent drift in the
 //! protocols, the simulator, or the wire format is caught the moment it
-//! happens; and (b) replays the committed bytes through all three replay
-//! substrates (direct, scripted simulator, threaded runtime).
+//! happens; and (b) replays the committed bytes through `replay_direct`,
+//! which drives fresh automata through the recorded causes and demands
+//! byte-identical effects.
 //!
 //! To bless intentional changes, run:
 //!

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use minsync_core::ConsensusConfig;
 use minsync_net::sim::SimBuilder;
-use minsync_net::threaded::{run_threaded_with, ThreadedConfig, ThreadedHooks};
+use minsync_net::threaded::{run_threaded_with, ThreadedConfig};
 use minsync_net::{NetworkTopology, Node};
 use minsync_smr::{ReplicaNode, SmrEvent, SmrMsg};
 use minsync_telemetry::analyze::{
@@ -224,13 +224,9 @@ fn threaded_arm(commands_per_client: usize, seed: u64) -> (usize, usize) {
             timeout: Duration::from_secs(60),
             seed,
         },
-        ThreadedHooks {
-            trace: Some(Arc::clone(&trace)),
-            ..ThreadedHooks::default()
-        },
+        Some(Arc::clone(&trace)),
         |outs| drained.advance(outs, |o| (o.process, &o.event)),
-    )
-    .0;
+    );
     assert!(!report.timed_out, "E16 threaded arm timed out");
     let events = trace.events();
     let steps = events

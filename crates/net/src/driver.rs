@@ -288,17 +288,12 @@ where
         &mut self,
         node: &mut dyn Node<Msg = M, Output = O>,
         link: &mut L,
-        mut record: Option<Recorder<'_, M, O>>,
         mut keep_going: impl FnMut(&L) -> bool,
     ) {
         let mut invoke = |this: &mut Self, link: &mut L, cause: InvocationCause<M>| {
             let hooks = StepHooks {
                 trace: this.trace.as_deref(),
-                // (`as_deref_mut` cannot shorten the trait object's lifetime.)
-                record: match &mut record {
-                    Some(f) => Some(&mut **f),
-                    None => None,
-                },
+                record: None,
             };
             let now = link.timers().clock().now();
             step(node, cause, this.me, now, &mut this.env, link, hooks);
@@ -547,7 +542,7 @@ mod tests {
         link: &mut FakeLink,
     ) -> (usize, Vec<String>) {
         let (mut calls, mut last_seen) = (0, Vec::new());
-        WallClockLoop::new(link.me, 2, 0, None).run(node, link, None, |link| {
+        WallClockLoop::new(link.me, 2, 0, None).run(node, link, |link| {
             calls += 1;
             last_seen = logged(&link.log);
             true

@@ -44,9 +44,8 @@ impl TimerId {
     /// [`TimerId::get`], for trace codecs that persist recorded executions.
     ///
     /// An id built this way is *foreign* to any live
-    /// [`TimerTable`](crate::TimerTable): applying it via a recorded
-    /// `SetTimer` effect makes the table adopt the id's slot and
-    /// generation, which is what keeps scripted replays byte-identical.
+    /// [`TimerTable`](crate::TimerTable): applying it via a `SetTimer`
+    /// effect makes the table adopt the id's slot and generation.
     pub const fn from_raw(raw: u64) -> TimerId {
         TimerId(raw)
     }

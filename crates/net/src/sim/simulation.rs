@@ -3,7 +3,7 @@ use std::sync::Arc;
 
 use minsync_telemetry::trace::{queues, TraceKind, TraceRecorder};
 use minsync_telemetry::{Registry, Sampler, TimeSeries};
-use minsync_types::ProcessId;
+use minsync_types::{Fnv1a, ProcessId};
 use rand::rngs::SplitMix64;
 use rand::SeedableRng;
 
@@ -28,10 +28,10 @@ pub struct OutputRecord<O> {
 /// The effects one handler invocation queued, as recorded by
 /// [`SimBuilder::record_effects`].
 ///
-/// A full trace is a complete, replayable transcript of an execution: every
-/// send, broadcast, timer operation, output, and halt of every process, in
-/// invocation order. `minsync-adversary`'s `ScriptedNode` turns a trace
-/// back into nodes that reproduce the execution byte-for-byte.
+/// A full trace is a complete transcript of an execution: every send,
+/// broadcast, timer operation, output, and halt of every process, in
+/// invocation order. Zipped with [`SimBuilder::record_causes`], it is what
+/// `minsync-conformance`'s `replay_direct` re-drives and checks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EffectRecord<M, O> {
     /// Invocation time.
@@ -478,13 +478,13 @@ where
     /// the same effects at the same times in the same order — the golden
     /// value for replay tests.
     pub fn effect_trace_digest(&self) -> u64 {
-        let mut hasher = FnvWriter(0xcbf2_9ce4_8422_2325);
+        let mut hasher = Fnv1a::new();
         for record in &self.effect_trace {
             // Stream the Debug rendering straight into the hasher — same
             // bytes `format!` would produce, zero heap allocation.
             write!(hasher, "{record:?}").expect("fnv writer is infallible");
         }
-        hasher.0
+        hasher.finish()
     }
 
     /// Immutable access to a node (for state inspection in tests). The node
@@ -836,20 +836,6 @@ fn event_target<M>(kind: &EventKind<M>) -> ProcessId {
         EventKind::Start(p) => *p,
         EventKind::Deliver { to, .. } => *to,
         EventKind::Timer { process, .. } => *process,
-    }
-}
-
-/// FNV-1a over a `fmt::Write` sink: hashes `Debug` output as the formatter
-/// produces it, so digesting a trace never materializes a `String`.
-struct FnvWriter(u64);
-
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for byte in s.bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
     }
 }
 

@@ -26,11 +26,8 @@ use minsync_types::ProcessId;
 use rand::rngs::SplitMix64;
 use rand::SeedableRng;
 
-use crate::driver::{
-    Link, Recorder, WallClock, WallClockLink, WallClockLoop, WallTimers, MAX_WAIT,
-};
-use crate::sim::EffectRecord;
-use crate::{Effect, NetworkTopology, Node, TimerId};
+use crate::driver::{Link, WallClock, WallClockLink, WallClockLoop, WallTimers, MAX_WAIT};
+use crate::{NetworkTopology, Node, TimerId};
 
 /// Stream-namespace tag of the threaded runtime (`"THRD"`), keeping its
 /// derived seeds disjoint from every other consumer of the same base seed.
@@ -82,25 +79,6 @@ pub struct ThreadedReport<O> {
     pub timed_out: bool,
 }
 
-/// Optional observers of a threaded run (see [`run_threaded_with`]); the
-/// default observes nothing.
-#[derive(Clone, Debug, Default)]
-pub struct ThreadedHooks {
-    /// Mirror the execution into a telemetry trace ring: every effect at
-    /// the sans-io boundary, inbox enqueue/dequeue with depth, timer
-    /// firings, and per-handler wall-clock step costs. Timestamps are
-    /// wall-clock time divided by [`ThreadedConfig::tick`], so dumps line
-    /// up with simulator dumps of the same configuration.
-    pub trace: Option<Arc<TraceRecorder>>,
-    /// Record every handler invocation's effect stream as
-    /// [`EffectRecord`]s (stamped in wall-derived ticks) — the threaded
-    /// counterpart of
-    /// [`SimBuilder::record_effects`](crate::sim::SimBuilder::record_effects),
-    /// which is what lets conformance fixtures be replayed on this
-    /// substrate too.
-    pub record: bool,
-}
-
 enum RouterCmd<M> {
     Send {
         from: ProcessId,
@@ -128,14 +106,14 @@ where
     M: Clone + Debug + Send + 'static,
     O: Clone + Debug + Send + 'static,
 {
-    run_threaded_with(topology, nodes, config, ThreadedHooks::default(), stop).0
+    run_threaded_with(topology, nodes, config, None, stop)
 }
 
-/// [`run_threaded`] with observers attached (see [`ThreadedHooks`]). Also
-/// returns the recorded invocations (none unless [`ThreadedHooks::record`]).
-/// Each node thread records its own invocations in execution order;
-/// interleaving *across* processes follows arrival order and is not
-/// meaningful, so compare per-process subsequences.
+/// [`run_threaded`] mirrored into a telemetry trace ring when `trace` is
+/// given: every effect at the sans-io boundary, inbox enqueue/dequeue with
+/// depth, timer firings, and per-handler wall-clock step costs. Timestamps
+/// are wall-clock time divided by [`ThreadedConfig::tick`], so dumps line
+/// up with simulator dumps of the same configuration.
 ///
 /// # Panics
 ///
@@ -144,22 +122,20 @@ pub fn run_threaded_with<M, O>(
     topology: NetworkTopology,
     nodes: Vec<Box<dyn Node<Msg = M, Output = O>>>,
     config: ThreadedConfig,
-    hooks: ThreadedHooks,
+    trace: Option<Arc<TraceRecorder>>,
     mut stop: impl FnMut(&[ThreadedOutput<O>]) -> bool,
-) -> (ThreadedReport<O>, Vec<EffectRecord<M, O>>)
+) -> ThreadedReport<O>
 where
     M: Clone + Debug + Send + 'static,
     O: Clone + Debug + Send + 'static,
 {
     assert_eq!(nodes.len(), topology.n(), "node count must match topology");
-    let ThreadedHooks { trace, record } = hooks;
     let n = nodes.len();
     let clock = WallClock::new(Instant::now(), config.tick);
     let shutdown = Arc::new(AtomicBool::new(false));
 
     let (router_tx, router_rx) = channel::<RouterCmd<M>>();
     let (output_tx, output_rx) = channel::<ThreadedOutput<O>>();
-    let (record_tx, record_rx) = channel::<EffectRecord<M, O>>();
 
     // Unbounded like the router's own input: a bound here would cap no
     // memory, only let one slow node stall every delivery.
@@ -289,7 +265,6 @@ where
                 .clone()
                 .map(|ring| (ring, Arc::clone(&inbox_depths[idx]))),
         };
-        let record_tx = record.then(|| record_tx.clone());
         let ring = trace.clone();
         let shutdown = Arc::clone(&shutdown);
         let seed = crate::derive_stream(
@@ -297,26 +272,13 @@ where
             crate::stream_of(THREADED_STREAM_TAG, idx as u32 + 1),
         );
         handles.push(std::thread::spawn(move || {
-            let mut record = record_tx.map(|tx| {
-                move |effects: &[Effect<M, O>]| {
-                    let _ = tx.send(EffectRecord {
-                        time: clock.now(),
-                        process: me,
-                        effects: effects.to_vec(),
-                    });
-                }
+            WallClockLoop::new(me, n, seed, ring).run(node.as_mut(), &mut link, |_| {
+                !shutdown.load(Ordering::Relaxed)
             });
-            WallClockLoop::new(me, n, seed, ring).run(
-                node.as_mut(),
-                &mut link,
-                record.as_mut().map(|r| r as Recorder<'_, M, O>),
-                |_| !shutdown.load(Ordering::Relaxed),
-            );
         }));
     }
     drop(router_tx);
     drop(output_tx);
-    drop(record_tx);
 
     // Collector loop on the calling thread.
     let mut collected: Vec<ThreadedOutput<O>> = Vec::new();
@@ -342,14 +304,11 @@ where
         let _ = h.join();
     }
     let _ = router_handle.join();
-    let report = ThreadedReport {
+    ThreadedReport {
         outputs: collected,
         elapsed: clock.elapsed(),
         timed_out,
-    };
-    // Every worker has dropped its sender, so this drain terminates.
-    let recorded = std::iter::from_fn(|| record_rx.try_recv().ok()).collect();
-    (report, recorded)
+    }
 }
 
 /// A node thread's [`Link`]: the handle into the delay router and the
@@ -459,36 +418,6 @@ mod tests {
         assert!(!report.timed_out, "threaded run timed out");
         assert_eq!(report.outputs.len(), 3);
         assert!(report.outputs.iter().all(|o| o.event == 1));
-    }
-
-    #[test]
-    fn recorded_run_captures_per_invocation_effects() {
-        let topo = NetworkTopology::uniform(2, ChannelTiming::timely(1));
-        let nodes: Vec<Box<dyn Node<Msg = u32, Output = u32>>> =
-            vec![Box::new(Pinger), Box::new(Pinger)];
-        let (report, recorded) = run_threaded_with(
-            topo,
-            nodes,
-            ThreadedConfig {
-                tick: Duration::from_micros(50),
-                timeout: Duration::from_secs(10),
-                seed: 3,
-            },
-            ThreadedHooks {
-                record: true,
-                ..ThreadedHooks::default()
-            },
-            |outs| outs.len() >= 2,
-        );
-        assert!(!report.timed_out, "threaded run timed out");
-        let p0: Vec<_> = recorded
-            .iter()
-            .filter(|r| r.process == ProcessId::new(0))
-            .collect();
-        // p0's first invocation is on_start, which queued the broadcast.
-        assert_eq!(p0[0].effects, [Effect::Broadcast { msg: 1 }]);
-        // Every process recorded at least its start invocation.
-        assert!(recorded.iter().any(|r| r.process == ProcessId::new(1)));
     }
 
     struct TimerOnly;

@@ -39,11 +39,9 @@ struct TimerSlot {
 /// Semantics mirror the previous id-set design exactly: `SetTimer` schedules
 /// one firing; `CancelTimer` suppresses exactly one matching firing (even if
 /// applied before the corresponding `SetTimer`, as an effect-rewriting
-/// adversary can arrange); ids applied verbatim from a recorded trace (never
-/// allocated here) are adopted by forcing the slot to the id's generation,
-/// which is what keeps [`ScriptedNode`] replays byte-identical.
-///
-/// [`ScriptedNode`]: https://docs.rs/minsync-adversary
+/// adversary can arrange); an id this table never allocated (one such an
+/// adversary pushes in a `SetTimer`) is adopted by forcing the slot to the
+/// id's generation rather than trusted or dropped.
 #[derive(Clone, Debug, Default)]
 pub struct TimerTable {
     slots: Vec<TimerSlot>,
@@ -88,10 +86,10 @@ impl TimerTable {
     /// Applies a `SetTimer` effect: records one scheduled firing of `id`.
     ///
     /// For ids this table allocated, the generation always matches and this
-    /// is a plain increment. An id it did *not* allocate (a trace replayed
-    /// verbatim) adopts the slot: the generation is forced to the id's and
-    /// the firing count restarts, mirroring the allocation history of the
-    /// recorded execution.
+    /// is a plain increment. An id it did *not* allocate (pushed by an
+    /// effect-rewriting adversary) adopts the slot: the generation is forced
+    /// to the id's and the firing count restarts, so the slot's bookkeeping
+    /// stays consistent whatever id arrives.
     pub fn arm(&mut self, id: TimerId) {
         let (s, gen) = unpack(id);
         let idx = s as usize;
@@ -215,8 +213,9 @@ mod tests {
 
     #[test]
     fn foreign_ids_are_adopted_for_replay() {
-        // A ScriptedNode pushes recorded SetTimer effects without ever
-        // calling alloc; the table must follow the recorded history.
+        // An effect-rewriting adversary can push SetTimer effects whose ids
+        // were never allocated here; the table must follow those ids'
+        // generations.
         let mut t = TimerTable::new();
         let gen0 = pack(0, 0);
         t.arm(gen0);

@@ -105,7 +105,7 @@ use minsync_net::sim::OutputRecord;
 use minsync_net::{Effect, Env, Node, TimerId};
 use minsync_telemetry::trace::{TraceKind, TraceRecorder};
 use minsync_telemetry::{watch_name, Counter, Gauge, Registry};
-use minsync_types::{ProcessId, Value};
+use minsync_types::{Fnv1a, ProcessId, Value};
 
 /// Live health gauges exported under the `watch.p<id>.*` naming contract
 /// consumed by [`minsync_telemetry::watchdog`] (see
@@ -120,25 +120,20 @@ struct WatchGauges {
     /// FNV-1a fold of every committed `(slot, Digest::of(value))`, in
     /// commit order — two replicas expose equal digests at equal floors
     /// iff their committed prefixes are identical.
-    digest: u64,
+    digest: Fnv1a,
 }
 
 impl WatchGauges {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
     /// Folds one commit into the digest and publishes the new floor.
     /// `value` is the digest the slot committed under — the one consensus
     /// agreed on — so the gauge costs no second hash of the batch.
     fn on_commit(&mut self, slot: u64, value: Digest) {
-        for byte in slot.to_le_bytes().into_iter().chain(value.0) {
-            self.digest ^= u64::from(byte);
-            self.digest = self.digest.wrapping_mul(Self::PRIME);
-        }
+        self.digest.write_u64(slot);
+        self.digest.write(&value.0);
         self.commit_floor.set(slot);
         self.committed_cmds.set(slot);
         self.ckpt_slot.set(slot);
-        self.ckpt_digest.set(self.digest);
+        self.ckpt_digest.set(self.digest.finish());
     }
 }
 
@@ -636,7 +631,7 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             committed_cmds: registry.gauge(&watch_name(id, "committed_cmds")),
             ckpt_slot: registry.gauge(&watch_name(id, "ckpt_slot")),
             ckpt_digest: registry.gauge(&watch_name(id, "ckpt_digest")),
-            digest: WatchGauges::OFFSET,
+            digest: Fnv1a::new(),
         });
         self
     }

@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use minsync_auth::HmacAuthenticator;
 use minsync_telemetry::{Sample, Snapshot, TimeSeries, STREAM_FOOTER, STREAM_HEADER};
+use minsync_types::Fnv1a;
 use minsync_workload::ArrivalProcess;
 
 /// How one replica slot behaves.
@@ -104,7 +105,10 @@ pub fn parse_arrival(s: &str) -> Option<ArrivalProcess> {
     let (kind, rest) = s.split_once(':')?;
     match kind {
         "poisson" => Some(ArrivalProcess::Poisson {
-            mean_gap: rest.parse().ok().filter(|g: &f64| *g > 0.0)?,
+            mean_gap: rest
+                .parse()
+                .ok()
+                .filter(|g: &f64| g.is_finite() && *g > 0.0)?,
         }),
         "bursty" => {
             let (burst, period) = rest.split_once('/')?;
@@ -125,44 +129,28 @@ pub fn parse_arrival(s: &str) -> Option<ArrivalProcess> {
 /// they committed identical batches to identical slots — the cluster-wide
 /// agreement check, compressed to eight bytes per replica so it fits a
 /// control line.
-#[derive(Clone, Copy, Debug)]
-pub struct LogDigest(u64);
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LogDigest(Fnv1a);
 
 impl LogDigest {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
     /// An empty-log digest.
     pub fn new() -> Self {
-        LogDigest(Self::OFFSET)
-    }
-
-    fn mix(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
+        LogDigest(Fnv1a::new())
     }
 
     /// Folds one committed `(slot, commands)` entry into the digest (call
     /// in commit order).
     pub fn fold_slot(&mut self, slot: u64, commands: &[u64]) {
-        self.mix(slot);
-        self.mix(commands.len() as u64);
+        self.0.write_u64(slot);
+        self.0.write_u64(commands.len() as u64);
         for &cmd in commands {
-            self.mix(cmd);
+            self.0.write_u64(cmd);
         }
     }
 
     /// The digest value.
     pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for LogDigest {
-    fn default() -> Self {
-        Self::new()
+        self.0.finish()
     }
 }
 
@@ -1186,6 +1174,9 @@ mod tests {
             assert_eq!(parse_arrival(&arrival_to_arg(&a)), Some(a));
         }
         assert_eq!(parse_arrival("poisson:0"), None);
+        assert_eq!(parse_arrival("poisson:inf"), None);
+        assert_eq!(parse_arrival("poisson:1e999"), None);
+        assert_eq!(parse_arrival("poisson:NaN"), None);
         assert_eq!(parse_arrival("nonsense"), None);
         assert_eq!(parse_arrival("bursty:0/4"), None);
     }

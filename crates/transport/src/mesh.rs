@@ -465,7 +465,6 @@ impl TcpMesh {
         WallClockLoop::new(me, n, seed, config.trace.clone()).run(
             node.as_mut(),
             &mut link,
-            None,
             // The loop asks even on the halting turn: callers report off
             // the stop predicate (minsync-node prints its statistics block
             // there), and a node emitting its final Output and Halt in one

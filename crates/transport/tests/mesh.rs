@@ -12,7 +12,7 @@ use minsync_telemetry::Registry;
 use minsync_transport::mesh::{
     LinkFaults, MeshConfig, MeshCounters, MeshOutput, MeshReport, TcpMesh,
 };
-use minsync_types::ProcessId;
+use minsync_types::{fnv1a, ProcessId};
 use minsync_wire::{
     encode_frame, encode_frame_tagged, Hello, DEFAULT_MAX_FRAME, HELLO_LEN, WIRE_VERSION,
 };
@@ -701,12 +701,6 @@ fn msg_frames_on_the_wire_are_pinned() {
         }
 
         fn on_message(&mut self, _: ProcessId, _: Vec<u64>, _: &mut Env<Vec<u64>, u64>) {}
-    }
-
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
     }
 
     let digest = |auth: Option<Arc<dyn Authenticator>>| -> u64 {

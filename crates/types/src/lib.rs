@@ -14,6 +14,10 @@
 //!   lexicographic unranking of fixed-size subsets),
 //! * [`BisourceSpec`] — a concrete ✸⟨x⟩bisource assignment (Section 4).
 //!
+//! It also holds the stack's one non-cryptographic digest, [`Fnv1a`]:
+//! trace files, committed-log digests and effect-trace digests all fold
+//! their bytes through it.
+//!
 //! # Example
 //!
 //! ```rust
@@ -51,3 +55,76 @@ pub use id::ProcessId;
 pub use round::Round;
 pub use schedule::RoundSchedule;
 pub use value::Value;
+
+/// 64-bit FNV-1a.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// The empty-input state.
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` in.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Folds `word`'s little-endian bytes in.
+    pub fn write_u64(&mut self, word: u64) {
+        self.write(&word.to_le_bytes());
+    }
+
+    /// The digest of everything folded in so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Hashes formatted output as the formatter produces it, so digesting a
+/// `Debug` rendering never materializes a `String`.
+impl core::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> core::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// [`Fnv1a`] over one byte slice.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hasher = Fnv1a::new();
+    hasher.write(bytes);
+    hasher.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Classic FNV-1a test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        let mut streamed = Fnv1a::new();
+        streamed.write(b"foo");
+        core::fmt::Write::write_str(&mut streamed, "b").unwrap();
+        streamed.write(b"ar");
+        assert_eq!(streamed.finish(), fnv1a(b"foobar"));
+        let mut word = Fnv1a::new();
+        word.write_u64(0x0102_0304_0506_0708);
+        assert_eq!(word.finish(), fnv1a(&[8, 7, 6, 5, 4, 3, 2, 1]));
+    }
+}

@@ -13,7 +13,7 @@ pub enum ArrivalProcess {
     /// with the given mean (a Poisson process of rate `1 / mean_gap`),
     /// sampled from the vendored SplitMix64 stream.
     Poisson {
-        /// Mean interarrival gap in ticks (> 0).
+        /// Mean interarrival gap in ticks (finite, > 0).
         mean_gap: f64,
     },
     /// Open loop, bursty: commands arrive `burst` at a time, one burst
@@ -43,7 +43,10 @@ impl ArrivalProcess {
     pub fn submit_ticks(&self, seed: u64, count: usize) -> Vec<u64> {
         match *self {
             ArrivalProcess::Poisson { mean_gap } => {
-                assert!(mean_gap > 0.0, "mean gap must be positive");
+                assert!(
+                    mean_gap.is_finite() && mean_gap > 0.0,
+                    "mean gap must be positive and finite"
+                );
                 let mut rng = SplitMix64::seed_from_u64(seed);
                 let mut t = 0u64;
                 (0..count)
@@ -58,7 +61,9 @@ impl ArrivalProcess {
             }
             ArrivalProcess::Bursty { burst, period } => {
                 assert!(burst > 0, "burst must be positive");
-                (0..count).map(|k| period * (k / burst) as u64).collect()
+                (0..count)
+                    .map(|k| period.saturating_mul((k / burst) as u64))
+                    .collect()
             }
             ArrivalProcess::ClosedLoop { .. } => vec![0; count],
         }
@@ -99,6 +104,15 @@ mod tests {
             period: 10,
         };
         assert_eq!(b.submit_ticks(0, 7), [0, 0, 0, 10, 10, 10, 20]);
+    }
+
+    #[test]
+    fn burst_ticks_saturate_instead_of_overflowing() {
+        let b = ArrivalProcess::Bursty {
+            burst: 1,
+            period: u64::MAX,
+        };
+        assert_eq!(b.submit_ticks(0, 3), [0, u64::MAX, u64::MAX]);
     }
 
     #[test]

@@ -7,15 +7,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use minsync::adversary::ScriptedNode;
-use minsync::conformance::{fnv1a, golden_scenarios, Trace};
+use minsync::conformance::{golden_scenarios, Trace};
 use minsync::core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg};
 use minsync::net::sim::SimBuilder;
-use minsync::net::threaded::{run_threaded, run_threaded_with, ThreadedConfig, ThreadedHooks};
+use minsync::net::threaded::{run_threaded, run_threaded_with, ThreadedConfig};
 use minsync::net::{Env, NetworkTopology, Node};
 use minsync::smr::{ReplicaNode, SmrEvent, SmrMsg};
 use minsync::transport::mesh::{MeshConfig, TcpMesh};
-use minsync::types::{ProcessId, SystemConfig};
+use minsync::types::{fnv1a, ProcessId, SystemConfig};
 use minsync::workload::{ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 use minsync_telemetry::trace::{queues, TraceEvent, TraceKind, TraceRecorder};
 
@@ -283,42 +282,6 @@ fn smr_workload_commits_identically_on_both_substrates() {
     }
 }
 
-/// A recorded consensus execution replays byte-identically through
-/// `ScriptedNode`s — the sans-io API's replayability guarantee, end to end
-/// on the full protocol stack.
-#[test]
-fn recorded_consensus_run_replays_byte_identically() {
-    let proposals = [3u64, 8, 3, 8];
-    let topo = NetworkTopology::all_timely(4, 2);
-    let mut builder = SimBuilder::new(topo.clone())
-        .seed(21)
-        .record_effects(usize::MAX)
-        .max_events(5_000_000);
-    for node in consensus_nodes(&proposals) {
-        builder = builder.boxed_node(node);
-    }
-    // Run to quiescence (not a predicate stop) so the recorded invocation
-    // stream covers the entire execution — the replay also runs dry, and
-    // the two traces must align one-to-one.
-    let mut original = builder.build();
-    original.run();
-    let trace = original.effect_trace().to_vec();
-    assert!(!trace.is_empty());
-
-    let mut replay_builder = SimBuilder::new(topo).seed(21).record_effects(usize::MAX);
-    for p in 0..4 {
-        replay_builder = replay_builder.node(ScriptedNode::from_trace(&trace, ProcessId::new(p)));
-    }
-    let mut replayed = replay_builder.build();
-    replayed.run();
-    assert_eq!(
-        original.effect_trace_digest(),
-        replayed.effect_trace_digest(),
-        "consensus replay diverged"
-    );
-    assert_eq!(original.effect_trace(), replayed.effect_trace());
-}
-
 /// Two of these rally a counter back and forth: p0 serves 0, every receipt
 /// below [`Rally::LAST`] is returned plus one, and the receiver of `LAST`
 /// outputs it. Each handler call bumps the process's own invocation count.
@@ -418,7 +381,7 @@ fn handler_step_is_stamped_once_per_invocation_after_effects_on_every_substrate(
     // Threaded runtime.
     let ring = Arc::new(TraceRecorder::new(4096));
     let (counts, nodes) = Rally::pair();
-    let (report, _) = run_threaded_with(
+    let report = run_threaded_with(
         NetworkTopology::all_timely(2, 1),
         nodes,
         ThreadedConfig {
@@ -426,10 +389,7 @@ fn handler_step_is_stamped_once_per_invocation_after_effects_on_every_substrate(
             timeout: Duration::from_secs(20),
             seed: 1,
         },
-        ThreadedHooks {
-            trace: Some(Arc::clone(&ring)),
-            ..ThreadedHooks::default()
-        },
+        Some(Arc::clone(&ring)),
         |outs| !outs.is_empty(),
     );
     assert!(!report.timed_out, "threaded rally timed out");
