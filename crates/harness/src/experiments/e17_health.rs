@@ -1,17 +1,18 @@
-//! E17 — the live health plane: periodic stat streams, per-peer RTT
+//! E17 — the live health plane: periodic stat samples, per-peer RTT
 //! gauges, and the online invariant watchdog, measured end to end.
 //!
-//! PR 10 makes the telemetry layer *live*: every substrate can stream
-//! delta-encoded `STAT-STREAM v1` samples of its metrics registry while
-//! the run is in flight, the transports estimate per-peer RTT and backlog,
-//! and [`minsync_telemetry::watchdog::Watchdog`] folds the reconstructed
-//! series into typed alarms. E17 answers two questions about that plane:
+//! The telemetry layer is *live*: every substrate can sample its metrics
+//! registry while the run is in flight — a TCP replica prints each sample
+//! as a `SAMPLE <at>` line and a `STAT v1` block, the format of its final
+//! report — the transports estimate per-peer RTT and backlog, and
+//! [`minsync_telemetry::watchdog::Watchdog`] folds the sampled series into
+//! typed alarms. E17 answers two questions about that plane:
 //!
 //! 1. **Is it silent when nothing is wrong?** Clean runs at `n ∈ {4, 7}`
 //!    on the simulator and on a real TCP cluster must raise zero alarms —
 //!    both at the node-local watchdogs (`watchdog.alarms*` counters in the
-//!    streamed series) and at an aggregator replaying every reconstructed
-//!    series through tuned thresholds. The simulator arm also asserts the
+//!    sampled series) and at an aggregator replaying every sampled series
+//!    through tuned thresholds. The simulator arm also asserts the
 //!    plane is *semantically passive*: the identical seed with sampling,
 //!    watch gauges, and registry attached finishes at the identical
 //!    virtual tick with the identical message count as a bare run.
@@ -38,7 +39,7 @@
 //!    firing anywhere would itself be a bug.
 //!
 //! Detection latency is *measured*, not assumed: the experiment scans each
-//! reconstructed series for the first sample at which the watchdog raises
+//! sampled series for the first sample at which the watchdog raises
 //! the expected class and reports the gap back to the injection time,
 //! asserting it stays inside `horizon + a few sampling periods + slack`.
 //!
@@ -119,7 +120,7 @@ fn clean_cfg(min_stall_horizon: u64) -> WatchdogConfig {
 fn replay(wd: &mut Watchdog, source: u32, series: &TimeSeries) -> Vec<Alarm> {
     let mut raised = Vec::new();
     for point in series.points() {
-        raised.extend(wd.observe_point(source, point));
+        raised.extend(wd.observe(source, point.at, &point.values));
     }
     raised
 }
@@ -224,7 +225,7 @@ fn sim_run(
 }
 
 /// Clean simulator arm: the aggregator watchdog must stay silent over the
-/// whole reconstructed series, and attaching the plane must not move the
+/// whole sampled series, and attaching the plane must not move the
 /// execution (identical final tick, identical message count).
 ///
 /// Returns `(samples, final ticks, messages)` for the table.
@@ -248,7 +249,7 @@ fn sim_clean(n: usize, t: usize, seed: u64, commands_per_client: usize) -> (u64,
     );
     // The RTT estimators must actually be feeding the plane: at least one
     // directed link carries a nonzero EWMA by the end of the run.
-    let state = sampled.series.state();
+    let state = &sampled.series.latest().expect("non-empty").values;
     assert!(
         state
             .iter()
@@ -256,7 +257,7 @@ fn sim_clean(n: usize, t: usize, seed: u64, commands_per_client: usize) -> (u64,
         "E17 sim-clean n={n}: no link RTT gauge in the series"
     );
     (
-        sampled.series.applied(),
+        sampled.series.len() as u64,
         sampled.final_ticks,
         sampled.messages_sent,
     )
@@ -443,7 +444,8 @@ fn assert_cluster_healthy(case: &str, report: &ClusterReport) {
 }
 
 /// Clean cluster arm at one size: node-local watchdogs silent, aggregator
-/// silent, RTT gauges present. Returns the slowest replica's sample count.
+/// silent, RTT gauges present. Returns the largest count of points a
+/// replica's series retained.
 fn cluster_clean(n: usize, t: usize, seed: u64) -> u64 {
     let spec = cluster_spec(n, t, 8, seed);
     let report = run_churn_cluster(&spec, &ChurnPlan::new())
@@ -455,7 +457,7 @@ fn cluster_clean(n: usize, t: usize, seed: u64) -> u64 {
     // below the open window of any fault arm.
     let mut samples = 0;
     for r in &report.replicas {
-        let state = r.series.state();
+        let state = &r.series.latest().expect("asserted non-empty").values;
         assert_eq!(
             state.counter("watchdog.alarms").unwrap_or(0),
             0,
@@ -476,7 +478,7 @@ fn cluster_clean(n: usize, t: usize, seed: u64) -> u64 {
             "E17 tcp-clean n={n}: replica {} series raised {alarms:?}",
             r.id
         );
-        samples = samples.max(r.series.applied());
+        samples = samples.max(r.series.len() as u64);
     }
     samples
 }
@@ -550,12 +552,8 @@ fn cluster_crash_backlog(n: usize, t: usize, seed: u64) -> (f64, u64) {
     for r in &report.replicas {
         let mut wd = Watchdog::new(cfg);
         all.extend(replay(&mut wd, r.id as u32, &r.series));
-        peak = peak.max(
-            r.series
-                .state()
-                .gauge(&format!("link.backlog.p{dead}"))
-                .unwrap_or(0),
-        );
+        let last = &r.series.latest().expect("asserted non-empty").values;
+        peak = peak.max(last.gauge(&format!("link.backlog.p{dead}")).unwrap_or(0));
     }
     let first = expect_only("tcp-crash", &all, AlarmClass::QueueSaturation);
     let latency_ms = ticks_to_ms(first.at) - kill_at_ms as f64;
@@ -584,7 +582,8 @@ fn cluster_auth(n: usize, t: usize, seed: u64) -> (f64, u64) {
     for r in &report.replicas {
         let mut wd = Watchdog::new(cfg);
         all.extend(replay(&mut wd, r.id as u32, &r.series));
-        rejects += r.series.state().counter("mesh.auth_rejects").unwrap_or(0);
+        let last = &r.series.latest().expect("asserted non-empty").values;
+        rejects += last.counter("mesh.auth_rejects").unwrap_or(0);
     }
     let first = expect_only("tcp-auth", &all, AlarmClass::AuthRejectRate);
     assert!(

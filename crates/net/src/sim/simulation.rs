@@ -2,7 +2,7 @@ use std::fmt::{Debug, Write as _};
 use std::sync::Arc;
 
 use minsync_telemetry::trace::{queues, TraceKind, TraceRecorder};
-use minsync_telemetry::{Registry, Sampler, TimeSeries};
+use minsync_telemetry::{Registry, TimeSeries};
 use minsync_types::{Fnv1a, ProcessId};
 use rand::rngs::SplitMix64;
 use rand::SeedableRng;
@@ -225,11 +225,11 @@ where
 
     /// Enables periodic stat sampling: every `period` virtual ticks the
     /// attached registry (see [`SimBuilder::registry`]) is exported and
-    /// snapshotted into a delta-encoded time series
-    /// ([`Simulation::stat_series`]) — the simulator's analog of a live
-    /// `STAT-STREAM v1` feed. Purely passive: sampling draws no
-    /// randomness and schedules no events, so executions are identical
-    /// with and without it.
+    /// its snapshot pushed onto a time series ([`Simulation::stat_series`])
+    /// — the simulator's analog of the live `STAT v1` samples a TCP
+    /// replica prints. Purely passive: sampling draws no randomness and
+    /// schedules no events, so executions are identical with and without
+    /// it.
     ///
     /// # Panics
     ///
@@ -321,7 +321,6 @@ where
             cause_trace_capacity: self.record_causes,
             sample_period: self.sample_period,
             next_sample_at: self.sample_period.unwrap_or(0),
-            sampler: Sampler::new(),
             stat_series: TimeSeries::with_capacity(4096),
         };
         if let Some(trace) = &sim.trace {
@@ -370,9 +369,7 @@ pub struct Simulation<M, O> {
     sample_period: Option<u64>,
     /// Next virtual tick a sample is due at.
     next_sample_at: u64,
-    /// Delta encoder feeding [`Simulation::stat_series`].
-    sampler: Sampler,
-    /// The reconstructed sample ring (what a live consumer would hold).
+    /// The sample ring (what a live consumer would hold).
     stat_series: TimeSeries,
 }
 
@@ -627,18 +624,14 @@ where
         std::mem::swap(&mut self.timer_tables[p.index()], self.env.timers_mut());
     }
 
-    /// Refreshes the `sim.*` gauges and appends one delta-encoded sample
-    /// at virtual tick `at` to the in-memory stat series. No-op without a
+    /// Refreshes the `sim.*` gauges and pushes the registry's snapshot at
+    /// virtual tick `at` onto the in-memory stat series. No-op without a
     /// registry (there is nothing to snapshot).
     fn take_sample(&mut self, at: u64) {
         self.core.export_registry();
-        let Some(registry) = &self.core.registry else {
-            return;
-        };
-        let sample = self.sampler.sample(at, &registry.snapshot());
-        self.stat_series
-            .apply(&sample)
-            .expect("sampler emits strictly sequential samples");
+        if let Some(registry) = &self.core.registry {
+            self.stat_series.push(at, registry.snapshot());
+        }
     }
 }
 
@@ -1400,23 +1393,15 @@ mod tests {
         let closing = stamps.pop().expect("non-empty");
         assert!(stamps.iter().all(|at| at % 3 == 0));
         assert_eq!(closing, sampled.now().ticks());
-        // Replaying the deltas reconstructs the live registry exactly.
+        // The closing point is the live registry, whole.
         let live = registry.snapshot();
-        assert_eq!(
-            series.state().gauge("sim.messages_sent"),
-            live.gauge("sim.messages_sent")
-        );
-        assert_eq!(
-            series.state().gauge("sim.events_processed"),
-            live.gauge("sim.events_processed")
-        );
+        assert_eq!(series.latest().unwrap().values, live);
         // Channel delays surfaced as per-directed-link EWMA gauges within
         // the law's 1..=9 tick envelope.
         let rtt = live
             .gauge("link.rtt_ewma.p0.p1")
             .expect("observed link exports a gauge");
         assert!((1..=9).contains(&rtt), "EWMA {rtt} outside the delay law");
-        assert_eq!(series.state().gauge("link.rtt_ewma.p0.p1"), Some(rtt));
     }
 
     #[test]

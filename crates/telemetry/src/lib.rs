@@ -16,10 +16,10 @@
 //!   timelines, the client→propose→commit→ack-quorum latency breakdown,
 //!   top-k slowest slots, queue-residency percentiles — consumed by the
 //!   `minsync-trace` CLI and the E16 experiment.
-//! - the [`timeseries`] module: periodic registry sampling with the
-//!   delta-encoded `STAT-STREAM v1` incremental format ([`Sampler`] on the
-//!   producing side, [`TimeSeries`] ring reconstruction on the consuming
-//!   side), so a run can be watched while it is still in flight.
+//! - the [`timeseries`] module: periodic registry sampling — a live
+//!   sample is a `SAMPLE <at>` line followed by the same `STAT v1` block,
+//!   kept in a bounded [`TimeSeries`] ring on the consuming side — so a
+//!   run can be watched while it is still in flight.
 //! - the [`watchdog`] module: an online invariant [`Watchdog`] over those
 //!   samples — stall, divergence, quorum-regress, queue-saturation and
 //!   auth-reject-rate alarms, mirrored into the trace ring and `STAT v1`.
@@ -44,10 +44,7 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, Snapshot, HIST_BUCKETS,
     SNAPSHOT_FOOTER, SNAPSHOT_HEADER,
 };
-pub use timeseries::{
-    valid_stream_name, Change, Sample, Sampler, SeriesPoint, TimeSeries, STREAM_FOOTER,
-    STREAM_HEADER,
-};
+pub use timeseries::{SeriesPoint, TimeSeries};
 pub use trace::{
     parse_dump, queues, EffectKind, TraceDump, TraceEvent, TraceKind, TraceMeta, TraceRecorder,
     DEFAULT_TRACE_CAPACITY,

@@ -1,263 +1,45 @@
 //! Periodic registry sampling: the live half of the telemetry layer.
 //!
-//! [`crate::Snapshot`]s are post-mortem — one `STAT v1` block at
-//! the end of a run. This module makes the registry observable *while the
-//! run is in flight*: a [`Sampler`] periodically snapshots a registry and
-//! delta-encodes the result against the previous sample (u64-only —
-//! counters as monotonic deltas, gauges as absolute values, unchanged
-//! metrics and histograms omitted), producing compact [`Sample`]s in the
-//! versioned `STAT-STREAM v1` text format. A [`TimeSeries`] on the
-//! consuming side re-applies the deltas in index order into a fixed-capacity
-//! ring of reconstructed [`SeriesPoint`]s — the per-node time-indexed
-//! series the [`watchdog`](crate::watchdog) consumes.
-//!
-//! The text format rides the same line-oriented control pipes as `STAT v1`:
+//! [`crate::Snapshot`]s are the unit of both halves. A run's final report
+//! is one `STAT v1` block; a live sample is the same block, stamped with
+//! the producer's clock and taken while the run is in flight. On a control
+//! pipe a sample is one `SAMPLE <at>` line followed by the block:
 //!
 //! ```text
-//! STAT-STREAM v1 <index> <at>
-//! C <name> <delta>
-//! G <name> <value>
-//! END STAT-STREAM
+//! SAMPLE 1234
+//! STAT v1
+//! CTR mesh.pings 9
+//! GGE watch.p0.commit_floor 17
+//! END STAT
 //! ```
 //!
-//! `index` is a strictly sequential sample number (the consumer rejects
-//! gaps, replays, and reordering); `at` is the producer's clock at sampling
-//! time in its own tick units. All allocation while parsing is proportional
-//! to the input text — the format carries no length fields a hostile peer
-//! could inflate.
+//! [`Snapshot::parse`] reads the block, and a [`TimeSeries`] on the
+//! consuming side keeps the newest of the resulting [`SeriesPoint`]s in a
+//! bounded ring — the per-node time-indexed series the
+//! [`watchdog`](crate::watchdog) consumes. `at` is in the producer's own
+//! tick units (virtual ticks on the simulator, wall-clock ticks elsewhere).
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-use crate::registry::{MetricValue, Snapshot};
+use crate::registry::Snapshot;
 
-/// First line of one encoded sample: `STAT-STREAM v1 <index> <at>`.
-pub const STREAM_HEADER: &str = "STAT-STREAM v1";
-
-/// Last line of one encoded sample.
-pub const STREAM_FOOTER: &str = "END STAT-STREAM";
-
-/// One metric movement within a [`Sample`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Change {
-    /// A counter advanced by `delta` since the previous sample (counters
-    /// are monotonic, so the delta is a plain u64).
-    Counter {
-        /// Metric name.
-        name: String,
-        /// Increase since the previous sample.
-        delta: u64,
-    },
-    /// A gauge moved to a new absolute `value` (gauges travel both ways;
-    /// sending the absolute keeps the encoding u64-only).
-    Gauge {
-        /// Metric name.
-        name: String,
-        /// New absolute level.
-        value: u64,
-    },
-}
-
-impl Change {
-    /// The metric name this change touches.
-    pub fn name(&self) -> &str {
-        match self {
-            Change::Counter { name, .. } | Change::Gauge { name, .. } => name,
-        }
-    }
-}
-
-/// One delta-encoded periodic sample: everything that moved since the
-/// previous sample, stamped with a sequential index and the producer's
-/// clock.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Sample {
-    /// Strictly sequential sample number (0, 1, 2, …).
-    pub index: u64,
-    /// Producer clock at sampling time (virtual ticks on the simulator,
-    /// wall-clock ticks elsewhere).
-    pub at: u64,
-    /// Metrics that changed, in registry (sorted-name) order.
-    pub changes: Vec<Change>,
-}
-
-impl Sample {
-    /// Renders the `STAT-STREAM v1` text block (header, one line per
-    /// change, footer — each line newline-terminated).
-    pub fn to_text(&self) -> String {
-        let mut out = format!("{STREAM_HEADER} {} {}\n", self.index, self.at);
-        for change in &self.changes {
-            match change {
-                Change::Counter { name, delta } => {
-                    out.push_str(&format!("C {name} {delta}\n"));
-                }
-                Change::Gauge { name, value } => {
-                    out.push_str(&format!("G {name} {value}\n"));
-                }
-            }
-        }
-        out.push_str(STREAM_FOOTER);
-        out.push('\n');
-        out
-    }
-
-    /// Parses one `STAT-STREAM v1` block. Like
-    /// [`Snapshot::parse`], lines before the header and after the footer
-    /// are ignored (pipes carry unrelated traffic); malformed lines
-    /// *inside* the block are errors. Never panics on hostile input, and
-    /// allocates only in proportion to the input text.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed construct.
-    pub fn parse(text: &str) -> Result<Sample, String> {
-        let mut lines = text.lines();
-        let header = loop {
-            match lines.next() {
-                Some(line) if line.trim_start().starts_with(STREAM_HEADER) => {
-                    break line.trim_start();
-                }
-                Some(_) => continue,
-                None => return Err(format!("missing `{STREAM_HEADER}` header")),
-            }
-        };
-        let mut head = header[STREAM_HEADER.len()..].split_whitespace();
-        let index: u64 = head
-            .next()
-            .ok_or("header missing sample index")?
-            .parse()
-            .map_err(|_| "sample index is not a u64".to_string())?;
-        let at: u64 = head
-            .next()
-            .ok_or("header missing sample time")?
-            .parse()
-            .map_err(|_| "sample time is not a u64".to_string())?;
-        if head.next().is_some() {
-            return Err("trailing fields after sample header".to_string());
-        }
-        let mut changes = Vec::new();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line == STREAM_FOOTER {
-                return Ok(Sample { index, at, changes });
-            }
-            let mut fields = line.split_whitespace();
-            let kind = fields.next().expect("trimmed non-empty line has a field");
-            let name = fields
-                .next()
-                .ok_or_else(|| format!("`{kind}` line missing metric name"))?;
-            let value: u64 = fields
-                .next()
-                .ok_or_else(|| format!("`{kind} {name}` missing value"))?
-                .parse()
-                .map_err(|_| format!("`{kind} {name}`: value is not a u64"))?;
-            if fields.next().is_some() {
-                return Err(format!("`{kind} {name}`: trailing fields"));
-            }
-            match kind {
-                "C" => changes.push(Change::Counter {
-                    name: name.to_string(),
-                    delta: value,
-                }),
-                "G" => changes.push(Change::Gauge {
-                    name: name.to_string(),
-                    value,
-                }),
-                other => return Err(format!("unknown change kind `{other}`")),
-            }
-        }
-        Err(format!("missing `{STREAM_FOOTER}` footer"))
-    }
-}
-
-/// The producing side: delta-encodes successive registry snapshots.
-///
-/// Counters emit their increase since the previous sample, gauges their new
-/// absolute value; metrics that did not move are omitted, histograms are
-/// skipped entirely (the stream is u64-only — the final `STAT v1` block
-/// still carries full distributions). The first sample is a delta against
-/// an empty baseline, i.e. every nonzero metric in full.
-#[derive(Debug, Default)]
-pub struct Sampler {
-    prev: BTreeMap<String, u64>,
-    next_index: u64,
-}
-
-impl Sampler {
-    /// A fresh sampler (next sample has index 0).
-    pub fn new() -> Self {
-        Sampler::default()
-    }
-
-    /// Index the next sample will carry.
-    pub fn next_index(&self) -> u64 {
-        self.next_index
-    }
-
-    /// Delta-encodes `snap` against the previous sample. A counter that
-    /// (erroneously) moved backwards encodes as unchanged — the stream
-    /// never carries negative movement.
-    pub fn sample(&mut self, at: u64, snap: &Snapshot) -> Sample {
-        let mut changes = Vec::new();
-        for (name, value) in snap.iter() {
-            match value {
-                MetricValue::Counter(v) => {
-                    let delta = v.saturating_sub(self.prev.get(name).copied().unwrap_or(0));
-                    if delta > 0 {
-                        changes.push(Change::Counter {
-                            name: name.to_string(),
-                            delta,
-                        });
-                        self.prev.insert(name.to_string(), *v);
-                    }
-                }
-                MetricValue::Gauge(v) => {
-                    if self.prev.get(name) != Some(v) {
-                        changes.push(Change::Gauge {
-                            name: name.to_string(),
-                            value: *v,
-                        });
-                        self.prev.insert(name.to_string(), *v);
-                    }
-                }
-                MetricValue::Histogram(_) => {}
-            }
-        }
-        let index = self.next_index;
-        self.next_index += 1;
-        Sample { index, at, changes }
-    }
-}
-
-/// One reconstructed point of a time-indexed series: the cumulative metric
-/// state as of one applied [`Sample`].
+/// One point of a time-indexed series: every metric as of one sampling
+/// instant.
 #[derive(Clone, Debug)]
 pub struct SeriesPoint {
-    /// The applied sample's index.
-    pub index: u64,
-    /// The applied sample's producer clock.
+    /// Producer clock at sampling time.
     pub at: u64,
-    /// Cumulative metric values after applying the sample.
+    /// The registry's snapshot at that instant.
     pub values: Snapshot,
 }
 
-/// The consuming side: a fixed-capacity ring of reconstructed
-/// [`SeriesPoint`]s fed by applying [`Sample`]s in strict index order.
-///
-/// The ring bounds memory no matter how long the producer runs (oldest
-/// points are evicted); the cumulative state is carried forward so a
-/// point's [`SeriesPoint::values`] is always the full metric state, not
-/// just the delta.
+/// A fixed-capacity ring of [`SeriesPoint`]s, oldest first. The ring
+/// bounds memory no matter how long the producer runs: once full, each
+/// push evicts the oldest point.
 #[derive(Clone, Debug)]
 pub struct TimeSeries {
     capacity: usize,
     points: VecDeque<SeriesPoint>,
-    state: Snapshot,
-    next_index: Option<u64>,
-    applied: u64,
 }
 
 impl TimeSeries {
@@ -266,58 +48,15 @@ impl TimeSeries {
         TimeSeries {
             capacity: capacity.max(1),
             points: VecDeque::new(),
-            state: Snapshot::empty(),
-            next_index: None,
-            applied: 0,
         }
     }
 
-    /// Applies one sample. The first sample may carry any index; every
-    /// later one must carry exactly the previous index plus one —
-    /// out-of-order, replayed, or gapped samples are rejected without
-    /// mutating the series.
-    ///
-    /// # Errors
-    ///
-    /// The index-discipline violation, or a malformed change (an empty or
-    /// whitespace-bearing metric name).
-    pub fn apply(&mut self, sample: &Sample) -> Result<(), String> {
-        if let Some(expected) = self.next_index {
-            if sample.index != expected {
-                return Err(format!(
-                    "out-of-order sample: expected index {expected}, got {}",
-                    sample.index
-                ));
-            }
-        }
-        for change in &sample.changes {
-            let name = change.name();
-            if !valid_stream_name(name) {
-                return Err(format!("invalid metric name {name:?} in sample"));
-            }
-        }
-        for change in &sample.changes {
-            match change {
-                Change::Counter { name, delta } => {
-                    let cur = self.state.counter(name).unwrap_or(0);
-                    self.state.set_counter(name, cur.saturating_add(*delta));
-                }
-                Change::Gauge { name, value } => {
-                    self.state.set_gauge(name, *value);
-                }
-            }
-        }
+    /// Appends the snapshot `values` taken at producer clock `at`.
+    pub fn push(&mut self, at: u64, values: Snapshot) {
         if self.points.len() == self.capacity {
             self.points.pop_front();
         }
-        self.points.push_back(SeriesPoint {
-            index: sample.index,
-            at: sample.at,
-            values: self.state.clone(),
-        });
-        self.next_index = Some(sample.index + 1);
-        self.applied += 1;
-        Ok(())
+        self.points.push_back(SeriesPoint { at, values });
     }
 
     /// Retained points, oldest first.
@@ -335,26 +74,10 @@ impl TimeSeries {
         self.points.len()
     }
 
-    /// True when no sample has been applied yet.
+    /// True when no point has been pushed yet.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Total samples ever applied (including evicted ones).
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// The cumulative metric state after the latest applied sample.
-    pub fn state(&self) -> &Snapshot {
-        &self.state
-    }
-}
-
-/// Validates a metric name for stream use (the registry enforces the same
-/// rule at intern time).
-pub fn valid_stream_name(name: &str) -> bool {
-    !name.is_empty() && !name.chars().any(char::is_whitespace)
 }
 
 #[cfg(test)]
@@ -362,214 +85,56 @@ mod tests {
     use super::*;
     use crate::Registry;
 
-    fn sample_of(registry: &Registry, sampler: &mut Sampler, at: u64) -> Sample {
-        sampler.sample(at, &registry.snapshot())
+    /// What a consumer holds once a sample crossed a pipe.
+    fn shipped(registry: &Registry) -> Snapshot {
+        Snapshot::parse(&registry.snapshot().to_text()).expect("own rendering parses")
     }
 
     #[test]
     fn first_sample_carries_every_nonzero_metric() {
         let registry = Registry::new();
         registry.counter("a.count").add(3);
+        registry.counter("a.zero");
         registry.gauge("b.level").set(7);
-        registry.histogram("c.hist").record(5); // u64-only: omitted
-        let mut sampler = Sampler::new();
-        let s = sample_of(&registry, &mut sampler, 100);
-        assert_eq!(s.index, 0);
-        assert_eq!(s.at, 100);
-        assert_eq!(
-            s.changes,
-            vec![
-                Change::Counter {
-                    name: "a.count".into(),
-                    delta: 3
-                },
-                Change::Gauge {
-                    name: "b.level".into(),
-                    value: 7
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn unchanged_metrics_are_omitted() {
-        let registry = Registry::new();
-        let c = registry.counter("a");
-        let g = registry.gauge("b");
-        c.add(5);
-        g.set(2);
-        let mut sampler = Sampler::new();
-        let _ = sample_of(&registry, &mut sampler, 1);
-        // Nothing moved: the next sample is empty.
-        let s = sample_of(&registry, &mut sampler, 2);
-        assert_eq!(s.index, 1);
-        assert!(s.changes.is_empty());
-        // Counter delta, gauge absolute.
-        c.add(4);
-        g.set(1);
-        let s = sample_of(&registry, &mut sampler, 3);
-        assert_eq!(
-            s.changes,
-            vec![
-                Change::Counter {
-                    name: "a".into(),
-                    delta: 4
-                },
-                Change::Gauge {
-                    name: "b".into(),
-                    value: 1
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let s = Sample {
-            index: 42,
-            at: 12345,
-            changes: vec![
-                Change::Counter {
-                    name: "mesh.keepalives".into(),
-                    delta: 9,
-                },
-                Change::Gauge {
-                    name: "link.rtt_ewma.p3".into(),
-                    value: 17,
-                },
-            ],
-        };
-        let text = s.to_text();
-        assert!(text.starts_with("STAT-STREAM v1 42 12345\n"));
-        assert!(text.ends_with("END STAT-STREAM\n"));
-        assert_eq!(Sample::parse(&text).unwrap(), s);
-    }
-
-    #[test]
-    fn parse_ignores_surrounding_pipe_traffic() {
-        let text = format!(
-            "PORT 1234\nnoise\n{}\n",
-            Sample {
-                index: 0,
-                at: 5,
-                changes: vec![],
-            }
-            .to_text()
-        ) + "DONE\n";
-        let s = Sample::parse(&text).unwrap();
-        assert_eq!((s.index, s.at), (0, 5));
-        assert!(s.changes.is_empty());
-    }
-
-    #[test]
-    fn parse_rejects_malformed_blocks() {
-        // Truncation: no footer.
-        assert!(Sample::parse("STAT-STREAM v1 0 1\nC a 2\n").is_err());
-        // Missing header entirely.
-        assert!(Sample::parse("C a 2\nEND STAT-STREAM\n").is_err());
-        // Bad index / time.
-        assert!(Sample::parse("STAT-STREAM v1 x 1\nEND STAT-STREAM\n").is_err());
-        assert!(Sample::parse("STAT-STREAM v1 1\nEND STAT-STREAM\n").is_err());
-        assert!(Sample::parse("STAT-STREAM v1 1 2 3\nEND STAT-STREAM\n").is_err());
-        // Garbage inside the block.
-        assert!(Sample::parse("STAT-STREAM v1 0 1\nwhat\nEND STAT-STREAM\n").is_err());
-        assert!(Sample::parse("STAT-STREAM v1 0 1\nC a\nEND STAT-STREAM\n").is_err());
-        assert!(Sample::parse("STAT-STREAM v1 0 1\nC a -4\nEND STAT-STREAM\n").is_err());
-        assert!(Sample::parse("STAT-STREAM v1 0 1\nX a 4\nEND STAT-STREAM\n").is_err());
-        assert!(Sample::parse("STAT-STREAM v1 0 1\nG a 4 5\nEND STAT-STREAM\n").is_err());
+        registry.histogram("c.hist").record(5);
+        let mut series = TimeSeries::with_capacity(4);
+        series.push(100, shipped(&registry));
+        // Zeros and histograms too: the point is the whole registry.
+        let point = series.latest().unwrap();
+        assert_eq!((point.at, &point.values), (100, &registry.snapshot()));
     }
 
     #[test]
     fn series_reconstructs_cumulative_state() {
         let registry = Registry::new();
-        let c = registry.counter("n.commits");
-        let g = registry.gauge("n.floor");
-        let mut sampler = Sampler::new();
+        let (c, g) = (registry.counter("n.commits"), registry.gauge("n.floor"));
         let mut series = TimeSeries::with_capacity(8);
-
-        c.add(2);
-        g.set(2);
-        series
-            .apply(&sample_of(&registry, &mut sampler, 10))
-            .unwrap();
-        c.add(3);
-        g.set(5);
-        series
-            .apply(&sample_of(&registry, &mut sampler, 20))
-            .unwrap();
-
+        for (at, step) in [(10, 2), (20, 3)] {
+            c.add(step);
+            g.set(step);
+            series.push(at, shipped(&registry));
+        }
         assert_eq!(series.len(), 2);
         let latest = series.latest().unwrap();
         assert_eq!(latest.at, 20);
         assert_eq!(latest.values.counter("n.commits"), Some(5));
-        assert_eq!(latest.values.gauge("n.floor"), Some(5));
+        assert_eq!(latest.values.gauge("n.floor"), Some(3));
         // The older point still shows the older state.
         let first = series.points().next().unwrap();
         assert_eq!(first.values.counter("n.commits"), Some(2));
     }
 
     #[test]
-    fn series_rejects_out_of_order_indices() {
-        let mut series = TimeSeries::with_capacity(4);
-        let s0 = Sample {
-            index: 0,
-            at: 1,
-            changes: vec![],
-        };
-        let s2 = Sample {
-            index: 2,
-            at: 3,
-            changes: vec![],
-        };
-        series.apply(&s0).unwrap();
-        assert!(series.apply(&s0).is_err(), "replay must be rejected");
-        assert!(series.apply(&s2).is_err(), "gap must be rejected");
-        assert_eq!(series.len(), 1, "rejected samples must not mutate");
-        let s1 = Sample {
-            index: 1,
-            at: 2,
-            changes: vec![],
-        };
-        series.apply(&s1).unwrap();
-        assert_eq!(series.applied(), 2);
-    }
-
-    #[test]
     fn series_ring_evicts_oldest() {
         let mut series = TimeSeries::with_capacity(2);
         for i in 0..5u64 {
-            series
-                .apply(&Sample {
-                    index: i,
-                    at: i * 10,
-                    changes: vec![Change::Counter {
-                        name: "c".into(),
-                        delta: 1,
-                    }],
-                })
-                .unwrap();
+            let mut values = Snapshot::empty();
+            values.set_counter("c", i + 1);
+            series.push(i * 10, values);
         }
         assert_eq!(series.len(), 2);
-        assert_eq!(series.applied(), 5);
-        // Cumulative state survives eviction.
         assert_eq!(series.latest().unwrap().values.counter("c"), Some(5));
         assert_eq!(series.points().next().unwrap().at, 30);
-    }
-
-    #[test]
-    fn hostile_names_are_rejected() {
-        let mut series = TimeSeries::with_capacity(2);
-        let bad = Sample {
-            index: 0,
-            at: 0,
-            changes: vec![Change::Gauge {
-                name: String::new(),
-                value: 1,
-            }],
-        };
-        assert!(series.apply(&bad).is_err());
-        assert!(valid_stream_name("a.b"));
-        assert!(!valid_stream_name(""));
-        assert!(!valid_stream_name("a b"));
+        assert_eq!(TimeSeries::with_capacity(0).capacity, 1);
     }
 }

@@ -2,12 +2,13 @@
 //! from periodic metric samples while the run is still in flight.
 //!
 //! The watchdog is pure and substrate-agnostic: it consumes nothing but
-//! `(source, at, values)` observations — cumulative [`Snapshot`]s as
-//! reconstructed by [`TimeSeries`](crate::timeseries::TimeSeries) — and
-//! emits typed [`Alarm`]s. It never inspects protocol state, so the same
-//! engine runs inside a `minsync-node` process (self-monitoring its own
-//! registry), beside the simulator (one global registry carrying every
-//! replica), and at a cluster aggregator (one series per remote node).
+//! `(source, at, values)` observations — whole registry [`Snapshot`]s,
+//! such as the points of a [`TimeSeries`](crate::timeseries::TimeSeries)
+//! — and emits typed [`Alarm`]s. It never inspects protocol state, so the
+//! same engine runs inside a `minsync-node` process (self-monitoring its
+//! own registry), beside the simulator (one global registry carrying
+//! every replica), and at a cluster aggregator (one series per remote
+//! node).
 //!
 //! ## Metric-name contract
 //!
@@ -52,7 +53,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use crate::registry::{Counter, MetricValue, Registry, Snapshot};
-use crate::timeseries::SeriesPoint;
 use crate::trace::{TraceKind, TraceRecorder};
 
 /// Gauge-name prefix of the per-replica health gauges.
@@ -379,12 +379,6 @@ impl Watchdog {
             self.sink(*alarm);
         }
         alarms
-    }
-
-    /// Convenience wrapper over [`Watchdog::observe`] for a reconstructed
-    /// series point.
-    pub fn observe_point(&mut self, source: u32, point: &SeriesPoint) -> Vec<Alarm> {
-        self.observe(source, point.at, &point.values)
     }
 
     /// Retained alarm history, oldest first (bounded; see

@@ -1,10 +1,9 @@
-//! Property tests for the log2 histogram, the bounded trace ring, the
-//! `STAT-STREAM v1` sample codec, and the `STAT v1` snapshot codec.
+//! Property tests for the log2 histogram, the bounded trace ring, and the
+//! `STAT v1` snapshot codec (final reports and live samples alike).
 
 use proptest::prelude::*;
 
 use minsync_telemetry::registry::{bucket_ceil, bucket_floor, bucket_of, Histogram, HIST_BUCKETS};
-use minsync_telemetry::timeseries::{Change, Sample, TimeSeries};
 use minsync_telemetry::trace::{TraceEvent, TraceKind, TraceRecorder};
 use minsync_telemetry::Snapshot;
 
@@ -13,27 +12,6 @@ fn metric_name() -> impl Strategy<Value = String> {
     const CHARSET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789._";
     proptest::collection::vec(0usize..CHARSET.len(), 1..17)
         .prop_map(|ixs| ixs.into_iter().map(|i| CHARSET[i] as char).collect())
-}
-
-/// One sample change with a well-formed name.
-fn change() -> impl Strategy<Value = Change> {
-    (metric_name(), any::<u64>(), any::<bool>()).prop_map(|(name, v, counter)| {
-        if counter {
-            Change::Counter { name, delta: v }
-        } else {
-            Change::Gauge { name, value: v }
-        }
-    })
-}
-
-/// A structurally valid sample (indices/clock arbitrary).
-fn sample() -> impl Strategy<Value = Sample> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        proptest::collection::vec(change(), 0..12),
-    )
-        .prop_map(|(index, at, changes)| Sample { index, at, changes })
 }
 
 /// Arbitrary printable-plus-newline text for hostile-input feeding.
@@ -48,15 +26,6 @@ fn hostile_text() -> impl Strategy<Value = String> {
                 }
             })
             .collect()
-    })
-}
-
-/// Pipe noise that cannot be mistaken for a stream header (every line
-/// opens with `#`, which no block construct uses).
-fn noise_line() -> impl Strategy<Value = String> {
-    hostile_text().prop_map(|s| {
-        let flat: String = s.chars().map(|c| if c == '\n' { ' ' } else { c }).collect();
-        format!("# {flat}")
     })
 }
 
@@ -183,110 +152,6 @@ proptest! {
         prop_assert_eq!(dump.meta, meta);
         prop_assert_eq!(dump.dropped, rec.dropped());
         prop_assert_eq!(dump.events, rec.events());
-    }
-
-    /// Encode → parse is the identity on well-formed samples, even when
-    /// the pipe wraps the block in unrelated traffic.
-    #[test]
-    fn stat_stream_roundtrips_through_pipe_noise(
-        s in sample(),
-        before in proptest::collection::vec(noise_line(), 0..4),
-        after in proptest::collection::vec(noise_line(), 0..4),
-    ) {
-        let mut text = String::new();
-        for line in &before {
-            text.push_str(line);
-            text.push('\n');
-        }
-        text.push_str(&s.to_text());
-        for line in &after {
-            text.push_str(line);
-            text.push('\n');
-        }
-        prop_assert_eq!(Sample::parse(&text), Ok(s));
-    }
-
-    /// The stream parser never panics on arbitrary input, and whatever it
-    /// accepts is bounded by the input itself: no more changes than input
-    /// lines (allocation stays proportional to the text).
-    #[test]
-    fn stat_stream_parse_is_total_and_bounded(text in hostile_text()) {
-        if let Ok(parsed) = Sample::parse(&text) {
-            prop_assert!(parsed.changes.len() <= text.lines().count());
-        }
-    }
-
-    /// Truncating a valid block at any point parses or errors — never
-    /// panics — and a block cut before its footer is always an error (a
-    /// torn read must not pass for a complete sample).
-    #[test]
-    fn stat_stream_truncation_never_parses_a_torn_block(
-        s in sample(),
-        cut in any::<usize>(),
-    ) {
-        let text = s.to_text();
-        let boundary = cut % (text.len() + 1); // the text is ASCII
-        let torn = &text[..boundary];
-        match Sample::parse(torn) {
-            Ok(parsed) => prop_assert_eq!(parsed, s, "only the full block may parse"),
-            Err(_) => prop_assert!(boundary < text.len()),
-        }
-    }
-
-    /// A series accepts the first index unconditionally, then demands
-    /// exactly prev + 1: replays, gaps, and reordering are all rejected
-    /// without mutating the series.
-    #[test]
-    fn timeseries_enforces_index_discipline(
-        first in 0u64..1000,
-        offsets in proptest::collection::vec(any::<u16>(), 1..16),
-    ) {
-        let mut series = TimeSeries::with_capacity(8);
-        // The first sample may carry any index; after that, only prev + 1.
-        let mut expected: Option<u64> = None;
-        let mut accepted = 0u64;
-        for (i, off) in offsets.iter().enumerate() {
-            let index = first.saturating_add(u64::from(*off));
-            let sample = Sample { index, at: i as u64, changes: vec![] };
-            let before = series.applied();
-            if series.apply(&sample).is_ok() {
-                if let Some(e) = expected {
-                    prop_assert_eq!(index, e, "accepted a non-sequential index");
-                }
-                expected = Some(index + 1);
-                accepted += 1;
-            } else {
-                prop_assert!(expected.is_some_and(|e| e != index), "rejected a legal index");
-                prop_assert_eq!(series.applied(), before, "a rejected sample mutated the series");
-            }
-        }
-        prop_assert_eq!(series.applied(), accepted);
-    }
-
-    /// Hostile metric names (empty or whitespace-bearing) are rejected
-    /// wholesale: the sample is refused and no change is applied.
-    #[test]
-    fn timeseries_rejects_hostile_names(
-        good in metric_name(),
-        hostile in prop_oneof![
-            Just(String::new()),
-            (metric_name(), metric_name()).prop_map(|(a, b)| format!("{a} {b}")),
-            (metric_name(), metric_name()).prop_map(|(a, b)| format!("{a}\t{b}")),
-            metric_name().prop_map(|a| format!("{a}\n")),
-        ],
-        v in any::<u64>(),
-    ) {
-        let mut series = TimeSeries::with_capacity(4);
-        let sample = Sample {
-            index: 0,
-            at: 0,
-            changes: vec![
-                Change::Gauge { name: good, value: v },
-                Change::Gauge { name: hostile, value: v },
-            ],
-        };
-        prop_assert!(series.apply(&sample).is_err());
-        prop_assert!(series.is_empty(), "a rejected sample left state behind");
     }
 
     /// The snapshot parser never panics on arbitrary input, and its

@@ -8,7 +8,7 @@
 //!              [--wal PATH]                # durable committed-log file
 //!              [--window W]                # SMR pipelining window override
 //!              [--trace PATH]              # structured trace dump (JSONL)
-//!              [--stats-period MS]         # live STAT-STREAM sampling
+//!              [--stats-period MS]         # live STAT v1 sampling
 //!              --groups M --clients C --commands K --batch B
 //!              --arrival poisson:G|bursty:B/P|closed:T
 //!              --seed S --behavior correct|silent|flood|impersonate
@@ -26,11 +26,12 @@
 //! `minsync-telemetry` analyzer), with client `Submitted` stage events
 //! back-filled from the workload's arrival schedule.
 //!
-//! With `--stats-period` the process emits one `STAT-STREAM v1` delta
-//! sample (see `minsync_telemetry::timeseries`) over the control pipe every
-//! period, and runs a local invariant watchdog over the same snapshots —
-//! alarms surface as `watchdog.alarms*` counters in the stream and the
-//! final statistics block, and as `alarm` records in the `--trace` ring.
+//! With `--stats-period` the process prints one live sample over the
+//! control pipe every period — a `SAMPLE <at>` line followed by the
+//! registry's `STAT v1` block (see `minsync_telemetry::timeseries`) — and
+//! runs a local invariant watchdog over the same snapshots: alarms surface
+//! as `watchdog.alarms*` counters in the samples and the final statistics
+//! block, and as `alarm` records in the `--trace` ring.
 //!
 //! With `--wal` a correct replica appends every committed slot to the
 //! named file (one `;`-terminated text line per slot) and, on startup,
@@ -69,7 +70,7 @@ use minsync_net::sim::OutputRecord;
 use minsync_net::{Node, VirtualTime};
 use minsync_smr::{Digest, ReplicaNode, SmrEvent, SmrLimits, SmrMsg};
 use minsync_telemetry::trace::{TraceKind, TraceMeta, TraceRecorder, DEFAULT_TRACE_CAPACITY};
-use minsync_telemetry::{Registry, Sampler, Watchdog, WatchdogConfig};
+use minsync_telemetry::{Registry, Watchdog, WatchdogConfig};
 use minsync_transport::cluster::{control, parse_arrival, Behavior, LogDigest};
 use minsync_transport::mesh::{LinkFaults, MeshConfig, MeshOutput, TcpMesh};
 use minsync_types::{ProcessId, Round, SystemConfig};
@@ -391,10 +392,9 @@ fn run(args: Args) -> Result<(), String> {
     // A correct replica reports the moment it drains, then lingers (serving
     // acks/checkpoints to laggards) until STOP; Byzantine behaviors just
     // run until STOP. With `--stats-period`, every period the stop probe
-    // also emits one `STAT-STREAM v1` delta sample over the control pipe
-    // and feeds the snapshot to a local invariant watchdog, whose alarm
-    // totals land back in the registry (`watchdog.alarms*`) — visible in
-    // the very next sample and in the final `STAT v1` block.
+    // also feeds a registry snapshot to a local invariant watchdog, whose
+    // alarm totals land back in the registry (`watchdog.alarms*`), and
+    // prints one `SAMPLE <at>` + `STAT v1` sample over the control pipe.
     let mut reported = args.behavior != Behavior::Correct;
     let clock = WallClock::new(std::time::Instant::now(), args.tick);
     let stop = {
@@ -406,7 +406,6 @@ fn run(args: Args) -> Result<(), String> {
         // The probe runs once per loop turn: count what the outputs gained
         // since the last turn instead of rescanning the whole history.
         let (mut cursor, mut committed) = (0, 0);
-        let mut sampler = Sampler::new();
         let mut watchdog = Watchdog::new(WatchdogConfig::default()).with_registry(&registry);
         if let Some(trace) = &trace {
             watchdog = watchdog.with_trace(Arc::clone(trace));
@@ -430,16 +429,19 @@ fn run(args: Args) -> Result<(), String> {
             if let (Some(period), Some(due)) = (args.stats_period, next_sample) {
                 // One sample per period, plus a closing sample on the way
                 // out so the stream tail always carries the drained state.
-                if stopping || std::time::Instant::now() >= due {
+                let now = std::time::Instant::now();
+                if stopping || now >= due {
                     let at = clock.ticks();
                     // Observe first, sample second: alarms this observation
                     // raises bump `watchdog.alarms*` counters that the
                     // sample about to ship already carries.
                     watchdog.observe(args.id as u32, at, &registry.snapshot());
-                    let sample = sampler.sample(at, &registry.snapshot());
-                    print!("{}", sample.to_text());
+                    let text = registry.snapshot().to_text();
+                    print!("{} {at}\n{text}", control::SAMPLE);
                     std::io::stdout().flush().ok();
-                    next_sample = Some(due + period);
+                    // From now, not from `due`: a turn k periods late must
+                    // not owe k back-to-back samples.
+                    next_sample = Some(due.max(now) + period);
                 }
             }
             stopping

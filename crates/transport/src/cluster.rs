@@ -25,7 +25,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use minsync_auth::HmacAuthenticator;
-use minsync_telemetry::{Sample, Snapshot, TimeSeries, STREAM_FOOTER, STREAM_HEADER};
+use minsync_telemetry::{Snapshot, TimeSeries, SNAPSHOT_FOOTER};
 use minsync_types::Fnv1a;
 use minsync_workload::ArrivalProcess;
 
@@ -88,6 +88,9 @@ pub mod control {
     pub const STOP: &str = "STOP";
     /// Child → parent: end of the statistics block.
     pub const DONE: &str = "DONE";
+    /// Child → parent: `SAMPLE <at>` opens one live sample, the `STAT v1`
+    /// block that follows, taken at the child's tick `at`.
+    pub const SAMPLE: &str = "SAMPLE";
 }
 
 /// Serializes an [`ArrivalProcess`] as a CLI argument (`poisson:G`,
@@ -199,11 +202,11 @@ pub struct ClusterSpec {
     /// `minsync-telemetry` analyzer. `None` disables tracing (and its
     /// cost) entirely.
     pub trace_dir: Option<PathBuf>,
-    /// Ask every correct child for live `STAT-STREAM v1` samples at this
-    /// wall-clock period (`--stats-period`); the orchestrator reassembles
-    /// them into each [`ReplicaStats::series`] and the children run their
-    /// local invariant watchdogs over the same snapshots. `None` keeps the
-    /// control pipe quiet until the final report.
+    /// Ask every correct child for live samples (`SAMPLE <at>` plus a
+    /// `STAT v1` block) at this wall-clock period (`--stats-period`); the
+    /// orchestrator parses them into each [`ReplicaStats::series`] and the
+    /// children run their local watchdogs over the same snapshots. `None`
+    /// keeps the control pipe quiet until the final report.
     pub stats_period: Option<Duration>,
 }
 
@@ -276,10 +279,10 @@ pub struct ReplicaStats {
     /// `mesh.auth_rejects`, `smr.future_drops`, `smr.retired_drops`, … —
     /// by name.
     pub snapshot: Snapshot,
-    /// The reassembled live stat stream, when the run asked for one
-    /// ([`ClusterSpec::stats_period`]); empty otherwise. Each point is the
-    /// child's full reconstructed metric state at one sampling instant —
-    /// ready for [`minsync_telemetry::Watchdog::observe`] replay or
+    /// The child's live samples ([`ClusterSpec::stats_period`]; empty
+    /// without one): each point is its whole registry snapshot at one
+    /// sampling instant, in [`snapshot`](Self::snapshot)'s format — ready
+    /// for [`minsync_telemetry::Watchdog::observe`] replay or
     /// detection-latency measurement.
     pub series: TimeSeries,
 }
@@ -476,14 +479,17 @@ enum ChildLine {
     Eof(usize),
 }
 
-/// Reassembles per-child `STAT-STREAM v1` blocks out of the control-pipe
-/// line stream. Stream lines are consumed here — they must not leak into
-/// the statistics blocks — and assembly is best-effort: a malformed or
-/// out-of-order sample is dropped rather than failing the run, since the
-/// stream is telemetry, not protocol.
+/// Collects per-child live samples out of the control-pipe line stream:
+/// a `SAMPLE <at>` line and every line after it up to `END STAT`. Sample
+/// lines are consumed here — they must not leak into the statistics
+/// blocks — and collection is best-effort: a sample with a bad stamp or a
+/// malformed block is dropped rather than failing the run, since the
+/// samples are telemetry, not protocol.
 struct StreamAssembler {
     series: Vec<TimeSeries>,
-    partial: Vec<Option<Vec<String>>>,
+    /// Per child, the open sample: its stamp (`None` if unparseable) and
+    /// the block's text so far.
+    partial: Vec<Option<(Option<u64>, String)>>,
 }
 
 impl StreamAssembler {
@@ -494,28 +500,29 @@ impl StreamAssembler {
         }
     }
 
-    /// Routes one control line; true iff it belonged to a stat stream.
+    /// Routes one control line; true iff it belonged to a sample.
     fn consume(&mut self, id: usize, line: &str) -> bool {
-        if let Some(buf) = &mut self.partial[id] {
-            buf.push(line.to_string());
-            if line.trim() == STREAM_FOOTER {
-                let text = buf.join("\n");
-                self.partial[id] = None;
-                if let Ok(sample) = Sample::parse(&text) {
-                    let _ = self.series[id].apply(&sample);
+        if let Some((at, text)) = &mut self.partial[id] {
+            text.push_str(line);
+            text.push('\n');
+            if line.trim() == SNAPSHOT_FOOTER {
+                if let (Some(at), Ok(values)) = (*at, Snapshot::parse(text)) {
+                    self.series[id].push(at, values);
                 }
+                self.partial[id] = None;
             }
             true
-        } else if line.trim_start().starts_with(STREAM_HEADER) {
-            self.partial[id] = Some(vec![line.to_string()]);
+        } else if let Some(stamp) = line.strip_prefix(control::SAMPLE) {
+            self.partial[id] = Some((stamp.trim().parse().ok(), String::new()));
             true
         } else {
             false
         }
     }
 
-    /// Discards a child's stream state (a killed incarnation's replacement
-    /// restarts its sampler at index 0, which the old series would reject).
+    /// Discards a killed child's samples, a torn one included: the
+    /// restarted incarnation's clock starts again at zero, so its series
+    /// starts afresh.
     fn reset(&mut self, id: usize) {
         self.series[id] = TimeSeries::with_capacity(4096);
         self.partial[id] = None;
@@ -538,12 +545,12 @@ pub fn run_cluster(spec: &ClusterSpec) -> Result<ClusterReport, ClusterError> {
     orchestrate(spec, None)
 }
 
-/// Phase-4 tail drain: a sampled child emits one closing `STAT-STREAM`
-/// sample on its way out — *after* phase 3 stopped routing at `DONE` — so
-/// the reader threads still hold stream lines when the reaping finishes.
-/// Drain until every pipe has delivered the EOFs it owes (best effort,
-/// deadline-bounded: the stream is telemetry, never worth failing a run
-/// over), so each reconstructed series ends at the replica's drained state.
+/// Phase-4 tail drain: a sampled child prints one closing sample on its
+/// way out — *after* phase 3 stopped routing at `DONE` — so the reader
+/// threads still hold sample lines when the reaping finishes. Drain until
+/// every pipe has delivered the EOFs it owes (best effort,
+/// deadline-bounded: samples are telemetry, never worth failing a run
+/// over), so each series ends at the replica's drained state.
 fn drain_stream_tail(
     line_rx: &Receiver<ChildLine>,
     streams: &mut StreamAssembler,
@@ -795,8 +802,8 @@ fn orchestrate(
     let epoch = Instant::now();
 
     // Phase 3: collect every correct replica's statistics block, routing
-    // live stat-stream samples into per-child series as they arrive and
-    // interleaving the plan's steps.
+    // live samples into per-child series as they arrive and interleaving
+    // the plan's steps.
     let mut steps = plan.map(|p| p.steps.clone()).unwrap_or_default();
     steps.sort_by_key(|s| s.at);
     let mut next_step = 0;
@@ -881,7 +888,7 @@ fn orchestrate(
                 if stale_eofs[id] > 0 {
                     // Tail output of a killed incarnation still draining.
                 } else if streams.consume(id, &line) {
-                    // A stat-stream line, absorbed into the series.
+                    // A sample line, absorbed into the series.
                 } else if line.trim() == control::DONE {
                     done[id] = true;
                 } else if line.starts_with(control::PORT) {
@@ -1160,6 +1167,7 @@ fn parse_stats(id: usize, block: &[String]) -> Result<ReplicaStats, ClusterError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn arrival_args_round_trip() {
@@ -1231,19 +1239,21 @@ mod tests {
         assert_eq!(stats.snapshot.counter("mesh.keepalives"), Some(9));
     }
 
+    /// The summary gauges `parse_stats` requires.
+    const GAUGES: [&str; 9] = [
+        "node.committed_commands",
+        "node.committed_slots",
+        "node.digest",
+        "node.wall_us",
+        "node.lat_count",
+        "node.lat_p50",
+        "node.lat_p95",
+        "node.lat_p99",
+        "node.lat_mean_milli",
+    ];
+
     #[test]
     fn stats_block_parses_and_reports_missing_fields() {
-        const GAUGES: [&str; 9] = [
-            "node.committed_commands",
-            "node.committed_slots",
-            "node.digest",
-            "node.wall_us",
-            "node.lat_count",
-            "node.lat_p50",
-            "node.lat_p95",
-            "node.lat_p99",
-            "node.lat_mean_milli",
-        ];
         let mut snap = Snapshot::empty();
         for (value, name) in GAUGES.iter().enumerate() {
             snap.set_gauge(name, value as u64 + 1);
@@ -1278,39 +1288,155 @@ mod tests {
         ));
     }
 
+    /// The lines `minsync-node` prints for one live sample.
+    fn sample_lines(at: &str, values: &Snapshot) -> Vec<String> {
+        let text = format!("{} {at}\n{}", control::SAMPLE, values.to_text());
+        text.lines().map(str::to_string).collect()
+    }
+
+    fn floor_at(level: u64) -> Snapshot {
+        let mut values = Snapshot::empty();
+        values.set_gauge("watch.p1.commit_floor", level);
+        values.set_counter("mesh.pings", 2 * level);
+        values
+    }
+
+    /// The series' points as `(at, values)` pairs.
+    fn points(series: &TimeSeries) -> Vec<(u64, Snapshot)> {
+        series.points().map(|p| (p.at, p.values.clone())).collect()
+    }
+
     #[test]
-    fn stream_assembler_routes_and_reassembles() {
-        use minsync_telemetry::Sampler;
+    fn stream_assembler_keeps_interleaved_children_apart() {
         let mut streams = StreamAssembler::new(2);
-        // Non-stream lines pass through untouched.
-        assert!(!streams.consume(0, "STAT v1"));
-        assert!(!streams.consume(0, "G node.digest 7"));
-        // Two sequential samples from child 1, interleaved with child 0
-        // noise, reassemble into child 1's series only.
-        let mut sampler = Sampler::new();
-        let mut snap = Snapshot::empty();
-        snap.set_gauge("watch.p1.commit_floor", 3);
-        let first = sampler.sample(100, &snap);
-        snap.set_gauge("watch.p1.commit_floor", 5);
-        snap.set_counter("mesh.pings", 2);
-        let second = sampler.sample(200, &snap);
-        for sample in [first, second] {
-            for line in sample.to_text().lines() {
-                assert!(streams.consume(1, line), "stream line {line:?} leaked");
-                assert!(!streams.consume(0, "DONE-ish noise"));
+        let a = sample_lines("100", &floor_at(3));
+        let b = sample_lines("7", &floor_at(9));
+        for (x, y) in a.iter().zip(&b) {
+            assert!(streams.consume(0, x), "sample line {x:?} leaked");
+            assert!(streams.consume(1, y), "sample line {y:?} leaked");
+        }
+        assert_eq!(points(&streams.take(0)), [(100, floor_at(3))]);
+        assert_eq!(points(&streams.take(1)), [(7, floor_at(9))]);
+    }
+
+    #[test]
+    fn stream_assembler_passes_a_report_after_samples_through_whole() {
+        let mut report = floor_at(5);
+        for (value, name) in GAUGES.iter().enumerate() {
+            report.set_gauge(name, value as u64);
+        }
+        let mut lines = sample_lines("10", &floor_at(4));
+        lines.extend(report.to_text().lines().map(str::to_string));
+        lines.push(control::DONE.to_string());
+        lines.extend(sample_lines("30", &report));
+        let mut streams = StreamAssembler::new(1);
+        let block: Vec<String> = lines
+            .into_iter()
+            .filter(|line| !streams.consume(0, line) && line != control::DONE)
+            .collect();
+        assert_eq!(parse_stats(0, &block).unwrap().snapshot, report);
+        assert_eq!(points(&streams.take(0)), [(10, floor_at(4)), (30, report)]);
+    }
+
+    #[test]
+    fn stream_assembler_drops_a_sample_with_a_bad_stamp() {
+        let mut streams = StreamAssembler::new(1);
+        for line in sample_lines("not-a-number", &floor_at(1)) {
+            assert!(streams.consume(0, &line), "{line:?} leaked");
+        }
+        assert!(streams.take(0).is_empty());
+    }
+
+    #[test]
+    fn stream_assembler_discards_a_sample_cut_by_a_kill() {
+        let mut streams = StreamAssembler::new(1);
+        let cut = sample_lines("50", &floor_at(2));
+        for line in &cut[..cut.len() - 1] {
+            assert!(streams.consume(0, line));
+        }
+        streams.reset(0);
+        for line in sample_lines("3", &floor_at(6)) {
+            assert!(streams.consume(0, &line));
+        }
+        assert_eq!(points(&streams.take(0)), [(3, floor_at(6))]);
+    }
+
+    /// Control lines a hostile or broken child might print: fragments of
+    /// real samples, a histogram bucket out of range, and arbitrary text.
+    fn hostile_line() -> impl Strategy<Value = String> {
+        const FRAGMENTS: [&str; 9] = [
+            "SAMPLE 5",
+            "SAMPLE x",
+            "SAMPLE",
+            "STAT v1",
+            "END STAT",
+            "CTR mesh.pings 1",
+            "HST wire.encode_ns 3 40 2:1 6:2",
+            "HST wire.encode_ns 1 1 64:1",
+            "",
+        ];
+        prop_oneof![
+            (0..FRAGMENTS.len()).prop_map(|i| FRAGMENTS[i].to_string()),
+            proptest::collection::vec(0x20u8..0x7f, 0..24)
+                .prop_map(|bytes| bytes.into_iter().map(char::from).collect()),
+        ]
+    }
+
+    /// What a hostile or broken child might print at once: one line of
+    /// noise, or one sample — under a numeric or a bad stamp — whole, cut
+    /// short, or with one line swapped for noise.
+    fn hostile_burst() -> impl Strategy<Value = Vec<String>> {
+        let stamp = proptest::option::of(any::<u64>());
+        let sample = (stamp, 0u64..9, any::<usize>(), 0u8..3, hostile_line()).prop_map(
+            |(stamp, level, pick, damage, noise)| {
+                let stamp = stamp.map_or("x".to_string(), |at| at.to_string());
+                let mut lines = sample_lines(&stamp, &floor_at(level));
+                let i = pick % lines.len();
+                match damage {
+                    0 => {}
+                    1 => lines.truncate(i),
+                    _ => lines[i] = noise,
+                }
+                lines
+            },
+        );
+        prop_oneof![hostile_line().prop_map(|line| vec![line]), sample]
+    }
+
+    proptest! {
+        /// Hostile lines never panic the assembler; every point it pushes
+        /// is a block `Snapshot::parse` accepted, stamped by a `SAMPLE`
+        /// line that child printed; and a genuine sample still lands
+        /// once a footer closes whatever the noise left open.
+        #[test]
+        fn stream_assembler_survives_hostile_lines(
+            bursts in proptest::collection::vec((0usize..2, hostile_burst()), 0..24),
+        ) {
+            let mut streams = StreamAssembler::new(2);
+            let mut stamps: [Vec<u64>; 2] = Default::default();
+            for (id, burst) in &bursts {
+                for line in burst {
+                    let stamp = line.strip_prefix(control::SAMPLE).map(|s| s.trim().parse());
+                    if let Some(Ok(at)) = stamp {
+                        stamps[*id].push(at);
+                    }
+                    streams.consume(*id, line);
+                }
+            }
+            for (id, stamps) in stamps.iter().enumerate() {
+                for point in streams.series[id].points() {
+                    prop_assert!(stamps.contains(&point.at));
+                    let reparsed = Snapshot::parse(&point.values.to_text());
+                    prop_assert_eq!(reparsed.as_ref(), Ok(&point.values));
+                }
+                streams.consume(id, SNAPSHOT_FOOTER);
+                for line in sample_lines("77", &floor_at(8)) {
+                    prop_assert!(streams.consume(id, &line));
+                }
+                let latest = streams.series[id].latest().map(|p| (p.at, p.values.clone()));
+                prop_assert_eq!(latest, Some((77, floor_at(8))));
             }
         }
-        let series = streams.take(1);
-        assert_eq!(series.len(), 2);
-        assert_eq!(series.latest().unwrap().at, 200);
-        assert_eq!(series.state().gauge("watch.p1.commit_floor"), Some(5));
-        assert_eq!(series.state().counter("mesh.pings"), Some(2));
-        assert!(streams.take(0).is_empty());
-        // A malformed block is dropped, not fatal, and the series survives.
-        let mut streams = StreamAssembler::new(1);
-        assert!(streams.consume(0, "STAT-STREAM v1 not-a-number 0"));
-        assert!(streams.consume(0, STREAM_FOOTER));
-        assert!(streams.take(0).is_empty());
     }
 
     #[test]

@@ -134,11 +134,11 @@ fn unauthenticated_cluster_accepts_the_forged_stream() {
     );
 }
 
-/// A cluster run with live stat streaming: every correct replica emits
-/// periodic `STAT-STREAM v1` samples over its control pipe, the
-/// orchestrator reassembles them into per-replica series carrying the
-/// `watch.p<i>.*` health gauges, and the local watchdogs stay silent on a
-/// clean run — all while the final report is exactly as healthy as an
+/// A cluster run with live sampling: every correct replica prints a
+/// `SAMPLE <at>` line and a `STAT v1` block over its control pipe each
+/// period, the orchestrator parses them into per-replica series carrying
+/// the `watch.p<i>.*` health gauges, and the local watchdogs stay silent
+/// on a clean run — all while the final report is exactly as healthy as an
 /// unsampled one.
 #[test]
 fn sampled_cluster_streams_health_gauges_without_alarms() {
@@ -146,21 +146,37 @@ fn sampled_cluster_streams_health_gauges_without_alarms() {
     let mut spec = spec(4, 1, vec![]);
     // The node tightens its mesh ping cadence to the sampling period, and
     // emits one closing sample at STOP — so even a short run ends with a
-    // series whose tail has seen at least one ping round-trip.
-    spec.stats_period = Some(Duration::from_millis(25));
+    // series whose tail has seen at least one ping round-trip. A longer
+    // workload and a short period give the run several periodic samples.
+    spec.commands_per_client = 64;
+    let period = Duration::from_millis(2);
+    spec.stats_period = Some(period);
+    let half_period_ticks = (period.as_micros() / spec.tick.as_micros() / 2) as u64;
     let report = run_cluster(&spec).expect("sampled cluster runs");
     assert_eq!(report.replicas.len(), 4);
     let violations = report.violations();
     assert!(violations.is_empty(), "sampled: {violations:?}");
     for r in &report.replicas {
         assert!(!r.series.is_empty(), "replica {} streamed no samples", r.id);
-        // The reconstructed tail carries the replica's own watch plane at
+        // The closing sample is taken after the final report, so the tail
+        // carries the report's summary, the replica's own watch plane at
         // its drained state, and the mesh's per-peer RTT estimators.
-        let state = r.series.state();
-        let floor = state.gauge(&format!("watch.p{}.commit_floor", r.id));
+        let state = &r.series.latest().expect("non-empty").values;
+        for gauge in ["node.digest", "node.committed_commands"] {
+            assert_eq!(
+                state.gauge(gauge),
+                r.snapshot.gauge(gauge),
+                "replica {} {gauge}: last sample vs report",
+                r.id
+            );
+        }
+        // The floor may still climb past the report: slots after the one
+        // carrying the last command keep committing until STOP.
+        let floor = format!("watch.p{}.commit_floor", r.id);
+        let (last, reported) = (state.gauge(&floor), r.snapshot.gauge(&floor));
         assert!(
-            floor.is_some_and(|f| f > 0),
-            "replica {} floor {floor:?}",
+            reported > Some(0) && last >= reported,
+            "replica {}: floor {last:?} after report {reported:?}",
             r.id
         );
         assert!(
@@ -168,6 +184,15 @@ fn sampled_cluster_streams_health_gauges_without_alarms() {
                 .gauge(&format!("link.rtt_ewma.p{p}"))
                 .is_some_and(|v| v > 0)),
             "replica {} observed no peer RTT",
+            r.id
+        );
+        // One late turn yields one sample, not a burst: periodic samples
+        // sit at least half a period apart (the closing one may not).
+        let stamps: Vec<u64> = r.series.points().map(|p| p.at).collect();
+        let mut gaps = stamps[..stamps.len() - 1].windows(2).map(|w| w[1] - w[0]);
+        assert!(
+            gaps.all(|gap| gap >= half_period_ticks),
+            "replica {} sampled in a burst: {stamps:?}",
             r.id
         );
         // Clean run: the local watchdog never fired.
