@@ -1,16 +1,16 @@
 //! Time-windowed churn injection for the simulator's
 //! [`ScheduleOracle`] seam.
 //!
-//! The delay oracles in [`crate::oracles`] shape *how slow* asynchronous
-//! channels are; the churn oracle models *dynamic* faults — partitions that
-//! heal, processes that vanish and come back, a timely source that moves —
-//! by suppressing messages outright during declared time windows. Drops are
-//! the one tool the schedule seam has that timing bounds cannot veto, and
-//! they are sound against a correct protocol: round advancement (the view
-//! synchronizer) retransmits state in fresh-round messages and the SMR
-//! checkpoint path repairs any replica that missed traffic, so progress
-//! must resume once the window closes — exactly the liveness-under-churn
-//! property experiment E13 asserts.
+//! The delay oracles in [`crate::oracles`] drive the same seam to shape
+//! *how slow* asynchronous channels are; the churn oracle models *dynamic*
+//! faults — partitions that heal, processes that vanish and come back, a
+//! timely source that moves — by suppressing messages outright during
+//! declared time windows. Drops are the one tool the schedule seam has that
+//! timing bounds cannot veto, and they are sound against a correct
+//! protocol: round advancement (the view synchronizer) retransmits state in
+//! fresh-round messages and the SMR checkpoint path repairs any replica
+//! that missed traffic, so progress must resume once the window closes —
+//! exactly the liveness-under-churn property experiment E13 asserts.
 //!
 //! Everything here is virtual-time-driven and deterministic: the same
 //! windows over the same seeded simulation give byte-identical executions.
@@ -99,7 +99,6 @@ impl<M> ChurnWindow<M> {
 #[derive(Debug, Default)]
 pub struct ChurnOracle<M> {
     windows: Vec<ChurnWindow<M>>,
-    dropped: u64,
 }
 
 impl<M> ChurnOracle<M> {
@@ -107,7 +106,6 @@ impl<M> ChurnOracle<M> {
     pub fn new() -> Self {
         ChurnOracle {
             windows: Vec::new(),
-            dropped: 0,
         }
     }
 
@@ -163,12 +161,6 @@ impl<M> ChurnOracle<M> {
         self
     }
 
-    /// Messages suppressed so far (mirrors the simulator's
-    /// `messages_suppressed` metric, readable before the sim is dropped).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// The configured windows (diagnostics).
     pub fn windows(&self) -> &[ChurnWindow<M>] {
         &self.windows
@@ -184,13 +176,11 @@ impl<M> ScheduleOracle<M> for ChurnOracle<M> {
         msg: &M,
         _default: u64,
     ) -> ScheduleCommand {
-        for w in &mut self.windows {
-            if w.blocks(from, to, at, msg) {
-                self.dropped += 1;
-                return ScheduleCommand::Drop;
-            }
+        if self.windows.iter_mut().any(|w| w.blocks(from, to, at, msg)) {
+            ScheduleCommand::Drop
+        } else {
+            ScheduleCommand::Default
         }
-        ScheduleCommand::Default
     }
 }
 
@@ -223,7 +213,6 @@ mod tests {
         );
         assert_eq!(cmd(&mut o, 0, 2, 99), ScheduleCommand::Default, "before");
         assert_eq!(cmd(&mut o, 0, 2, 200), ScheduleCommand::Default, "healed");
-        assert_eq!(o.dropped(), 2);
     }
 
     #[test]
@@ -278,7 +267,8 @@ mod tests {
     #[test]
     fn empty_oracle_never_drops() {
         let mut o: ChurnOracle<u32> = ChurnOracle::new();
-        assert_eq!(cmd(&mut o, 0, 1, 5), ScheduleCommand::Default);
-        assert_eq!(o.dropped(), 0);
+        for (from, to, at) in [(0, 1, 5), (1, 0, 5), (2, 2, 0), (3, 1, u64::MAX)] {
+            assert_eq!(cmd(&mut o, from, to, at), ScheduleCommand::Default);
+        }
     }
 }

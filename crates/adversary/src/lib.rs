@@ -24,14 +24,16 @@
 //!   deliberately model-**illegal** behavior: it forges other processes'
 //!   sender identities at the byte level, probing the assumption the others
 //!   take for granted (an authenticated transport must sever it);
-//! * [`oracles`] — delay oracles for the simulator's
-//!   [`DelayOracle`](minsync_net::sim::DelayOracle) hook, which schedule the
-//!   channels the model leaves asynchronous as adversarially as the model
-//!   allows;
+//! * [`oracles`] — delay oracles that stretch the channels the model leaves
+//!   asynchronous as adversarially as the model allows;
 //! * [`churn`] — time-windowed dynamic faults (partitions that heal,
 //!   isolation that models crash/restart, rotating-GST schedules, adaptive
-//!   targeting) for the [`ScheduleOracle`](minsync_net::sim::ScheduleOracle)
-//!   seam, driving the liveness-under-churn scenarios of experiment E13.
+//!   targeting), driving the liveness-under-churn scenarios of experiment
+//!   E13.
+//!
+//! Both network adversaries are
+//! [`ScheduleOracle`](minsync_net::sim::ScheduleOracle)s, the simulator's one
+//! seam for scheduling the network.
 //!
 //! With one flagged exception ([`impersonate`]), everything here is
 //! *model-legal*: safety properties of the protocols must hold against any

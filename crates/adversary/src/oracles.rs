@@ -1,38 +1,17 @@
 //! Adversarial delay oracles for the simulator's
-//! [`DelayOracle`] hook.
+//! [`ScheduleOracle`] seam.
 //!
 //! These control *when* messages arrive on the channels the model leaves
-//! asynchronous — the other half of the adversary. They cannot violate
-//! (eventually-)timely bounds: the simulator clamps oracle-chosen delays on
-//! stabilized channels to the paper's `max(τ, τ′) + δ` rule.
+//! asynchronous — the other half of the adversary. Every delay they pick is
+//! a [`ScheduleCommand::Stretch`], so they cannot violate (eventually-)timely
+//! bounds: the simulator keeps a channel that is timely at send time on its
+//! own schedule, and clamps a stretched delay on a not-yet-stabilized one to
+//! the paper's `max(τ, τ′) + δ` rule.
 
 use minsync_core::ProtocolMsg;
-use minsync_net::sim::DelayOracle;
+use minsync_net::sim::{ScheduleCommand, ScheduleOracle};
 use minsync_net::VirtualTime;
 use minsync_types::{ProcessId, Value};
-
-/// Stretches every asynchronous delay to a fixed large value — the
-/// "maximally slow but still reliable" network. With no bisource this
-/// starves every timer-based mechanism; with one, Lemma 3 must still go
-/// through, which is exactly what experiment E3 checks.
-#[derive(Clone, Debug)]
-pub struct UniformSlowOracle {
-    /// Delay applied to every asynchronous message.
-    pub delay: u64,
-}
-
-impl<M> DelayOracle<M> for UniformSlowOracle {
-    fn delay(
-        &mut self,
-        _from: ProcessId,
-        _to: ProcessId,
-        _at: VirtualTime,
-        _msg: &M,
-        _default: u64,
-    ) -> u64 {
-        self.delay
-    }
-}
 
 /// Delays only the messages of the given kinds (per
 /// [`ProtocolMsg::kind`]), letting everything else flow at the channel's
@@ -47,19 +26,19 @@ pub struct KindTargetedOracle {
     pub delay: u64,
 }
 
-impl<V: Value> DelayOracle<ProtocolMsg<V>> for KindTargetedOracle {
-    fn delay(
+impl<V: Value> ScheduleOracle<ProtocolMsg<V>> for KindTargetedOracle {
+    fn command(
         &mut self,
         _from: ProcessId,
         _to: ProcessId,
         _at: VirtualTime,
         msg: &ProtocolMsg<V>,
-        default: u64,
-    ) -> u64 {
+        _default: u64,
+    ) -> ScheduleCommand {
         if self.kinds.contains(&msg.kind()) {
-            self.delay
+            ScheduleCommand::Stretch(self.delay)
         } else {
-            default
+            ScheduleCommand::Default
         }
     }
 }
@@ -76,19 +55,19 @@ pub struct IsolateProcessOracle {
     pub delay: u64,
 }
 
-impl<M> DelayOracle<M> for IsolateProcessOracle {
-    fn delay(
+impl<M> ScheduleOracle<M> for IsolateProcessOracle {
+    fn command(
         &mut self,
         from: ProcessId,
         to: ProcessId,
         _at: VirtualTime,
         _msg: &M,
-        default: u64,
-    ) -> u64 {
+        _default: u64,
+    ) -> ScheduleCommand {
         if from == self.victim || to == self.victim {
-            self.delay
+            ScheduleCommand::Stretch(self.delay)
         } else {
-            default
+            ScheduleCommand::Default
         }
     }
 }
@@ -160,19 +139,19 @@ impl SplitBrainOracle {
     }
 }
 
-impl DelayOracle<ProtocolMsg<u64>> for SplitBrainOracle {
-    fn delay(
+impl ScheduleOracle<ProtocolMsg<u64>> for SplitBrainOracle {
+    fn command(
         &mut self,
         from: ProcessId,
         to: ProcessId,
         _at: VirtualTime,
         msg: &ProtocolMsg<u64>,
         default: u64,
-    ) -> u64 {
+    ) -> ScheduleCommand {
         use minsync_broadcast::RbMsg;
         use minsync_core::{CbId, RbTag};
         match msg {
-            ProtocolMsg::EaCoord { .. } => self.coord_delay,
+            ProtocolMsg::EaCoord { .. } => ScheduleCommand::Stretch(self.coord_delay),
             ProtocolMsg::EaRelay {
                 round,
                 value: Some(_),
@@ -182,18 +161,20 @@ impl DelayOracle<ProtocolMsg<u64>> for SplitBrainOracle {
                     .as_ref()
                     .is_some_and(|s| s.f_set(*round).contains(&from));
                 if from_f {
-                    self.value_relay_delay + self.f_member_relay_extra
+                    ScheduleCommand::Stretch(self.value_relay_delay + self.f_member_relay_extra)
                 } else {
-                    self.value_relay_delay
+                    ScheduleCommand::Stretch(self.value_relay_delay)
                 }
             }
-            ProtocolMsg::EaRelay { value: None, .. } => self.bottom_relay_delay,
+            ProtocolMsg::EaRelay { value: None, .. } => {
+                ScheduleCommand::Stretch(self.bottom_relay_delay)
+            }
             // Cross-parity EA_PROP2 is slowed too: otherwise a coordinator
             // can champion another parity's proposal (arriving before its
             // own CB instance resolves) and flip itself through its
             // always-timely self-channel relay.
             ProtocolMsg::EaProp2 { value, .. } if (to.index() % 2) as u64 != *value % 2 => {
-                default + self.split_extra
+                ScheduleCommand::Stretch(default + self.split_extra)
             }
             ProtocolMsg::Rb(rb) => {
                 let (tag, value) = match rb {
@@ -209,12 +190,12 @@ impl DelayOracle<ProtocolMsg<u64>> for SplitBrainOracle {
                         | RbTag::AcEst(_)
                 );
                 if splittable && (to.index() % 2) as u64 != *value % 2 {
-                    default + self.split_extra
+                    ScheduleCommand::Stretch(default + self.split_extra)
                 } else {
-                    default
+                    ScheduleCommand::Default
                 }
             }
-            _ => default,
+            _ => ScheduleCommand::Default,
         }
     }
 }
@@ -222,19 +203,21 @@ impl DelayOracle<ProtocolMsg<u64>> for SplitBrainOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minsync_broadcast::RbMsg;
+    use minsync_core::{CbId, RbTag};
+    use minsync_types::Round;
+    use ScheduleCommand::Stretch;
 
-    #[test]
-    fn uniform_slow_returns_constant() {
-        let mut o = UniformSlowOracle { delay: 500 };
-        let d = DelayOracle::<u32>::delay(
-            &mut o,
-            ProcessId::new(0),
-            ProcessId::new(1),
+    /// `o`'s command for `msg` from `from` to `to` at t = 0, with a sampled
+    /// default of 5 ticks.
+    fn ask<M>(o: &mut impl ScheduleOracle<M>, from: usize, to: usize, msg: &M) -> ScheduleCommand {
+        o.command(
+            ProcessId::new(from),
+            ProcessId::new(to),
             VirtualTime::ZERO,
-            &1u32,
-            3,
-        );
-        assert_eq!(d, 500);
+            msg,
+            5,
+        )
     }
 
     #[test]
@@ -244,33 +227,15 @@ mod tests {
             delay: 900,
         };
         let coord: ProtocolMsg<u64> = ProtocolMsg::EaCoord {
-            round: minsync_types::Round::FIRST,
+            round: Round::FIRST,
             value: 1,
         };
         let relay: ProtocolMsg<u64> = ProtocolMsg::EaRelay {
-            round: minsync_types::Round::FIRST,
+            round: Round::FIRST,
             value: None,
         };
-        assert_eq!(
-            o.delay(
-                ProcessId::new(0),
-                ProcessId::new(1),
-                VirtualTime::ZERO,
-                &coord,
-                3
-            ),
-            900
-        );
-        assert_eq!(
-            o.delay(
-                ProcessId::new(0),
-                ProcessId::new(1),
-                VirtualTime::ZERO,
-                &relay,
-                3
-            ),
-            3
-        );
+        assert_eq!(ask(&mut o, 0, 1, &coord), Stretch(900));
+        assert_eq!(ask(&mut o, 0, 1, &relay), ScheduleCommand::Default);
     }
 
     #[test]
@@ -279,118 +244,59 @@ mod tests {
             victim: ProcessId::new(2),
             delay: 777,
         };
-        let d1 = DelayOracle::<u32>::delay(
-            &mut o,
-            ProcessId::new(2),
-            ProcessId::new(0),
-            VirtualTime::ZERO,
-            &1u32,
-            3,
+        assert_eq!(
+            [(2, 0), (1, 2), (0, 1)].map(|(from, to)| ask(&mut o, from, to, &1u32)),
+            [Stretch(777), Stretch(777), ScheduleCommand::Default]
         );
-        let d2 = DelayOracle::<u32>::delay(
-            &mut o,
-            ProcessId::new(1),
-            ProcessId::new(2),
-            VirtualTime::ZERO,
-            &1u32,
-            3,
-        );
-        let d3 = DelayOracle::<u32>::delay(
-            &mut o,
-            ProcessId::new(0),
-            ProcessId::new(1),
-            VirtualTime::ZERO,
-            &1u32,
-            3,
-        );
-        assert_eq!((d1, d2, d3), (777, 777, 3));
     }
 
     #[test]
     fn split_brain_slows_cross_parity_cb_traffic() {
-        use minsync_broadcast::RbMsg;
-        use minsync_core::{CbId, RbTag};
-        use minsync_types::Round;
         let mut o = SplitBrainOracle::default();
         let msg: ProtocolMsg<u64> = ProtocolMsg::Rb(RbMsg::Init {
             tag: RbTag::CbVal(CbId::EaProp(Round::FIRST)),
             value: 1,
         });
-        // Value 1 toward an even process: slowed.
-        let d_even = o.delay(
-            ProcessId::new(3),
-            ProcessId::new(0),
-            VirtualTime::ZERO,
-            &msg,
-            5,
-        );
-        // Value 1 toward an odd process: default.
-        let d_odd = o.delay(
-            ProcessId::new(3),
-            ProcessId::new(1),
-            VirtualTime::ZERO,
-            &msg,
-            5,
-        );
-        assert_eq!((d_even, d_odd), (65, 5));
+        // Value 1 toward an even process: slowed past the sampled 5 ticks.
+        assert_eq!(ask(&mut o, 3, 0, &msg), Stretch(65));
+        // Value 1 toward an odd process: the channel's own schedule.
+        assert_eq!(ask(&mut o, 3, 1, &msg), ScheduleCommand::Default);
     }
 
     #[test]
     fn split_brain_leaves_decide_alone() {
-        use minsync_broadcast::RbMsg;
-        use minsync_core::RbTag;
         let mut o = SplitBrainOracle::default();
         let msg: ProtocolMsg<u64> = ProtocolMsg::Rb(RbMsg::Init {
             tag: RbTag::Decide,
             value: 1,
         });
-        let d = o.delay(
-            ProcessId::new(3),
-            ProcessId::new(0),
-            VirtualTime::ZERO,
-            &msg,
-            5,
+        assert_eq!(
+            ask(&mut o, 3, 0, &msg),
+            ScheduleCommand::Default,
+            "DECIDE traffic must not be split"
         );
-        assert_eq!(d, 5, "DECIDE traffic must not be split");
     }
 
     #[test]
     fn split_brain_starves_coordinator_traffic() {
         let mut o = SplitBrainOracle::default();
-        let msg: ProtocolMsg<u64> = ProtocolMsg::EaCoord {
-            round: minsync_types::Round::FIRST,
+        let coord: ProtocolMsg<u64> = ProtocolMsg::EaCoord {
+            round: Round::FIRST,
             value: 0,
         };
-        let d = o.delay(
-            ProcessId::new(0),
-            ProcessId::new(1),
-            VirtualTime::ZERO,
-            &msg,
-            5,
-        );
-        assert_eq!(d, 1_000);
+        assert_eq!(ask(&mut o, 0, 1, &coord), Stretch(1_000));
         let witness: ProtocolMsg<u64> = ProtocolMsg::EaRelay {
-            round: minsync_types::Round::FIRST,
+            round: Round::FIRST,
             value: Some(0),
         };
         let suspect: ProtocolMsg<u64> = ProtocolMsg::EaRelay {
-            round: minsync_types::Round::FIRST,
+            round: Round::FIRST,
             value: None,
         };
-        let dw = o.delay(
-            ProcessId::new(0),
-            ProcessId::new(1),
-            VirtualTime::ZERO,
-            &witness,
-            5,
+        assert_eq!(
+            (ask(&mut o, 0, 1, &witness), ask(&mut o, 0, 1, &suspect)),
+            (Stretch(1_000), Stretch(100)),
+            "witness relays must crawl behind ⊥ relays"
         );
-        let db = o.delay(
-            ProcessId::new(0),
-            ProcessId::new(1),
-            VirtualTime::ZERO,
-            &suspect,
-            5,
-        );
-        assert!(dw > db, "witness relays must crawl behind ⊥ relays");
     }
 }

@@ -25,6 +25,16 @@ fn decisions(report: &RunReport<Out>, correct: &[usize]) -> Vec<(usize, u64)> {
         .collect()
 }
 
+/// `(process, decision tick)` for every decision, in decision order.
+fn decision_ticks(report: &RunReport<Out>) -> Vec<(usize, u64)> {
+    report
+        .outputs
+        .iter()
+        .filter(|o| o.event.as_decision().is_some())
+        .map(|o| (o.process.index(), o.time.ticks()))
+        .collect()
+}
+
 fn run_to_decisions(
     topo: NetworkTopology,
     nodes: Vec<BoxedNode>,
@@ -249,7 +259,7 @@ fn terminates_with_bisource_despite_adversarial_async_noise() {
     }
     // Adversary stretches EA_COORD / EA_RELAY on asynchronous channels.
     let mut sim = builder
-        .delay_oracle(oracles::KindTargetedOracle {
+        .with_schedule_oracle(oracles::KindTargetedOracle {
             kinds: vec!["EA_COORD", "EA_RELAY"],
             delay: 300,
         })
@@ -263,6 +273,10 @@ fn terminates_with_bisource_despite_adversarial_async_noise() {
     });
     let d = decisions(&report, &[0, 1, 2]);
     assert_agreement_validity(&d, &[1, 2], 3);
+    // Pinned execution: the decision ticks and the message count depend on
+    // every delay the oracle stretched and on every bound that clamped one.
+    assert_eq!(decision_ticks(&report), [(1, 527), (0, 535), (2, 547)]);
+    assert_eq!(report.metrics.messages_sent, 536);
 }
 
 #[test]
@@ -281,7 +295,7 @@ fn isolated_victim_still_decides() {
         builder = builder.boxed_node(n);
     }
     let mut sim = builder
-        .delay_oracle(oracles::IsolateProcessOracle {
+        .with_schedule_oracle(oracles::IsolateProcessOracle {
             victim: ProcessId::new(3),
             delay: 500,
         })
@@ -294,6 +308,12 @@ fn isolated_victim_still_decides() {
     });
     let d = decisions(&report, &[0, 1, 2, 3]);
     assert_agreement_validity(&d, &[1, 2], 4);
+    // Pinned execution, as above: p3 decides last, ≈ one stretch later.
+    assert_eq!(
+        decision_ticks(&report),
+        [(1, 32), (0, 32), (2, 32), (3, 530)]
+    );
+    assert_eq!(report.metrics.messages_sent, 756);
 }
 
 #[test]

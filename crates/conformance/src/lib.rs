@@ -38,7 +38,7 @@ pub use explorer::{
     explore, run_protocol, ExplorationReport, ExplorerConfig, Protocol, Schedule, Violation,
     ViolationKind,
 };
-pub use mutation::{mutation_smoke, MutationSmoke};
+pub use mutation::{mutation_smoke, semantic_decisions, MutationSmoke};
 pub use replay::{replay_direct, ReplayError};
 pub use scenario::{golden_scenarios, GoldenScenario};
 pub use trace::{Trace, TraceError, TraceStep, TRACE_MAGIC, TRACE_VERSION};

@@ -19,8 +19,8 @@ use std::sync::{Arc, Mutex};
 
 use minsync_broadcast::RbMsg;
 use minsync_core::{ConsensusConfig, ConsensusNode, ProtocolMsg, SeededMutation};
-use minsync_net::sim::{ScheduleCommand, SimBuilder};
-use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology};
+use minsync_net::sim::{ScheduleCommand, ScheduleOracle, SimBuilder};
+use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, VirtualTime};
 use minsync_types::{ProcessId, SystemConfig};
 
 use crate::explorer::{shrink, Schedule, VectorOracle, ViolationKind};
@@ -64,7 +64,13 @@ fn half(p: ProcessId) -> usize {
 /// RB *origin*, so neither half learns the other's values), coordinator
 /// messages, and value-carrying relays from crossing the halves until long
 /// after both halves have acted on one-sided evidence.
-fn semantic_command(from: ProcessId, to: ProcessId, msg: &ProtocolMsg<u64>) -> ScheduleCommand {
+fn semantic_command(
+    from: ProcessId,
+    to: ProcessId,
+    _at: VirtualTime,
+    msg: &ProtocolMsg<u64>,
+    _default: u64,
+) -> ScheduleCommand {
     match msg {
         ProtocolMsg::Rb(RbMsg::Ready { origin, .. }) if half(*origin) != half(to) => {
             ScheduleCommand::After(READY_DELAY)
@@ -77,13 +83,14 @@ fn semantic_command(from: ProcessId, to: ProcessId, msg: &ProtocolMsg<u64>) -> S
     }
 }
 
-/// Runs the consensus stack (mutated or not) under `schedule` and checks
-/// agreement over decided values.
-fn run_consensus(
+/// Runs the split-proposal consensus line-up (mutated or not) on an
+/// asynchronous network under `oracle`, until every process decided or
+/// `max_events` ran out. Returns the decisions in decision order.
+fn run(
     mutation: Option<SeededMutation>,
-    schedule: &Schedule,
+    oracle: impl ScheduleOracle<ProtocolMsg<u64>> + 'static,
     max_events: u64,
-) -> Result<(), (ViolationKind, String)> {
+) -> Vec<(ProcessId, u64)> {
     let system = SystemConfig::new(N, 1).expect("n=4, t=1 is a valid resilience pair");
     let mut cfg = ConsensusConfig::paper(system);
     cfg.mutation = mutation;
@@ -91,7 +98,7 @@ fn run_consensus(
     let mut builder = SimBuilder::new(topology)
         .seed(SEED)
         .max_events(max_events)
-        .with_schedule_oracle(VectorOracle::new(schedule));
+        .with_schedule_oracle(oracle);
     for v in PROPOSALS {
         builder = builder.node(ConsensusNode::new(cfg, v).expect("paper config is valid"));
     }
@@ -102,12 +109,31 @@ fn run_consensus(
             .count()
             >= N
     });
-    let mut decisions: Vec<(ProcessId, u64)> = Vec::new();
-    for rec in sim.outputs() {
-        if let Some(v) = rec.event.as_decision() {
-            decisions.push((rec.process, *v));
-        }
-    }
+    sim.outputs()
+        .iter()
+        .filter_map(|rec| rec.event.as_decision().map(|v| (rec.process, *v)))
+        .collect()
+}
+
+/// The decisions of the split-proposal line-up `{3, 3, 8, 8}` (mutated or
+/// not) under the semantic adversary, in decision order. With
+/// [`SeededMutation::AcQuorumOffByOne`] the two halves decide differently;
+/// the unmutated stack never splits.
+pub fn semantic_decisions(
+    mutation: Option<SeededMutation>,
+    max_events: u64,
+) -> Vec<(ProcessId, u64)> {
+    run(mutation, semantic_command, max_events)
+}
+
+/// Runs the consensus stack (mutated or not) under `schedule` and checks
+/// agreement over decided values.
+fn run_consensus(
+    mutation: Option<SeededMutation>,
+    schedule: &Schedule,
+    max_events: u64,
+) -> Result<(), (ViolationKind, String)> {
+    let decisions = run(mutation, VectorOracle::new(schedule), max_events);
     if let Some(pair) = decisions.windows(2).find(|w| w[0].1 != w[1].1) {
         return Err((
             ViolationKind::Agreement,
@@ -130,31 +156,14 @@ fn record_semantic_schedule(max_events: u64) -> Vec<ScheduleCommand> {
     let sink = Arc::clone(&recorded);
     let oracle = move |from: ProcessId,
                        to: ProcessId,
-                       _at: minsync_net::VirtualTime,
+                       at: VirtualTime,
                        msg: &ProtocolMsg<u64>,
-                       _default: u64| {
-        let cmd = semantic_command(from, to, msg);
+                       default: u64| {
+        let cmd = semantic_command(from, to, at, msg, default);
         sink.lock().expect("recorder mutex").push(cmd);
         cmd
     };
-    let system = SystemConfig::new(N, 1).expect("n=4, t=1 is a valid resilience pair");
-    let mut cfg = ConsensusConfig::paper(system);
-    cfg.mutation = Some(SeededMutation::AcQuorumOffByOne);
-    let topology = NetworkTopology::uniform(N, ChannelTiming::asynchronous(DelayLaw::Fixed(5)));
-    let mut builder = SimBuilder::new(topology)
-        .seed(SEED)
-        .max_events(max_events)
-        .with_schedule_oracle(oracle);
-    for v in PROPOSALS {
-        builder = builder.node(ConsensusNode::new(cfg, v).expect("paper config is valid"));
-    }
-    let mut sim = builder.build();
-    sim.run_until(|outs| {
-        outs.iter()
-            .filter(|o| o.event.as_decision().is_some())
-            .count()
-            >= N
-    });
+    run(Some(SeededMutation::AcQuorumOffByOne), oracle, max_events);
     let vec = recorded.lock().expect("recorder mutex").clone();
     vec
 }
@@ -214,6 +223,19 @@ mod tests {
         );
         assert!(smoke.shrunk_len <= smoke.consultations);
         assert!(smoke.shrunk_active >= 1, "shrunk schedule lost its teeth");
+    }
+
+    #[test]
+    fn semantic_adversary_splits_only_the_mutated_stack() {
+        let broken = semantic_decisions(Some(SeededMutation::AcQuorumOffByOne), 20_000);
+        let mut values: Vec<u64> = broken.iter().map(|&(_, v)| v).collect();
+        values.sort_unstable();
+        values.dedup();
+        assert_eq!(broken.len(), N, "{broken:?}");
+        assert_eq!(values, [3, 8], "each half decides its own: {broken:?}");
+        // The sound stack waits out the parked coordinator traffic: within
+        // the same budget it decides nothing, so nothing can split.
+        assert_eq!(semantic_decisions(None, 20_000), []);
     }
 
     #[test]

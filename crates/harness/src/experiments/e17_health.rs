@@ -57,10 +57,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use minsync_adversary::ChurnOracle;
-use minsync_broadcast::RbMsg;
-use minsync_core::{ConsensusConfig, ConsensusNode, ProtocolMsg, SeededMutation};
-use minsync_net::sim::{ScheduleCommand, SimBuilder};
-use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology};
+use minsync_conformance::semantic_decisions;
+use minsync_core::{ConsensusConfig, SeededMutation};
+use minsync_net::sim::SimBuilder;
+use minsync_net::NetworkTopology;
 use minsync_smr::{ReplicaNode, SmrLimits, SmrMsg};
 use minsync_telemetry::timeseries::TimeSeries;
 use minsync_telemetry::watchdog::{Alarm, AlarmClass, Watchdog, WatchdogConfig};
@@ -311,9 +311,10 @@ fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
 }
 
 /// The divergence arm: E14's seeded `AcQuorumOffByOne` mutation under the
-/// conformance suite's semantic schedule (delay cross-half `READY`,
-/// `EA_COORD`, and value-carrying `EA_RELAY` traffic on an asynchronous
-/// network) makes `{p0, p1}` and `{p2, p3}` decide different values; an
+/// conformance suite's semantic schedule ([`semantic_decisions`]: delay
+/// cross-half `READY`, `EA_COORD`, and value-carrying `EA_RELAY` traffic on
+/// an asynchronous network) makes `{p0, p1}` and `{p2, p3}` decide
+/// different values; an
 /// aggregator watchdog fed each replica's checkpoint report in decision
 /// order trips `Divergence` at the first cross-half report.
 ///
@@ -323,58 +324,6 @@ fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
 ///
 /// Returns `(reports until detection, total reports, divergent slot)`.
 fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
-    const N: usize = 4;
-    const SEED: u64 = 0xb0b;
-    const PROPOSALS: [u64; N] = [3, 3, 8, 8];
-    // The conformance suite's delay triple (see
-    // `minsync_conformance::mutation`): far past every decision.
-    const READY_DELAY: u64 = 50_000;
-    const COORD_DELAY: u64 = 100_000;
-    const RELAY_DELAY: u64 = 150_000;
-
-    fn half(p: ProcessId) -> usize {
-        p.index() / 2
-    }
-    fn decisions_of(mutation: Option<SeededMutation>, max_events: u64) -> Vec<(ProcessId, u64)> {
-        let oracle = |from: ProcessId,
-                      to: ProcessId,
-                      _at: minsync_net::VirtualTime,
-                      msg: &ProtocolMsg<u64>,
-                      _default: u64| {
-            match msg {
-                ProtocolMsg::Rb(RbMsg::Ready { origin, .. }) if half(*origin) != half(to) => {
-                    ScheduleCommand::After(READY_DELAY)
-                }
-                ProtocolMsg::EaCoord { .. } => ScheduleCommand::After(COORD_DELAY),
-                ProtocolMsg::EaRelay { value: Some(_), .. } if half(from) != half(to) => {
-                    ScheduleCommand::After(RELAY_DELAY)
-                }
-                _ => ScheduleCommand::Default,
-            }
-        };
-        let system = SystemConfig::new(N, 1).expect("valid system");
-        let mut cfg = ConsensusConfig::paper(system);
-        cfg.mutation = mutation;
-        let topology = NetworkTopology::uniform(N, ChannelTiming::asynchronous(DelayLaw::Fixed(5)));
-        let mut builder = SimBuilder::new(topology)
-            .seed(SEED)
-            .max_events(max_events)
-            .with_schedule_oracle(oracle);
-        for v in PROPOSALS {
-            builder = builder.node(ConsensusNode::new(cfg, v).expect("valid config"));
-        }
-        let mut sim = builder.build();
-        sim.run_until(|outs| {
-            outs.iter()
-                .filter(|o| o.event.as_decision().is_some())
-                .count()
-                >= N
-        });
-        sim.outputs()
-            .iter()
-            .filter_map(|rec| rec.event.as_decision().map(|v| (rec.process, *v)))
-            .collect()
-    }
     // One checkpoint report per decision, in decision order: slot 1, the
     // decided value standing in for the prefix digest (u64-for-u64).
     fn feed(decisions: &[(ProcessId, u64)]) -> (Watchdog, Vec<Alarm>) {
@@ -389,7 +338,7 @@ fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
         (wd, alarms)
     }
 
-    let broken = decisions_of(Some(SeededMutation::AcQuorumOffByOne), max_events);
+    let broken = semantic_decisions(Some(SeededMutation::AcQuorumOffByOne), max_events);
     assert!(
         broken
             .iter()
@@ -404,7 +353,7 @@ fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
         "one slot, one alarm"
     );
 
-    let sound = decisions_of(None, max_events);
+    let sound = semantic_decisions(None, max_events);
     assert!(
         sound.windows(2).all(|w| w[0].1 == w[1].1),
         "E17 sim-divergence: the sound stack split under the same schedule"

@@ -14,6 +14,7 @@ use minsync_types::{RoundSchedule, SystemConfig};
 
 use super::seeds;
 use crate::faults::FaultPlan;
+use crate::outcome::RunOutcome;
 use crate::runner::ConsensusRunBuilder;
 use crate::topology::TopologySpec;
 use crate::Table;
@@ -33,6 +34,30 @@ pub(crate) fn hostile_oracle() -> SplitBrainOracle {
 /// `α·n` bound counts.
 pub(crate) fn steep_timeouts() -> TimeoutPolicy {
     TimeoutPolicy::linear(10, 0)
+}
+
+/// One E5 cell for one seed: `n` processes proposing `i mod 2`, the
+/// bisource at `ell`, `plan`'s faults, timeouts above `2δ` from round 1
+/// and the split-brain adversary.
+///
+/// # Panics
+///
+/// Panics if the run does not terminate.
+pub fn run_cell(n: usize, t: usize, ell: usize, plan: FaultPlan, seed: u64) -> RunOutcome {
+    let cfg = SystemConfig::new(n, t).expect("E5 sizes satisfy n > 3t");
+    let outcome = ConsensusRunBuilder::new(n, t)
+        .expect("E5 sizes satisfy n > 3t")
+        .proposals((0..n).map(|i| (i % 2) as u64))
+        .topology(TopologySpec::standard(ell, &cfg))
+        .faults(plan)
+        .timeout_policy(steep_timeouts())
+        .schedule_oracle(hostile_oracle())
+        .max_events(30_000_000)
+        .seed(seed)
+        .run()
+        .expect("E5 cells are valid configurations");
+    assert!(outcome.all_decided(), "E5 run must terminate");
+    outcome
 }
 
 /// Runs E5.
@@ -65,22 +90,14 @@ pub fn run(quick: bool) -> Table {
                     slots: vec![(ell + 1) % n],
                 },
             ] {
-                let mut rounds = Vec::new();
-                for seed in seeds(quick) {
-                    let outcome = ConsensusRunBuilder::new(n, t)
-                        .unwrap()
-                        .proposals((0..n).map(|i| (i % 2) as u64))
-                        .topology(TopologySpec::standard(ell, &cfg))
-                        .faults(plan.clone())
-                        .timeout_policy(steep_timeouts())
-                        .delay_oracle(hostile_oracle())
-                        .max_events(30_000_000)
-                        .seed(seed)
-                        .run()
-                        .unwrap();
-                    assert!(outcome.all_decided(), "E5 run must terminate");
-                    rounds.push(outcome.commit_round().expect("decided runs have a commit"));
-                }
+                let rounds: Vec<u64> = seeds(quick)
+                    .into_iter()
+                    .map(|seed| {
+                        run_cell(n, t, ell, plan.clone(), seed)
+                            .commit_round()
+                            .expect("decided runs have a commit")
+                    })
+                    .collect();
                 let max = rounds.iter().copied().max().unwrap_or(0);
                 let avg = rounds.iter().sum::<u64>() as f64 / rounds.len() as f64;
                 table.push_row([

@@ -82,7 +82,7 @@ pub fn converge(p: &EaLabParams) -> Option<EaConvergence> {
     let mut builder = SimBuilder::new(topo)
         .seed(p.seed)
         .max_events(80_000_000)
-        .delay_oracle(SplitBrainOracle::with_schedule(schedule.clone()));
+        .with_schedule_oracle(SplitBrainOracle::with_schedule(schedule.clone()));
     let correct: Vec<usize> = (0..p.n).collect();
     for i in 0..p.n {
         builder = builder.node(EaNode::new(

@@ -2,7 +2,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use minsync_core::{ConsensusConfig, ConsensusEvent, ProtocolMsg, TimeoutPolicy};
-use minsync_net::sim::{DelayOracle, SimBuilder};
+use minsync_net::sim::{ScheduleOracle, SimBuilder};
 use minsync_telemetry::trace::TraceRecorder;
 use minsync_telemetry::Registry;
 use minsync_types::SystemConfig;
@@ -26,7 +26,7 @@ pub struct ConsensusRunBuilder {
     timeout: TimeoutPolicy,
     max_events: u64,
     max_rounds: Option<u64>,
-    oracle: Option<Box<dyn DelayOracle<ProtocolMsg<u64>>>>,
+    oracle: Option<Box<dyn ScheduleOracle<ProtocolMsg<u64>>>>,
     registry: Option<Arc<Registry>>,
     trace: Option<Arc<TraceRecorder>>,
 }
@@ -106,8 +106,11 @@ impl ConsensusRunBuilder {
         self
     }
 
-    /// Installs an adversarial delay oracle.
-    pub fn delay_oracle(mut self, oracle: impl DelayOracle<ProtocolMsg<u64>> + 'static) -> Self {
+    /// Installs the network adversary (see [`ScheduleOracle`]).
+    pub fn schedule_oracle(
+        mut self,
+        oracle: impl ScheduleOracle<ProtocolMsg<u64>> + 'static,
+    ) -> Self {
         self.oracle = Some(Box::new(oracle));
         self
     }
@@ -158,7 +161,7 @@ impl ConsensusRunBuilder {
             .max_events(self.max_events)
             .classify(ProtocolMsg::<u64>::classify);
         if let Some(oracle) = self.oracle {
-            builder = builder.boxed_delay_oracle(oracle);
+            builder = builder.boxed_schedule_oracle(oracle);
         }
         if let Some(registry) = self.registry {
             builder = builder.registry(registry);
@@ -212,7 +215,7 @@ impl ConsensusRunBuilder {
     /// # Errors
     ///
     /// Everything [`ConsensusRunBuilder::run`] can return, plus
-    /// [`HarnessError::Unsupported`] if a delay oracle is installed (a
+    /// [`HarnessError::Unsupported`] if a schedule oracle is installed (a
     /// boxed oracle is single-run state and cannot be shared across
     /// threads — sweep without one, or loop over seeds sequentially).
     pub fn run_seeds(
@@ -221,7 +224,7 @@ impl ConsensusRunBuilder {
     ) -> Result<Vec<(u64, RunOutcome)>, HarnessError> {
         if self.oracle.is_some() {
             return Err(HarnessError::Unsupported {
-                reason: "run_seeds cannot share a boxed delay oracle across threads".into(),
+                reason: "run_seeds cannot share a boxed schedule oracle across threads".into(),
             });
         }
         if self.registry.is_some() || self.trace.is_some() {
@@ -276,7 +279,7 @@ impl ConsensusRunBuilder {
 }
 
 /// The cloneable, thread-shareable core of a [`ConsensusRunBuilder`]
-/// (everything except the seed and the uncloneable delay oracle).
+/// (everything except the seed and the uncloneable schedule oracle).
 struct SweepSpec {
     n: usize,
     t: usize,
@@ -433,12 +436,12 @@ mod tests {
     fn run_seeds_rejects_oracle() {
         let err = ConsensusRunBuilder::new(4, 1)
             .unwrap()
-            .delay_oracle(
+            .schedule_oracle(
                 |_f: minsync_types::ProcessId,
                  _t: minsync_types::ProcessId,
                  _at: minsync_net::VirtualTime,
                  _m: &ProtocolMsg<u64>,
-                 d: u64| d,
+                 _d: u64| minsync_net::sim::ScheduleCommand::Default,
             )
             .run_seeds(0..2)
             .unwrap_err();

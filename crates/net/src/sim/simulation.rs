@@ -9,7 +9,7 @@ use rand::SeedableRng;
 
 use super::event::{EventKind, StopReason};
 use super::metrics::Metrics;
-use super::oracle::{DelayOracle, ScheduleCommand, ScheduleOracle};
+use super::oracle::{ScheduleCommand, ScheduleOracle};
 use super::queue::EventQueue;
 use crate::driver::{step, Link, Recorder, StepHooks};
 use crate::{ChannelTiming, Effect, Env, NetworkTopology, Node, TimerId, TimerTable, VirtualTime};
@@ -112,7 +112,6 @@ pub struct SimBuilder<M, O> {
     max_time: Option<VirtualTime>,
     max_events: u64,
     classifier: Option<fn(&M) -> &'static str>,
-    oracle: Option<Box<dyn DelayOracle<M>>>,
     schedule: Option<Box<dyn ScheduleOracle<M>>>,
     record_effects: usize,
     record_causes: usize,
@@ -136,7 +135,6 @@ where
             max_time: None,
             max_events: 50_000_000,
             classifier: None,
-            oracle: None,
             schedule: None,
             record_effects: 0,
             record_causes: 0,
@@ -240,27 +238,20 @@ where
         self
     }
 
-    /// Installs an adversarial delay oracle (see [`DelayOracle`]).
-    pub fn delay_oracle(mut self, oracle: impl DelayOracle<M> + 'static) -> Self {
-        self.oracle = Some(Box::new(oracle));
-        self
-    }
-
-    /// Installs an already-boxed delay oracle (for oracles chosen at
-    /// runtime).
-    pub fn boxed_delay_oracle(mut self, oracle: Box<dyn DelayOracle<M>>) -> Self {
-        self.oracle = Some(oracle);
-        self
-    }
-
-    /// Installs an adversarial schedule oracle (see [`ScheduleOracle`]).
+    /// Installs the network adversary (see [`ScheduleOracle`]).
     ///
     /// The oracle is consulted once per routed message, *after* the channel
     /// law sampled its own delay — so an oracle answering
     /// [`ScheduleCommand::Default`] everywhere leaves the execution
     /// byte-identical to a build without one.
-    pub fn with_schedule_oracle(mut self, oracle: impl ScheduleOracle<M> + 'static) -> Self {
-        self.schedule = Some(Box::new(oracle));
+    pub fn with_schedule_oracle(self, oracle: impl ScheduleOracle<M> + 'static) -> Self {
+        self.boxed_schedule_oracle(Box::new(oracle))
+    }
+
+    /// Installs an already-boxed network adversary (for oracles chosen at
+    /// runtime).
+    pub fn boxed_schedule_oracle(mut self, oracle: Box<dyn ScheduleOracle<M>>) -> Self {
+        self.schedule = Some(oracle);
         self
     }
 
@@ -303,7 +294,6 @@ where
                 outputs: Vec::new(),
                 metrics: Metrics::default(),
                 classifier: self.classifier,
-                oracle: self.oracle,
                 schedule: self.schedule,
                 trace: self.trace.clone(),
                 registry: self.registry,
@@ -389,7 +379,6 @@ struct SimCore<M, O> {
     outputs: Vec<OutputRecord<O>>,
     metrics: Metrics,
     classifier: Option<fn(&M) -> &'static str>,
-    oracle: Option<Box<dyn DelayOracle<M>>>,
     schedule: Option<Box<dyn ScheduleOracle<M>>>,
     trace: Option<Arc<TraceRecorder>>,
     registry: Option<Arc<Registry>>,
@@ -722,18 +711,20 @@ impl<M: Clone, O> SimCore<M, O> {
         self.route(from, ProcessId::new(n - 1), msg);
     }
 
-    /// Samples the channel delay for `from → to` and enqueues the delivery.
+    /// Samples the channel delay for `from → to`, lets the schedule oracle
+    /// (if any) override it within the channel's bound, and enqueues the
+    /// delivery.
     fn route(&mut self, from: ProcessId, to: ProcessId, msg: M) {
         let idx = from.index() * self.topology.n() + to.index();
         let timing = &self.timings[idx];
-        // The channel law always samples first — before either oracle gets
-        // a say — so an oracle that defers everywhere leaves the RNG stream,
+        // The channel law always samples first — before the oracle gets a
+        // say — so an oracle that defers everywhere leaves the RNG stream,
         // and therefore the execution, byte-identical to an oracle-free run.
-        let sampled = timing.delivery_time(self.now, &mut self.rng);
+        let mut deliver_at = timing.delivery_time(self.now, &mut self.rng);
         if self.schedule.is_some() {
             // The hard delivery bound this channel guarantees no matter
             // what the schedule asks for (`None` = asynchronous,
-            // unbounded). Only the bound is copied out so the matrix
+            // unbounded). Only plain values are copied out so the matrix
             // borrow ends before the `&mut self` consultation.
             let bound = match timing {
                 ChannelTiming::Timely { delta } => Some(self.now.saturating_add(*delta)),
@@ -742,41 +733,20 @@ impl<M: Clone, O> SimCore<M, O> {
                 }
                 ChannelTiming::Asynchronous { .. } => None,
             };
-            match self.consult_schedule(from, to, &msg, sampled - self.now) {
-                ScheduleCommand::Default => {}
+            let timely = timing.is_timely_at(self.now);
+            deliver_at = match self.consult_schedule(from, to, &msg, deliver_at - self.now) {
                 ScheduleCommand::Drop => {
                     self.metrics.messages_suppressed += 1;
                     return;
                 }
-                ScheduleCommand::After(d) => {
+                ScheduleCommand::Default => deliver_at,
+                ScheduleCommand::Stretch(_) if timely => deliver_at,
+                ScheduleCommand::After(d) | ScheduleCommand::Stretch(d) => {
                     let at = self.now.saturating_add(d);
-                    let at = bound.map_or(at, |b| at.min(b));
-                    self.note_link_delay(idx, at - self.now);
-                    self.push_event(at, EventKind::Deliver { from, to, msg });
-                    return;
+                    bound.map_or(at, |b| at.min(b))
                 }
-            }
+            };
         }
-        let timing = &self.timings[idx];
-        // Copy the oracle-relevant facts out of the matrix borrow before
-        // consulting (the oracle call needs `&mut self`). `None` = the
-        // oracle has no say on this channel at this time.
-        let oracle_bound = match (&self.oracle, timing) {
-            (Some(_), ChannelTiming::Asynchronous { .. }) => Some(None),
-            (Some(_), ChannelTiming::EventuallyTimely { tau, delta, .. }) if self.now < *tau => {
-                Some(Some(self.now.max(*tau) + *delta))
-            }
-            _ => None,
-        };
-        let deliver_at = match oracle_bound {
-            None => sampled,
-            Some(bound) => {
-                let default = sampled - self.now;
-                let chosen = self.consult_oracle(from, to, &msg, default);
-                let at = self.now.saturating_add(chosen);
-                bound.map_or(at, |b| at.min(b))
-            }
-        };
         self.note_link_delay(idx, deliver_at - self.now);
         self.push_event(deliver_at, EventKind::Deliver { from, to, msg });
     }
@@ -796,13 +766,6 @@ impl<M: Clone, O> SimCore<M, O> {
         } else {
             (prev * 7 + delay) / 8
         };
-    }
-
-    fn consult_oracle(&mut self, from: ProcessId, to: ProcessId, msg: &M, default: u64) -> u64 {
-        let mut oracle = self.oracle.take().expect("caller checked oracle presence");
-        let d = oracle.delay(from, to, self.now, msg, default);
-        self.oracle = Some(oracle);
-        d
     }
 
     fn consult_schedule(
@@ -1036,37 +999,17 @@ mod tests {
         assert_eq!(report.metrics.sent_of_kind("odd"), 2); // 1, 3
     }
 
-    #[test]
-    fn oracle_controls_async_delays() {
-        let topo = NetworkTopology::uniform(2, ChannelTiming::asynchronous(DelayLaw::Fixed(1)));
+    /// When the single ping of a two-node run lands, under an oracle that
+    /// answers `cmd` to every consultation.
+    fn ping_arrival(topo: NetworkTopology, cmd: ScheduleCommand) -> u64 {
         let mut sim = SimBuilder::new(topo)
             .node(Echo { hops: 0 })
             .node(Echo { hops: 0 })
-            .delay_oracle(
-                |_f: ProcessId, _t: ProcessId, _at: VirtualTime, _m: &u32, _d: u64| 1234u64,
+            .with_schedule_oracle(
+                move |_f: ProcessId, _t: ProcessId, _at: VirtualTime, _m: &u32, _d: u64| cmd,
             )
             .build();
-        let report = sim.run();
-        assert_eq!(report.outputs[0].time, VirtualTime::from_ticks(1234));
-    }
-
-    #[test]
-    fn oracle_cannot_break_eventually_timely_bound() {
-        // Channel stabilizes at τ = 100 with δ = 5; oracle asks for a huge
-        // delay on a message sent at t = 0 → must deliver by 105.
-        let topo = NetworkTopology::uniform(
-            2,
-            ChannelTiming::eventually_timely(VirtualTime::from_ticks(100), 5),
-        );
-        let mut sim = SimBuilder::new(topo)
-            .node(Echo { hops: 0 })
-            .node(Echo { hops: 0 })
-            .delay_oracle(
-                |_f: ProcessId, _t: ProcessId, _at: VirtualTime, _m: &u32, _d: u64| u64::MAX,
-            )
-            .build();
-        let report = sim.run();
-        assert_eq!(report.outputs[0].time, VirtualTime::from_ticks(105));
+        sim.run().outputs[0].time.ticks()
     }
 
     #[test]
@@ -1114,52 +1057,34 @@ mod tests {
         assert_eq!(report.metrics.messages_suppressed, 1);
         assert_eq!(report.metrics.messages_delivered, 0);
 
-        // A chosen delay on an asynchronous channel is applied verbatim.
-        let mut sim = SimBuilder::new(topo)
-            .node(Echo { hops: 0 })
-            .node(Echo { hops: 0 })
-            .with_schedule_oracle(
-                |_f: ProcessId, _t: ProcessId, _at: VirtualTime, _m: &u32, _d: u64| {
-                    ScheduleCommand::After(777)
-                },
-            )
-            .build();
-        let report = sim.run();
-        assert_eq!(report.outputs[0].time, VirtualTime::from_ticks(777));
+        // A chosen delay on an asynchronous channel is applied verbatim,
+        // whether the oracle asks for it on any channel or only where the
+        // model leaves the channel asynchronous.
+        assert_eq!(ping_arrival(topo.clone(), ScheduleCommand::After(777)), 777);
+        assert_eq!(ping_arrival(topo, ScheduleCommand::Stretch(777)), 777);
     }
 
     #[test]
     fn schedule_oracle_cannot_break_channel_bounds() {
-        // Timely channel with δ = 7: a huge requested delay is clamped.
-        let mut sim = SimBuilder::new(NetworkTopology::all_timely(2, 7))
-            .node(Echo { hops: 0 })
-            .node(Echo { hops: 0 })
-            .with_schedule_oracle(
-                |_f: ProcessId, _t: ProcessId, _at: VirtualTime, _m: &u32, _d: u64| {
-                    ScheduleCommand::After(u64::MAX)
-                },
-            )
-            .build();
-        let report = sim.run();
-        assert_eq!(report.outputs[0].time, VirtualTime::from_ticks(7));
+        use ScheduleCommand::{After, Stretch};
+        // Timely channel with δ = 7: a huge requested delay is clamped. A
+        // stretch leaves the sampled delivery alone, even a short one.
+        let timely = NetworkTopology::all_timely(2, 7);
+        assert_eq!(ping_arrival(timely.clone(), After(u64::MAX)), 7);
+        assert_eq!(ping_arrival(timely.clone(), After(1)), 1);
+        assert_eq!(ping_arrival(timely.clone(), Stretch(u64::MAX)), 7);
+        assert_eq!(ping_arrival(timely, Stretch(1)), 7);
 
         // Eventually-timely channel stabilizing at τ = 100 with δ = 5: a
-        // message sent at t = 0 must still arrive by 105.
-        let topo = NetworkTopology::uniform(
+        // message sent at t = 0 must still arrive by 105, and a stretch
+        // below that bound applies before stabilization.
+        let eventually = NetworkTopology::uniform(
             2,
             ChannelTiming::eventually_timely(VirtualTime::from_ticks(100), 5),
         );
-        let mut sim = SimBuilder::new(topo)
-            .node(Echo { hops: 0 })
-            .node(Echo { hops: 0 })
-            .with_schedule_oracle(
-                |_f: ProcessId, _t: ProcessId, _at: VirtualTime, _m: &u32, _d: u64| {
-                    ScheduleCommand::After(u64::MAX)
-                },
-            )
-            .build();
-        let report = sim.run();
-        assert_eq!(report.outputs[0].time, VirtualTime::from_ticks(105));
+        assert_eq!(ping_arrival(eventually.clone(), After(u64::MAX)), 105);
+        assert_eq!(ping_arrival(eventually.clone(), Stretch(u64::MAX)), 105);
+        assert_eq!(ping_arrival(eventually, Stretch(20)), 20);
     }
 
     #[test]
