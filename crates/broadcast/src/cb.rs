@@ -21,9 +21,9 @@
 //! automaton: the host performs the RB broadcast itself (so all RB traffic
 //! shares one engine) and feeds RB deliveries in.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use minsync_types::{ProcessId, SystemConfig, Value};
+use minsync_types::{ProcessId, SystemConfig, Tally, Value};
 
 /// State of one cooperative-broadcast instance at one process.
 ///
@@ -44,11 +44,10 @@ use minsync_types::{ProcessId, SystemConfig, Value};
 #[derive(Clone, Debug)]
 pub struct CbInstance<V> {
     cfg: SystemConfig,
-    /// Which processes RB-delivered `CB_VAL(v)`, per value. RB-Unicity
-    /// guarantees at most one value per origin, which `senders_seen`
-    /// enforces defensively.
-    support: BTreeMap<V, BTreeSet<ProcessId>>,
-    senders_seen: BTreeSet<ProcessId>,
+    /// How many origins RB-delivered `CB_VAL(v)`, per value. RB-Unicity
+    /// guarantees at most one value per origin, which the tally enforces
+    /// defensively.
+    support: Tally<V>,
     /// Values with `t + 1` distinct supporters, in the order they became
     /// valid (the paper's `cb_valid_i`, plus a deterministic "first" for
     /// line 3's *any value*).
@@ -60,8 +59,7 @@ impl<V: Value> CbInstance<V> {
     pub fn new(cfg: SystemConfig) -> Self {
         CbInstance {
             cfg,
-            support: BTreeMap::new(),
-            senders_seen: BTreeSet::new(),
+            support: Tally::default(),
             valid_in_order: Vec::new(),
         }
     }
@@ -74,17 +72,11 @@ impl<V: Value> CbInstance<V> {
     /// makes this impossible with a correct RB layer; the guard keeps the
     /// object safe in isolation).
     pub fn on_rb_delivered(&mut self, from: ProcessId, value: V) -> Option<V> {
-        if !self.senders_seen.insert(from) {
+        if self.support.vote(from, &value)? != self.cfg.plurality() {
             return None;
         }
-        let supporters = self.support.entry(value.clone()).or_default();
-        supporters.insert(from);
-        if supporters.len() == self.cfg.plurality() {
-            self.valid_in_order.push(value.clone());
-            Some(value)
-        } else {
-            None
-        }
+        self.valid_in_order.push(value.clone());
+        Some(value)
     }
 
     /// The paper's `cb_valid_i` set.
@@ -111,12 +103,12 @@ impl<V: Value> CbInstance<V> {
 
     /// Number of distinct origins whose `CB_VAL` this process RB-delivered.
     pub fn deliveries(&self) -> usize {
-        self.senders_seen.len()
+        self.support.voters()
     }
 
     /// Current support count for `value` (diagnostics / tests).
     pub fn support_of(&self, value: &V) -> usize {
-        self.support.get(value).map_or(0, BTreeSet::len)
+        self.support.support(value)
     }
 }
 

@@ -12,10 +12,16 @@
 //! The quorum sizes come from [`SystemConfig`]; the §2.1 dedup rule (only
 //! the first `INIT`/`ECHO`/`READY` of an instance from each sender counts)
 //! is enforced here, which is what defeats equivocating Byzantine senders.
+//!
+//! Each phase of an instance keeps one [`Tally`]: a sender bitset for the
+//! dedup rule and a per-value count for the quorum test. An `ECHO` or
+//! `READY` therefore costs a bit test and one value comparison (a correct
+//! origin's instance carries one value), whatever the number of senders
+//! already heard.
 
 use core::fmt::Debug;
 
-use minsync_types::{ProcessId, SystemConfig, Value};
+use minsync_types::{ProcessId, SystemConfig, Tally, Value};
 
 /// Wire messages of the reliable-broadcast layer.
 ///
@@ -173,10 +179,7 @@ impl<T, V> Iterator for ActionsIter<T, V> {
     }
 }
 
-/// Per-instance state. The per-sender dedup sets are flat vectors — at most
-/// `n` entries each, scanned linearly, which beats a tree probe for every
-/// realistic system size and keeps each instance in a handful of cache
-/// lines.
+/// Per-instance state.
 #[derive(Clone, Debug)]
 struct Instance<V> {
     /// Set when *this* process called [`RbEngine::broadcast`] for the
@@ -191,25 +194,22 @@ struct Instance<V> {
     readied: bool,
     /// Have we delivered yet?
     delivered: bool,
-    /// First ECHO per sender (insertion order).
-    echoes: Vec<(ProcessId, V)>,
-    /// First READY per sender (insertion order).
-    readies: Vec<(ProcessId, V)>,
+    /// First ECHO per sender, counted per value.
+    echoes: Tally<V>,
+    /// First READY per sender, counted per value.
+    readies: Tally<V>,
 }
 
 impl<V> Instance<V> {
-    /// A fresh instance with the dedup sets sized for `n` senders up
-    /// front — one allocation each instead of a doubling ladder as
-    /// echoes trickle in.
-    fn sized_for(n: usize) -> Self {
+    fn new() -> Self {
         Instance {
             initiated: false,
             init_seen: false,
             echoed: false,
             readied: false,
             delivered: false,
-            echoes: Vec::with_capacity(n),
-            readies: Vec::with_capacity(n),
+            echoes: Tally::default(),
+            readies: Tally::default(),
         }
     }
 }
@@ -222,10 +222,10 @@ pub struct RbEngine<T, V> {
     cfg: SystemConfig,
     me: ProcessId,
     /// Instance state, split per origin: the origin's process id indexes a
-    /// dense vector; within an origin, instances live in a flat vector in
-    /// creation order, scanned backwards (protocols create instances
-    /// round-by-round, so the live ones sit at the tail and a probe is one
-    /// bounds-checked index plus a couple of tag compares).
+    /// dense vector of `n` entries; within an origin, instances live in a
+    /// flat vector in creation order, scanned backwards (protocols create
+    /// instances round-by-round, so the live ones sit at the tail and a
+    /// probe is one bounds-checked index plus a couple of tag compares).
     instances: Vec<Vec<(T, Instance<V>)>>,
 }
 
@@ -239,7 +239,7 @@ where
         RbEngine {
             cfg,
             me,
-            instances: Vec::new(),
+            instances: (0..cfg.n()).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -256,7 +256,10 @@ where
         // A Byzantine process may have already sent us forged ECHO/READY
         // naming us as origin, creating the instance entry; only *our own*
         // initiation may exist once.
-        let inst = Self::instance(&mut self.instances, self.cfg.n(), self.me, tag.clone());
+        let me = self.me;
+        let inst = self
+            .instance(me, tag.clone())
+            .expect("an engine's own process belongs to its system");
         assert!(
             !inst.initiated,
             "RB instance ({:?}, {:?}) already used by this origin",
@@ -275,37 +278,30 @@ where
         }
     }
 
-    /// The (created-on-demand) instance for `(origin, tag)`.
-    fn instance(
-        instances: &mut Vec<Vec<(T, Instance<V>)>>,
-        n: usize,
-        origin: ProcessId,
-        tag: T,
-    ) -> &mut Instance<V> {
-        let idx = origin.index();
-        if idx >= instances.len() {
-            instances.resize_with(idx + 1, Vec::new);
-        }
-        let tags = &mut instances[idx];
+    /// The (created-on-demand) instance for `(origin, tag)`, or `None` when
+    /// `origin` is no process of the system: an `ECHO`/`READY` naming such
+    /// an origin is a forgery, and must not grow the per-origin table.
+    fn instance(&mut self, origin: ProcessId, tag: T) -> Option<&mut Instance<V>> {
+        let tags = self.instances.get_mut(origin.index())?;
         // Backwards: the instance being exercised is almost always the most
         // recently created one.
-        match tags.iter().rev().position(|(t, _)| *t == tag) {
-            Some(back) => {
-                let at = tags.len() - 1 - back;
-                &mut tags[at].1
-            }
+        let at = match tags.iter().rposition(|(t, _)| *t == tag) {
+            Some(at) => at,
             None => {
-                tags.push((tag, Instance::sized_for(n)));
-                &mut tags.last_mut().expect("just pushed").1
+                tags.push((tag, Instance::new()));
+                tags.len() - 1
             }
-        }
+        };
+        Some(&mut tags[at].1)
     }
 
     fn on_init(&mut self, from: ProcessId, tag: T, value: V) -> RbActions<T, V> {
         // The INIT of instance (origin, tag) is only meaningful from the
         // origin itself; a Byzantine process cannot impersonate (§2.1), so
         // `from` *is* the origin.
-        let inst = Self::instance(&mut self.instances, self.cfg.n(), from, tag.clone());
+        let Some(inst) = self.instance(from, tag.clone()) else {
+            return RbActions::NONE;
+        };
         if inst.init_seen {
             return RbActions::NONE; // §2.1: discard duplicate INITs.
         }
@@ -323,19 +319,17 @@ where
 
     fn on_echo(&mut self, from: ProcessId, origin: ProcessId, tag: T, value: V) -> RbActions<T, V> {
         let echo_quorum = self.cfg.echo_threshold();
-        let inst = Self::instance(&mut self.instances, self.cfg.n(), origin, tag.clone());
-        if inst.echoes.iter().any(|(p, _)| *p == from) {
-            return RbActions::NONE; // §2.1 dedup: first ECHO per sender only.
-        }
-        inst.echoes.push((from, value.clone()));
-        if !inst.readied {
-            let support = inst.echoes.iter().filter(|(_, v)| *v == value).count();
-            if support >= echo_quorum {
+        let Some(inst) = self.instance(origin, tag.clone()) else {
+            return RbActions::NONE;
+        };
+        // §2.1 dedup: `vote` counts the first ECHO per sender only.
+        match inst.echoes.vote(from, &value) {
+            Some(support) if !inst.readied && support >= echo_quorum => {
                 inst.readied = true;
-                return RbActions::one(RbAction::Broadcast(RbMsg::Ready { origin, tag, value }));
+                RbActions::one(RbAction::Broadcast(RbMsg::Ready { origin, tag, value }))
             }
+            _ => RbActions::NONE,
         }
-        RbActions::NONE
     }
 
     fn on_ready(
@@ -347,12 +341,12 @@ where
     ) -> RbActions<T, V> {
         let amplify = self.cfg.ready_amplify_threshold();
         let deliver = self.cfg.ready_threshold();
-        let inst = Self::instance(&mut self.instances, self.cfg.n(), origin, tag.clone());
-        if inst.readies.iter().any(|(p, _)| *p == from) {
+        let Some(inst) = self.instance(origin, tag.clone()) else {
+            return RbActions::NONE;
+        };
+        let Some(support) = inst.readies.vote(from, &value) else {
             return RbActions::NONE; // §2.1 dedup: first READY per sender only.
-        }
-        inst.readies.push((from, value.clone()));
-        let support = inst.readies.iter().filter(|(_, v)| *v == value).count();
+        };
         let mut actions = RbActions::NONE;
         if !inst.readied && support >= amplify {
             inst.readied = true;
@@ -585,6 +579,33 @@ mod tests {
             actions.is_empty(),
             "replays from one sender must not accumulate"
         );
+    }
+
+    #[test]
+    fn forged_origin_outside_the_system_is_ignored() {
+        // Every sender relays ECHO and READY for an "instance" of p1001:
+        // enough to cross every threshold, were the origin real.
+        let mut e = engines(4);
+        let forged = ProcessId::new(1000);
+        let mut actions = Vec::new();
+        for sender in 0..4 {
+            for msg in [
+                RbMsg::Echo {
+                    origin: forged,
+                    tag: "x",
+                    value: 1,
+                },
+                RbMsg::Ready {
+                    origin: forged,
+                    tag: "x",
+                    value: 1,
+                },
+            ] {
+                actions.extend(e[0].on_message(ProcessId::new(sender), msg));
+            }
+        }
+        assert!(actions.is_empty(), "a forged origin moved the engine");
+        assert_eq!(e[0].instances.len(), 4, "the per-origin table grew");
     }
 
     #[test]

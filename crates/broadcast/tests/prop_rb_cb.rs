@@ -4,6 +4,11 @@
 //! The harness here is a "message soup": every in-flight message sits in a
 //! pool and a seeded RNG picks which (message, destination) pair fires next
 //! — an arbitrary interleaving of an asynchronous reliable network.
+//!
+//! Every step of every soup is also checked against [`ScanRb`], Bracha's
+//! automaton with the §2.1 dedup sets kept as plain lists and every quorum
+//! test a scan over them: `RbEngine`'s bitset-and-tally bookkeeping must
+//! emit exactly the actions the scans do.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -16,6 +21,71 @@ use rand::{Rng, SeedableRng};
 type Tag = u32;
 type Val = u64;
 type Msg = RbMsg<Tag, Val>;
+type Action = RbAction<Tag, Val>;
+
+/// One instance of [`ScanRb`]: the first ECHO and READY of each sender, in
+/// arrival order.
+#[derive(Default)]
+struct ScanInstance {
+    init_seen: bool,
+    readied: bool,
+    delivered: bool,
+    echoes: Vec<(ProcessId, Val)>,
+    readies: Vec<(ProcessId, Val)>,
+}
+
+/// The reference automaton: Bracha's rules read straight off the page.
+struct ScanRb {
+    cfg: SystemConfig,
+    instances: BTreeMap<(ProcessId, Tag), ScanInstance>,
+}
+
+impl ScanRb {
+    fn on_message(&mut self, from: ProcessId, msg: Msg) -> Vec<Action> {
+        let cfg = self.cfg;
+        let (origin, tag) = match msg {
+            RbMsg::Init { tag, .. } => (from, tag),
+            RbMsg::Echo { origin, tag, .. } | RbMsg::Ready { origin, tag, .. } => (origin, tag),
+        };
+        let inst = self.instances.entry((origin, tag)).or_default();
+        let mut out = Vec::new();
+        match msg {
+            RbMsg::Init { value, .. } => {
+                if !inst.init_seen {
+                    inst.init_seen = true;
+                    out.push(RbAction::Broadcast(RbMsg::Echo { origin, tag, value }));
+                }
+            }
+            RbMsg::Echo { value, .. } => {
+                if inst.echoes.iter().any(|(p, _)| *p == from) {
+                    return out;
+                }
+                inst.echoes.push((from, value));
+                let support = inst.echoes.iter().filter(|(_, v)| *v == value).count();
+                if !inst.readied && support >= cfg.echo_threshold() {
+                    inst.readied = true;
+                    out.push(RbAction::Broadcast(RbMsg::Ready { origin, tag, value }));
+                }
+            }
+            RbMsg::Ready { value, .. } => {
+                if inst.readies.iter().any(|(p, _)| *p == from) {
+                    return out;
+                }
+                inst.readies.push((from, value));
+                let support = inst.readies.iter().filter(|(_, v)| *v == value).count();
+                if !inst.readied && support >= cfg.ready_amplify_threshold() {
+                    inst.readied = true;
+                    out.push(RbAction::Broadcast(RbMsg::Ready { origin, tag, value }));
+                }
+                if !inst.delivered && support >= cfg.ready_threshold() {
+                    inst.delivered = true;
+                    out.push(RbAction::Deliver { origin, tag, value });
+                }
+            }
+        }
+        out
+    }
+}
 
 /// A pending delivery: message from `from`, still owed to `to`.
 #[derive(Clone, Debug)]
@@ -27,6 +97,8 @@ struct Pending {
 
 struct Soup {
     engines: Vec<RbEngine<Tag, Val>>,
+    /// Each process's reference automaton, fed the same messages.
+    scans: Vec<ScanRb>,
     /// Per-process CB instances fed by RB deliveries of tag 0.
     cbs: Vec<CbInstance<Val>>,
     correct: Vec<usize>,
@@ -42,6 +114,12 @@ impl Soup {
         Soup {
             engines: (0..n)
                 .map(|i| RbEngine::new(cfg, ProcessId::new(i)))
+                .collect(),
+            scans: (0..n)
+                .map(|_| ScanRb {
+                    cfg,
+                    instances: BTreeMap::new(),
+                })
                 .collect(),
             cbs: (0..n).map(|_| CbInstance::new(cfg)).collect(),
             correct,
@@ -97,7 +175,13 @@ impl Soup {
             if !self.correct.contains(&to.index()) {
                 continue;
             }
+            let expected = self.scans[to.index()].on_message(from, msg.clone());
             let actions = self.engines[to.index()].on_message(from, msg);
+            assert_eq!(
+                actions.iter().cloned().collect::<Vec<_>>(),
+                expected,
+                "{to} diverged from the scan reference"
+            );
             self.apply(to.index(), actions);
         }
     }
@@ -193,6 +277,40 @@ proptest! {
                     "termination-2 violated at process {}", p
                 );
             }
+        }
+    }
+
+    /// Byzantine processes spray INIT/ECHO/READY for any origin, tag and
+    /// one of two values at single targets while correct processes
+    /// broadcast; every correct engine must act exactly as the scan
+    /// reference does (checked inside `run`) and stay RB-Unique.
+    #[test]
+    fn byzantine_soup_matches_the_scan_reference(
+        (cfg, correct) in small_system(),
+        seed in any::<u64>(),
+        noise in proptest::collection::vec(any::<u64>(), 0..64),
+    ) {
+        let byzantine: Vec<usize> = (0..cfg.n()).filter(|i| !correct.contains(i)).collect();
+        prop_assume!(!byzantine.is_empty() && !correct.is_empty());
+        let mut soup = Soup::new(cfg, correct.clone(), seed);
+        for (i, &p) in correct.iter().enumerate() {
+            soup.broadcast_from(p, (i % 2) as Tag, 7);
+        }
+        for w in noise {
+            let field = |shift: u32, modulus: usize| (w >> shift) as usize % modulus;
+            let origin = ProcessId::new(field(16, cfg.n()));
+            let (tag, value) = (field(24, 2) as Tag, 7 + field(32, 2) as Val);
+            let msg = match field(40, 3) {
+                0 => RbMsg::Init { tag, value },
+                1 => RbMsg::Echo { origin, tag, value },
+                _ => RbMsg::Ready { origin, tag, value },
+            };
+            soup.inject(byzantine[field(0, byzantine.len())], correct[field(8, correct.len())], msg);
+        }
+        soup.run();
+        let mut seen = BTreeSet::new();
+        for &(p, o, tg, _) in &soup.deliveries {
+            prop_assert!(seen.insert((p, o, tg)), "double delivery");
         }
     }
 

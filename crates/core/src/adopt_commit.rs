@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use minsync_broadcast::{CbInstance, RbAction, RbActions, RbEngine};
 use minsync_net::{Env, Node};
-use minsync_types::{ProcessId, Round, SystemConfig, Value};
+use minsync_types::{ProcSet, ProcessId, Round, SystemConfig, Value};
 
 use crate::events::AcTag;
 use crate::messages::{CbId, ProtocolMsg, RbTag};
@@ -51,7 +51,7 @@ pub struct AcRound<V> {
     /// RB-delivered `AC_EST` values in delivery order (first per origin —
     /// RB-Unicity makes later ones impossible anyway).
     ests: Vec<(ProcessId, V)>,
-    est_senders: BTreeSet<ProcessId>,
+    est_senders: ProcSet,
     /// Set once the host executed lines 1–2 (CB returned, `AC_EST` sent).
     est_sent: bool,
     /// Witness size used by line 3 instead of `cfg.quorum()`, when set.
@@ -71,7 +71,7 @@ impl<V: Value> AcRound<V> {
             cfg,
             cb: CbInstance::new(cfg),
             ests: Vec::new(),
-            est_senders: BTreeSet::new(),
+            est_senders: ProcSet::default(),
             est_sent: false,
             quorum_override: None,
             outcome: None,

@@ -58,11 +58,9 @@
 //!   ✸⟨t+1⟩bisource; a decided `1` implies an eventually-visible
 //!   certificate.
 
-use std::collections::BTreeMap;
-
 use minsync_broadcast::{RbAction, RbActions, RbEngine};
 use minsync_net::{Effect, Env, Node, TimerId};
-use minsync_types::{ConfigError, ProcessId, SystemConfig, Value};
+use minsync_types::{ConfigError, ProcessId, SystemConfig, Tally, Value};
 
 use crate::consensus::{ConsensusConfig, ConsensusNode};
 use crate::events::ConsensusEvent;
@@ -124,9 +122,8 @@ pub struct BotConsensusNode<V> {
     inner_cfg: ConsensusConfig,
     proposal: V,
     cert_rb: Option<RbEngine<(), V>>,
-    /// Who certified what: value → distinct RB-origins delivered.
-    cert_support: BTreeMap<V, Vec<ProcessId>>,
-    cert_senders: Vec<ProcessId>,
+    /// Who certified what: distinct RB-origins delivered, per value.
+    cert: Tally<V>,
     certified: Option<V>,
     watch: Watch,
     inner: ConsensusNode<u8>,
@@ -157,8 +154,7 @@ impl<V: Value> BotConsensusNode<V> {
             inner_cfg: cfg,
             proposal,
             cert_rb: None,
-            cert_support: BTreeMap::new(),
-            cert_senders: Vec::new(),
+            cert: Tally::default(),
             certified: None,
             watch: Watch::Pending,
             // Placeholder proposal; replaced when the watch resolves.
@@ -183,11 +179,9 @@ impl<V: Value> BotConsensusNode<V> {
     }
 
     fn on_cert_delivered(&mut self, origin: ProcessId, value: V, env: &mut BotCtx<V>) {
-        if self.cert_senders.contains(&origin) {
+        if self.cert.vote(origin, &value).is_none() {
             return; // RB-Unicity makes this unreachable; defensive.
         }
-        self.cert_senders.push(origin);
-        self.cert_support.entry(value).or_default().push(origin);
         self.recheck_certification(env);
     }
 
@@ -195,7 +189,9 @@ impl<V: Value> BotConsensusNode<V> {
         let threshold = self.system.certification_threshold();
         let n = self.system.n();
         if self.certified.is_none() {
-            if let Some((v, _)) = self.cert_support.iter().find(|(_, s)| s.len() >= threshold) {
+            // Over half the processes back a certified value, so at most
+            // one value can pass: the search order does not matter.
+            if let Some((v, _)) = self.cert.iter().find(|&(_, s)| s >= threshold) {
                 self.certified = Some(v.clone());
             }
         }
@@ -205,8 +201,8 @@ impl<V: Value> BotConsensusNode<V> {
             } else {
                 // Resolve 0 only when no value can reach the threshold even
                 // if every process not yet heard from supports it.
-                let outstanding = n - self.cert_senders.len();
-                let best = self.cert_support.values().map(Vec::len).max().unwrap_or(0);
+                let outstanding = n - self.cert.voters();
+                let best = self.cert.iter().map(|(_, s)| s).max().unwrap_or(0);
                 if best + outstanding < threshold {
                     self.watch = Watch::Resolved(0);
                 }
@@ -404,20 +400,12 @@ mod tests {
         // Feed deliveries directly: 3 distinct values from 3 origins; the
         // 4th origin could still push any of them to the threshold (3), so
         // the watch must stay pending.
-        node.cert_senders.push(minsync_types::ProcessId::new(0));
-        node.cert_support
-            .entry(10)
-            .or_default()
-            .push(minsync_types::ProcessId::new(0));
-        node.cert_senders.push(minsync_types::ProcessId::new(1));
-        node.cert_support
-            .entry(20)
-            .or_default()
-            .push(minsync_types::ProcessId::new(1));
+        node.cert.vote(ProcessId::new(0), &10);
+        node.cert.vote(ProcessId::new(1), &20);
         // best = 1, outstanding = 2, threshold = 3: 1 + 2 = 3 ≥ 3 → pending.
         assert_eq!(node.watch, Watch::Pending);
-        let outstanding = 4 - node.cert_senders.len();
-        let best = node.cert_support.values().map(Vec::len).max().unwrap_or(0);
+        let outstanding = 4 - node.cert.voters();
+        let best = node.cert.iter().map(|(_, s)| s).max().unwrap_or(0);
         assert!(best + outstanding >= cfg.system.certification_threshold());
     }
 

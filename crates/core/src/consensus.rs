@@ -217,9 +217,8 @@ impl<V: Value> ConsensusNode<V> {
     // ------------------------------------------------------------------
 
     fn rb_broadcast(&mut self, tag: RbTag, value: V, env: &mut Ctx<V>) {
-        let mut rb = self.rb.take().expect("rb engine initialized at start");
+        let rb = self.rb.as_mut().expect("rb engine initialized at start");
         let actions = rb.broadcast(tag, value);
-        self.rb = Some(rb);
         self.apply_rb(actions, env);
     }
 
@@ -432,9 +431,8 @@ impl<V: Value> Node for ConsensusNode<V> {
             ProtocolMsg::Rb(rb_msg) => {
                 // The RB layer is serviced forever — even after deciding —
                 // so other correct processes retain RB-Termination-2.
-                if let Some(mut rb) = self.rb.take() {
+                if let Some(rb) = self.rb.as_mut() {
                     let actions = rb.on_message(from, rb_msg);
-                    self.rb = Some(rb);
                     self.apply_rb(actions, env);
                 }
             }

@@ -35,11 +35,11 @@
 //! for processes following the paper's main path and restores
 //! EA-Termination in mixed rounds (see DESIGN.md §4).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use minsync_broadcast::{CbInstance, RbAction, RbActions, RbEngine};
 use minsync_net::{Env, Node, TimerId};
-use minsync_types::{ProcessId, Round, RoundSchedule, SystemConfig, Value};
+use minsync_types::{ProcSet, ProcessId, Round, RoundSchedule, SystemConfig, Value};
 
 use crate::messages::{CbId, ProtocolMsg, RbTag};
 use crate::timeout::TimeoutPolicy;
@@ -104,9 +104,9 @@ enum Stage {
 struct EaRound<V> {
     cb: CbInstance<V>,
     prop2: Vec<(ProcessId, V)>,
-    prop2_senders: BTreeSet<ProcessId>,
+    prop2_senders: ProcSet,
     relays: Vec<(ProcessId, Option<V>)>,
-    relay_senders: BTreeSet<ProcessId>,
+    relay_senders: ProcSet,
     champion_sent: bool,
     coord_seen: bool,
     relay_sent: bool,
@@ -121,9 +121,9 @@ impl<V: Value> EaRound<V> {
         EaRound {
             cb: CbInstance::new(cfg),
             prop2: Vec::new(),
-            prop2_senders: BTreeSet::new(),
+            prop2_senders: ProcSet::default(),
             relays: Vec::new(),
-            relay_senders: BTreeSet::new(),
+            relay_senders: ProcSet::default(),
             champion_sent: false,
             coord_seen: false,
             relay_sent: false,

@@ -68,33 +68,35 @@ pub enum ProtocolMsg<V> {
     },
 }
 
+/// `RB_KINDS[use][phase]`: the metrics label of an RB message, by its tag's
+/// use (`CB_VAL`, `AC_EST`, `DECIDE`) and its phase (`INIT`, `ECHO`,
+/// `READY`).
+const RB_KINDS: [[&str; 3]; 3] = [
+    ["CB_VAL/INIT", "CB_VAL/ECHO", "CB_VAL/READY"],
+    ["AC_EST/INIT", "AC_EST/ECHO", "AC_EST/READY"],
+    ["DECIDE/INIT", "DECIDE/ECHO", "DECIDE/READY"],
+];
+
 impl<V> ProtocolMsg<V> {
     /// Classifier for per-kind message metrics.
     pub fn kind(&self) -> &'static str {
         match self {
-            ProtocolMsg::Rb(rb) => match rb {
-                RbMsg::Init { tag, .. } => Self::tag_kind(tag, "INIT"),
-                RbMsg::Echo { tag, .. } => Self::tag_kind(tag, "ECHO"),
-                RbMsg::Ready { tag, .. } => Self::tag_kind(tag, "READY"),
-            },
+            ProtocolMsg::Rb(rb) => {
+                let (phase, tag) = match rb {
+                    RbMsg::Init { tag, .. } => (0, tag),
+                    RbMsg::Echo { tag, .. } => (1, tag),
+                    RbMsg::Ready { tag, .. } => (2, tag),
+                };
+                let row = match tag {
+                    RbTag::CbVal(_) => 0,
+                    RbTag::AcEst(_) => 1,
+                    RbTag::Decide => 2,
+                };
+                RB_KINDS[row][phase]
+            }
             ProtocolMsg::EaProp2 { .. } => "EA_PROP2",
             ProtocolMsg::EaCoord { .. } => "EA_COORD",
             ProtocolMsg::EaRelay { .. } => "EA_RELAY",
-        }
-    }
-
-    fn tag_kind(tag: &RbTag, phase: &'static str) -> &'static str {
-        match (tag, phase) {
-            (RbTag::CbVal(_), "INIT") => "CB_VAL/INIT",
-            (RbTag::CbVal(_), "ECHO") => "CB_VAL/ECHO",
-            (RbTag::CbVal(_), "READY") => "CB_VAL/READY",
-            (RbTag::AcEst(_), "INIT") => "AC_EST/INIT",
-            (RbTag::AcEst(_), "ECHO") => "AC_EST/ECHO",
-            (RbTag::AcEst(_), "READY") => "AC_EST/READY",
-            (RbTag::Decide, "INIT") => "DECIDE/INIT",
-            (RbTag::Decide, "ECHO") => "DECIDE/ECHO",
-            (RbTag::Decide, "READY") => "DECIDE/READY",
-            _ => unreachable!("phase is one of INIT/ECHO/READY"),
         }
     }
 

@@ -105,7 +105,7 @@ use minsync_net::sim::OutputRecord;
 use minsync_net::{Effect, Env, Node, TimerId};
 use minsync_telemetry::trace::{TraceKind, TraceRecorder};
 use minsync_telemetry::{watch_name, Counter, Gauge, Registry};
-use minsync_types::{Fnv1a, ProcessId, Value};
+use minsync_types::{Fnv1a, ProcSet, ProcessId, Tally, Value};
 
 /// Live health gauges exported under the `watch.p<id>.*` naming contract
 /// consumed by [`minsync_telemetry::watchdog`] (see
@@ -390,21 +390,6 @@ impl Default for SmrLimits {
     }
 }
 
-/// A set of process indices as a bitmap (`n ≤ 128` is asserted at replica
-/// construction; the simulator tops out well below that).
-#[derive(Clone, Copy, Default, Debug)]
-struct ProcSet(u128);
-
-impl ProcSet {
-    /// Inserts `i`; true if it was absent.
-    fn insert(&mut self, i: usize) -> bool {
-        let bit = 1u128 << i;
-        let fresh = self.0 & bit == 0;
-        self.0 |= bit;
-        fresh
-    }
-}
-
 /// A write-ahead hook invoked synchronously on every commit (see
 /// [`ReplicaNode::with_commit_log`]).
 type CommitLog<V> = Box<dyn FnMut(u64, &V) + Send>;
@@ -493,10 +478,9 @@ pub struct ReplicaNode<V, P> {
     floor_scratch: Vec<u64>,
     /// Checkpoint-reply rate limit: peers already served, per slot.
     ckpt_sent: BTreeMap<u64, ProcSet>,
-    /// Checkpoint voting for slot `committed + 1`: senders counted once.
-    ckpt_seen: ProcSet,
-    /// Vote tally per claimed value for slot `committed + 1`.
-    ckpt_votes: Vec<(V, usize)>,
+    /// Checkpoint votes per claimed value for slot `committed + 1`, one
+    /// per sender.
+    ckpt_votes: Tally<V>,
     /// Future-slot traffic dropped by the horizon/buffer caps.
     future_drops: u64,
     /// Traffic for retired slots refused.
@@ -550,13 +534,9 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     ///
     /// # Panics
     ///
-    /// Panics if `target_slots == 0` or `n > 128`.
+    /// Panics if `target_slots == 0`.
     pub fn new(cfg: ConsensusConfig, source: P, target_slots: u64) -> Self {
         assert!(target_slots > 0, "need at least one slot");
-        assert!(
-            cfg.system.n() <= 128,
-            "checkpoint bitmaps hold at most 128 processes"
-        );
         let n = cfg.system.n();
         ReplicaNode {
             cfg,
@@ -577,8 +557,7 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             instance_floor: 0,
             floor_scratch: Vec::with_capacity(n),
             ckpt_sent: BTreeMap::new(),
-            ckpt_seen: ProcSet::default(),
-            ckpt_votes: Vec::new(),
+            ckpt_votes: Tally::default(),
             future_drops: 0,
             retired_drops: 0,
             payload_waits: 0,
@@ -935,8 +914,7 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         if let Some(watch) = &mut self.watch {
             watch.on_commit(slot, digest);
         }
-        self.ckpt_seen = ProcSet::default();
-        self.ckpt_votes.clear();
+        self.ckpt_votes = Tally::default();
         self.outbox.remove(&slot);
         self.payloads.remove(&slot);
         self.parked = None;
@@ -1025,7 +1003,7 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         let Some(value) = self.recent.get(&slot) else {
             return;
         };
-        if !self.ckpt_sent.entry(slot).or_default().insert(to.index()) {
+        if !self.ckpt_sent.entry(slot).or_default().insert(to) {
             return; // already served
         }
         env.send(
@@ -1061,18 +1039,8 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         if slot != self.committed + 1 {
             return; // stale, or unsolicited for a slot we cannot use yet
         }
-        if !self.ckpt_seen.insert(from.index()) {
+        let Some(votes) = self.ckpt_votes.vote(from, &value) else {
             return; // one vote per sender
-        }
-        let votes = match self.ckpt_votes.iter_mut().find(|(v, _)| *v == value) {
-            Some((_, count)) => {
-                *count += 1;
-                *count
-            }
-            None => {
-                self.ckpt_votes.push((value.clone(), 1));
-                1
-            }
         };
         if votes >= self.cfg.system.plurality() {
             // Drop the local instance (its protocol run is moot) and any
@@ -1351,15 +1319,6 @@ mod tests {
     fn closures_are_proposal_sources() {
         let mut f = |slot: u64| slot * 10;
         assert_eq!(ProposalSource::propose(&mut f, 3), 30);
-    }
-
-    #[test]
-    fn proc_set_deduplicates_members() {
-        let mut s = ProcSet::default();
-        assert!(s.insert(3));
-        assert!(!s.insert(3));
-        assert!(s.insert(0));
-        assert!(!s.insert(0));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-use crate::{ConfigError, ProcessId};
+use crate::{ConfigError, ProcSet, ProcessId};
 
 /// System parameters `(n, t)` of the model `BZ_AS_{n,t}[t < n/3]`.
 ///
-/// * `n` — total number of processes (`n > 1`),
+/// * `n` — total number of processes (`1 < n ≤ 128`, the capacity of the
+///   [`ProcSet`] every per-sender count is kept in),
 /// * `t` — maximum number of Byzantine processes, with the paper's optimal
 ///   resilience bound `t < n/3` enforced at construction.
 ///
@@ -28,15 +29,22 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Creates a configuration, validating `n > 1` and `t < n/3`.
+    /// Creates a configuration, validating `1 < n ≤ 128` and `t < n/3`.
     ///
     /// # Errors
     ///
     /// * [`ConfigError::TooFewProcesses`] if `n ≤ 1`,
+    /// * [`ConfigError::TooManyProcesses`] if `n > 128`,
     /// * [`ConfigError::Resilience`] if `n ≤ 3t`.
     pub fn new(n: usize, t: usize) -> Result<Self, ConfigError> {
         if n <= 1 {
             return Err(ConfigError::TooFewProcesses { n });
+        }
+        if n > ProcSet::CAPACITY {
+            return Err(ConfigError::TooManyProcesses {
+                n,
+                max: ProcSet::CAPACITY,
+            });
         }
         if n <= 3 * t {
             return Err(ConfigError::Resilience { n, t });
@@ -53,11 +61,12 @@ impl SystemConfig {
     /// let cfg = SystemConfig::minimal_for(2);
     /// assert_eq!((cfg.n(), cfg.t()), (7, 2));
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `3t + 1 > 128` (see [`SystemConfig::new`]).
     pub fn minimal_for(t: usize) -> Self {
-        SystemConfig {
-            n: (3 * t + 1).max(2),
-            t,
-        }
+        Self::new((3 * t + 1).max(2), t).expect("3t + 1 processes fit a ProcSet")
     }
 
     /// Total number of processes.
@@ -181,6 +190,15 @@ mod tests {
         assert_eq!(
             SystemConfig::new(0, 0).unwrap_err(),
             ConfigError::TooFewProcesses { n: 0 }
+        );
+    }
+
+    #[test]
+    fn rejects_systems_beyond_the_set_capacity() {
+        assert!(SystemConfig::new(128, 42).is_ok());
+        assert_eq!(
+            SystemConfig::new(129, 42).unwrap_err(),
+            ConfigError::TooManyProcesses { n: 129, max: 128 }
         );
     }
 

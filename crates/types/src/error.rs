@@ -13,6 +13,14 @@ pub enum ConfigError {
         /// The offending process count.
         n: usize,
     },
+    /// `n` exceeds the `max` processes a
+    /// [`ProcSet`](crate::ProcSet) holds.
+    TooManyProcesses {
+        /// The offending process count.
+        n: usize,
+        /// The largest supported `n`.
+        max: usize,
+    },
     /// The resilience bound `t < n/3` is violated.
     Resilience {
         /// Number of processes.
@@ -63,6 +71,12 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::TooFewProcesses { n } => {
                 write!(f, "system needs n > 1 processes, got n = {n}")
+            }
+            ConfigError::TooManyProcesses { n, max } => {
+                write!(
+                    f,
+                    "system supports at most n = {max} processes, got n = {n}"
+                )
             }
             ConfigError::Resilience { n, t } => {
                 write!(f, "resilience bound t < n/3 violated: n = {n}, t = {t}")

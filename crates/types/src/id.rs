@@ -45,6 +45,59 @@ impl fmt::Display for ProcessId {
     }
 }
 
+/// A set of processes as a bitmap, one bit per process index.
+///
+/// The paper's §2.1 rule (only the first message of a kind from each sender
+/// counts) is a question about such a set, so insertion, membership and size
+/// are each a couple of instructions. It holds [`ProcSet::CAPACITY`]
+/// processes, which [`SystemConfig::new`] makes the largest system size.
+///
+/// ```rust
+/// use minsync_types::{ProcSet, ProcessId};
+///
+/// let mut set = ProcSet::default();
+/// assert!(set.insert(ProcessId::new(3)));
+/// assert!(!set.insert(ProcessId::new(3)), "second insert is a duplicate");
+/// assert_eq!(set.len(), 1);
+/// ```
+///
+/// [`SystemConfig::new`]: crate::SystemConfig::new
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub struct ProcSet(u128);
+
+impl ProcSet {
+    /// The number of processes a set holds: indices `0 .. CAPACITY`.
+    pub const CAPACITY: usize = u128::BITS as usize;
+
+    /// Inserts `p`; true if it was absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p.index() ≥ CAPACITY`, which no process of a valid
+    /// [`SystemConfig`](crate::SystemConfig) has.
+    pub fn insert(&mut self, p: ProcessId) -> bool {
+        assert!(
+            p.index() < Self::CAPACITY,
+            "{p} is outside a {}-process set",
+            Self::CAPACITY
+        );
+        let bit = 1u128 << p.index();
+        let fresh = self.0 & bit == 0;
+        self.0 |= bit;
+        fresh
+    }
+
+    /// Number of processes in the set.
+    pub const fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True if the set is empty.
+    pub const fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+}
+
 impl From<usize> for ProcessId {
     fn from(index: usize) -> Self {
         ProcessId(index)

@@ -46,14 +46,16 @@ mod error;
 mod id;
 mod round;
 mod schedule;
+mod tally;
 mod value;
 
 pub use bisource::BisourceSpec;
 pub use config::SystemConfig;
 pub use error::ConfigError;
-pub use id::ProcessId;
+pub use id::{ProcSet, ProcessId};
 pub use round::Round;
 pub use schedule::RoundSchedule;
+pub use tally::Tally;
 pub use value::Value;
 
 /// 64-bit FNV-1a.
@@ -126,5 +128,21 @@ mod tests {
         let mut word = Fnv1a::new();
         word.write_u64(0x0102_0304_0506_0708);
         assert_eq!(word.finish(), fnv1a(&[8, 7, 6, 5, 4, 3, 2, 1]));
+    }
+
+    #[test]
+    fn proc_set_deduplicates_members() {
+        let mut s = ProcSet::default();
+        for i in [3, 0, 127] {
+            assert!(s.insert(ProcessId::new(i)));
+            assert!(!s.insert(ProcessId::new(i)));
+        }
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 128-process set")]
+    fn proc_set_refuses_an_index_beyond_its_capacity() {
+        ProcSet::default().insert(ProcessId::new(128));
     }
 }
