@@ -120,8 +120,16 @@ impl FaultPlan {
             | FaultPlan::SplitCoordinator { slots, .. }
             | FaultPlan::Fuzzer { slots, .. } => slots,
         };
+        // A top-slot marker `usize::MAX − i` names slot `n − 1 − i`; past
+        // slot 0 it stays out of range, for `validate` to reject.
         raw.iter()
-            .map(|&s| if s > n { n - 1 - (usize::MAX - s) } else { s })
+            .map(|&s| {
+                if s > n {
+                    n.checked_sub(1 + (usize::MAX - s)).unwrap_or(s)
+                } else {
+                    s
+                }
+            })
             .collect()
     }
 
@@ -256,5 +264,17 @@ mod tests {
         assert_eq!(FaultPlan::AllCorrect.name(), "none");
         assert_eq!(FaultPlan::silent(1).name(), "silent");
         assert_eq!(FaultPlan::crash(1, 5).name(), "crash");
+    }
+
+    #[test]
+    fn more_top_slots_than_processes_is_an_error_not_a_panic() {
+        let cfg = SystemConfig::new(4, 1).unwrap();
+        for plan in [FaultPlan::silent(5), FaultPlan::fuzzer(9, vec![1])] {
+            let err = plan.validate(&cfg);
+            assert!(matches!(err, Err(HarnessError::BadFaultPlan { .. })));
+        }
+        let run = crate::ConsensusRunBuilder::new(4, 1).unwrap();
+        let run = run.faults(FaultPlan::crash(6, 10)).run();
+        assert!(matches!(run, Err(HarnessError::BadFaultPlan { .. })));
     }
 }

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod bisource;
+pub mod check;
 pub mod combinatorics;
 mod config;
 mod error;
