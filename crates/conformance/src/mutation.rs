@@ -21,7 +21,7 @@ use minsync_broadcast::RbMsg;
 use minsync_core::{ConsensusConfig, ConsensusNode, ProtocolMsg, SeededMutation};
 use minsync_net::sim::{ScheduleCommand, ScheduleOracle, SimBuilder};
 use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, VirtualTime};
-use minsync_types::{ProcessId, SystemConfig};
+use minsync_types::{check, ProcessId, SystemConfig};
 
 use crate::explorer::{shrink, Schedule, VectorOracle, ViolationKind};
 
@@ -116,14 +116,16 @@ fn run(
 }
 
 /// The decisions of the split-proposal line-up `{3, 3, 8, 8}` (mutated or
-/// not) under the semantic adversary, in decision order. With
-/// [`SeededMutation::AcQuorumOffByOne`] the two halves decide differently;
-/// the unmutated stack never splits.
+/// not) under the semantic adversary's recorded decision vector, in
+/// decision order. With [`SeededMutation::AcQuorumOffByOne`] the two halves
+/// decide differently; under the same vector all four processes of the
+/// unmutated stack decide 8.
 pub fn semantic_decisions(
     mutation: Option<SeededMutation>,
     max_events: u64,
 ) -> Vec<(ProcessId, u64)> {
-    run(mutation, semantic_command, max_events)
+    let schedule = record_semantic_schedule(max_events);
+    run(mutation, VectorOracle::new(&schedule), max_events)
 }
 
 /// Runs the consensus stack (mutated or not) under `schedule` and checks
@@ -134,24 +136,13 @@ fn run_consensus(
     max_events: u64,
 ) -> Result<(), (ViolationKind, String)> {
     let decisions = run(mutation, VectorOracle::new(schedule), max_events);
-    if let Some(pair) = decisions.windows(2).find(|w| w[0].1 != w[1].1) {
-        return Err((
-            ViolationKind::Agreement,
-            format!(
-                "p{} decided {} but p{} decided {}",
-                pair[0].0.index(),
-                pair[0].1,
-                pair[1].0.index(),
-                pair[1].1
-            ),
-        ));
-    }
-    Ok(())
+    let found = check::agreement(decisions).into_iter().next();
+    found.map_or(Ok(()), |v| Err((ViolationKind::Agreement, v.detail)))
 }
 
-/// Records the semantic adversary's decisions as a plain vector by running
-/// the mutated stack once with a recording wrapper around it.
-fn record_semantic_schedule(max_events: u64) -> Vec<ScheduleCommand> {
+/// Records the semantic adversary's decisions as a plain schedule by
+/// running the mutated stack once with a recording wrapper around it.
+fn record_semantic_schedule(max_events: u64) -> Schedule {
     let recorded: Arc<Mutex<Vec<ScheduleCommand>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&recorded);
     let oracle = move |from: ProcessId,
@@ -164,8 +155,11 @@ fn record_semantic_schedule(max_events: u64) -> Vec<ScheduleCommand> {
         cmd
     };
     run(Some(SeededMutation::AcQuorumOffByOne), oracle, max_events);
-    let vec = recorded.lock().expect("recorder mutex").clone();
-    vec
+    let decisions = recorded.lock().expect("recorder mutex").clone();
+    Schedule {
+        decisions,
+        droppable: Vec::new(),
+    }
 }
 
 /// Runs the whole smoke: record the adversarial schedule, confirm it
@@ -176,12 +170,8 @@ fn record_semantic_schedule(max_events: u64) -> Vec<ScheduleCommand> {
 /// still catch the bug — decisions land around tick 50 000 but only a few
 /// thousand events in).
 pub fn mutation_smoke(max_events: u64) -> MutationSmoke {
-    let decisions = record_semantic_schedule(max_events);
-    let consultations = decisions.len();
-    let schedule = Schedule {
-        decisions,
-        droppable: Vec::new(),
-    };
+    let schedule = record_semantic_schedule(max_events);
+    let consultations = schedule.decisions.len();
 
     let mutated = Some(SeededMutation::AcQuorumOffByOne);
     let mut check = |s: &Schedule| run_consensus(mutated, s, max_events);
@@ -233,18 +223,16 @@ mod tests {
         values.dedup();
         assert_eq!(broken.len(), N, "{broken:?}");
         assert_eq!(values, [3, 8], "each half decides its own: {broken:?}");
-        // The sound stack waits out the parked coordinator traffic: within
-        // the same budget it decides nothing, so nothing can split.
-        assert_eq!(semantic_decisions(None, 20_000), []);
+        // Under the same recorded vector the sound stack decides: all four
+        // processes, one value.
+        let sound = semantic_decisions(None, 20_000);
+        let values: Vec<u64> = sound.iter().map(|&(_, v)| v).collect();
+        assert_eq!(values, [8; N], "{sound:?}");
     }
 
     #[test]
     fn unmutated_stack_survives_the_semantic_adversary() {
-        let decisions = record_semantic_schedule(20_000);
-        let schedule = Schedule {
-            decisions,
-            droppable: Vec::new(),
-        };
+        let schedule = record_semantic_schedule(20_000);
         assert!(run_consensus(None, &schedule, 20_000).is_ok());
     }
 }

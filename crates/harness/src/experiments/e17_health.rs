@@ -68,7 +68,7 @@ use minsync_telemetry::{watch_name, Registry, Snapshot};
 use minsync_transport::cluster::{
     run_churn_cluster, Behavior, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec,
 };
-use minsync_types::{ProcessId, SystemConfig};
+use minsync_types::{check, ProcessId, SystemConfig};
 use minsync_workload::{ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 
 use super::churn_spec;
@@ -318,9 +318,10 @@ fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
 /// aggregator watchdog fed each replica's checkpoint report in decision
 /// order trips `Divergence` at the first cross-half report.
 ///
-/// The same schedule on the *unmutated* stack decides unanimously and the
-/// identical aggregator stays silent — the alarm follows the bug, not the
-/// harness.
+/// The same recorded schedule on the *unmutated* stack terminates with all
+/// four processes deciding one value (asserted through
+/// [`minsync_types::check`]), and the identical aggregator stays silent —
+/// the alarm follows the bug, not the harness.
 ///
 /// Returns `(reports until detection, total reports, divergent slot)`.
 fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
@@ -340,9 +341,7 @@ fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
 
     let broken = semantic_decisions(Some(SeededMutation::AcQuorumOffByOne), max_events);
     assert!(
-        broken
-            .iter()
-            .any(|(_, v)| broken.iter().any(|(_, w)| v != w)),
+        !check::agreement(broken.iter().copied()).is_empty(),
         "E17 sim-divergence: the mutated run did not split ({broken:?})"
     );
     let (wd, alarms) = feed(&broken);
@@ -354,9 +353,12 @@ fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
     );
 
     let sound = semantic_decisions(None, max_events);
+    let decided = sound.iter().map(|&(p, _)| (p, ()));
+    let mut found = check::termination(ProcessId::all(4), decided, &());
+    found.extend(check::agreement(sound.iter().copied()));
     assert!(
-        sound.windows(2).all(|w| w[0].1 == w[1].1),
-        "E17 sim-divergence: the sound stack split under the same schedule"
+        found.is_empty(),
+        "E17 sim-divergence: the sound stack under the same schedule: {found:?}"
     );
     let (_, clean_alarms) = feed(&sound);
     assert!(
@@ -630,7 +632,7 @@ pub fn run(quick: bool) -> Table {
         "divergence".to_string(),
         format!("report {reports}/{total}"),
         "first cross-half report".to_string(),
-        format!("slot {slot}; sound stack clean under the same schedule"),
+        format!("slot {slot}; sound stack decides 4/4, one value, under the same schedule"),
     ]);
 
     let (latency_ms, horizon_ms) = cluster_stall(4, 1, seed);

@@ -3,6 +3,7 @@ use std::collections::BTreeMap;
 use minsync_core::ConsensusEvent;
 use minsync_net::sim::{Metrics, OutputRecord, StopReason};
 use minsync_net::VirtualTime;
+use minsync_types::{check, ProcessId};
 
 /// Everything measured in one consensus run, with the paper's three
 /// correctness properties pre-evaluated over the *correct* processes.
@@ -85,25 +86,25 @@ impl RunOutcome {
 
     /// Did every correct process decide? (CONS-Termination.)
     pub fn all_decided(&self) -> bool {
-        self.correct.iter().all(|p| self.decisions.contains_key(p))
+        let correct = self.correct.iter().map(|&p| ProcessId::new(p));
+        check::termination(correct, self.decided().map(|(p, _)| (p, ())), &()).is_empty()
     }
 
     /// Do all correct decisions agree? (CONS-Agreement; vacuously true with
     /// no decisions.)
     pub fn agreement_holds(&self) -> bool {
-        let mut values = self.decisions.values();
-        match values.next() {
-            None => true,
-            Some(first) => values.all(|v| v == first),
-        }
+        check::agreement(self.decided()).is_empty()
     }
 
     /// Is every correct decision a value proposed by a correct process?
     /// (CONS-Validity.)
     pub fn validity_holds(&self) -> bool {
-        self.decisions
-            .values()
-            .all(|v| self.correct_proposals.contains(v))
+        check::validity(self.decided(), |v| self.correct_proposals.contains(v)).is_empty()
+    }
+
+    /// The correct processes' decisions, as [`check`] takes them.
+    fn decided(&self) -> impl Iterator<Item = (ProcessId, u64)> + '_ {
+        self.decisions.iter().map(|(&p, &v)| (ProcessId::new(p), v))
     }
 
     /// The agreed value, if any correct process decided.
