@@ -261,7 +261,10 @@ mod tests {
         assert!(prefix(shorter).is_empty(), "a shorter log is a prefix");
         let diverged = prefix([(p(0), 1, &a), (p(0), 2, &b), (p(1), 1, &a), (p(1), 2, &c)]);
         assert_eq!(kinds(&diverged), [Agreement]);
-        assert_eq!(diverged[0].detail, "slot 2: p0 committed 20, p1 committed 30");
+        assert_eq!(
+            diverged[0].detail,
+            "slot 2: p0 committed 20, p1 committed 30"
+        );
         let gap = prefix([(p(0), 1, &a), (p(0), 3, &c)]);
         assert_eq!(gap[0].detail, "p0 committed slot 3, not 2");
         assert_eq!(kinds(&prefix([(p(0), 1, &a), (p(0), 1, &a)])), [Integrity]);
@@ -271,7 +274,10 @@ mod tests {
     fn fifo_flags_gaps_repeats_and_swaps() {
         let decode = |cmd: u64| (cmd / 100, cmd % 100);
         assert!(fifo([100, 200, 101, 201, 102], decode).is_empty());
-        assert_eq!(fifo([100, 102], decode)[0].detail, "client 1 committed seq 2, not 1");
+        assert_eq!(
+            fifo([100, 102], decode)[0].detail,
+            "client 1 committed seq 2, not 1"
+        );
         assert_eq!(kinds(&fifo([100, 100], decode)), [Integrity]);
         assert_eq!(fifo([101, 100], decode).len(), 2);
     }
