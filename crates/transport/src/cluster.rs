@@ -26,7 +26,8 @@ use std::time::{Duration, Instant};
 
 use minsync_auth::HmacAuthenticator;
 use minsync_telemetry::{Snapshot, TimeSeries, SNAPSHOT_FOOTER};
-use minsync_types::Fnv1a;
+use minsync_types::check::{self, Violation};
+use minsync_types::{Fnv1a, ProcessId};
 use minsync_workload::ArrivalProcess;
 
 /// How one replica slot behaves.
@@ -302,36 +303,30 @@ impl ClusterReport {
     /// True iff every correct replica reported the same committed-log
     /// digest — the distributed-agreement check.
     pub fn digests_agree(&self) -> bool {
-        self.replicas.windows(2).all(|w| w[0].digest == w[1].digest)
+        let digests = self
+            .replicas
+            .iter()
+            .map(|r| (ProcessId::new(r.id), r.digest));
+        check::agreement(digests).is_empty()
     }
 
-    /// Every way this run falls short of "the cluster agreed and drained":
-    /// one entry listing the `(id, digest)` pairs if the committed-log
-    /// digests diverge, and one per replica that did not commit exactly
-    /// [`total_commands`](Self::total_commands), with its count. Empty on a
-    /// good run.
-    pub fn violations(&self) -> Vec<String> {
-        let mut violations = Vec::new();
-        if !self.digests_agree() {
-            let digests: Vec<String> = self
-                .replicas
-                .iter()
-                .map(|r| format!("({}, {:016x})", r.id, r.digest))
-                .collect();
-            violations.push(format!(
-                "committed-log digests diverged: {}",
-                digests.join(" ")
-            ));
-        }
-        for r in &self.replicas {
-            if r.committed != self.total_commands {
-                violations.push(format!(
-                    "replica {} committed {}/{} commands",
-                    r.id, r.committed, self.total_commands
-                ));
-            }
-        }
-        violations
+    /// Every way this run falls short of "the cluster agreed and drained",
+    /// through [`minsync_types::check`]: [`check::agreement`] over the
+    /// `(id, digest)` pairs, one entry listing them all (digests in hex) if
+    /// two differ, and [`check::termination`] over `(id, committed)`
+    /// against [`total_commands`](Self::total_commands), one entry per
+    /// replica that committed another count. Empty on a good run.
+    pub fn violations(&self) -> Vec<Violation> {
+        let id = |r: &ReplicaStats| ProcessId::new(r.id);
+        let digests = self
+            .replicas
+            .iter()
+            .map(|r| (id(r), format!("{:016x}", r.digest)));
+        let mut found = check::agreement(digests);
+        let committed = self.replicas.iter().map(|r| (id(r), r.committed));
+        let ids = self.replicas.iter().map(id);
+        found.extend(check::termination(ids, committed, &self.total_commands));
+        found
     }
 
     /// Every counter whose name starts with `prefix`, summed over the
@@ -1503,10 +1498,10 @@ mod tests {
         let violations = bad.violations();
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(
-            violations[0].contains("(0, 0000000000000007)")
-                && violations[0].contains("(1, 0000000000000bad)"),
+            violations[0].detail.contains("(0, \"0000000000000007\")")
+                && violations[0].detail.contains("(1, \"0000000000000bad\")"),
             "digest entry lists (id, digest) pairs: {violations:?}"
         );
-        assert_eq!(violations[1], "replica 2 committed 96/100 commands");
+        assert_eq!(violations[1].detail, "p2 reached 96, not 100");
     }
 }
