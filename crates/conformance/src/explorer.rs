@@ -11,20 +11,20 @@
 //!
 //! [`run_protocol`] is the standard property check: it runs one of the
 //! five protocol stacks under the schedule and checks agreement, validity,
-//! and (when no messages were dropped) termination-on-quiescence.
-
-use core::fmt::Write as _;
+//! and (when no messages were dropped) termination-on-quiescence through
+//! [`minsync_types::check`].
 
 use minsync_core::{
-    AcNode, AcTag, BotConsensusNode, BotEvent, ConsensusConfig, ConsensusNode, EaNode,
-    TimeoutPolicy,
+    AcNode, AcNodeEvent, AcTag, BotConsensusNode, BotEvent, ConsensusConfig, ConsensusNode, EaNode,
+    EaNodeEvent, TimeoutPolicy,
 };
 use minsync_net::sim::{
-    OutputRecord, ScheduleCommand, ScheduleOracle, SimBuilder, Simulation, StopReason,
+    OutputRecord, RunReport, ScheduleCommand, ScheduleOracle, SimBuilder, Simulation, StopReason,
 };
-use minsync_net::{NetworkTopology, VirtualTime};
-use minsync_smr::{ReplicaNode, SmrEvent, TwoClientSource};
-use minsync_types::{ProcessId, RoundSchedule, SystemConfig};
+use minsync_net::{NetworkTopology, Node, VirtualTime};
+use minsync_smr::{commits, ReplicaNode, TwoClientSource};
+use minsync_types::check::{self, Violation};
+use minsync_types::{ProcessId, Round, RoundSchedule, SystemConfig};
 use rand::rngs::SplitMix64;
 use rand::{RngCore, SeedableRng};
 
@@ -103,36 +103,11 @@ impl<M> ScheduleOracle<M> for VectorOracle {
     }
 }
 
-/// Which paper property a schedule broke.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ViolationKind {
-    /// Two correct processes decided/committed differently.
-    Agreement,
-    /// A decided value was never proposed by a correct process.
-    Validity,
-    /// The run went quiescent (nothing left to deliver, no drops applied)
-    /// with a correct process still undecided — a genuine deadlock, not a
-    /// budget artifact.
-    Termination,
-}
-
-impl core::fmt::Display for ViolationKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ViolationKind::Agreement => write!(f, "agreement"),
-            ViolationKind::Validity => write!(f, "validity"),
-            ViolationKind::Termination => write!(f, "termination"),
-        }
-    }
-}
-
 /// A property violation, with the (shrunk) schedule that triggers it.
 #[derive(Clone, Debug)]
-pub struct Violation {
-    /// The broken property.
-    pub kind: ViolationKind,
-    /// Human-readable evidence (which processes, which values).
-    pub detail: String,
+pub struct Counterexample {
+    /// The broken property and its evidence.
+    pub violation: Violation,
     /// Minimal violating schedule found by shrinking.
     pub schedule: Schedule,
 }
@@ -187,7 +162,7 @@ pub struct ExplorationReport {
     /// Schedules actually run (including shrink probes).
     pub schedules_explored: usize,
     /// Violations found, each with its shrunk schedule.
-    pub violations: Vec<Violation>,
+    pub violations: Vec<Counterexample>,
 }
 
 /// Runs `check` over the configured schedule families, shrinking every
@@ -198,21 +173,20 @@ pub struct ExplorationReport {
 /// in the schedule — [`shrink`] relies on re-running it.
 pub fn explore<F>(mut check: F, cfg: &ExplorerConfig) -> ExplorationReport
 where
-    F: FnMut(&Schedule) -> Result<(), (ViolationKind, String)>,
+    F: FnMut(&Schedule) -> Result<(), Violation>,
 {
     let mut explored = 0usize;
     let mut violations = Vec::new();
     let try_schedule = |schedule: Schedule,
                         explored: &mut usize,
-                        violations: &mut Vec<Violation>,
+                        violations: &mut Vec<Counterexample>,
                         check: &mut F| {
         *explored += 1;
-        if let Err((kind, detail)) = check(&schedule) {
+        if let Err(violation) = check(&schedule) {
             let (shrunk, probes) = shrink(&schedule, check);
             *explored += probes;
-            violations.push(Violation {
-                kind,
-                detail,
+            violations.push(Counterexample {
+                violation,
                 schedule: shrunk,
             });
         }
@@ -300,7 +274,7 @@ where
 /// counts, since all of them are bugs).
 pub fn shrink<F>(schedule: &Schedule, check: &mut F) -> (Schedule, usize)
 where
-    F: FnMut(&Schedule) -> Result<(), (ViolationKind, String)>,
+    F: FnMut(&Schedule) -> Result<(), Violation>,
 {
     let mut probes = 0usize;
     let violates = |s: &Schedule, probes: &mut usize, check: &mut F| {
@@ -386,373 +360,190 @@ const EXPLORER_DELTA: u64 = 8;
 /// Binary proposal split used by every explorer run.
 const PROPOSALS: [u64; 2] = [3, 8];
 
+/// Every protocol run under the same schedule uses the same seed, so the
+/// oracle's consultation indices are stable across shrink probes.
+const SCHEDULE_SEED: u64 = 0xe14_5eed;
+
 fn proposal_for(i: usize) -> u64 {
     PROPOSALS[i % 2]
 }
 
 /// Runs `protocol` with `n` processes under `schedule` and checks the
-/// paper's properties.
+/// paper's properties through [`minsync_types::check`].
 ///
-/// Agreement and validity are checked over the outputs of non-`droppable`
-/// processes (a process whose messages were dropped is the designated
-/// faulty one — its own outcome carries no guarantee). Termination is
-/// checked only when `check_termination` is set **and** the run applied no
-/// drops and went quiescent: every correct process must then have produced
-/// its decision, since nothing remained in flight. Budget exhaustion is
-/// never a violation — it is inconclusive by construction.
+/// Safety is checked over the outputs of non-`droppable` processes (a
+/// process whose messages were dropped is the designated faulty one — its
+/// own outcome carries no guarantee): validity on every stack; agreement
+/// for consensus and the ⊥-variant, quasi-agreement for adopt-commit, log
+/// prefix consistency for SMR, and none for eventual agreement, which
+/// promises none. Termination is checked only when `check_termination` is
+/// set **and** the run applied no drops and went quiescent: every correct
+/// process must then have produced its decision (EA: its round-1 return),
+/// since nothing remained in flight. Budget exhaustion is never a
+/// violation — it is inconclusive by construction.
 ///
 /// # Errors
 ///
-/// The violated property and its evidence.
+/// The first violated property and its evidence.
 pub fn run_protocol(
     protocol: Protocol,
     n: usize,
     schedule: &Schedule,
     max_events: u64,
     check_termination: bool,
-) -> Result<(), (ViolationKind, String)> {
+) -> Result<(), Violation> {
     let t = (n - 1) / 3;
     let system = SystemConfig::new(n, t).expect("explorer sizes satisfy n > 3t");
-    let topology = NetworkTopology::all_timely(n, EXPLORER_DELTA);
     // Round-1 timeout 33 > 2δ: under an undisturbed timely network the EA
     // fast path completes inside the first timeout, so runs converge fast
     // and the explorer spends its budget on the interesting schedules.
     let mut cfg = ConsensusConfig::paper(system);
     cfg.timeout = TimeoutPolicy::linear(1, 32);
+    let proposed = |v: &u64| PROPOSALS.contains(v);
+    let correct = |p: &ProcessId| !schedule.droppable.contains(p);
 
-    match protocol {
+    // Per stack: the safety violations, the correct processes that
+    // finished, and whether the run can prove a deadlock.
+    let (mut found, finished, conclusive) = match protocol {
         Protocol::Consensus => {
-            let mut builder = SimBuilder::new(topology)
-                .seed(schedule_seed(schedule))
-                .max_events(max_events)
-                .with_schedule_oracle(VectorOracle::new(schedule));
-            for i in 0..n {
-                builder = builder
-                    .node(ConsensusNode::new(cfg, proposal_for(i)).expect("paper config is valid"));
-            }
-            let mut sim = builder.build();
-            let report = sim.run_until(|outs| decided_count(outs) >= n);
-            check_consensus(&sim, &report.reason, schedule, n, check_termination)
+            let report = simulate(n, schedule, max_events, |i| {
+                ConsensusNode::new(cfg, proposal_for(i)).expect("paper config is valid")
+            })
+            .run_until(|outs| {
+                let decided = outs.iter().filter(|o| o.event.as_decision().is_some());
+                decided.count() >= n
+            });
+            let decisions = outcomes(&report.outputs, correct, |e| e.as_decision().copied());
+            let mut found = check::validity(decisions.iter().copied(), proposed);
+            found.extend(check::agreement(decisions.iter().copied()));
+            (found, processes(&decisions), quiescent(&report))
         }
         Protocol::AdoptCommit => {
-            let mut builder = SimBuilder::new(topology)
-                .seed(schedule_seed(schedule))
-                .max_events(max_events)
-                .with_schedule_oracle(VectorOracle::new(schedule));
-            for i in 0..n {
-                builder = builder.node(AcNode::new(system, proposal_for(i)));
-            }
-            let mut sim = builder.build();
-            let report = sim.run_until(|outs| outs.len() >= n);
-            check_adopt_commit(&sim, &report.reason, schedule, n, check_termination)
+            let report = simulate(n, schedule, max_events, |i| {
+                AcNode::new(system, proposal_for(i))
+            })
+            .run_until(|outs| outs.len() >= n);
+            let returned = outcomes(&report.outputs, correct, |e| {
+                let AcNodeEvent::Returned { tag, value } = e;
+                Some((*tag == AcTag::Commit, *value))
+            });
+            let values = returned.iter().map(|&(p, (_, v))| (p, v));
+            let mut found = check::validity(values, proposed);
+            let tagged = returned.iter().map(|&(p, (commit, v))| (p, commit, v));
+            found.extend(check::quasi_agreement(tagged));
+            (found, processes(&returned), quiescent(&report))
         }
         Protocol::EventualAgreement => {
-            let round_schedule = RoundSchedule::new(&system, 0).expect("k=0 is always valid");
-            let mut builder = SimBuilder::new(topology)
-                .seed(schedule_seed(schedule))
-                .max_events(max_events)
-                .with_schedule_oracle(VectorOracle::new(schedule));
-            for i in 0..n {
-                builder = builder.node(EaNode::new(
-                    system,
-                    round_schedule.clone(),
-                    ProcessId::new(i),
-                    TimeoutPolicy::linear(1, 32),
-                    proposal_for(i),
-                    2,
-                ));
-            }
-            let mut sim = builder.build();
-            let report = sim.run();
-            check_eventual_agreement(&sim, &report.reason, schedule, n, check_termination)
+            let rounds = RoundSchedule::new(&system, 0).expect("k=0 is always valid");
+            let report = simulate(n, schedule, max_events, |i| {
+                let timeout = TimeoutPolicy::linear(1, 32);
+                let me = ProcessId::new(i);
+                EaNode::new(system, rounds.clone(), me, timeout, proposal_for(i), 2)
+            })
+            .run();
+            let returned = outcomes(&report.outputs, correct, |e| {
+                let EaNodeEvent::Returned { round, value, .. } = e;
+                Some((*round, *value))
+            });
+            let values = returned.iter().map(|&(p, (_, v))| (p, v));
+            let found = check::validity(values, proposed);
+            // EA promises no agreement; a process terminates by returning
+            // from round 1.
+            let first: Vec<_> = returned
+                .into_iter()
+                .filter(|(_, (round, _))| *round == Round::FIRST)
+                .collect();
+            (found, processes(&first), quiescent(&report))
         }
         Protocol::Bot => {
-            let mut builder = SimBuilder::new(topology)
-                .seed(schedule_seed(schedule))
-                .max_events(max_events)
-                .with_schedule_oracle(VectorOracle::new(schedule));
-            for i in 0..n {
-                builder = builder.node(
-                    BotConsensusNode::new(cfg, proposal_for(i)).expect("paper config is valid"),
-                );
-            }
-            let mut sim = builder.build();
-            let report = sim.run_until(|outs| outs.len() >= n);
-            check_bot(&sim, &report.reason, schedule, n, check_termination)
+            let report = simulate(n, schedule, max_events, |i| {
+                BotConsensusNode::new(cfg, proposal_for(i)).expect("paper config is valid")
+            })
+            .run_until(|outs| outs.len() >= n);
+            // `None` is ⊥, which validity admits.
+            let decisions = outcomes(&report.outputs, correct, |e| match e {
+                BotEvent::Decided { value } => Some(Some(*value)),
+                BotEvent::DecidedBottom => Some(None),
+            });
+            let values = decisions.iter().filter_map(|&(p, v)| Some((p, v?)));
+            let mut found = check::validity(values, proposed);
+            found.extend(check::agreement(decisions.iter().copied()));
+            (found, processes(&decisions), quiescent(&report))
         }
         Protocol::Smr => {
-            let mut builder = SimBuilder::new(topology)
-                .seed(schedule_seed(schedule))
-                .max_events(max_events)
-                .with_schedule_oracle(VectorOracle::new(schedule));
-            for i in 0..n {
-                let preferred = if i % 2 == 0 { 1 } else { 2 };
-                builder = builder.node(ReplicaNode::new(cfg, TwoClientSource::new(preferred), 1));
-            }
-            let mut sim = builder.build();
-            let report = sim.run_until(|outs| {
-                outs.iter()
-                    .filter(|o| matches!(o.event, SmrEvent::Committed { .. }))
-                    .count()
-                    >= n
+            let report = simulate(n, schedule, max_events, |i| {
+                ReplicaNode::new(cfg, TwoClientSource::new(1 + i as u64 % 2), 1)
+            })
+            .run_until(|outs| {
+                let committed = outs.iter().filter(|o| o.event.as_committed().is_some());
+                committed.count() >= n
             });
-            check_smr(&sim, &report.reason, schedule, n, check_termination)
+            let log: Vec<_> = commits(&report.outputs).filter(|c| correct(&c.0)).collect();
+            let finished: Vec<ProcessId> = log.iter().map(|c| c.0).collect();
+            (check::prefix(log), finished, quiescent(&report))
         }
+    };
+    if check_termination && conclusive {
+        let expected = ProcessId::all(n).filter(correct);
+        found.extend(check::termination(
+            expected,
+            finished.into_iter().map(|p| (p, ())),
+            &(),
+        ));
     }
+    found.into_iter().next().map_or(Ok(()), Err)
 }
 
-/// Every protocol run under the same schedule uses the same seed, so the
-/// oracle's consultation indices are stable across shrink probes.
-fn schedule_seed(_schedule: &Schedule) -> u64 {
-    0xe14_5eed
-}
-
-fn decided_count<V>(outs: &[OutputRecord<minsync_core::ConsensusEvent<V>>]) -> usize
-where
-    V: Clone + core::fmt::Debug,
-{
-    outs.iter()
-        .filter(|o| o.event.as_decision().is_some())
-        .count()
-}
-
-fn is_correct(p: ProcessId, schedule: &Schedule) -> bool {
-    !schedule.droppable.contains(&p)
-}
-
-/// Shared termination rule: only a *quiescent* run with no drops applied
-/// can prove a deadlock.
-fn termination_applies<M, O>(
-    sim: &Simulation<M, O>,
-    reason: &StopReason,
-    check_termination: bool,
-) -> bool
-where
-    M: Clone + core::fmt::Debug + Send + 'static,
-    O: Clone + core::fmt::Debug + Send + 'static,
-{
-    check_termination && *reason == StopReason::Quiescent && sim.metrics().messages_suppressed == 0
-}
-
-fn agreement_error(values: &[(ProcessId, String)]) -> (ViolationKind, String) {
-    let mut detail = String::from("correct processes disagree:");
-    for (p, v) in values {
-        let _ = write!(detail, " p{}={v}", p.index());
-    }
-    (ViolationKind::Agreement, detail)
-}
-
-fn check_consensus(
-    sim: &Simulation<minsync_core::ProtocolMsg<u64>, minsync_core::ConsensusEvent<u64>>,
-    reason: &StopReason,
-    schedule: &Schedule,
+/// `n` copies of `node(i)` on the explorer's all-timely network, routed by
+/// `schedule`.
+fn simulate<N: Node + 'static>(
     n: usize,
-    check_termination: bool,
-) -> Result<(), (ViolationKind, String)> {
-    let mut decisions: Vec<(ProcessId, String)> = Vec::new();
-    let mut decided = vec![false; n];
-    for rec in sim.outputs() {
-        if let Some(v) = rec.event.as_decision() {
-            decided[rec.process.index()] = true;
-            if is_correct(rec.process, schedule) {
-                if !PROPOSALS.contains(v) {
-                    return Err((
-                        ViolationKind::Validity,
-                        format!("p{} decided unproposed value {v}", rec.process.index()),
-                    ));
-                }
-                decisions.push((rec.process, format!("{v}")));
-            }
-        }
+    schedule: &Schedule,
+    max_events: u64,
+    node: impl Fn(usize) -> N,
+) -> Simulation<N::Msg, N::Output> {
+    let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, EXPLORER_DELTA))
+        .seed(SCHEDULE_SEED)
+        .max_events(max_events)
+        .with_schedule_oracle(VectorOracle::new(schedule));
+    for i in 0..n {
+        builder = builder.node(node(i));
     }
-    if decisions.windows(2).any(|w| w[0].1 != w[1].1) {
-        return Err(agreement_error(&decisions));
-    }
-    if termination_applies(sim, reason, check_termination) {
-        for (i, done) in decided.iter().enumerate() {
-            if !done && is_correct(ProcessId::new(i), schedule) {
-                return Err((
-                    ViolationKind::Termination,
-                    format!("quiescent with p{i} undecided"),
-                ));
-            }
-        }
-    }
-    Ok(())
+    builder.build()
 }
 
-fn check_adopt_commit(
-    sim: &Simulation<minsync_core::ProtocolMsg<u64>, minsync_core::AcNodeEvent<u64>>,
-    reason: &StopReason,
-    schedule: &Schedule,
-    n: usize,
-    check_termination: bool,
-) -> Result<(), (ViolationKind, String)> {
-    let mut returned = vec![false; n];
-    let mut committed: Option<(ProcessId, u64)> = None;
-    let mut outcomes: Vec<(ProcessId, AcTag, u64)> = Vec::new();
-    for rec in sim.outputs() {
-        let minsync_core::AcNodeEvent::Returned { tag, value } = &rec.event;
-        returned[rec.process.index()] = true;
-        if is_correct(rec.process, schedule) {
-            if !PROPOSALS.contains(value) {
-                return Err((
-                    ViolationKind::Validity,
-                    format!("p{} returned unproposed value {value}", rec.process.index()),
-                ));
-            }
-            if *tag == AcTag::Commit {
-                committed.get_or_insert((rec.process, *value));
-            }
-            outcomes.push((rec.process, *tag, *value));
-        }
-    }
-    // Quasi-agreement: one commit pins every other outcome's value.
-    if let Some((cp, cv)) = committed {
-        for (p, tag, v) in &outcomes {
-            if *v != cv {
-                return Err((
-                    ViolationKind::Agreement,
-                    format!(
-                        "p{} committed {cv} but p{} returned ({tag:?}, {v})",
-                        cp.index(),
-                        p.index()
-                    ),
-                ));
-            }
-        }
-    }
-    if termination_applies(sim, reason, check_termination) {
-        for (i, done) in returned.iter().enumerate() {
-            if !done && is_correct(ProcessId::new(i), schedule) {
-                return Err((
-                    ViolationKind::Termination,
-                    format!("quiescent with p{i} not returned"),
-                ));
-            }
-        }
-    }
-    Ok(())
+/// `f` of every output of a `correct` process, in output order.
+fn outcomes<O, V>(
+    outputs: &[OutputRecord<O>],
+    correct: impl Fn(&ProcessId) -> bool,
+    f: impl Fn(&O) -> Option<V>,
+) -> Vec<(ProcessId, V)> {
+    let own = outputs.iter().filter(|r| correct(&r.process));
+    own.filter_map(|r| Some((r.process, f(&r.event)?)))
+        .collect()
 }
 
-fn check_eventual_agreement(
-    sim: &Simulation<minsync_core::ProtocolMsg<u64>, minsync_core::EaNodeEvent<u64>>,
-    reason: &StopReason,
-    schedule: &Schedule,
-    n: usize,
-    check_termination: bool,
-) -> Result<(), (ViolationKind, String)> {
-    // EA guarantees no agreement; check validity and per-round liveness.
-    let mut first_round = vec![false; n];
-    for rec in sim.outputs() {
-        let minsync_core::EaNodeEvent::Returned { round, value, .. } = &rec.event;
-        if *round == minsync_types::Round::FIRST {
-            first_round[rec.process.index()] = true;
-        }
-        if is_correct(rec.process, schedule) && !PROPOSALS.contains(value) {
-            return Err((
-                ViolationKind::Validity,
-                format!("p{} returned unproposed value {value}", rec.process.index()),
-            ));
-        }
-    }
-    if termination_applies(sim, reason, check_termination) {
-        for (i, done) in first_round.iter().enumerate() {
-            if !done && is_correct(ProcessId::new(i), schedule) {
-                return Err((
-                    ViolationKind::Termination,
-                    format!("quiescent with p{i} stuck in round 1"),
-                ));
-            }
-        }
-    }
-    Ok(())
+/// The processes behind `outcomes`, in order.
+fn processes<V>(outcomes: &[(ProcessId, V)]) -> Vec<ProcessId> {
+    outcomes.iter().map(|(p, _)| *p).collect()
 }
 
-fn check_bot(
-    sim: &Simulation<minsync_core::BotMsg<u64>, BotEvent<u64>>,
-    reason: &StopReason,
-    schedule: &Schedule,
-    n: usize,
-    check_termination: bool,
-) -> Result<(), (ViolationKind, String)> {
-    let mut decided = vec![false; n];
-    let mut decisions: Vec<(ProcessId, String)> = Vec::new();
-    for rec in sim.outputs() {
-        decided[rec.process.index()] = true;
-        if is_correct(rec.process, schedule) {
-            match &rec.event {
-                BotEvent::Decided { value } => {
-                    if !PROPOSALS.contains(value) {
-                        return Err((
-                            ViolationKind::Validity,
-                            format!("p{} decided unproposed value {value}", rec.process.index()),
-                        ));
-                    }
-                    decisions.push((rec.process, format!("{value}")));
-                }
-                BotEvent::DecidedBottom => decisions.push((rec.process, "⊥".into())),
-            }
-        }
-    }
-    if decisions.windows(2).any(|w| w[0].1 != w[1].1) {
-        return Err(agreement_error(&decisions));
-    }
-    if termination_applies(sim, reason, check_termination) {
-        for (i, done) in decided.iter().enumerate() {
-            if !done && is_correct(ProcessId::new(i), schedule) {
-                return Err((
-                    ViolationKind::Termination,
-                    format!("quiescent with p{i} undecided"),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_smr(
-    sim: &Simulation<minsync_smr::SmrMsg<u64>, SmrEvent<u64>>,
-    reason: &StopReason,
-    schedule: &Schedule,
-    n: usize,
-    check_termination: bool,
-) -> Result<(), (ViolationKind, String)> {
-    let mut committed = vec![false; n];
-    let mut slot_one: Vec<(ProcessId, String)> = Vec::new();
-    for rec in sim.outputs() {
-        if let SmrEvent::Committed { slot, command } = &rec.event {
-            committed[rec.process.index()] = true;
-            if *slot == 1 && is_correct(rec.process, schedule) {
-                slot_one.push((rec.process, format!("{command:?}")));
-            }
-        }
-    }
-    if slot_one.windows(2).any(|w| w[0].1 != w[1].1) {
-        return Err(agreement_error(&slot_one));
-    }
-    if termination_applies(sim, reason, check_termination) {
-        for (i, done) in committed.iter().enumerate() {
-            if !done && is_correct(ProcessId::new(i), schedule) {
-                return Err((
-                    ViolationKind::Termination,
-                    format!("quiescent with p{i} uncommitted"),
-                ));
-            }
-        }
-    }
-    Ok(())
+/// Explorer policy for *whether* termination applies: only a quiescent run
+/// with no drops applied can prove a deadlock.
+fn quiescent<O>(report: &RunReport<O>) -> bool {
+    report.reason == StopReason::Quiescent && report.metrics.messages_suppressed == 0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minsync_types::check::ViolationKind;
 
     #[test]
     fn empty_schedule_passes_every_protocol() {
         for protocol in Protocol::ALL {
             run_protocol(protocol, 4, &Schedule::empty(), 30_000, true)
-                .unwrap_or_else(|(k, d)| panic!("{}: {k} violation: {d}", protocol.name()));
+                .unwrap_or_else(|v| panic!("{}: {v}", protocol.name()));
         }
     }
 
@@ -785,7 +576,10 @@ mod tests {
                 .filter(|c| matches!(c, ScheduleCommand::After(d) if *d >= 5))
                 .count();
             if long >= 2 {
-                Err((ViolationKind::Agreement, "synthetic".to_string()))
+                Err(Violation {
+                    kind: ViolationKind::Agreement,
+                    detail: "synthetic".to_string(),
+                })
             } else {
                 Ok(())
             }

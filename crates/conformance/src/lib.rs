@@ -35,8 +35,7 @@ pub mod scenario;
 pub mod trace;
 
 pub use explorer::{
-    explore, run_protocol, ExplorationReport, ExplorerConfig, Protocol, Schedule, Violation,
-    ViolationKind,
+    explore, run_protocol, Counterexample, ExplorationReport, ExplorerConfig, Protocol, Schedule,
 };
 pub use mutation::{mutation_smoke, semantic_decisions, MutationSmoke};
 pub use replay::{replay_direct, ReplayError};

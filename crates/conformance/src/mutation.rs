@@ -21,9 +21,10 @@ use minsync_broadcast::RbMsg;
 use minsync_core::{ConsensusConfig, ConsensusNode, ProtocolMsg, SeededMutation};
 use minsync_net::sim::{ScheduleCommand, ScheduleOracle, SimBuilder};
 use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, VirtualTime};
-use minsync_types::{check, ProcessId, SystemConfig};
+use minsync_types::check::{self, Violation, ViolationKind};
+use minsync_types::{ProcessId, SystemConfig};
 
-use crate::explorer::{shrink, Schedule, VectorOracle, ViolationKind};
+use crate::explorer::{shrink, Schedule, VectorOracle};
 
 /// Outcome of the smoke, for reporting in E14 and asserting in tests.
 #[derive(Clone, Debug)]
@@ -134,10 +135,12 @@ fn run_consensus(
     mutation: Option<SeededMutation>,
     schedule: &Schedule,
     max_events: u64,
-) -> Result<(), (ViolationKind, String)> {
+) -> Result<(), Violation> {
     let decisions = run(mutation, VectorOracle::new(schedule), max_events);
-    let found = check::agreement(decisions).into_iter().next();
-    found.map_or(Ok(()), |v| Err((ViolationKind::Agreement, v.detail)))
+    check::agreement(decisions)
+        .into_iter()
+        .next()
+        .map_or(Ok(()), Err)
 }
 
 /// Records the semantic adversary's decisions as a plain schedule by
@@ -176,7 +179,7 @@ pub fn mutation_smoke(max_events: u64) -> MutationSmoke {
     let mutated = Some(SeededMutation::AcQuorumOffByOne);
     let mut check = |s: &Schedule| run_consensus(mutated, s, max_events);
     let (caught, detail) = match check(&schedule) {
-        Err((kind, detail)) => (kind == ViolationKind::Agreement, detail),
+        Err(v) => (v.kind == ViolationKind::Agreement, v.detail),
         Ok(()) => (false, "no violation on the mutated stack".to_string()),
     };
     let (shrunk_len, shrunk_active, clean_without_mutation) = if caught {

@@ -57,8 +57,7 @@ pub fn run(quick: bool) -> Table {
                 "clean".to_string()
             } else {
                 // A violation here is a real finding — surface the first.
-                let v = &report.violations[0];
-                format!("{}: {}", v.kind, v.detail)
+                report.violations[0].violation.to_string()
             };
             table.push_row([
                 protocol.name().to_string(),

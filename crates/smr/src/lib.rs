@@ -1234,6 +1234,17 @@ pub fn committed_count<V: Value>(outputs: &[OutputRecord<SmrEvent<V>>], p: Proce
         .count() as u64
 }
 
+/// Every [`SmrEvent::Committed`] in `outputs` as `(process, slot, value)`,
+/// in output order: the commit stream [`minsync_types::check::prefix`]
+/// takes.
+pub fn commits<V: Value>(
+    outputs: &[OutputRecord<SmrEvent<V>>],
+) -> impl Iterator<Item = (ProcessId, u64, &V)> {
+    outputs
+        .iter()
+        .filter_map(|o| o.event.as_committed().map(|(slot, v)| (o.process, slot, v)))
+}
+
 /// Reconstructs each replica's committed log from simulation outputs
 /// ([`SmrEvent::Retired`] markers are skipped — retirement drops *replica*
 /// state, not the observed history).
