@@ -22,10 +22,10 @@ use minsync_core::{ConsensusConfig, ProtocolMsg};
 use minsync_net::sim::SimBuilder;
 use minsync_net::threaded::{run_threaded, ThreadedConfig};
 use minsync_net::Node;
-use minsync_smr::{Digest, ReplicaNode, SmrEvent, SmrMsg};
+use minsync_smr::{commits, Digest, ReplicaNode, SmrEvent, SmrMsg};
 use minsync_types::{ProcessId, Round, SystemConfig};
 use minsync_workload::{
-    account, command, ArrivalProcess, Batch, ClientPopulation, DrainCursor, WorkloadReport,
+    account, log_violations, ArrivalProcess, Batch, ClientPopulation, DrainCursor, WorkloadReport,
     WorkloadSpec,
 };
 
@@ -120,27 +120,16 @@ fn run_case(spec: CaseSpec) -> CaseResult {
     let mut drained = DrainCursor::new(correct, total);
     let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
 
-    // Identical logs across every correct replica (flattened commands).
-    let logs: Vec<Vec<u64>> = (0..correct)
-        .map(|p| flatten_log(&report.outputs, p))
-        .collect();
-    for (p, log) in logs.iter().enumerate() {
-        assert!(
-            log.len() >= total,
-            "E10 {}: replica {p} stalled at {}/{} commands ({:?})",
-            spec.case,
-            log.len(),
-            total,
-            report.reason
-        );
-        assert_eq!(
-            &log[..total],
-            &logs[0][..total],
-            "E10 {}: replica {p} diverged",
-            spec.case
-        );
-    }
-    assert_per_client_order(&logs[0]);
+    // Identical logs across every correct replica, every command committed
+    // exactly once, in per-client order.
+    let correct_commits = commits(&report.outputs).filter(|c| c.0.index() < correct);
+    let found = log_violations(correct_commits, correct, total);
+    assert!(
+        found.is_empty(),
+        "E10 {}: {found:?} ({:?})",
+        spec.case,
+        report.reason
+    );
 
     let workload = account(&pop, &report.outputs, ProcessId::new(0));
     CaseResult {
@@ -197,29 +186,6 @@ fn replica_lineup(
     nodes
 }
 
-fn flatten_log(outputs: &[minsync_net::sim::OutputRecord<Out>], p: usize) -> Vec<u64> {
-    outputs
-        .iter()
-        .filter(|o| o.process.index() == p)
-        .filter_map(|o| o.event.as_committed())
-        .flat_map(|(_, b)| b.commands().iter().copied())
-        .collect()
-}
-
-fn assert_per_client_order(log: &[u64]) {
-    let mut next = std::collections::BTreeMap::new();
-    for &cmd in log {
-        let client = command::client_of(cmd);
-        let seq = next.entry(client).or_insert(0u64);
-        assert_eq!(
-            command::seq_of(cmd),
-            *seq,
-            "client {client} committed out of order"
-        );
-        *seq += 1;
-    }
-}
-
 /// Runs the `sim↔threaded` case: a single-group workload (whose log is a
 /// pure function of the commit stream) replayed on both substrates must
 /// commit bit-identical command sequences.
@@ -260,7 +226,6 @@ fn run_cross_substrate(quick: bool, seed: u64) -> (WorkloadReport, u64) {
     let mut sim = builder.build();
     let mut drained = DrainCursor::new(4, total);
     let sim_report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
-    let sim_log = flatten_log(&sim_report.outputs, 0);
 
     let mut drained = DrainCursor::new(4, total);
     let threaded = run_threaded(
@@ -277,20 +242,18 @@ fn run_cross_substrate(quick: bool, seed: u64) -> (WorkloadReport, u64) {
         !threaded.timed_out,
         "E10 sim↔threaded: threaded run timed out"
     );
-    for p in 0..4usize {
-        let threaded_log: Vec<u64> = threaded
-            .outputs
-            .iter()
-            .filter(|o| o.process.index() == p)
-            .filter_map(|o| o.event.as_committed())
-            .flat_map(|(_, b)| b.commands().iter().copied())
-            .collect();
-        assert_eq!(
-            &threaded_log[..total],
-            &sim_log[..total],
-            "E10 sim↔threaded: replica {p} diverged across substrates"
-        );
-    }
+    // Threaded replica p answers to id 4 + p: one prefix check spans both
+    // substrates.
+    let threaded_commits = threaded.outputs.iter().filter_map(|o| {
+        let (slot, batch) = o.event.as_committed()?;
+        Some((ProcessId::new(4 + o.process.index()), slot, batch))
+    });
+    let found = log_violations(
+        commits(&sim_report.outputs).chain(threaded_commits),
+        8,
+        total,
+    );
+    assert!(found.is_empty(), "E10 sim↔threaded: {found:?}");
     (
         account(&pop, &sim_report.outputs, ProcessId::new(0)),
         sim_report.metrics.messages_sent,

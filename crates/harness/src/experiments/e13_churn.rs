@@ -37,12 +37,12 @@ use std::time::Duration;
 use minsync_adversary::ChurnOracle;
 use minsync_core::{ConsensusConfig, ProtocolMsg};
 use minsync_net::sim::SimBuilder;
-use minsync_smr::{ReplicaNode, SmrLimits, SmrMsg};
+use minsync_smr::{commits, ReplicaNode, SmrLimits, SmrMsg};
 use minsync_transport::cluster::{
     run_churn_cluster, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec,
 };
 use minsync_types::{ProcessId, SystemConfig};
-use minsync_workload::{ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
+use minsync_workload::{log_violations, ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 
 use super::{churn_spec, slowest};
 use crate::topology::TopologySpec;
@@ -171,31 +171,12 @@ fn sim_run(
     let mut drained = DrainCursor::new(n, total);
     let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
 
-    let logs: Vec<Vec<u64>> = (0..n)
-        .map(|p| {
-            report
-                .outputs
-                .iter()
-                .filter(|o| o.process.index() == p)
-                .filter_map(|o| o.event.as_committed())
-                .flat_map(|(_, b)| b.commands().iter().copied())
-                .collect()
-        })
-        .collect();
-    for (p, log) in logs.iter().enumerate() {
-        assert!(
-            log.len() >= total,
-            "E13 {scenario} n={n} seed={seed}: replica {p} stalled at {}/{} commands ({:?})",
-            log.len(),
-            total,
-            report.reason
-        );
-        assert_eq!(
-            &log[..total],
-            &logs[0][..total],
-            "E13 {scenario} n={n} seed={seed}: replica {p} diverged"
-        );
-    }
+    let found = log_violations(commits(&report.outputs), n, total);
+    assert!(
+        found.is_empty(),
+        "E13 {scenario} n={n} seed={seed}: {found:?} ({:?})",
+        report.reason
+    );
     (
         report.final_time.ticks(),
         report.metrics.messages_suppressed,

@@ -9,7 +9,7 @@ use minsync_adversary::SilentNode;
 use minsync_core::{AcNode, AcNodeEvent, AcTag, ProtocolMsg};
 use minsync_net::sim::SimBuilder;
 use minsync_net::{NetworkTopology, Node};
-use minsync_types::SystemConfig;
+use minsync_types::{check, ProcessId, SystemConfig};
 
 use super::{seeds, systems};
 use crate::Table;
@@ -91,23 +91,16 @@ fn run_one(cfg: SystemConfig, scenario: &str, seed: u64) -> OneRun {
     let need = correct.len();
     let report = sim.run_until(move |outs| outs.len() == need);
 
-    let outcomes: Vec<(usize, AcTag, u64)> = report
+    let outcomes: Vec<(ProcessId, bool, u64)> = report
         .outputs
         .iter()
         .map(|o| match o.event {
-            AcNodeEvent::Returned { tag, value } => (o.process.index(), tag, value),
+            AcNodeEvent::Returned { tag, value } => (o.process, tag == AcTag::Commit, value),
         })
         .collect();
-    let commits = outcomes
-        .iter()
-        .filter(|(_, tag, _)| *tag == AcTag::Commit)
-        .count();
+    let commits = outcomes.iter().filter(|(_, commit, _)| *commit).count();
     let adopts = outcomes.len() - commits;
-    // AC-Quasi-agreement: a commit on v forbids any ⟨·, v'≠v⟩.
-    let quasi_agreement = outcomes
-        .iter()
-        .filter(|(_, tag, _)| *tag == AcTag::Commit)
-        .all(|(_, _, v)| outcomes.iter().all(|(_, _, w)| w == v));
+    let quasi_agreement = check::quasi_agreement(outcomes.iter().copied()).is_empty();
     // AC-Obligation: unanimous input ⇒ everyone commits that value.
     let obligation_ok = if scenario == "unanimous" {
         commits == outcomes.len() && outcomes.iter().all(|(_, _, v)| *v == 7)

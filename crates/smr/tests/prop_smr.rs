@@ -3,8 +3,8 @@
 use minsync_core::ConsensusConfig;
 use minsync_net::sim::SimBuilder;
 use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology};
-use minsync_smr::{collect_logs, committed_count, ReplicaNode, TwoClientSource};
-use minsync_types::{ProcessId, SystemConfig};
+use minsync_smr::{commits, committed_count, ReplicaNode, TwoClientSource};
+use minsync_types::{check, ProcessId, SystemConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -31,23 +31,13 @@ proptest! {
         let mut sim = builder.build();
         let report =
             sim.run_until(move |outs| (0..4).all(|p| committed_count(outs, ProcessId::new(p)) >= slots));
-        let logs = collect_logs(&report.outputs);
-        prop_assert_eq!(logs.len(), 4, "every replica commits");
-        let reference = logs.values().next().unwrap();
-        prop_assert_eq!(reference.len() as u64, slots);
-        for log in logs.values() {
-            prop_assert_eq!(log, reference, "log divergence");
-        }
-        // Per-client sequence numbers commit in order without gaps.
-        for client in [1u64, 2] {
-            let seqs: Vec<u64> = reference
-                .values()
-                .filter(|c| TwoClientSource::client_of(**c) == client)
-                .map(|c| c % 1000)
-                .collect();
-            for (i, &s) in seqs.iter().enumerate() {
-                prop_assert_eq!(s, i as u64, "client {} out of order: {:?}", client, seqs);
-            }
-        }
+        // Every replica commits exactly `slots` slots, the logs agree, and
+        // per-client sequence numbers commit in order without gaps.
+        let mut found = check::prefix(commits(&report.outputs));
+        let counts = ProcessId::all(4).map(|p| (p, committed_count(&report.outputs, p)));
+        found.extend(check::termination(ProcessId::all(4), counts, &slots));
+        let log = commits(&report.outputs).filter(|c| c.0.index() == 0).map(|c| *c.2);
+        found.extend(check::fifo(log, |c| (TwoClientSource::client_of(c), c % 1000)));
+        prop_assert!(found.is_empty(), "{:?}", found);
     }
 }

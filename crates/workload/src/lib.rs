@@ -82,6 +82,11 @@ pub use latency::{account, committed_commands, DrainCursor, LatencyStats, Worklo
 pub use population::{ClientPopulation, GroupQueue, WorkloadError, WorkloadSpec};
 pub use source::BatchingSource;
 
+use std::collections::BTreeMap;
+
+use minsync_types::check::{self, Violation};
+use minsync_types::ProcessId;
+
 /// A batch of client commands — the value type a batching replicated log
 /// agrees on. One consensus instance decides one `Batch`, amortizing its
 /// cost over every command inside.
@@ -106,6 +111,36 @@ impl Batch {
     pub fn commands(&self) -> &[u64] {
         &self.0
     }
+}
+
+/// The replicated-log properties of a batched run, through
+/// [`minsync_types::check`]: the `(replica, slot, batch)` commits, in each
+/// replica's commit order, are [prefix-consistent](check::prefix); replicas
+/// `0..replicas` each committed exactly `total` commands
+/// ([termination](check::termination)); and each replica's commands are
+/// per-client exactly-once [FIFO](check::fifo) in [`command`]'s encoding.
+/// Commits of several substrates are checked together under distinct ids.
+pub fn log_violations<'a>(
+    commits: impl IntoIterator<Item = (ProcessId, u64, &'a Batch)>,
+    replicas: usize,
+    total: usize,
+) -> Vec<Violation> {
+    let commits: Vec<(ProcessId, u64, &Batch)> = commits.into_iter().collect();
+    let mut logs: BTreeMap<ProcessId, Vec<u64>> = BTreeMap::new();
+    for &(p, _, batch) in &commits {
+        logs.entry(p).or_default().extend(batch.commands());
+    }
+    let mut found = check::prefix(commits);
+    let lengths = logs.iter().map(|(&p, log)| (p, log.len()));
+    found.extend(check::termination(
+        ProcessId::all(replicas),
+        lengths,
+        &total,
+    ));
+    for log in logs.into_values() {
+        found.extend(check::fifo(log, command::decode));
+    }
+    found
 }
 
 /// Encoding of client commands as `u64`s: the client id in the high bits,
@@ -133,6 +168,11 @@ pub mod command {
     /// The per-client sequence number of an encoded command.
     pub fn seq_of(cmd: u64) -> u64 {
         cmd & ((1 << SEQ_BITS) - 1)
+    }
+
+    /// `(client, seq)` of an encoded command.
+    pub fn decode(cmd: u64) -> (u64, u64) {
+        (client_of(cmd), seq_of(cmd))
     }
 }
 

@@ -16,8 +16,10 @@ use minsync::adversary::SilentNode;
 use minsync::core::ConsensusConfig;
 use minsync::net::sim::SimBuilder;
 use minsync::net::{NetworkTopology, Node};
-use minsync::smr::{collect_logs, committed_count, ReplicaNode, SmrEvent, SmrMsg, TwoClientSource};
-use minsync::types::SystemConfig;
+use minsync::smr::{
+    collect_logs, commits, committed_count, ReplicaNode, SmrEvent, SmrMsg, TwoClientSource,
+};
+use minsync::types::{check, ProcessId, SystemConfig};
 
 type Msg = SmrMsg<u64>;
 type Out = SmrEvent<u64>;
@@ -42,9 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut sim = builder.build();
-    let report = sim.run_until(|outs| {
-        (0..3).all(|p| committed_count(outs, minsync::types::ProcessId::new(p)) >= SLOTS)
-    });
+    let report = sim.run_until(|outs| ProcessId::all(3).all(|p| committed_count(outs, p) >= SLOTS));
 
     let logs = collect_logs(&report.outputs);
     println!("replicated log after {SLOTS} slots (3 correct replicas + 1 silent Byzantine):");
@@ -56,10 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  replica {replica}: [{}]", entries.join(", "));
     }
 
-    let reference = logs.values().next().expect("at least one log").clone();
-    for (replica, log) in &logs {
-        assert_eq!(log, &reference, "replica {replica} diverged!");
-    }
+    let mut found = check::prefix(commits(&report.outputs));
+    let counts = ProcessId::all(3).map(|p| (p, committed_count(&report.outputs, p)));
+    found.extend(check::termination(ProcessId::all(3), counts, &SLOTS));
+    assert!(found.is_empty(), "replica logs diverged: {found:?}");
     println!(
         "all replica logs identical ✓ ({} messages total)",
         report.metrics.messages_sent
