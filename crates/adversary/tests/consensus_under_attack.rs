@@ -4,9 +4,9 @@
 
 use minsync_adversary::{mutators, oracles, FilterNode, RandomProtocolNode, SilentNode};
 use minsync_core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg};
-use minsync_net::sim::{RunReport, SimBuilder};
+use minsync_net::sim::{OutputRecord, RunReport, SimBuilder};
 use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, VirtualTime};
-use minsync_types::{BisourceSpec, ProcessId, SystemConfig};
+use minsync_types::{check, BisourceSpec, ProcessId, SystemConfig};
 
 type Msg = ProtocolMsg<u64>;
 type Out = ConsensusEvent<u64>;
@@ -16,12 +16,12 @@ fn consensus(cfg: ConsensusConfig, v: u64) -> BoxedNode {
     Box::new(ConsensusNode::new(cfg, v).unwrap())
 }
 
-fn decisions(report: &RunReport<Out>, correct: &[usize]) -> Vec<(usize, u64)> {
-    report
-        .outputs
+/// The decisions of the `correct` processes, in decision order.
+fn decisions(outputs: &[OutputRecord<Out>], correct: &[usize]) -> Vec<(ProcessId, u64)> {
+    let own = outputs
         .iter()
-        .filter(|o| correct.contains(&o.process.index()))
-        .filter_map(|o| o.event.as_decision().map(|v| (o.process.index(), *v)))
+        .filter(|o| correct.contains(&o.process.index()));
+    own.filter_map(|o| Some((o.process, *o.event.as_decision()?)))
         .collect()
 }
 
@@ -35,37 +35,31 @@ fn decision_ticks(report: &RunReport<Out>) -> Vec<(usize, u64)> {
         .collect()
 }
 
-fn run_to_decisions(
+/// Theorem 4 over the `correct` processes: each decided, on one value,
+/// one of `proposed`.
+fn assert_decided(report: &RunReport<Out>, correct: &[usize], proposed: &[u64]) {
+    let expected = correct.iter().map(|&p| ProcessId::new(p));
+    let d = decisions(&report.outputs, correct);
+    let found = check::consensus(expected, d, |v| proposed.contains(v));
+    assert!(found.is_empty(), "{found:?}");
+}
+
+/// Runs `nodes` until every `correct` process decided, then
+/// [`assert_decided`].
+fn assert_consensus(
     topo: NetworkTopology,
     nodes: Vec<BoxedNode>,
-    correct: Vec<usize>,
+    correct: &[usize],
+    proposed: &[u64],
     seed: u64,
-) -> (Vec<(usize, u64)>, RunReport<Out>) {
-    let need = correct.len();
+) {
     let mut builder = SimBuilder::new(topo).seed(seed).max_events(3_000_000);
     for n in nodes {
         builder = builder.boxed_node(n);
     }
     let mut sim = builder.build();
-    let correct_for_pred = correct.clone();
-    let report = sim.run_until(move |outs| {
-        outs.iter()
-            .filter(|o| correct_for_pred.contains(&o.process.index()))
-            .filter(|o| o.event.as_decision().is_some())
-            .count()
-            == need
-    });
-    (decisions(&report, &correct), report)
-}
-
-fn assert_agreement_validity(d: &[(usize, u64)], proposed: &[u64], n_correct: usize) {
-    assert_eq!(d.len(), n_correct, "termination violated: {d:?}");
-    let v = d[0].1;
-    assert!(d.iter().all(|&(_, x)| x == v), "agreement violated: {d:?}");
-    assert!(
-        proposed.contains(&v),
-        "validity violated: decided {v}, proposed {proposed:?}"
-    );
+    let report = sim.run_until(|outs| decisions(outs, correct).len() == correct.len());
+    assert_decided(&report, correct, proposed);
 }
 
 #[test]
@@ -79,13 +73,13 @@ fn survives_silent_byzantine() {
             consensus(cfg, 8),
             Box::new(SilentNode::<Msg, Out>::new()),
         ];
-        let (d, _) = run_to_decisions(
+        assert_consensus(
             NetworkTopology::all_timely(4, 3),
             nodes,
-            vec![0, 1, 2],
+            &[0, 1, 2],
+            &[8, 9],
             seed,
         );
-        assert_agreement_validity(&d, &[8, 9], 3);
     }
 }
 
@@ -102,13 +96,13 @@ fn survives_two_silent_in_seven() {
         Box::new(SilentNode::<Msg, Out>::new()),
         Box::new(SilentNode::<Msg, Out>::new()),
     ];
-    let (d, _) = run_to_decisions(
+    assert_consensus(
         NetworkTopology::all_timely(7, 2),
         nodes,
-        vec![0, 1, 2, 3, 4],
+        &[0, 1, 2, 3, 4],
+        &[1, 2],
         11,
     );
-    assert_agreement_validity(&d, &[1, 2], 5);
 }
 
 #[test]
@@ -128,12 +122,6 @@ fn survives_proposal_equivocator() {
             consensus(cfg, 5),
             Box::new(byz),
         ];
-        let (d, _) = run_to_decisions(
-            NetworkTopology::all_timely(4, 3),
-            nodes,
-            vec![0, 1, 2],
-            seed,
-        );
         // 100/200 must never be decided: neither can gather an RB echo
         // quorum as a single instance value... (they can actually: RB
         // echo quorum counts one value; equivocation means *at most one*
@@ -142,7 +130,13 @@ fn survives_proposal_equivocator() {
         // property only allows values CB-validated as correct-process
         // proposals — 100/200 have a single (Byzantine) proposer, so
         // cb_valid never admits them.
-        assert_agreement_validity(&d, &[5, 6], 3);
+        assert_consensus(
+            NetworkTopology::all_timely(4, 3),
+            nodes,
+            &[0, 1, 2],
+            &[5, 6],
+            seed,
+        );
     }
 }
 
@@ -162,8 +156,13 @@ fn survives_mute_coordinator() {
         consensus(cfg, 9),
         consensus(cfg, 9),
     ];
-    let (d, _) = run_to_decisions(NetworkTopology::all_timely(4, 3), nodes, vec![1, 2, 3], 2);
-    assert_agreement_validity(&d, &[7, 9], 3);
+    assert_consensus(
+        NetworkTopology::all_timely(4, 3),
+        nodes,
+        &[1, 2, 3],
+        &[7, 9],
+        2,
+    );
 }
 
 #[test]
@@ -181,13 +180,13 @@ fn survives_split_coordinator() {
             consensus(cfg, 4),
             consensus(cfg, 3),
         ];
-        let (d, _) = run_to_decisions(
+        assert_consensus(
             NetworkTopology::all_timely(4, 3),
             nodes,
-            vec![1, 2, 3],
+            &[1, 2, 3],
+            &[3, 4],
             seed,
         );
-        assert_agreement_validity(&d, &[3, 4], 3);
     }
 }
 
@@ -205,8 +204,13 @@ fn survives_rb_support_withholder() {
         consensus(cfg, 2),
         consensus(cfg, 2),
     ];
-    let (d, _) = run_to_decisions(NetworkTopology::all_timely(4, 3), nodes, vec![0, 2, 3], 4);
-    assert_agreement_validity(&d, &[1, 2], 3);
+    assert_consensus(
+        NetworkTopology::all_timely(4, 3),
+        nodes,
+        &[0, 2, 3],
+        &[1, 2],
+        4,
+    );
 }
 
 #[test]
@@ -223,13 +227,13 @@ fn safety_holds_under_fuzzer() {
             consensus(cfg, 6),
             Box::new(RandomProtocolNode::<u64, Out>::new(vec![5, 6, 77, 99], 3)),
         ];
-        let (d, _) = run_to_decisions(
+        assert_consensus(
             NetworkTopology::all_timely(4, 3),
             nodes,
-            vec![0, 1, 2],
+            &[0, 1, 2],
+            &[5, 6],
             seed,
         );
-        assert_agreement_validity(&d, &[5, 6], 3);
     }
 }
 
@@ -252,7 +256,6 @@ fn terminates_with_bisource_despite_adversarial_async_noise() {
         consensus(cfg, 1),
         Box::new(SilentNode::<Msg, Out>::new()),
     ];
-    let need = 3;
     let mut builder = SimBuilder::new(topo).seed(9).max_events(3_000_000);
     for n in nodes {
         builder = builder.boxed_node(n);
@@ -264,15 +267,8 @@ fn terminates_with_bisource_despite_adversarial_async_noise() {
             delay: 300,
         })
         .build();
-    let report = sim.run_until(move |outs| {
-        outs.iter()
-            .filter(|o| o.process.index() < 3)
-            .filter(|o| o.event.as_decision().is_some())
-            .count()
-            == need
-    });
-    let d = decisions(&report, &[0, 1, 2]);
-    assert_agreement_validity(&d, &[1, 2], 3);
+    let report = sim.run_until(|outs| decisions(outs, &[0, 1, 2]).len() == 3);
+    assert_decided(&report, &[0, 1, 2], &[1, 2]);
     // Pinned execution: the decision ticks and the message count depend on
     // every delay the oracle stretched and on every bound that clamped one.
     assert_eq!(decision_ticks(&report), [(1, 527), (0, 535), (2, 547)]);
@@ -300,14 +296,8 @@ fn isolated_victim_still_decides() {
             delay: 500,
         })
         .build();
-    let report = sim.run_until(|outs| {
-        outs.iter()
-            .filter(|o| o.event.as_decision().is_some())
-            .count()
-            == 4
-    });
-    let d = decisions(&report, &[0, 1, 2, 3]);
-    assert_agreement_validity(&d, &[1, 2], 4);
+    let report = sim.run_until(|outs| decisions(outs, &[0, 1, 2, 3]).len() == 4);
+    assert_decided(&report, &[0, 1, 2, 3], &[1, 2]);
     // Pinned execution, as above: p3 decides last, ≈ one stretch later.
     assert_eq!(
         decision_ticks(&report),
@@ -328,12 +318,12 @@ fn survives_replay_attack() {
             consensus(cfg, 5),
             Box::new(ReplayNode::<Msg, Out>::new(2)),
         ];
-        let (d, _) = run_to_decisions(
+        assert_consensus(
             NetworkTopology::all_timely(4, 3),
             nodes,
-            vec![0, 1, 2],
+            &[0, 1, 2],
+            &[5, 6],
             seed,
         );
-        assert_agreement_validity(&d, &[5, 6], 3);
     }
 }

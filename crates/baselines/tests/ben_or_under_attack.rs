@@ -5,13 +5,15 @@
 
 use minsync_adversary::{FilterNode, SilentNode};
 use minsync_baselines::{BenOrEvent, BenOrMsg, BenOrNode};
-use minsync_net::sim::SimBuilder;
+use minsync_net::sim::{OutputRecord, SimBuilder};
 use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, Node};
-use minsync_types::{ProcessId, SystemConfig};
+use minsync_types::{check, ProcessId, SystemConfig};
 
 type BoxedNode = Box<dyn Node<Msg = BenOrMsg, Output = BenOrEvent>>;
 
-fn run(nodes: Vec<BoxedNode>, correct: Vec<usize>, seed: u64) -> Vec<(usize, u8)> {
+/// Runs `nodes` until the `correct` processes decided, and asserts
+/// Theorem 4 over them: each decided, on one value, one of `proposed`.
+fn run(nodes: Vec<BoxedNode>, correct: Vec<usize>, proposed: &[u8], seed: u64) {
     let n = nodes.len();
     let topo = NetworkTopology::uniform(
         n,
@@ -21,25 +23,21 @@ fn run(nodes: Vec<BoxedNode>, correct: Vec<usize>, seed: u64) -> Vec<(usize, u8)
     for node in nodes {
         builder = builder.boxed_node(node);
     }
-    let mut sim = builder.build();
-    let need = correct.len();
-    let correct_pred = correct.clone();
-    let report = sim.run_until(move |outs| {
-        outs.iter()
-            .filter(|o| correct_pred.contains(&o.process.index()))
-            .filter(|o| matches!(o.event, BenOrEvent::Decided { .. }))
-            .count()
-            == need
-    });
-    report
-        .outputs
-        .iter()
-        .filter(|o| correct.contains(&o.process.index()))
-        .filter_map(|o| match o.event {
-            BenOrEvent::Decided { value, .. } => Some((o.process.index(), value)),
+    let decided = |outs: &[OutputRecord<BenOrEvent>]| -> Vec<(ProcessId, u8)> {
+        let own = outs.iter().filter(|o| correct.contains(&o.process.index()));
+        own.filter_map(|o| match o.event {
+            BenOrEvent::Decided { value, .. } => Some((o.process, value)),
             _ => None,
         })
         .collect()
+    };
+    let report = builder
+        .build()
+        .run_until(|outs| decided(outs).len() == correct.len());
+    let d = decided(&report.outputs);
+    let expected = correct.iter().map(|&p| ProcessId::new(p));
+    let found = check::consensus(expected, d, |v| proposed.contains(v));
+    assert!(found.is_empty(), "seed {seed}: {found:?}");
 }
 
 #[test]
@@ -52,9 +50,7 @@ fn tolerates_silent_fault() {
             Box::new(BenOrNode::new(cfg, 0, 100_000)),
             Box::new(SilentNode::<BenOrMsg, BenOrEvent>::new()),
         ];
-        let d = run(nodes, vec![0, 1, 2], seed);
-        assert_eq!(d.len(), 3, "seed {seed}");
-        assert!(d.windows(2).all(|w| w[0].1 == w[1].1), "seed {seed}: {d:?}");
+        run(nodes, vec![0, 1, 2], &[0, 1], seed);
     }
 }
 
@@ -81,12 +77,7 @@ fn equivocating_reporter_tolerated_at_n7_t1() {
             .map(|i| Box::new(BenOrNode::new(cfg, (i % 2) as u8, 100_000)) as BoxedNode)
             .collect();
         nodes.push(Box::new(byz));
-        let d = run(nodes, (0..6).collect(), seed);
-        assert_eq!(d.len(), 6, "seed {seed}");
-        assert!(
-            d.windows(2).all(|w| w[0].1 == w[1].1),
-            "seed {seed}: agreement violated: {d:?}"
-        );
+        run(nodes, (0..6).collect(), &[0, 1], seed);
     }
 }
 
@@ -109,7 +100,5 @@ fn unanimous_validity_holds_under_equivocator() {
         .map(|_| Box::new(BenOrNode::new(cfg, 1, 100_000)) as BoxedNode)
         .collect();
     nodes.push(Box::new(byz));
-    let d = run(nodes, (0..6).collect(), 7);
-    assert_eq!(d.len(), 6);
-    assert!(d.iter().all(|&(_, v)| v == 1), "validity violated: {d:?}");
+    run(nodes, (0..6).collect(), &[1], 7);
 }

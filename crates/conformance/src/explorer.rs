@@ -404,7 +404,7 @@ pub fn run_protocol(
 
     // Per stack: the safety violations, the correct processes that
     // finished, and whether the run can prove a deadlock.
-    let (mut found, finished, conclusive) = match protocol {
+    let (mut found, finished, conclusive): (_, Vec<ProcessId>, _) = match protocol {
         Protocol::Consensus => {
             let report = simulate(n, schedule, max_events, |i| {
                 ConsensusNode::new(cfg, proposal_for(i)).expect("paper config is valid")
@@ -441,7 +441,7 @@ pub fn run_protocol(
                 EaNode::new(system, rounds.clone(), me, timeout, proposal_for(i), 2)
             })
             .run();
-            let returned = outcomes(&report.outputs, correct, |e| {
+            let mut returned = outcomes(&report.outputs, correct, |e| {
                 let EaNodeEvent::Returned { round, value, .. } = e;
                 Some((*round, *value))
             });
@@ -449,11 +449,8 @@ pub fn run_protocol(
             let found = check::validity(values, proposed);
             // EA promises no agreement; a process terminates by returning
             // from round 1.
-            let first: Vec<_> = returned
-                .into_iter()
-                .filter(|(_, (round, _))| *round == Round::FIRST)
-                .collect();
-            (found, processes(&first), quiescent(&report))
+            returned.retain(|(_, (round, _))| *round == Round::FIRST);
+            (found, processes(&returned), quiescent(&report))
         }
         Protocol::Bot => {
             let report = simulate(n, schedule, max_events, |i| {
@@ -479,17 +476,14 @@ pub fn run_protocol(
                 committed.count() >= n
             });
             let log: Vec<_> = commits(&report.outputs).filter(|c| correct(&c.0)).collect();
-            let finished: Vec<ProcessId> = log.iter().map(|c| c.0).collect();
+            let finished = log.iter().map(|c| c.0).collect();
             (check::prefix(log), finished, quiescent(&report))
         }
     };
     if check_termination && conclusive {
         let expected = ProcessId::all(n).filter(correct);
-        found.extend(check::termination(
-            expected,
-            finished.into_iter().map(|p| (p, ())),
-            &(),
-        ));
+        let finished = finished.into_iter().map(|p| (p, ()));
+        found.extend(check::termination(expected, finished, &()));
     }
     found.into_iter().next().map_or(Ok(()), Err)
 }

@@ -136,11 +136,8 @@ fn run_consensus(
     schedule: &Schedule,
     max_events: u64,
 ) -> Result<(), Violation> {
-    let decisions = run(mutation, VectorOracle::new(schedule), max_events);
-    check::agreement(decisions)
-        .into_iter()
-        .next()
-        .map_or(Ok(()), Err)
+    let found = check::agreement(run(mutation, VectorOracle::new(schedule), max_events));
+    found.into_iter().next().map_or(Ok(()), Err)
 }
 
 /// Records the semantic adversary's decisions as a plain schedule by

@@ -334,11 +334,13 @@ mod tests {
     use crate::consensus::ConsensusConfig;
     use minsync_net::sim::SimBuilder;
     use minsync_net::{NetworkTopology, Node};
-    use minsync_types::SystemConfig;
+    use minsync_types::{check, SystemConfig};
 
     type Msg = BotMsg<u64>;
     type Out = BotEvent<u64>;
 
+    /// The decisions (`None` is ⊥), after asserting Theorem 4 with ⊥ or a
+    /// proposal valid.
     fn run(proposals: &[u64], seed: u64) -> Vec<Option<u64>> {
         let n = proposals.len();
         let t = (n - 1) / 3;
@@ -353,32 +355,29 @@ mod tests {
         }
         let mut sim = builder.build();
         let report = sim.run_until(|outs| outs.len() == n);
-        report
+        let d: Vec<(ProcessId, Option<u64>)> = report
             .outputs
             .iter()
             .map(|o| match &o.event {
-                BotEvent::Decided { value } => Some(*value),
-                BotEvent::DecidedBottom => None,
+                BotEvent::Decided { value } => (o.process, Some(*value)),
+                BotEvent::DecidedBottom => (o.process, None),
             })
-            .collect()
+            .collect();
+        let valid = |v: &Option<u64>| v.map_or(true, |v| proposals.contains(&v));
+        let found = check::consensus(ProcessId::all(n), d.iter().copied(), valid);
+        assert!(found.is_empty(), "seed {seed}: {found:?}");
+        d.into_iter().map(|(_, v)| v).collect()
     }
 
     #[test]
     fn unanimous_decides_value() {
-        let d = run(&[5, 5, 5, 5], 1);
-        assert_eq!(d.len(), 4);
-        assert!(d.iter().all(|v| *v == Some(5)), "{d:?}");
+        assert_eq!(run(&[5, 5, 5, 5], 1), [Some(5); 4]);
     }
 
     #[test]
     fn all_distinct_agrees_bottom_or_proposed() {
         for seed in 0..4 {
-            let d = run(&[1, 2, 3, 4], seed);
-            assert_eq!(d.len(), 4, "seed {seed}");
-            assert!(d.windows(2).all(|w| w[0] == w[1]), "seed {seed}: {d:?}");
-            if let Some(v) = d[0] {
-                assert!((1..=4).contains(&v));
-            }
+            run(&[1, 2, 3, 4], seed);
         }
     }
 
@@ -388,7 +387,6 @@ mod tests {
         // 7 (one proposer) can never certify. Decision ∈ {9, ⊥}.
         for seed in 0..4 {
             let d = run(&[9, 9, 9, 7], seed);
-            assert!(d.windows(2).all(|w| w[0] == w[1]), "seed {seed}");
             assert_ne!(d[0], Some(7), "seed {seed}: minority value certified?!");
         }
     }

@@ -114,7 +114,7 @@ enum Phase {
 /// ```rust
 /// use minsync_core::{ConsensusNode, ConsensusConfig, ConsensusEvent};
 /// use minsync_net::{sim::SimBuilder, NetworkTopology};
-/// use minsync_types::SystemConfig;
+/// use minsync_types::{check, ProcessId, SystemConfig};
 ///
 /// # fn main() -> Result<(), minsync_types::ConfigError> {
 /// let system = SystemConfig::new(4, 1)?;
@@ -128,13 +128,10 @@ enum Phase {
 /// let report = sim.run_until(|outs| {
 ///     outs.iter().filter(|o| matches!(o.event, ConsensusEvent::Decided { .. })).count() == 4
 /// });
-/// let decisions: Vec<u64> = report
-///     .outputs
-///     .iter()
-///     .filter_map(|o| o.event.as_decision().copied())
-///     .collect();
-/// assert_eq!(decisions.len(), 4);
-/// assert!(decisions.windows(2).all(|w| w[0] == w[1]), "agreement");
+/// let decided = report.outputs.iter().map(|o| (o.process, o.event.as_decision()));
+/// let decisions = decided.filter_map(|(p, v)| Some((p, *v?)));
+/// let found = check::consensus(ProcessId::all(4), decisions, |v| [10, 20].contains(v));
+/// assert!(found.is_empty(), "{found:?}");
 /// # Ok(())
 /// # }
 /// ```
@@ -474,64 +471,47 @@ impl<V: Value> Node for ConsensusNode<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minsync_net::sim::{SimBuilder, Simulation};
+    use minsync_net::sim::{OutputRecord, RunReport, SimBuilder};
     use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology};
+    use minsync_types::check;
 
-    fn build_sim(
-        n: usize,
-        t: usize,
+    fn decisions(outputs: &[OutputRecord<ConsensusEvent<u64>>]) -> Vec<(ProcessId, u64)> {
+        let decided = outputs.iter().map(|o| (o.process, o.event.as_decision()));
+        decided.filter_map(|(p, v)| Some((p, *v?))).collect()
+    }
+
+    /// Runs one process per proposal (t = ⌊(n − 1)/3⌋) until all decided,
+    /// and asserts Theorem 4 over all of them.
+    fn decide(
         proposals: &[u64],
         topo: NetworkTopology,
         seed: u64,
-    ) -> Simulation<ProtocolMsg<u64>, ConsensusEvent<u64>> {
-        let system = SystemConfig::new(n, t).unwrap();
-        let cfg = ConsensusConfig::paper(system);
+    ) -> RunReport<ConsensusEvent<u64>> {
+        let n = proposals.len();
+        let cfg = ConsensusConfig::paper(SystemConfig::new(n, (n - 1) / 3).unwrap());
         let mut builder = SimBuilder::new(topo).seed(seed).max_events(5_000_000);
         for &p in proposals {
             builder = builder.node(ConsensusNode::new(cfg, p).unwrap());
         }
-        builder.build()
-    }
-
-    fn decisions(report: &minsync_net::sim::RunReport<ConsensusEvent<u64>>) -> Vec<(usize, u64)> {
+        let report = builder.build().run_until(|outs| decisions(outs).len() == n);
+        let d = decisions(&report.outputs);
+        let found = check::consensus(ProcessId::all(n), d, |v| proposals.contains(v));
+        assert!(
+            found.is_empty(),
+            "seed {seed}: {found:?} ({:?})",
+            report.reason
+        );
         report
-            .outputs
-            .iter()
-            .filter_map(|o| o.event.as_decision().map(|v| (o.process.index(), *v)))
-            .collect()
     }
 
     #[test]
     fn all_correct_same_proposal_decides_it() {
-        let mut sim = build_sim(4, 1, &[9, 9, 9, 9], NetworkTopology::all_timely(4, 3), 1);
-        let report = sim.run_until(|outs| {
-            outs.iter()
-                .filter(|o| o.event.as_decision().is_some())
-                .count()
-                == 4
-        });
-        let d = decisions(&report);
-        assert_eq!(d.len(), 4, "stop reason {:?}", report.reason);
-        assert!(
-            d.iter().all(|&(_, v)| v == 9),
-            "validity: only 9 was proposed"
-        );
+        decide(&[9, 9, 9, 9], NetworkTopology::all_timely(4, 3), 1);
     }
 
     #[test]
     fn split_proposals_agree_on_a_proposed_value() {
-        let mut sim = build_sim(4, 1, &[1, 2, 1, 2], NetworkTopology::all_timely(4, 3), 7);
-        let report = sim.run_until(|outs| {
-            outs.iter()
-                .filter(|o| o.event.as_decision().is_some())
-                .count()
-                == 4
-        });
-        let d = decisions(&report);
-        assert_eq!(d.len(), 4);
-        let v = d[0].1;
-        assert!(d.iter().all(|&(_, x)| x == v), "agreement violated: {d:?}");
-        assert!(v == 1 || v == 2, "decided value must be proposed: {v}");
+        decide(&[1, 2, 1, 2], NetworkTopology::all_timely(4, 3), 7);
     }
 
     #[test]
@@ -541,53 +521,18 @@ mod tests {
             ChannelTiming::asynchronous(DelayLaw::Uniform { min: 1, max: 25 }),
         );
         for seed in 0..5 {
-            let mut sim = build_sim(4, 1, &[3, 3, 5, 5], topo.clone(), seed);
-            let report = sim.run_until(|outs| {
-                outs.iter()
-                    .filter(|o| o.event.as_decision().is_some())
-                    .count()
-                    == 4
-            });
-            let d = decisions(&report);
-            assert_eq!(
-                d.len(),
-                4,
-                "seed {seed}: no termination ({:?})",
-                report.reason
-            );
-            assert!(d.windows(2).all(|w| w[0].1 == w[1].1), "seed {seed}: {d:?}");
+            decide(&[3, 3, 5, 5], topo.clone(), seed);
         }
     }
 
     #[test]
     fn seven_processes_two_fault_slots_all_correct() {
-        let mut sim = build_sim(
-            7,
-            2,
-            &[1, 1, 1, 2, 2, 2, 1],
-            NetworkTopology::all_timely(7, 2),
-            3,
-        );
-        let report = sim.run_until(|outs| {
-            outs.iter()
-                .filter(|o| o.event.as_decision().is_some())
-                .count()
-                == 7
-        });
-        let d = decisions(&report);
-        assert_eq!(d.len(), 7);
-        assert!(d.windows(2).all(|w| w[0].1 == w[1].1));
+        decide(&[1, 1, 1, 2, 2, 2, 1], NetworkTopology::all_timely(7, 2), 3);
     }
 
     #[test]
     fn round_telemetry_is_emitted() {
-        let mut sim = build_sim(4, 1, &[4, 4, 4, 4], NetworkTopology::all_timely(4, 3), 1);
-        let report = sim.run_until(|outs| {
-            outs.iter()
-                .filter(|o| o.event.as_decision().is_some())
-                .count()
-                == 4
-        });
+        let report = decide(&[4, 4, 4, 4], NetworkTopology::all_timely(4, 3), 1);
         assert!(report
             .outputs
             .iter()
@@ -625,7 +570,7 @@ mod tests {
         }
         let mut sim = builder.build();
         let report = sim.run();
-        assert!(decisions(&report).is_empty());
+        assert!(decisions(&report.outputs).is_empty());
         assert!(!report
             .outputs
             .iter()

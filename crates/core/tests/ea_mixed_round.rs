@@ -101,8 +101,9 @@ fn mixed_round_does_not_break_consensus_safety() {
     // End-to-end: engineered proposals that maximize fast/slow mixing must
     // still satisfy agreement + validity (the AC layer's job).
     use minsync_core::{ConsensusConfig, ConsensusEvent, ConsensusNode};
-    use minsync_net::sim::SimBuilder;
+    use minsync_net::sim::{OutputRecord, SimBuilder};
     use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology};
+    use minsync_types::check;
 
     let system = SystemConfig::new(4, 1).unwrap();
     let cfg = ConsensusConfig::paper(system);
@@ -116,23 +117,14 @@ fn mixed_round_does_not_break_consensus_safety() {
             builder = builder.node(ConsensusNode::new(cfg, v).unwrap());
         }
         let mut sim = builder.build();
-        let report = sim.run_until(|outs| {
+        let decided = |outs: &[OutputRecord<ConsensusEvent<u64>>]| -> Vec<(ProcessId, u64)> {
             outs.iter()
-                .filter(|o| o.event.as_decision().is_some())
-                .count()
-                == 4
-        });
-        let decisions: Vec<u64> = report
-            .outputs
-            .iter()
-            .filter_map(|o| o.event.as_decision().copied())
-            .collect();
-        assert_eq!(decisions.len(), 4, "seed {seed}");
-        assert!(
-            decisions.windows(2).all(|w| w[0] == w[1]),
-            "seed {seed}: {decisions:?}"
-        );
-        assert!(decisions[0] == 0 || decisions[0] == 9);
-        let _ = ConsensusEvent::Decided { value: 0u64 };
+                .filter_map(|o| Some((o.process, *o.event.as_decision()?)))
+                .collect()
+        };
+        let report = sim.run_until(|outs| decided(outs).len() == 4);
+        let decisions = decided(&report.outputs);
+        let found = check::consensus(ProcessId::all(4), decisions, |v| [0, 9].contains(v));
+        assert!(found.is_empty(), "seed {seed}: {found:?}");
     }
 }

@@ -122,14 +122,9 @@ impl FaultPlan {
         };
         // A top-slot marker `usize::MAX − i` names slot `n − 1 − i`; past
         // slot 0 it stays out of range, for `validate` to reject.
+        let top = |s: usize| n.checked_sub(1 + (usize::MAX - s)).unwrap_or(s);
         raw.iter()
-            .map(|&s| {
-                if s > n {
-                    n.checked_sub(1 + (usize::MAX - s)).unwrap_or(s)
-                } else {
-                    s
-                }
-            })
+            .map(|&s| if s > n { top(s) } else { s })
             .collect()
     }
 

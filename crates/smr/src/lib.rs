@@ -71,8 +71,8 @@
 //!
 //! ```rust
 //! use minsync_net::{sim::SimBuilder, NetworkTopology};
-//! use minsync_smr::{collect_logs, committed_count, ReplicaNode, TwoClientSource};
-//! use minsync_types::{ProcessId, SystemConfig};
+//! use minsync_smr::{commits, committed_count, ReplicaNode, TwoClientSource};
+//! use minsync_types::{check, ProcessId, SystemConfig};
 //! use minsync_core::ConsensusConfig;
 //!
 //! # fn main() -> Result<(), minsync_types::ConfigError> {
@@ -86,9 +86,7 @@
 //! let report = sim.run_until(|outs| {
 //!     (0..4).all(|p| committed_count(outs, ProcessId::new(p)) >= 4)
 //! });
-//! let logs = collect_logs(&report.outputs);
-//! let reference = logs.values().next().unwrap().clone();
-//! assert!(logs.values().all(|l| *l == reference), "replicated logs agree");
+//! assert!(check::prefix(commits(&report.outputs)).is_empty(), "replicated logs agree");
 //! # Ok(())
 //! # }
 //! ```
@@ -1236,33 +1234,14 @@ pub fn committed_count<V: Value>(outputs: &[OutputRecord<SmrEvent<V>>], p: Proce
 
 /// Every [`SmrEvent::Committed`] in `outputs` as `(process, slot, value)`,
 /// in output order: the commit stream [`minsync_types::check::prefix`]
-/// takes.
+/// takes ([`SmrEvent::Retired`] markers are skipped — retirement drops
+/// *replica* state, not the observed history).
 pub fn commits<V: Value>(
     outputs: &[OutputRecord<SmrEvent<V>>],
 ) -> impl Iterator<Item = (ProcessId, u64, &V)> {
     outputs
         .iter()
         .filter_map(|o| o.event.as_committed().map(|(slot, v)| (o.process, slot, v)))
-}
-
-/// Reconstructs each replica's committed log from simulation outputs
-/// ([`SmrEvent::Retired`] markers are skipped — retirement drops *replica*
-/// state, not the observed history).
-///
-/// Under a batching source each log entry is a whole batch; flatten with
-/// the batch type's accessors to recover the client-command sequence.
-pub fn collect_logs<V: Value>(
-    outputs: &[OutputRecord<SmrEvent<V>>],
-) -> BTreeMap<usize, BTreeMap<u64, V>> {
-    let mut logs: BTreeMap<usize, BTreeMap<u64, V>> = BTreeMap::new();
-    for rec in outputs {
-        if let SmrEvent::Committed { slot, command } = &rec.event {
-            logs.entry(rec.process.index())
-                .or_default()
-                .insert(*slot, command.clone());
-        }
-    }
-    logs
 }
 
 #[cfg(test)]

@@ -2,16 +2,17 @@
 //! under asynchrony and Byzantine faults, pipelined slots, log GC, and the
 //! bounded future-slot buffer under a flooding adversary.
 
+use std::ops::Range;
+
 use minsync_adversary::{FilterNode, FloodNode, SilentNode};
 use minsync_core::ConsensusConfig;
-use minsync_net::sim::{ScheduleCommand, SimBuilder};
+use minsync_net::sim::{OutputRecord, ScheduleCommand, SimBuilder};
 use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, Node, VirtualTime};
 use minsync_smr::{
-    collect_logs, committed_count, Digest, ReplicaNode, SmrEvent, SmrLimits, SmrMsg,
-    TwoClientSource,
+    commits, committed_count, Digest, ReplicaNode, SmrEvent, SmrLimits, SmrMsg, TwoClientSource,
 };
 use minsync_telemetry::Registry;
-use minsync_types::{ProcessId, SystemConfig};
+use minsync_types::{check, ProcessId, SystemConfig};
 
 type Msg = SmrMsg<u64>;
 type Out = SmrEvent<u64>;
@@ -23,7 +24,7 @@ fn run_replicas(
     silent: usize,
     topo: NetworkTopology,
     seed: u64,
-) -> std::collections::BTreeMap<usize, std::collections::BTreeMap<u64, u64>> {
+) -> Vec<OutputRecord<Out>> {
     let system = SystemConfig::new(n, t).unwrap();
     let cfg = ConsensusConfig::paper(system);
     let mut builder = SimBuilder::new(topo).seed(seed).max_events(20_000_000);
@@ -45,30 +46,31 @@ fn run_replicas(
     let report = sim.run_until(move |outs| {
         (0..correct).all(|p| committed_count(outs, minsync_types::ProcessId::new(p)) >= slots)
     });
-    collect_logs(&report.outputs)
+    report.outputs
 }
 
-fn assert_logs_identical(
-    logs: &std::collections::BTreeMap<usize, std::collections::BTreeMap<u64, u64>>,
-    expected_replicas: usize,
-    slots: u64,
-) {
-    assert_eq!(
-        logs.len(),
-        expected_replicas,
-        "every correct replica commits"
-    );
-    let reference = logs.values().next().unwrap();
-    assert_eq!(reference.len() as u64, slots);
-    for (replica, log) in logs {
-        assert_eq!(log, reference, "replica {replica} diverged");
-    }
+/// Replicas `replicas`, and no other process, each committed exactly
+/// `slots` slots, and the logs are prefix-consistent.
+fn assert_logs_identical(outputs: &[OutputRecord<Out>], replicas: Range<usize>, slots: u64) {
+    let ids = || replicas.clone().map(ProcessId::new);
+    let mut found = check::prefix(commits(outputs));
+    let counts = ids().map(|p| (p, committed_count(outputs, p)));
+    found.extend(check::termination(ids(), counts, &slots));
+    assert!(found.is_empty(), "{found:?}");
+    let others = commits(outputs).filter(|c| !replicas.contains(&c.0.index()));
+    assert_eq!(others.count(), 0, "only replicas {replicas:?} commit");
+}
+
+/// Replica `p`'s committed commands, in commit order.
+fn log_of(outputs: &[OutputRecord<Out>], p: usize) -> Vec<u64> {
+    let own = commits(outputs).filter(|c| c.0.index() == p);
+    own.map(|c| *c.2).collect()
 }
 
 #[test]
 fn four_replicas_six_slots_synchronous() {
     let logs = run_replicas(4, 1, 6, 0, NetworkTopology::all_timely(4, 3), 1);
-    assert_logs_identical(&logs, 4, 6);
+    assert_logs_identical(&logs, 0..4, 6);
 }
 
 #[test]
@@ -79,47 +81,36 @@ fn logs_agree_under_asynchrony() {
     );
     for seed in 0..3 {
         let logs = run_replicas(4, 1, 5, 0, topo.clone(), seed);
-        assert_logs_identical(&logs, 4, 5);
+        assert_logs_identical(&logs, 0..4, 5);
     }
 }
 
 #[test]
 fn tolerates_silent_replica() {
     let logs = run_replicas(4, 1, 5, 1, NetworkTopology::all_timely(4, 3), 3);
-    assert_logs_identical(&logs, 3, 5);
+    assert_logs_identical(&logs, 0..3, 5);
 }
 
 #[test]
 fn seven_replicas_two_silent() {
     let logs = run_replicas(7, 2, 4, 2, NetworkTopology::all_timely(7, 2), 5);
-    assert_logs_identical(&logs, 5, 4);
+    assert_logs_identical(&logs, 0..5, 4);
 }
 
 #[test]
 fn every_committed_command_is_well_formed() {
     let logs = run_replicas(4, 1, 6, 0, NetworkTopology::all_timely(4, 3), 9);
-    for log in logs.values() {
-        for &cmd in log.values() {
-            let client = TwoClientSource::client_of(cmd);
-            assert!(
-                client == 1 || client == 2,
-                "command {cmd} from unknown client"
-            );
-        }
-        // Per-client sequence numbers are committed in order without gaps.
-        for client in [1u64, 2] {
-            let seqs: Vec<u64> = log
-                .values()
-                .filter(|c| TwoClientSource::client_of(**c) == client)
-                .map(|c| c % 1000)
-                .collect();
-            for (i, &s) in seqs.iter().enumerate() {
-                assert_eq!(
-                    s, i as u64,
-                    "client {client} commands out of order: {seqs:?}"
-                );
-            }
-        }
+    // Only the two clients' commands, each client's in order without gaps.
+    for p in 0..4 {
+        let log = log_of(&logs, p);
+        let found = check::fifo(log.iter().copied(), |c| {
+            (TwoClientSource::client_of(c), c % 1000)
+        });
+        assert!(found.is_empty(), "{found:?}");
+        let clients = check::validity(log.iter().map(|&c| (ProcessId::new(p), c)), |&c| {
+            matches!(TwoClientSource::client_of(c), 1 | 2)
+        });
+        assert!(clients.is_empty(), "{clients:?}");
     }
 }
 
@@ -259,17 +250,16 @@ fn flooding_adversary_cannot_break_liveness_or_memory() {
         drops.iter().all(|&d| d > 2_000),
         "every replica refused most of the flood: {drops:?}"
     );
-    // Liveness: every correct replica committed the checked prefix, and
-    // the prefixes are identical.
-    let logs = collect_logs(&report.outputs);
-    assert_eq!(logs.len(), n - 1, "every correct replica commits");
-    let reference: Vec<u64> = (1..=CHECK).map(|s| logs[&0][&s]).collect();
-    for (replica, log) in &logs {
-        let prefix: Vec<u64> = (1..=CHECK).map(|s| log[&s]).collect();
-        assert_eq!(prefix, reference, "replica {replica} diverged");
-        // No flooded command ever entered a log.
-        assert!(log.values().all(|&c| c != 0xDEAD));
-    }
+    // Liveness: every correct replica committed the checked prefix; the
+    // logs are prefix-consistent, and no flooded command entered one.
+    let outputs = &report.outputs;
+    let correct = || ProcessId::all(n - 1);
+    let reached = correct().filter(|&p| committed_count(outputs, p) >= CHECK);
+    let mut found = check::prefix(commits(outputs));
+    found.extend(check::termination(correct(), reached.map(|p| (p, ())), &()));
+    let values = commits(outputs).map(|(p, _, &c)| (p, c));
+    found.extend(check::validity(values, |&c| c != 0xDEAD));
+    assert!(found.is_empty(), "{found:?}");
     // With the fourth replica silent instead, nothing is dropped: honest
     // traffic never comes near either bound.
     let (_, quiet) = run(Box::new(SilentNode::<Msg, Out>::new()));
@@ -314,11 +304,9 @@ fn losing_proposers_commit_the_winners_payload() {
         let mut sim = builder.build();
         let report =
             sim.run_until(|outs| (0..4).all(|p| committed_count(outs, ProcessId::new(p)) >= SLOTS));
-        let logs = collect_logs(&report.outputs);
-        assert_logs_identical(&logs, 4, SLOTS);
-        let log: Vec<u64> = logs[&0].values().copied().collect();
+        assert_logs_identical(&report.outputs, 0..4, SLOTS);
         (
-            log,
+            log_of(&report.outputs, 0),
             counters(&registries, "smr.payload_waits"),
             counters(&registries, "smr.payload_mismatch"),
         )
@@ -387,10 +375,9 @@ fn a_digest_without_a_payload_is_never_decided() {
     let mut sim = builder.build();
     let report =
         sim.run_until(|outs| (0..3).all(|p| committed_count(outs, ProcessId::new(p)) >= SLOTS));
-    let logs = collect_logs(&report.outputs);
-    assert_logs_identical(&logs, 3, SLOTS);
+    assert_logs_identical(&report.outputs, 0..3, SLOTS);
     let expected: Vec<u64> = (1..=SLOTS).map(|slot| 100 + slot).collect();
-    assert_eq!(logs[&0].values().copied().collect::<Vec<_>>(), expected);
+    assert_eq!(log_of(&report.outputs, 0), expected);
     assert_eq!(counters(&registries, "smr.payload_waits"), [0; 3]);
 }
 
@@ -440,11 +427,10 @@ fn ckpt_retry_replays_a_lost_payload() {
         report.metrics.messages_suppressed >= 3 * SLOTS,
         "the oracle dropped the lone proposer's first payload copies"
     );
-    let logs = collect_logs(&report.outputs);
-    assert_logs_identical(&logs, 3, SLOTS);
+    assert_logs_identical(&report.outputs, 1..4, SLOTS);
     let expected: Vec<u64> = (1..=SLOTS).map(lone).collect();
     assert_eq!(
-        logs[&2].values().copied().collect::<Vec<_>>(),
+        log_of(&report.outputs, 2),
         expected,
         "the lone proposer's value must win, or the run proves nothing about the replay"
     );

@@ -300,16 +300,6 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// True iff every correct replica reported the same committed-log
-    /// digest — the distributed-agreement check.
-    pub fn digests_agree(&self) -> bool {
-        let digests = self
-            .replicas
-            .iter()
-            .map(|r| (ProcessId::new(r.id), r.digest));
-        check::agreement(digests).is_empty()
-    }
-
     /// Every way this run falls short of "the cluster agreed and drained",
     /// through [`minsync_types::check`]: [`check::agreement`] over the
     /// `(id, digest)` pairs, one entry listing them all (digests in hex) if
@@ -1471,13 +1461,7 @@ mod tests {
             total_commands: 100,
             elapsed: Duration::from_secs(1),
         };
-        assert!(report.digests_agree());
         assert_eq!(report.cmds_per_sec(), 200.0);
-        let split = ClusterReport {
-            replicas: vec![stats(0, 7, 100, 500), stats(1, 8, 100, 500)],
-            ..report
-        };
-        assert!(!split.digests_agree());
     }
 
     #[test]

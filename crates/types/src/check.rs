@@ -10,6 +10,7 @@
 //! | CONS-Agreement | Thm 4 | [`agreement`] |
 //! | CONS-Validity | Thm 4 | [`validity`] |
 //! | CONS-Termination | Thm 4 | [`termination`] |
+//! | all three | Thm 4 | [`consensus`] |
 //! | AC quasi-agreement | Fig. 2 | [`quasi_agreement`] |
 //! | prefix-consistent logs | SMR | [`prefix`] |
 //! | per-client exactly-once FIFO | SMR | [`fifo`] |
@@ -97,8 +98,8 @@ pub fn validity<V: Debug>(
 }
 
 /// Termination: every `expected` process has an outcome equal to `target`
-/// (`&()` over `(p, ())` pairs means "produced any outcome"). One violation
-/// per process that has none, naming its last outcome.
+/// (`(p, ())` pairs and `&()` for "decided"; for a log, the exact count).
+/// One violation per process that has none, naming its last outcome.
 pub fn termination<V: PartialEq + Debug>(
     expected: impl IntoIterator<Item = ProcessId>,
     outcomes: impl IntoIterator<Item = (ProcessId, V)>,
@@ -117,6 +118,21 @@ pub fn termination<V: PartialEq + Debug>(
         };
         found.push(violation(ViolationKind::Termination, detail));
     }
+    found
+}
+
+/// Theorem 4 in one call: every `expected` process decided
+/// ([`termination`]), on one value ([`agreement`]) that satisfies `valid`
+/// ([`validity`]).
+pub fn consensus<V: PartialEq + Debug>(
+    expected: impl IntoIterator<Item = ProcessId>,
+    decisions: impl IntoIterator<Item = (ProcessId, V)>,
+    valid: impl Fn(&V) -> bool,
+) -> Vec<Violation> {
+    let decisions: Vec<(ProcessId, V)> = decisions.into_iter().collect();
+    let mut found = termination(expected, decisions.iter().map(|(p, _)| (*p, ())), &());
+    found.extend(agreement(decisions.iter().map(|(p, v)| (*p, v))));
+    found.extend(validity(decisions, valid));
     found
 }
 
@@ -243,6 +259,14 @@ mod tests {
         let found = termination(all(), [(p(0), 100), (p(1), 96), (p(2), 100)], &100);
         assert_eq!(kinds(&found), [Termination]);
         assert_eq!(found[0].detail, "p1 reached 96, not 100");
+    }
+
+    #[test]
+    fn consensus_is_termination_agreement_and_validity() {
+        let proposed = |v: &u64| [3, 8].contains(v);
+        assert!(consensus((0..2).map(p), [(p(1), 8), (p(0), 8)], proposed).is_empty());
+        let found = consensus((0..3).map(p), [(p(0), 3), (p(1), 9)], proposed);
+        assert_eq!(kinds(&found), [Termination, Agreement, Validity]);
     }
 
     #[test]

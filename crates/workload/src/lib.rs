@@ -132,13 +132,11 @@ pub fn log_violations<'a>(
     }
     let mut found = check::prefix(commits);
     let lengths = logs.iter().map(|(&p, log)| (p, log.len()));
-    found.extend(check::termination(
-        ProcessId::all(replicas),
-        lengths,
-        &total,
-    ));
+    let short = check::termination(ProcessId::all(replicas), lengths, &total);
+    found.extend(short);
+    let decode = |cmd| (command::client_of(cmd), command::seq_of(cmd));
     for log in logs.into_values() {
-        found.extend(check::fifo(log, command::decode));
+        found.extend(check::fifo(log, decode));
     }
     found
 }
@@ -168,11 +166,6 @@ pub mod command {
     /// The per-client sequence number of an encoded command.
     pub fn seq_of(cmd: u64) -> u64 {
         cmd & ((1 << SEQ_BITS) - 1)
-    }
-
-    /// `(client, seq)` of an encoded command.
-    pub fn decode(cmd: u64) -> (u64, u64) {
-        (client_of(cmd), seq_of(cmd))
     }
 }
 

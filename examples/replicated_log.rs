@@ -16,9 +16,7 @@ use minsync::adversary::SilentNode;
 use minsync::core::ConsensusConfig;
 use minsync::net::sim::SimBuilder;
 use minsync::net::{NetworkTopology, Node};
-use minsync::smr::{
-    collect_logs, commits, committed_count, ReplicaNode, SmrEvent, SmrMsg, TwoClientSource,
-};
+use minsync::smr::{commits, committed_count, ReplicaNode, SmrEvent, SmrMsg, TwoClientSource};
 use minsync::types::{check, ProcessId, SystemConfig};
 
 type Msg = SmrMsg<u64>;
@@ -46,14 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = builder.build();
     let report = sim.run_until(|outs| ProcessId::all(3).all(|p| committed_count(outs, p) >= SLOTS));
 
-    let logs = collect_logs(&report.outputs);
     println!("replicated log after {SLOTS} slots (3 correct replicas + 1 silent Byzantine):");
-    for (replica, log) in &logs {
-        let entries: Vec<String> = log
-            .values()
-            .map(|c| format!("c{}#{}", TwoClientSource::client_of(*c), c % 1000))
+    for p in ProcessId::all(3) {
+        let entries: Vec<String> = commits(&report.outputs)
+            .filter(|c| c.0 == p)
+            .map(|(_, _, c)| format!("c{}#{}", TwoClientSource::client_of(*c), c % 1000))
             .collect();
-        println!("  replica {replica}: [{}]", entries.join(", "));
+        println!("  replica {}: [{}]", p.index(), entries.join(", "));
     }
 
     let mut found = check::prefix(commits(&report.outputs));

@@ -8,9 +8,9 @@
 use std::time::Duration;
 
 use minsync::core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg};
-use minsync::net::threaded::{run_threaded, ThreadedConfig};
+use minsync::net::threaded::{run_threaded, ThreadedConfig, ThreadedOutput};
 use minsync::net::{ChannelTiming, DelayLaw, NetworkTopology, Node};
-use minsync::types::SystemConfig;
+use minsync::types::{check, ProcessId, SystemConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let system = SystemConfig::new(4, 1)?;
@@ -30,6 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .collect();
 
+    let decided = |outs: &[ThreadedOutput<ConsensusEvent<u64>>]| -> Vec<(ProcessId, u64)> {
+        outs.iter()
+            .filter_map(|o| Some((o.process, *o.event.as_decision()?)))
+            .collect()
+    };
     println!("spawning 4 replica threads + router…");
     let report = run_threaded(
         topo,
@@ -39,12 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             timeout: Duration::from_secs(30),
             seed: 3,
         },
-        |outs| {
-            outs.iter()
-                .filter(|o| matches!(o.event, ConsensusEvent::Decided { .. }))
-                .count()
-                == 4
-        },
+        |outs| decided(outs).len() == 4,
     );
 
     assert!(!report.timed_out, "live run timed out");
@@ -53,18 +53,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  {} decided {value} after {:?}", out.process, out.elapsed);
         }
     }
-    let decisions: Vec<u64> = report
-        .outputs
-        .iter()
-        .filter_map(|o| o.event.as_decision().copied())
-        .collect();
-    assert!(
-        decisions.windows(2).all(|w| w[0] == w[1]),
-        "agreement violated"
-    );
+    let decisions = decided(&report.outputs);
+    let valid = |v: &u64| [10, 20].contains(v);
+    let found = check::consensus(ProcessId::all(4), decisions.iter().copied(), valid);
+    assert!(found.is_empty(), "{found:?}");
     println!(
         "agreement on {} in {:?} wall-clock ✓",
-        decisions[0], report.elapsed
+        decisions[0].1, report.elapsed
     );
     Ok(())
 }

@@ -6,12 +6,14 @@ use minsync::core::bot_variant::{BotConsensusNode, BotEvent, BotMsg};
 use minsync::core::ConsensusConfig;
 use minsync::net::sim::SimBuilder;
 use minsync::net::{ChannelTiming, DelayLaw, NetworkTopology, Node};
-use minsync::types::SystemConfig;
+use minsync::types::{check, ProcessId, SystemConfig};
 
 type Msg = BotMsg<u64>;
 type Out = BotEvent<u64>;
 
-fn run(proposals: &[u64], topo: NetworkTopology, seed: u64) -> Vec<(usize, Option<u64>)> {
+/// The agreed decision (`None` is ⊥), after asserting termination of every
+/// process, agreement, and validity (⊥ or a proposed value).
+fn run(proposals: &[u64], topo: NetworkTopology, seed: u64) -> Option<u64> {
     let n = proposals.len();
     let t = (n - 1) / 3;
     let system = SystemConfig::new(n, t).unwrap();
@@ -24,26 +26,27 @@ fn run(proposals: &[u64], topo: NetworkTopology, seed: u64) -> Vec<(usize, Optio
     }
     let mut sim = builder.build();
     let report = sim.run_until(|outs| outs.len() == n);
-    report
+    let d: Vec<(ProcessId, Option<u64>)> = report
         .outputs
         .iter()
-        .map(|o| {
-            let d = match &o.event {
-                BotEvent::Decided { value } => Some(*value),
-                BotEvent::DecidedBottom => None,
-            };
-            (o.process.index(), d)
+        .map(|o| match &o.event {
+            BotEvent::Decided { value } => (o.process, Some(*value)),
+            BotEvent::DecidedBottom => (o.process, None),
         })
-        .collect()
+        .collect();
+    let valid = |v: &Option<u64>| v.map_or(true, |v| proposals.contains(&v));
+    let found = check::consensus(ProcessId::all(n), d.iter().copied(), valid);
+    assert!(found.is_empty(), "seed {seed}: {found:?}");
+    d[0].1
 }
 
 #[test]
 fn unanimous_proposals_decide_the_value_not_bottom() {
     let d = run(&[42, 42, 42, 42], NetworkTopology::all_timely(4, 3), 1);
-    assert_eq!(d.len(), 4);
-    assert!(
-        d.iter().all(|(_, v)| *v == Some(42)),
-        "obligation: all-same input must decide the value, got {d:?}"
+    assert_eq!(
+        d,
+        Some(42),
+        "obligation: all-same input must decide the value"
     );
 }
 
@@ -51,19 +54,7 @@ fn unanimous_proposals_decide_the_value_not_bottom() {
 fn all_distinct_proposals_agree_possibly_on_bottom() {
     // m = n distinct values: infeasible for the main algorithm, fine here.
     for seed in 0..5 {
-        let d = run(&[10, 20, 30, 40], NetworkTopology::all_timely(4, 3), seed);
-        assert_eq!(d.len(), 4, "seed {seed}: termination");
-        let first = d[0].1;
-        assert!(
-            d.iter().all(|(_, v)| *v == first),
-            "seed {seed}: agreement violated: {d:?}"
-        );
-        if let Some(v) = first {
-            assert!(
-                [10, 20, 30, 40].contains(&v),
-                "seed {seed}: decided value {v} was never proposed"
-            );
-        }
+        run(&[10, 20, 30, 40], NetworkTopology::all_timely(4, 3), seed);
     }
 }
 
@@ -74,13 +65,7 @@ fn works_under_asynchrony() {
         ChannelTiming::asynchronous(DelayLaw::Uniform { min: 1, max: 15 }),
     );
     for seed in 0..3 {
-        let d = run(&[7, 7, 8, 9], topo.clone(), seed);
-        assert_eq!(d.len(), 4, "seed {seed}");
-        let first = d[0].1;
-        assert!(d.iter().all(|(_, v)| *v == first), "seed {seed}: {d:?}");
-        if let Some(v) = first {
-            assert!([7, 8, 9].contains(&v));
-        }
+        run(&[7, 7, 8, 9], topo.clone(), seed);
     }
 }
 
@@ -95,9 +80,6 @@ fn seven_processes_majority_value_can_win() {
             NetworkTopology::all_timely(7, 2),
             seed,
         );
-        assert_eq!(d.len(), 7, "seed {seed}");
-        let first = d[0].1;
-        assert!(d.iter().all(|(_, v)| *v == first), "seed {seed}: {d:?}");
-        assert_ne!(first, Some(2), "2 can never certify with 2 proposers");
+        assert_ne!(d, Some(2), "2 can never certify with 2 proposers");
     }
 }

@@ -9,12 +9,12 @@ use std::time::Duration;
 
 use minsync::conformance::{golden_scenarios, Trace};
 use minsync::core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg};
-use minsync::net::sim::SimBuilder;
-use minsync::net::threaded::{run_threaded, run_threaded_with, ThreadedConfig};
+use minsync::net::sim::{OutputRecord, SimBuilder};
+use minsync::net::threaded::{run_threaded, run_threaded_with, ThreadedConfig, ThreadedOutput};
 use minsync::net::{Env, NetworkTopology, Node};
 use minsync::smr::{commits, ReplicaNode, SmrEvent, SmrMsg};
 use minsync::transport::mesh::{MeshConfig, TcpMesh};
-use minsync::types::{fnv1a, ProcessId, SystemConfig};
+use minsync::types::{check, fnv1a, ProcessId, SystemConfig};
 use minsync::workload::{log_violations, ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 use minsync_telemetry::trace::{queues, TraceEvent, TraceKind, TraceRecorder};
 
@@ -33,30 +33,33 @@ fn consensus_nodes(proposals: &[u64]) -> Vec<Box<dyn Node<Msg = Msg, Output = Ou
         .collect()
 }
 
-fn sim_decisions(proposals: &[u64], seed: u64) -> Vec<u64> {
+fn sim_decisions(proposals: &[u64], seed: u64) -> Vec<(ProcessId, u64)> {
     let n = proposals.len();
+    let decided = |outs: &[OutputRecord<Out>]| -> Vec<(ProcessId, u64)> {
+        outs.iter()
+            .filter_map(|o| Some((o.process, *o.event.as_decision()?)))
+            .collect()
+    };
     let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, 3))
         .seed(seed)
         .max_events(5_000_000);
     for node in consensus_nodes(proposals) {
         builder = builder.boxed_node(node);
     }
-    let mut sim = builder.build();
-    let report = sim.run_until(|outs| {
-        outs.iter()
-            .filter(|o| matches!(o.event, ConsensusEvent::Decided { .. }))
-            .count()
-            == n
-    });
-    report
-        .outputs
-        .iter()
-        .filter_map(|o| o.event.as_decision().copied())
-        .collect()
+    let report = builder.build().run_until(|outs| decided(outs).len() == n);
+    decided(&report.outputs)
 }
 
-fn threaded_decisions(proposals: &[u64]) -> Vec<u64> {
+/// Threaded process p answers to id n + p, so one check spans both
+/// substrates.
+fn threaded_decisions(proposals: &[u64]) -> Vec<(ProcessId, u64)> {
     let n = proposals.len();
+    let decided = |outs: &[ThreadedOutput<Out>]| -> Vec<(ProcessId, u64)> {
+        let id = |o: &ThreadedOutput<Out>| ProcessId::new(n + o.process.index());
+        outs.iter()
+            .filter_map(|o| Some((id(o), *o.event.as_decision()?)))
+            .collect()
+    };
     let report = run_threaded(
         NetworkTopology::all_timely(n, 3),
         consensus_nodes(proposals),
@@ -65,19 +68,10 @@ fn threaded_decisions(proposals: &[u64]) -> Vec<u64> {
             timeout: Duration::from_secs(30),
             seed: 7,
         },
-        |outs| {
-            outs.iter()
-                .filter(|o| matches!(o.event, ConsensusEvent::Decided { .. }))
-                .count()
-                == n
-        },
+        |outs| decided(outs).len() == n,
     );
     assert!(!report.timed_out, "threaded run timed out");
-    report
-        .outputs
-        .iter()
-        .filter_map(|o| o.event.as_decision().copied())
-        .collect()
+    decided(&report.outputs)
 }
 
 /// The same automaton type and configuration decides the same value on both
@@ -87,12 +81,9 @@ fn threaded_decisions(proposals: &[u64]) -> Vec<u64> {
 #[test]
 fn simulator_and_threaded_runtime_decide_identically() {
     let proposals = [42u64, 42, 42, 42];
-    let sim = sim_decisions(&proposals, 1);
-    let threaded = threaded_decisions(&proposals);
-    assert_eq!(sim.len(), 4);
-    assert_eq!(threaded.len(), 4);
-    assert!(sim.iter().all(|&v| v == 42), "sim decisions: {sim:?}");
-    assert_eq!(sim, threaded, "substrates disagree");
+    let both = [sim_decisions(&proposals, 1), threaded_decisions(&proposals)].concat();
+    let found = check::consensus(ProcessId::all(8), both, |&v| v == 42);
+    assert!(found.is_empty(), "substrates disagree: {found:?}");
 }
 
 /// With split proposals the decided value is schedule-dependent, but each
@@ -100,14 +91,11 @@ fn simulator_and_threaded_runtime_decide_identically() {
 #[test]
 fn both_substrates_uphold_agreement_on_split_proposals() {
     let proposals = [5u64, 9, 5, 9];
-    for decisions in [sim_decisions(&proposals, 3), threaded_decisions(&proposals)] {
-        assert_eq!(decisions.len(), 4);
-        let v = decisions[0];
-        assert!(
-            decisions.iter().all(|&x| x == v),
-            "agreement: {decisions:?}"
-        );
-        assert!(v == 5 || v == 9, "validity: {v}");
+    let sim = (0..4, sim_decisions(&proposals, 3));
+    for (ids, decisions) in [sim, (4..8, threaded_decisions(&proposals))] {
+        let valid = |v: &u64| proposals.contains(v);
+        let found = check::consensus(ids.map(ProcessId::new), decisions, valid);
+        assert!(found.is_empty(), "{found:?}");
     }
 }
 

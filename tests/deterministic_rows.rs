@@ -14,7 +14,7 @@ use minsync::adversary::SilentNode;
 use minsync::core::ConsensusConfig;
 use minsync::net::sim::{SimBuilder, Simulation};
 use minsync::net::{ChannelTiming, DelayLaw, Effect, NetworkTopology, VirtualTime};
-use minsync::smr::{collect_logs, ReplicaNode, SmrEvent, SmrMsg};
+use minsync::smr::{commits, ReplicaNode, SmrEvent, SmrMsg};
 use minsync::transport::LogDigest;
 use minsync::types::{BisourceSpec, ProcessId, SystemConfig};
 use minsync::wire::{encode_frame, DEFAULT_MAX_FRAME};
@@ -192,10 +192,9 @@ fn rows(
 
     // The fold `minsync-node` reports: slots up to the one carrying the
     // last command.
-    let logs = collect_logs(sim.outputs());
     let log_of = |replica: usize| {
         let (mut digest, mut slots, mut commands) = (LogDigest::new(), 0u64, 0usize);
-        for (&slot, batch) in &logs[&replica] {
+        for (_, slot, batch) in commits(sim.outputs()).filter(|c| c.0.index() == replica) {
             if commands >= total {
                 break;
             }

@@ -5,9 +5,9 @@ use std::time::Duration;
 
 use minsync::core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg};
 use minsync::harness::{ConsensusRunBuilder, FaultPlan, TopologySpec};
-use minsync::net::threaded::{run_threaded, ThreadedConfig};
+use minsync::net::threaded::{run_threaded, ThreadedConfig, ThreadedOutput};
 use minsync::net::{DelayLaw, NetworkTopology, Node};
-use minsync::types::SystemConfig;
+use minsync::types::{check, ProcessId, SystemConfig};
 
 #[test]
 fn determinism_same_seed_same_everything() {
@@ -62,7 +62,7 @@ fn late_stabilization_still_terminates() {
         .unwrap()
         .proposals([0, 1, 0, 1])
         .topology(TopologySpec::AsyncWithBisource {
-            bisource: minsync::types::ProcessId::new(2),
+            bisource: ProcessId::new(2),
             strength: system.plurality(),
             tau: 2_000,
             delta: 4,
@@ -86,6 +86,11 @@ fn threaded_runtime_runs_the_same_consensus_automaton() {
                 Box::new(ConsensusNode::new(cfg, v).unwrap()) as Box<dyn Node<Msg = _, Output = _>>
             })
             .collect();
+    let decided = |outs: &[ThreadedOutput<ConsensusEvent<u64>>]| -> Vec<(ProcessId, u64)> {
+        outs.iter()
+            .filter_map(|o| Some((o.process, *o.event.as_decision()?)))
+            .collect()
+    };
     let report = run_threaded(
         NetworkTopology::all_timely(4, 2),
         nodes,
@@ -94,22 +99,13 @@ fn threaded_runtime_runs_the_same_consensus_automaton() {
             timeout: Duration::from_secs(30),
             seed: 1,
         },
-        |outs| {
-            outs.iter()
-                .filter(|o| matches!(o.event, ConsensusEvent::Decided { .. }))
-                .count()
-                == 4
-        },
+        |outs| decided(outs).len() == 4,
     );
     assert!(!report.timed_out, "threaded consensus timed out");
-    let decisions: Vec<u64> = report
-        .outputs
-        .iter()
-        .filter_map(|o| o.event.as_decision().copied())
-        .collect();
-    assert_eq!(decisions.len(), 4);
-    assert!(decisions.windows(2).all(|w| w[0] == w[1]));
-    assert!(decisions[0] == 5 || decisions[0] == 6);
+    let found = check::consensus(ProcessId::all(4), decided(&report.outputs), |v| {
+        [5, 6].contains(v)
+    });
+    assert!(found.is_empty(), "{found:?}");
 }
 
 #[test]
