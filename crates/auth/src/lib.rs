@@ -31,6 +31,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod hash;
 pub mod hmac;
@@ -99,9 +100,9 @@ pub trait Authenticator: Send + Sync + fmt::Debug {
 /// Domain-separation labels: every construction in this crate hashes under
 /// a distinct prefix so a value from one context never verifies in another.
 mod domain {
-    pub const PAIR: &[u8] = b"MSYN-AUTH-PAIR";
-    pub const SELF: &[u8] = b"MSYN-AUTH-SELF";
-    pub const MAC: &[u8] = b"MSYN-AUTH-MAC";
+    pub(crate) const PAIR: &[u8] = b"MSYN-AUTH-PAIR";
+    pub(crate) const SELF: &[u8] = b"MSYN-AUTH-SELF";
+    pub(crate) const MAC: &[u8] = b"MSYN-AUTH-MAC";
 }
 
 fn id_bytes(p: ProcessId) -> [u8; 4] {

@@ -8,18 +8,22 @@
 //! 3. On `⌈(n+t+1)/2⌉` `ECHO(v)` from distinct senders, or `t+1` `READY(v)`
 //!    from distinct senders, broadcast `READY(v)` (once).
 //! 4. On `2t+1` `READY(v)` from distinct senders, deliver `v` (once).
+//! 5. Under a counted [`Tag`], count the delivery instead of handing it
+//!    out, and report `v` once `t + 1` distinct origins delivered it
+//!    (Figure 1 line 4).
 //!
 //! The quorum sizes come from [`SystemConfig`]; the §2.1 dedup rule (only
 //! the first `INIT`/`ECHO`/`READY` of an instance from each sender counts)
 //! is enforced here, which is what defeats equivocating Byzantine senders.
 //!
-//! Each phase of an instance keeps one [`Tally`]: a sender bitset for the
-//! dedup rule and a per-value count for the quorum test. An `ECHO` or
-//! `READY` therefore costs a bit test and one value comparison (a correct
-//! origin's instance carries one value), whatever the number of senders
-//! already heard.
+//! Each phase of an instance, and each counted tag, keeps one [`Tally`]: a
+//! sender bitset for the dedup rule and a per-value count for the quorum
+//! test. An `ECHO` or `READY` therefore costs a bit test and one value
+//! comparison (a correct origin's instance carries one value), whatever
+//! the number of senders already heard.
 
 use core::fmt::Debug;
+use std::collections::BTreeMap;
 
 use minsync_types::{ProcessId, SystemConfig, Tally, Value};
 
@@ -68,113 +72,72 @@ impl<T, V> RbMsg<T, V> {
     }
 }
 
-/// Effects the host must apply after feeding the engine.
+/// How the layer treats the deliveries of one tag's instances.
+///
+/// A *counted* tag carries one value from each of many origins, and the
+/// host acts on a value once `t + 1` distinct origins RB-delivered it:
+/// CB's `CB_VAL` (Figure 1 line 4) and consensus's `DECIDE` (Figure 4
+/// line 9) are the same rule. The engine counts them and emits
+/// [`RbEvent::CbValid`]; a plain tag's deliveries are handed out as
+/// [`RbEvent::RbDelivered`].
+pub trait Tag: Clone + Ord + Debug {
+    /// True when deliveries under this tag are counted.
+    fn counted(&self) -> bool;
+}
+
+/// The single-instance tag: plain RB.
+impl Tag for () {
+    fn counted(&self) -> bool {
+        false
+    }
+}
+
+/// What the layer tells its host.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum RbAction<T, V> {
-    /// Best-effort-broadcast this message to **all** processes (self
-    /// included).
-    Broadcast(RbMsg<T, V>),
-    /// RB-deliver `value` from `origin` for instance `tag` (fires at most
-    /// once per instance — RB-Unicity).
-    Deliver {
-        /// Instance origin.
-        origin: ProcessId,
+pub enum RbEvent<T, V> {
+    /// Bracha's delivery (§2.2): `value` RB-delivered from `origin` for a
+    /// plain `tag`, at most once per instance (RB-Unicity).
+    RbDelivered {
         /// Instance tag.
         tag: T,
+        /// Instance origin.
+        origin: ProcessId,
         /// Delivered value.
+        value: V,
+    },
+    /// Figure 1 line 4: `value` was RB-delivered under the counted `tag`
+    /// from `t + 1` distinct origins, so at least one correct process
+    /// broadcast it. Emitted once per value, when its support reaches
+    /// exactly `t + 1`; for `DECIDE` this is Figure 4 line 9.
+    CbValid {
+        /// The counted tag.
+        tag: T,
+        /// The value now backed by `t + 1` origins.
         value: V,
     },
 }
 
-/// The actions one engine call produced: at most two (a READY
-/// amplification plus a delivery), held inline so the per-message hot path
-/// never allocates. Iterate it like the `Vec` it replaced.
+/// What one [`RbEngine::on_message`] call produced: at most one broadcast
+/// and at most one event. The host applies the broadcast first.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RbActions<T, V>(Acts<T, V>);
-
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Acts<T, V> {
-    Zero,
-    One(RbAction<T, V>),
-    Two(RbAction<T, V>, RbAction<T, V>),
+pub struct RbStep<T, V> {
+    /// Best-effort-broadcast this to **all** processes (self included): an
+    /// `ECHO`, a `READY`, or a `READY` amplification.
+    pub broadcast: Option<RbMsg<T, V>>,
+    /// Then handle this.
+    pub event: Option<RbEvent<T, V>>,
 }
 
-impl<T, V> RbActions<T, V> {
-    const NONE: Self = RbActions(Acts::Zero);
+impl<T, V> RbStep<T, V> {
+    const NONE: Self = RbStep {
+        broadcast: None,
+        event: None,
+    };
 
-    fn one(a: RbAction<T, V>) -> Self {
-        RbActions(Acts::One(a))
-    }
-
-    fn push(&mut self, a: RbAction<T, V>) {
-        self.0 = match std::mem::replace(&mut self.0, Acts::Zero) {
-            Acts::Zero => Acts::One(a),
-            Acts::One(first) => Acts::Two(first, a),
-            Acts::Two(..) => unreachable!("an RB step emits at most two actions"),
-        };
-    }
-
-    /// Number of queued actions (0, 1, or 2).
-    pub fn len(&self) -> usize {
-        match self.0 {
-            Acts::Zero => 0,
-            Acts::One(_) => 1,
-            Acts::Two(..) => 2,
-        }
-    }
-
-    /// True if the call produced nothing.
-    pub fn is_empty(&self) -> bool {
-        matches!(self.0, Acts::Zero)
-    }
-
-    /// The `index`-th action, if present.
-    pub fn get(&self, index: usize) -> Option<&RbAction<T, V>> {
-        match (&self.0, index) {
-            (Acts::One(a), 0) | (Acts::Two(a, _), 0) => Some(a),
-            (Acts::Two(_, b), 1) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Borrowing iterator over the actions.
-    pub fn iter(&self) -> impl Iterator<Item = &RbAction<T, V>> {
-        (0..self.len()).filter_map(|i| self.get(i))
-    }
-}
-
-impl<T, V> core::ops::Index<usize> for RbActions<T, V> {
-    type Output = RbAction<T, V>;
-
-    fn index(&self, index: usize) -> &RbAction<T, V> {
-        self.get(index).expect("RbActions index out of range")
-    }
-}
-
-impl<T, V> IntoIterator for RbActions<T, V> {
-    type Item = RbAction<T, V>;
-    type IntoIter = ActionsIter<T, V>;
-
-    fn into_iter(self) -> ActionsIter<T, V> {
-        ActionsIter(self.0)
-    }
-}
-
-/// Owning iterator over an [`RbActions`].
-#[derive(Debug)]
-pub struct ActionsIter<T, V>(Acts<T, V>);
-
-impl<T, V> Iterator for ActionsIter<T, V> {
-    type Item = RbAction<T, V>;
-
-    fn next(&mut self) -> Option<RbAction<T, V>> {
-        match std::mem::replace(&mut self.0, Acts::Zero) {
-            Acts::Zero => None,
-            Acts::One(a) => Some(a),
-            Acts::Two(a, b) => {
-                self.0 = Acts::One(b);
-                Some(a)
-            }
+    fn broadcast(msg: RbMsg<T, V>) -> Self {
+        RbStep {
+            broadcast: Some(msg),
+            event: None,
         }
     }
 }
@@ -214,7 +177,9 @@ impl<V> Instance<V> {
     }
 }
 
-/// Multi-instance Bracha reliable-broadcast engine for one host process.
+/// Multi-instance Bracha reliable-broadcast engine for one host process,
+/// and the only counter of `t + 1` distinct origins under a counted
+/// [`Tag`].
 ///
 /// See the [crate docs](crate) for a complete wiring example.
 #[derive(Clone, Debug)]
@@ -227,32 +192,30 @@ pub struct RbEngine<T, V> {
     /// instances round-by-round, so the live ones sit at the tail and a
     /// probe is one bounds-checked index plus a couple of tag compares).
     instances: Vec<Vec<(T, Instance<V>)>>,
+    /// Per counted tag, the origins whose instance delivered, per value.
+    origins: BTreeMap<T, Tally<V>>,
 }
 
-impl<T, V> RbEngine<T, V>
-where
-    T: Clone + Ord + Debug,
-    V: Value,
-{
+impl<T: Tag, V: Value> RbEngine<T, V> {
     /// Creates an engine for process `me` in system `cfg`.
     pub fn new(cfg: SystemConfig, me: ProcessId) -> Self {
         RbEngine {
             cfg,
             me,
             instances: (0..cfg.n()).map(|_| Vec::new()).collect(),
+            origins: BTreeMap::new(),
         }
     }
 
-    /// RB-broadcasts `value` with this process as origin.
-    ///
-    /// Returns the `INIT` broadcast action; the origin's own `ECHO` follows
-    /// when the network loops the `INIT` back (broadcast includes self).
+    /// RB-broadcasts `value` with this process as origin: returns the
+    /// `INIT` to broadcast. The origin's own `ECHO` follows when the
+    /// network loops the `INIT` back (broadcast includes self).
     ///
     /// # Panics
     ///
     /// Panics if this process already RB-broadcast for `tag` — instances are
     /// one-shot.
-    pub fn broadcast(&mut self, tag: T, value: V) -> RbActions<T, V> {
+    pub fn broadcast(&mut self, tag: T, value: V) -> RbMsg<T, V> {
         // A Byzantine process may have already sent us forged ECHO/READY
         // naming us as origin, creating the instance entry; only *our own*
         // initiation may exist once.
@@ -266,11 +229,11 @@ where
             self.me, tag
         );
         inst.initiated = true;
-        RbActions::one(RbAction::Broadcast(RbMsg::Init { tag, value }))
+        RbMsg::Init { tag, value }
     }
 
     /// Feeds a received RB message (true sender stamped by the network).
-    pub fn on_message(&mut self, from: ProcessId, msg: RbMsg<T, V>) -> RbActions<T, V> {
+    pub fn on_message(&mut self, from: ProcessId, msg: RbMsg<T, V>) -> RbStep<T, V> {
         match msg {
             RbMsg::Init { tag, value } => self.on_init(from, tag, value),
             RbMsg::Echo { origin, tag, value } => self.on_echo(from, origin, tag, value),
@@ -295,72 +258,84 @@ where
         Some(&mut tags[at].1)
     }
 
-    fn on_init(&mut self, from: ProcessId, tag: T, value: V) -> RbActions<T, V> {
+    fn on_init(&mut self, from: ProcessId, tag: T, value: V) -> RbStep<T, V> {
         // The INIT of instance (origin, tag) is only meaningful from the
         // origin itself; a Byzantine process cannot impersonate (§2.1), so
         // `from` *is* the origin.
         let Some(inst) = self.instance(from, tag.clone()) else {
-            return RbActions::NONE;
+            return RbStep::NONE;
         };
         if inst.init_seen {
-            return RbActions::NONE; // §2.1: discard duplicate INITs.
+            return RbStep::NONE; // §2.1: discard duplicate INITs.
         }
         inst.init_seen = true;
-        if !inst.echoed {
-            inst.echoed = true;
-            return RbActions::one(RbAction::Broadcast(RbMsg::Echo {
-                origin: from,
-                tag,
-                value,
-            }));
+        if inst.echoed {
+            return RbStep::NONE;
         }
-        RbActions::NONE
+        inst.echoed = true;
+        RbStep::broadcast(RbMsg::Echo {
+            origin: from,
+            tag,
+            value,
+        })
     }
 
-    fn on_echo(&mut self, from: ProcessId, origin: ProcessId, tag: T, value: V) -> RbActions<T, V> {
+    fn on_echo(&mut self, from: ProcessId, origin: ProcessId, tag: T, value: V) -> RbStep<T, V> {
         let echo_quorum = self.cfg.echo_threshold();
         let Some(inst) = self.instance(origin, tag.clone()) else {
-            return RbActions::NONE;
+            return RbStep::NONE;
         };
         // §2.1 dedup: `vote` counts the first ECHO per sender only.
         match inst.echoes.vote(from, &value) {
             Some(support) if !inst.readied && support >= echo_quorum => {
                 inst.readied = true;
-                RbActions::one(RbAction::Broadcast(RbMsg::Ready { origin, tag, value }))
+                RbStep::broadcast(RbMsg::Ready { origin, tag, value })
             }
-            _ => RbActions::NONE,
+            _ => RbStep::NONE,
         }
     }
 
-    fn on_ready(
-        &mut self,
-        from: ProcessId,
-        origin: ProcessId,
-        tag: T,
-        value: V,
-    ) -> RbActions<T, V> {
+    fn on_ready(&mut self, from: ProcessId, origin: ProcessId, tag: T, value: V) -> RbStep<T, V> {
         let amplify = self.cfg.ready_amplify_threshold();
         let deliver = self.cfg.ready_threshold();
         let Some(inst) = self.instance(origin, tag.clone()) else {
-            return RbActions::NONE;
+            return RbStep::NONE;
         };
         let Some(support) = inst.readies.vote(from, &value) else {
-            return RbActions::NONE; // §2.1 dedup: first READY per sender only.
+            return RbStep::NONE; // §2.1 dedup: first READY per sender only.
         };
-        let mut actions = RbActions::NONE;
-        if !inst.readied && support >= amplify {
-            inst.readied = true;
-            actions.push(RbAction::Broadcast(RbMsg::Ready {
+        let amplified = !inst.readied && support >= amplify;
+        inst.readied |= amplified;
+        let delivered = !inst.delivered && support >= deliver;
+        inst.delivered |= delivered;
+        RbStep {
+            broadcast: amplified.then(|| RbMsg::Ready {
                 origin,
                 tag: tag.clone(),
                 value: value.clone(),
-            }));
+            }),
+            event: if delivered {
+                self.on_delivered(origin, tag, value)
+            } else {
+                None
+            },
         }
-        if !inst.delivered && support >= deliver {
-            inst.delivered = true;
-            actions.push(RbAction::Deliver { origin, tag, value });
+    }
+
+    /// Instance `(origin, tag)` delivered `value`: handed out under a plain
+    /// tag, counted under a counted one (Figure 1 line 4).
+    fn on_delivered(&mut self, origin: ProcessId, tag: T, value: V) -> Option<RbEvent<T, V>> {
+        if !tag.counted() {
+            return Some(RbEvent::RbDelivered { tag, origin, value });
         }
-        actions
+        // One instance per origin delivers once (RB-Unicity), so `vote`
+        // never sees an origin twice.
+        let support = self
+            .origins
+            .entry(tag.clone())
+            .or_default()
+            .vote(origin, &value)?;
+        (support == self.cfg.plurality()).then_some(RbEvent::CbValid { tag, value })
     }
 }
 
@@ -368,7 +343,16 @@ where
 mod tests {
     use super::*;
 
+    /// Tags starting with `cb` are counted, the rest plain.
+    impl Tag for &'static str {
+        fn counted(&self) -> bool {
+            self.starts_with("cb")
+        }
+    }
+
     type Engine = RbEngine<&'static str, u64>;
+    type Msg = RbMsg<&'static str, u64>;
+    type Wire = Vec<(ProcessId, Msg)>;
 
     fn cfg() -> SystemConfig {
         SystemConfig::new(4, 1).unwrap()
@@ -380,11 +364,12 @@ mod tests {
             .collect()
     }
 
-    /// Synchronously runs a message soup to quiescence, FIFO order.
-    /// `byzantine` ids are excluded from processing (they only inject).
+    /// Synchronously runs a message soup of plain-tag instances to
+    /// quiescence, FIFO order, and returns every delivery as `(process,
+    /// origin, value)`. `byzantine` ids only inject.
     fn run_soup(
         engines: &mut [Engine],
-        mut wire: Vec<(ProcessId, RbMsg<&'static str, u64>)>,
+        mut wire: Wire,
         byzantine: &[usize],
     ) -> Vec<(usize, ProcessId, u64)> {
         let mut deliveries = Vec::new();
@@ -396,14 +381,12 @@ mod tests {
                 if byzantine.contains(&i) {
                     continue;
                 }
-                for action in engine.on_message(from, msg.clone()) {
-                    match action {
-                        RbAction::Broadcast(m) => wire.push((ProcessId::new(i), m)),
-                        RbAction::Deliver { origin, value, .. } => {
-                            deliveries.push((i, origin, value))
-                        }
-                    }
-                }
+                let step = engine.on_message(from, msg.clone());
+                wire.extend(step.broadcast.map(|m| (ProcessId::new(i), m)));
+                deliveries.extend(step.event.map(|e| match e {
+                    RbEvent::RbDelivered { origin, value, .. } => (i, origin, value),
+                    other => panic!("plain tags only: {other:?}"),
+                }));
             }
         }
         deliveries
@@ -414,15 +397,36 @@ mod tests {
         origin: usize,
         tag: &'static str,
         value: u64,
-    ) -> Vec<(ProcessId, RbMsg<&'static str, u64>)> {
-        engines[origin]
-            .broadcast(tag, value)
-            .into_iter()
-            .map(|a| match a {
-                RbAction::Broadcast(m) => (ProcessId::new(origin), m),
-                other => panic!("unexpected immediate action {other:?}"),
-            })
-            .collect()
+    ) -> Wire {
+        vec![(
+            ProcessId::new(origin),
+            engines[origin].broadcast(tag, value),
+        )]
+    }
+
+    fn ready(sender: usize, origin: usize, tag: &'static str, value: u64) -> (ProcessId, Msg) {
+        let origin = ProcessId::new(origin);
+        (ProcessId::new(sender), RbMsg::Ready { origin, tag, value })
+    }
+
+    /// Feeds one engine of an `(n, t)` system `2t + 1` READYs per
+    /// `(origin, value)`, so each instance delivers once, in order;
+    /// returns the values it reported valid under tag `cb`, in order.
+    fn cb_valid(n: usize, t: usize, deliveries: &[(usize, u64)]) -> Vec<u64> {
+        let cfg = SystemConfig::new(n, t).unwrap();
+        let mut e: Engine = RbEngine::new(cfg, ProcessId::new(0));
+        let mut valid = Vec::new();
+        for &(origin, value) in deliveries {
+            for sender in 0..cfg.ready_threshold() {
+                let (from, msg) = ready(sender, origin, "cb", value);
+                match e.on_message(from, msg).event {
+                    Some(RbEvent::CbValid { tag: "cb", value }) => valid.push(value),
+                    None => {}
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        valid
     }
 
     #[test]
@@ -477,18 +481,12 @@ mod tests {
         let byz = ProcessId::new(3);
         let mut wire = Vec::new();
         // Deliver the conflicting INITs directly to the targets.
-        let mut deliveries = Vec::new();
         for (target, value) in [(0usize, 1u64), (1, 1), (2, 2)] {
-            for action in e[target].on_message(byz, RbMsg::Init { tag: "x", value }) {
-                match action {
-                    RbAction::Broadcast(m) => wire.push((ProcessId::new(target), m)),
-                    RbAction::Deliver { origin, value, .. } => {
-                        deliveries.push((target, origin, value))
-                    }
-                }
-            }
+            let step = e[target].on_message(byz, RbMsg::Init { tag: "x", value });
+            assert_eq!(step.event, None);
+            wire.extend(step.broadcast.map(|m| (ProcessId::new(target), m)));
         }
-        deliveries.extend(run_soup(&mut e, wire, &[3]));
+        let deliveries = run_soup(&mut e, wire, &[3]);
         // With a 2/1 echo split no value reaches the quorum of 3:
         // nobody delivers anything — fine. The critical property: if any
         // correct process delivered, all delivered values agree.
@@ -505,21 +503,14 @@ mod tests {
         // p4 floods READY("x", 99) — a single Byzantine READY (t = 1) is
         // below both the amplification (2) and delivery (3) thresholds.
         let mut e = engines(4);
-        let mut actions = Vec::new();
         for engine in e.iter_mut().take(3) {
-            actions.extend(engine.on_message(
-                ProcessId::new(3),
-                RbMsg::Ready {
-                    origin: ProcessId::new(3),
-                    tag: "x",
-                    value: 99,
-                },
-            ));
+            let (from, msg) = ready(3, 3, "x", 99);
+            assert_eq!(
+                engine.on_message(from, msg),
+                RbStep::NONE,
+                "one Byzantine READY must not trigger anything"
+            );
         }
-        assert!(
-            actions.is_empty(),
-            "one Byzantine READY must not trigger anything"
-        );
     }
 
     #[test]
@@ -528,57 +519,34 @@ mod tests {
         // delivers after 2t+1 READYs, and t+1 READYs make it broadcast its
         // own READY.
         let mut e = engines(4);
-        let mut out = Vec::new();
         // p1 receives READY from p2 and p3 (2 = t+1): amplifies.
-        out.extend(e[0].on_message(
-            ProcessId::new(1),
-            RbMsg::Ready {
-                origin: ProcessId::new(1),
-                tag: "x",
-                value: 5,
-            },
-        ));
-        assert!(out.is_empty());
-        out.extend(e[0].on_message(
-            ProcessId::new(2),
-            RbMsg::Ready {
-                origin: ProcessId::new(1),
-                tag: "x",
-                value: 5,
-            },
-        ));
-        assert!(matches!(out[0], RbAction::Broadcast(RbMsg::Ready { .. })));
+        let (from, msg) = ready(1, 1, "x", 5);
+        assert_eq!(e[0].on_message(from, msg), RbStep::NONE);
+        let (from, msg) = ready(2, 1, "x", 5);
+        let step = e[0].on_message(from, msg);
+        assert!(matches!(step.broadcast, Some(RbMsg::Ready { .. })));
+        assert_eq!(step.event, None);
         // Its own READY loops back as the 3rd (2t+1): delivers.
-        let acts = e[0].on_message(
-            ProcessId::new(0),
-            RbMsg::Ready {
-                origin: ProcessId::new(1),
-                tag: "x",
-                value: 5,
-            },
-        );
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, RbAction::Deliver { value: 5, .. })));
+        let (from, msg) = ready(0, 1, "x", 5);
+        let step = e[0].on_message(from, msg);
+        assert!(matches!(
+            step.event,
+            Some(RbEvent::RbDelivered { value: 5, .. })
+        ));
     }
 
     #[test]
     fn duplicate_messages_from_same_sender_discarded() {
         let mut e = engines(4);
-        let ready = RbMsg::Ready {
-            origin: ProcessId::new(1),
-            tag: "x",
-            value: 5,
-        };
         // Same sender repeats READY 10 times: counts once.
-        let mut actions = Vec::new();
         for _ in 0..10 {
-            actions.extend(e[0].on_message(ProcessId::new(2), ready.clone()));
+            let (from, msg) = ready(2, 1, "x", 5);
+            assert_eq!(
+                e[0].on_message(from, msg),
+                RbStep::NONE,
+                "replays from one sender must not accumulate"
+            );
         }
-        assert!(
-            actions.is_empty(),
-            "replays from one sender must not accumulate"
-        );
     }
 
     #[test]
@@ -587,24 +555,16 @@ mod tests {
         // enough to cross every threshold, were the origin real.
         let mut e = engines(4);
         let forged = ProcessId::new(1000);
-        let mut actions = Vec::new();
+        let (origin, tag, value) = (forged, "x", 1);
         for sender in 0..4 {
             for msg in [
-                RbMsg::Echo {
-                    origin: forged,
-                    tag: "x",
-                    value: 1,
-                },
-                RbMsg::Ready {
-                    origin: forged,
-                    tag: "x",
-                    value: 1,
-                },
+                RbMsg::Echo { origin, tag, value },
+                RbMsg::Ready { origin, tag, value },
             ] {
-                actions.extend(e[0].on_message(ProcessId::new(sender), msg));
+                let step = e[0].on_message(ProcessId::new(sender), msg);
+                assert_eq!(step, RbStep::NONE, "a forged origin moved the engine");
             }
         }
-        assert!(actions.is_empty(), "a forged origin moved the engine");
         assert_eq!(e[0].instances.len(), 4, "the per-origin table grew");
     }
 
@@ -612,31 +572,18 @@ mod tests {
     fn echo_quorum_exact_boundary() {
         let cfg7 = SystemConfig::new(7, 2).unwrap(); // echo threshold 5
         let mut e: RbEngine<&'static str, u64> = RbEngine::new(cfg7, ProcessId::new(0));
-        let mut actions = Vec::new();
+        let (origin, tag, value) = (ProcessId::new(6), "x", 9);
+        let echo = RbMsg::Echo { origin, tag, value };
         for sender in 1..=4 {
-            actions.extend(e.on_message(
-                ProcessId::new(sender),
-                RbMsg::Echo {
-                    origin: ProcessId::new(6),
-                    tag: "x",
-                    value: 9,
-                },
-            ));
+            let step = e.on_message(ProcessId::new(sender), echo.clone());
+            assert_eq!(step, RbStep::NONE, "4 echoes < threshold 5");
         }
-        assert!(actions.is_empty(), "4 echoes < threshold 5");
-        actions.extend(e.on_message(
-            ProcessId::new(5),
-            RbMsg::Echo {
-                origin: ProcessId::new(6),
-                tag: "x",
-                value: 9,
-            },
-        ));
-        assert_eq!(actions.len(), 1, "5th echo crosses the quorum");
-        assert!(matches!(
-            &actions[0],
-            RbAction::Broadcast(RbMsg::Ready { value: 9, .. })
-        ));
+        let step = e.on_message(ProcessId::new(5), echo);
+        assert!(
+            matches!(step.broadcast, Some(RbMsg::Ready { value: 9, .. })),
+            "5th echo crosses the quorum"
+        );
+        assert_eq!(step.event, None);
     }
 
     #[test]
@@ -645,18 +592,57 @@ mod tests {
         // threshold 5 *per value*).
         let cfg7 = SystemConfig::new(7, 2).unwrap();
         let mut e: RbEngine<&'static str, u64> = RbEngine::new(cfg7, ProcessId::new(0));
-        let mut actions = Vec::new();
+        let (origin, tag) = (ProcessId::new(6), "x");
         for (sender, value) in [(1, 9u64), (2, 9), (3, 9), (4, 8), (5, 8)] {
-            actions.extend(e.on_message(
-                ProcessId::new(sender),
-                RbMsg::Echo {
-                    origin: ProcessId::new(6),
-                    tag: "x",
-                    value,
-                },
-            ));
+            let echo = RbMsg::Echo { origin, tag, value };
+            assert_eq!(e.on_message(ProcessId::new(sender), echo), RbStep::NONE);
         }
-        assert!(actions.is_empty());
+    }
+
+    #[test]
+    fn value_becomes_valid_at_exactly_t_plus_1() {
+        // n = 7, t = 2: the third origin's delivery validates, the fourth
+        // does not re-announce.
+        assert_eq!(cb_valid(7, 2, &[(0, 5), (1, 5)]), Vec::<u64>::new());
+        assert_eq!(cb_valid(7, 2, &[(0, 5), (1, 5), (2, 5), (3, 5)]), [5]);
+    }
+
+    #[test]
+    fn byzantine_only_value_never_valid() {
+        // t = 2: two Byzantine origins push 99; no correct process does.
+        assert!(
+            cb_valid(7, 2, &[(5, 99), (6, 99)]).is_empty(),
+            "CB-Set Validity: t supporters are not enough"
+        );
+    }
+
+    #[test]
+    fn duplicate_origin_is_ignored() {
+        // The same origin's second instance value cannot deliver
+        // (RB-Unicity), so it cannot count twice.
+        assert!(cb_valid(4, 1, &[(0, 5), (0, 5), (0, 6)]).is_empty());
+    }
+
+    #[test]
+    fn first_valid_comes_first() {
+        // 10 becomes valid before 4, even though 4 < 10.
+        let deliveries = [(0, 10), (1, 10), (2, 10), (3, 4), (4, 4), (5, 4)];
+        assert_eq!(cb_valid(7, 2, &deliveries), [10, 4]);
+    }
+
+    #[test]
+    fn multiple_values_can_be_valid() {
+        let deliveries = [
+            (0, 1),
+            (1, 1),
+            (2, 1),
+            (3, 1),
+            (4, 2),
+            (5, 2),
+            (6, 2),
+            (7, 2),
+        ];
+        assert_eq!(cb_valid(10, 3, &deliveries), [1, 2]);
     }
 
     #[test]

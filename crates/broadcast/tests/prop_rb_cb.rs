@@ -7,21 +7,33 @@
 //!
 //! Every step of every soup is also checked against [`ScanRb`], Bracha's
 //! automaton with the §2.1 dedup sets kept as plain lists and every quorum
-//! test a scan over them: `RbEngine`'s bitset-and-tally bookkeeping must
-//! emit exactly the actions the scans do.
+//! test a scan over them, Figure 1's `t + 1` count included: `RbEngine`'s
+//! bitset-and-tally bookkeeping must emit exactly the steps the scans do.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use minsync_broadcast::{CbInstance, RbAction, RbActions, RbEngine, RbMsg};
+use minsync_broadcast::{RbEngine, RbEvent, RbMsg, RbStep};
 use minsync_types::{ProcessId, SystemConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-type Tag = u32;
+/// Tag 0 is counted, like a CB instance's `CB_VAL` or `DECIDE`; the rest
+/// are plain RB.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Tag(u32);
+
+impl minsync_broadcast::Tag for Tag {
+    fn counted(&self) -> bool {
+        self.0 == 0
+    }
+}
+
+const CB: Tag = Tag(0);
+
 type Val = u64;
 type Msg = RbMsg<Tag, Val>;
-type Action = RbAction<Tag, Val>;
+type Step = RbStep<Tag, Val>;
 
 /// One instance of [`ScanRb`]: the first ECHO and READY of each sender, in
 /// arrival order.
@@ -34,56 +46,66 @@ struct ScanInstance {
     readies: Vec<(ProcessId, Val)>,
 }
 
-/// The reference automaton: Bracha's rules read straight off the page.
+/// The reference automaton: Bracha's rules and Figure 1 line 4 read
+/// straight off the page.
 struct ScanRb {
     cfg: SystemConfig,
     instances: BTreeMap<(ProcessId, Tag), ScanInstance>,
+    /// Per counted tag, every `(origin, value)` delivered.
+    delivered: BTreeMap<Tag, Vec<(ProcessId, Val)>>,
 }
 
 impl ScanRb {
-    fn on_message(&mut self, from: ProcessId, msg: Msg) -> Vec<Action> {
+    fn on_message(&mut self, from: ProcessId, msg: Msg) -> Step {
         let cfg = self.cfg;
         let (origin, tag) = match msg {
             RbMsg::Init { tag, .. } => (from, tag),
             RbMsg::Echo { origin, tag, .. } | RbMsg::Ready { origin, tag, .. } => (origin, tag),
         };
         let inst = self.instances.entry((origin, tag)).or_default();
-        let mut out = Vec::new();
+        let (mut broadcast, mut event) = (None, None);
         match msg {
             RbMsg::Init { value, .. } => {
                 if !inst.init_seen {
                     inst.init_seen = true;
-                    out.push(RbAction::Broadcast(RbMsg::Echo { origin, tag, value }));
+                    broadcast = Some(RbMsg::Echo { origin, tag, value });
                 }
             }
             RbMsg::Echo { value, .. } => {
                 if inst.echoes.iter().any(|(p, _)| *p == from) {
-                    return out;
+                    return Step { broadcast, event };
                 }
                 inst.echoes.push((from, value));
                 let support = inst.echoes.iter().filter(|(_, v)| *v == value).count();
                 if !inst.readied && support >= cfg.echo_threshold() {
                     inst.readied = true;
-                    out.push(RbAction::Broadcast(RbMsg::Ready { origin, tag, value }));
+                    broadcast = Some(RbMsg::Ready { origin, tag, value });
                 }
             }
             RbMsg::Ready { value, .. } => {
                 if inst.readies.iter().any(|(p, _)| *p == from) {
-                    return out;
+                    return Step { broadcast, event };
                 }
                 inst.readies.push((from, value));
                 let support = inst.readies.iter().filter(|(_, v)| *v == value).count();
                 if !inst.readied && support >= cfg.ready_amplify_threshold() {
                     inst.readied = true;
-                    out.push(RbAction::Broadcast(RbMsg::Ready { origin, tag, value }));
+                    broadcast = Some(RbMsg::Ready { origin, tag, value });
                 }
                 if !inst.delivered && support >= cfg.ready_threshold() {
                     inst.delivered = true;
-                    out.push(RbAction::Deliver { origin, tag, value });
+                    event = if tag == CB {
+                        let delivered = self.delivered.entry(tag).or_default();
+                        delivered.push((origin, value));
+                        let support = delivered.iter().filter(|(_, v)| *v == value).count();
+                        (support == cfg.t() + 1).then_some(RbEvent::CbValid { tag, value })
+                    } else {
+                        Some(RbEvent::RbDelivered { tag, origin, value })
+                    };
                 }
             }
         }
-        out
+        Step { broadcast, event }
     }
 }
 
@@ -99,11 +121,12 @@ struct Soup {
     engines: Vec<RbEngine<Tag, Val>>,
     /// Each process's reference automaton, fed the same messages.
     scans: Vec<ScanRb>,
-    /// Per-process CB instances fed by RB deliveries of tag 0.
-    cbs: Vec<CbInstance<Val>>,
     correct: Vec<usize>,
     pool: Vec<Pending>,
+    /// Plain deliveries: `(process, origin, tag, value)`.
     deliveries: Vec<(usize, ProcessId, Tag, Val)>,
+    /// Per process, the values it reported valid under [`CB`], in order.
+    valid: Vec<Vec<Val>>,
     rng: StdRng,
     n: usize,
 }
@@ -119,20 +142,21 @@ impl Soup {
                 .map(|_| ScanRb {
                     cfg,
                     instances: BTreeMap::new(),
+                    delivered: BTreeMap::new(),
                 })
                 .collect(),
-            cbs: (0..n).map(|_| CbInstance::new(cfg)).collect(),
             correct,
             pool: Vec::new(),
             deliveries: Vec::new(),
+            valid: vec![Vec::new(); n],
             rng: StdRng::seed_from_u64(seed),
             n,
         }
     }
 
     fn broadcast_from(&mut self, origin: usize, tag: Tag, value: Val) {
-        let actions = self.engines[origin].broadcast(tag, value);
-        self.apply(origin, actions);
+        let init = self.engines[origin].broadcast(tag, value);
+        self.apply(origin, Some(init), None);
     }
 
     /// Byzantine injection: send `msg` to a single target only.
@@ -144,25 +168,22 @@ impl Soup {
         });
     }
 
-    fn apply(&mut self, process: usize, actions: RbActions<Tag, Val>) {
-        for action in actions {
-            match action {
-                RbAction::Broadcast(msg) => {
-                    for to in 0..self.n {
-                        self.pool.push(Pending {
-                            from: ProcessId::new(process),
-                            to: ProcessId::new(to),
-                            msg: msg.clone(),
-                        });
-                    }
-                }
-                RbAction::Deliver { origin, tag, value } => {
-                    self.deliveries.push((process, origin, tag, value));
-                    if tag == 0 {
-                        self.cbs[process].on_rb_delivered(origin, value);
-                    }
-                }
+    fn apply(&mut self, process: usize, broadcast: Option<Msg>, event: Option<RbEvent<Tag, Val>>) {
+        if let Some(msg) = broadcast {
+            for to in 0..self.n {
+                self.pool.push(Pending {
+                    from: ProcessId::new(process),
+                    to: ProcessId::new(to),
+                    msg: msg.clone(),
+                });
             }
+        }
+        match event {
+            Some(RbEvent::RbDelivered { tag, origin, value }) => {
+                self.deliveries.push((process, origin, tag, value))
+            }
+            Some(RbEvent::CbValid { value, .. }) => self.valid[process].push(value),
+            None => {}
         }
     }
 
@@ -176,13 +197,9 @@ impl Soup {
                 continue;
             }
             let expected = self.scans[to.index()].on_message(from, msg.clone());
-            let actions = self.engines[to.index()].on_message(from, msg);
-            assert_eq!(
-                actions.iter().cloned().collect::<Vec<_>>(),
-                expected,
-                "{to} diverged from the scan reference"
-            );
-            self.apply(to.index(), actions);
+            let step = self.engines[to.index()].on_message(from, msg);
+            assert_eq!(step, expected, "{to} diverged from the scan reference");
+            self.apply(to.index(), step.broadcast, step.event);
         }
     }
 
@@ -191,6 +208,25 @@ impl Soup {
             .iter()
             .find(|&&(p, o, tg, _)| p == process && o == origin && tg == tag)
             .map(|&(_, _, _, v)| v)
+    }
+
+    /// Byzantine spray: each noise word sends one INIT, ECHO or READY for
+    /// any origin, a tag in `tags` and value 7 or 8 to one correct process.
+    fn spray(&mut self, cfg: SystemConfig, tags: u32, noise: &[u64]) {
+        let byzantine: Vec<usize> = (0..cfg.n()).filter(|i| !self.correct.contains(i)).collect();
+        for &w in noise {
+            let field = |shift: u32, modulus: usize| (w >> shift) as usize % modulus;
+            let origin = ProcessId::new(field(16, cfg.n()));
+            let tag = Tag(field(24, tags as usize) as u32);
+            let value = 7 + field(32, 2) as Val;
+            let msg = match field(40, 3) {
+                0 => RbMsg::Init { tag, value },
+                1 => RbMsg::Echo { origin, tag, value },
+                _ => RbMsg::Ready { origin, tag, value },
+            };
+            let to = self.correct[field(8, self.correct.len())];
+            self.inject(byzantine[field(0, byzantine.len())], to, msg);
+        }
     }
 }
 
@@ -216,11 +252,11 @@ proptest! {
         prop_assume!(!correct.is_empty());
         let origin = correct[0];
         let mut soup = Soup::new(cfg, correct.clone(), seed);
-        soup.broadcast_from(origin, 1, 42);
+        soup.broadcast_from(origin, Tag(1), 42);
         soup.run();
         for &p in &correct {
             prop_assert_eq!(
-                soup.delivered_value(p, ProcessId::new(origin), 1),
+                soup.delivered_value(p, ProcessId::new(origin), Tag(1)),
                 Some(42),
                 "process {} missed the delivery", p
             );
@@ -233,7 +269,7 @@ proptest! {
         prop_assume!(!correct.is_empty());
         let origin = correct[0];
         let mut soup = Soup::new(cfg, correct.clone(), seed);
-        soup.broadcast_from(origin, 1, 9);
+        soup.broadcast_from(origin, Tag(1), 9);
         soup.run();
         let mut seen: BTreeMap<(usize, ProcessId, Tag), usize> = BTreeMap::new();
         for &(p, o, tg, _) in &soup.deliveries {
@@ -258,13 +294,13 @@ proptest! {
         // INIT(b) to the rest.
         for (i, &p) in correct.iter().enumerate() {
             let value = if (split >> (i % 64)) & 1 == 0 { 7 } else { 8 };
-            soup.inject(byz, p, RbMsg::Init { tag: 3, value });
+            soup.inject(byz, p, RbMsg::Init { tag: Tag(3), value });
         }
         soup.run();
         let delivered: BTreeSet<Val> = soup
             .deliveries
             .iter()
-            .filter(|&&(p, o, tg, _)| correct.contains(&p) && o == ProcessId::new(byz) && tg == 3)
+            .filter(|&&(p, o, tg, _)| correct.contains(&p) && o == ProcessId::new(byz) && tg == Tag(3))
             .map(|&(_, _, _, v)| v)
             .collect();
         prop_assert!(delivered.len() <= 1, "correct processes delivered {:?}", delivered);
@@ -273,44 +309,59 @@ proptest! {
         if delivered.len() == 1 {
             for &p in &correct {
                 prop_assert!(
-                    soup.delivered_value(p, ProcessId::new(byz), 3).is_some(),
+                    soup.delivered_value(p, ProcessId::new(byz), Tag(3)).is_some(),
                     "termination-2 violated at process {}", p
                 );
             }
         }
     }
 
-    /// Byzantine processes spray INIT/ECHO/READY for any origin, tag and
-    /// one of two values at single targets while correct processes
-    /// broadcast; every correct engine must act exactly as the scan
-    /// reference does (checked inside `run`) and stay RB-Unique.
+    /// Byzantine processes spray INIT/ECHO/READY for any origin, a counted
+    /// or a plain tag and one of two values at single targets while
+    /// correct processes broadcast; every correct engine must act exactly
+    /// as the scan reference does (checked inside `run`), stay RB-Unique
+    /// and report each value valid at most once.
     #[test]
     fn byzantine_soup_matches_the_scan_reference(
         (cfg, correct) in small_system(),
         seed in any::<u64>(),
         noise in proptest::collection::vec(any::<u64>(), 0..64),
     ) {
-        let byzantine: Vec<usize> = (0..cfg.n()).filter(|i| !correct.contains(i)).collect();
-        prop_assume!(!byzantine.is_empty() && !correct.is_empty());
+        prop_assume!(correct.len() < cfg.n() && !correct.is_empty());
         let mut soup = Soup::new(cfg, correct.clone(), seed);
         for (i, &p) in correct.iter().enumerate() {
-            soup.broadcast_from(p, (i % 2) as Tag, 7);
+            soup.broadcast_from(p, Tag((i % 2) as u32), 7);
         }
-        for w in noise {
-            let field = |shift: u32, modulus: usize| (w >> shift) as usize % modulus;
-            let origin = ProcessId::new(field(16, cfg.n()));
-            let (tag, value) = (field(24, 2) as Tag, 7 + field(32, 2) as Val);
-            let msg = match field(40, 3) {
-                0 => RbMsg::Init { tag, value },
-                1 => RbMsg::Echo { origin, tag, value },
-                _ => RbMsg::Ready { origin, tag, value },
-            };
-            soup.inject(byzantine[field(0, byzantine.len())], correct[field(8, correct.len())], msg);
-        }
+        soup.spray(cfg, 2, &noise);
         soup.run();
         let mut seen = BTreeSet::new();
         for &(p, o, tg, _) in &soup.deliveries {
             prop_assert!(seen.insert((p, o, tg)), "double delivery");
+        }
+        for valid in &soup.valid {
+            prop_assert!(valid.iter().collect::<BTreeSet<_>>().len() == valid.len(), "valid twice");
+        }
+    }
+
+    /// A DECIDE-class tag (counted; every correct process broadcasts the
+    /// same value under it) under Byzantine sprays: every correct process
+    /// reports the correct value valid exactly once, and the sprayed value
+    /// never, since at most `t` origins back it.
+    #[test]
+    fn counted_tag_reports_each_value_once_under_sprays(
+        (cfg, correct) in small_system(),
+        seed in any::<u64>(),
+        noise in proptest::collection::vec(any::<u64>(), 0..64),
+    ) {
+        prop_assume!(correct.len() < cfg.n());
+        let mut soup = Soup::new(cfg, correct.clone(), seed);
+        for &p in &correct {
+            soup.broadcast_from(p, CB, 7);
+        }
+        soup.spray(cfg, 1, &noise);
+        soup.run();
+        for &p in &correct {
+            prop_assert_eq!(&soup.valid[p], &[7], "process {}", p);
         }
     }
 
@@ -331,14 +382,17 @@ proptest! {
         let values = [100u64, 200u64];
         let mut soup = Soup::new(cfg, correct.clone(), seed);
         for (i, &p) in correct.iter().enumerate() {
-            soup.broadcast_from(p, 0, values[assignment[i % assignment.len()]]);
+            soup.broadcast_from(p, CB, values[assignment[i % assignment.len()]]);
         }
-        // Byzantine processes RB-broadcast the alien value 666 (tag 0).
+        // Byzantine processes RB-broadcast the alien value 666.
         for b in (0..cfg.n()).filter(|i| !correct.contains(i)) {
-            soup.broadcast_from(b, 0, 666);
+            soup.broadcast_from(b, CB, 666);
         }
         soup.run();
-        let sets: Vec<BTreeSet<Val>> = correct.iter().map(|&p| soup.cbs[p].cb_valid()).collect();
+        let sets: Vec<BTreeSet<Val>> = correct
+            .iter()
+            .map(|&p| soup.valid[p].iter().copied().collect())
+            .collect();
         for s in &sets {
             prop_assert!(!s.is_empty(), "CB-Set Termination violated");
             prop_assert!(!s.contains(&666), "CB-Set Validity violated: alien value admitted");

@@ -25,9 +25,9 @@
 //! [`AcNode`] wraps a single AC object as a standalone network node for the
 //! E2 experiments.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use minsync_broadcast::{CbInstance, RbAction, RbActions, RbEngine};
+use minsync_broadcast::{RbEngine, RbEvent, RbStep};
 use minsync_net::{Env, Node};
 use minsync_types::{ProcSet, ProcessId, Round, SystemConfig, Value};
 
@@ -40,14 +40,16 @@ pub type AcOutcome<V> = (AcTag, V);
 
 /// Per-round adopt-commit state hosted by the consensus automaton.
 ///
-/// The host performs the actual RB broadcasts; `AcRound` is the pure
-/// bookkeeping: the embedded CB instance (line 1), the RB-delivered
-/// estimates (line 3's wait), and the witness/MFA computation (lines 4–7).
+/// The host performs the actual RB broadcasts and its engine counts the
+/// `AC_PROP` CB instance; `AcRound` is the pure bookkeeping: the values
+/// that CB reported valid (line 1), the RB-delivered estimates (line 3's
+/// wait), and the witness/MFA computation (lines 4–7).
 #[derive(Clone, Debug)]
 pub struct AcRound<V> {
     cfg: SystemConfig,
-    /// CB instance of line 1 (`AC_PROP` values).
-    cb: CbInstance<V>,
+    /// Line 1's `cb_valid` (`AC_PROP` values), in the order they became
+    /// valid.
+    cb_valid: Vec<V>,
     /// RB-delivered `AC_EST` values in delivery order (first per origin —
     /// RB-Unicity makes later ones impossible anyway).
     ests: Vec<(ProcessId, V)>,
@@ -69,7 +71,7 @@ impl<V: Value> AcRound<V> {
     pub fn new(cfg: SystemConfig) -> Self {
         AcRound {
             cfg,
-            cb: CbInstance::new(cfg),
+            cb_valid: Vec::new(),
             ests: Vec::new(),
             est_senders: ProcSet::default(),
             est_sent: false,
@@ -87,21 +89,21 @@ impl<V: Value> AcRound<V> {
         self
     }
 
-    /// Feeds an RB delivery of `CB_VAL` for this AC's CB instance
-    /// (Figure 1 line 4 applied to the `AC_PROP` exchange).
-    pub fn on_cb_val_delivered(&mut self, from: ProcessId, value: V) {
-        self.cb.on_rb_delivered(from, value);
+    /// `value` entered this AC's `cb_valid` (Figure 1 line 4 applied to
+    /// the `AC_PROP` exchange; the host's engine reports each value once).
+    pub fn on_cb_valid(&mut self, value: V) {
+        self.cb_valid.push(value);
     }
 
     /// The CB instance's pending return value: `Some` once `cb_valid ≠ ∅`
-    /// (Figure 2 line 1 can complete).
+    /// (Figure 2 line 1 can complete), the first value that became valid.
     pub fn cb_returnable(&self) -> Option<&V> {
-        self.cb.returnable()
+        self.cb_valid.first()
     }
 
-    /// The CB instance's current valid set (diagnostics).
-    pub fn cb_valid(&self) -> BTreeSet<V> {
-        self.cb.cb_valid()
+    /// The CB instance's current valid set, in the order it grew.
+    pub fn cb_valid(&self) -> &[V] {
+        &self.cb_valid
     }
 
     /// Marks lines 1–2 done (the host RB-broadcast `AC_EST`).
@@ -140,7 +142,7 @@ impl<V: Value> AcRound<V> {
         let witness: Vec<&V> = self
             .ests
             .iter()
-            .filter(|(_, v)| self.cb.is_valid(v))
+            .filter(|(_, v)| self.cb_valid.contains(v))
             .map(|(_, v)| v)
             .take(quorum)
             .collect();
@@ -204,6 +206,12 @@ pub struct AcNode<V> {
     ac: AcRound<V>,
 }
 
+type AcCtx<V> = Env<ProtocolMsg<V>, AcNodeEvent<V>>;
+
+/// The standalone object's tags: round 1's `AC_PROP` CB and `AC_EST` RB.
+const AC_PROP: RbTag = RbTag::CbVal(CbId::AcProp(Round::FIRST));
+const AC_EST: RbTag = RbTag::AcEst(Round::FIRST);
+
 impl<V: Value> AcNode<V> {
     /// A node that will propose `proposal` at start.
     pub fn new(cfg: SystemConfig, proposal: V) -> Self {
@@ -215,37 +223,23 @@ impl<V: Value> AcNode<V> {
         }
     }
 
-    fn rb_actions(
-        &mut self,
-        actions: RbActions<RbTag, V>,
-        env: &mut Env<ProtocolMsg<V>, AcNodeEvent<V>>,
-    ) {
-        for action in actions {
-            match action {
-                RbAction::Broadcast(m) => env.broadcast(ProtocolMsg::Rb(m)),
-                RbAction::Deliver { origin, tag, value } => match tag {
-                    RbTag::CbVal(CbId::AcProp(r)) if r == Round::FIRST => {
-                        self.ac.on_cb_val_delivered(origin, value);
-                    }
-                    RbTag::AcEst(r) if r == Round::FIRST => {
-                        self.ac.on_est_delivered(origin, value);
-                    }
-                    _ => {}
-                },
-            }
+    fn apply(&mut self, step: RbStep<RbTag, V>, env: &mut AcCtx<V>) {
+        if let Some(m) = step.broadcast {
+            env.broadcast(ProtocolMsg::Rb(m));
         }
-        self.advance(env);
-    }
-
-    fn advance(&mut self, env: &mut Env<ProtocolMsg<V>, AcNodeEvent<V>>) {
+        match step.event {
+            Some(RbEvent::CbValid { tag, value }) if tag == AC_PROP => self.ac.on_cb_valid(value),
+            Some(RbEvent::RbDelivered { tag, origin, value }) if tag == AC_EST => {
+                self.ac.on_est_delivered(origin, value)
+            }
+            _ => {}
+        }
         // Line 1 completion → line 2.
         if !self.ac.est_sent() {
             if let Some(est) = self.ac.cb_returnable().cloned() {
                 self.ac.mark_est_sent();
                 let rb = self.rb.as_mut().expect("started");
-                let actions = rb.broadcast(RbTag::AcEst(Round::FIRST), est);
-                self.rb_actions(actions, env);
-                return; // rb_actions recursed into advance already
+                env.broadcast(ProtocolMsg::Rb(rb.broadcast(AC_EST, est)));
             }
         }
         // Line 3 wait → lines 4–7.
@@ -261,28 +255,17 @@ impl<V: Value> Node for AcNode<V> {
     type Msg = ProtocolMsg<V>;
     type Output = AcNodeEvent<V>;
 
-    fn on_start(&mut self, env: &mut Env<ProtocolMsg<V>, AcNodeEvent<V>>) {
-        let mut rb = RbEngine::new(self.cfg, env.me());
-        let actions = rb.broadcast(
-            RbTag::CbVal(CbId::AcProp(Round::FIRST)),
-            self.proposal.clone(),
-        );
-        self.rb = Some(rb);
-        self.rb_actions(actions, env);
+    fn on_start(&mut self, env: &mut AcCtx<V>) {
+        let rb = self.rb.insert(RbEngine::new(self.cfg, env.me()));
+        env.broadcast(ProtocolMsg::Rb(
+            rb.broadcast(AC_PROP, self.proposal.clone()),
+        ));
     }
 
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: ProtocolMsg<V>,
-        env: &mut Env<ProtocolMsg<V>, AcNodeEvent<V>>,
-    ) {
-        if let ProtocolMsg::Rb(rb_msg) = msg {
-            if let Some(mut rb) = self.rb.take() {
-                let actions = rb.on_message(from, rb_msg);
-                self.rb = Some(rb);
-                self.rb_actions(actions, env);
-            }
+    fn on_message(&mut self, from: ProcessId, msg: ProtocolMsg<V>, env: &mut AcCtx<V>) {
+        if let (ProtocolMsg::Rb(rb_msg), Some(rb)) = (msg, self.rb.as_mut()) {
+            let step = rb.on_message(from, rb_msg);
+            self.apply(step, env);
         }
     }
 
@@ -299,18 +282,12 @@ mod tests {
         SystemConfig::new(4, 1).unwrap()
     }
 
+    /// Every mentioned value CB-valid, in first-mention order.
     fn round_with_cb(values: &[(usize, u64)]) -> AcRound<u64> {
         let mut ac = AcRound::new(cfg());
-        // Make every mentioned value CB-valid via t+1 = 2 supporters; a CB
-        // instance accepts one value per origin, so each distinct value
-        // gets its own pair of senders.
-        let mut seen = BTreeSet::new();
-        let mut next_sender = 0usize;
         for &(_, v) in values {
-            if seen.insert(v) {
-                ac.on_cb_val_delivered(ProcessId::new(next_sender), v);
-                ac.on_cb_val_delivered(ProcessId::new(next_sender + 1), v);
-                next_sender += 2;
+            if !ac.cb_valid().contains(&v) {
+                ac.on_cb_valid(v);
             }
         }
         ac
@@ -320,10 +297,9 @@ mod tests {
     fn cb_valid_gates_line1() {
         let mut ac: AcRound<u64> = AcRound::new(cfg());
         assert!(ac.cb_returnable().is_none());
-        ac.on_cb_val_delivered(ProcessId::new(0), 9);
-        assert!(ac.cb_returnable().is_none());
-        ac.on_cb_val_delivered(ProcessId::new(1), 9);
-        assert_eq!(ac.cb_returnable(), Some(&9));
+        ac.on_cb_valid(9);
+        ac.on_cb_valid(4);
+        assert_eq!(ac.cb_returnable(), Some(&9), "the first valid value");
     }
 
     #[test]
@@ -349,13 +325,11 @@ mod tests {
     #[test]
     fn tie_breaks_deterministically_to_smallest() {
         // n = 13, t = 3 → quorum 10, plurality 4, m_max = 3: three values
-        // can be valid simultaneously (each needs 4 distinct CB origins).
+        // can be valid simultaneously (each backed by 4 distinct origins).
         let cfg13 = SystemConfig::new(13, 3).unwrap();
         let mut ac: AcRound<u64> = AcRound::new(cfg13);
-        for (i, v) in [1u64, 2, 3].into_iter().enumerate() {
-            for p in 0..4 {
-                ac.on_cb_val_delivered(ProcessId::new(4 * i + p), v);
-            }
+        for v in [1u64, 2, 3] {
+            ac.on_cb_valid(v);
         }
         ac.mark_est_sent();
         // Witness of 10: four 2s, four 1s, two 3s → tie between 1 and 2.
@@ -407,8 +381,7 @@ mod tests {
             ac.on_est_delivered(ProcessId::new(p), 4);
         }
         assert_eq!(ac.try_complete(), None);
-        ac.on_cb_val_delivered(ProcessId::new(0), 4);
-        ac.on_cb_val_delivered(ProcessId::new(1), 4);
+        ac.on_cb_valid(4);
         assert_eq!(ac.try_complete(), Some((AcTag::Commit, 4)));
     }
 

@@ -20,11 +20,14 @@
 //!    (⇔ `n > 3t`) deliveries of `CERT(v)` eventually occur at every
 //!    correct process, so `v` certifies everywhere.
 //! 2. **Binary consensus.** Run the paper's consensus (always feasible for
-//!    `m = 2`: `⌊(n − t − 1)/t⌋ ≥ 2` whenever `n > 3t`) on the bit
-//!    `b_i = 1` iff some value was certified at `p_i` when its certification
-//!    watch first resolves — concretely, `b_i = 1` if a value certifies
-//!    before `CERT`s from `n − t` distinct processes were delivered without
-//!    any value reaching the threshold, else `b_i = 0`.
+//!    `m = 2`: `⌊(n − t − 1)/t⌋ ≥ 2` whenever `n > 3t`) on the bit `b_i`
+//!    fixed when `p_i`'s certification watch resolves: `b_i = 1` once some
+//!    value certifies at `p_i`; `b_i = 0` once no value can certify any
+//!    more, i.e. once `best + (n − voters) < ⌊(n + t)/2⌋ + 1`, where
+//!    `voters` counts the origins whose `CERT` was delivered and `best` is
+//!    the largest support among their values. Until then the watch is
+//!    pending, and `p_i` buffers the binary consensus's traffic without
+//!    starting it.
 //! 3. **Decision.** If the binary consensus decides `0`, decide `⊥`.
 //!    If it decides `1`, wait until some value certifies locally (if `1`
 //!    was decided, a correct process proposed `1`, so a certificate exists;
@@ -37,28 +40,29 @@
 //!   from `> (n+t)/2 ≥ t + 1` processes, at least one correct: it was
 //!   proposed by a correct process. Byzantine-only values are never
 //!   decided.
-//! * **Obligation** — if all correct processes propose `v`: every correct
-//!   process certifies `v`. Can a correct process still input `0`? Only if
-//!   `n − t` `CERT`s arrive with no value at threshold — impossible, since
-//!   any `n − t` senders include `≥ n − 2t` correct ones... but
-//!   `n − 2t > (n + t)/2` fails in general, so a fast `0` input *is*
-//!   possible when Byzantine `CERT`s pad the count. To close this, the
-//!   watch resolves `0` only after `CERT`s from **all** `n − t` first
-//!   senders are delivered *and* no value can reach the threshold even
-//!   with every not-yet-delivered process voting for it — with all correct
-//!   on `v`, `v` can always still reach it, so the watch never resolves
-//!   `0`. Hence all correct process propose `1`, the binary consensus
-//!   decides `1` (CONS-Validity), and `v` is decided.
+//! * **Obligation** — if all correct processes propose `v`, every correct
+//!   process certifies `v` (`n − t > (n + t)/2`), and its watch never
+//!   resolves `0` first: `v`'s support plus the processes not yet heard
+//!   from always includes the `n − t` correct ones, so the `0` test fails.
+//!   Hence all correct processes input `1`, the binary consensus decides
+//!   `1` (CONS-Validity), and `v` is decided.
 //! * **Agreement** — the binary consensus agrees on the bit; if `1`, the
 //!   certified value is unique (quorum intersection), so all correct
 //!   processes decide it.
-//! * **Termination** — the certification watch always resolves (`1` when a
-//!   value certifies; `0` once no value can mathematically reach the
-//!   threshold); the binary consensus terminates under the
-//!   ✸⟨t+1⟩bisource; a decided `1` implies an eventually-visible
+//! * **Termination** — *not guaranteed once a process is Byzantine*. The
+//!   watch resolves `1` when a value certifies and `0` when none can; with
+//!   all `n` processes heard from, one of the two always holds. But `t`
+//!   silent processes keep `voters ≤ n − t`, so a split with
+//!   `best < ⌊(n + t)/2⌋ + 1 ≤ best + t` leaves every correct watch pending
+//!   forever and nobody decides: at `n = 4`, correct proposals `5, 5, 7`
+//!   plus one silent process stall (`best = 2`, one unheard, threshold
+//!   `3`), as do `1, 1, 1, 1, 2` plus two silent at `n = 7`. Unanimous
+//!   correct proposals certify, and splits with `best + t` below the
+//!   threshold resolve `0`; then the binary consensus terminates under the
+//!   ✸⟨t+1⟩bisource, and a decided `1` implies an eventually-visible
 //!   certificate.
 
-use minsync_broadcast::{RbAction, RbActions, RbEngine};
+use minsync_broadcast::{RbEngine, RbEvent, RbStep};
 use minsync_net::{Effect, Env, Node, TimerId};
 use minsync_types::{ConfigError, ProcessId, SystemConfig, Tally, Value};
 
@@ -167,22 +171,15 @@ impl<V: Value> BotConsensusNode<V> {
         })
     }
 
-    fn apply_cert_rb(&mut self, actions: RbActions<(), V>, env: &mut BotCtx<V>) {
-        for action in actions {
-            match action {
-                RbAction::Broadcast(m) => env.broadcast(BotMsg::CertRb(m)),
-                RbAction::Deliver { origin, value, .. } => {
-                    self.on_cert_delivered(origin, value, env)
-                }
-            }
+    fn apply_cert_rb(&mut self, step: RbStep<(), V>, env: &mut BotCtx<V>) {
+        if let Some(m) = step.broadcast {
+            env.broadcast(BotMsg::CertRb(m));
         }
-    }
-
-    fn on_cert_delivered(&mut self, origin: ProcessId, value: V, env: &mut BotCtx<V>) {
-        if self.cert.vote(origin, &value).is_none() {
-            return; // RB-Unicity makes this unreachable; defensive.
+        if let Some(RbEvent::RbDelivered { origin, value, .. }) = step.event {
+            // RB-Unicity: one delivery per origin, so the vote always counts.
+            self.cert.vote(origin, &value);
+            self.recheck_certification(env);
         }
-        self.recheck_certification(env);
     }
 
     fn recheck_certification(&mut self, env: &mut BotCtx<V>) {
@@ -290,19 +287,16 @@ impl<V: Value> Node for BotConsensusNode<V> {
     type Output = BotEvent<V>;
 
     fn on_start(&mut self, env: &mut BotCtx<V>) {
-        let mut rb = RbEngine::new(self.system, env.me());
-        let actions = rb.broadcast((), self.proposal.clone());
-        self.cert_rb = Some(rb);
-        self.apply_cert_rb(actions, env);
+        let rb = self.cert_rb.insert(RbEngine::new(self.system, env.me()));
+        env.broadcast(BotMsg::CertRb(rb.broadcast((), self.proposal.clone())));
     }
 
     fn on_message(&mut self, from: ProcessId, msg: BotMsg<V>, env: &mut BotCtx<V>) {
         match msg {
             BotMsg::CertRb(rb_msg) => {
-                if let Some(mut rb) = self.cert_rb.take() {
-                    let actions = rb.on_message(from, rb_msg);
-                    self.cert_rb = Some(rb);
-                    self.apply_cert_rb(actions, env);
+                if let Some(rb) = self.cert_rb.as_mut() {
+                    let step = rb.on_message(from, rb_msg);
+                    self.apply_cert_rb(step, env);
                 }
             }
             BotMsg::Inner(inner_msg) => {
@@ -332,6 +326,7 @@ impl<V: Value> Node for BotConsensusNode<V> {
 mod tests {
     use super::*;
     use crate::consensus::ConsensusConfig;
+    use minsync_broadcast::RbMsg;
     use minsync_net::sim::SimBuilder;
     use minsync_net::{NetworkTopology, Node};
     use minsync_types::{check, SystemConfig};
@@ -393,18 +388,25 @@ mod tests {
 
     #[test]
     fn certification_watch_resolves_zero_only_when_mathematically_final() {
+        // n = 4, t = 1: threshold 3. p1..p4 each RB-deliver a distinct
+        // value (2t + 1 READYs each); the watch is read after each one.
         let cfg = ConsensusConfig::paper(SystemConfig::new(4, 1).unwrap());
-        let mut node: BotConsensusNode<u64> = BotConsensusNode::new(cfg, 1).unwrap();
-        // Feed deliveries directly: 3 distinct values from 3 origins; the
-        // 4th origin could still push any of them to the threshold (3), so
-        // the watch must stay pending.
-        node.cert.vote(ProcessId::new(0), &10);
-        node.cert.vote(ProcessId::new(1), &20);
-        // best = 1, outstanding = 2, threshold = 3: 1 + 2 = 3 ≥ 3 → pending.
-        assert_eq!(node.watch, Watch::Pending);
-        let outstanding = 4 - node.cert.voters();
-        let best = node.cert.iter().map(|(_, s)| s).max().unwrap_or(0);
-        assert!(best + outstanding >= cfg.system.certification_threshold());
+        let mut node: BotConsensusNode<u64> = BotConsensusNode::new(cfg, 10).unwrap();
+        let mut env: BotCtx<u64> = Env::new(4, 0);
+        node.on_start(&mut env);
+        let mut watch = Vec::new();
+        for (origin, value) in [10, 20, 30, 40].into_iter().enumerate() {
+            let (origin, tag) = (ProcessId::new(origin), ());
+            for sender in 0..3 {
+                let ready = RbMsg::Ready { origin, tag, value };
+                node.on_message(ProcessId::new(sender), BotMsg::CertRb(ready), &mut env);
+            }
+            watch.push(node.watch);
+        }
+        // best 1 plus 3, then 2 unheard origins can still reach 3; with
+        // 1 unheard no value can.
+        use Watch::{Pending, Resolved};
+        assert_eq!(watch, [Pending, Pending, Resolved(0), Resolved(0)]);
     }
 
     #[test]

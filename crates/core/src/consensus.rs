@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use minsync_broadcast::{CbInstance, RbAction, RbActions, RbEngine};
+use minsync_broadcast::{RbEngine, RbEvent, RbStep};
 use minsync_net::{Env, Node, TimerId};
 use minsync_types::{ConfigError, ProcessId, Round, RoundSchedule, SystemConfig, Value};
 
@@ -139,14 +139,13 @@ enum Phase {
 pub struct ConsensusNode<V> {
     cfg: ConsensusConfig,
     proposal: V,
-    me: Option<ProcessId>,
+    /// The one broadcast layer: every RB instance, and the `t + 1` counts
+    /// of every CB instance and of `DECIDE`.
     rb: Option<RbEngine<RbTag, V>>,
-    /// `CB[0]` of line 1.
-    cb0: CbInstance<V>,
+    /// `cb_valid` of `CB[0]` (line 1).
+    cb0: Vec<V>,
     ea: EaObject<V>,
     ac_rounds: BTreeMap<Round, AcRound<V>>,
-    /// Counts RB-delivered `DECIDE(v)` per value; `t + 1` triggers decision.
-    decide_votes: CbInstance<V>,
     est: V,
     phase: Phase,
     /// Round advancement + round-timer ownership (see [`ViewSynchronizer`]).
@@ -172,14 +171,12 @@ impl<V: Value> ConsensusNode<V> {
         Ok(ConsensusNode {
             cfg,
             proposal: proposal.clone(),
-            me: None,
             rb: None,
-            cb0: CbInstance::new(cfg.system),
+            cb0: Vec::new(),
             // `me` is patched in on_start; placeholder id 0 is fine because
             // the EA object is rebuilt there.
             ea: EaObject::new(cfg.system, schedule, ProcessId::new(0), cfg.timeout),
             ac_rounds: BTreeMap::new(),
-            decide_votes: CbInstance::new(cfg.system),
             est: proposal,
             phase: Phase::AwaitValid,
             sync: ViewSynchronizer::new(cfg.timeout),
@@ -215,19 +212,7 @@ impl<V: Value> ConsensusNode<V> {
 
     fn rb_broadcast(&mut self, tag: RbTag, value: V, env: &mut Ctx<V>) {
         let rb = self.rb.as_mut().expect("rb engine initialized at start");
-        let actions = rb.broadcast(tag, value);
-        self.apply_rb(actions, env);
-    }
-
-    fn apply_rb(&mut self, actions: RbActions<RbTag, V>, env: &mut Ctx<V>) {
-        for action in actions {
-            match action {
-                RbAction::Broadcast(m) => env.broadcast(ProtocolMsg::Rb(m)),
-                RbAction::Deliver { origin, tag, value } => {
-                    self.on_rb_delivered(origin, tag, value, env)
-                }
-            }
-        }
+        env.broadcast(ProtocolMsg::Rb(rb.broadcast(tag, value)));
     }
 
     fn apply_ea(&mut self, actions: Vec<EaAction<V>>, env: &mut Ctx<V>) {
@@ -252,33 +237,45 @@ impl<V: Value> ConsensusNode<V> {
     // Protocol steps
     // ------------------------------------------------------------------
 
-    fn on_rb_delivered(&mut self, origin: ProcessId, tag: RbTag, value: V, env: &mut Ctx<V>) {
-        match tag {
-            RbTag::CbVal(CbId::ConsValid) => {
-                self.cb0.on_rb_delivered(origin, value);
-                if self.phase == Phase::AwaitValid {
-                    self.try_leave_line1(env);
+    /// Applies one step of the broadcast layer: its broadcast, then its
+    /// event. A decided process ignores EA/AC traffic (the layer itself
+    /// stays live, see the module docs).
+    fn apply_rb(&mut self, step: RbStep<RbTag, V>, env: &mut Ctx<V>) {
+        if let Some(m) = step.broadcast {
+            env.broadcast(ProtocolMsg::Rb(m));
+        }
+        let live = self.decided.is_none();
+        match step.event {
+            Some(RbEvent::CbValid { tag, value }) => match tag {
+                RbTag::CbVal(CbId::ConsValid) => {
+                    self.cb0.push(value.clone());
+                    // Line 1 returns CB[0]'s first valid value: round 1.
+                    if self.phase == Phase::AwaitValid {
+                        self.est = value;
+                        self.enter_round(Round::FIRST, env);
+                    }
                 }
-            }
-            RbTag::CbVal(CbId::EaProp(r)) => {
-                if self.decided.is_none() {
-                    let acts = self.ea.on_cb_val_delivered(origin, r, value);
+                RbTag::CbVal(CbId::EaProp(r)) if live => {
+                    let acts = self.ea.on_cb_valid(r, value);
                     self.apply_ea(acts, env);
                 }
-            }
-            RbTag::CbVal(CbId::AcProp(r)) => {
-                self.ac_round(r).on_cb_val_delivered(origin, value);
-                self.try_advance_ac(r, env);
-            }
-            RbTag::AcEst(r) => {
+                RbTag::CbVal(CbId::AcProp(r)) if live => {
+                    self.ac_round(r).on_cb_valid(value);
+                    self.try_advance_ac(r, env);
+                }
+                // Line 9: DECIDE(v) RB-delivered from t + 1 processes.
+                RbTag::Decide => self.on_decided(value, env),
+                _ => {}
+            },
+            Some(RbEvent::RbDelivered {
+                tag: RbTag::AcEst(r),
+                origin,
+                value,
+            }) if live => {
                 self.ac_round(r).on_est_delivered(origin, value);
                 self.try_advance_ac(r, env);
             }
-            RbTag::Decide => {
-                if let Some(v) = self.decide_votes.on_rb_delivered(origin, value) {
-                    self.on_decided(v, env);
-                }
-            }
+            _ => {}
         }
     }
 
@@ -294,16 +291,6 @@ impl<V: Value> ConsensusNode<V> {
                 None => ac,
             }
         })
-    }
-
-    /// Line 1 completion: `CB[0]` returned → enter round 1.
-    fn try_leave_line1(&mut self, env: &mut Ctx<V>) {
-        debug_assert_eq!(self.phase, Phase::AwaitValid);
-        let Some(v) = self.cb0.returnable().cloned() else {
-            return;
-        };
-        self.est = v;
-        self.enter_round(Round::FIRST, env);
     }
 
     /// Lines 3–4: start round `r` and `EA_propose(r, est)`.
@@ -328,7 +315,7 @@ impl<V: Value> ConsensusNode<V> {
         }
         // Line 5: adopt only values CB[0] certifies as coming from a
         // correct process.
-        if self.cb0.is_valid(&value) {
+        if self.cb0.contains(&value) {
             self.est = value.clone();
         }
         env.output(ConsensusEvent::EaReturned { round, value, fast });
@@ -411,7 +398,6 @@ impl<V: Value> Node for ConsensusNode<V> {
 
     fn on_start(&mut self, env: &mut Ctx<V>) {
         let me = env.me();
-        self.me = Some(me);
         self.rb = Some(RbEngine::new(self.cfg.system, me));
         self.ea = EaObject::new(
             self.cfg.system,
@@ -429,8 +415,8 @@ impl<V: Value> Node for ConsensusNode<V> {
                 // The RB layer is serviced forever — even after deciding —
                 // so other correct processes retain RB-Termination-2.
                 if let Some(rb) = self.rb.as_mut() {
-                    let actions = rb.on_message(from, rb_msg);
-                    self.apply_rb(actions, env);
+                    let step = rb.on_message(from, rb_msg);
+                    self.apply_rb(step, env);
                 }
             }
             ProtocolMsg::EaProp2 { round, value } => {
@@ -471,6 +457,7 @@ impl<V: Value> Node for ConsensusNode<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minsync_broadcast::RbMsg;
     use minsync_net::sim::{OutputRecord, RunReport, SimBuilder};
     use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology};
     use minsync_types::check;
@@ -552,6 +539,34 @@ mod tests {
             .outputs
             .iter()
             .any(|o| matches!(o.event, ConsensusEvent::DecideBroadcast { .. })));
+    }
+
+    #[test]
+    fn decided_node_keeps_no_ac_state() {
+        let system = SystemConfig::new(4, 1).unwrap();
+        let mut node = ConsensusNode::new(ConsensusConfig::paper(system), 5u64).unwrap();
+        let mut env: Ctx<u64> = Env::new(4, 0);
+        node.on_start(&mut env);
+        // 2t + 1 READYs make p1 deliver `(origin, tag)`'s instance of 5.
+        let value = 5;
+        let mut deliver = |node: &mut ConsensusNode<u64>, origin: usize, tag: RbTag| {
+            let origin = ProcessId::new(origin);
+            for sender in 0..system.ready_threshold() {
+                let ready = RbMsg::Ready { origin, tag, value };
+                node.on_message(ProcessId::new(sender), ProtocolMsg::Rb(ready), &mut env);
+            }
+        };
+        // Line 9: DECIDE(5) from t + 1 = 2 origins.
+        deliver(&mut node, 1, RbTag::Decide);
+        deliver(&mut node, 2, RbTag::Decide);
+        assert_eq!(node.decision(), Some(&5));
+        // A later round's AC traffic: CB-valid AC_PROP, n − t AC_ESTs.
+        let later = Round::new(7);
+        for origin in 1..4 {
+            deliver(&mut node, origin, RbTag::CbVal(CbId::AcProp(later)));
+            deliver(&mut node, origin, RbTag::AcEst(later));
+        }
+        assert!(node.ac_rounds.is_empty(), "decided, yet AC state");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use std::collections::BTreeMap;
 
-use minsync_broadcast::{CbInstance, RbAction, RbActions, RbEngine};
+use minsync_broadcast::{RbEngine, RbEvent, RbStep};
 use minsync_net::{Env, Node, TimerId};
 use minsync_types::{ProcSet, ProcessId, Round, RoundSchedule, SystemConfig, Value};
 
@@ -102,7 +102,8 @@ enum Stage {
 /// process has not reached.
 #[derive(Clone, Debug)]
 struct EaRound<V> {
-    cb: CbInstance<V>,
+    /// Line 1's `cb_valid`, in the order the host's engine reported it.
+    cb_valid: Vec<V>,
     prop2: Vec<(ProcessId, V)>,
     prop2_senders: ProcSet,
     relays: Vec<(ProcessId, Option<V>)>,
@@ -116,10 +117,10 @@ struct EaRound<V> {
     stage: Stage,
 }
 
-impl<V: Value> EaRound<V> {
-    fn new(cfg: SystemConfig) -> Self {
+impl<V> EaRound<V> {
+    fn new() -> Self {
         EaRound {
-            cb: CbInstance::new(cfg),
+            cb_valid: Vec::new(),
             prop2: Vec::new(),
             prop2_senders: ProcSet::default(),
             relays: Vec::new(),
@@ -196,8 +197,7 @@ impl<V: Value> EaObject<V> {
     }
 
     fn round(&mut self, r: Round) -> &mut EaRound<V> {
-        let cfg = self.cfg;
-        self.rounds.entry(r).or_insert_with(|| EaRound::new(cfg))
+        self.rounds.entry(r).or_insert_with(EaRound::new)
     }
 
     /// Invokes `EA_propose(r, value)` (Figure 3 line 1).
@@ -222,9 +222,10 @@ impl<V: Value> EaObject<V> {
         actions
     }
 
-    /// Feeds an RB delivery of `CB_VAL` for round `r`'s CB instance.
-    pub fn on_cb_val_delivered(&mut self, from: ProcessId, r: Round, value: V) -> Vec<EaAction<V>> {
-        self.round(r).cb.on_rb_delivered(from, value);
+    /// `value` entered round `r`'s `cb_valid` (Figure 1 line 4; the
+    /// host's engine reports each value once).
+    pub fn on_cb_valid(&mut self, r: Round, value: V) -> Vec<EaAction<V>> {
+        self.round(r).cb_valid.push(value);
         self.advance(r)
     }
 
@@ -320,8 +321,7 @@ impl<V: Value> EaObject<V> {
         let policy = self.policy;
         self.refresh_f(r);
         let f_bitmap = &self.f_bitmap;
-        let cfg = self.cfg;
-        let round = self.rounds.entry(r).or_insert_with(|| EaRound::new(cfg));
+        let round = self.rounds.entry(r).or_insert_with(EaRound::new);
         let mut actions = Vec::new();
         loop {
             match round.stage {
@@ -329,7 +329,7 @@ impl<V: Value> EaObject<V> {
                 Stage::AwaitAux => {
                     // Line 1 completes when cb_valid ≠ ∅; line 2 broadcasts
                     // EA_PROP2(aux).
-                    let Some(aux) = round.cb.returnable().cloned() else {
+                    let Some(aux) = round.cb_valid.first().cloned() else {
                         break;
                     };
                     round.stage = Stage::AwaitProp2;
@@ -344,7 +344,7 @@ impl<V: Value> EaObject<V> {
                     let witness: Vec<&V> = round
                         .prop2
                         .iter()
-                        .filter(|(_, v)| round.cb.is_valid(v))
+                        .filter(|(_, v)| round.cb_valid.contains(v))
                         .map(|(_, v)| v)
                         .take(quorum)
                         .collect();
@@ -466,6 +466,8 @@ pub struct EaNode<V> {
     sync: ViewSynchronizer,
 }
 
+type EaCtx<V> = Env<ProtocolMsg<V>, EaNodeEvent<V>>;
+
 impl<V: Value> EaNode<V> {
     /// Creates the node with its initial estimate.
     ///
@@ -491,14 +493,12 @@ impl<V: Value> EaNode<V> {
         }
     }
 
-    fn apply(&mut self, actions: Vec<EaAction<V>>, env: &mut Env<ProtocolMsg<V>, EaNodeEvent<V>>) {
+    fn apply(&mut self, actions: Vec<EaAction<V>>, env: &mut EaCtx<V>) {
         for action in actions {
             match action {
                 EaAction::RbBroadcast { tag, value } => {
-                    let mut rb = self.rb.take().expect("started");
-                    let rb_actions = rb.broadcast(tag, value);
-                    self.rb = Some(rb);
-                    self.apply_rb(rb_actions, env);
+                    let rb = self.rb.as_mut().expect("started");
+                    env.broadcast(ProtocolMsg::Rb(rb.broadcast(tag, value)));
                 }
                 EaAction::Broadcast(msg) => env.broadcast(msg),
                 EaAction::SetTimer { round, delay } => {
@@ -522,21 +522,17 @@ impl<V: Value> EaNode<V> {
         }
     }
 
-    fn apply_rb(
-        &mut self,
-        actions: RbActions<RbTag, V>,
-        env: &mut Env<ProtocolMsg<V>, EaNodeEvent<V>>,
-    ) {
-        for action in actions {
-            match action {
-                RbAction::Broadcast(m) => env.broadcast(ProtocolMsg::Rb(m)),
-                RbAction::Deliver { origin, tag, value } => {
-                    if let RbTag::CbVal(CbId::EaProp(r)) = tag {
-                        let ea_actions = self.ea.on_cb_val_delivered(origin, r, value);
-                        self.apply(ea_actions, env);
-                    }
-                }
-            }
+    fn apply_rb(&mut self, step: RbStep<RbTag, V>, env: &mut EaCtx<V>) {
+        if let Some(m) = step.broadcast {
+            env.broadcast(ProtocolMsg::Rb(m));
+        }
+        if let Some(RbEvent::CbValid {
+            tag: RbTag::CbVal(CbId::EaProp(r)),
+            value,
+        }) = step.event
+        {
+            let actions = self.ea.on_cb_valid(r, value);
+            self.apply(actions, env);
         }
     }
 }
@@ -545,24 +541,18 @@ impl<V: Value> Node for EaNode<V> {
     type Msg = ProtocolMsg<V>;
     type Output = EaNodeEvent<V>;
 
-    fn on_start(&mut self, env: &mut Env<ProtocolMsg<V>, EaNodeEvent<V>>) {
+    fn on_start(&mut self, env: &mut EaCtx<V>) {
         self.rb = Some(RbEngine::new(self.cfg, env.me()));
         let actions = self.ea.propose(Round::FIRST, self.estimate.clone());
         self.apply(actions, env);
     }
 
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: ProtocolMsg<V>,
-        env: &mut Env<ProtocolMsg<V>, EaNodeEvent<V>>,
-    ) {
+    fn on_message(&mut self, from: ProcessId, msg: ProtocolMsg<V>, env: &mut EaCtx<V>) {
         match msg {
             ProtocolMsg::Rb(rb_msg) => {
-                if let Some(mut rb) = self.rb.take() {
-                    let actions = rb.on_message(from, rb_msg);
-                    self.rb = Some(rb);
-                    self.apply_rb(actions, env);
+                if let Some(rb) = self.rb.as_mut() {
+                    let step = rb.on_message(from, rb_msg);
+                    self.apply_rb(step, env);
                 }
             }
             ProtocolMsg::EaProp2 { round, value } => {
@@ -580,7 +570,7 @@ impl<V: Value> Node for EaNode<V> {
         }
     }
 
-    fn on_timer(&mut self, timer: TimerId, env: &mut Env<ProtocolMsg<V>, EaNodeEvent<V>>) {
+    fn on_timer(&mut self, timer: TimerId, env: &mut EaCtx<V>) {
         if let Some(round) = self.sync.expire(timer) {
             let actions = self.ea.on_timer_expired(round);
             self.apply(actions, env);
@@ -610,24 +600,6 @@ mod tests {
         )
     }
 
-    /// Makes `value` CB-valid at round `r` by feeding t+1 RB deliveries
-    /// from the two given distinct origins (a CB instance accepts one value
-    /// per origin, so different values need different senders).
-    fn make_valid_from(
-        obj: &mut EaObject<u64>,
-        r: Round,
-        value: u64,
-        senders: [usize; 2],
-    ) -> Vec<EaAction<u64>> {
-        let mut acts = obj.on_cb_val_delivered(ProcessId::new(senders[0]), r, value);
-        acts.extend(obj.on_cb_val_delivered(ProcessId::new(senders[1]), r, value));
-        acts
-    }
-
-    fn make_valid(obj: &mut EaObject<u64>, r: Round, value: u64) -> Vec<EaAction<u64>> {
-        make_valid_from(obj, r, value, [0, 1])
-    }
-
     #[test]
     fn propose_emits_rb_broadcast() {
         let mut obj = ea(0);
@@ -654,7 +626,7 @@ mod tests {
         let mut obj = ea(0);
         let r = Round::FIRST;
         let _ = obj.propose(r, 5);
-        let acts = make_valid(&mut obj, r, 5);
+        let acts = obj.on_cb_valid(r, 5);
         assert!(
             acts.contains(&EaAction::Broadcast(ProtocolMsg::EaProp2 {
                 round: r,
@@ -669,7 +641,7 @@ mod tests {
         let mut obj = ea(0);
         let r = Round::FIRST;
         let _ = obj.propose(r, 5);
-        let _ = make_valid(&mut obj, r, 5);
+        let _ = obj.on_cb_valid(r, 5);
         let mut acts = Vec::new();
         for p in 0..3 {
             acts.extend(obj.on_prop2(ProcessId::new(p), r, 5));
@@ -691,8 +663,8 @@ mod tests {
         let mut obj = ea(0);
         let r = Round::FIRST;
         let _ = obj.propose(r, 5);
-        let _ = make_valid(&mut obj, r, 5);
-        let _ = make_valid_from(&mut obj, r, 9, [2, 3]);
+        let _ = obj.on_cb_valid(r, 5);
+        let _ = obj.on_cb_valid(r, 9);
         let mut acts = Vec::new();
         acts.extend(obj.on_prop2(ProcessId::new(0), r, 5));
         acts.extend(obj.on_prop2(ProcessId::new(1), r, 9));
@@ -708,7 +680,7 @@ mod tests {
         let mut obj = ea(1); // p2: not round 1's coordinator
         let r = Round::FIRST;
         let _ = obj.propose(r, 5);
-        let _ = make_valid(&mut obj, r, 5);
+        let _ = obj.on_cb_valid(r, 5);
         let mut acts = Vec::new();
         // 99 never becomes valid: three junk prop2s don't complete line 3.
         for p in 0..3 {
@@ -755,8 +727,8 @@ mod tests {
         let mut obj = ea(1);
         let r = Round::FIRST;
         let _ = obj.propose(r, 5);
-        let _ = make_valid(&mut obj, r, 5);
-        let _ = make_valid_from(&mut obj, r, 9, [2, 3]);
+        let _ = obj.on_cb_valid(r, 5);
+        let _ = obj.on_cb_valid(r, 9);
         let mut acts = Vec::new();
         acts.extend(obj.on_prop2(ProcessId::new(0), r, 5));
         acts.extend(obj.on_prop2(ProcessId::new(1), r, 9));
@@ -797,8 +769,8 @@ mod tests {
         let mut obj = ea(1);
         let r = Round::FIRST;
         let _ = obj.propose(r, 5);
-        let _ = make_valid(&mut obj, r, 5);
-        let _ = make_valid_from(&mut obj, r, 9, [2, 3]);
+        let _ = obj.on_cb_valid(r, 5);
+        let _ = obj.on_cb_valid(r, 9);
         let _ = obj.on_prop2(ProcessId::new(0), r, 5);
         let _ = obj.on_prop2(ProcessId::new(1), r, 9);
         let _ = obj.on_prop2(ProcessId::new(2), r, 5);
@@ -825,8 +797,8 @@ mod tests {
         let mut obj = ea(1);
         let r = Round::FIRST;
         let _ = obj.propose(r, 5);
-        let _ = make_valid(&mut obj, r, 5);
-        let _ = make_valid_from(&mut obj, r, 9, [2, 3]);
+        let _ = obj.on_cb_valid(r, 5);
+        let _ = obj.on_cb_valid(r, 9);
         let _ = obj.on_prop2(ProcessId::new(0), r, 5);
         let _ = obj.on_prop2(ProcessId::new(1), r, 9);
         let _ = obj.on_prop2(ProcessId::new(2), r, 5);
@@ -852,8 +824,8 @@ mod tests {
         let mut obj = ea(1);
         let r = Round::FIRST;
         let _ = obj.propose(r, 5);
-        let _ = make_valid(&mut obj, r, 5);
-        let _ = make_valid_from(&mut obj, r, 9, [2, 3]);
+        let _ = obj.on_cb_valid(r, 5);
+        let _ = obj.on_cb_valid(r, 9);
         let _ = obj.on_prop2(ProcessId::new(0), r, 5);
         let _ = obj.on_prop2(ProcessId::new(1), r, 9);
         let _ = obj.on_prop2(ProcessId::new(2), r, 5);
@@ -903,7 +875,7 @@ mod tests {
         let mut obj = ea(0);
         let future = Round::new(10);
         let _ = obj.on_prop2(ProcessId::new(1), future, 5);
-        let _ = make_valid(&mut obj, future, 5);
+        let _ = obj.on_cb_valid(future, 5);
         let _ = obj.on_prop2(ProcessId::new(2), future, 5);
         // Now propose: the buffered state counts immediately; one more
         // prop2 completes the witness.

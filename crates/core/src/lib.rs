@@ -45,6 +45,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod adopt_commit;
 pub mod bot_variant;

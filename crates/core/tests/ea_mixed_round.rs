@@ -22,12 +22,6 @@ fn ea(me: usize) -> EaObject<u64> {
     )
 }
 
-/// Validates `value` at round `r` via two distinct RB origins.
-fn validate(obj: &mut EaObject<u64>, r: Round, value: u64, origins: [usize; 2]) {
-    let _ = obj.on_cb_val_delivered(ProcessId::new(origins[0]), r, value);
-    let _ = obj.on_cb_val_delivered(ProcessId::new(origins[1]), r, value);
-}
-
 #[test]
 fn fast_path_and_champion_can_disagree_within_a_round() {
     let r = Round::FIRST;
@@ -35,8 +29,8 @@ fn fast_path_and_champion_can_disagree_within_a_round() {
     // Process A (p2): sees a unanimous 0-witness → fast-returns 0.
     let mut a = ea(1);
     let _ = a.propose(r, 0);
-    validate(&mut a, r, 0, [0, 1]);
-    validate(&mut a, r, 9, [2, 3]);
+    let _ = a.on_cb_valid(r, 0);
+    let _ = a.on_cb_valid(r, 9);
     let mut acts_a = Vec::new();
     for p in 0..3 {
         acts_a.extend(a.on_prop2(ProcessId::new(p), r, 0));
@@ -59,8 +53,8 @@ fn fast_path_and_champion_can_disagree_within_a_round() {
     // coordinator (p1 ∈ F(1)) champions 9; B relays and returns it.
     let mut b = ea(3);
     let _ = b.propose(r, 9);
-    validate(&mut b, r, 0, [0, 1]);
-    validate(&mut b, r, 9, [2, 3]);
+    let _ = b.on_cb_valid(r, 0);
+    let _ = b.on_cb_valid(r, 9);
     let _ = b.on_prop2(ProcessId::new(0), r, 0);
     let _ = b.on_prop2(ProcessId::new(1), r, 9);
     let _ = b.on_prop2(ProcessId::new(2), r, 0);

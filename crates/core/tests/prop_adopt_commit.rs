@@ -1,12 +1,17 @@
 //! Property tests of the adopt-commit state machine (Figure 2) under
 //! arbitrary delivery orders and Byzantine-shaped inputs.
 
-use minsync_core::{AcRound, AcTag};
-use minsync_types::{ProcessId, SystemConfig};
+mod common;
+
+use minsync_broadcast::RbEngine;
+use minsync_core::{AcRound, AcTag, CbId, RbTag};
+use minsync_types::{ProcessId, Round, SystemConfig};
 use proptest::prelude::*;
 
-/// Replays a run of one AC object at one process: CB validations and
-/// AC_EST deliveries interleaved in an arbitrary order.
+const AC_PROP: RbTag = RbTag::CbVal(CbId::AcProp(Round::FIRST));
+
+/// Replays a run of one AC object at one process: `CB_VAL` and `AC_EST`
+/// deliveries interleaved in an arbitrary order.
 #[derive(Clone, Debug)]
 enum Input {
     CbVal { from: usize, value: u64 },
@@ -33,6 +38,7 @@ proptest! {
     ) {
         let cfg = SystemConfig::new(4, 1).unwrap();
         let mut ac: AcRound<u64> = AcRound::new(cfg);
+        let mut rb = RbEngine::new(cfg, ProcessId::new(0));
         let mut first_outcome: Option<(AcTag, u64)> = None;
         for (i, input) in inputs.iter().enumerate() {
             if i == est_sent_at {
@@ -40,7 +46,9 @@ proptest! {
             }
             match *input {
                 Input::CbVal { from, value } => {
-                    ac.on_cb_val_delivered(ProcessId::new(from), value)
+                    if let Some(valid) = common::deliver(&mut rb, cfg, AC_PROP, from, value) {
+                        ac.on_cb_valid(valid);
+                    }
                 }
                 Input::Est { from, value } => ac.on_est_delivered(ProcessId::new(from), value),
             }
@@ -93,10 +101,13 @@ proptest! {
         let cfg = SystemConfig::new(7, 2).unwrap();
         let run = |order: &[usize]| {
             let mut ac: AcRound<u64> = AcRound::new(cfg);
+            let mut rb = RbEngine::new(cfg, ProcessId::new(0));
             // CB validation: every proposed value is supported by its
             // proposers (same at both processes — CB-Set Agreement).
             for (origin, &v) in assignment.iter().enumerate() {
-                ac.on_cb_val_delivered(ProcessId::new(origin), v);
+                if let Some(valid) = common::deliver(&mut rb, cfg, AC_PROP, origin, v) {
+                    ac.on_cb_valid(valid);
+                }
             }
             ac.mark_est_sent();
             for &origin in order {
@@ -131,9 +142,8 @@ proptest! {
     ) {
         let cfg = SystemConfig::new(7, 2).unwrap();
         let mut ac: AcRound<u64> = AcRound::new(cfg);
-        for origin in 0..7 {
-            ac.on_cb_val_delivered(ProcessId::new(origin), value);
-        }
+        // Seven origins' CB_VAL(value) make it valid once.
+        ac.on_cb_valid(value);
         ac.mark_est_sent();
         let mut outcome = None;
         for &origin in &order {

@@ -1,7 +1,10 @@
 //! Property tests driving the [`EaObject`] state machine directly with
 //! arbitrary (including Byzantine-shaped) input sequences.
 
-use minsync_core::{EaAction, EaObject, TimeoutPolicy};
+mod common;
+
+use minsync_broadcast::RbEngine;
+use minsync_core::{CbId, EaAction, EaObject, RbTag, TimeoutPolicy};
 use minsync_types::{ProcessId, Round, RoundSchedule, SystemConfig};
 use proptest::prelude::*;
 
@@ -50,6 +53,8 @@ proptest! {
     ) {
         let mut obj = ea(me, 4, 1);
         let r = Round::FIRST;
+        let cfg = SystemConfig::new(4, 1).unwrap();
+        let mut rb = RbEngine::new(cfg, ProcessId::new(me));
         let mut returned = 0usize;
         let mut relays = 0usize;
         let mut champions = 0usize;
@@ -71,7 +76,8 @@ proptest! {
             }
             let actions = match *stim {
                 Stim::CbVal { from, value } => {
-                    obj.on_cb_val_delivered(ProcessId::new(from), r, value)
+                    let valid = common::deliver(&mut rb, cfg, RbTag::CbVal(CbId::EaProp(r)), from, value);
+                    valid.map_or_else(Vec::new, |v| obj.on_cb_valid(r, v))
                 }
                 Stim::Prop2 { from, value } => obj.on_prop2(ProcessId::new(from), r, value),
                 Stim::Coord { from, value } => obj.on_coord(ProcessId::new(from), r, value),
@@ -105,8 +111,7 @@ proptest! {
         // Byzantine junk prop2 first: never validates, never qualifies.
         actions.extend(obj.on_prop2(ProcessId::new(junk_from), r, 99));
         // CB validation of v from t+1 = 2 origins.
-        actions.extend(obj.on_cb_val_delivered(ProcessId::new(0), r, v));
-        actions.extend(obj.on_cb_val_delivered(ProcessId::new(1), r, v));
+        actions.extend(obj.on_cb_valid(r, v));
         // Correct prop2s (first per sender counts) in arbitrary order.
         for &p in &order {
             actions.extend(obj.on_prop2(ProcessId::new(p), r, v));

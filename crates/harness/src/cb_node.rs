@@ -1,9 +1,20 @@
 //! A standalone cooperative-broadcast node for experiment E1 (Figure 1 in
 //! isolation).
 
-use minsync_broadcast::{CbInstance, RbAction, RbActions, RbEngine, RbMsg};
+use minsync_broadcast::{RbEngine, RbEvent, RbMsg, RbStep, Tag};
 use minsync_net::{Env, Node};
 use minsync_types::{ProcessId, SystemConfig, Value};
+
+/// The tag of E1's one CB instance (Figure 1's `CB_VAL`): counted, so the
+/// engine reports `cb_valid` growth instead of deliveries.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub struct CbVal;
+
+impl Tag for CbVal {
+    fn counted(&self) -> bool {
+        true
+    }
+}
 
 /// Telemetry of the standalone CB node.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -27,10 +38,11 @@ pub enum CbEvent<V> {
 pub struct CbBroadcastNode<V> {
     cfg: SystemConfig,
     proposal: V,
-    rb: Option<RbEngine<(), V>>,
-    cb: CbInstance<V>,
+    rb: Option<RbEngine<CbVal, V>>,
     returned: bool,
 }
+
+type Ctx<V> = Env<RbMsg<CbVal, V>, CbEvent<V>>;
 
 impl<V: Value> CbBroadcastNode<V> {
     /// Creates the node with its value to cb-broadcast.
@@ -39,57 +51,40 @@ impl<V: Value> CbBroadcastNode<V> {
             cfg,
             proposal,
             rb: None,
-            cb: CbInstance::new(cfg),
             returned: false,
         }
     }
 
-    /// The current `cb_valid` set (inspection from tests).
-    pub fn cb_valid(&self) -> std::collections::BTreeSet<V> {
-        self.cb.cb_valid()
-    }
-
-    fn apply(&mut self, actions: RbActions<(), V>, env: &mut Env<RbMsg<(), V>, CbEvent<V>>) {
-        for action in actions {
-            match action {
-                RbAction::Broadcast(m) => env.broadcast(m),
-                RbAction::Deliver { origin, value, .. } => {
-                    if let Some(newly_valid) = self.cb.on_rb_delivered(origin, value) {
-                        env.output(CbEvent::ValidAdded { value: newly_valid });
-                    }
-                    if !self.returned {
-                        if let Some(v) = self.cb.returnable().cloned() {
-                            self.returned = true;
-                            env.output(CbEvent::Returned { value: v });
-                        }
-                    }
-                }
+    fn apply(&mut self, step: RbStep<CbVal, V>, env: &mut Ctx<V>) {
+        if let Some(m) = step.broadcast {
+            env.broadcast(m);
+        }
+        if let Some(RbEvent::CbValid { value, .. }) = step.event {
+            env.output(CbEvent::ValidAdded {
+                value: value.clone(),
+            });
+            // Line 3 returns the first value that became valid.
+            if !self.returned {
+                self.returned = true;
+                env.output(CbEvent::Returned { value });
             }
         }
     }
 }
 
 impl<V: Value> Node for CbBroadcastNode<V> {
-    type Msg = RbMsg<(), V>;
+    type Msg = RbMsg<CbVal, V>;
     type Output = CbEvent<V>;
 
-    fn on_start(&mut self, env: &mut Env<RbMsg<(), V>, CbEvent<V>>) {
-        let mut rb = RbEngine::new(self.cfg, env.me());
-        let actions = rb.broadcast((), self.proposal.clone());
-        self.rb = Some(rb);
-        self.apply(actions, env);
+    fn on_start(&mut self, env: &mut Ctx<V>) {
+        let rb = self.rb.insert(RbEngine::new(self.cfg, env.me()));
+        env.broadcast(rb.broadcast(CbVal, self.proposal.clone()));
     }
 
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: RbMsg<(), V>,
-        env: &mut Env<RbMsg<(), V>, CbEvent<V>>,
-    ) {
-        if let Some(mut rb) = self.rb.take() {
-            let actions = rb.on_message(from, msg);
-            self.rb = Some(rb);
-            self.apply(actions, env);
+    fn on_message(&mut self, from: ProcessId, msg: RbMsg<CbVal, V>, env: &mut Ctx<V>) {
+        if let Some(rb) = self.rb.as_mut() {
+            let step = rb.on_message(from, msg);
+            self.apply(step, env);
         }
     }
 

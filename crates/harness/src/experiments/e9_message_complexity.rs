@@ -58,7 +58,7 @@ pub fn run(quick: bool) -> Table {
 
 /// Messages for one completed RB instance (all-correct, one origin).
 fn rb_messages(n: usize, t: usize) -> u64 {
-    use minsync_broadcast::{RbAction, RbEngine, RbMsg};
+    use minsync_broadcast::{RbEngine, RbEvent, RbMsg};
     use minsync_net::{Env, Node};
     use minsync_types::ProcessId;
 
@@ -71,15 +71,10 @@ fn rb_messages(n: usize, t: usize) -> u64 {
         type Msg = RbMsg<(), u64>;
         type Output = u8;
         fn on_start(&mut self, env: &mut Env<RbMsg<(), u64>, u8>) {
-            let mut e = RbEngine::new(self.cfg, env.me());
+            let engine = self.engine.insert(RbEngine::new(self.cfg, env.me()));
             if env.me() == ProcessId::new(0) {
-                for a in e.broadcast((), 5) {
-                    if let RbAction::Broadcast(m) = a {
-                        env.broadcast(m);
-                    }
-                }
+                env.broadcast(engine.broadcast((), 5));
             }
-            self.engine = Some(e);
         }
         fn on_message(
             &mut self,
@@ -87,14 +82,14 @@ fn rb_messages(n: usize, t: usize) -> u64 {
             msg: RbMsg<(), u64>,
             env: &mut Env<RbMsg<(), u64>, u8>,
         ) {
-            if let Some(mut e) = self.engine.take() {
-                for a in e.on_message(from, msg) {
-                    match a {
-                        RbAction::Broadcast(m) => env.broadcast(m),
-                        RbAction::Deliver { .. } => env.output(1),
-                    }
+            if let Some(engine) = self.engine.as_mut() {
+                let step = engine.on_message(from, msg);
+                if let Some(m) = step.broadcast {
+                    env.broadcast(m);
                 }
-                self.engine = Some(e);
+                if let Some(RbEvent::RbDelivered { .. }) = step.event {
+                    env.output(1);
+                }
             }
         }
     }

@@ -40,6 +40,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cb_node;
 mod error;
@@ -51,7 +52,7 @@ pub mod stats;
 mod table;
 mod topology;
 
-pub use cb_node::{CbBroadcastNode, CbEvent};
+pub use cb_node::{CbBroadcastNode, CbEvent, CbVal};
 pub use error::HarnessError;
 pub use faults::FaultPlan;
 pub use outcome::RunOutcome;

@@ -93,6 +93,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

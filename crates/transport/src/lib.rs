@@ -26,6 +26,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cluster;
 pub mod mesh;
