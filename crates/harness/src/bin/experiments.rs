@@ -11,9 +11,9 @@
 //! exits without running anything. Any other flag, and any id not in the
 //! catalog, is an error (exit status 2).
 //!
-//! E11, E13, E15, and E16 spawn real `minsync-node` OS processes — build
-//! them first
-//! (`cargo build --release -p minsync-transport`) or they abort with a hint.
+//! E11, E13, E15, E16, and E17 spawn real `minsync-node` OS processes —
+//! build it first (`cargo build --release -p minsync-transport`) or they
+//! abort with a hint.
 
 #![forbid(unsafe_code)]
 

@@ -18,11 +18,11 @@
 use std::time::Duration;
 
 use minsync_adversary::{FloodNode, SilentNode};
-use minsync_core::{ConsensusConfig, ProtocolMsg};
+use minsync_core::ProtocolMsg;
 use minsync_net::sim::SimBuilder;
 use minsync_net::threaded::{run_threaded, ThreadedConfig};
 use minsync_net::Node;
-use minsync_smr::{commits, Digest, ReplicaNode, SmrEvent, SmrMsg};
+use minsync_smr::{commits, Digest, SmrEvent, SmrMsg};
 use minsync_types::{ProcessId, Round, SystemConfig};
 use minsync_workload::{
     account, log_violations, ArrivalProcess, Batch, ClientPopulation, DrainCursor, WorkloadReport,
@@ -145,15 +145,11 @@ fn replica_lineup(
     batch: usize,
     rider: Rider,
 ) -> Vec<Box<dyn Node<Msg = Msg, Output = Out>>> {
-    let cfg = ConsensusConfig::paper(system);
     let n = system.n();
     let faulty = rider.faulty();
     let target = pop.slots_upper_bound(batch);
     let mut nodes: Vec<Box<dyn Node<Msg = Msg, Output = Out>>> = (0..n - faulty)
-        .map(|i| {
-            Box::new(ReplicaNode::new(cfg, pop.source_for(i, batch), target))
-                as Box<dyn Node<Msg = Msg, Output = Out>>
-        })
+        .map(|i| Box::new(pop.replica(system, i, batch)) as Box<dyn Node<Msg = Msg, Output = Out>>)
         .collect();
     for _ in 0..faulty {
         match rider {
@@ -204,23 +200,18 @@ fn run_cross_substrate(quick: bool, seed: u64) -> (WorkloadReport, u64) {
     .expect("feasible workload");
     let total = pop.total_commands();
     let batch = 8;
-    let cfg = ConsensusConfig::paper(system);
     let topo = minsync_net::NetworkTopology::all_timely(4, 3);
 
-    let nodes = |_: ()| -> Vec<Box<dyn Node<Msg = Msg, Output = Out>>> {
+    let nodes = || -> Vec<Box<dyn Node<Msg = Msg, Output = Out>>> {
         (0..4)
             .map(|i| {
-                Box::new(ReplicaNode::new(
-                    cfg,
-                    pop.source_for(i, batch),
-                    pop.slots_upper_bound(batch),
-                )) as Box<dyn Node<Msg = Msg, Output = Out>>
+                Box::new(pop.replica(system, i, batch)) as Box<dyn Node<Msg = Msg, Output = Out>>
             })
             .collect()
     };
 
     let mut builder = SimBuilder::new(topo.clone()).seed(seed);
-    for node in nodes(()) {
+    for node in nodes() {
         builder = builder.boxed_node(node);
     }
     let mut sim = builder.build();
@@ -230,7 +221,7 @@ fn run_cross_substrate(quick: bool, seed: u64) -> (WorkloadReport, u64) {
     let mut drained = DrainCursor::new(4, total);
     let threaded = run_threaded(
         topo,
-        nodes(()),
+        nodes(),
         ThreadedConfig {
             tick: Duration::from_micros(50),
             timeout: Duration::from_secs(60),

@@ -35,24 +35,18 @@
 use std::time::Duration;
 
 use minsync_adversary::ChurnOracle;
-use minsync_core::{ConsensusConfig, ProtocolMsg};
-use minsync_net::sim::SimBuilder;
-use minsync_smr::{commits, ReplicaNode, SmrLimits, SmrMsg};
+use minsync_core::ProtocolMsg;
+use minsync_smr::SmrMsg;
 use minsync_transport::cluster::{
     run_churn_cluster, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec,
 };
 use minsync_types::{ProcessId, SystemConfig};
-use minsync_workload::{log_violations, ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
+use minsync_workload::Batch;
 
-use super::{churn_spec, slowest};
-use crate::topology::TopologySpec;
+use super::{churn_sim, churn_spec, slowest};
 use crate::Table;
 
 type Msg = SmrMsg<Batch>;
-
-/// Checkpoint-retry period (in ticks) for replicas that must survive
-/// message loss — the simulator-side mirror of the node binary's setting.
-const CKPT_RETRY: u64 = 50;
 
 /// Recovery bound, in ticks past `baseline + window span`, asserted on
 /// every simulator case: covers one backed-off round timeout (the round in
@@ -115,72 +109,6 @@ fn sim_window_end(scenario: Scenario, n: usize) -> u64 {
         Scenario::MovingGst => 100 + (600 / n as u64) * n as u64,
         _ => 600,
     }
-}
-
-/// One deterministic simulator run; `oracle = None` is the clean baseline.
-/// Returns (final virtual tick, messages suppressed).
-///
-/// # Panics
-///
-/// Panics if any replica stalls short of the workload or the committed
-/// logs diverge.
-fn sim_run(
-    scenario: &str,
-    n: usize,
-    t: usize,
-    seed: u64,
-    commands_per_client: usize,
-    oracle: Option<ChurnOracle<Msg>>,
-) -> (u64, u64) {
-    let system = SystemConfig::new(n, t).expect("valid system");
-    let pop = WorkloadSpec {
-        groups: 1,
-        clients_per_group: 2,
-        commands_per_client,
-        arrivals: ArrivalProcess::Poisson { mean_gap: 20.0 },
-        seed,
-    }
-    .generate(&system)
-    .expect("feasible workload");
-    let total = pop.total_commands();
-    let batch = 4;
-    let target = pop.slots_upper_bound(batch);
-    let cfg = ConsensusConfig::paper(system);
-    let topo = TopologySpec::AllTimely { delta: 3 }
-        .build(&system)
-        .expect("valid topology");
-
-    let mut builder = SimBuilder::new(topo)
-        .seed(seed)
-        .max_events(100_000_000)
-        .classify(SmrMsg::classify);
-    if let Some(oracle) = oracle {
-        builder = builder.with_schedule_oracle(oracle);
-    }
-    for i in 0..n {
-        // Every replica is correct — churn itself is the adversary — and
-        // every replica runs the lossy-link repair the windows require.
-        builder = builder.node(
-            ReplicaNode::new(cfg, pop.source_for(i, batch), target).with_limits(SmrLimits {
-                ckpt_retry: CKPT_RETRY,
-                ..SmrLimits::default()
-            }),
-        );
-    }
-    let mut sim = builder.build();
-    let mut drained = DrainCursor::new(n, total);
-    let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
-
-    let found = log_violations(commits(&report.outputs), n, total);
-    assert!(
-        found.is_empty(),
-        "E13 {scenario} n={n} seed={seed}: {found:?} ({:?})",
-        report.reason
-    );
-    (
-        report.final_time.ticks(),
-        report.metrics.messages_suppressed,
-    )
 }
 
 /// Commands per client on the cluster: still committing when the first
@@ -275,16 +203,15 @@ pub fn run(quick: bool) -> Table {
     for &(n, t) in sizes {
         let total = 2 * commands_per_client;
         // Simulator: one clean baseline per size, then every scenario.
-        let (base_ticks, _) = sim_run("baseline", n, t, seed, commands_per_client, None);
+        let system = SystemConfig::new(n, t).expect("valid system");
+        let sim = |label: &str, oracle| {
+            let case = format!("E13 {label} n={n} seed={seed}");
+            churn_sim(&case, system, seed, commands_per_client, oracle, n, None).0
+        };
+        let base_ticks = sim("baseline", None).final_time.ticks();
         for scenario in Scenario::ALL {
-            let (ticks, suppressed) = sim_run(
-                scenario.label(),
-                n,
-                t,
-                seed,
-                commands_per_client,
-                Some(sim_oracle(scenario, n)),
-            );
+            let churned = sim(scenario.label(), Some(sim_oracle(scenario, n)));
+            let ticks = churned.final_time.ticks();
             let bound = base_ticks + sim_window_end(scenario, n) + RECOVERY_SLACK;
             assert!(
                 ticks <= bound,
@@ -300,7 +227,7 @@ pub fn run(quick: bool) -> Table {
                 base_ticks.to_string(),
                 ticks.to_string(),
                 format!("+{}", ticks.saturating_sub(base_ticks)),
-                suppressed.to_string(),
+                churned.metrics.messages_suppressed.to_string(),
             ]);
         }
 
@@ -354,15 +281,12 @@ mod tests {
         // One deterministic end-to-end case kept test-suite-fast; the full
         // matrix runs through `run` (exercised by the suite-level test and
         // the experiments binary).
-        let (base, _) = sim_run("baseline", 4, 1, 13, 8, None);
-        let (ticks, suppressed) = sim_run(
-            "partition+heal",
-            4,
-            1,
-            13,
-            8,
-            Some(sim_oracle(Scenario::PartitionHeal, 4)),
-        );
+        let system = SystemConfig::new(4, 1).expect("valid system");
+        let (base, _) = churn_sim("E13 baseline", system, 13, 8, None, 4, None);
+        let oracle = Some(sim_oracle(Scenario::PartitionHeal, 4));
+        let (churned, _) = churn_sim("E13 partition+heal", system, 13, 8, oracle, 4, None);
+        let (base, ticks) = (base.final_time.ticks(), churned.final_time.ticks());
+        let suppressed = churned.metrics.messages_suppressed;
         assert!(suppressed > 0, "the window must actually drop traffic");
         assert!(ticks <= base + 600 + RECOVERY_SLACK);
     }

@@ -44,11 +44,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use minsync_core::ConsensusConfig;
 use minsync_net::sim::SimBuilder;
 use minsync_net::threaded::{run_threaded_with, ThreadedConfig};
 use minsync_net::{NetworkTopology, Node};
-use minsync_smr::{ReplicaNode, SmrEvent, SmrMsg};
+use minsync_smr::{SmrEvent, SmrMsg};
 use minsync_telemetry::analyze::{
     queue_residency, slot_timelines, slowest_slots, stage_breakdown, Percentiles, SlotTimeline,
     StageStats,
@@ -92,21 +91,19 @@ fn workload(system: &SystemConfig, commands_per_client: usize, seed: u64) -> Cli
     .expect("feasible workload")
 }
 
-/// Fully-instrumented replica line-up: every replica records stage events
-/// into `trace` and interns its drop counters in `registry`.
+/// Fully-instrumented replica line-up, batches of up to 8: every replica
+/// records stage events into `trace` and interns its drop counters in
+/// `registry`.
 fn traced_lineup(
     system: SystemConfig,
     pop: &ClientPopulation,
-    batch: usize,
     trace: &Arc<TraceRecorder>,
     registry: &Registry,
 ) -> Vec<Box<dyn Node<Msg = Msg, Output = Out>>> {
-    let cfg = ConsensusConfig::paper(system);
-    let target = pop.slots_upper_bound(batch);
     (0..system.n())
         .map(|i| {
             Box::new(
-                ReplicaNode::new(cfg, pop.source_for(i, batch), target)
+                pop.replica(system, i, 8)
                     .with_registry(registry)
                     .with_trace(Arc::clone(trace)),
             ) as Box<dyn Node<Msg = Msg, Output = Out>>
@@ -144,7 +141,6 @@ fn sim_arm(
     let system = SystemConfig::new(4, 1).expect("valid system");
     let pop = workload(&system, commands_per_client, seed);
     let total = pop.total_commands();
-    let batch = 8;
     let trace = Arc::new(TraceRecorder::new(DEFAULT_TRACE_CAPACITY));
     let registry = Arc::new(Registry::new());
 
@@ -153,7 +149,7 @@ fn sim_arm(
         .classify(SmrMsg::classify)
         .trace(Arc::clone(&trace))
         .registry(Arc::clone(&registry));
-    for node in traced_lineup(system, &pop, batch, &trace, &registry) {
+    for node in traced_lineup(system, &pop, &trace, &registry) {
         builder = builder.boxed_node(node);
     }
     let mut sim = builder.build();
@@ -214,7 +210,7 @@ fn threaded_arm(commands_per_client: usize, seed: u64) -> (usize, usize) {
     let total = pop.total_commands();
     let trace = Arc::new(TraceRecorder::new(DEFAULT_TRACE_CAPACITY));
     let registry = Registry::new();
-    let nodes = traced_lineup(system, &pop, 8, &trace, &registry);
+    let nodes = traced_lineup(system, &pop, &trace, &registry);
     let mut drained = DrainCursor::new(4, total);
     let report = run_threaded_with(
         NetworkTopology::all_timely(4, 3),

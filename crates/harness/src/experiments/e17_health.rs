@@ -58,10 +58,7 @@ use std::time::Duration;
 
 use minsync_adversary::ChurnOracle;
 use minsync_conformance::semantic_decisions;
-use minsync_core::{ConsensusConfig, SeededMutation};
-use minsync_net::sim::SimBuilder;
-use minsync_net::NetworkTopology;
-use minsync_smr::{ReplicaNode, SmrLimits, SmrMsg};
+use minsync_core::SeededMutation;
 use minsync_telemetry::timeseries::TimeSeries;
 use minsync_telemetry::watchdog::{Alarm, AlarmClass, Watchdog, WatchdogConfig};
 use minsync_telemetry::{watch_name, Registry, Snapshot};
@@ -69,12 +66,9 @@ use minsync_transport::cluster::{
     run_churn_cluster, Behavior, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec,
 };
 use minsync_types::{check, ProcessId, SystemConfig};
-use minsync_workload::{ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 
-use super::churn_spec;
+use super::{churn_sim, churn_spec, SIM_PERIOD};
 use crate::Table;
-
-type Msg = SmrMsg<Batch>;
 
 /// Wall-clock tick of every cluster child (`at` stamps in the streamed
 /// series are multiples of this).
@@ -86,14 +80,6 @@ const CLUSTER_PERIOD_MS: u64 = 10;
 /// Commands per client in the cluster fault arms, so the log still grows
 /// when the fault lands 8–10 ms in (8 per client drain in a few ms).
 const FAULT_ARM_COMMANDS: usize = 64;
-
-/// Sampling period of every simulator arm, in virtual ticks.
-const SIM_PERIOD: u64 = 25;
-
-/// Simulator checkpoint-retry period (ticks): partitioned/isolated
-/// replicas must repair their log tail after the window closes, exactly as
-/// in E13.
-const CKPT_RETRY: u64 = 50;
 
 /// Virtual tick at which every simulator fault window opens (mid-arrivals
 /// for the workloads E17 uses).
@@ -153,113 +139,40 @@ fn expect_only(case: &str, alarms: &[Alarm], expected: AlarmClass) -> Alarm {
 // Simulator arms
 // ---------------------------------------------------------------------------
 
-/// Outcome of one sampled simulator run.
-struct SimRun {
-    series: TimeSeries,
-    final_ticks: u64,
-    messages_sent: u64,
-}
-
-/// One SMR simulator run with the full health plane attached (watch
-/// gauges on every replica, shared registry, periodic sampling), under an
-/// optional churn oracle.
-///
-/// The run stops once replicas `0..awaited` have drained the workload
-/// (`n` waits for everyone; the crash arm waits for its survivors).
-fn sim_run(
-    n: usize,
-    t: usize,
-    seed: u64,
-    commands_per_client: usize,
-    oracle: Option<ChurnOracle<Msg>>,
-    awaited: usize,
-    attach_plane: bool,
-) -> SimRun {
-    let system = SystemConfig::new(n, t).expect("valid system");
-    let pop = WorkloadSpec {
-        groups: 1,
-        clients_per_group: 2,
-        commands_per_client,
-        arrivals: ArrivalProcess::Poisson { mean_gap: 20.0 },
-        seed,
-    }
-    .generate(&system)
-    .expect("feasible workload");
-    let total = pop.total_commands();
-    let batch = 4;
-    let target = pop.slots_upper_bound(batch);
-    let cfg = ConsensusConfig::paper(system);
-    let registry = Arc::new(Registry::new());
-
-    let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, 3))
-        .seed(seed)
-        .max_events(100_000_000)
-        .classify(SmrMsg::classify);
-    if attach_plane {
-        builder = builder
-            .registry(Arc::clone(&registry))
-            .sample_stats(SIM_PERIOD);
-    }
-    if let Some(oracle) = oracle {
-        builder = builder.with_schedule_oracle(oracle);
-    }
-    for i in 0..n {
-        let mut node =
-            ReplicaNode::new(cfg, pop.source_for(i, batch), target).with_limits(SmrLimits {
-                ckpt_retry: CKPT_RETRY,
-                ..SmrLimits::default()
-            });
-        if attach_plane {
-            node = node.with_watch(&registry, i);
-        }
-        builder = builder.node(node);
-    }
-    let mut sim = builder.build();
-    let mut drained = DrainCursor::new(awaited, total);
-    let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
-    SimRun {
-        series: sim.stat_series().clone(),
-        final_ticks: report.final_time.ticks(),
-        messages_sent: report.metrics.messages_sent,
-    }
-}
-
 /// Clean simulator arm: the aggregator watchdog must stay silent over the
 /// whole sampled series, and attaching the plane must not move the
 /// execution (identical final tick, identical message count).
 ///
 /// Returns `(samples, final ticks, messages)` for the table.
 fn sim_clean(n: usize, t: usize, seed: u64, commands_per_client: usize) -> (u64, u64, u64) {
-    let sampled = sim_run(n, t, seed, commands_per_client, None, n, true);
-    let bare = sim_run(n, t, seed, commands_per_client, None, n, false);
+    let system = SystemConfig::new(n, t).expect("valid system");
+    let case = format!("E17 sim-clean n={n}");
+    let plane = Some(Arc::new(Registry::new()));
+    let (sampled, series) = churn_sim(&case, system, seed, commands_per_client, None, n, plane);
+    let (bare, _) = churn_sim(&case, system, seed, commands_per_client, None, n, None);
+    let final_ticks = sampled.final_time.ticks();
     assert_eq!(
-        (sampled.final_ticks, sampled.messages_sent),
-        (bare.final_ticks, bare.messages_sent),
-        "E17 sim-clean n={n}: the health plane perturbed the execution"
+        (final_ticks, sampled.metrics.messages_sent),
+        (bare.final_time.ticks(), bare.metrics.messages_sent),
+        "{case}: the health plane perturbed the execution"
     );
-    assert!(
-        !sampled.series.is_empty(),
-        "E17 sim-clean n={n}: sampling produced no series"
-    );
+    assert!(!series.is_empty(), "{case}: sampling produced no series");
     let mut wd = Watchdog::new(clean_cfg(400));
-    let alarms = replay(&mut wd, Watchdog::GLOBAL, &sampled.series);
-    assert!(
-        alarms.is_empty(),
-        "E17 sim-clean n={n}: clean run raised {alarms:?}"
-    );
+    let alarms = replay(&mut wd, Watchdog::GLOBAL, &series);
+    assert!(alarms.is_empty(), "{case}: clean run raised {alarms:?}");
     // The RTT estimators must actually be feeding the plane: at least one
     // directed link carries a nonzero EWMA by the end of the run.
-    let state = &sampled.series.latest().expect("non-empty").values;
+    let state = &series.latest().expect("non-empty").values;
     assert!(
         state
             .iter()
             .any(|(name, _)| name.starts_with("link.rtt_ewma.")),
-        "E17 sim-clean n={n}: no link RTT gauge in the series"
+        "{case}: no link RTT gauge in the series"
     );
     (
-        sampled.series.len() as u64,
-        sampled.final_ticks,
-        sampled.messages_sent,
+        series.len() as u64,
+        final_ticks,
+        sampled.metrics.messages_sent,
     )
 }
 
@@ -270,7 +183,7 @@ fn sim_clean(n: usize, t: usize, seed: u64, commands_per_client: usize) -> (u64,
 /// horizon)`.
 fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
     let victim = n - 1;
-    let commands_per_client = 16;
+    let commands = 16;
     // Tight horizon: detection must land while the survivors still have
     // work in flight (the series ends when the drain predicate fires).
     let horizon = 200;
@@ -287,12 +200,15 @@ fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
             n,
         )
     };
-    let run = sim_run(n, t, seed, commands_per_client, Some(oracle), awaited, true);
+    let system = SystemConfig::new(n, t).expect("valid system");
+    let plane = Some(Arc::new(Registry::new()));
+    let label = format!("E17 {case}");
+    let (_, series) = churn_sim(&label, system, seed, commands, Some(oracle), awaited, plane);
     let mut wd = Watchdog::new(WatchdogConfig {
         min_stall_horizon: horizon,
         ..clean_cfg(horizon)
     });
-    let alarms = replay(&mut wd, Watchdog::GLOBAL, &run.series);
+    let alarms = replay(&mut wd, Watchdog::GLOBAL, &series);
     // Survivors that drain everything reachable may legitimately flatten
     // out while the window is open, so the class set — not the node set —
     // is what must stay pure.

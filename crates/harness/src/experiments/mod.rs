@@ -24,8 +24,17 @@ pub mod e8_timeouts;
 pub mod e9_message_complexity;
 pub mod ea_lab;
 
+use std::sync::Arc;
+
+use minsync_adversary::ChurnOracle;
+use minsync_net::sim::{RunReport, SimBuilder};
+use minsync_net::NetworkTopology;
+use minsync_smr::{commits, SmrEvent, SmrLimits, SmrMsg};
+use minsync_telemetry::timeseries::TimeSeries;
+use minsync_telemetry::Registry;
 use minsync_transport::cluster::{run_cluster, Behavior, ClusterReport, ClusterSpec, ReplicaStats};
-use minsync_workload::ArrivalProcess;
+use minsync_types::SystemConfig;
+use minsync_workload::{log_violations, ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 
 use crate::Table;
 
@@ -259,6 +268,76 @@ pub(crate) fn churn_spec(n: usize, t: usize, commands_per_client: usize, seed: u
         seed,
         ..ClusterSpec::default()
     }
+}
+
+/// Checkpoint-retry period (in ticks) of [`churn_sim`]'s replicas: a
+/// churn window loses messages outright, so every replica runs the repair
+/// path — the simulator-side mirror of the node binary's `--ckpt-retry`.
+const CKPT_RETRY: u64 = 50;
+
+/// Sampling period of [`churn_sim`]'s health plane, in virtual ticks.
+pub(crate) const SIM_PERIOD: u64 = 25;
+
+/// E13 and E17's simulator run: one group of 2 clients, Poisson arrivals
+/// 20 ticks apart, batch 4, every channel timely (δ = 3), and every
+/// replica correct with the [`CKPT_RETRY`] repair on — `oracle`'s churn is
+/// the only adversary. With a `registry` the health plane is attached:
+/// every replica's watch gauges, and a registry sample every
+/// [`SIM_PERIOD`] ticks into the returned series (empty without one).
+///
+/// The run stops once replicas `0..awaited` have drained the workload.
+///
+/// # Panics
+///
+/// Panics if the awaited replicas stall short of the workload or the
+/// committed logs violate [`log_violations`]; `case` names the run.
+pub(crate) fn churn_sim(
+    case: &str,
+    system: SystemConfig,
+    seed: u64,
+    commands_per_client: usize,
+    oracle: Option<ChurnOracle<SmrMsg<Batch>>>,
+    awaited: usize,
+    registry: Option<Arc<Registry>>,
+) -> (RunReport<SmrEvent<Batch>>, TimeSeries) {
+    let pop = WorkloadSpec {
+        groups: 1,
+        clients_per_group: 2,
+        commands_per_client,
+        arrivals: ArrivalProcess::Poisson { mean_gap: 20.0 },
+        seed,
+    }
+    .generate(&system)
+    .expect("feasible workload");
+    let total = pop.total_commands();
+    let mut builder = SimBuilder::new(NetworkTopology::all_timely(system.n(), 3))
+        .seed(seed)
+        .max_events(100_000_000)
+        .classify(SmrMsg::classify);
+    if let Some(registry) = &registry {
+        builder = builder
+            .registry(Arc::clone(registry))
+            .sample_stats(SIM_PERIOD);
+    }
+    if let Some(oracle) = oracle {
+        builder = builder.with_schedule_oracle(oracle);
+    }
+    for i in 0..system.n() {
+        let mut node = pop.replica(system, i, 4).with_limits(SmrLimits {
+            ckpt_retry: CKPT_RETRY,
+            ..SmrLimits::default()
+        });
+        if let Some(registry) = &registry {
+            node = node.with_watch(registry, i);
+        }
+        builder = builder.node(node);
+    }
+    let mut sim = builder.build();
+    let mut drained = DrainCursor::new(awaited, total);
+    let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
+    let found = log_violations(commits(&report.outputs), awaited, total);
+    assert!(found.is_empty(), "{case}: {found:?} ({:?})", report.reason);
+    (report, sim.stat_series().clone())
 }
 
 /// Seeds used per configuration.

@@ -19,6 +19,12 @@
 //! | E8  | footnote 3: timeout policy & δ sensitivity | [`experiments::e8_timeouts`] |
 //! | E9  | implicit RB message costs (Θ(n²)/Θ(n³)) | [`experiments::e9_message_complexity`] |
 //! | E10 | SMR throughput/latency (batched replicated service) | [`experiments::e10_smr`] |
+//! | E11 | the replicated service as a TCP cluster of OS processes | [`experiments::e11_transport`] |
+//! | E13 | liveness under churn: partitions, crash/rejoin, moving GST | [`experiments::e13_churn`] |
+//! | E14 | conformance: schedule exploration + mutation smoke | [`experiments::e14_conformance`] |
+//! | E15 | authenticated transport vs an impersonator | [`experiments::e15_auth`] |
+//! | E16 | telemetry: stage breakdowns, pipelining window, overhead | [`experiments::e16_telemetry`] |
+//! | E17 | live health plane: alarm silence and detection latency | [`experiments::e17_health`] |
 //!
 //! The central entry point for programmatic use is [`ConsensusRunBuilder`]:
 //!
@@ -48,7 +54,6 @@ pub mod experiments;
 mod faults;
 mod outcome;
 mod runner;
-pub mod stats;
 mod table;
 mod topology;
 

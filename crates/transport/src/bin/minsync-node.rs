@@ -64,11 +64,11 @@ use std::time::Duration;
 use minsync_adversary::impersonate::{forged_hello, tagged_frame, tampered_frame};
 use minsync_adversary::{CaptureHandle, CaptureNode, FloodNode, SilentNode};
 use minsync_auth::{Authenticator, HmacAuthenticator};
-use minsync_core::{ConsensusConfig, ProtocolMsg};
+use minsync_core::ProtocolMsg;
 use minsync_net::driver::WallClock;
 use minsync_net::sim::OutputRecord;
 use minsync_net::{Node, VirtualTime};
-use minsync_smr::{Digest, ReplicaNode, SmrEvent, SmrLimits, SmrMsg};
+use minsync_smr::{Digest, SmrEvent, SmrLimits, SmrMsg};
 use minsync_telemetry::trace::{TraceKind, TraceMeta, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 use minsync_telemetry::{Registry, Watchdog, WatchdogConfig};
 use minsync_transport::cluster::{control, parse_arrival, Behavior, LogDigest};
@@ -296,7 +296,6 @@ fn run(args: Args) -> Result<(), String> {
     }
     let node: Box<dyn Node<Msg = Msg, Output = Out>> = match args.behavior {
         Behavior::Correct => {
-            let cfg = ConsensusConfig::paper(system);
             // Under fault injection, links lose frames outright (a
             // partition blocks a frame at the fault switch; nothing
             // replays it), so the churn orchestrator passes `--ckpt-retry`
@@ -313,7 +312,8 @@ fn run(args: Args) -> Result<(), String> {
             if let Some(window) = args.window {
                 limits.window = window;
             }
-            let mut replica = ReplicaNode::new(cfg, pop.source_for(args.id, args.batch), target)
+            let mut replica = pop
+                .replica(system, args.id, args.batch)
                 .with_limits(limits)
                 .with_registry(&registry)
                 .with_watch(&registry, args.id);

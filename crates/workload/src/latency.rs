@@ -2,6 +2,7 @@ use std::collections::BTreeMap;
 
 use minsync_net::sim::OutputRecord;
 use minsync_smr::SmrEvent;
+use minsync_telemetry::analyze::Percentiles;
 use minsync_types::ProcessId;
 
 use crate::{command, ArrivalProcess, Batch, ClientPopulation};
@@ -25,29 +26,30 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Summarizes a sample (order irrelevant).
-    pub fn of(mut samples: Vec<u64>) -> LatencyStats {
-        samples.sort_unstable();
-        if samples.is_empty() {
-            return LatencyStats {
-                count: 0,
-                mean: 0.0,
-                p50: 0,
-                p95: 0,
-                p99: 0,
-                max: 0,
-            };
-        }
-        let n = samples.len();
+    /// Summarizes a sample (order irrelevant): the percentiles are
+    /// [`Percentiles::of`]'s, the mean is computed here.
+    ///
+    /// ```rust
+    /// use minsync_workload::LatencyStats;
+    ///
+    /// let s = LatencyStats::of(vec![4, 1, 3, 2, 5]);
+    /// assert_eq!((s.count, s.p50, s.p95, s.max), (5, 3, 5, 5));
+    /// assert!((s.mean - 3.0).abs() < 1e-9);
+    /// ```
+    pub fn of(samples: Vec<u64>) -> LatencyStats {
         let sum: u128 = samples.iter().map(|&x| u128::from(x)).sum();
-        let rank = |p: usize| samples[((p * n).div_ceil(100)).saturating_sub(1).min(n - 1)];
+        let p = Percentiles::of(samples);
         LatencyStats {
-            count: n,
-            mean: sum as f64 / n as f64,
-            p50: rank(50),
-            p95: rank(95),
-            p99: rank(99),
-            max: samples[n - 1],
+            count: p.count,
+            mean: if p.count == 0 {
+                0.0
+            } else {
+                sum as f64 / p.count as f64
+            },
+            p50: p.p50,
+            p95: p.p95,
+            p99: p.p99,
+            max: p.max,
         }
     }
 }
@@ -195,10 +197,33 @@ mod tests {
         assert_eq!((s.p50, s.p95, s.p99, s.max), (50, 95, 99, 100));
         assert_eq!(s.count, 100);
         assert!((s.mean - 50.5).abs() < 1e-9);
-        let empty = LatencyStats::of(Vec::new());
-        assert_eq!(empty.count, 0);
-        let one = LatencyStats::of(vec![7]);
-        assert_eq!((one.p50, one.p99), (7, 7));
+    }
+
+    #[test]
+    fn empty_sample_is_zeroes() {
+        let s = LatencyStats::of(Vec::new());
+        assert_eq!((s.count, s.p50, s.p95, s.p99, s.max), (0, 0, 0, 0, 0));
+        assert_eq!(s.mean, 0.0);
+    }
+
+    #[test]
+    fn single_element() {
+        let s = LatencyStats::of(vec![7]);
+        assert_eq!((s.count, s.p50, s.p95, s.p99, s.max), (1, 7, 7, 7, 7));
+        assert_eq!(s.mean, 7.0);
+    }
+
+    #[test]
+    fn unsorted_input_handled() {
+        let s = LatencyStats::of(vec![9, 1, 5]);
+        assert_eq!((s.p50, s.max), (5, 9));
+        assert!((s.mean - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn mean_avoids_u64_overflow() {
+        let s = LatencyStats::of(vec![u64::MAX, u64::MAX]);
+        assert!((s.mean - u64::MAX as f64).abs() < 1e6);
     }
 
     fn committed(p: usize, tick: u64, slot: u64, cmds: Vec<u64>) -> OutputRecord<SmrEvent<Batch>> {

@@ -34,40 +34,8 @@
 //! under load — the regime the E10 experiment sweeps — latencies grow with
 //! the backlog.
 //!
-//! ```rust
-//! use minsync_core::ConsensusConfig;
-//! use minsync_net::{sim::SimBuilder, NetworkTopology};
-//! use minsync_smr::ReplicaNode;
-//! use minsync_types::{ProcessId, SystemConfig};
-//! use minsync_workload::{account, ArrivalProcess, WorkloadSpec};
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let system = SystemConfig::new(4, 1)?;
-//! let pop = WorkloadSpec {
-//!     groups: 2,
-//!     clients_per_group: 2,
-//!     commands_per_client: 4,
-//!     arrivals: ArrivalProcess::Poisson { mean_gap: 8.0 },
-//!     seed: 7,
-//! }
-//! .generate(&system)?;
-//! let cfg = ConsensusConfig::paper(system);
-//! let mut builder = SimBuilder::new(NetworkTopology::all_timely(4, 3)).seed(7);
-//! for replica in 0..4 {
-//!     let source = pop.source_for(replica, 4); // batches of up to 4
-//!     builder = builder.node(ReplicaNode::new(cfg, source, pop.slots_upper_bound(4)));
-//! }
-//! let mut sim = builder.build();
-//! let total = pop.total_commands();
-//! let report = sim.run_until(|outs| {
-//!     minsync_workload::committed_commands(outs, ProcessId::new(0)) >= total
-//! });
-//! let stats = account(&pop, &report.outputs, ProcessId::new(0));
-//! assert_eq!(stats.commands, total);
-//! assert!(stats.cmds_per_ktick() > 0.0);
-//! # Ok(())
-//! # }
-//! ```
+//! [`ClientPopulation::replica`] builds the replica that drains a
+//! population; its example runs one on the simulator end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,9 +2,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use minsync_core::ConsensusConfig;
+use minsync_smr::ReplicaNode;
 use minsync_types::SystemConfig;
 
-use crate::{command, ArrivalProcess, BatchingSource};
+use crate::{command, ArrivalProcess, Batch, BatchingSource};
 
 /// Errors constructing a workload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -158,16 +160,6 @@ pub struct ClientPopulation {
 }
 
 impl ClientPopulation {
-    /// The generating spec.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
-    /// Number of routing groups `m`.
-    pub fn groups(&self) -> usize {
-        self.queues.len()
-    }
-
     /// One group's queue.
     pub fn group(&self, g: usize) -> &GroupQueue {
         &self.queues[g]
@@ -217,6 +209,62 @@ impl ClientPopulation {
             .map(|q| (q.commands.len() as u64).div_ceil(batch_cap as u64))
             .sum();
         3 * per_group + 64
+    }
+
+    /// Replica `replica` of `system` draining this population in batches
+    /// of up to `batch_cap`: the paper's consensus configuration,
+    /// [`source_for`](Self::source_for)`(replica, batch_cap)` as its
+    /// proposal source and [`slots_upper_bound`](Self::slots_upper_bound)
+    /// `(batch_cap)` as its slot target. Callers chain the replica's
+    /// `with_*` riders onto it.
+    ///
+    /// ```rust
+    /// use minsync_net::{sim::SimBuilder, NetworkTopology};
+    /// use minsync_smr::commits;
+    /// use minsync_types::{ProcessId, SystemConfig};
+    /// use minsync_workload::{account, log_violations, ArrivalProcess, DrainCursor, WorkloadSpec};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let system = SystemConfig::new(4, 1)?;
+    /// let pop = WorkloadSpec {
+    ///     groups: 2,
+    ///     clients_per_group: 2,
+    ///     commands_per_client: 4,
+    ///     arrivals: ArrivalProcess::Poisson { mean_gap: 8.0 },
+    ///     seed: 7,
+    /// }
+    /// .generate(&system)?;
+    /// let mut builder = SimBuilder::new(NetworkTopology::all_timely(4, 3)).seed(7);
+    /// for replica in 0..4 {
+    ///     builder = builder.node(pop.replica(system, replica, 4)); // batches of up to 4
+    /// }
+    /// let total = pop.total_commands();
+    /// let mut drained = DrainCursor::new(4, total);
+    /// let report = builder
+    ///     .build()
+    ///     .run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
+    /// assert!(log_violations(commits(&report.outputs), 4, total).is_empty());
+    /// let stats = account(&pop, &report.outputs, ProcessId::new(0));
+    /// assert_eq!(stats.commands, total);
+    /// assert!(stats.cmds_per_ktick() > 0.0);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch_cap == 0`.
+    pub fn replica(
+        &self,
+        system: SystemConfig,
+        replica: usize,
+        batch_cap: usize,
+    ) -> ReplicaNode<Batch, BatchingSource> {
+        ReplicaNode::new(
+            ConsensusConfig::paper(system),
+            self.source_for(replica, batch_cap),
+            self.slots_upper_bound(batch_cap),
+        )
     }
 }
 

@@ -4,11 +4,10 @@
 
 use std::time::Duration;
 
-use minsync_core::ConsensusConfig;
 use minsync_net::sim::{RunReport, SimBuilder};
 use minsync_net::threaded::{run_threaded, ThreadedConfig};
 use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, Node};
-use minsync_smr::{commits, ReplicaNode, SmrEvent, SmrMsg};
+use minsync_smr::{commits, SmrEvent, SmrMsg};
 use minsync_types::{ProcessId, SystemConfig};
 use minsync_workload::{
     log_violations, ArrivalProcess, Batch, ClientPopulation, DrainCursor, WorkloadSpec,
@@ -37,15 +36,8 @@ fn replica_nodes(
     pop: &ClientPopulation,
     batch: usize,
 ) -> Vec<Box<dyn Node<Msg = Msg, Output = Out>>> {
-    let cfg = ConsensusConfig::paper(system);
     (0..system.n())
-        .map(|i| {
-            Box::new(ReplicaNode::new(
-                cfg,
-                pop.source_for(i, batch),
-                pop.slots_upper_bound(batch),
-            )) as Box<dyn Node<Msg = Msg, Output = Out>>
-        })
+        .map(|i| Box::new(pop.replica(system, i, batch)) as Box<dyn Node<Msg = Msg, Output = Out>>)
         .collect()
 }
 

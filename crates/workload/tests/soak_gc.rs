@@ -4,10 +4,9 @@
 //! run, so instances, ack sets, and log values are dropped as fast as they
 //! are created.
 
-use minsync_core::ConsensusConfig;
 use minsync_net::sim::SimBuilder;
 use minsync_net::NetworkTopology;
-use minsync_smr::{commits, ReplicaNode, SmrEvent, SmrLimits};
+use minsync_smr::{commits, SmrEvent, SmrLimits};
 use minsync_types::{check, ProcessId, SystemConfig};
 use minsync_workload::{log_violations, ArrivalProcess, DrainCursor, WorkloadSpec};
 
@@ -33,15 +32,11 @@ fn retired_slot_gc_keeps_live_state_bounded_over_10k_commands() {
         max_buffered: 4096,
         ckpt_retry: 0,
     };
-    let cfg = ConsensusConfig::paper(system);
     let mut builder = SimBuilder::new(NetworkTopology::all_timely(4, 3))
         .seed(9)
         .max_events(200_000_000);
     for i in 0..4 {
-        builder = builder.node(
-            ReplicaNode::new(cfg, pop.source_for(i, BATCH), pop.slots_upper_bound(BATCH))
-                .with_limits(limits),
-        );
+        builder = builder.node(pop.replica(system, i, BATCH).with_limits(limits));
     }
     let mut sim = builder.build();
     // Run until every replica committed everything AND retired its whole

@@ -12,10 +12,8 @@ use minsync::core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg}
 use minsync::net::sim::{OutputRecord, SimBuilder};
 use minsync::net::threaded::{run_threaded, run_threaded_with, ThreadedConfig, ThreadedOutput};
 use minsync::net::{Env, NetworkTopology, Node};
-use minsync::smr::{commits, ReplicaNode, SmrEvent, SmrMsg};
 use minsync::transport::mesh::{MeshConfig, TcpMesh};
 use minsync::types::{check, fnv1a, ProcessId, SystemConfig};
-use minsync::workload::{log_violations, ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 use minsync_telemetry::trace::{queues, TraceEvent, TraceKind, TraceRecorder};
 
 type Msg = ProtocolMsg<u64>;
@@ -168,73 +166,6 @@ fn golden_structured_trace_digest_is_stable() {
          GOLDEN_STRUCTURED_DIGEST (and re-bless the committed fixtures) only \
          if intentional"
     );
-}
-
-/// The batched SMR pipeline with a real client workload (one group, batch
-/// cap 8) commits the identical command sequence on the simulator and the
-/// threaded runtime, at all four replicas of each.
-#[test]
-fn smr_workload_commits_identically_on_both_substrates() {
-    let seed = 5;
-    let system = SystemConfig::new(4, 1).expect("valid system");
-    let pop = WorkloadSpec {
-        groups: 1,
-        clients_per_group: 2,
-        commands_per_client: 8,
-        arrivals: ArrivalProcess::Poisson { mean_gap: 2.0 },
-        seed,
-    }
-    .generate(&system)
-    .expect("feasible workload");
-    let total = pop.total_commands();
-    let batch = 8;
-    let cfg = ConsensusConfig::paper(system);
-    let topo = NetworkTopology::all_timely(4, 3);
-
-    let nodes = || -> Vec<Box<dyn Node<Msg = SmrMsg<Batch>, Output = SmrEvent<Batch>>>> {
-        (0..4)
-            .map(|i| {
-                Box::new(ReplicaNode::new(
-                    cfg,
-                    pop.source_for(i, batch),
-                    pop.slots_upper_bound(batch),
-                )) as Box<dyn Node<Msg = SmrMsg<Batch>, Output = SmrEvent<Batch>>>
-            })
-            .collect()
-    };
-    let mut builder = SimBuilder::new(topo.clone()).seed(seed);
-    for node in nodes() {
-        builder = builder.boxed_node(node);
-    }
-    let mut sim = builder.build();
-    let mut drained = DrainCursor::new(4, total);
-    let sim_report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
-
-    let mut drained = DrainCursor::new(4, total);
-    let threaded = run_threaded(
-        topo,
-        nodes(),
-        ThreadedConfig {
-            tick: Duration::from_micros(50),
-            timeout: Duration::from_secs(60),
-            seed,
-        },
-        |outs| drained.advance(outs, |o| (o.process, &o.event)),
-    );
-    assert!(!threaded.timed_out, "threaded SMR run timed out");
-
-    // Threaded replica p answers to id 4 + p: one prefix check spans both
-    // substrates, and each of the eight replicas committed all `total`.
-    let threaded_commits = threaded.outputs.iter().filter_map(|o| {
-        let (slot, batch) = o.event.as_committed()?;
-        Some((ProcessId::new(4 + o.process.index()), slot, batch))
-    });
-    let found = log_violations(
-        commits(&sim_report.outputs).chain(threaded_commits),
-        8,
-        total,
-    );
-    assert!(found.is_empty(), "sim ≡ threaded: {found:?}");
 }
 
 /// Two of these rally a counter back and forth: p0 serves 0, every receipt

@@ -11,10 +11,9 @@
 //! to move a row edits the constant and says why in CHANGES.md.
 
 use minsync::adversary::SilentNode;
-use minsync::core::ConsensusConfig;
 use minsync::net::sim::{SimBuilder, Simulation};
 use minsync::net::{ChannelTiming, DelayLaw, Effect, NetworkTopology, VirtualTime};
-use minsync::smr::{commits, ReplicaNode, SmrEvent, SmrMsg};
+use minsync::smr::{commits, SmrEvent, SmrMsg};
 use minsync::transport::LogDigest;
 use minsync::types::{BisourceSpec, ProcessId, SystemConfig};
 use minsync::wire::{encode_frame, DEFAULT_MAX_FRAME};
@@ -154,7 +153,6 @@ fn run(
     .generate(&system)
     .expect("one routing group is feasible for every (n, t)");
 
-    let cfg = ConsensusConfig::paper(system);
     let correct = system.n() - silent;
     let mut builder = SimBuilder::new(topology)
         .seed(SEED)
@@ -163,9 +161,8 @@ fn run(
     if record_effects {
         builder = builder.record_effects(usize::MAX);
     }
-    let target = pop.slots_upper_bound(clients);
     for i in 0..correct {
-        builder = builder.node(ReplicaNode::new(cfg, pop.source_for(i, clients), target));
+        builder = builder.node(pop.replica(system, i, clients));
     }
     for _ in 0..silent {
         builder = builder.node(SilentNode::<Msg, Out>::new());
