@@ -156,23 +156,19 @@ fn cluster_plan(scenario: Scenario, n: usize) -> ChurnPlan {
     }
 }
 
-/// Runs one churn cluster case and asserts agreement and liveness.
+/// Runs one cluster case under `plan` (the clean baseline's is empty) and
+/// asserts agreement and liveness.
 ///
 /// # Panics
 ///
 /// Panics if the cluster cannot run, a replica finishes short, or the
 /// committed-log digests diverge.
-fn cluster_run(scenario: Scenario, spec: &ClusterSpec) -> ClusterReport {
-    let plan = cluster_plan(scenario, spec.n);
-    let report = run_churn_cluster(spec, &plan)
-        .unwrap_or_else(|e| panic!("E13 {} n={}: cluster failed: {e}", scenario.label(), spec.n));
+fn cluster_run(label: &str, spec: &ClusterSpec, plan: &ChurnPlan) -> ClusterReport {
+    let n = spec.n;
+    let report = run_churn_cluster(spec, plan)
+        .unwrap_or_else(|e| panic!("E13 {label} n={n}: cluster failed: {e}"));
     let violations = report.violations();
-    assert!(
-        violations.is_empty(),
-        "E13 {} n={}: {violations:?}",
-        scenario.label(),
-        spec.n
-    );
+    assert!(violations.is_empty(), "E13 {label} n={n}: {violations:?}");
     report
 }
 
@@ -234,12 +230,10 @@ pub fn run(quick: bool) -> Table {
         // Cluster: one clean baseline per size (an empty plan), then every
         // scenario as a real process-level disruption.
         let spec = churn_spec(n, t, CLUSTER_COMMANDS_PER_CLIENT, seed);
-        let base = run_churn_cluster(&spec, &ChurnPlan::new()).unwrap_or_else(|e| {
-            panic!("E13 baseline n={n}: cluster failed: {e}");
-        });
+        let base = cluster_run("baseline", &spec, &ChurnPlan::new());
         let base_ms = slowest(&base).wall.as_secs_f64() * 1000.0;
         for scenario in Scenario::ALL {
-            let report = cluster_run(scenario, &spec);
+            let report = cluster_run(scenario.label(), &spec, &cluster_plan(scenario, n));
             let wall = slowest(&report).wall.as_secs_f64() * 1000.0;
             let dropped = report.sum_counters("mesh.outbound_dropped.");
             table.push_row([

@@ -111,27 +111,6 @@ fn traced_lineup(
         .collect()
 }
 
-/// Back-fills `Submitted` stage events: a slot "finished arriving" at the
-/// latest workload arrival tick among the commands its committed batch
-/// carries (the analyzer keeps the earliest observation per stage, so
-/// appending after the run is equivalent to recording live).
-fn backfill_submitted(
-    trace: &TraceRecorder,
-    pop: &ClientPopulation,
-    committed: impl IntoIterator<Item = (u64, Batch)>,
-) {
-    for (slot, batch) in committed {
-        if let Some(at) = batch
-            .commands()
-            .iter()
-            .filter_map(|&cmd| pop.submit_tick(cmd))
-            .max()
-        {
-            trace.record_at(at, 0, TraceKind::Submitted { slot });
-        }
-    }
-}
-
 /// One simulator run of the instrumented E10 configuration: returns the
 /// trace events (with `Submitted` back-filled) and the registry snapshot.
 fn sim_arm(
@@ -156,14 +135,14 @@ fn sim_arm(
     let mut drained = DrainCursor::new(4, total);
     let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
 
-    backfill_submitted(
+    pop.backfill_submitted(
         &trace,
-        &pop,
+        0,
         report
             .outputs
             .iter()
             .filter(|o| o.process.index() == 0)
-            .filter_map(|o| o.event.as_committed().map(|(s, b)| (s, b.clone()))),
+            .filter_map(|o| o.event.as_committed()),
     );
 
     // The dump → parse → re-analyze round trip is the `minsync-trace`

@@ -248,7 +248,7 @@ fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
         let mut alarms = Vec::new();
         for (i, (p, v)) in decisions.iter().enumerate() {
             let mut snap = Snapshot::empty();
-            snap.set_gauge(&watch_name(p.index(), "ckpt_slot"), 1);
+            snap.set_gauge(&watch_name(p.index(), "commit_floor"), 1);
             snap.set_gauge(&watch_name(p.index(), "ckpt_digest"), *v);
             alarms.extend(wd.observe(p.index() as u32, i as u64 + 1, &snap));
         }

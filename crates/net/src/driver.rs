@@ -62,9 +62,8 @@ pub type Recorder<'a, M, O> = &'a mut dyn FnMut(&[Effect<M, O>]);
 
 /// Optional observers of one [`step`]; both absent on the hot path.
 pub struct StepHooks<'a, M, O> {
-    /// Trace ring: gets `TimerFired` for timer causes and exactly one
-    /// `HandlerStep` per invocation, timed across the handler *and* the
-    /// application of its effects.
+    /// Trace ring: gets exactly one `HandlerStep` per invocation, timed
+    /// across the handler *and* the application of its effects.
     pub trace: Option<&'a TraceRecorder>,
     /// Effect recorder, if any.
     pub record: Option<Recorder<'a, M, O>>,
@@ -89,10 +88,6 @@ pub fn step<M, O>(
     O: Clone + Debug + Send + 'static,
 {
     env.prepare(me, now);
-    let who = me.index() as u32;
-    if let (Some(trace), InvocationCause::Timer { .. }) = (hooks.trace, &cause) {
-        trace.record_at(now.ticks(), who, TraceKind::TimerFired);
-    }
     let started = step_start(hooks.trace);
     match cause {
         InvocationCause::Start => node.on_start(env),
@@ -119,7 +114,7 @@ pub fn step<M, O>(
     // The buffer's capacity is recycled: a steady-state invocation
     // allocates nothing.
     env.restore_buffer(effects);
-    note_step(hooks.trace, started, now, who);
+    note_step(hooks.trace, started, now, me.index() as u32);
 }
 
 /// Wall-clock start of a handler step, taken only when tracing (the
@@ -273,10 +268,7 @@ where
     /// A loop for process `me` of `n`, its node-visible random stream
     /// seeded from `seed`.
     pub fn new(me: ProcessId, n: usize, seed: u64, trace: Option<Arc<TraceRecorder>>) -> Self {
-        let mut env = Env::new(n, seed);
-        if let Some(ring) = &trace {
-            env.set_trace(Arc::clone(ring));
-        }
+        let env = Env::new(n, seed);
         WallClockLoop { me, env, trace }
     }
 
@@ -460,8 +452,7 @@ mod tests {
             timer: |_, _: &mut Env<u32, u32>| {},
         };
         let mut record = |effects: &[Effect<u32, u32>]| {
-            let kinds: Vec<_> = effects.iter().map(Effect::kind).collect();
-            log.borrow_mut().push(format!("recorded {kinds:?}"));
+            log.borrow_mut().push(format!("recorded {effects:?}"));
         };
         let hooks = StepHooks {
             trace: None,
@@ -481,7 +472,9 @@ mod tests {
         assert_eq!(
             logged(&log),
             [
-                r#"recorded ["send", "broadcast", "set-timer", "cancel-timer", "output", "halt"]"#,
+                "recorded [Send { to: ProcessId(1), msg: 7 }, Broadcast { msg: 9 }, \
+                 SetTimer { id: TimerId(0), delay: 5 }, CancelTimer { id: TimerId(0) }, \
+                 Output(4), Halt]",
                 "send p1 7",
                 "send p0 9",
                 "send p1 9",
@@ -517,7 +510,6 @@ mod tests {
         let events = ring.events();
         assert!(events.iter().all(|e| e.at == 9 && e.node == 0));
         let kinds: Vec<_> = events.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds[0], TraceKind::TimerFired);
         let steps: Vec<u64> = kinds
             .iter()
             .filter_map(|k| match k {

@@ -14,9 +14,7 @@
 //! compiles to plain enum matching.
 
 use std::fmt;
-use std::sync::Arc;
 
-use minsync_telemetry::trace::{EffectKind, TraceKind, TraceRecorder};
 use minsync_types::ProcessId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,27 +69,15 @@ pub enum Effect<M, O> {
     Halt,
 }
 
-impl<M, O> Effect<M, O> {
-    /// Short label for traces and debugging.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Effect::Send { .. } => "send",
-            Effect::Broadcast { .. } => "broadcast",
-            Effect::SetTimer { .. } => "set-timer",
-            Effect::CancelTimer { .. } => "cancel-timer",
-            Effect::Output(_) => "output",
-            Effect::Halt => "halt",
-        }
-    }
-}
-
 /// The execution environment handed to every [`crate::Node`] handler: the
 /// node's identity and clock plus a reusable effect buffer.
 ///
 /// The substrate owns one `Env` per process (threaded runtime) or one
 /// shared `Env` re-targeted per invocation (simulator); either way it calls
 /// [`Env::prepare`] before a handler runs and [`Env::take_buffer`] /
-/// [`Env::drain`] afterwards.
+/// [`Env::drain`] afterwards. `Env` observes nothing: the substrate's
+/// [`crate::driver::StepHooks`] see each invocation's effects and time its
+/// step.
 ///
 /// # Timer-id allocation rule
 ///
@@ -109,7 +95,6 @@ pub struct Env<M, O> {
     timers: TimerTable,
     rng: StdRng,
     effects: Vec<Effect<M, O>>,
-    trace: Option<Arc<TraceRecorder>>,
 }
 
 impl<M, O> Env<M, O> {
@@ -125,18 +110,7 @@ impl<M, O> Env<M, O> {
             timers: TimerTable::new(),
             rng: StdRng::seed_from_u64(seed),
             effects: Vec::new(),
-            trace: None,
         }
-    }
-
-    /// Attaches a telemetry trace recorder: every subsequently queued
-    /// effect is mirrored into the ring as a [`TraceKind::Effect`] event
-    /// (plus [`TraceKind::TimerArmed`] for timer arms), stamped with this
-    /// environment's identity and clock. Purely passive — the effect
-    /// stream, RNG, and timer allocation are untouched, so traced and
-    /// untraced runs of the same seed are identical.
-    pub fn set_trace(&mut self, trace: Arc<TraceRecorder>) {
-        self.trace = Some(trace);
     }
 
     // ------------------------------------------------------------------
@@ -202,19 +176,8 @@ impl<M, O> Env<M, O> {
     }
 
     /// Queues an already-built effect (used by adversaries and adapters
-    /// that rewrite effect streams). Every queued effect funnels through
-    /// here, which is what makes this the one trace hook covering all
-    /// three substrates.
+    /// that rewrite effect streams).
     pub fn push(&mut self, effect: Effect<M, O>) {
-        if let Some(trace) = &self.trace {
-            let (at, node) = (self.now.ticks(), self.me.index() as u32);
-            if let Effect::SetTimer { delay, .. } = &effect {
-                trace.record_at(at, node, TraceKind::TimerArmed { delay: *delay });
-            }
-            if let Some(kind) = EffectKind::from_label(effect.kind()) {
-                trace.record_at(at, node, TraceKind::Effect { kind });
-            }
-        }
         self.effects.push(effect);
     }
 
@@ -310,16 +273,18 @@ mod tests {
         env.output("done");
         env.halt();
         let effects: Vec<_> = env.drain().collect();
-        assert_eq!(effects.len(), 6);
         assert_eq!(
-            effects.iter().map(Effect::kind).collect::<Vec<_>>(),
+            effects,
             [
-                "send",
-                "broadcast",
-                "set-timer",
-                "cancel-timer",
-                "output",
-                "halt"
+                Effect::Send {
+                    to: ProcessId::new(1),
+                    msg: 7
+                },
+                Effect::Broadcast { msg: 9 },
+                Effect::SetTimer { id: t, delay: 5 },
+                Effect::CancelTimer { id: t },
+                Effect::Output("done"),
+                Effect::Halt,
             ]
         );
     }

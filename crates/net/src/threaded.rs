@@ -110,8 +110,8 @@ where
 }
 
 /// [`run_threaded`] mirrored into a telemetry trace ring when `trace` is
-/// given: every effect at the sans-io boundary, inbox enqueue/dequeue with
-/// depth, timer firings, and per-handler wall-clock step costs. Timestamps
+/// given: inbox enqueue/dequeue with depth and per-handler wall-clock step
+/// costs. Timestamps
 /// are wall-clock time divided by [`ThreadedConfig::tick`], so dumps line
 /// up with simulator dumps of the same configuration.
 ///

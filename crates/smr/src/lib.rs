@@ -113,8 +113,6 @@ use minsync_types::{Fnv1a, ProcSet, ProcessId, Tally, Value};
 struct WatchGauges {
     commit_floor: Gauge,
     ack_floor: Gauge,
-    committed_cmds: Gauge,
-    ckpt_slot: Gauge,
     ckpt_digest: Gauge,
     /// FNV-1a fold of every committed `(slot, Digest::of(value))`, in
     /// commit order — two replicas expose equal digests at equal floors
@@ -130,8 +128,6 @@ impl WatchGauges {
         self.digest.write_u64(slot);
         self.digest.write(&value.0);
         self.commit_floor.set(slot);
-        self.committed_cmds.set(slot);
-        self.ckpt_slot.set(slot);
         self.ckpt_digest.set(self.digest.finish());
     }
 }
@@ -593,10 +589,9 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     /// [`minsync_telemetry::watchdog::Watchdog`] consumes:
     /// `commit_floor` (contiguous committed-slot floor), `ack_floor` (the
     /// `n − t` quorum-ack floor), `submitted` (the slot target, so a
-    /// watcher can tell an idle replica from a stalled one) with
-    /// `committed_cmds` (slots committed so far), and
-    /// `ckpt_slot`/`ckpt_digest` — a running FNV-1a fold of the committed
-    /// prefix, the online cross-replica divergence signal. Pure
+    /// watcher can tell an idle replica from a stalled one), and
+    /// `ckpt_digest` — a running FNV-1a fold of the prefix up to
+    /// `commit_floor`, the online cross-replica divergence signal. Pure
     /// observation: replica behaviour is byte-identical with and without
     /// it.
     pub fn with_watch(mut self, registry: &Registry, id: usize) -> Self {
@@ -606,8 +601,6 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         self.watch = Some(WatchGauges {
             commit_floor: registry.gauge(&watch_name(id, "commit_floor")),
             ack_floor: registry.gauge(&watch_name(id, "ack_floor")),
-            committed_cmds: registry.gauge(&watch_name(id, "committed_cmds")),
-            ckpt_slot: registry.gauge(&watch_name(id, "ckpt_slot")),
             ckpt_digest: registry.gauge(&watch_name(id, "ckpt_digest")),
             digest: Fnv1a::new(),
         });
@@ -1791,8 +1784,6 @@ mod tests {
         let c = run(2, vec![1000, 2001]).snapshot();
         assert_eq!(a.gauge("watch.p0.submitted"), Some(10));
         assert_eq!(a.gauge("watch.p0.commit_floor"), Some(2));
-        assert_eq!(a.gauge("watch.p0.committed_cmds"), Some(2));
-        assert_eq!(a.gauge("watch.p0.ckpt_slot"), Some(2));
         assert_eq!(
             a.gauge("watch.p0.ckpt_digest"),
             b.gauge("watch.p1.ckpt_digest"),

@@ -8,10 +8,12 @@
 //!   survives a stdout control pipe and round-trips through
 //!   [`Snapshot::parse`]. No floats and no allocation on the hot path —
 //!   a counter bump is one relaxed atomic add.
-//! - [`TraceRecorder`]: a bounded ring of typed [`TraceEvent`]s (effects,
-//!   frame codec timing, queue enqueue/dequeue depths, timers, slot stage
-//!   transitions) stamped with virtual ticks or monotonic time, dumpable
-//!   as JSONL and re-loadable with [`parse_dump`].
+//! - [`TraceRecorder`]: a bounded ring of typed [`TraceEvent`]s (slot
+//!   stage transitions, queue enqueue/dequeue depths, frame codec timing,
+//!   handler step costs, watchdog alarms) stamped with virtual ticks or
+//!   monotonic time, dumpable as JSONL and re-loadable with
+//!   [`parse_dump`]. It keeps what the cause/effect trace cannot carry:
+//!   the effects and timers themselves are recorded there, with content.
 //! - the [`analyze`] module: span pairing over a dump — per-slot stage
 //!   timelines, the client→propose→commit→ack-quorum latency breakdown,
 //!   top-k slowest slots, queue-residency percentiles — consumed by the
@@ -47,7 +49,7 @@ pub use registry::{
 };
 pub use timeseries::{SeriesPoint, TimeSeries};
 pub use trace::{
-    parse_dump, queues, EffectKind, TraceDump, TraceEvent, TraceKind, TraceMeta, TraceRecorder,
+    parse_dump, queues, TraceDump, TraceEvent, TraceKind, TraceMeta, TraceRecorder,
     DEFAULT_TRACE_CAPACITY,
 };
 pub use watchdog::{watch_name, Alarm, AlarmClass, Watchdog, WatchdogConfig, WATCH_PREFIX};

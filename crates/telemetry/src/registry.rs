@@ -328,7 +328,7 @@ impl Snapshot {
     /// ```text
     /// STAT v1
     /// CTR smr.future_drops 0
-    /// GGE smr.committed_cmds 128
+    /// GGE watch.p0.commit_floor 128
     /// HST wire.encode_ns 128 40960 5:10 6:118
     /// END STAT
     /// ```

@@ -12,62 +12,13 @@ use std::sync::Mutex;
 /// Default ring capacity (events) when a caller has no better number.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
-/// The effect variant a node handed its substrate (mirrors the sans-io
-/// `Effect` enum without depending on it — telemetry sits below every
-/// protocol crate).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EffectKind {
-    /// A point-to-point send.
-    Send,
-    /// A best-effort broadcast.
-    Broadcast,
-    /// A timer being armed.
-    SetTimer,
-    /// A timer being cancelled.
-    CancelTimer,
-    /// An observable output.
-    Output,
-    /// The node halting.
-    Halt,
-}
-
-impl EffectKind {
-    /// Stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            EffectKind::Send => "send",
-            EffectKind::Broadcast => "broadcast",
-            EffectKind::SetTimer => "set-timer",
-            EffectKind::CancelTimer => "cancel-timer",
-            EffectKind::Output => "output",
-            EffectKind::Halt => "halt",
-        }
-    }
-
-    /// Inverse of [`EffectKind::label`].
-    pub fn from_label(label: &str) -> Option<Self> {
-        Some(match label {
-            "send" => EffectKind::Send,
-            "broadcast" => EffectKind::Broadcast,
-            "set-timer" => EffectKind::SetTimer,
-            "cancel-timer" => EffectKind::CancelTimer,
-            "output" => EffectKind::Output,
-            "halt" => EffectKind::Halt,
-            _ => return None,
-        })
-    }
-}
-
 /// What happened. Slot-stage events (`Submitted` → `Proposed` →
 /// `Committed` → `AckQuorum`) drive the per-stage latency breakdown;
-/// the rest profile the machinery underneath it.
+/// the rest profile the machinery underneath it. Effects and timers are
+/// not here: the cause/effect trace (`minsync_conformance::trace`)
+/// records each one with its content.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceKind {
-    /// A node emitted an effect at the sans-io boundary.
-    Effect {
-        /// Which effect variant.
-        kind: EffectKind,
-    },
     /// A frame left the codec (wall-clock substrates).
     FrameEncoded {
         /// Encoded frame length in bytes.
@@ -96,13 +47,6 @@ pub enum TraceKind {
         /// Queue depth after the dequeue.
         depth: u64,
     },
-    /// A timer was armed.
-    TimerArmed {
-        /// Delay in ticks.
-        delay: u64,
-    },
-    /// A timer fired and its handler ran.
-    TimerFired,
     /// One handler invocation's wall-clock cost.
     HandlerStep {
         /// Nanoseconds spent inside the handler plus its effect drain.
@@ -273,7 +217,6 @@ impl TraceRecorder {
 fn event_line(ev: &TraceEvent) -> String {
     let head = format!("{{\"at\":{},\"node\":{}", ev.at, ev.node);
     let tail = match ev.kind {
-        TraceKind::Effect { kind } => format!(",\"ev\":\"effect\",\"kind\":\"{}\"", kind.label()),
         TraceKind::FrameEncoded { bytes, nanos } => {
             format!(",\"ev\":\"enc\",\"bytes\":{bytes},\"nanos\":{nanos}")
         }
@@ -286,8 +229,6 @@ fn event_line(ev: &TraceEvent) -> String {
         TraceKind::Dequeue { queue, depth } => {
             format!(",\"ev\":\"deq\",\"queue\":{queue},\"depth\":{depth}")
         }
-        TraceKind::TimerArmed { delay } => format!(",\"ev\":\"timer-armed\",\"delay\":{delay}"),
-        TraceKind::TimerFired => ",\"ev\":\"timer-fired\"".to_string(),
         TraceKind::HandlerStep { nanos } => format!(",\"ev\":\"step\",\"nanos\":{nanos}"),
         TraceKind::Submitted { slot } => format!(",\"ev\":\"submitted\",\"slot\":{slot}"),
         TraceKind::Proposed { slot } => format!(",\"ev\":\"proposed\",\"slot\":{slot}"),
@@ -369,14 +310,6 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
         field_u64(line, key).ok_or_else(|| format!("{ev} event missing {key}: {line:?}"))
     };
     let kind = match ev {
-        "effect" => {
-            let label =
-                field_str(line, "kind").ok_or_else(|| format!("effect missing kind: {line:?}"))?;
-            TraceKind::Effect {
-                kind: EffectKind::from_label(label)
-                    .ok_or_else(|| format!("unknown effect kind {label:?}"))?,
-            }
-        }
         "enc" => TraceKind::FrameEncoded {
             bytes: need("bytes")?,
             nanos: need("nanos")?,
@@ -393,10 +326,6 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
             queue: need("queue")? as u32,
             depth: need("depth")?,
         },
-        "timer-armed" => TraceKind::TimerArmed {
-            delay: need("delay")?,
-        },
-        "timer-fired" => TraceKind::TimerFired,
         "step" => TraceKind::HandlerStep {
             nanos: need("nanos")?,
         },
@@ -433,7 +362,7 @@ mod tests {
     fn ring_keeps_newest_and_counts_drops_exactly() {
         let rec = TraceRecorder::new(3);
         for i in 0..5 {
-            rec.record(ev(i, TraceKind::TimerFired));
+            rec.record(ev(i, TraceKind::Proposed { slot: i }));
         }
         assert_eq!(rec.dropped(), 2);
         let ats: Vec<u64> = rec.events().iter().map(|e| e.at).collect();
@@ -444,9 +373,6 @@ mod tests {
     fn dump_roundtrips_every_kind() {
         let rec = TraceRecorder::new(64);
         let kinds = [
-            TraceKind::Effect {
-                kind: EffectKind::Broadcast,
-            },
             TraceKind::FrameEncoded {
                 bytes: 48,
                 nanos: 210,
@@ -457,8 +383,6 @@ mod tests {
             },
             TraceKind::Enqueue { queue: 1, depth: 5 },
             TraceKind::Dequeue { queue: 1, depth: 4 },
-            TraceKind::TimerArmed { delay: 30 },
-            TraceKind::TimerFired,
             TraceKind::HandlerStep { nanos: 1200 },
             TraceKind::Submitted { slot: 7 },
             TraceKind::Proposed { slot: 7 },
@@ -497,20 +421,5 @@ mod tests {
         let meta = "{\"meta\":{\"source\":\"sim\",\"tick_ns\":0,\"seed\":0,\"dropped\":0}}";
         assert!(parse_dump(&format!("{meta}\n{{\"at\":1}}")).is_err());
         assert!(parse_dump(&format!("{meta}\n{{\"at\":1,\"node\":0,\"ev\":\"wat\"}}")).is_err());
-    }
-
-    #[test]
-    fn effect_labels_roundtrip() {
-        for kind in [
-            EffectKind::Send,
-            EffectKind::Broadcast,
-            EffectKind::SetTimer,
-            EffectKind::CancelTimer,
-            EffectKind::Output,
-            EffectKind::Halt,
-        ] {
-            assert_eq!(EffectKind::from_label(kind.label()), Some(kind));
-        }
-        assert_eq!(EffectKind::from_label("nope"), None);
     }
 }

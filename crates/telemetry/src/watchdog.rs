@@ -18,10 +18,8 @@
 //! |------|------|---------|
 //! | `watch.p<i>.commit_floor` | gauge | replica `i`'s contiguous committed-slot floor |
 //! | `watch.p<i>.ack_floor` | gauge | replica `i`'s cumulative ack (quorum) floor |
-//! | `watch.p<i>.submitted` | gauge | commands replica `i` has admitted |
-//! | `watch.p<i>.committed_cmds` | gauge | commands replica `i` has committed |
-//! | `watch.p<i>.ckpt_slot` | gauge | replica `i`'s latest checkpointed slot |
-//! | `watch.p<i>.ckpt_digest` | gauge | digest of `i`'s committed prefix at `ckpt_slot` |
+//! | `watch.p<i>.submitted` | gauge | replica `i`'s slot target; `submitted − commit_floor` is pending |
+//! | `watch.p<i>.ckpt_digest` | gauge | digest of `i`'s committed prefix up to `commit_floor` |
 //! | `link.rtt_ewma.*` | gauge | per-directed-link RTT estimate, in ticks |
 //! | `link.backlog.*` | gauge | per-peer outbound queue depth |
 //! | `mesh.auth_rejects` | counter | authentication rejects at the transport |
@@ -34,7 +32,7 @@
 //!   max(link.rtt_ewma.*))`, so a slow-but-moving network widens the
 //!   window instead of tripping it.
 //! * **Divergence** — two replicas reported different commit digests for
-//!   the same checkpointed slot. This is the online mirror of the
+//!   the same commit floor. This is the online mirror of the
 //!   post-mortem digest comparison every experiment performs.
 //! * **QuorumRegress** — a replica's ack (quorum) floor moved backwards,
 //!   which the protocol's cumulative-ack design forbids.
@@ -284,8 +282,7 @@ impl Watchdog {
             let field = |f: &str| values.gauge(&watch_name(node as usize, f));
             let commit_floor = field("commit_floor").unwrap_or(0);
             let submitted = field("submitted").unwrap_or(0);
-            let committed_cmds = field("committed_cmds").unwrap_or(0);
-            let pending = submitted.saturating_sub(committed_cmds);
+            let pending = submitted.saturating_sub(commit_floor);
 
             let state = self.nodes.entry(node).or_default();
             if !state.seen {
@@ -330,7 +327,7 @@ impl Watchdog {
                     Some(ack_floor.max(self.nodes[&node].ack_floor.unwrap_or(0)));
             }
 
-            if let (Some(slot), Some(digest)) = (field("ckpt_slot"), field("ckpt_digest")) {
+            if let (Some(slot), Some(digest)) = (field("commit_floor"), field("ckpt_digest")) {
                 if let Some(alarm) = self.check_ckpt(node, at, slot, digest) {
                     alarms.push(alarm);
                 }
@@ -521,11 +518,7 @@ mod tests {
     fn clean_progress_raises_nothing() {
         let mut wd = Watchdog::new(cfg());
         for i in 0..20u64 {
-            let s = snap(&[
-                ("watch.p0.commit_floor", i),
-                ("watch.p0.submitted", 100),
-                ("watch.p0.committed_cmds", i * 4),
-            ]);
+            let s = snap(&[("watch.p0.commit_floor", i), ("watch.p0.submitted", 100)]);
             assert!(wd.observe(0, i * 50, &s).is_empty(), "sample {i}");
         }
         assert_eq!(wd.raised(), 0);
@@ -534,11 +527,7 @@ mod tests {
     #[test]
     fn flat_floor_with_pending_work_stalls_once() {
         let mut wd = Watchdog::new(cfg());
-        let s = snap(&[
-            ("watch.p1.commit_floor", 3),
-            ("watch.p1.submitted", 10),
-            ("watch.p1.committed_cmds", 6),
-        ]);
+        let s = snap(&[("watch.p1.commit_floor", 3), ("watch.p1.submitted", 10)]);
         assert!(wd.observe(0, 0, &s).is_empty());
         assert!(wd.observe(0, 50, &s).is_empty(), "inside horizon");
         let alarms = wd.observe(0, 120, &s);
@@ -549,11 +538,7 @@ mod tests {
         // Still flat: no re-raise until progress resumes.
         assert!(wd.observe(0, 500, &s).is_empty());
         // Progress re-arms the detector.
-        let progressed = snap(&[
-            ("watch.p1.commit_floor", 4),
-            ("watch.p1.submitted", 10),
-            ("watch.p1.committed_cmds", 8),
-        ]);
+        let progressed = snap(&[("watch.p1.commit_floor", 4), ("watch.p1.submitted", 10)]);
         assert!(wd.observe(0, 510, &s).is_empty());
         assert!(wd.observe(0, 520, &progressed).is_empty());
         let again = wd.observe(0, 1_000, &progressed);
@@ -563,11 +548,7 @@ mod tests {
     #[test]
     fn idle_replicas_never_stall() {
         let mut wd = Watchdog::new(cfg());
-        let s = snap(&[
-            ("watch.p0.commit_floor", 5),
-            ("watch.p0.submitted", 20),
-            ("watch.p0.committed_cmds", 20),
-        ]);
+        let s = snap(&[("watch.p0.commit_floor", 20), ("watch.p0.submitted", 20)]);
         assert!(wd.observe(0, 0, &s).is_empty());
         assert!(wd.observe(0, 10_000, &s).is_empty());
     }
@@ -578,7 +559,6 @@ mod tests {
         let s = snap(&[
             ("watch.p0.commit_floor", 1),
             ("watch.p0.submitted", 10),
-            ("watch.p0.committed_cmds", 2),
             ("link.rtt_ewma.p1", 40), // horizon = max(100, 10×40) = 400
         ]);
         assert!(wd.observe(0, 0, &s).is_empty());
@@ -591,8 +571,14 @@ mod tests {
     #[test]
     fn divergent_checkpoints_trip_once_per_slot() {
         let mut wd = Watchdog::new(cfg());
-        let a = snap(&[("watch.p0.ckpt_slot", 7), ("watch.p0.ckpt_digest", 0xAAAA)]);
-        let b = snap(&[("watch.p1.ckpt_slot", 7), ("watch.p1.ckpt_digest", 0xBBBB)]);
+        let a = snap(&[
+            ("watch.p0.commit_floor", 7),
+            ("watch.p0.ckpt_digest", 0xAAAA),
+        ]);
+        let b = snap(&[
+            ("watch.p1.commit_floor", 7),
+            ("watch.p1.ckpt_digest", 0xBBBB),
+        ]);
         assert!(wd.observe(0, 10, &a).is_empty());
         let alarms = wd.observe(1, 20, &b);
         assert_eq!(alarms.len(), 1);
@@ -601,8 +587,14 @@ mod tests {
         // The same conflicting report again must not re-fire.
         assert!(wd.observe(1, 30, &b).is_empty());
         // Matching digests at a new slot stay quiet.
-        let a2 = snap(&[("watch.p0.ckpt_slot", 8), ("watch.p0.ckpt_digest", 0xCCCC)]);
-        let b2 = snap(&[("watch.p1.ckpt_slot", 8), ("watch.p1.ckpt_digest", 0xCCCC)]);
+        let a2 = snap(&[
+            ("watch.p0.commit_floor", 8),
+            ("watch.p0.ckpt_digest", 0xCCCC),
+        ]);
+        let b2 = snap(&[
+            ("watch.p1.commit_floor", 8),
+            ("watch.p1.ckpt_digest", 0xCCCC),
+        ]);
         assert!(wd.observe(0, 40, &a2).is_empty());
         assert!(wd.observe(1, 50, &b2).is_empty());
     }
@@ -697,6 +689,6 @@ mod tests {
             ("link.rtt_ewma.p1", 1),
         ]);
         assert_eq!(watch_nodes(&s), vec![0, 12]);
-        assert_eq!(watch_name(3, "ckpt_slot"), "watch.p3.ckpt_slot");
+        assert_eq!(watch_name(3, "ckpt_digest"), "watch.p3.ckpt_digest");
     }
 }

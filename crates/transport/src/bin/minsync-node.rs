@@ -69,7 +69,7 @@ use minsync_net::driver::WallClock;
 use minsync_net::sim::OutputRecord;
 use minsync_net::{Node, VirtualTime};
 use minsync_smr::{Digest, SmrEvent, SmrLimits, SmrMsg};
-use minsync_telemetry::trace::{TraceKind, TraceMeta, TraceRecorder, DEFAULT_TRACE_CAPACITY};
+use minsync_telemetry::trace::{TraceMeta, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 use minsync_telemetry::{Registry, Watchdog, WatchdogConfig};
 use minsync_transport::cluster::{control, parse_arrival, Behavior, LogDigest};
 use minsync_transport::mesh::{LinkFaults, MeshConfig, MeshOutput, TcpMesh};
@@ -450,23 +450,8 @@ fn run(args: Args) -> Result<(), String> {
     let report = mesh.run(node, &peers, &config, stop);
 
     if let (Some(trace), Some(path)) = (&trace, &args.trace) {
-        // Back-fill the client `Submitted` stage: the workload has no real
-        // client processes, so a slot "finished arriving" at the latest
-        // arrival tick among the commands its committed batch carries.
-        // (The analyzer keeps the earliest observation per stage, so the
-        // append order of these post-hoc events is irrelevant.)
-        for out in &report.outputs {
-            if let Some((slot, batch)) = out.event.as_committed() {
-                if let Some(at) = batch
-                    .commands()
-                    .iter()
-                    .filter_map(|&cmd| pop.submit_tick(cmd))
-                    .max()
-                {
-                    trace.record_at(at, me.index() as u32, TraceKind::Submitted { slot });
-                }
-            }
-        }
+        let committed = report.outputs.iter().filter_map(|o| o.event.as_committed());
+        pop.backfill_submitted(trace, me.index() as u32, committed);
         let dump = trace.dump(&TraceMeta {
             source: "tcp".into(),
             tick_ns: args.tick.as_nanos() as u64,

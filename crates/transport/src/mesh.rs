@@ -156,9 +156,9 @@ pub struct MeshConfig {
     /// (`mesh.*` — see [`MeshCounters`]). With `None` the report and
     /// stop-predicate accessors work all the same.
     pub registry: Option<Arc<Registry>>,
-    /// Structured-trace hook. When set, the mesh stamps effect, queue
-    /// enqueue/dequeue, timer, handler-step, and frame codec-timing events
-    /// into the shared ring (timestamps in ticks of [`MeshConfig::tick`]).
+    /// Structured-trace hook. When set, the mesh stamps queue
+    /// enqueue/dequeue, handler-step, and frame codec-timing events into
+    /// the shared ring (timestamps in ticks of [`MeshConfig::tick`]).
     /// Purely observational: the node's behaviour is unchanged.
     pub trace: Option<Arc<TraceRecorder>>,
 }

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use minsync_core::ConsensusConfig;
 use minsync_smr::ReplicaNode;
+use minsync_telemetry::{TraceKind, TraceRecorder};
 use minsync_types::SystemConfig;
 
 use crate::{command, ArrivalProcess, Batch, BatchingSource};
@@ -174,6 +175,29 @@ impl ClientPopulation {
     /// — e.g. Byzantine fabrications).
     pub fn submit_tick(&self, cmd: u64) -> Option<u64> {
         self.submit_of.get(&cmd).copied()
+    }
+
+    /// Back-fills `node`'s `Submitted` stage events into `trace`: a
+    /// committed slot "finished arriving" at the latest submit tick among
+    /// the commands its batch carries. The workload has no client
+    /// processes to record the stage live, and the analyzer keeps the
+    /// earliest observation per stage, so appending after the run is
+    /// equivalent.
+    pub fn backfill_submitted<'a>(
+        &self,
+        trace: &TraceRecorder,
+        node: u32,
+        committed: impl IntoIterator<Item = (u64, &'a Batch)>,
+    ) {
+        for (slot, batch) in committed {
+            let arrived = batch
+                .commands()
+                .iter()
+                .filter_map(|&cmd| self.submit_tick(cmd));
+            if let Some(at) = arrived.max() {
+                trace.record_at(at, node, TraceKind::Submitted { slot });
+            }
+        }
     }
 
     /// The arrival process.

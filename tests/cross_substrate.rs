@@ -234,24 +234,25 @@ fn handler_step_is_stamped_once_per_invocation_after_effects_on_every_substrate(
             );
         }
     };
-    // p0's first invocation serves the ball: the queue event that applying
-    // the send produces must sit between its Effect and its HandlerStep.
-    let serve_is_inside_the_step = |substrate: &str, events: &[TraceEvent], queue: u32| {
-        let kinds: Vec<TraceKind> = events.iter().map(|e| e.kind).collect();
-        let effect = events
-            .iter()
-            .position(|e| e.node == 0 && matches!(e.kind, TraceKind::Effect { .. }))
-            .unwrap_or_else(|| panic!("{substrate}: p0 queued no effect: {kinds:?}"));
-        let served = events[effect..].iter().find(|e| match e.kind {
-            TraceKind::Enqueue { queue: q, .. } => q == queue,
-            TraceKind::HandlerStep { .. } => e.node == 0,
-            _ => false,
-        });
-        assert!(
-            matches!(served.map(|e| e.kind), Some(TraceKind::Enqueue { .. })),
-            "{substrate}: p0's step was stamped before its send was applied: {kinds:?}"
-        );
-    };
+    // p0's first invocation serves the ball: the serve-queue Enqueue that
+    // applying the send produces (the first one from `begun`, where that
+    // invocation starts in the ring) must come before p0's first
+    // HandlerStep.
+    let serve_is_inside_the_step =
+        |substrate: &str, events: &[TraceEvent], queue: u32, begun: usize| {
+            let kinds: Vec<TraceKind> = events.iter().map(|e| e.kind).collect();
+            let served = (begun..events.len())
+                .find(|&i| matches!(kinds[i], TraceKind::Enqueue { queue: q, .. } if q == queue))
+                .unwrap_or_else(|| panic!("{substrate}: p0's serve was never queued: {kinds:?}"));
+            let stepped = events
+                .iter()
+                .position(|e| e.node == 0 && matches!(e.kind, TraceKind::HandlerStep { .. }))
+                .unwrap_or_else(|| panic!("{substrate}: p0 never stepped: {kinds:?}"));
+            assert!(
+                served < stepped,
+                "{substrate}: p0's step was stamped before its send was applied: {kinds:?}"
+            );
+        };
 
     // Simulator.
     let ring = Arc::new(TraceRecorder::new(4096));
@@ -261,8 +262,14 @@ fn handler_step_is_stamped_once_per_invocation_after_effects_on_every_substrate(
         builder = builder.boxed_node(node);
     }
     builder.build().run();
-    check("sim", &counts, &ring.events());
-    serve_is_inside_the_step("sim", &ring.events(), queues::SIM_EVENTS);
+    let events = ring.events();
+    check("sim", &counts, &events);
+    // The simulator queues both starts before it dispatches p0's.
+    let begun = events
+        .iter()
+        .position(|e| e.node == 0 && matches!(e.kind, TraceKind::Dequeue { .. }))
+        .expect("sim: p0 was never dispatched");
+    serve_is_inside_the_step("sim", &events, queues::SIM_EVENTS, begun);
 
     // Threaded runtime.
     let ring = Arc::new(TraceRecorder::new(4096));
@@ -310,5 +317,6 @@ fn handler_step_is_stamped_once_per_invocation_after_effects_on_every_substrate(
     );
     assert_eq!(report_b.outputs.len(), 1);
     check("mesh", &counts, &ring.events());
-    serve_is_inside_the_step("mesh", &ring.events(), queues::OUTBOUND_BASE + 1);
+    // Only p0's sends to p1 use that queue.
+    serve_is_inside_the_step("mesh", &ring.events(), queues::OUTBOUND_BASE + 1, 0);
 }
