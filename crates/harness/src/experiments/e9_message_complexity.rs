@@ -32,7 +32,17 @@ pub fn run(quick: bool) -> Table {
     let sizes: Vec<(usize, usize)> = if quick {
         vec![(4, 1), (7, 2)]
     } else {
-        vec![(4, 1), (7, 2), (10, 3), (13, 4)]
+        // Past n = 13, t = ⌊(n − 1)/3⌋ at the sizes the n³ fit needs.
+        vec![
+            (4, 1),
+            (7, 2),
+            (10, 3),
+            (13, 4),
+            (20, 6),
+            (40, 13),
+            (50, 16),
+            (100, 33),
+        ]
     };
     for (n, t) in sizes {
         let n2 = (n * n) as f64;

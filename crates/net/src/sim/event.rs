@@ -2,9 +2,11 @@ use minsync_types::ProcessId;
 
 use crate::TimerId;
 
-/// What a scheduled event does when it fires.
-#[derive(Clone, Debug)]
-pub(crate) enum EventKind<M> {
+/// What a scheduled event does when it fires. Plain data, 24 bytes: a
+/// delivery names its message by its entry in the simulator's in-flight
+/// table instead of carrying it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum EventKind {
     /// Invoke `on_start` on a node (enqueued once per node at time zero).
     Start(ProcessId),
     /// Deliver a message.
@@ -13,8 +15,8 @@ pub(crate) enum EventKind<M> {
         from: ProcessId,
         /// Destination.
         to: ProcessId,
-        /// Payload.
-        msg: M,
+        /// The message's entry in the in-flight table.
+        msg: u32,
     },
     /// Fire a timer on a node (ignored if the timer was cancelled).
     Timer {
@@ -49,6 +51,11 @@ impl StopReason {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn events_stay_small() {
+        assert!(std::mem::size_of::<EventKind>() <= 24);
+    }
 
     #[test]
     fn stop_reason_naturalness() {

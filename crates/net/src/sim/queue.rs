@@ -1,47 +1,45 @@
-//! The simulator's event queue: a tick-granular calendar over a slab of
-//! payloads.
+//! The simulator's event queue: a tick-granular calendar whose buckets
+//! hold the entries themselves.
 //!
-//! The naive design — `BinaryHeap<Event<M>>` — moves whole events (virtual
-//! time, sequence number, *and* the message payload) on every sift, so with
-//! a thousand-entry backlog every pop drags `log n` cache lines of message
-//! bytes through the heap. Here payloads sit still in a slab until popped
-//! and the priority structure holds only compact `(seq, slot)` keys.
+//! The structure exploits the one property a discrete-event simulation
+//! guarantees: *monotonicity*. Events are always scheduled at or after the
+//! time of the event being processed, so the queue never needs a general
+//! heap. Near-future entries (within [`NEAR`] ticks — virtually all message
+//! deliveries) go straight into a calendar ring with one bucket per tick:
+//! push is an append, pop reads the current bucket from the front and walks
+//! the ring forward, and both are O(1) with no comparisons at all.
+//! Far-future entries (long timers, stabilization bounds) wait in a sorted
+//! overflow map and migrate into the ring as the clock approaches — a
+//! per-tick check of one `BTreeMap` first key.
 //!
-//! The structure itself exploits the one property a discrete-event
-//! simulation guarantees: *monotonicity*. Events are always scheduled at or
-//! after the time of the event being processed, so the queue never needs a
-//! general heap. Near-future entries (within [`NEAR`] ticks — virtually all
-//! message deliveries) go straight into a calendar ring with one `Vec`
-//! bucket per tick: push is an append, pop walks the ring forward, and both
-//! are O(1) with no comparisons at all. Far-future entries (long timers,
-//! stabilization bounds) wait in a sorted overflow map and migrate into the
-//! ring as the clock approaches — a per-tick check of one `BTreeMap` first
-//! key. Freed slab slots and drained buckets are recycled, so the
-//! steady-state push/pop cycle allocates nothing.
+//! Each bucket stores `(seq, payload)` pairs directly, with no slab behind
+//! them: the simulator's payloads are small fixed-size events (a delivery
+//! names its message by an id into the simulator's in-flight table), so
+//! there is nothing to keep still. A bucket that `pop` drains hands its
+//! allocation to a spare pool, and a push into an empty bucket takes one
+//! from it. The queue therefore never holds more allocations than it once
+//! had non-empty buckets at the same time — memory follows the live set,
+//! not every bucket's peak — and the steady-state push/pop cycle allocates
+//! nothing.
 //!
-//! Ordering is identical to the old design: strictly by `(time, seq)` with
-//! the sequence number assigned at push. Same-time entries share a bucket
-//! in push order, so FIFO-within-time falls out structurally.
-//! `tests/prop_simulator.rs` pins all of this against a reference binary
-//! heap.
+//! Ordering is strictly by `(time, seq)` with the sequence number assigned
+//! at push. Same-time entries share a bucket in push order, so
+//! FIFO-within-time falls out structurally. `tests/prop_simulator.rs` pins
+//! all of this against a reference binary heap.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::VirtualTime;
 
-/// Compact queue entry: the push sequence number and the payload's slab
-/// slot. Time is implicit — it is the entry's bucket.
-#[derive(Clone, Copy, Debug)]
-struct Key {
-    seq: u64,
-    slot: u32,
-}
+/// One tick's entries in push order: `(seq, payload)`. Time is implicit —
+/// it is the bucket's.
+type Bucket<T> = VecDeque<(u64, T)>;
 
 /// Width of the calendar window in ticks (a power of two; times map to
 /// ring buckets by `time & (NEAR − 1)`).
 const NEAR: u64 = 1024;
 
-/// A deterministic earliest-first event queue with slab-backed payloads.
+/// A deterministic earliest-first event queue.
 ///
 /// `push` assigns each entry the next sequence number, so entries pushed at
 /// equal times pop in push order.
@@ -58,22 +56,16 @@ pub struct EventQueue<T> {
     /// The calendar's current position: no pending entry is earlier.
     floor: u64,
     /// Ring of per-tick buckets covering `[floor, floor + NEAR)`.
-    ring: Vec<Vec<Key>>,
-    /// Entries in the ring (excluding the already-popped prefix of the
-    /// current bucket).
+    ring: Vec<Bucket<T>>,
+    /// Entries in the ring.
     near_len: usize,
-    /// Pop cursor into the current bucket, `ring[floor & (NEAR − 1)]`
-    /// (popping from the front without shifting; the bucket is cleared when
-    /// the cursor drains it).
-    head: usize,
-    /// Far-future entries, `time → keys` in push order. Invariant: every
-    /// key here is at least `NEAR` ticks past `floor`.
-    far: BTreeMap<u64, Vec<Key>>,
-    /// Spare `Vec` capacities recycled from drained far buckets.
-    spare: Vec<Vec<Key>>,
+    /// Far-future entries, `time → entries` in push order. Invariant: every
+    /// entry here is at least `NEAR` ticks past `floor`.
+    far: BTreeMap<u64, Bucket<T>>,
+    /// Allocations of drained buckets, for the next bucket to fill (ring
+    /// or far).
+    spare: Vec<Bucket<T>>,
     len: usize,
-    slab: Vec<Option<T>>,
-    free: Vec<u32>,
     seq: u64,
 }
 
@@ -88,14 +80,11 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             floor: 0,
-            ring: (0..NEAR).map(|_| Vec::new()).collect(),
+            ring: (0..NEAR).map(|_| VecDeque::new()).collect(),
             near_len: 0,
-            head: 0,
             far: BTreeMap::new(),
             spare: Vec::new(),
             len: 0,
-            slab: Vec::new(),
-            free: Vec::new(),
             seq: 0,
         }
     }
@@ -107,8 +96,8 @@ impl<T> EventQueue<T> {
 
     /// Schedules `payload` at `time`, assigning and returning the entry's
     /// sequence number. O(1) (amortized for far-future times);
-    /// allocation-free while the slab's free list and the bucket
-    /// capacities suffice.
+    /// allocation-free while the spare pool and the bucket capacities
+    /// suffice.
     ///
     /// # Panics
     ///
@@ -121,29 +110,22 @@ impl<T> EventQueue<T> {
             "event scheduled at t={time}, behind the queue's position t={}",
             self.floor
         );
-        let slot = match self.free.pop() {
-            Some(s) => {
-                debug_assert!(self.slab[s as usize].is_none(), "free slot occupied");
-                self.slab[s as usize] = Some(payload);
-                s
-            }
-            None => {
-                let s = u32::try_from(self.slab.len()).expect("event slab exhausted");
-                self.slab.push(Some(payload));
-                s
-            }
-        };
         let seq = self.seq;
         self.seq += 1;
-        let key = Key { seq, slot };
         if time - self.floor < NEAR {
-            self.ring[Self::bucket(time)].push(key);
+            let bucket = &mut self.ring[Self::bucket(time)];
+            if bucket.capacity() == 0 {
+                if let Some(spare) = self.spare.pop() {
+                    *bucket = spare;
+                }
+            }
+            bucket.push_back((seq, payload));
             self.near_len += 1;
         } else {
             self.far
                 .entry(time)
                 .or_insert_with(|| self.spare.pop().unwrap_or_default())
-                .push(key);
+                .push_back((seq, payload));
         }
         self.len += 1;
         seq
@@ -159,19 +141,13 @@ impl<T> EventQueue<T> {
             if time - self.floor >= NEAR {
                 break;
             }
-            let mut keys = entry.remove();
+            let entries = entry.remove();
             let bucket = &mut self.ring[Self::bucket(time)];
             debug_assert!(bucket.is_empty(), "ring bucket held an out-of-window time");
-            self.near_len += keys.len();
-            if bucket.capacity() == 0 {
-                // Adopt the drained Vec's allocation wholesale.
-                std::mem::swap(bucket, &mut keys);
-            } else {
-                bucket.append(&mut keys);
-            }
-            if keys.capacity() > 0 && self.spare.len() < 8 {
-                self.spare.push(keys);
-            }
+            self.near_len += entries.len();
+            // An empty ring bucket holds no allocation (`pop` hands drained
+            // ones to the spare pool), so the far one moves in whole.
+            *bucket = entries;
         }
     }
 
@@ -181,10 +157,9 @@ impl<T> EventQueue<T> {
     /// overflow's first key.
     #[inline]
     fn seek(&mut self) {
-        if self.head < self.ring[Self::bucket(self.floor)].len() {
+        if !self.ring[Self::bucket(self.floor)].is_empty() {
             return;
         }
-        debug_assert_eq!(self.head, 0, "drained bucket left a cursor");
         if self.near_len > 0 {
             loop {
                 self.floor += 1;
@@ -200,25 +175,25 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes and returns the earliest `(time, seq, payload)` entry.
+    // Always inlined: returned through memory, the entry is stored in
+    // pieces and reloaded whole by the caller, a store-forwarding stall
+    // that cost the simulator loop several percent.
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(VirtualTime, u64, T)> {
         if self.len == 0 {
             return None;
         }
         self.seek();
         let bucket = &mut self.ring[Self::bucket(self.floor)];
-        let key = bucket[self.head];
-        self.head += 1;
-        if self.head == bucket.len() {
-            bucket.clear();
-            self.head = 0;
+        let (seq, payload) = bucket
+            .pop_front()
+            .expect("seek stops at a non-empty bucket");
+        if bucket.is_empty() {
+            self.spare.push(std::mem::take(bucket));
         }
         self.near_len -= 1;
         self.len -= 1;
-        let payload = self.slab[key.slot as usize]
-            .take()
-            .expect("queue key points at an occupied slot");
-        self.free.push(key.slot);
-        Some((VirtualTime::from_ticks(self.floor), key.seq, payload))
+        Some((VirtualTime::from_ticks(self.floor), seq, payload))
     }
 
     /// The timestamp of the earliest pending entry, without popping it.
@@ -240,15 +215,6 @@ impl<T> EventQueue<T> {
     /// True if nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Reserves slab room for `additional` more entries (used by the
-    /// broadcast fan-out to grab all `n` payload slots up front).
-    pub fn reserve(&mut self, additional: usize) {
-        let vacant = self.free.len() + self.slab.capacity() - self.slab.len();
-        if vacant < additional {
-            self.slab.reserve(additional - vacant);
-        }
     }
 }
 
@@ -301,14 +267,25 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_recycled() {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for round in 0..10_000u64 {
-            q.push(VirtualTime::from_ticks(round), round);
-            let (_, _, p) = q.pop().expect("just pushed");
-            assert_eq!(p, round);
+    fn drained_buckets_are_recycled() {
+        // A burst per tick, drained before the next, over two sweeps of the
+        // ring: without recycling every bucket keeps the burst's capacity.
+        const BURST: usize = 10_000;
+        let mut q: EventQueue<usize> = EventQueue::new();
+        for tick in 0..2 * NEAR {
+            for i in 0..BURST {
+                q.push(VirtualTime::from_ticks(tick), i);
+            }
+            for i in 0..BURST {
+                assert_eq!(q.pop().map(|(t, _, p)| (t.ticks(), p)), Some((tick, i)));
+            }
         }
-        assert_eq!(q.slab.len(), 1, "steady push/pop reuses one slot");
+        assert!(q.is_empty());
+        let retained: usize = q.ring.iter().chain(&q.spare).map(VecDeque::capacity).sum();
+        assert!(
+            retained <= 4 * BURST.next_power_of_two(),
+            "ring and spare retain {retained} entries of capacity"
+        );
     }
 
     #[test]

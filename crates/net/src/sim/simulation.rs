@@ -288,6 +288,7 @@ where
                 topology: self.topology,
                 halted: vec![false; n],
                 queue: EventQueue::new(),
+                in_flight: InFlight::default(),
                 now: VirtualTime::ZERO,
                 me: ProcessId::new(0),
                 rng: SplitMix64::seed_from_u64(self.seed),
@@ -330,12 +331,18 @@ where
 /// path (the only dynamic dispatch left is the single handler call on the
 /// boxed node, which heterogeneous Byzantine line-ups require).
 ///
-/// The steady-state loop is allocation-free: the priority queue is a heap
-/// of compact `(time, seq, slot)` keys over a slab of payloads
-/// ([`EventQueue`]), per-send metrics are dense counters
-/// ([`Metrics`]), timer cancellation is an O(1) generation check
-/// ([`TimerTable`]), and delay sampling draws from a single-word SplitMix64
-/// stream.
+/// Each message in flight is stored once: a send or broadcast puts it in
+/// the in-flight table, and the event queue holds only 24-byte events that
+/// name the message by its entry. A delivery clones it from that one copy
+/// when it pops, and the last delivery moves it out, so a broadcast makes
+/// the same `n − 1` clones as `n` stored copies would, late instead of
+/// early.
+///
+/// The steady-state loop is allocation-free: freed in-flight entries are
+/// reused, the calendar queue ([`EventQueue`]) recycles its drained
+/// buckets, per-send metrics are dense counters ([`Metrics`]), timer
+/// cancellation is an O(1) generation check ([`TimerTable`]), and delay
+/// sampling draws from a single-word SplitMix64 stream.
 pub struct Simulation<M, O> {
     nodes: Vec<Box<dyn Node<Msg = M, Output = O>>>,
     /// Per-process timer tables; swapped into the shared [`Env`] for the
@@ -369,7 +376,9 @@ struct SimCore<M, O> {
     /// Dense copy of the topology's per-channel timings, `from · n + to`.
     timings: Vec<ChannelTiming>,
     halted: Vec<bool>,
-    queue: EventQueue<EventKind<M>>,
+    queue: EventQueue<EventKind>,
+    /// The messages the queued deliveries name.
+    in_flight: InFlight<M>,
     now: VirtualTime,
     me: ProcessId,
     rng: SplitMix64,
@@ -542,7 +551,7 @@ where
     /// Pops one event: decides whether it reaches a handler (halted
     /// processes and dead timer firings do not) and, if so, runs the
     /// invocation through [`step`].
-    fn dispatch(&mut self, time: VirtualTime, kind: EventKind<M>) {
+    fn dispatch(&mut self, time: VirtualTime, kind: EventKind) {
         let core = &mut self.core;
         debug_assert!(time >= core.now, "event queue went backwards");
         let p = event_target(&kind);
@@ -560,7 +569,8 @@ where
             );
         }
         if core.halted[p.index()] {
-            if matches!(kind, EventKind::Deliver { .. }) {
+            if let EventKind::Deliver { msg, .. } = kind {
+                core.in_flight.release(msg);
                 core.metrics.messages_dropped += 1;
             }
             return;
@@ -569,7 +579,10 @@ where
             EventKind::Start(_) => InvocationCause::Start,
             EventKind::Deliver { from, msg, .. } => {
                 core.metrics.messages_delivered += 1;
-                InvocationCause::Deliver { from, msg }
+                InvocationCause::Deliver {
+                    from,
+                    msg: core.in_flight.take(msg),
+                }
             }
             EventKind::Timer { timer, .. } => {
                 if !self.timer_tables[p.index()].try_fire(timer) {
@@ -660,7 +673,7 @@ impl<M: Clone, O> SimCore<M, O> {
 
     /// Schedules one event and maintains the queue's high-water mark (the
     /// mark lives on the push path so pops pay nothing for it).
-    fn push_event(&mut self, time: VirtualTime, kind: EventKind<M>) {
+    fn push_event(&mut self, time: VirtualTime, kind: EventKind) {
         let target = self
             .trace
             .as_ref()
@@ -686,12 +699,14 @@ impl<M: Clone, O> SimCore<M, O> {
         if let Some(classify) = self.classifier {
             self.metrics.record_kind(classify(&msg), 1);
         }
+        let msg = self.in_flight.store(msg);
         self.route(from, to, msg);
+        self.in_flight.release(msg);
     }
 
     /// Expands one [`Effect::Broadcast`] into `n` deliveries in a single
     /// pass: the metrics are bumped once by `n`, the classifier runs once,
-    /// and the event queue reserves all `n` slots up front. Per-channel
+    /// and the message is stored once for all `n` deliveries. Per-channel
     /// delays are still sampled per destination (each directed edge has its
     /// own timing), in destination order, so executions are identical to
     /// `n` individual sends.
@@ -701,28 +716,27 @@ impl<M: Clone, O> SimCore<M, O> {
         if let Some(classify) = self.classifier {
             self.metrics.record_kind(classify(&msg), n as u64);
         }
-        self.queue.reserve(n);
-        for p in 0..n - 1 {
-            self.route(from, ProcessId::new(p), msg.clone());
+        let msg = self.in_flight.store(msg);
+        for p in 0..n {
+            self.route(from, ProcessId::new(p), msg);
         }
-        self.route(from, ProcessId::new(n - 1), msg);
+        self.in_flight.release(msg);
     }
 
     /// Samples the channel delay for `from → to`, lets the schedule oracle
-    /// (if any) override it within the channel's bound, and enqueues the
-    /// delivery.
-    fn route(&mut self, from: ProcessId, to: ProcessId, msg: M) {
+    /// (if any) override it within the channel's bound, and enqueues a
+    /// delivery of the in-flight entry `msg`.
+    fn route(&mut self, from: ProcessId, to: ProcessId, msg: u32) {
         let idx = from.index() * self.topology.n() + to.index();
         let timing = &self.timings[idx];
         // The channel law always samples first — before the oracle gets a
         // say — so an oracle that defers everywhere leaves the RNG stream,
         // and therefore the execution, byte-identical to an oracle-free run.
         let mut deliver_at = timing.delivery_time(self.now, &mut self.rng);
-        if self.schedule.is_some() {
+        if let Some(schedule) = self.schedule.as_mut() {
             // The hard delivery bound this channel guarantees no matter
             // what the schedule asks for (`None` = asynchronous,
-            // unbounded). Only plain values are copied out so the matrix
-            // borrow ends before the `&mut self` consultation.
+            // unbounded).
             let bound = match timing {
                 ChannelTiming::Timely { delta } => Some(self.now.saturating_add(*delta)),
                 ChannelTiming::EventuallyTimely { tau, delta, .. } => {
@@ -731,20 +745,23 @@ impl<M: Clone, O> SimCore<M, O> {
                 ChannelTiming::Asynchronous { .. } => None,
             };
             let timely = timing.is_timely_at(self.now);
-            deliver_at = match self.consult_schedule(from, to, &msg, deliver_at - self.now) {
-                ScheduleCommand::Drop => {
-                    self.metrics.messages_suppressed += 1;
-                    return;
-                }
-                ScheduleCommand::Default => deliver_at,
-                ScheduleCommand::Stretch(_) if timely => deliver_at,
-                ScheduleCommand::After(d) | ScheduleCommand::Stretch(d) => {
-                    let at = self.now.saturating_add(d);
-                    bound.map_or(at, |b| at.min(b))
-                }
-            };
+            let default = deliver_at - self.now;
+            deliver_at =
+                match schedule.command(from, to, self.now, self.in_flight.get(msg), default) {
+                    ScheduleCommand::Drop => {
+                        self.metrics.messages_suppressed += 1;
+                        return;
+                    }
+                    ScheduleCommand::Default => deliver_at,
+                    ScheduleCommand::Stretch(_) if timely => deliver_at,
+                    ScheduleCommand::After(d) | ScheduleCommand::Stretch(d) => {
+                        let at = self.now.saturating_add(d);
+                        bound.map_or(at, |b| at.min(b))
+                    }
+                };
         }
         self.note_link_delay(idx, deliver_at - self.now);
+        self.in_flight.hold(msg);
         self.push_event(deliver_at, EventKind::Deliver { from, to, msg });
     }
 
@@ -764,27 +781,95 @@ impl<M: Clone, O> SimCore<M, O> {
             (prev * 7 + delay) / 8
         };
     }
+}
 
-    fn consult_schedule(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        msg: &M,
-        default: u64,
-    ) -> ScheduleCommand {
-        let mut schedule = self
-            .schedule
-            .take()
-            .expect("caller checked schedule presence");
-        let cmd = schedule.command(from, to, self.now, msg, default);
-        self.schedule = Some(schedule);
-        cmd
+/// The messages in flight, one entry per send or broadcast: the message and
+/// the number of holds on it — one per queued delivery, plus the sender's
+/// while it routes. The last release frees the entry for reuse.
+struct InFlight<M> {
+    entries: Vec<Entry<M>>,
+    free: Vec<u32>,
+}
+
+struct Entry<M> {
+    /// `None` while the entry is free.
+    msg: Option<M>,
+    holds: u32,
+}
+
+impl<M> Default for InFlight<M> {
+    fn default() -> Self {
+        InFlight {
+            entries: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<M: Clone> InFlight<M> {
+    /// Stores `msg` with the sender's hold on it and returns its entry.
+    fn store(&mut self, msg: M) -> u32 {
+        let entry = Entry {
+            msg: Some(msg),
+            holds: 1,
+        };
+        match self.free.pop() {
+            Some(id) => {
+                self.entries[id as usize] = entry;
+                id
+            }
+            None => {
+                let id = u32::try_from(self.entries.len()).expect("in-flight table exhausted");
+                self.entries.push(entry);
+                id
+            }
+        }
+    }
+
+    fn get(&self, id: u32) -> &M {
+        self.entries[id as usize]
+            .msg
+            .as_ref()
+            .expect("a held entry holds its message")
+    }
+
+    /// Adds a hold: one more delivery of `id` is queued.
+    fn hold(&mut self, id: u32) {
+        self.entries[id as usize].holds += 1;
+    }
+
+    /// Drops one hold on `id`, freeing the entry with the last.
+    fn release(&mut self, id: u32) {
+        let entry = &mut self.entries[id as usize];
+        entry.holds -= 1;
+        if entry.holds == 0 {
+            entry.msg = None;
+            self.free.push(id);
+        }
+    }
+
+    /// Drops one hold on `id` and returns its message: a clone while other
+    /// holds remain, the stored copy itself with the last.
+    fn take(&mut self, id: u32) -> M {
+        let entry = &mut self.entries[id as usize];
+        entry.holds -= 1;
+        if entry.holds > 0 {
+            return entry.msg.clone().expect("a held entry holds its message");
+        }
+        self.free.push(id);
+        entry.msg.take().expect("a held entry holds its message")
+    }
+
+    /// Entries still held.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.entries.len() - self.free.len()
     }
 }
 
 /// The process an event will be handed to — the node a queue-telemetry
 /// event is attributed to.
-fn event_target<M>(kind: &EventKind<M>) -> ProcessId {
+fn event_target(kind: &EventKind) -> ProcessId {
     match kind {
         EventKind::Start(p) => *p,
         EventKind::Deliver { to, .. } => *to,
@@ -1140,6 +1225,81 @@ mod tests {
         // All three processes (incl. the sender) got exactly one copy.
         assert_eq!(report.outputs.len(), 3);
         assert_eq!(report.metrics.messages_sent, 3);
+    }
+
+    #[test]
+    fn in_flight_table_balances_drops_halts_and_copies() {
+        // p0 broadcasts three heap-carrying messages; p1 and p2 echo what
+        // they get back to p0; p3 halts at start. The oracle drops message 1
+        // on its way to p2 and message 2 everywhere.
+        struct Fan;
+        impl Node for Fan {
+            type Msg = Vec<u8>;
+            type Output = Vec<u8>;
+            fn on_start(&mut self, env: &mut Env<Vec<u8>, Vec<u8>>) {
+                match env.me().index() {
+                    0 => (0..3).for_each(|k| env.broadcast(vec![k; 64])),
+                    3 => env.halt(),
+                    _ => {}
+                }
+            }
+            fn on_message(&mut self, from: ProcessId, m: Vec<u8>, env: &mut Env<Vec<u8>, Vec<u8>>) {
+                if env.me().index() != 0 {
+                    env.send(from, m.clone());
+                }
+                env.output(m);
+            }
+        }
+        let oracle = |_: ProcessId, to: ProcessId, _: VirtualTime, m: &Vec<u8>, _: u64| {
+            let dropped = m[0] == 2 || (m[0] == 1 && to.index() == 2);
+            if dropped {
+                ScheduleCommand::Drop
+            } else {
+                ScheduleCommand::Default
+            }
+        };
+        let mut sim = SimBuilder::new(NetworkTopology::all_timely(4, 3))
+            .node(Fan)
+            .node(Fan)
+            .node(Fan)
+            .node(Fan)
+            .with_schedule_oracle(oracle)
+            .build();
+        let report = sim.run();
+        assert_eq!(report.reason, StopReason::Quiescent);
+        assert!(report
+            .outputs
+            .iter()
+            .all(|o| o.event == vec![o.event[0]; 64]));
+        let mut got: Vec<(usize, u8)> = report
+            .outputs
+            .iter()
+            .map(|o| (o.process.index(), o.event[0]))
+            .collect();
+        got.sort_unstable();
+        // p0: its own 0 and 1, plus echoes of 0 (p1, p2) and 1 (p1).
+        assert_eq!(
+            got,
+            [
+                (0, 0),
+                (0, 0),
+                (0, 0),
+                (0, 1),
+                (0, 1),
+                (1, 0),
+                (1, 1),
+                (2, 0)
+            ]
+        );
+        assert_eq!(
+            report.metrics.messages_dropped, 2,
+            "0 and 1 reached halted p3"
+        );
+        assert_eq!(
+            report.metrics.messages_suppressed, 5,
+            "1 to p2, 2 to all four"
+        );
+        assert_eq!(sim.core.in_flight.live(), 0);
     }
 
     #[test]

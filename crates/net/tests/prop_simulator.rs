@@ -135,10 +135,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The slab-backed calendar queue pops events in exactly the same
-    /// `(time, seq)` order as a reference binary heap, under arbitrary
-    /// monotone interleavings of pushes and pops (the only kind the
-    /// simulator can produce: every push is at or after the last pop).
+    /// The calendar queue pops events in exactly the same `(time, seq)`
+    /// order as a reference binary heap, under arbitrary monotone
+    /// interleavings of pushes and pops (the only kind the simulator can
+    /// produce: every push is at or after the last pop).
     #[test]
     fn event_queue_matches_reference_binary_heap(
         ops in proptest::collection::vec((0u64..2500, 0u8..3), 1..300),
@@ -164,8 +164,8 @@ proptest! {
                 }
             } else {
                 // Push the same entry into both (payload = seq so the pop
-                // comparison also proves the slab hands back the right
-                // payload; `kind == 2` pushes at the floor itself to
+                // comparison also proves the bucket hands back each entry's
+                // own payload; `kind == 2` pushes at the floor itself to
                 // exercise ties).
                 let time = if kind == 2 { floor } else { floor + delay };
                 let s = queue.push(VirtualTime::from_ticks(time), seq);
