@@ -2,7 +2,8 @@
 //! [`Wire`] implementation, and a decoder fuzz pass asserting that
 //! arbitrary bytes — truncations of valid encodings, mutated frames, raw
 //! garbage, absurd length announcements — never panic and never make the
-//! decoder allocate beyond the frame cap.
+//! decoder allocate beyond the frame cap. One table pins every tagged
+//! variant's bytes.
 
 use minsync_auth::HmacAuthenticator;
 use minsync_broadcast::RbMsg;
@@ -377,4 +378,119 @@ proptest! {
         prop_assert!(verify_frame_tag(payload, &ring[1], ProcessId::new(2)).is_err());
         prop_assert!(verify_frame_tag(payload, &ring[1], ProcessId::new(77)).is_err());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Every tagged layout, pinned byte for byte
+// ---------------------------------------------------------------------------
+
+/// Encodes `value`, checks that it decodes back to itself, and returns the
+/// bytes as lowercase hex.
+fn pinned_hex<T: Wire + PartialEq + std::fmt::Debug>(value: &T) -> String {
+    let bytes = value.encode();
+    assert_eq!(
+        &decode_frame::<T>(&bytes).expect("valid encoding decodes"),
+        value
+    );
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The first tag `T` does not use decodes to `InvalidTag` naming `T`.
+fn assert_unused_tag<T: Wire + std::fmt::Debug>(ty: &'static str, tag: u8) {
+    assert_eq!(
+        T::decode(&mut [tag].as_slice()).unwrap_err(),
+        WireError::InvalidTag { ty, tag },
+        "{ty} tag {tag}"
+    );
+}
+
+/// One exemplar of every variant of the 14 tagged enums, plus both trace
+/// records, against its literal bytes. The conformance fixtures pin only
+/// the variants their recorded runs happen to emit; this pins them all, so
+/// a codec change that moves any tag or field order fails here by name.
+#[test]
+fn every_variant_encodes_to_its_pinned_bytes() {
+    use minsync_core::{AcNodeEvent, AcTag, BotEvent, BotMsg, ConsensusEvent, EaNodeEvent};
+    use minsync_smr::SmrEvent;
+
+    macro_rules! pin {
+        ($value:expr => $hex:literal) => {
+            (stringify!($value), pinned_hex(&$value), $hex)
+        };
+    }
+
+    let r = Round::new(2);
+    let p = ProcessId::new(1);
+    let id = TimerId::from_raw(3);
+    let init = RbMsg::Init {
+        tag: RbTag::Decide,
+        value: 0x2Au8,
+    };
+    let table = [
+        pin!(CbId::ConsValid => "00"),
+        pin!(CbId::AcProp(r) => "010200000000000000"),
+        pin!(CbId::EaProp(r) => "020200000000000000"),
+        pin!(RbTag::CbVal(CbId::AcProp(r)) => "00010200000000000000"),
+        pin!(RbTag::AcEst(r) => "010200000000000000"),
+        pin!(RbTag::Decide => "02"),
+        pin!(init.clone() => "00022a"),
+        pin!(RbMsg::Echo { origin: p, tag: RbTag::AcEst(r), value: 0x2Au8 } => "01010000000102000000000000002a"),
+        pin!(RbMsg::Ready { origin: p, tag: RbTag::Decide, value: 0x2Au8 } => "0201000000022a"),
+        pin!(ProtocolMsg::Rb(init.clone()) => "0000022a"),
+        pin!(ProtocolMsg::EaProp2 { round: r, value: 0x2Au8 } => "0102000000000000002a"),
+        pin!(ProtocolMsg::EaCoord { round: r, value: 0x2Au8 } => "0202000000000000002a"),
+        pin!(ProtocolMsg::<u8>::EaRelay { round: r, value: None } => "03020000000000000000"),
+        pin!(ProtocolMsg::EaRelay { round: r, value: Some(0x2Au8) } => "030200000000000000012a"),
+        pin!(SmrMsg::<u8>::Slot { slot: 7, msg: ProtocolMsg::EaCoord { round: r, value: Digest([0xDD; 32]) } } => "000700000000000000020200000000000000dddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddd"),
+        pin!(SmrMsg::<u8>::Ack { slot: 7 } => "010700000000000000"),
+        pin!(SmrMsg::Checkpoint { slot: 7, value: 0x2Au8 } => "0207000000000000002a"),
+        pin!(SmrMsg::Payload { slot: 7, value: Batch(vec![5]) } => "050700000000000000010000000500000000000000"),
+        pin!(Effect::<u8, u8>::Send { to: p, msg: 0x2A } => "00010000002a"),
+        pin!(Effect::<u8, u8>::Broadcast { msg: 0x2A } => "012a"),
+        pin!(Effect::<u8, u8>::SetTimer { id, delay: 9 } => "0203000000000000000900000000000000"),
+        pin!(Effect::<u8, u8>::CancelTimer { id } => "030300000000000000"),
+        pin!(Effect::<u8, u8>::Output(0x2B) => "042b"),
+        pin!(Effect::<u8, u8>::Halt => "05"),
+        pin!(InvocationCause::<u8>::Start => "00"),
+        pin!(InvocationCause::Deliver { from: p, msg: 0x2Au8 } => "01010000002a"),
+        pin!(InvocationCause::<u8>::Timer { id } => "020300000000000000"),
+        pin!(AcTag::Commit => "00"),
+        pin!(AcTag::Adopt => "01"),
+        pin!(ConsensusEvent::<u8>::RoundStarted { round: r } => "000200000000000000"),
+        pin!(ConsensusEvent::EaReturned { round: r, value: 0x2Au8, fast: true } => "0102000000000000002a01"),
+        pin!(ConsensusEvent::AcReturned { round: r, tag: AcTag::Adopt, value: 0x2Au8 } => "020200000000000000012a"),
+        pin!(ConsensusEvent::DecideBroadcast { round: r, value: 0x2Au8 } => "0302000000000000002a"),
+        pin!(ConsensusEvent::Decided { value: 0x2Au8 } => "042a"),
+        pin!(AcNodeEvent::Returned { tag: AcTag::Commit, value: 0x2Au8 } => "00002a"),
+        pin!(EaNodeEvent::Returned { round: r, value: 0x2Au8, fast: true } => "0002000000000000002a01"),
+        pin!(BotMsg::CertRb(RbMsg::Init { tag: (), value: 0x2Au8 }) => "00002a"),
+        pin!(BotMsg::<u8>::Inner(ProtocolMsg::EaProp2 { round: r, value: 0x2B }) => "010102000000000000002b"),
+        pin!(BotEvent::Decided { value: 0x2Au8 } => "002a"),
+        pin!(BotEvent::<u8>::DecidedBottom => "01"),
+        pin!(SmrEvent::Committed { slot: 7, command: 0x2Au8 } => "0007000000000000002a"),
+        pin!(SmrEvent::<u8>::Retired { through: 7 } => "010700000000000000"),
+        pin!(CauseRecord { time: VirtualTime::from_ticks(9), process: p, cause: InvocationCause::<u8>::Timer { id } } => "090000000000000001000000020300000000000000"),
+        pin!(EffectRecord { time: VirtualTime::from_ticks(9), process: p, effects: vec![Effect::<u8, u8>::Output(0x2B), Effect::Halt] } => "09000000000000000100000002000000042b05"),
+    ];
+    let moved: Vec<String> = table
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(what, got, want)| format!("{what}\n  pinned {want}\n  now    {got}"))
+        .collect();
+    assert!(moved.is_empty(), "layouts moved:\n{}", moved.join("\n"));
+
+    assert_unused_tag::<CbId>("CbId", 3);
+    assert_unused_tag::<RbTag>("RbTag", 3);
+    assert_unused_tag::<RbMsg<RbTag, u8>>("RbMsg", 3);
+    assert_unused_tag::<ProtocolMsg<u8>>("ProtocolMsg", 4);
+    assert_unused_tag::<SmrMsg<u8>>("SmrMsg", 3);
+    assert_unused_tag::<Effect<u8, u8>>("Effect", 6);
+    assert_unused_tag::<InvocationCause<u8>>("InvocationCause", 3);
+    assert_unused_tag::<AcTag>("AcTag", 2);
+    assert_unused_tag::<ConsensusEvent<u8>>("ConsensusEvent", 5);
+    assert_unused_tag::<AcNodeEvent<u8>>("AcNodeEvent", 1);
+    assert_unused_tag::<EaNodeEvent<u8>>("EaNodeEvent", 1);
+    assert_unused_tag::<BotMsg<u8>>("BotMsg", 2);
+    assert_unused_tag::<BotEvent<u8>>("BotEvent", 2);
+    assert_unused_tag::<SmrEvent<u8>>("SmrEvent", 2);
 }
