@@ -134,147 +134,30 @@ impl Wire for Round {
 // Broadcast / protocol layer
 // ---------------------------------------------------------------------------
 
-impl Wire for CbId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            CbId::ConsValid => out.push(0),
-            CbId::AcProp(round) => {
-                out.push(1);
-                round.encode_into(out);
-            }
-            CbId::EaProp(round) => {
-                out.push(2);
-                round.encode_into(out);
-            }
-        }
-    }
+wire_enum!(CbId {
+    0 => ConsValid,
+    1 => AcProp(round),
+    2 => EaProp(round),
+});
 
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(CbId::ConsValid),
-            1 => Ok(CbId::AcProp(Round::decode(input)?)),
-            2 => Ok(CbId::EaProp(Round::decode(input)?)),
-            tag => Err(WireError::InvalidTag { ty: "CbId", tag }),
-        }
-    }
-}
+wire_enum!(RbTag {
+    0 => CbVal(id),
+    1 => AcEst(round),
+    2 => Decide,
+});
 
-impl Wire for RbTag {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            RbTag::CbVal(id) => {
-                out.push(0);
-                id.encode_into(out);
-            }
-            RbTag::AcEst(round) => {
-                out.push(1);
-                round.encode_into(out);
-            }
-            RbTag::Decide => out.push(2),
-        }
-    }
+wire_enum!(RbMsg<T, V> {
+    0 => Init { tag, value },
+    1 => Echo { origin, tag, value },
+    2 => Ready { origin, tag, value },
+});
 
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(RbTag::CbVal(CbId::decode(input)?)),
-            1 => Ok(RbTag::AcEst(Round::decode(input)?)),
-            2 => Ok(RbTag::Decide),
-            tag => Err(WireError::InvalidTag { ty: "RbTag", tag }),
-        }
-    }
-}
-
-impl<T: Wire, V: Wire> Wire for RbMsg<T, V> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            RbMsg::Init { tag, value } => {
-                out.push(0);
-                tag.encode_into(out);
-                value.encode_into(out);
-            }
-            RbMsg::Echo { origin, tag, value } => {
-                out.push(1);
-                origin.encode_into(out);
-                tag.encode_into(out);
-                value.encode_into(out);
-            }
-            RbMsg::Ready { origin, tag, value } => {
-                out.push(2);
-                origin.encode_into(out);
-                tag.encode_into(out);
-                value.encode_into(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(RbMsg::Init {
-                tag: T::decode(input)?,
-                value: V::decode(input)?,
-            }),
-            1 => Ok(RbMsg::Echo {
-                origin: ProcessId::decode(input)?,
-                tag: T::decode(input)?,
-                value: V::decode(input)?,
-            }),
-            2 => Ok(RbMsg::Ready {
-                origin: ProcessId::decode(input)?,
-                tag: T::decode(input)?,
-                value: V::decode(input)?,
-            }),
-            tag => Err(WireError::InvalidTag { ty: "RbMsg", tag }),
-        }
-    }
-}
-
-impl<V: Wire> Wire for ProtocolMsg<V> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            ProtocolMsg::Rb(rb) => {
-                out.push(0);
-                rb.encode_into(out);
-            }
-            ProtocolMsg::EaProp2 { round, value } => {
-                out.push(1);
-                round.encode_into(out);
-                value.encode_into(out);
-            }
-            ProtocolMsg::EaCoord { round, value } => {
-                out.push(2);
-                round.encode_into(out);
-                value.encode_into(out);
-            }
-            ProtocolMsg::EaRelay { round, value } => {
-                out.push(3);
-                round.encode_into(out);
-                value.encode_into(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(ProtocolMsg::Rb(RbMsg::decode(input)?)),
-            1 => Ok(ProtocolMsg::EaProp2 {
-                round: Round::decode(input)?,
-                value: V::decode(input)?,
-            }),
-            2 => Ok(ProtocolMsg::EaCoord {
-                round: Round::decode(input)?,
-                value: V::decode(input)?,
-            }),
-            3 => Ok(ProtocolMsg::EaRelay {
-                round: Round::decode(input)?,
-                value: Option::<V>::decode(input)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                ty: "ProtocolMsg",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(ProtocolMsg<V> {
+    0 => Rb(rb),
+    1 => EaProp2 { round, value },
+    2 => EaCoord { round, value },
+    3 => EaRelay { round, value },
+});
 
 // ---------------------------------------------------------------------------
 // SMR / workload layer
@@ -291,53 +174,13 @@ impl Wire for Digest {
     }
 }
 
-impl<V: Wire> Wire for SmrMsg<V> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            SmrMsg::Slot { slot, msg } => {
-                out.push(0);
-                slot.encode_into(out);
-                msg.encode_into(out);
-            }
-            SmrMsg::Ack { slot } => {
-                out.push(1);
-                slot.encode_into(out);
-            }
-            SmrMsg::Checkpoint { slot, value } => {
-                out.push(2);
-                slot.encode_into(out);
-                value.encode_into(out);
-            }
-            SmrMsg::Payload { slot, value } => {
-                out.push(5);
-                slot.encode_into(out);
-                value.encode_into(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(SmrMsg::Slot {
-                slot: u64::decode(input)?,
-                msg: ProtocolMsg::decode(input)?,
-            }),
-            1 => Ok(SmrMsg::Ack {
-                slot: u64::decode(input)?,
-            }),
-            2 => Ok(SmrMsg::Checkpoint {
-                slot: u64::decode(input)?,
-                value: V::decode(input)?,
-            }),
-            5 => Ok(SmrMsg::Payload {
-                slot: u64::decode(input)?,
-                value: V::decode(input)?,
-            }),
-            // Tags 3 and 4 (the deleted signature path) are retired, never reused.
-            tag => Err(WireError::InvalidTag { ty: "SmrMsg", tag }),
-        }
-    }
-}
+wire_enum!(SmrMsg<V> {
+    0 => Slot { slot, msg },
+    1 => Ack { slot },
+    2 => Checkpoint { slot, value },
+    // Tags 3 and 4 (the deleted signature path) are retired, never reused.
+    5 => Payload { slot, value },
+});
 
 impl Wire for Batch {
     fn encode_into(&self, out: &mut Vec<u8>) {

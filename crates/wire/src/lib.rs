@@ -4,9 +4,9 @@
 //! Rust values; the TCP transport (`minsync-transport`) needs *bytes*. The
 //! build environment has no network access, so there is no serde — this
 //! crate is the manual, dependency-free replacement: a [`Wire`] trait
-//! (`encode_into` / `decode`) with hand-written implementations for every
-//! message type that crosses a socket, plus the two pieces of connection
-//! plumbing every byte protocol needs:
+//! (`encode_into` / `decode`) implemented for every message type that
+//! crosses a socket, plus the two pieces of connection plumbing every byte
+//! protocol needs:
 //!
 //! * **Length-prefixed framing** ([`encode_frame`] / [`split_frame`]): each
 //!   message travels as a little-endian `u32` length followed by the
@@ -31,9 +31,13 @@
 //! # Encoding rules
 //!
 //! The format is deliberately boring: all integers are fixed-width
-//! little-endian, enums are a one-byte tag followed by the variant's fields
-//! in declaration order, sequences are a `u32` count followed by the
-//! elements. Decoders must consume input exactly: trailing bytes inside a
+//! little-endian, enums are a one-byte tag followed by the variant's
+//! fields, structs are their fields in order, and sequences are a `u32`
+//! count followed by the elements. Each enum or struct layout is declared
+//! once, as a `tag => Variant { fields }` table that generates both the
+//! encoder and the decoder, so the two cannot drift apart. A tag is fixed
+//! by its table line, not by declaration order, and a retired tag is never
+//! reused. Decoders must consume input exactly: trailing bytes inside a
 //! frame are an error ([`decode_frame`]), truncated input is an error, and
 //! every invalid tag or out-of-range value is an error — a decoder never
 //! panics on attacker-controlled bytes (property-tested in
@@ -69,6 +73,54 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+
+/// Implements [`Wire`] for an enum from its one layout table,
+/// `Type<G…> { tag => Variant { fields } | Variant(bindings) | Variant, … }`:
+/// `encode_into` writes the tag and then each listed field in order,
+/// `decode` reads them back in the same order, and any other tag is
+/// [`WireError::InvalidTag`] naming the type.
+macro_rules! wire_enum {
+    ($ty:ident $(<$($g:ident),+>)? {
+        $($tag:literal => $variant:ident $({ $($field:ident),+ })? $(( $($bind:ident),+ ))?),+ $(,)?
+    }) => {
+        impl$(<$($g: $crate::Wire),+>)? $crate::Wire for $ty$(<$($g),+>)? {
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? $(( $($bind),+ ))? => {
+                        out.push($tag);
+                        $($($crate::Wire::encode_into($field, out);)+)?
+                        $($($crate::Wire::encode_into($bind, out);)+)?
+                    })+
+                }
+            }
+
+            fn decode(input: &mut &[u8]) -> Result<Self, $crate::WireError> {
+                match <u8 as $crate::Wire>::decode(input)? {
+                    $($tag => Ok($ty::$variant
+                        $({ $($field: $crate::Wire::decode(input)?),+ })?
+                        $(( $({ let $bind = $crate::Wire::decode(input)?; $bind }),+ ))?),)+
+                    tag => Err($crate::WireError::InvalidTag { ty: stringify!($ty), tag }),
+                }
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for a struct from its field list,
+/// `Type<G…> { fields }`: the fields, in the listed order.
+macro_rules! wire_struct {
+    ($ty:ident $(<$($g:ident),+>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$($g: $crate::Wire),+>)? $crate::Wire for $ty$(<$($g),+>)? {
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                $($crate::Wire::encode_into(&self.$field, out);)+
+            }
+
+            fn decode(input: &mut &[u8]) -> Result<Self, $crate::WireError> {
+                Ok($ty { $($field: $crate::Wire::decode(input)?),+ })
+            }
+        }
+    };
+}
 
 mod impls;
 mod trace;

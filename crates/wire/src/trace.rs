@@ -1,19 +1,19 @@
-//! [`Wire`] implementations for the *trace* layer: the records a recorded
+//! [`Wire`] layouts for the *trace* layer: the records a recorded
 //! simulation run is made of ([`EffectRecord`], [`CauseRecord`],
-//! [`Effect`]) and the protocol *output* types they embed.
+//! [`Effect`]) and the protocol *output* types they embed, each declared
+//! once as a layout table.
 //!
 //! The transport codec in [`crate::impls`] covers what crosses a socket;
 //! this module covers what goes into a `minsync-conformance` trace file —
 //! a complete, versioned, byte-stable transcript of an execution. The
 //! same encoding rules apply (fixed-width little-endian integers, one-byte
-//! enum tags in declaration order, `u32`-counted sequences), so a trace
-//! file is decodable with nothing but this crate.
+//! enum tags fixed by each type's table, `u32`-counted sequences), so a
+//! trace file is decodable with nothing but this crate.
 
 use minsync_core::{AcNodeEvent, AcTag, BotEvent, BotMsg, ConsensusEvent, EaNodeEvent};
 use minsync_net::sim::{CauseRecord, EffectRecord, InvocationCause};
 use minsync_net::{Effect, TimerId, VirtualTime};
 use minsync_smr::SmrEvent;
-use minsync_types::{ProcessId, Round};
 
 use crate::{Wire, WireError};
 
@@ -68,343 +68,71 @@ impl Wire for TimerId {
     }
 }
 
-impl<M: Wire, O: Wire> Wire for Effect<M, O> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Effect::Send { to, msg } => {
-                out.push(0);
-                to.encode_into(out);
-                msg.encode_into(out);
-            }
-            Effect::Broadcast { msg } => {
-                out.push(1);
-                msg.encode_into(out);
-            }
-            Effect::SetTimer { id, delay } => {
-                out.push(2);
-                id.encode_into(out);
-                delay.encode_into(out);
-            }
-            Effect::CancelTimer { id } => {
-                out.push(3);
-                id.encode_into(out);
-            }
-            Effect::Output(o) => {
-                out.push(4);
-                o.encode_into(out);
-            }
-            Effect::Halt => out.push(5),
-        }
-    }
+wire_enum!(Effect<M, O> {
+    0 => Send { to, msg },
+    1 => Broadcast { msg },
+    2 => SetTimer { id, delay },
+    3 => CancelTimer { id },
+    4 => Output(output),
+    5 => Halt,
+});
 
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(Effect::Send {
-                to: ProcessId::decode(input)?,
-                msg: M::decode(input)?,
-            }),
-            1 => Ok(Effect::Broadcast {
-                msg: M::decode(input)?,
-            }),
-            2 => Ok(Effect::SetTimer {
-                id: TimerId::decode(input)?,
-                delay: u64::decode(input)?,
-            }),
-            3 => Ok(Effect::CancelTimer {
-                id: TimerId::decode(input)?,
-            }),
-            4 => Ok(Effect::Output(O::decode(input)?)),
-            5 => Ok(Effect::Halt),
-            tag => Err(WireError::InvalidTag { ty: "Effect", tag }),
-        }
-    }
-}
+wire_enum!(InvocationCause<M> {
+    0 => Start,
+    1 => Deliver { from, msg },
+    2 => Timer { id },
+});
 
-impl<M: Wire> Wire for InvocationCause<M> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            InvocationCause::Start => out.push(0),
-            InvocationCause::Deliver { from, msg } => {
-                out.push(1);
-                from.encode_into(out);
-                msg.encode_into(out);
-            }
-            InvocationCause::Timer { id } => {
-                out.push(2);
-                id.encode_into(out);
-            }
-        }
-    }
+wire_struct!(CauseRecord<M> { time, process, cause });
 
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(InvocationCause::Start),
-            1 => Ok(InvocationCause::Deliver {
-                from: ProcessId::decode(input)?,
-                msg: M::decode(input)?,
-            }),
-            2 => Ok(InvocationCause::Timer {
-                id: TimerId::decode(input)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                ty: "InvocationCause",
-                tag,
-            }),
-        }
-    }
-}
-
-impl<M: Wire> Wire for CauseRecord<M> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.time.encode_into(out);
-        self.process.encode_into(out);
-        self.cause.encode_into(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(CauseRecord {
-            time: VirtualTime::decode(input)?,
-            process: ProcessId::decode(input)?,
-            cause: InvocationCause::decode(input)?,
-        })
-    }
-}
-
-impl<M: Wire, O: Wire> Wire for EffectRecord<M, O> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.time.encode_into(out);
-        self.process.encode_into(out);
-        self.effects.encode_into(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(EffectRecord {
-            time: VirtualTime::decode(input)?,
-            process: ProcessId::decode(input)?,
-            effects: Vec::decode(input)?,
-        })
-    }
-}
+wire_struct!(EffectRecord<M, O> { time, process, effects });
 
 // ---------------------------------------------------------------------------
 // Protocol output (telemetry) types — these never cross a socket, but they
 // appear inside `Effect::Output` entries of a recorded trace.
 // ---------------------------------------------------------------------------
 
-impl Wire for AcTag {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            AcTag::Commit => out.push(0),
-            AcTag::Adopt => out.push(1),
-        }
-    }
+wire_enum!(AcTag {
+    0 => Commit,
+    1 => Adopt,
+});
 
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(AcTag::Commit),
-            1 => Ok(AcTag::Adopt),
-            tag => Err(WireError::InvalidTag { ty: "AcTag", tag }),
-        }
-    }
-}
+wire_enum!(ConsensusEvent<V> {
+    0 => RoundStarted { round },
+    1 => EaReturned { round, value, fast },
+    2 => AcReturned { round, tag, value },
+    3 => DecideBroadcast { round, value },
+    4 => Decided { value },
+});
 
-impl<V: Wire> Wire for ConsensusEvent<V> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            ConsensusEvent::RoundStarted { round } => {
-                out.push(0);
-                round.encode_into(out);
-            }
-            ConsensusEvent::EaReturned { round, value, fast } => {
-                out.push(1);
-                round.encode_into(out);
-                value.encode_into(out);
-                fast.encode_into(out);
-            }
-            ConsensusEvent::AcReturned { round, tag, value } => {
-                out.push(2);
-                round.encode_into(out);
-                tag.encode_into(out);
-                value.encode_into(out);
-            }
-            ConsensusEvent::DecideBroadcast { round, value } => {
-                out.push(3);
-                round.encode_into(out);
-                value.encode_into(out);
-            }
-            ConsensusEvent::Decided { value } => {
-                out.push(4);
-                value.encode_into(out);
-            }
-        }
-    }
+wire_enum!(AcNodeEvent<V> {
+    0 => Returned { tag, value },
+});
 
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(ConsensusEvent::RoundStarted {
-                round: Round::decode(input)?,
-            }),
-            1 => Ok(ConsensusEvent::EaReturned {
-                round: Round::decode(input)?,
-                value: V::decode(input)?,
-                fast: bool::decode(input)?,
-            }),
-            2 => Ok(ConsensusEvent::AcReturned {
-                round: Round::decode(input)?,
-                tag: AcTag::decode(input)?,
-                value: V::decode(input)?,
-            }),
-            3 => Ok(ConsensusEvent::DecideBroadcast {
-                round: Round::decode(input)?,
-                value: V::decode(input)?,
-            }),
-            4 => Ok(ConsensusEvent::Decided {
-                value: V::decode(input)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                ty: "ConsensusEvent",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(EaNodeEvent<V> {
+    0 => Returned { round, value, fast },
+});
 
-impl<V: Wire> Wire for AcNodeEvent<V> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            AcNodeEvent::Returned { tag, value } => {
-                out.push(0);
-                tag.encode_into(out);
-                value.encode_into(out);
-            }
-        }
-    }
+wire_enum!(BotMsg<V> {
+    0 => CertRb(rb),
+    1 => Inner(inner),
+});
 
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(AcNodeEvent::Returned {
-                tag: AcTag::decode(input)?,
-                value: V::decode(input)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                ty: "AcNodeEvent",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(BotEvent<V> {
+    0 => Decided { value },
+    1 => DecidedBottom,
+});
 
-impl<V: Wire> Wire for EaNodeEvent<V> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            EaNodeEvent::Returned { round, value, fast } => {
-                out.push(0);
-                round.encode_into(out);
-                value.encode_into(out);
-                fast.encode_into(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(EaNodeEvent::Returned {
-                round: Round::decode(input)?,
-                value: V::decode(input)?,
-                fast: bool::decode(input)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                ty: "EaNodeEvent",
-                tag,
-            }),
-        }
-    }
-}
-
-impl<V: Wire> Wire for BotMsg<V> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            BotMsg::CertRb(rb) => {
-                out.push(0);
-                rb.encode_into(out);
-            }
-            BotMsg::Inner(inner) => {
-                out.push(1);
-                inner.encode_into(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(BotMsg::CertRb(minsync_broadcast::RbMsg::decode(input)?)),
-            1 => Ok(BotMsg::Inner(minsync_core::ProtocolMsg::decode(input)?)),
-            tag => Err(WireError::InvalidTag { ty: "BotMsg", tag }),
-        }
-    }
-}
-
-impl<V: Wire> Wire for BotEvent<V> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            BotEvent::Decided { value } => {
-                out.push(0);
-                value.encode_into(out);
-            }
-            BotEvent::DecidedBottom => out.push(1),
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(BotEvent::Decided {
-                value: V::decode(input)?,
-            }),
-            1 => Ok(BotEvent::DecidedBottom),
-            tag => Err(WireError::InvalidTag {
-                ty: "BotEvent",
-                tag,
-            }),
-        }
-    }
-}
-
-impl<V: Wire> Wire for SmrEvent<V> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            SmrEvent::Committed { slot, command } => {
-                out.push(0);
-                slot.encode_into(out);
-                command.encode_into(out);
-            }
-            SmrEvent::Retired { through } => {
-                out.push(1);
-                through.encode_into(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            0 => Ok(SmrEvent::Committed {
-                slot: u64::decode(input)?,
-                command: V::decode(input)?,
-            }),
-            1 => Ok(SmrEvent::Retired {
-                through: u64::decode(input)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                ty: "SmrEvent",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(SmrEvent<V> {
+    0 => Committed { slot, command },
+    1 => Retired { through },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use minsync_core::ProtocolMsg;
+    use minsync_types::{ProcessId, Round};
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = value.encode();
