@@ -34,9 +34,10 @@
 //! block, and as `alarm` records in the `--trace` ring.
 //!
 //! With `--wal` a correct replica appends every committed slot to the
-//! named file (one `;`-terminated text line per slot) and, on startup,
-//! replays whatever complete prefix the file already holds — the crash
-//! half of crash-recovery. A restarted replica thus rejoins with its
+//! named file ([`Wal`]: one wire frame per slot, written before the slot's
+//! ack) and, on startup, replays the whole records the file already holds
+//! and cuts off a torn tail — the crash half of crash-recovery. The log
+//! survives a SIGKILL, not power loss (nothing calls `sync_data`). A restarted replica thus rejoins with its
 //! pre-crash log intact and catches the tail over the checkpoint path; the
 //! churn orchestrator leans on this for `ChurnAction::Restart`.
 //!
@@ -73,6 +74,7 @@ use minsync_telemetry::trace::{TraceMeta, TraceRecorder, DEFAULT_TRACE_CAPACITY}
 use minsync_telemetry::{Registry, Watchdog, WatchdogConfig};
 use minsync_transport::cluster::{control, parse_arrival, Behavior, LogDigest};
 use minsync_transport::mesh::{LinkFaults, MeshConfig, MeshOutput, TcpMesh};
+use minsync_transport::wal::Wal;
 use minsync_types::{ProcessId, Round, SystemConfig};
 use minsync_wire::{encode_frame, Hello, DEFAULT_MAX_FRAME, WIRE_VERSION};
 use minsync_workload::{account, ArrivalProcess, Batch, ClientPopulation, WorkloadSpec};
@@ -321,28 +323,14 @@ fn run(args: Args) -> Result<(), String> {
                 replica = replica.with_trace(Arc::clone(trace));
             }
             if let Some(path) = &args.wal {
-                let prefix = load_wal(path);
-                let mut file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| format!("opening WAL {}: {e}", path.display()))?;
+                let (mut wal, prefix) =
+                    Wal::open(path).map_err(|e| format!("opening WAL {}: {e}", path.display()))?;
+                // WAL writes must succeed: acking a commit the log lost would
+                // strand us after a restart (peers refuse to re-serve acked
+                // slots).
                 replica = replica.with_recovered_prefix(prefix).with_commit_log(
-                    move |slot, batch: &Batch| {
-                        let mut line = slot.to_string();
-                        for &cmd in batch.commands() {
-                            line.push(' ');
-                            line.push_str(&cmd.to_string());
-                        }
-                        line.push_str(" ;\n");
-                        // The `;` lands with the rest of the line or not at
-                        // all, so a crash mid-write costs one slot, never a
-                        // corrupt prefix. WAL writes must succeed: acking a
-                        // commit the log lost would strand us after a
-                        // restart (peers refuse to re-serve acked slots).
-                        file.write_all(line.as_bytes())
-                            .and_then(|()| file.flush())
-                            .expect("WAL append failed");
+                    move |_, batch: &Batch| {
+                        wal.append(batch).expect("WAL append failed");
                     },
                 );
             }
@@ -589,40 +577,6 @@ fn spawn_stdin_watcher(
         // EOF: the orchestrator is gone — stop regardless.
         stop_flag.store(true, Ordering::Relaxed);
     });
-}
-
-/// Loads the complete committed prefix out of a WAL file: one
-/// `<slot> <cmd>… ;` text line per slot, slots contiguous from 1. The
-/// trailing `;` is the torn-write sentinel — an unterminated or
-/// out-of-sequence line and everything after it is discarded, so a crash
-/// mid-append costs at most the slot being written (which was never acked;
-/// see `ReplicaNode::with_commit_log`).
-fn load_wal(path: &std::path::Path) -> Vec<Batch> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new(); // first boot: no log yet
-    };
-    let mut prefix = Vec::new();
-    for line in text.lines() {
-        let mut tokens: Vec<&str> = line.split_whitespace().collect();
-        if tokens.pop() != Some(";") {
-            break;
-        }
-        let Some(slot) = tokens.first().and_then(|t| t.parse::<u64>().ok()) else {
-            break;
-        };
-        if slot != prefix.len() as u64 + 1 {
-            break;
-        }
-        let Ok(commands) = tokens[1..]
-            .iter()
-            .map(|t| t.parse())
-            .collect::<Result<Vec<u64>, _>>()
-        else {
-            break;
-        };
-        prefix.push(Batch(commands));
-    }
-    prefix
 }
 
 /// Slots the impersonator tries to poison with forged checkpoint votes.

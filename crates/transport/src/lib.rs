@@ -20,6 +20,9 @@
 //!   latency statistics. This is what powers the E11 experiment and the CI
 //!   loopback smoke job.
 //!
+//! * [`wal`] — a replica's write-ahead log of committed slots, one wire
+//!   frame per slot, cut back after a torn tail on open.
+//!
 //! The `minsync-node` binary (in `src/bin/`) is one replica of the batched
 //! SMR + workload pipeline from `minsync-smr` / `minsync-workload`, run on
 //! a mesh; see the README's cluster walkthrough.
@@ -31,6 +34,7 @@
 pub mod cluster;
 pub mod mesh;
 mod poll;
+pub mod wal;
 
 pub use cluster::{
     run_churn_cluster, run_cluster, Behavior, ChurnAction, ChurnPlan, ChurnStep, ClusterError,
