@@ -476,23 +476,14 @@ pub struct ReplicaNode<V, P> {
     /// Checkpoint votes per claimed value for slot `committed + 1`, one
     /// per sender.
     ckpt_votes: Tally<V>,
-    /// Future-slot traffic dropped by the horizon/buffer caps.
-    future_drops: u64,
-    /// Traffic for retired slots refused.
-    retired_drops: u64,
-    /// Slots whose instance decided before the decided payload was held.
-    payload_waits: u64,
-    /// Payloads for the parked slot whose digest was not the decided one.
-    payload_mismatch: u64,
-    /// Telemetry mirrors of the drop counters, for substrates that consume
-    /// the node by value (the TCP mesh moves it into its run loop, so
-    /// `minsync-node` can no longer ask the replica itself after the run).
-    /// Detached no-op handles until [`ReplicaNode::with_registry`] interns
-    /// them in a shared registry.
-    ctr_future_drops: Counter,
-    ctr_retired_drops: Counter,
-    ctr_payload_waits: Counter,
-    ctr_payload_mismatch: Counter,
+    /// The drop counters (see their accessors). Detached cells of this
+    /// replica's own until [`ReplicaNode::with_registry`] swaps in a shared
+    /// registry's, which substrates that consume the node by value read
+    /// after the run.
+    future_drops: Counter,
+    retired_drops: Counter,
+    payload_waits: Counter,
+    payload_mismatch: Counter,
     /// Live health gauges (see [`ReplicaNode::with_watch`]); `None` keeps
     /// the hot path untouched.
     watch: Option<WatchGauges>,
@@ -553,14 +544,10 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             floor_scratch: Vec::with_capacity(n),
             ckpt_sent: BTreeMap::new(),
             ckpt_votes: Tally::default(),
-            future_drops: 0,
-            retired_drops: 0,
-            payload_waits: 0,
-            payload_mismatch: 0,
-            ctr_future_drops: Counter::detached(),
-            ctr_retired_drops: Counter::detached(),
-            ctr_payload_waits: Counter::detached(),
-            ctr_payload_mismatch: Counter::detached(),
+            future_drops: Counter::detached(),
+            retired_drops: Counter::detached(),
+            payload_waits: Counter::detached(),
+            payload_mismatch: Counter::detached(),
             watch: None,
             trace: None,
             recovered: Vec::new(),
@@ -577,10 +564,10 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     /// `smr.payload_mismatch` — for substrates that consume the node by
     /// value: any snapshot of the registry reads them, any time.
     pub fn with_registry(mut self, registry: &Registry) -> Self {
-        self.ctr_future_drops = registry.counter("smr.future_drops");
-        self.ctr_retired_drops = registry.counter("smr.retired_drops");
-        self.ctr_payload_waits = registry.counter("smr.payload_waits");
-        self.ctr_payload_mismatch = registry.counter("smr.payload_mismatch");
+        self.future_drops = registry.counter("smr.future_drops");
+        self.retired_drops = registry.counter("smr.retired_drops");
+        self.payload_waits = registry.counter("smr.payload_waits");
+        self.payload_mismatch = registry.counter("smr.payload_mismatch");
         self
     }
 
@@ -704,36 +691,30 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     }
 
     /// Future-slot messages dropped by the horizon/buffer caps.
+    ///
+    /// This and the three counters below read this replica's own cell,
+    /// or after [`ReplicaNode::with_registry`] the registry's shared one
+    /// (which every replica attached to that registry adds to).
     pub fn future_drops(&self) -> u64 {
-        self.future_drops
+        self.future_drops.get()
     }
 
     /// Messages refused because their slot was already retired.
     pub fn retired_drops(&self) -> u64 {
-        self.retired_drops
+        self.retired_drops.get()
     }
 
     /// Slots whose instance decided a digest before a payload with that
     /// digest was held (0 whenever every correct replica proposes the same
     /// value: a replica's own proposal is then the decided payload).
     pub fn payload_waits(&self) -> u64 {
-        self.payload_waits
+        self.payload_waits.get()
     }
 
     /// Payloads that arrived for a slot waiting on its decided payload
     /// and did not have the decided digest.
     pub fn payload_mismatch(&self) -> u64 {
-        self.payload_mismatch
-    }
-
-    fn count_future_drop(&mut self) {
-        self.future_drops += 1;
-        self.ctr_future_drops.inc();
-    }
-
-    fn count_retired_drop(&mut self) {
-        self.retired_drops += 1;
-        self.ctr_retired_drops.inc();
+        self.payload_mismatch.get()
     }
 
     /// Records a stage event stamped with the environment's clock and
@@ -839,8 +820,7 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             Some(value) => self.commit(slot, digest, value, env),
             None => {
                 self.parked = Some((slot, digest));
-                self.payload_waits += 1;
-                self.ctr_payload_waits.inc();
+                self.payload_waits.inc();
             }
         }
     }
@@ -859,14 +839,14 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             return; // out-of-range slot: Byzantine garbage
         }
         if slot <= self.low_water {
-            self.count_retired_drop();
+            self.retired_drops.inc();
             return;
         }
         if slot <= self.committed {
             return; // late copy (a replay, or a laggard's proposal)
         }
         if slot > self.committed + 1 + self.limits.future_horizon {
-            self.count_future_drop();
+            self.future_drops.inc();
             return;
         }
         let cells = self.payloads.entry(slot).or_default();
@@ -879,8 +859,7 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             return;
         }
         if self.parked.is_some_and(|(parked, _)| parked == slot) {
-            self.payload_mismatch += 1;
-            self.ctr_payload_mismatch.inc();
+            self.payload_mismatch.inc();
         }
         cells.push((from, digest, value));
     }
@@ -1106,7 +1085,7 @@ impl<V: Value, P: ProposalSource<V>> Node for ReplicaNode<V, P> {
                     return; // out-of-range slot: Byzantine garbage
                 }
                 if slot <= self.low_water {
-                    self.count_retired_drop();
+                    self.retired_drops.inc();
                     return;
                 }
                 if self.instances.contains_key(&slot) {
@@ -1121,7 +1100,7 @@ impl<V: Value, P: ProposalSource<V>> Node for ReplicaNode<V, P> {
                     if slot > self.committed + 1 + self.limits.future_horizon
                         || self.buffered >= self.limits.max_buffered
                     {
-                        self.count_future_drop();
+                        self.future_drops.inc();
                     } else {
                         self.buffered += 1;
                         self.pending.entry(slot).or_default().push((from, msg));
