@@ -21,7 +21,6 @@ use minsync_workload::Batch;
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -49,13 +48,7 @@ impl Wal {
             whole += used;
         }
         file.set_len(whole as u64)?;
-        Ok((
-            Wal {
-                file,
-                frame: Vec::new(),
-            },
-            prefix,
-        ))
+        Ok((Wal { file }, prefix))
     }
 
     /// Appends the next slot's batch as one record.
@@ -65,10 +58,10 @@ impl Wal {
     /// Any I/O error writing the record, or `InvalidInput` if the batch
     /// does not fit a frame.
     pub fn append(&mut self, batch: &Batch) -> io::Result<()> {
-        self.frame.clear();
-        encode_frame(batch, &mut self.frame, DEFAULT_MAX_FRAME)
+        let mut frame = Vec::new();
+        encode_frame(batch, &mut frame, DEFAULT_MAX_FRAME)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        self.file.write_all(&self.frame)
+        self.file.write_all(&frame)
     }
 }
 

@@ -78,7 +78,8 @@
 /// `Type<G…> { tag => Variant { fields } | Variant(bindings) | Variant, … }`:
 /// `encode_into` writes the tag and then each listed field in order,
 /// `decode` reads them back in the same order, and any other tag is
-/// [`WireError::InvalidTag`] naming the type.
+/// [`WireError::InvalidTag`] naming the type. (A tuple variant's binding
+/// names only drive the repetition when decoding.)
 macro_rules! wire_enum {
     ($ty:ident $(<$($g:ident),+>)? {
         $($tag:literal => $variant:ident $({ $($field:ident),+ })? $(( $($bind:ident),+ ))?),+ $(,)?
