@@ -36,10 +36,11 @@
 //! With `--wal` a correct replica appends every committed slot to the
 //! named file ([`Wal`]: one wire frame per slot, written before the slot's
 //! ack) and, on startup, replays the whole records the file already holds
-//! and cuts off a torn tail — the crash half of crash-recovery. The log
-//! survives a SIGKILL, not power loss (nothing calls `sync_data`). A restarted replica thus rejoins with its
-//! pre-crash log intact and catches the tail over the checkpoint path; the
-//! churn orchestrator leans on this for `ChurnAction::Restart`.
+//! and cuts off a torn tail — the crash half of crash-recovery. A
+//! restarted replica thus rejoins with its pre-crash log intact and
+//! catches the tail over the checkpoint path; the churn orchestrator leans
+//! on this for `ChurnAction::Restart`. The log survives a SIGKILL, not
+//! power loss (nothing calls `sync_data`).
 //!
 //! Control pipe (see `minsync_transport::cluster`): the process prints
 //! `PORT <p>` once its listener is bound; if `--peers` was not given it
