@@ -600,6 +600,32 @@ mod tests {
     }
 
     #[test]
+    fn divergence_window_keeps_the_last_256_slots() {
+        let mut wd = Watchdog::new(WatchdogConfig::default());
+        for slot in 1..=257u64 {
+            let s = snap(&[
+                ("watch.p0.commit_floor", slot),
+                ("watch.p0.ckpt_digest", slot),
+            ]);
+            assert!(wd.observe(0, slot, &s).is_empty(), "slot {slot}");
+        }
+        // Slot 1 fell out of the window: a conflicting report is unseen.
+        let evicted = snap(&[
+            ("watch.p1.commit_floor", 1),
+            ("watch.p1.ckpt_digest", 0xBAD),
+        ]);
+        assert!(wd.observe(1, 300, &evicted).is_empty());
+        let kept = snap(&[
+            ("watch.p1.commit_floor", 257),
+            ("watch.p1.ckpt_digest", 0xBAD),
+        ]);
+        let alarms = wd.observe(1, 301, &kept);
+        assert_eq!(alarms.len(), 1);
+        assert_eq!(alarms[0].class, AlarmClass::Divergence);
+        assert_eq!(alarms[0].detail, 257);
+    }
+
+    #[test]
     fn ack_floor_regression_trips() {
         let mut wd = Watchdog::new(cfg());
         let hi = snap(&[("watch.p2.ack_floor", 9)]);
