@@ -160,11 +160,6 @@ impl<M> ChurnOracle<M> {
         }
         self
     }
-
-    /// The configured windows (diagnostics).
-    pub fn windows(&self) -> &[ChurnWindow<M>] {
-        &self.windows
-    }
 }
 
 impl<M> ScheduleOracle<M> for ChurnOracle<M> {

@@ -19,15 +19,13 @@ type Mutator<M> = Box<dyn FnMut(ProcessId, &M) -> Option<M> + Send>;
 /// unmodified — the node *believes* it is honest, which is exactly how
 /// subtle Byzantine behavior looks.
 ///
-/// Outputs of the wrapped node are suppressed by default (a Byzantine
-/// process's "decisions" must not pollute experiment reports); see
-/// [`FilterNode::keep_outputs`].
+/// Outputs of the wrapped node are always suppressed: a Byzantine
+/// process's "decisions" must not pollute experiment reports.
 ///
 /// Ready-made mutators live in [`crate::mutators`].
 pub struct FilterNode<N: Node> {
     inner: N,
     mutator: Mutator<N::Msg>,
-    keep_outputs: bool,
 }
 
 impl<N: Node> FilterNode<N> {
@@ -39,14 +37,7 @@ impl<N: Node> FilterNode<N> {
         FilterNode {
             inner,
             mutator: Box::new(mutator),
-            keep_outputs: false,
         }
-    }
-
-    /// Forward the wrapped node's outputs instead of suppressing them.
-    pub fn keep_outputs(mut self) -> Self {
-        self.keep_outputs = true;
-        self
     }
 
     /// Rewrites every effect the inner handler queued since `mark`.
@@ -69,11 +60,7 @@ impl<N: Node> FilterNode<N> {
                         }
                     }
                 }
-                Effect::Output(event) => {
-                    if self.keep_outputs {
-                        env.output(event);
-                    }
-                }
+                Effect::Output(_) => {}
                 other => env.push(other),
             }
         }
@@ -189,14 +176,10 @@ mod tests {
             .build();
         let report = sim.run();
         assert_eq!(report.outputs_of(ProcessId::new(0)).count(), 0);
-
-        let byz = FilterNode::new(Broadcaster, |_t: ProcessId, m: &u32| Some(*m)).keep_outputs();
-        let mut sim = SimBuilder::new(NetworkTopology::all_timely(2, 1))
-            .node(byz)
-            .node(Broadcaster)
-            .build();
-        let report = sim.run();
-        assert!(report.outputs_of(ProcessId::new(0)).count() > 0);
+        assert!(
+            report.outputs_of(ProcessId::new(1)).count() > 0,
+            "the same automaton outputs when it is not wrapped"
+        );
     }
 
     /// The rewrite only touches effects queued by the wrapped node — a

@@ -244,7 +244,8 @@ fn terminates_with_bisource_despite_adversarial_async_noise() {
     // enough.
     let system = SystemConfig::new(4, 1).unwrap();
     let cfg = ConsensusConfig::paper(system);
-    let spec = BisourceSpec::symmetric(&system, ProcessId::new(1), system.plurality()).unwrap();
+    let x = [ProcessId::new(0), ProcessId::new(1)];
+    let spec = BisourceSpec::new(&system, ProcessId::new(1), x, x, system.plurality()).unwrap();
     let topo = NetworkTopology::uniform(
         4,
         ChannelTiming::asynchronous(DelayLaw::Uniform { min: 5, max: 60 }),

@@ -179,7 +179,7 @@ impl<V: Value> ConsensusNode<V> {
             ac_rounds: BTreeMap::new(),
             est: proposal,
             phase: Phase::AwaitValid,
-            sync: ViewSynchronizer::new(cfg.timeout),
+            sync: ViewSynchronizer::default(),
             decide_broadcast: false,
             decided: None,
         })
@@ -188,22 +188,6 @@ impl<V: Value> ConsensusNode<V> {
     /// The decided value, if this process has decided.
     pub fn decision(&self) -> Option<&V> {
         self.decided.as_ref()
-    }
-
-    /// The round the loop is currently in.
-    pub fn current_round(&self) -> Round {
-        self.sync.current()
-    }
-
-    /// The view synchronizer (round position + live round timers) — exposed
-    /// for harness/telemetry inspection.
-    pub fn synchronizer(&self) -> &ViewSynchronizer {
-        &self.sync
-    }
-
-    /// The current estimate `est_i`.
-    pub fn estimate(&self) -> &V {
-        &self.est
     }
 
     // ------------------------------------------------------------------
@@ -221,7 +205,7 @@ impl<V: Value> ConsensusNode<V> {
                 EaAction::RbBroadcast { tag, value } => self.rb_broadcast(tag, value, env),
                 EaAction::Broadcast(msg) => env.broadcast(msg),
                 EaAction::SetTimer { round, delay } => {
-                    self.sync.arm_with(round, delay, env);
+                    self.sync.arm(round, delay, env);
                 }
                 EaAction::CancelTimer { round } => {
                     self.sync.cancel(round, env);

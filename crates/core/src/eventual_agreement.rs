@@ -489,7 +489,7 @@ impl<V: Value> EaNode<V> {
             max_rounds,
             rb: None,
             ea: EaObject::new(cfg, schedule, me, policy),
-            sync: ViewSynchronizer::new(policy),
+            sync: ViewSynchronizer::default(),
         }
     }
 
@@ -502,7 +502,7 @@ impl<V: Value> EaNode<V> {
                 }
                 EaAction::Broadcast(msg) => env.broadcast(msg),
                 EaAction::SetTimer { round, delay } => {
-                    self.sync.arm_with(round, delay, env);
+                    self.sync.arm(round, delay, env);
                 }
                 EaAction::CancelTimer { round } => {
                     self.sync.cancel(round, env);

@@ -10,19 +10,15 @@
 //! *protocol stepping* (what messages mean) stays in the automaton, *"when
 //! do we give up on this round"* lives here, testable in isolation.
 //!
-//! The synchronizer also owns the [`TimeoutPolicy`], defaulting new
-//! deployments to exponential backoff ([`ViewSynchronizer::backoff`]): after
-//! a disruption (partition, crash, moving GST) the timeout doubles each
-//! failed round, so the synchronizer crosses any finite `2δ` within
-//! `O(log δ)` rounds of the network stabilizing — the churn-recovery bound
-//! experiment E13 measures.
+//! The synchronizer owns no timeout policy: each round's delay comes from
+//! the EA object's [`TimeoutPolicy`](crate::TimeoutPolicy) (Figure 3
+//! line 5), which the host passes to [`ViewSynchronizer::arm`] with the
+//! EA object's `SetTimer` action.
 
 use std::collections::BTreeMap;
 
 use minsync_net::{Env, TimerId};
 use minsync_types::Round;
-
-use crate::timeout::TimeoutPolicy;
 
 /// Round advancement and round-timer bookkeeping for one process.
 ///
@@ -32,50 +28,26 @@ use crate::timeout::TimeoutPolicy;
 /// Hosts drive it from their `Node` handlers:
 ///
 /// ```rust
-/// use minsync_core::{TimeoutPolicy, ViewSynchronizer};
+/// use minsync_core::ViewSynchronizer;
 /// use minsync_net::Env;
 /// use minsync_types::Round;
 ///
 /// let mut env: Env<(), ()> = Env::new(1, 0);
-/// let mut sync = ViewSynchronizer::backoff(4, 1_000);
+/// let mut sync = ViewSynchronizer::default();
 /// sync.advance_to(Round::FIRST);
-/// let id = sync.arm(Round::FIRST, &mut env).unwrap();
+/// let id = sync.arm(Round::FIRST, 4, &mut env).unwrap();
 /// // ... the substrate fires `id` ...
 /// assert_eq!(sync.expire(id), Some(Round::FIRST));
 /// assert_eq!(sync.expire(id), None, "stale firings are swallowed");
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ViewSynchronizer {
-    policy: TimeoutPolicy,
     current: Round,
     timers: BTreeMap<TimerId, Round>,
     rounds: BTreeMap<Round, TimerId>,
 }
 
 impl ViewSynchronizer {
-    /// Creates a synchronizer with the given timeout policy, starting at
-    /// [`Round::FIRST`].
-    pub fn new(policy: TimeoutPolicy) -> Self {
-        ViewSynchronizer {
-            policy,
-            current: Round::FIRST,
-            timers: BTreeMap::new(),
-            rounds: BTreeMap::new(),
-        }
-    }
-
-    /// Creates a synchronizer with exponential backoff
-    /// (`min(base·2^(r−1), cap)` ticks for round `r`) — the default for
-    /// churn-tolerant deployments.
-    pub fn backoff(base: u64, cap: u64) -> Self {
-        ViewSynchronizer::new(TimeoutPolicy::exponential(base, cap))
-    }
-
-    /// The timeout policy in force.
-    pub fn policy(&self) -> TimeoutPolicy {
-        self.policy
-    }
-
     /// The round the host is currently in.
     pub fn current(&self) -> Round {
         self.current
@@ -89,17 +61,10 @@ impl ViewSynchronizer {
         self.current = r;
     }
 
-    /// Arms round `r`'s timer with the policy's timeout for `r`. Returns
-    /// `None` (and arms nothing) if `r` already has a live timer — the
+    /// Arms round `r`'s timer to fire after `delay` ticks. Returns `None`
+    /// (and arms nothing) if `r` already has a live timer — the
     /// at-most-one-timer-per-round rule every host wants.
-    pub fn arm<M, O>(&mut self, r: Round, env: &mut Env<M, O>) -> Option<TimerId> {
-        self.arm_with(r, self.policy.timeout(r), env)
-    }
-
-    /// Arms round `r`'s timer with an explicit `delay` (for hosts whose
-    /// protocol layer dictates the timeout, e.g. the EA object's Figure 3
-    /// line 5). Same at-most-one rule as [`ViewSynchronizer::arm`].
-    pub fn arm_with<M, O>(&mut self, r: Round, delay: u64, env: &mut Env<M, O>) -> Option<TimerId> {
+    pub fn arm<M, O>(&mut self, r: Round, delay: u64, env: &mut Env<M, O>) -> Option<TimerId> {
         if self.rounds.contains_key(&r) {
             return None;
         }
@@ -150,12 +115,6 @@ impl ViewSynchronizer {
     }
 }
 
-impl Default for ViewSynchronizer {
-    fn default() -> Self {
-        ViewSynchronizer::new(TimeoutPolicy::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,24 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn arm_uses_policy_timeout() {
-        let mut e = env();
-        let mut sync = ViewSynchronizer::backoff(4, 100);
-        sync.arm(Round::new(3), &mut e).unwrap();
-        let effects = e.take_buffer();
-        assert!(
-            matches!(effects[..], [Effect::SetTimer { delay: 16, .. }]),
-            "round 3 of base-4 backoff is 4·2² = 16: {effects:?}"
-        );
-    }
-
-    #[test]
     fn one_timer_per_round() {
         let mut e = env();
         let mut sync = ViewSynchronizer::default();
-        let first = sync.arm(Round::FIRST, &mut e);
+        let first = sync.arm(Round::FIRST, 1, &mut e);
         assert!(first.is_some());
-        assert!(sync.arm(Round::FIRST, &mut e).is_none(), "already armed");
+        assert!(sync.arm(Round::FIRST, 1, &mut e).is_none(), "already armed");
         assert_eq!(sync.pending(), 1);
     }
 
@@ -191,7 +138,7 @@ mod tests {
     fn expire_is_once_and_owned_only() {
         let mut e = env();
         let mut sync = ViewSynchronizer::default();
-        let id = sync.arm(Round::FIRST, &mut e).unwrap();
+        let id = sync.arm(Round::FIRST, 1, &mut e).unwrap();
         let foreign = e.set_timer(5);
         assert_eq!(sync.expire(foreign), None, "not ours");
         assert_eq!(sync.expire(id), Some(Round::FIRST));
@@ -203,7 +150,7 @@ mod tests {
     fn cancel_suppresses_expiry() {
         let mut e = env();
         let mut sync = ViewSynchronizer::default();
-        let id = sync.arm(Round::new(2), &mut e).unwrap();
+        let id = sync.arm(Round::new(2), 1, &mut e).unwrap();
         assert!(sync.cancel(Round::new(2), &mut e));
         assert!(!sync.cancel(Round::new(2), &mut e), "already cancelled");
         assert_eq!(sync.expire(id), None);
@@ -221,7 +168,7 @@ mod tests {
         let mut e = env();
         let mut sync = ViewSynchronizer::default();
         let ids: Vec<TimerId> = (1..=5)
-            .map(|r| sync.arm(Round::new(r), &mut e).unwrap())
+            .map(|r| sync.arm(Round::new(r), 1, &mut e).unwrap())
             .collect();
         sync.cancel_all(&mut e);
         assert_eq!(sync.pending(), 0);
@@ -239,10 +186,10 @@ mod tests {
     }
 
     #[test]
-    fn arm_with_overrides_policy_delay() {
+    fn arm_passes_its_delay_through() {
         let mut e = env();
-        let mut sync = ViewSynchronizer::backoff(4, 100);
-        sync.arm_with(Round::FIRST, 999, &mut e).unwrap();
+        let mut sync = ViewSynchronizer::default();
+        sync.arm(Round::FIRST, 999, &mut e).unwrap();
         let effects = e.take_buffer();
         assert!(matches!(effects[..], [Effect::SetTimer { delay: 999, .. }]));
     }

@@ -2,7 +2,6 @@ use std::collections::BTreeMap;
 
 use minsync_core::ConsensusEvent;
 use minsync_net::sim::{Metrics, OutputRecord, StopReason};
-use minsync_net::VirtualTime;
 use minsync_types::{check, ProcessId};
 
 /// Everything measured in one consensus run, with the paper's three
@@ -17,7 +16,6 @@ pub struct RunOutcome {
     first_commit_round: Option<u64>,
     max_round_started: u64,
     metrics: Metrics,
-    final_time: VirtualTime,
     stop: StopReason,
 }
 
@@ -27,7 +25,6 @@ impl RunOutcome {
         correct: Vec<usize>,
         correct_proposals: Vec<u64>,
         metrics: Metrics,
-        final_time: VirtualTime,
         stop: StopReason,
     ) -> Self {
         let mut decisions = BTreeMap::new();
@@ -71,7 +68,6 @@ impl RunOutcome {
             first_commit_round,
             max_round_started,
             metrics,
-            final_time,
             stop,
         }
     }
@@ -147,11 +143,6 @@ impl RunOutcome {
         &self.metrics
     }
 
-    /// Virtual time when the run stopped.
-    pub fn final_time(&self) -> VirtualTime {
-        self.final_time
-    }
-
     /// Why the run stopped.
     pub fn stop_reason(&self) -> StopReason {
         self.stop
@@ -166,6 +157,7 @@ impl RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minsync_net::VirtualTime;
     use minsync_types::{ProcessId, Round};
 
     fn rec(p: usize, t: u64, event: ConsensusEvent<u64>) -> OutputRecord<ConsensusEvent<u64>> {
@@ -182,7 +174,6 @@ mod tests {
             vec![0, 1],
             vec![5, 6],
             Metrics::default(),
-            VirtualTime::from_ticks(100),
             StopReason::Quiescent,
         )
     }
@@ -247,7 +238,6 @@ mod tests {
             vec![0, 1],
             vec![5, 6],
             Metrics::default(),
-            VirtualTime::ZERO,
             StopReason::Quiescent,
         );
         assert!(o.decisions().is_empty());

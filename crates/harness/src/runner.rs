@@ -17,6 +17,17 @@ use crate::HarnessError;
 ///
 /// See the [crate docs](crate) for a complete example.
 pub struct ConsensusRunBuilder {
+    spec: RunSpec,
+    oracle: Option<Box<dyn ScheduleOracle<ProtocolMsg<u64>>>>,
+    registry: Option<Arc<Registry>>,
+    trace: Option<Arc<TraceRecorder>>,
+}
+
+/// The cloneable, thread-shareable part of a [`ConsensusRunBuilder`]
+/// (everything except the schedule oracle and the telemetry sinks), which
+/// [`ConsensusRunBuilder::run_seeds`] clones once per seed.
+#[derive(Clone)]
+struct RunSpec {
     system: SystemConfig,
     proposals: Vec<u64>,
     faults: FaultPlan,
@@ -26,9 +37,6 @@ pub struct ConsensusRunBuilder {
     timeout: TimeoutPolicy,
     max_events: u64,
     max_rounds: Option<u64>,
-    oracle: Option<Box<dyn ScheduleOracle<ProtocolMsg<u64>>>>,
-    registry: Option<Arc<Registry>>,
-    trace: Option<Arc<TraceRecorder>>,
 }
 
 impl ConsensusRunBuilder {
@@ -43,15 +51,17 @@ impl ConsensusRunBuilder {
     pub fn new(n: usize, t: usize) -> Result<Self, HarnessError> {
         let system = SystemConfig::new(n, t)?;
         Ok(ConsensusRunBuilder {
-            system,
-            proposals: (0..n).map(|i| (i % 2) as u64).collect(),
-            faults: FaultPlan::AllCorrect,
-            topology: TopologySpec::standard(0, &system),
-            seed: 0,
-            k: 0,
-            timeout: TimeoutPolicy::paper(),
-            max_events: 10_000_000,
-            max_rounds: None,
+            spec: RunSpec {
+                system,
+                proposals: (0..n).map(|i| (i % 2) as u64).collect(),
+                faults: FaultPlan::AllCorrect,
+                topology: TopologySpec::standard(0, &system),
+                seed: 0,
+                k: 0,
+                timeout: TimeoutPolicy::paper(),
+                max_events: 10_000_000,
+                max_rounds: None,
+            },
             oracle: None,
             registry: None,
             trace: None,
@@ -60,49 +70,49 @@ impl ConsensusRunBuilder {
 
     /// Per-slot proposals (must supply exactly `n`).
     pub fn proposals(mut self, proposals: impl IntoIterator<Item = u64>) -> Self {
-        self.proposals = proposals.into_iter().collect();
+        self.spec.proposals = proposals.into_iter().collect();
         self
     }
 
     /// Installs a fault plan.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.spec.faults = faults;
         self
     }
 
     /// Chooses the network shape.
     pub fn topology(mut self, topology: TopologySpec) -> Self {
-        self.topology = topology;
+        self.spec.topology = topology;
         self
     }
 
     /// RNG seed (runs are deterministic per seed).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.spec.seed = seed;
         self
     }
 
     /// Tuning parameter `k` of Section 5.4.
     pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
+        self.spec.k = k;
         self
     }
 
     /// EA timeout policy.
     pub fn timeout_policy(mut self, timeout: TimeoutPolicy) -> Self {
-        self.timeout = timeout;
+        self.spec.timeout = timeout;
         self
     }
 
     /// Event budget (default 10 million).
     pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
+        self.spec.max_events = max_events;
         self
     }
 
     /// Cap on protocol rounds (processes stop proposing beyond it).
     pub fn max_rounds(mut self, max_rounds: u64) -> Self {
-        self.max_rounds = Some(max_rounds);
+        self.spec.max_rounds = Some(max_rounds);
         self
     }
 
@@ -137,28 +147,29 @@ impl ConsensusRunBuilder {
     ///
     /// Configuration errors (proposal count, fault plan, topology).
     pub fn run(self) -> Result<RunOutcome, HarnessError> {
-        let n = self.system.n();
-        if self.proposals.len() != n {
+        let spec = self.spec;
+        let n = spec.system.n();
+        if spec.proposals.len() != n {
             return Err(HarnessError::ProposalCount {
                 expected: n,
-                got: self.proposals.len(),
+                got: spec.proposals.len(),
             });
         }
-        self.faults.validate(&self.system)?;
+        spec.faults.validate(&spec.system)?;
         let cons_cfg = ConsensusConfig {
-            system: self.system,
-            k: self.k,
-            timeout: self.timeout,
-            max_rounds: self.max_rounds,
+            system: spec.system,
+            k: spec.k,
+            timeout: spec.timeout,
+            max_rounds: spec.max_rounds,
             mutation: None,
         };
         // Surface schedule errors (invalid k) eagerly.
         cons_cfg.schedule()?;
-        let topo = self.topology.build(&self.system)?;
+        let topo = spec.topology.build(&spec.system)?;
 
         let mut builder = SimBuilder::new(topo)
-            .seed(self.seed)
-            .max_events(self.max_events)
+            .seed(spec.seed)
+            .max_events(spec.max_events)
             .classify(ProtocolMsg::<u64>::classify);
         if let Some(oracle) = self.oracle {
             builder = builder.boxed_schedule_oracle(oracle);
@@ -170,14 +181,14 @@ impl ConsensusRunBuilder {
             builder = builder.trace(trace);
         }
         for slot in 0..n {
-            let node = self
+            let node = spec
                 .faults
-                .build_node(slot, cons_cfg, self.proposals[slot])?;
+                .build_node(slot, cons_cfg, spec.proposals[slot])?;
             builder = builder.boxed_node(node);
         }
         let mut sim = builder.build();
 
-        let correct = self.faults.correct_slots(n);
+        let correct = spec.faults.correct_slots(n);
         let need = correct.len();
         let correct_pred = correct.clone();
         let report = sim.run_until(move |outs| {
@@ -191,13 +202,12 @@ impl ConsensusRunBuilder {
         // Validity is judged against *correct* proposals only: whatever a
         // Byzantine slot claimed (e.g. an equivocator's two values) may
         // never be decided unless a correct process also proposed it.
-        let correct_proposals: Vec<u64> = correct.iter().map(|&i| self.proposals[i]).collect();
+        let correct_proposals: Vec<u64> = correct.iter().map(|&i| spec.proposals[i]).collect();
         Ok(RunOutcome::from_outputs(
             &report.outputs,
             correct,
             correct_proposals,
             report.metrics,
-            report.final_time,
             report.reason,
         ))
     }
@@ -234,17 +244,7 @@ impl ConsensusRunBuilder {
                     .into(),
             });
         }
-        let spec = SweepSpec {
-            n: self.system.n(),
-            t: self.system.t(),
-            proposals: self.proposals,
-            faults: self.faults,
-            topology: self.topology,
-            k: self.k,
-            timeout: self.timeout,
-            max_events: self.max_events,
-            max_rounds: self.max_rounds,
-        };
+        let spec = &self.spec;
         let seeds: Vec<u64> = seeds.collect();
         if seeds.is_empty() {
             return Ok(Vec::new());
@@ -260,7 +260,17 @@ impl ConsensusRunBuilder {
                     scope.spawn(|| {
                         let mut done = Vec::new();
                         while let Some(&seed) = seeds.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            let outcome = spec.build(seed).and_then(ConsensusRunBuilder::run);
+                            let spec = RunSpec {
+                                seed,
+                                ..spec.clone()
+                            };
+                            let outcome = ConsensusRunBuilder {
+                                spec,
+                                oracle: None,
+                                registry: None,
+                                trace: None,
+                            }
+                            .run();
                             done.push(outcome.map(|o| (seed, o)));
                         }
                         done
@@ -275,37 +285,6 @@ impl ConsensusRunBuilder {
         let mut results = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
         results.sort_by_key(|(seed, _)| *seed);
         Ok(results)
-    }
-}
-
-/// The cloneable, thread-shareable core of a [`ConsensusRunBuilder`]
-/// (everything except the seed and the uncloneable schedule oracle).
-struct SweepSpec {
-    n: usize,
-    t: usize,
-    proposals: Vec<u64>,
-    faults: FaultPlan,
-    topology: TopologySpec,
-    k: usize,
-    timeout: TimeoutPolicy,
-    max_events: u64,
-    max_rounds: Option<u64>,
-}
-
-impl SweepSpec {
-    fn build(&self, seed: u64) -> Result<ConsensusRunBuilder, HarnessError> {
-        let mut builder = ConsensusRunBuilder::new(self.n, self.t)?
-            .proposals(self.proposals.iter().copied())
-            .faults(self.faults.clone())
-            .topology(self.topology.clone())
-            .seed(seed)
-            .k(self.k)
-            .timeout_policy(self.timeout)
-            .max_events(self.max_events);
-        if let Some(max_rounds) = self.max_rounds {
-            builder = builder.max_rounds(max_rounds);
-        }
-        Ok(builder)
     }
 }
 

@@ -34,16 +34,6 @@ impl Table {
         }
     }
 
-    /// The table's title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The header row.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
     /// All data rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows

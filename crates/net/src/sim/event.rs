@@ -34,8 +34,6 @@ pub enum StopReason {
     Quiescent,
     /// The caller's predicate became true.
     PredicateSatisfied,
-    /// The configured virtual-time horizon was reached.
-    MaxTimeReached,
     /// The configured event-count budget was exhausted.
     MaxEventsReached,
 }
@@ -61,7 +59,6 @@ mod tests {
     fn stop_reason_naturalness() {
         assert!(StopReason::Quiescent.is_natural());
         assert!(StopReason::PredicateSatisfied.is_natural());
-        assert!(!StopReason::MaxTimeReached.is_natural());
         assert!(!StopReason::MaxEventsReached.is_natural());
     }
 }

@@ -109,7 +109,6 @@ pub struct SimBuilder<M, O> {
     topology: NetworkTopology,
     seed: u64,
     nodes: Vec<Box<dyn Node<Msg = M, Output = O>>>,
-    max_time: Option<VirtualTime>,
     max_events: u64,
     classifier: Option<fn(&M) -> &'static str>,
     schedule: Option<Box<dyn ScheduleOracle<M>>>,
@@ -132,7 +131,6 @@ where
             topology,
             seed: 0,
             nodes: Vec::new(),
-            max_time: None,
             max_events: 50_000_000,
             classifier: None,
             schedule: None,
@@ -161,12 +159,6 @@ where
     /// runtime, e.g. honest + Byzantine mixes).
     pub fn boxed_node(mut self, node: Box<dyn Node<Msg = M, Output = O>>) -> Self {
         self.nodes.push(node);
-        self
-    }
-
-    /// Caps the virtual-time horizon.
-    pub fn max_time(mut self, t: VirtualTime) -> Self {
-        self.max_time = Some(t);
         self
     }
 
@@ -304,7 +296,6 @@ where
             timer_tables: (0..n).map(|_| TimerTable::new()).collect(),
             env: Env::new(n, env_seed),
             trace: self.trace,
-            max_time: self.max_time,
             max_events: self.max_events,
             effect_trace: Vec::new(),
             effect_trace_capacity: self.record_effects,
@@ -352,7 +343,6 @@ pub struct Simulation<M, O> {
     core: SimCore<M, O>,
     /// Same ring as the core's, reachable while `step` borrows the core.
     trace: Option<Arc<TraceRecorder>>,
-    max_time: Option<VirtualTime>,
     max_events: u64,
     effect_trace: Vec<EffectRecord<M, O>>,
     effect_trace_capacity: usize,
@@ -489,13 +479,14 @@ where
         self.nodes[p.index()].as_ref()
     }
 
-    /// Processes events until quiescence or a cap; returns the report.
+    /// Processes events until quiescence or the event budget; returns the
+    /// report.
     pub fn run(&mut self) -> RunReport<O> {
         self.run_until(|_| false)
     }
 
-    /// Processes events until `stop(outputs)` is true, quiescence, or a
-    /// cap.
+    /// Processes events until `stop(outputs)` is true, quiescence, or the
+    /// event budget.
     ///
     /// `stop` must be a pure function of the output slice. The loop
     /// re-evaluates it only when the outputs have grown since the last
@@ -517,10 +508,6 @@ where
             let Some(next) = self.core.queue.peek_time() else {
                 break StopReason::Quiescent;
             };
-            if self.max_time.is_some_and(|cap| next > cap) {
-                // Leave it queued so a later run_until can resume.
-                break StopReason::MaxTimeReached;
-            }
             if let Some(period) = self.sample_period {
                 // Catch up on every sample boundary the event stream has
                 // crossed: each sample reflects the state as of *entering*
@@ -1038,25 +1025,6 @@ mod tests {
         let mut sim = two_node_sim(10);
         let report = sim.run_until(|outs| !outs.is_empty());
         assert_eq!(report.reason, StopReason::PredicateSatisfied);
-    }
-
-    #[test]
-    fn max_time_pauses_and_resumes() {
-        let mut sim = two_node_sim(10);
-        // Horizon after the second hop.
-        let report = {
-            let mut s = SimBuilder::new(NetworkTopology::all_timely(2, 10))
-                .node(Echo { hops: 4 })
-                .node(Echo { hops: 4 })
-                .max_time(VirtualTime::from_ticks(25))
-                .build();
-            s.run()
-        };
-        assert_eq!(report.reason, StopReason::MaxTimeReached);
-        assert!(report.final_time <= VirtualTime::from_ticks(25));
-        // The unbounded sim still finishes.
-        let full = sim.run();
-        assert_eq!(full.reason, StopReason::Quiescent);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::DelayLaw;
 ///
 /// # fn main() -> Result<(), minsync_types::ConfigError> {
 /// let cfg = SystemConfig::new(4, 1)?;
-/// let spec = BisourceSpec::symmetric(&cfg, ProcessId::new(0), cfg.plurality())?;
+/// let spec = BisourceSpec::adjacent(&cfg, ProcessId::new(0), cfg.plurality())?;
 /// // Background asynchrony + an eventually-timely bisource stabilizing at τ = 50.
 /// let topo = NetworkTopology::uniform(
 ///     4,
@@ -202,7 +202,8 @@ mod tests {
     #[test]
     fn with_bisource_marks_exactly_spec_channels() {
         let cfg = SystemConfig::new(4, 1).unwrap();
-        let spec = BisourceSpec::symmetric(&cfg, ProcessId::new(2), cfg.plurality()).unwrap();
+        let x = [ProcessId::new(0), ProcessId::new(2)];
+        let spec = BisourceSpec::new(&cfg, ProcessId::new(2), x, x, cfg.plurality()).unwrap();
         let topo = NetworkTopology::uniform(4, ChannelTiming::asynchronous(DelayLaw::Fixed(30)))
             .with_bisource(&spec, VirtualTime::from_ticks(10), 2);
         let timely: Vec<_> = topo
@@ -226,7 +227,7 @@ mod tests {
     #[test]
     fn max_delta_and_tau() {
         let cfg = SystemConfig::new(4, 1).unwrap();
-        let spec = BisourceSpec::symmetric(&cfg, ProcessId::new(0), 2).unwrap();
+        let spec = BisourceSpec::adjacent(&cfg, ProcessId::new(0), 2).unwrap();
         let topo = NetworkTopology::uniform(
             4,
             ChannelTiming::asynchronous(DelayLaw::Uniform { min: 1, max: 9 }),

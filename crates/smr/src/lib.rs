@@ -476,14 +476,16 @@ pub struct ReplicaNode<V, P> {
     /// Checkpoint votes per claimed value for slot `committed + 1`, one
     /// per sender.
     ckpt_votes: Tally<V>,
-    /// The drop counters (see their accessors). Detached cells of this
-    /// replica's own until [`ReplicaNode::with_registry`] swaps in a shared
+    /// The drop counters (see their accessors) and the count of slots
+    /// replayed from a recovered prefix. Detached cells of this replica's
+    /// own until [`ReplicaNode::with_registry`] swaps in a shared
     /// registry's, which substrates that consume the node by value read
     /// after the run.
     future_drops: Counter,
     retired_drops: Counter,
     payload_waits: Counter,
     payload_mismatch: Counter,
+    recovered_slots: Counter,
     /// Live health gauges (see [`ReplicaNode::with_watch`]); `None` keeps
     /// the hot path untouched.
     watch: Option<WatchGauges>,
@@ -548,6 +550,7 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
             retired_drops: Counter::detached(),
             payload_waits: Counter::detached(),
             payload_mismatch: Counter::detached(),
+            recovered_slots: Counter::detached(),
             watch: None,
             trace: None,
             recovered: Vec::new(),
@@ -560,14 +563,17 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     }
 
     /// Interns the replica's counters in a shared telemetry [`Registry`]
-    /// — `smr.future_drops`, `smr.retired_drops`, `smr.payload_waits` and
-    /// `smr.payload_mismatch` — for substrates that consume the node by
-    /// value: any snapshot of the registry reads them, any time.
+    /// — `smr.future_drops`, `smr.retired_drops`, `smr.payload_waits`,
+    /// `smr.payload_mismatch` and `smr.recovered_slots` (slots replayed
+    /// from [`ReplicaNode::with_recovered_prefix`]) — for substrates that
+    /// consume the node by value: any snapshot of the registry reads them,
+    /// any time.
     pub fn with_registry(mut self, registry: &Registry) -> Self {
         self.future_drops = registry.counter("smr.future_drops");
         self.retired_drops = registry.counter("smr.retired_drops");
         self.payload_waits = registry.counter("smr.payload_waits");
         self.payload_mismatch = registry.counter("smr.payload_mismatch");
+        self.recovered_slots = registry.counter("smr.recovered_slots");
         self
     }
 
@@ -865,8 +871,8 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     }
 
     /// Commits `slot` (in order only — duplicates and out-of-order calls
-    /// are ignored): notifies the source, announces the commit, broadcasts
-    /// the GC ack, and advances the pipeline.
+    /// are ignored): persists it, appends it to the log, broadcasts the GC
+    /// ack, and advances the pipeline.
     fn commit(
         &mut self,
         slot: u64,
@@ -880,25 +886,38 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         if let Some(log) = &mut self.commit_log {
             log(slot, &value); // write-ahead: persist before the ack exists
         }
+        self.ckpt_votes = Tally::default();
+        self.outbox.remove(&slot);
+        self.payloads.remove(&slot);
+        self.parked = None;
+        self.append(slot, digest, value, env);
+        env.broadcast(SmrMsg::Ack { slot });
+        self.note_ack(slot, env.me(), env);
+        self.try_retire(env);
+        self.try_start(env);
+    }
+
+    /// Appends `slot` to the committed log: the stage trace, the watch
+    /// gauges, the proposal source, the output stream and the checkpoint
+    /// store. Fresh commits and the recovered-prefix replay share it.
+    fn append(
+        &mut self,
+        slot: u64,
+        digest: Digest,
+        value: V,
+        env: &mut Env<SmrMsg<V>, SmrEvent<V>>,
+    ) {
         self.committed = slot;
         self.trace_stage(env, TraceKind::Committed { slot });
         if let Some(watch) = &mut self.watch {
             watch.on_commit(slot, digest);
         }
-        self.ckpt_votes = Tally::default();
-        self.outbox.remove(&slot);
-        self.payloads.remove(&slot);
-        self.parked = None;
         self.source.on_commit(slot, &value);
         env.output(SmrEvent::Committed {
             slot,
             command: value.clone(),
         });
         self.recent.insert(slot, value);
-        env.broadcast(SmrMsg::Ack { slot });
-        self.note_ack(slot, env.me(), env);
-        self.try_retire(env);
-        self.try_start(env);
     }
 
     /// Raises one peer's cumulative ack floor and re-derives the quorum
@@ -1048,18 +1067,8 @@ impl<V: Value, P: ProposalSource<V>> Node for ReplicaNode<V, P> {
             // one cumulative ack instead of per-slot broadcasts.
             let prefix = std::mem::take(&mut self.recovered);
             for (i, value) in prefix.into_iter().enumerate() {
-                let slot = i as u64 + 1;
-                self.committed = slot;
-                self.trace_stage(env, TraceKind::Committed { slot });
-                if let Some(watch) = &mut self.watch {
-                    watch.on_commit(slot, Digest::of(&value));
-                }
-                self.source.on_commit(slot, &value);
-                env.output(SmrEvent::Committed {
-                    slot,
-                    command: value.clone(),
-                });
-                self.recent.insert(slot, value);
+                self.append(i as u64 + 1, Digest::of(&value), value, env);
+                self.recovered_slots.inc();
             }
             self.started = self.committed;
             env.broadcast(SmrMsg::Ack {
@@ -1719,8 +1728,10 @@ mod tests {
     fn commit_log_hook_sees_fresh_commits_only() {
         let wal: Arc<std::sync::Mutex<Vec<(u64, u64)>>> = Arc::default();
         let sink = Arc::clone(&wal);
+        let registry = Registry::new();
         let mut r: ReplicaNode<u64, TwoClientSource> =
             ReplicaNode::new(cfg4(), TwoClientSource::new(1), 10)
+                .with_registry(&registry)
                 .with_recovered_prefix(vec![1000, 2000])
                 .with_commit_log(move |slot, value| sink.lock().unwrap().push((slot, *value)));
         let mut env = Env::new(4, 0);
@@ -1740,6 +1751,8 @@ mod tests {
         }
         assert_eq!(r.committed_count(), 3);
         assert_eq!(*wal.lock().unwrap(), [(3, 77)]);
+        let recovered = registry.snapshot().counter("smr.recovered_slots");
+        assert_eq!(recovered, Some(2), "replayed slots only, not fresh ones");
     }
 
     #[test]

@@ -148,8 +148,6 @@ pub struct WatchdogConfig {
     pub backlog_strikes: u32,
     /// Max tolerated `mesh.auth_rejects` advance between observations.
     pub auth_reject_limit: u64,
-    /// Checkpointed slots kept for divergence comparison (older evicted).
-    pub ckpt_window: usize,
 }
 
 impl Default for WatchdogConfig {
@@ -160,7 +158,6 @@ impl Default for WatchdogConfig {
             backlog_limit: 1_024,
             backlog_strikes: 3,
             auth_reject_limit: 64,
-            ckpt_window: 256,
         }
     }
 }
@@ -215,6 +212,9 @@ pub struct Watchdog {
 /// Bounded alarm-history capacity.
 const HISTORY_CAPACITY: usize = 1_024;
 
+/// Checkpointed slots kept for divergence comparison (older evicted).
+const CKPT_WINDOW: usize = 256;
+
 impl Watchdog {
     /// Source/node id for alarms not attributable to one replica.
     pub const GLOBAL: u32 = u32::MAX;
@@ -259,14 +259,9 @@ impl Watchdog {
         self
     }
 
-    /// The configured thresholds.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.cfg
-    }
-
     /// Feeds one observation: the cumulative metric state of `source` at
     /// observation clock `at`. Returns the alarms this observation raised
-    /// (also retained in [`Watchdog::alarms`] and mirrored to the sinks).
+    /// (also counted in [`Watchdog::raised`] and mirrored to the sinks).
     ///
     /// `source` identifies the registry being observed — the replica id
     /// when each replica streams its own registry, or one shared id (e.g.
@@ -378,12 +373,6 @@ impl Watchdog {
         alarms
     }
 
-    /// Retained alarm history, oldest first (bounded; see
-    /// [`Watchdog::raised`] for the unbounded total).
-    pub fn alarms(&self) -> impl Iterator<Item = &Alarm> {
-        self.history.iter()
-    }
-
     /// Total alarms ever raised (including any evicted from the bounded
     /// history).
     pub fn raised(&self) -> u64 {
@@ -431,7 +420,7 @@ impl Watchdog {
             }
         };
         // Evict checkpoints that fell out of the comparison window.
-        while self.ckpts.len() > self.cfg.ckpt_window {
+        while self.ckpts.len() > CKPT_WINDOW {
             let oldest = *self.ckpts.keys().next().expect("non-empty map");
             self.ckpts.remove(&oldest);
         }
@@ -510,7 +499,6 @@ mod tests {
             backlog_limit: 50,
             backlog_strikes: 2,
             auth_reject_limit: 5,
-            ckpt_window: 8,
         }
     }
 

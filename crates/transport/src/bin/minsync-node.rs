@@ -390,8 +390,6 @@ fn run(args: Args) -> Result<(), String> {
         let stop_flag = Arc::clone(&stop_flag);
         let registry = Arc::clone(&registry);
         let pop = &pop;
-        let debug = std::env::var_os("MINSYNC_NODE_DEBUG").is_some();
-        let mut last_dbg = std::time::Instant::now();
         // The probe runs once per loop turn: count what the outputs gained
         // since the last turn instead of rescanning the whole history.
         let (mut cursor, mut committed) = (0, 0);
@@ -403,10 +401,6 @@ fn run(args: Args) -> Result<(), String> {
         move |outs: &[MeshOutput<Out>], _counters: &minsync_transport::mesh::MeshCounters| {
             committed += committed_commands(&outs[cursor..]);
             cursor = outs.len();
-            if debug && last_dbg.elapsed() > Duration::from_secs(1) {
-                last_dbg = std::time::Instant::now();
-                eprintln!("minsync-node[{me:?}]: progress {committed}/{total}");
-            }
             if !reported && committed >= total {
                 reported = true;
                 print_stats(pop, outs, me, clock, &registry);

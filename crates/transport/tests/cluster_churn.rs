@@ -11,9 +11,10 @@ use minsync_transport::cluster::{
 };
 use minsync_workload::ArrivalProcess;
 
-/// A workload slow enough (~20 ms between commands per client) that the
-/// plan's disruptions land mid-run, and small enough (≤ 48 slots) to stay
-/// inside the SMR flow-control window a rejoiner starts with.
+/// A small workload (2 clients × 20 commands in batches of 4). Arrival
+/// ticks only stamp commands for latency accounting — every command is
+/// pending from the start — so a run drains as fast as the replicas commit
+/// slots, not at the clients' pace.
 fn spec(seed: u64) -> ClusterSpec {
     ClusterSpec {
         commands_per_client: 20,
@@ -39,16 +40,36 @@ fn partition_heals_and_the_cluster_drains() {
     assert_ne!(report.replicas[0].digest, LogDigest::new().value());
 }
 
+/// The victim commits a prefix, is cut off (the partition keeps the run
+/// alive: it cannot drain alone), is killed, and comes back after the heal
+/// with its write-ahead log. One command per slot makes the drain (96
+/// slots) outlast the partition at 80 ms in debug and release builds, while
+/// the prefix committed by then stays under the 64-slot flow-control
+/// window a rejoiner starts with.
 #[test]
 fn killed_replica_restarts_from_wal_with_an_identical_log() {
-    let spec = spec(12);
+    let spec = ClusterSpec {
+        commands_per_client: 48,
+        batch: 1,
+        ..spec(12)
+    };
     let plan = ChurnPlan::new()
-        .step(Duration::from_millis(100), ChurnAction::Kill { id: 2 })
-        .step(Duration::from_millis(350), ChurnAction::Restart { id: 2 });
+        .step(
+            Duration::from_millis(80),
+            ChurnAction::Partition { side: vec![2] },
+        )
+        .step(Duration::from_millis(180), ChurnAction::Kill { id: 2 })
+        .step(Duration::from_millis(230), ChurnAction::Heal)
+        .step(Duration::from_millis(280), ChurnAction::Restart { id: 2 });
     let report = run_churn_cluster(&spec, &plan).expect("churn cluster runs");
     let violations = report.violations();
     assert!(
         violations.is_empty(),
         "kill+restart from WAL: {violations:?}"
+    );
+    let recovered = report.replicas[2].snapshot.counter("smr.recovered_slots");
+    assert!(
+        recovered.is_some_and(|n| n > 0),
+        "the restarted victim replayed no WAL prefix: {recovered:?}"
     );
 }

@@ -102,47 +102,17 @@ impl BisourceSpec {
         })
     }
 
-    /// Convenience constructor: `bisource` plus the lowest-indexed other
-    /// processes form both `X⁻` and `X⁺`.
+    /// Convenience constructor: `bisource` plus the processes that follow
+    /// it cyclically (`ℓ, ℓ+1, …` mod n) form both `X⁻` and `X⁺`.
+    ///
+    /// Adjacent placement makes the helper-set alignment (the paper's
+    /// `α·n` uncertainty) depend on the bisource's identity, which the
+    /// round-complexity experiments sweep.
     ///
     /// # Errors
     ///
     /// [`ConfigError::Bisource`] if `strength > n`, plus the errors of
     /// [`BisourceSpec::new`].
-    pub fn symmetric(
-        cfg: &SystemConfig,
-        bisource: ProcessId,
-        strength: usize,
-    ) -> Result<Self, ConfigError> {
-        cfg.check_process(bisource)?;
-        if strength > cfg.n() {
-            return Err(ConfigError::Bisource {
-                reason: format!("strength {strength} exceeds n = {}", cfg.n()),
-            });
-        }
-        let mut members: BTreeSet<ProcessId> = BTreeSet::new();
-        members.insert(bisource);
-        for p in cfg.processes() {
-            if members.len() >= strength {
-                break;
-            }
-            members.insert(p);
-        }
-        Self::new(cfg, bisource, members.clone(), members, strength)
-    }
-
-    /// Convenience constructor: `bisource` plus the processes that follow
-    /// it cyclically (`ℓ, ℓ+1, …` mod n) form both `X⁻` and `X⁺`.
-    ///
-    /// Unlike [`symmetric`](Self::symmetric) — which always recruits the
-    /// lowest ids and therefore always overlaps the lexicographically first
-    /// helper sets `F_1, F_2, …` — adjacent placement makes the helper-set
-    /// alignment (the paper's `α·n` uncertainty) depend on the bisource's
-    /// identity, which the round-complexity experiments sweep.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BisourceSpec::symmetric`].
     pub fn adjacent(
         cfg: &SystemConfig,
         bisource: ProcessId,
@@ -230,15 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_includes_bisource_and_fills_lowest_ids() {
-        let spec = BisourceSpec::symmetric(&cfg(), ProcessId::new(2), 2).unwrap();
-        assert!(spec.x_minus().contains(&ProcessId::new(2)));
-        assert!(spec.x_minus().contains(&ProcessId::new(0)));
-        assert_eq!(spec.x_minus().len(), 2);
-        assert_eq!(spec.x_minus(), spec.x_plus());
-    }
-
-    #[test]
     fn bisource_must_be_in_own_sets() {
         let err = BisourceSpec::new(
             &cfg(),
@@ -266,19 +227,20 @@ mod tests {
 
     #[test]
     fn out_of_range_ids_rejected() {
-        let err = BisourceSpec::symmetric(&cfg(), ProcessId::new(9), 2).unwrap_err();
+        let err = BisourceSpec::adjacent(&cfg(), ProcessId::new(9), 2).unwrap_err();
         assert!(matches!(err, ConfigError::UnknownProcess { .. }));
     }
 
     #[test]
     fn strength_beyond_n_rejected() {
-        let err = BisourceSpec::symmetric(&cfg(), ProcessId::new(0), 5).unwrap_err();
+        let err = BisourceSpec::adjacent(&cfg(), ProcessId::new(0), 5).unwrap_err();
         assert!(matches!(err, ConfigError::Bisource { .. }));
     }
 
     #[test]
     fn timely_channels_exclude_self_loops() {
-        let spec = BisourceSpec::symmetric(&cfg(), ProcessId::new(1), 3).unwrap();
+        let x = [ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)];
+        let spec = BisourceSpec::new(&cfg(), ProcessId::new(1), x, x, 3).unwrap();
         let chans = spec.timely_channels();
         assert!(chans.iter().all(|(a, b)| a != b));
         // X = {p1, p2, p3}: 2 inputs + 2 outputs.
@@ -309,17 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_differs_from_symmetric_for_high_ids() {
-        let adj = BisourceSpec::adjacent(&cfg(), ProcessId::new(2), 2).unwrap();
-        let sym = BisourceSpec::symmetric(&cfg(), ProcessId::new(2), 2).unwrap();
-        assert_ne!(adj.x_minus(), sym.x_minus());
-        assert!(adj.x_minus().contains(&ProcessId::new(3)));
-        assert!(sym.x_minus().contains(&ProcessId::new(0)));
-    }
-
-    #[test]
     fn check_against_correct_flags_faulty_members() {
-        let spec = BisourceSpec::symmetric(&cfg(), ProcessId::new(0), 2).unwrap();
+        let spec = BisourceSpec::adjacent(&cfg(), ProcessId::new(0), 2).unwrap();
         let all: BTreeSet<_> = ProcessId::all(4).collect();
         assert!(spec.check_against_correct(&all).is_ok());
         let mut missing = all.clone();

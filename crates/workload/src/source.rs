@@ -29,7 +29,6 @@ pub struct BatchingSource {
     cursors: Vec<usize>,
     replica: usize,
     cap: usize,
-    foreign_batches: u64,
 }
 
 impl BatchingSource {
@@ -40,22 +39,12 @@ impl BatchingSource {
             cursors,
             replica,
             cap,
-            foreign_batches: 0,
         }
     }
 
     /// The effective batch cap.
     pub fn cap(&self) -> usize {
         self.cap
-    }
-
-    /// Committed batches that were *not* any group's pending window — a
-    /// command no client of this workload ever submitted reached the log.
-    /// Always zero when the substrate enforces the paper's
-    /// no-impersonation assumption (see [`ProposalSource::on_commit`]
-    /// below).
-    pub fn foreign_batches(&self) -> u64 {
-        self.foreign_batches
     }
 
     /// Commands committed from group `g`'s queue so far.
@@ -99,11 +88,10 @@ impl ProposalSource<Batch> for BatchingSource {
         // *unauthenticated* TCP cluster cannot (experiment E15's
         // impersonator commits a forged batch there). A foreign batch
         // consumes nothing: the real window is still pending, will be
-        // proposed again, and the forgery stays visible in the counter
-        // (and in the committed-log digest) instead of desynchronizing
-        // the client queues.
+        // proposed again, and the forgery stays visible in the
+        // committed-log digest instead of desynchronizing the client
+        // queues.
         if value.0 != self.window(g) {
-            self.foreign_batches += 1;
             return;
         }
         self.cursors[g] += value.0.len();
