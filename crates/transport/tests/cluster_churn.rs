@@ -38,6 +38,15 @@ fn partition_heals_and_the_cluster_drains() {
     let violations = report.violations();
     assert!(violations.is_empty(), "partition+heal: {violations:?}");
     assert_ne!(report.replicas[0].digest, LogDigest::new().value());
+    // The cut must have landed while the log was still growing: the cut
+    // replica's own sends to the other side were dropped at its switch.
+    let dropped = report.replicas[3]
+        .snapshot
+        .sum_counters("mesh.outbound_dropped.");
+    assert!(
+        dropped > 0,
+        "the partition dropped nothing: it fired after the drain"
+    );
 }
 
 /// The victim commits a prefix, is cut off (the partition keeps the run
