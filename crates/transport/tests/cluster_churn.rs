@@ -11,14 +11,16 @@ use minsync_transport::cluster::{
 };
 use minsync_workload::ArrivalProcess;
 
-/// A small workload (2 clients × 20 commands in batches of 4). Arrival
-/// ticks only stamp commands for latency accounting — every command is
-/// pending from the start — so a run drains as fast as the replicas commit
-/// slots, not at the clients' pace.
+/// 2 clients × 48 commands, one command per slot. Arrival ticks only
+/// stamp commands for latency accounting — every command is pending from
+/// the start — so a run drains as fast as the replicas commit slots, not
+/// at the clients' pace. 96 slots outlast a step at 80 ms in debug and
+/// release builds, while the prefix committed by then stays under the
+/// 64-slot flow-control window a rejoiner starts with.
 fn spec(seed: u64) -> ClusterSpec {
     ClusterSpec {
-        commands_per_client: 20,
-        batch: 4,
+        commands_per_client: 48,
+        batch: 1,
         arrivals: ArrivalProcess::Poisson { mean_gap: 100.0 },
         seed,
         ..ClusterSpec::default()
@@ -51,17 +53,10 @@ fn partition_heals_and_the_cluster_drains() {
 
 /// The victim commits a prefix, is cut off (the partition keeps the run
 /// alive: it cannot drain alone), is killed, and comes back after the heal
-/// with its write-ahead log. One command per slot makes the drain (96
-/// slots) outlast the partition at 80 ms in debug and release builds, while
-/// the prefix committed by then stays under the 64-slot flow-control
-/// window a rejoiner starts with.
+/// with its write-ahead log.
 #[test]
 fn killed_replica_restarts_from_wal_with_an_identical_log() {
-    let spec = ClusterSpec {
-        commands_per_client: 48,
-        batch: 1,
-        ..spec(12)
-    };
+    let spec = spec(12);
     let plan = ChurnPlan::new()
         .step(
             Duration::from_millis(80),
