@@ -1,30 +1,19 @@
-//! Timeout policies for the eventual-agreement object.
+//! The timeout policy of the eventual-agreement object.
 //!
 //! Figure 3 line 5 sets `timer_i[r_i] ← r_i`: the timeout value *is* the
 //! round number, so it grows without bound — which is all Lemma 3 needs
 //! (eventually `r > 2δ`, so the coordinator's `EA_COORD` beats the timer).
-//! Footnote 3 generalizes to any increasing function `f_i(r)`; experiments
-//! E8 sweep the linear family and the view synchronizer defaults to the
-//! exponential one (the usual choice of production view-synchronization
-//! layers: it reaches any fixed `2δ` threshold in `O(log δ)` rounds while
-//! keeping early-round timeouts tight).
+//! Footnote 3 generalizes to any increasing function `f_i(r)`; experiment
+//! E8 sweeps the linear family.
 
 use minsync_types::Round;
 
-/// An increasing timeout function in ticks.
+/// An increasing timeout function in ticks: `f(r) = offset + slope·r`.
 ///
-/// Two families:
-///
-/// * [`TimeoutPolicy::linear`] — `f(r) = offset + slope·r`. The paper's
-///   choice is `slope = 1, offset = 0` ([`TimeoutPolicy::paper`]). Larger
-///   slopes reach the `f(r) > 2δ` threshold of Lemma 3 in fewer rounds (at
-///   the cost of waiting longer in rounds with a faulty or unstable
-///   coordinator).
-/// * [`TimeoutPolicy::exponential`] — `f(r) = min(base·2^(r−1), cap)`,
-///   the classic view-synchronizer backoff. Strictly increasing until the
-///   cap; the cap must therefore exceed every `2δ` the deployment can see,
-///   which [`TimeoutPolicy::first_round_exceeding`] checks for harness
-///   code.
+/// The paper's choice is `slope = 1, offset = 0`
+/// ([`TimeoutPolicy::paper`]). Larger slopes reach the `f(r) > 2δ`
+/// threshold of Lemma 3 in fewer rounds (at the cost of waiting longer in
+/// rounds with a faulty or unstable coordinator).
 ///
 /// ```rust
 /// use minsync_core::TimeoutPolicy;
@@ -35,34 +24,19 @@ use minsync_types::Round;
 ///
 /// let steep = TimeoutPolicy::linear(10, 5);
 /// assert_eq!(steep.timeout(Round::new(7)), 75);
-///
-/// let backoff = TimeoutPolicy::exponential(4, 1_000);
-/// assert_eq!(backoff.timeout(Round::new(1)), 4);
-/// assert_eq!(backoff.timeout(Round::new(5)), 64);
-/// assert_eq!(backoff.timeout(Round::new(20)), 1_000); // capped
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TimeoutPolicy {
-    /// `f(r) = offset + slope·r`.
-    Linear {
-        /// Per-round growth (must be > 0).
-        slope: u64,
-        /// Constant floor added to every round.
-        offset: u64,
-    },
-    /// `f(r) = min(base·2^(r−1), cap)` — exponential backoff.
-    Exponential {
-        /// Round-1 timeout (must be > 0).
-        base: u64,
-        /// Upper bound the doubling saturates at.
-        cap: u64,
-    },
+pub struct TimeoutPolicy {
+    /// Per-round growth (> 0).
+    slope: u64,
+    /// Constant floor added to every round.
+    offset: u64,
 }
 
 impl TimeoutPolicy {
     /// The paper's policy: `timer[r] = r`.
     pub const fn paper() -> Self {
-        TimeoutPolicy::Linear {
+        TimeoutPolicy {
             slope: 1,
             offset: 0,
         }
@@ -77,72 +51,22 @@ impl TimeoutPolicy {
     /// object loses liveness.
     pub const fn linear(slope: u64, offset: u64) -> Self {
         assert!(slope > 0, "timeout policy must be strictly increasing");
-        TimeoutPolicy::Linear { slope, offset }
-    }
-
-    /// `f(r) = min(base·2^(r−1), cap)` — exponential backoff starting at
-    /// `base` ticks and doubling each round until `cap`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base == 0` (the policy would be constant zero) or
-    /// `cap < base` (round 1 would already exceed the cap).
-    pub const fn exponential(base: u64, cap: u64) -> Self {
-        assert!(base > 0, "exponential timeout needs a positive base");
-        assert!(cap >= base, "cap must be at least the round-1 base");
-        TimeoutPolicy::Exponential { base, cap }
+        TimeoutPolicy { slope, offset }
     }
 
     /// The timeout, in ticks, to arm for round `r`.
     pub const fn timeout(&self, r: Round) -> u64 {
-        match *self {
-            TimeoutPolicy::Linear { slope, offset } => offset + slope * r.get(),
-            TimeoutPolicy::Exponential { base, cap } => {
-                let exp = r.get() - 1;
-                if exp >= 64 {
-                    return cap;
-                }
-                match base.checked_mul(1u64 << exp) {
-                    Some(v) if v <= cap => v,
-                    _ => cap,
-                }
-            }
-        }
+        self.offset + self.slope * r.get()
     }
 
     /// First round whose timeout strictly exceeds `2δ` — the `r1` of
     /// Lemma 3's proof. Harness code uses it to predict convergence rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an exponential policy whose cap is `≤ two_delta`: such a
-    /// policy never crosses the threshold, so no round qualifies (the
-    /// deployment's cap is too small for its δ).
     pub const fn first_round_exceeding(&self, two_delta: u64) -> Round {
-        match *self {
-            TimeoutPolicy::Linear { slope, offset } => {
-                if offset > two_delta {
-                    return Round::FIRST;
-                }
-                // Smallest r with offset + slope·r > two_delta.
-                let need = two_delta - offset;
-                let r = need / slope + 1;
-                Round::new(r)
-            }
-            TimeoutPolicy::Exponential { base, cap } => {
-                assert!(
-                    cap > two_delta,
-                    "exponential cap never exceeds 2δ: the policy cannot satisfy Lemma 3"
-                );
-                let mut r = 1u64;
-                let mut t = base;
-                while t <= two_delta {
-                    t = t.saturating_mul(2);
-                    r += 1;
-                }
-                Round::new(r)
-            }
+        if self.offset > two_delta {
+            return Round::FIRST;
         }
+        // Smallest r with offset + slope·r > two_delta.
+        Round::new((two_delta - self.offset) / self.slope + 1)
     }
 }
 
@@ -178,38 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_doubles_then_caps() {
-        let p = TimeoutPolicy::exponential(3, 50);
-        assert_eq!(p.timeout(Round::new(1)), 3);
-        assert_eq!(p.timeout(Round::new(2)), 6);
-        assert_eq!(p.timeout(Round::new(3)), 12);
-        assert_eq!(p.timeout(Round::new(4)), 24);
-        assert_eq!(p.timeout(Round::new(5)), 48);
-        assert_eq!(p.timeout(Round::new(6)), 50, "capped");
-        assert_eq!(p.timeout(Round::new(100)), 50, "huge rounds stay capped");
-    }
-
-    #[test]
-    fn exponential_shift_overflow_saturates_to_cap() {
-        let p = TimeoutPolicy::exponential(u64::MAX / 2, u64::MAX);
-        assert_eq!(p.timeout(Round::new(2)), u64::MAX - 1);
-        assert_eq!(p.timeout(Round::new(3)), u64::MAX, "overflow → cap");
-        assert_eq!(p.timeout(Round::new(70)), u64::MAX, "shift ≥ 64 → cap");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive base")]
-    fn exponential_zero_base_rejected() {
-        let _ = TimeoutPolicy::exponential(0, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least the round-1 base")]
-    fn exponential_cap_below_base_rejected() {
-        let _ = TimeoutPolicy::exponential(10, 5);
-    }
-
-    #[test]
     fn first_round_exceeding_is_tight() {
         let p = TimeoutPolicy::paper();
         // 2δ = 10 → first round with timeout > 10 is round 11.
@@ -221,23 +113,6 @@ mod tests {
         let steep = TimeoutPolicy::linear(7, 0);
         let r = steep.first_round_exceeding(10);
         assert_eq!(r, Round::new(2)); // 7·1 = 7 ≤ 10 < 14 = 7·2
-    }
-
-    #[test]
-    fn exponential_first_round_exceeding_is_logarithmic() {
-        let p = TimeoutPolicy::exponential(1, 1 << 32);
-        // 2δ = 1000 → 2^10 = 1024 > 1000 at round 11.
-        let r = p.first_round_exceeding(1000);
-        assert_eq!(r, Round::new(11));
-        assert!(p.timeout(r) > 1000);
-        assert!(p.timeout(Round::new(r.get() - 1)) <= 1000);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot satisfy Lemma 3")]
-    fn exponential_cap_below_threshold_rejected() {
-        let p = TimeoutPolicy::exponential(1, 10);
-        let _ = p.first_round_exceeding(10);
     }
 
     #[test]
