@@ -23,16 +23,10 @@
 //! replicas). `threads` is the most OS threads any correct replica ran
 //! (`node.threads`): the mesh loop plus the control-pipe reader.
 
-use std::time::Duration;
-
 use minsync_transport::cluster::{Behavior, ClusterSpec};
 
-use super::{rider_spec, run_clean_case, slowest};
+use super::{rider_spec, run_checked, slowest, ticks_ms};
 use crate::Table;
-
-/// Tick length used by every E11 child (latency columns convert ticks to
-/// milliseconds with this).
-const TICK: Duration = Duration::from_micros(200);
 
 fn rider_label(riders: &[Behavior]) -> &'static str {
     match riders {
@@ -41,10 +35,6 @@ fn rider_label(riders: &[Behavior]) -> &'static str {
         [Behavior::Flood] => "flood×1",
         _ => "mixed",
     }
-}
-
-fn ms(ticks: u64) -> f64 {
-    ticks as f64 * TICK.as_secs_f64() * 1000.0
 }
 
 /// Runs E11.
@@ -78,10 +68,9 @@ pub fn run(quick: bool) -> Table {
         for &riders in rider_sets {
             let spec = ClusterSpec {
                 commands_per_client,
-                tick: TICK,
                 ..rider_spec(n, t, riders.to_vec())
             };
-            let report = run_clean_case("E11", &spec);
+            let report = run_checked("E11", &spec, None);
             let slowest = slowest(&report);
             let total = |prefix| report.sum_counters(prefix);
             let drops = total("mesh.outbound_dropped.");
@@ -101,9 +90,9 @@ pub fn run(quick: bool) -> Table {
                 report.total_commands.to_string(),
                 format!("{:.1}", slowest.wall.as_secs_f64() * 1000.0),
                 format!("{:.0}", report.cmds_per_sec()),
-                format!("{:.2}", ms(slowest.lat_p50)),
-                format!("{:.2}", ms(slowest.lat_p95)),
-                format!("{:.2}", ms(slowest.lat_p99)),
+                format!("{:.2}", ticks_ms(&spec, slowest.lat_p50)),
+                format!("{:.2}", ticks_ms(&spec, slowest.lat_p95)),
+                format!("{:.2}", ticks_ms(&spec, slowest.lat_p99)),
                 drops.to_string(),
                 cuts.to_string(),
                 format!("{frames_per_write:.1}"),
@@ -128,7 +117,8 @@ mod tests {
 
     #[test]
     fn tick_conversion_is_milliseconds() {
-        assert!((ms(5) - 1.0).abs() < 1e-9, "5 × 200µs = 1ms");
+        let ms = ticks_ms(&ClusterSpec::default(), 5);
+        assert!((ms - 1.0).abs() < 1e-9, "5 × 200µs = 1ms");
     }
 
     #[test]

@@ -31,27 +31,29 @@
 //! processes on 127.0.0.1 driven by a [`ChurnPlan`], where a partition
 //! really loses frames (blocked at the fault switch, never replayed), so
 //! recovery leans on the `ckpt_retry` repair path the node binary enables.
+//! Every cluster run goes through the suite's shared `run_checked`: no
+//! violations, every replica's writes and threads in bounds, and under a
+//! plan that partitions, frames dropped at the cut (the `dropped` column)
+//! — a cut that fires after the drain would measure nothing.
 
 use std::time::Duration;
 
 use minsync_adversary::ChurnOracle;
 use minsync_core::ProtocolMsg;
 use minsync_smr::SmrMsg;
-use minsync_transport::cluster::{
-    run_churn_cluster, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec,
-};
+use minsync_transport::cluster::{ChurnAction, ChurnPlan};
 use minsync_types::{ProcessId, SystemConfig};
 use minsync_workload::Batch;
 
-use super::{churn_sim, churn_spec, slowest};
+use super::{churn_sim, churn_spec, run_checked, slowest};
 use crate::Table;
 
 type Msg = SmrMsg<Batch>;
 
 /// Recovery bound, in ticks past `baseline + window span`, asserted on
-/// every simulator case: covers one backed-off round timeout (the round in
-/// flight when the window closes doubled its timer once per disrupted
-/// round) plus the checkpoint push cadence over the recovered tail.
+/// every simulator case: covers the round timeouts that grew while the
+/// window was open (Figure 3's `timer[r] = r`, one tick per round) plus
+/// the checkpoint push cadence over the recovered tail.
 const RECOVERY_SLACK: u64 = 20_000;
 
 /// The four disruption families.
@@ -156,22 +158,6 @@ fn cluster_plan(scenario: Scenario, n: usize) -> ChurnPlan {
     }
 }
 
-/// Runs one cluster case under `plan` (the clean baseline's is empty) and
-/// asserts agreement and liveness.
-///
-/// # Panics
-///
-/// Panics if the cluster cannot run, a replica finishes short, or the
-/// committed-log digests diverge.
-fn cluster_run(label: &str, spec: &ClusterSpec, plan: &ChurnPlan) -> ClusterReport {
-    let n = spec.n;
-    let report = run_churn_cluster(spec, plan)
-        .unwrap_or_else(|e| panic!("E13 {label} n={n}: cluster failed: {e}"));
-    let violations = report.violations();
-    assert!(violations.is_empty(), "E13 {label} n={n}: {violations:?}");
-    report
-}
-
 /// Runs E13.
 ///
 /// # Panics
@@ -230,10 +216,11 @@ pub fn run(quick: bool) -> Table {
         // Cluster: one clean baseline per size (an empty plan), then every
         // scenario as a real process-level disruption.
         let spec = churn_spec(n, t, CLUSTER_COMMANDS_PER_CLIENT, seed);
-        let base = cluster_run("baseline", &spec, &ChurnPlan::new());
+        let base = run_checked("E13 baseline", &spec, Some(&ChurnPlan::new()));
         let base_ms = slowest(&base).wall.as_secs_f64() * 1000.0;
         for scenario in Scenario::ALL {
-            let report = cluster_run(scenario.label(), &spec, &cluster_plan(scenario, n));
+            let plan = cluster_plan(scenario, n);
+            let report = run_checked(&format!("E13 {}", scenario.label()), &spec, Some(&plan));
             let wall = slowest(&report).wall.as_secs_f64() * 1000.0;
             let dropped = report.sum_counters("mesh.outbound_dropped.");
             table.push_row([

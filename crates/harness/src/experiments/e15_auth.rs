@@ -25,10 +25,10 @@
 //! rows of `benchmark/`; the forged-tag fuzz coverage lives in
 //! `crates/wire/tests/prop_wire.rs`.
 
-use minsync_transport::cluster::{run_cluster, Behavior, ClusterSpec};
+use minsync_transport::cluster::{Behavior, ClusterSpec};
 use minsync_workload::ArrivalProcess;
 
-use super::{rider_spec, run_clean_case, slowest};
+use super::{rider_spec, run_checked, slowest};
 use crate::Table;
 
 fn spec(n: usize, t: usize, auth: bool, riders: Vec<Behavior>) -> ClusterSpec {
@@ -41,7 +41,7 @@ fn spec(n: usize, t: usize, auth: bool, riders: Vec<Behavior>) -> ClusterSpec {
 /// One severing-arm row: authenticated cluster + impersonator rider.
 fn severing_row(n: usize, t: usize) -> [String; 7] {
     let spec = spec(n, t, true, vec![Behavior::Impersonate]);
-    let report = run_clean_case("E15", &spec);
+    let report = run_checked("E15", &spec, None);
     let auth_rejects = report.sum_counters("mesh.auth_rejects");
     let cuts = report.sum_counters("mesh.decode_disconnects");
     assert!(
@@ -67,13 +67,13 @@ fn severing_row(n: usize, t: usize) -> [String; 7] {
 /// The bulk arm: the benchmark's `tcp_n4_bulk_auth` shape — 512 closed-loop
 /// clients, 4 KiB batches, MACs on — for 20 slots, all replicas correct. The
 /// one place outside `benchmark/` where a multi-KiB value crosses a MAC'd
-/// socket; `run_clean_case` asserts agreement, liveness and that no
+/// socket; [`run_checked`] asserts agreement, liveness and that no
 /// defence counter (`smr.future_drops`, `mesh.auth_rejects`,
 /// `smr.payload_waits`, `smr.payload_mismatch`) moved.
 fn bulk_row() -> [String; 7] {
     const CLIENTS: usize = 512;
     const SLOTS: usize = 20;
-    let report = run_clean_case(
+    let report = run_checked(
         "E15 bulk",
         &ClusterSpec {
             clients_per_group: CLIENTS,
@@ -84,6 +84,7 @@ fn bulk_row() -> [String; 7] {
             auth: true,
             ..ClusterSpec::default()
         },
+        None,
     );
     let slots = report.replicas[0].slots;
     [
@@ -104,9 +105,12 @@ fn bulk_row() -> [String; 7] {
 fn acceptance_digests(n: usize, t: usize) -> (u64, Vec<u64>) {
     // Silent rider in both runs: the correct-replica line-up (and hence the
     // clean digest) must be identical across the comparison.
-    let clean = run_clean_case("E15", &spec(n, t, false, vec![Behavior::Silent]));
-    let poisoned = run_cluster(&spec(n, t, false, vec![Behavior::Impersonate]))
-        .unwrap_or_else(|e| panic!("E15 unauth n={n}: cluster failed: {e}"));
+    let clean = run_checked("E15", &spec(n, t, false, vec![Behavior::Silent]), None);
+    let poisoned = run_checked(
+        "E15 unauth",
+        &spec(n, t, false, vec![Behavior::Impersonate]),
+        None,
+    );
     for r in &poisoned.replicas {
         // `>=`, not `==`: the forged commands *add* to the committed count
         // (the workload sources refuse to let a foreign batch consume real

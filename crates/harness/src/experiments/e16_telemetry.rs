@@ -56,20 +56,16 @@ use minsync_telemetry::trace::{
     parse_dump, queues, TraceEvent, TraceKind, TraceMeta, TraceRecorder, DEFAULT_TRACE_CAPACITY,
 };
 use minsync_telemetry::Registry;
-use minsync_transport::cluster::{run_cluster, ClusterReport, ClusterSpec};
+use minsync_transport::cluster::{ClusterReport, ClusterSpec};
 use minsync_types::SystemConfig;
 use minsync_workload::{ArrivalProcess, Batch, ClientPopulation, DrainCursor, WorkloadSpec};
 
-use super::slowest;
+use super::{run_checked, slowest};
 use crate::runner::ConsensusRunBuilder;
 use crate::Table;
 
 type Msg = SmrMsg<Batch>;
 type Out = SmrEvent<Batch>;
-
-/// Tick length of the E16 cluster children (stage ticks convert to wall
-/// time with this).
-const TICK: Duration = Duration::from_micros(200);
 
 /// Where E16 leaves its trace dumps (`target/e16/` at the workspace root),
 /// so a failed assertion can be replayed through `minsync-trace` by hand.
@@ -246,18 +242,11 @@ fn cluster_arm(window: Option<u64>, commands_per_client: usize, label: &str) -> 
         commands_per_client,
         arrivals: ArrivalProcess::Poisson { mean_gap: 0.5 },
         seed: 7,
-        tick: TICK,
         window,
         trace_dir: Some(dir.clone()),
         ..ClusterSpec::default()
     };
-    let report =
-        run_cluster(&spec).unwrap_or_else(|e| panic!("E16 cluster ({label}): cluster failed: {e}"));
-    let violations = report.violations();
-    assert!(
-        violations.is_empty(),
-        "E16 cluster ({label}): {violations:?}"
-    );
+    let report = run_checked(&format!("E16 cluster ({label})"), &spec, None);
     let path = dir.join("trace-0.jsonl");
     let dump = parse_dump(&std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -267,7 +256,7 @@ fn cluster_arm(window: Option<u64>, commands_per_client: usize, label: &str) -> 
     }))
     .unwrap_or_else(|e| panic!("E16 cluster ({label}): bad trace dump: {e}"));
     assert_eq!(dump.meta.source, "tcp");
-    assert_eq!(dump.meta.tick_ns, TICK.as_nanos() as u64);
+    assert_eq!(dump.meta.tick_ns, spec.tick.as_nanos() as u64);
     let eager = eager_proposals(&dump.events, 0);
     ClusterArm {
         report,
@@ -308,55 +297,62 @@ fn eager_proposals(events: &[TraceEvent], node: u32) -> usize {
         .count()
 }
 
-/// The overhead gate: paired plain/instrumented runs of the E4 consensus
-/// configuration. Returns `(idle mean ns, traced mean ns)`.
+/// Wall-clock nanoseconds of `samples` paired runs of the E4 consensus
+/// configuration (seeds 1, 2, …), each pair `(idle, instrumented)`: the
+/// second run of a pair has `instrument` applied to its builder. One
+/// discarded pair first warms caches and lazy setup; the pairs then
+/// interleave so drift (frequency scaling, competing load) hits both sides
+/// equally.
 ///
-/// Semantic passivity is asserted on every pair: the traced run must
-/// decide at the identical virtual time with the identical message count.
-/// The wall-clock delta is the *active-tracing tax* (ring writes per
-/// event on a ~150µs run) — reported, not gated; the idle-cost gate is
-/// [`registry_gate`].
-fn overhead_arm(samples: usize) -> (u64, u64) {
-    let run = |traced: bool, seed: u64| {
+/// Semantic passivity is asserted on every pair, the warm-up included:
+/// the instrumented run must decide at the identical virtual time with
+/// the identical message count.
+fn paired_e4(
+    samples: usize,
+    instrument: impl Fn(ConsensusRunBuilder) -> ConsensusRunBuilder,
+) -> Vec<(u64, u64)> {
+    let run = |instrumented: bool, seed: u64| {
         let mut builder = ConsensusRunBuilder::new(4, 1)
             .expect("valid system")
             .proposals([0, 1, 0, 1])
             .seed(seed);
-        if traced {
-            builder = builder
-                .trace(Arc::new(TraceRecorder::new(DEFAULT_TRACE_CAPACITY)))
-                .registry(Arc::new(Registry::new()));
+        if instrumented {
+            builder = instrument(builder);
         }
         let start = Instant::now();
-        let outcome = builder.run().expect("e4 run");
-        (
-            start.elapsed(),
-            outcome.decision_latency(),
-            outcome.total_messages(),
-        )
+        let outcome = std::hint::black_box(builder.run().expect("e4 run"));
+        let wall = start.elapsed().as_nanos() as u64;
+        (wall, outcome.decision_latency(), outcome.total_messages())
     };
-    let mut plain_total = Duration::ZERO;
-    let mut traced_total = Duration::ZERO;
-    for i in 0..samples {
-        let seed = 1 + i as u64;
-        // Interleave the pairing so drift (frequency scaling, competing
-        // load) hits both sides equally.
-        let (plain_wall, plain_lat, plain_msgs) = run(false, seed);
-        let (traced_wall, traced_lat, traced_msgs) = run(true, seed);
+    let pair = |seed: u64| {
+        let (idle_wall, idle_lat, idle_msgs) = run(false, seed);
+        let (inst_wall, inst_lat, inst_msgs) = run(true, seed);
         assert_eq!(
-            plain_lat, traced_lat,
-            "E16: tracing changed the decision latency at seed {seed}"
+            idle_lat, inst_lat,
+            "E16: instrumentation changed the decision latency at seed {seed}"
         );
         assert_eq!(
-            plain_msgs, traced_msgs,
-            "E16: tracing changed the message count at seed {seed}"
+            idle_msgs, inst_msgs,
+            "E16: instrumentation changed the message count at seed {seed}"
         );
-        plain_total += plain_wall;
-        traced_total += traced_wall;
-    }
-    let plain_mean = (plain_total.as_nanos() / samples as u128) as u64;
-    let traced_mean = (traced_total.as_nanos() / samples as u128) as u64;
-    (plain_mean, traced_mean)
+        (idle_wall, inst_wall)
+    };
+    pair(1);
+    (1..=samples as u64).map(pair).collect()
+}
+
+/// The active-tracing tax: [`paired_e4`] with a trace recorder and a
+/// registry attached. Returns `(idle mean ns, traced mean ns)`; the
+/// wall-clock delta (ring writes per event on a ~150µs run) is reported,
+/// not gated — the idle-cost gate is [`registry_gate`].
+fn overhead_arm(samples: usize) -> (u64, u64) {
+    let pairs = paired_e4(samples, |b| {
+        b.trace(Arc::new(TraceRecorder::new(DEFAULT_TRACE_CAPACITY)))
+            .registry(Arc::new(Registry::new()))
+    });
+    let idle_mean = pairs.iter().map(|p| p.0).sum::<u64>() / samples as u64;
+    let traced_mean = pairs.iter().map(|p| p.1).sum::<u64>() / samples as u64;
+    (idle_mean, traced_mean)
 }
 
 /// The in-process 5% budget gate: attaching a metrics [`Registry`] — the
@@ -371,28 +367,9 @@ fn overhead_arm(samples: usize) -> (u64, u64) {
 /// asserted)`; the assert fires only on full release runs — debug builds
 /// spend their time elsewhere entirely.
 fn registry_gate(samples: usize, assert_budget: bool) -> (u64, u64, bool) {
-    let sample = |with_registry: bool, seed: u64| {
-        let mut builder = ConsensusRunBuilder::new(4, 1)
-            .expect("valid system")
-            .proposals([0, 1, 0, 1])
-            .seed(seed);
-        if with_registry {
-            builder = builder.registry(Arc::new(Registry::new()));
-        }
-        let start = Instant::now();
-        std::hint::black_box(builder.run().expect("e4 run"));
-        start.elapsed().as_nanos() as u64
-    };
-    // Warm caches and lazy setup before measuring.
-    sample(false, 1);
-    sample(true, 1);
-    let mut idle_min = u64::MAX;
-    let mut reg_min = u64::MAX;
-    for i in 0..samples {
-        let seed = 1 + i as u64;
-        idle_min = idle_min.min(sample(false, seed));
-        reg_min = reg_min.min(sample(true, seed));
-    }
+    let pairs = paired_e4(samples, |b| b.registry(Arc::new(Registry::new())));
+    let idle_min = pairs.iter().map(|p| p.0).min().unwrap_or(0);
+    let reg_min = pairs.iter().map(|p| p.1).min().unwrap_or(0);
     let gate = assert_budget && !cfg!(debug_assertions);
     if gate {
         assert!(

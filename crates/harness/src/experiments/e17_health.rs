@@ -52,6 +52,11 @@
 //! reports a small positive pending count forever — the clean-arm horizon
 //! must therefore exceed the post-drain sampling tail, which the arms
 //! below account for.
+//!
+//! Every cluster arm goes through the suite's shared `run_checked`: no
+//! violations (the plane must observe, never steer), every replica's
+//! writes and threads in bounds, a non-empty streamed series per replica,
+//! and frames dropped at the partition arm's cut.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,16 +68,12 @@ use minsync_telemetry::timeseries::TimeSeries;
 use minsync_telemetry::watchdog::{Alarm, AlarmClass, Watchdog, WatchdogConfig};
 use minsync_telemetry::{watch_name, Registry, Snapshot};
 use minsync_transport::cluster::{
-    run_churn_cluster, Behavior, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec,
+    Behavior, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec, ReplicaStats,
 };
 use minsync_types::{check, ProcessId, SystemConfig};
 
-use super::{churn_sim, churn_spec, SIM_PERIOD};
+use super::{churn_sim, churn_spec, run_checked, ticks_ms, SIM_PERIOD};
 use crate::Table;
-
-/// Wall-clock tick of every cluster child (`at` stamps in the streamed
-/// series are multiples of this).
-const TICK: Duration = Duration::from_micros(200);
 
 /// Sampling period of every cluster arm, in wall-clock milliseconds.
 const CLUSTER_PERIOD_MS: u64 = 10;
@@ -84,11 +85,6 @@ const FAULT_ARM_COMMANDS: usize = 64;
 /// Virtual tick at which every simulator fault window opens (mid-arrivals
 /// for the workloads E17 uses).
 const FAULT_AT: u64 = 100;
-
-/// Converts a child-tick stamp to milliseconds.
-fn ticks_to_ms(ticks: u64) -> f64 {
-    ticks as f64 * TICK.as_secs_f64() * 1000.0
-}
 
 /// Aggregator thresholds for *clean* arms: horizons wide enough that
 /// honest inter-commit gaps and the post-drain sampling tail never trip,
@@ -109,6 +105,22 @@ fn replay(wd: &mut Watchdog, source: u32, series: &TimeSeries) -> Vec<Alarm> {
         raised.extend(wd.observe(source, point.at, &point.values));
     }
     raised
+}
+
+/// Replays each replica's streamed series through a watchdog of its own
+/// under `cfg`, its id as the source; returns every alarm raised, replica
+/// by replica.
+fn replay_replicas(report: &ClusterReport, cfg: WatchdogConfig) -> Vec<Alarm> {
+    let replicas = report.replicas.iter();
+    replicas
+        .flat_map(|r| replay(&mut Watchdog::new(cfg), r.id as u32, &r.series))
+        .collect()
+}
+
+/// The last sample a replica streamed ([`run_checked`] asserts there is
+/// one whenever a sampling period is set).
+fn last_sample(r: &ReplicaStats) -> &Snapshot {
+    &r.series.latest().expect("checked non-empty").values
 }
 
 /// Distinct alarm classes in `alarms`, in code order.
@@ -288,25 +300,12 @@ fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
 // Cluster arms
 // ---------------------------------------------------------------------------
 
+/// The cluster arms' spec: [`churn_spec`] sampled every
+/// [`CLUSTER_PERIOD_MS`].
 fn cluster_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> ClusterSpec {
     ClusterSpec {
-        tick: TICK,
         stats_period: Some(Duration::from_millis(CLUSTER_PERIOD_MS)),
         ..churn_spec(n, t, commands_per_client, seed)
-    }
-}
-
-/// Asserts the run itself stayed healthy (the plane must observe, never
-/// steer) and that every correct replica streamed a series.
-fn assert_cluster_healthy(case: &str, report: &ClusterReport) {
-    let violations = report.violations();
-    assert!(violations.is_empty(), "E17 {case}: {violations:?}");
-    for r in &report.replicas {
-        assert!(
-            !r.series.is_empty(),
-            "E17 {case}: replica {} streamed no samples",
-            r.id
-        );
     }
 }
 
@@ -315,16 +314,9 @@ fn assert_cluster_healthy(case: &str, report: &ClusterReport) {
 /// replica's series retained.
 fn cluster_clean(n: usize, t: usize, seed: u64) -> u64 {
     let spec = cluster_spec(n, t, 8, seed);
-    let report = run_churn_cluster(&spec, &ChurnPlan::new())
-        .unwrap_or_else(|e| panic!("E17 tcp-clean n={n}: cluster failed: {e}"));
-    assert_cluster_healthy("tcp-clean", &report);
-    // Clean horizon: 500 ms of wall clock in 200 µs ticks — far above the
-    // honest inter-commit gaps and the post-drain tail a loaded n = 7
-    // lineup produces on shared loopback (observed up to ~360 ms), far
-    // below the open window of any fault arm.
-    let mut samples = 0;
+    let report = run_checked("E17 tcp-clean", &spec, Some(&ChurnPlan::new()));
     for r in &report.replicas {
-        let state = &r.series.latest().expect("asserted non-empty").values;
+        let state = last_sample(r);
         assert_eq!(
             state.counter("watchdog.alarms").unwrap_or(0),
             0,
@@ -338,16 +330,18 @@ fn cluster_clean(n: usize, t: usize, seed: u64) -> u64 {
             "E17 tcp-clean n={n}: replica {} observed no peer RTT",
             r.id
         );
-        let mut wd = Watchdog::new(clean_cfg(2_500));
-        let alarms = replay(&mut wd, r.id as u32, &r.series);
-        assert!(
-            alarms.is_empty(),
-            "E17 tcp-clean n={n}: replica {} series raised {alarms:?}",
-            r.id
-        );
-        samples = samples.max(r.series.len() as u64);
     }
-    samples
+    // Clean horizon: 500 ms of wall clock in 200 µs ticks — far above the
+    // honest inter-commit gaps and the post-drain tail a loaded n = 7
+    // lineup produces on shared loopback (observed up to ~360 ms), far
+    // below the open window of any fault arm.
+    let alarms = replay_replicas(&report, clean_cfg(2_500));
+    assert!(
+        alarms.is_empty(),
+        "E17 tcp-clean n={n}: the replicas' series raised {alarms:?}"
+    );
+    let samples = report.replicas.iter().map(|r| r.series.len());
+    samples.max().unwrap_or(0) as u64
 }
 
 /// Cluster partition arm: `PART` cuts the victim off mid-run, `HEAL`
@@ -363,9 +357,7 @@ fn cluster_stall(n: usize, t: usize, seed: u64) -> (f64, f64) {
             ChurnAction::Partition { side: vec![victim] },
         )
         .step(Duration::from_millis(200), ChurnAction::Heal);
-    let report = run_churn_cluster(&spec, &plan)
-        .unwrap_or_else(|e| panic!("E17 tcp-partition n={n}: cluster failed: {e}"));
-    assert_cluster_healthy("tcp-partition", &report);
+    let report = run_checked("E17 tcp-partition", &spec, Some(&plan));
     // 50 ms stall horizon in ticks; detection must land inside the 190 ms
     // window.
     let horizon = 250;
@@ -382,8 +374,8 @@ fn cluster_stall(n: usize, t: usize, seed: u64) -> (f64, f64) {
     let alarms = replay(&mut wd, victim as u32, victim_series);
     let first = expect_only("tcp-partition", &alarms, AlarmClass::Stall);
     assert_eq!(first.node, victim as u32, "the victim's own floor stalled");
-    let latency_ms = ticks_to_ms(first.at) - part_at_ms as f64;
-    let horizon_ms = ticks_to_ms(horizon);
+    let latency_ms = ticks_ms(&spec, first.at) - part_at_ms as f64;
+    let horizon_ms = ticks_ms(&spec, horizon);
     assert!(
         latency_ms <= horizon_ms + 5.0 * CLUSTER_PERIOD_MS as f64 + 40.0,
         "E17 tcp-partition: stall detected {latency_ms:.1} ms after the cut \
@@ -400,30 +392,33 @@ fn cluster_stall(n: usize, t: usize, seed: u64) -> (f64, f64) {
 fn cluster_crash_backlog(n: usize, t: usize, seed: u64) -> (f64, u64) {
     let dead = n - 1;
     let kill_at_ms = 8;
-    let mut spec = cluster_spec(n, t, FAULT_ARM_COMMANDS, seed);
-    spec.riders = vec![Behavior::Silent];
+    let spec = ClusterSpec {
+        riders: vec![Behavior::Silent],
+        ..cluster_spec(n, t, FAULT_ARM_COMMANDS, seed)
+    };
     let plan = ChurnPlan::new().step(
         Duration::from_millis(kill_at_ms),
         ChurnAction::Kill { id: dead },
     );
-    let report = run_churn_cluster(&spec, &plan)
-        .unwrap_or_else(|e| panic!("E17 tcp-crash n={n}: cluster failed: {e}"));
-    assert_cluster_healthy("tcp-crash", &report);
+    let report = run_checked("E17 tcp-crash", &spec, Some(&plan));
     let cfg = WatchdogConfig {
         backlog_limit: 4,
         backlog_strikes: 2,
         ..clean_cfg(10_000)
     };
-    let mut all = Vec::new();
-    let mut peak = 0;
-    for r in &report.replicas {
-        let mut wd = Watchdog::new(cfg);
-        all.extend(replay(&mut wd, r.id as u32, &r.series));
-        let last = &r.series.latest().expect("asserted non-empty").values;
-        peak = peak.max(last.gauge(&format!("link.backlog.p{dead}")).unwrap_or(0));
-    }
-    let first = expect_only("tcp-crash", &all, AlarmClass::QueueSaturation);
-    let latency_ms = ticks_to_ms(first.at) - kill_at_ms as f64;
+    let first = expect_only(
+        "tcp-crash",
+        &replay_replicas(&report, cfg),
+        AlarmClass::QueueSaturation,
+    );
+    let backlog = |r| last_sample(r).gauge(&format!("link.backlog.p{dead}"));
+    let peak = report
+        .replicas
+        .iter()
+        .filter_map(backlog)
+        .max()
+        .unwrap_or(0);
+    let latency_ms = ticks_ms(&spec, first.at) - kill_at_ms as f64;
     (latency_ms.max(0.0), peak)
 }
 
@@ -434,30 +429,28 @@ fn cluster_crash_backlog(n: usize, t: usize, seed: u64) -> (f64, u64) {
 /// traffic never fails a MAC, as E15 asserts). Returns
 /// `(detection ms from run start, total rejects)`.
 fn cluster_auth(n: usize, t: usize, seed: u64) -> (f64, u64) {
-    let mut spec = cluster_spec(n, t, FAULT_ARM_COMMANDS, seed);
-    spec.riders = vec![Behavior::Impersonate];
-    spec.auth = true;
-    let report = run_churn_cluster(&spec, &ChurnPlan::new())
-        .unwrap_or_else(|e| panic!("E17 tcp-auth n={n}: cluster failed: {e}"));
-    assert_cluster_healthy("tcp-auth", &report);
+    let spec = ClusterSpec {
+        riders: vec![Behavior::Impersonate],
+        auth: true,
+        ..cluster_spec(n, t, FAULT_ARM_COMMANDS, seed)
+    };
+    let report = run_checked("E17 tcp-auth", &spec, Some(&ChurnPlan::new()));
     let cfg = WatchdogConfig {
         auth_reject_limit: 0,
         ..clean_cfg(10_000)
     };
-    let mut all = Vec::new();
-    let mut rejects = 0;
-    for r in &report.replicas {
-        let mut wd = Watchdog::new(cfg);
-        all.extend(replay(&mut wd, r.id as u32, &r.series));
-        let last = &r.series.latest().expect("asserted non-empty").values;
-        rejects += last.counter("mesh.auth_rejects").unwrap_or(0);
-    }
-    let first = expect_only("tcp-auth", &all, AlarmClass::AuthRejectRate);
+    let first = expect_only(
+        "tcp-auth",
+        &replay_replicas(&report, cfg),
+        AlarmClass::AuthRejectRate,
+    );
+    let rejects = |r| last_sample(r).counter("mesh.auth_rejects");
+    let rejects: u64 = report.replicas.iter().filter_map(rejects).sum();
     assert!(
         rejects >= 1,
         "E17 tcp-auth: no replica recorded a MAC reject"
     );
-    (ticks_to_ms(first.at), rejects)
+    (ticks_ms(&spec, first.at), rejects)
 }
 
 // ---------------------------------------------------------------------------

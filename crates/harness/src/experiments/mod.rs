@@ -32,7 +32,10 @@ use minsync_net::NetworkTopology;
 use minsync_smr::{commits, SmrEvent, SmrLimits, SmrMsg};
 use minsync_telemetry::timeseries::TimeSeries;
 use minsync_telemetry::Registry;
-use minsync_transport::cluster::{run_cluster, Behavior, ClusterReport, ClusterSpec, ReplicaStats};
+use minsync_transport::cluster::{
+    run_churn_cluster, run_cluster, Behavior, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec,
+    ReplicaStats,
+};
 use minsync_types::SystemConfig;
 use minsync_workload::{log_violations, ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 
@@ -160,24 +163,48 @@ pub fn select(catalog: &[Entry], args: &[String]) -> Result<Vec<Entry>, String> 
         .collect())
 }
 
-/// Runs one TCP-cluster case and asserts the distributed-agreement and
-/// liveness criteria; `tag` names the calling experiment in panics.
+/// Runs one orchestrated TCP cluster — [`run_churn_cluster`] under `plan`,
+/// or [`run_cluster`] without one — and applies every check whose
+/// precondition `spec` and `plan` meet; `label` names the arm in panics.
+///
+/// * [`ClusterReport::violations`] is empty: the correct replicas agreed
+///   and drained. Not checked when an impersonator rides an
+///   unauthenticated mesh: that breaks the paper's no-impersonation
+///   assumption, so agreement and termination are not claimed there (E15
+///   runs it to show the forgery lands).
+/// * Every replica wrote frames, in no more `write` calls than frames
+///   (`0 < mesh.writes ≤ mesh.frames_written`), on at most two threads
+///   (`node.threads`): the mesh loop and the control-pipe reader.
+/// * With [`ClusterSpec::stats_period`] set, every replica streamed a
+///   non-empty series.
+/// * When the plan partitions, the cut dropped frames
+///   (`mesh.outbound_dropped.*` summed over the replicas is positive): a
+///   cut that fires after the drain measures nothing.
+/// * On a plan-free run whose riders are all silent, the defence counters
+///   read zero.
 ///
 /// # Panics
 ///
 /// Panics if the cluster cannot be spawned (build `minsync-node` first —
-/// `cargo build --release -p minsync-transport`), a correct replica
-/// stalls, or the committed-log digests diverge.
-pub(crate) fn run_clean_case(tag: &str, spec: &ClusterSpec) -> ClusterReport {
+/// `cargo build --release -p minsync-transport`) or a check fails.
+pub(crate) fn run_checked(
+    label: &str,
+    spec: &ClusterSpec,
+    plan: Option<&ChurnPlan>,
+) -> ClusterReport {
     let case = format!(
-        "{tag} n={} auth={} riders={:?}",
+        "{label} n={} auth={} riders={:?}",
         spec.n, spec.auth, spec.riders
     );
-    let report = run_cluster(spec).unwrap_or_else(|e| panic!("{case}: cluster failed: {e}"));
-    let violations = report.violations();
-    assert!(violations.is_empty(), "{case}: {violations:?}");
-    // Every replica wrote frames, in no more `write` calls than frames, on
-    // at most two threads: the mesh loop and the control-pipe reader.
+    let report = match plan {
+        Some(plan) => run_churn_cluster(spec, plan),
+        None => run_cluster(spec),
+    }
+    .unwrap_or_else(|e| panic!("{case}: cluster failed: {e}"));
+    if spec.auth || !spec.riders.contains(&Behavior::Impersonate) {
+        let violations = report.violations();
+        assert!(violations.is_empty(), "{case}: {violations:?}");
+    }
     for r in &report.replicas {
         let writes = r.snapshot.counter("mesh.writes").unwrap_or(0);
         let frames = r.snapshot.counter("mesh.frames_written").unwrap_or(0);
@@ -192,8 +219,24 @@ pub(crate) fn run_clean_case(tag: &str, spec: &ClusterSpec) -> ClusterReport {
             "{case}: replica {} ran {threads:?} threads",
             r.id
         );
+        assert!(
+            spec.stats_period.is_none() || !r.series.is_empty(),
+            "{case}: replica {} streamed no samples",
+            r.id
+        );
     }
-    if spec.riders.iter().all(|b| *b == Behavior::Silent) {
+    let partitions = plan.is_some_and(|plan| {
+        plan.steps
+            .iter()
+            .any(|s| matches!(s.action, ChurnAction::Partition { .. }))
+    });
+    if partitions {
+        assert!(
+            report.sum_counters("mesh.outbound_dropped.") > 0,
+            "{case}: the partition dropped nothing"
+        );
+    }
+    if plan.is_none() && spec.riders.iter().all(|b| *b == Behavior::Silent) {
         // With no rider actively injecting traffic (silent ones only occupy
         // fault slots), the flow-control cap and the MAC check must stay
         // untouched: future traffic is bounded by the pipeline width and no
@@ -206,7 +249,9 @@ pub(crate) fn run_clean_case(tag: &str, spec: &ClusterSpec) -> ClusterReport {
         // table but only asserted in the deterministic sim (E13).
         // With one routing group every correct replica proposes the decided
         // batch itself, so no slot ever waits for its payload; with more, a
-        // losing proposer may legitimately decide first.
+        // losing proposer may legitimately decide first. A churn run is
+        // lossy by design (and its children run the checkpoint retry), so
+        // these counters are not claims there.
         let mut zero = vec!["smr.future_drops", "mesh.auth_rejects"];
         if spec.groups == 1 {
             zero.extend(["smr.payload_waits", "smr.payload_mismatch"]);
@@ -223,6 +268,11 @@ pub(crate) fn run_clean_case(tag: &str, spec: &ClusterSpec) -> ClusterReport {
         }
     }
     report
+}
+
+/// Converts a child-tick count of `spec`'s cluster to milliseconds.
+pub(crate) fn ticks_ms(spec: &ClusterSpec, ticks: u64) -> f64 {
+    ticks as f64 * spec.tick.as_secs_f64() * 1000.0
 }
 
 /// The slowest correct replica of a cluster run; its `wall` is the run's
