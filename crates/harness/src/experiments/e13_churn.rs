@@ -31,10 +31,8 @@
 //! processes on 127.0.0.1 driven by a [`ChurnPlan`], where a partition
 //! really loses frames (blocked at the fault switch, never replayed), so
 //! recovery leans on the `ckpt_retry` repair path the node binary enables.
-//! Every cluster run goes through the suite's shared `run_checked`: no
-//! violations, every replica's writes and threads in bounds, and under a
-//! plan that partitions, frames dropped at the cut (the `dropped` column)
-//! — a cut that fires after the drain would measure nothing.
+//! The suite's `run_checked` also asserts that every partitioning plan
+//! dropped frames (the `dropped` column): a late cut measures nothing.
 
 use std::time::Duration;
 

@@ -164,24 +164,18 @@ pub fn select(catalog: &[Entry], args: &[String]) -> Result<Vec<Entry>, String> 
 }
 
 /// Runs one orchestrated TCP cluster — [`run_churn_cluster`] under `plan`,
-/// or [`run_cluster`] without one — and applies every check whose
-/// precondition `spec` and `plan` meet; `label` names the arm in panics.
+/// [`run_cluster`] without one — and applies every check whose
+/// precondition `spec` and `plan` meet; `label` names the arm in panics:
 ///
-/// * [`ClusterReport::violations`] is empty: the correct replicas agreed
-///   and drained. Not checked when an impersonator rides an
-///   unauthenticated mesh: that breaks the paper's no-impersonation
-///   assumption, so agreement and termination are not claimed there (E15
-///   runs it to show the forgery lands).
-/// * Every replica wrote frames, in no more `write` calls than frames
-///   (`0 < mesh.writes ≤ mesh.frames_written`), on at most two threads
-///   (`node.threads`): the mesh loop and the control-pipe reader.
-/// * With [`ClusterSpec::stats_period`] set, every replica streamed a
-///   non-empty series.
-/// * When the plan partitions, the cut dropped frames
-///   (`mesh.outbound_dropped.*` summed over the replicas is positive): a
-///   cut that fires after the drain measures nothing.
-/// * On a plan-free run whose riders are all silent, the defence counters
-///   read zero.
+/// * no [`ClusterReport::violations`], unless an impersonator rides an
+///   unauthenticated mesh (outside the paper's no-impersonation
+///   assumption: there E15 shows the forgery lands);
+/// * per replica, `0 < mesh.writes ≤ mesh.frames_written` and at most two
+///   threads (the mesh loop and the control-pipe reader);
+/// * with a `stats_period`, a non-empty series per replica;
+/// * under a plan that partitions, dropped frames: a cut that fires after
+///   the drain measures nothing;
+/// * on a plan-free run whose riders are all silent, zero defence counters.
 ///
 /// # Panics
 ///
