@@ -31,7 +31,8 @@
 //!    virtual time with the identical message count — asserted on every
 //!    run) and *temporally* within the 5% budget: full release runs
 //!    assert that attaching the metrics registry — the always-on half of
-//!    the layer — moves the paired in-process E4 min by less than 5%.
+//!    the layer — keeps the median of the paired in-process E4
+//!    `registry / idle` wall-clock ratios below 1.05.
 //!    One further number is reported without a gate: the cost of a fully
 //!    *attached* trace recorder on the ~150µs microbenchmark (per-event
 //!    ring writes are real work, priced openly as the active-tracing
@@ -355,30 +356,53 @@ fn overhead_arm(samples: usize) -> (u64, u64) {
     (idle_mean, traced_mean)
 }
 
+/// What [`registry_gate`] measured.
+struct RegistryGate {
+    /// Fastest idle run, ns.
+    idle_min: u64,
+    /// Fastest registry-attached run, ns.
+    reg_min: u64,
+    /// Median over the pairs of `registry ns / idle ns` — the gated figure.
+    median_ratio: f64,
+    /// Whether the 5% budget was asserted.
+    gated: bool,
+}
+
 /// The in-process 5% budget gate: attaching a metrics [`Registry`] — the
-/// always-on half of the telemetry layer — must not move the E4 min by
-/// more than 5% against paired idle runs in the same process.
+/// always-on half of the telemetry layer — must keep the median of the
+/// per-pair `registry / idle` E4 wall-clock ratios below 1.05.
 ///
 /// This is the half of the overhead story that *can* be asserted
-/// reliably: both sides run interleaved in one binary, so code layout,
-/// heap state, and machine drift cancel. The min is gated (the cache-hot
-/// best case is what per-event hook cost would move); means drift ~10%
-/// with process state. Returns `(idle min ns, registry min ns,
-/// asserted)`; the assert fires only on full release runs — debug builds
-/// spend their time elsewhere entirely.
-fn registry_gate(samples: usize, assert_budget: bool) -> (u64, u64, bool) {
+/// reliably: both sides of a pair run back to back in one binary, so code
+/// layout, heap state, and machine drift cancel within the pair, and the
+/// median drops the pairs a burst of competing load landed on. (The two
+/// sides' mins, reported alongside, come from different pairs and swing
+/// ±16% between runs of unchanged code.) Every pair runs idle first, and
+/// a same-seed second run is a few percent faster, so the ratio reads the
+/// registry's cost low by that much. The assert fires only on full
+/// release runs — debug builds spend their time elsewhere entirely.
+fn registry_gate(samples: usize, assert_budget: bool) -> RegistryGate {
     let pairs = paired_e4(samples, |b| b.registry(Arc::new(Registry::new())));
-    let idle_min = pairs.iter().map(|p| p.0).min().unwrap_or(0);
-    let reg_min = pairs.iter().map(|p| p.1).min().unwrap_or(0);
-    let gate = assert_budget && !cfg!(debug_assertions);
-    if gate {
+    let mut ratios: Vec<f64> = pairs
+        .iter()
+        .map(|&(idle, reg)| reg as f64 / idle.max(1) as f64)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let median_ratio = ratios.get(ratios.len() / 2).copied().unwrap_or(1.0);
+    let gated = assert_budget && !cfg!(debug_assertions);
+    if gated {
         assert!(
-            (reg_min as f64) <= (idle_min as f64) * 1.05,
+            median_ratio <= 1.05,
             "E16: attaching the metrics registry exceeds the 5% budget \
-             (idle min {idle_min}ns vs registry min {reg_min}ns)"
+             (median registry/idle ratio {median_ratio:.3} over {samples} pairs)"
         );
     }
-    (idle_min, reg_min, gate)
+    RegistryGate {
+        idle_min: pairs.iter().map(|p| p.0).min().unwrap_or(0),
+        reg_min: pairs.iter().map(|p| p.1).min().unwrap_or(0),
+        median_ratio,
+        gated,
+    }
 }
 
 fn percentile_row(
@@ -439,7 +463,7 @@ pub fn run(quick: bool) -> Table {
     // Arm 4's wall-clock gate runs first: after the cluster arms the heap
     // and caches are hot with unrelated work and the same measurement
     // reads ~30% slower.
-    let (idle_min, reg_min, gated) = registry_gate(if quick { 5 } else { 15 }, !quick);
+    let gate = registry_gate(if quick { 5 } else { 15 }, !quick);
 
     // Arm 1: simulator stage breakdown + queue residency.
     let (sim_events, _snapshot) = sim_arm(commands_per_client, seed);
@@ -558,18 +582,21 @@ pub fn run(quick: bool) -> Table {
     table.push_row([
         "overhead".to_string(),
         "e4 n=4, paired".to_string(),
-        if gated {
-            "registry-attached min (<5%, asserted)".to_string()
+        if gate.gated {
+            "registry-attached median pair (<5%, asserted)".to_string()
         } else {
-            "registry-attached min (report-only)".to_string()
+            "registry-attached median pair (report-only)".to_string()
         },
         "—".to_string(),
         "—".to_string(),
         "—".to_string(),
         "—".to_string(),
         format!(
-            "{idle_min} vs {reg_min} ns ({:+.1}%)",
-            (reg_min as f64 / idle_min as f64 - 1.0) * 100.0
+            "median pair {:+.1}%; mins {} vs {} ns ({:+.1}%)",
+            (gate.median_ratio - 1.0) * 100.0,
+            gate.idle_min,
+            gate.reg_min,
+            (gate.reg_min as f64 / gate.idle_min as f64 - 1.0) * 100.0
         ),
     ]);
     table
@@ -602,8 +629,8 @@ mod tests {
     #[test]
     fn registry_gate_runs_paired() {
         // Debug build: measurement only, no wall-clock assert.
-        let (idle, reg, gated) = registry_gate(2, false);
-        assert!(idle > 0 && reg > 0 && !gated);
+        let gate = registry_gate(2, false);
+        assert!(gate.idle_min > 0 && gate.reg_min > 0 && gate.median_ratio > 0.0 && !gate.gated);
     }
 
     #[test]

@@ -77,9 +77,14 @@ use crate::Table;
 /// Sampling period of every cluster arm, in wall-clock milliseconds.
 const CLUSTER_PERIOD_MS: u64 = 10;
 
-/// Commands per client in the cluster fault arms, so the log still grows
-/// when the fault lands 8–10 ms in (8 per client drain in a few ms).
+/// Commands per client in every cluster arm, so the log still grows when
+/// a fault lands 8–10 ms in and a clean run spans several sampling periods
+/// (8 per client drain inside one period).
 const FAULT_ARM_COMMANDS: usize = 64;
+
+/// Fewest points a clean cluster replica's series may hold: with fewer,
+/// the aggregator replay has no interval to alarm from.
+const MIN_CLEAN_SAMPLES: usize = 3;
 
 /// Virtual tick at which every simulator fault window opens (mid-arrivals
 /// for the workloads E17 uses).
@@ -306,13 +311,20 @@ fn cluster_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> Cl
     }
 }
 
-/// Clean cluster arm at one size: node-local watchdogs silent, aggregator
-/// silent, RTT gauges present. Returns the largest count of points a
+/// Clean cluster arm at one size: every replica streamed at least
+/// [`MIN_CLEAN_SAMPLES`] points, node-local watchdogs silent, aggregator
+/// silent, RTT gauges present. Returns the fewest and the most points a
 /// replica's series retained.
-fn cluster_clean(n: usize, t: usize, seed: u64) -> u64 {
-    let spec = cluster_spec(n, t, 8, seed);
+fn cluster_clean(n: usize, t: usize, seed: u64) -> (usize, usize) {
+    let spec = cluster_spec(n, t, FAULT_ARM_COMMANDS, seed);
     let report = run_checked("E17 tcp-clean", &spec, Some(&ChurnPlan::new()));
     for r in &report.replicas {
+        assert!(
+            r.series.len() >= MIN_CLEAN_SAMPLES,
+            "E17 tcp-clean n={n}: replica {} streamed {} samples, want ≥ {MIN_CLEAN_SAMPLES}",
+            r.id,
+            r.series.len()
+        );
         let state = last_sample(r);
         assert_eq!(
             state.counter("watchdog.alarms").unwrap_or(0),
@@ -338,7 +350,8 @@ fn cluster_clean(n: usize, t: usize, seed: u64) -> u64 {
         "E17 tcp-clean n={n}: the replicas' series raised {alarms:?}"
     );
     let samples = report.replicas.iter().map(|r| r.series.len());
-    samples.max().unwrap_or(0) as u64
+    let min = samples.clone().min().unwrap_or(0);
+    (min, samples.max().unwrap_or(0))
 }
 
 /// Cluster partition arm: `PART` cuts the victim off mid-run, `HEAL`
@@ -492,7 +505,7 @@ pub fn run(quick: bool) -> Table {
         ]);
     }
     for &(n, t) in sizes {
-        let samples = cluster_clean(n, t, seed);
+        let (min, max) = cluster_clean(n, t, seed);
         table.push_row([
             "clean".to_string(),
             "tcp".to_string(),
@@ -501,7 +514,7 @@ pub fn run(quick: bool) -> Table {
             "none".to_string(),
             "—".to_string(),
             "—".to_string(),
-            format!("{samples} samples/replica max, local + aggregator silent"),
+            format!("{min}–{max} samples/replica, local + aggregator silent"),
         ]);
     }
 

@@ -623,8 +623,10 @@ where
 
 impl<M: Clone, O> SimCore<M, O> {
     /// Exports the dense [`Metrics`] into the attached registry (if any)
-    /// as `sim.*` gauges. Idempotent — values are overwritten, so calling
-    /// at the end of every `run_until` leaves the latest totals.
+    /// as `sim.*` gauges, and each link's delay EWMA as a `link.*` one
+    /// (per-kind counts stay in [`Metrics::kind_counts`]). Idempotent —
+    /// values are overwritten, so calling at the end of every `run_until`
+    /// leaves the latest totals.
     fn export_registry(&self) {
         let Some(registry) = &self.registry else {
             return;
@@ -641,11 +643,6 @@ impl<M: Clone, O> SimCore<M, O> {
             ("sim.last_event_ticks", m.last_event_time.ticks()),
         ] {
             registry.gauge(name).set(value);
-        }
-        for (kind, count) in m.kind_counts() {
-            if !kind.contains(char::is_whitespace) {
-                registry.gauge(&format!("sim.sent_kind.{kind}")).set(count);
-            }
         }
         let n = self.topology.n();
         for (idx, &ewma) in self.link_ewma.iter().enumerate() {

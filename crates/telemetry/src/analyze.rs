@@ -7,8 +7,7 @@ use std::collections::BTreeMap;
 use crate::trace::{TraceEvent, TraceKind};
 
 /// Exact nearest-rank percentiles over a raw sample set (the analyzer runs
-/// offline, so unlike the registry's log2 histograms it can afford to keep
-/// every sample).
+/// offline, so it can afford to keep every sample).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Percentiles {
     /// Sample size.
@@ -244,43 +243,6 @@ pub fn diff_breakdown(a: &[StageStats], b: &[StageStats]) -> Vec<String> {
     lines
 }
 
-/// Stages of `b` that regressed against baseline `a` by more than
-/// `pct` percent — the gate behind `minsync-trace`'s `--fail-on`.
-///
-/// A stage regresses when its p50 or p99 exceeds the baseline's by more
-/// than `pct`%; a stage whose baseline percentile is zero regresses on
-/// any positive reading (there is no finite ratio to compare against).
-/// Stages absent from either side, or observed by zero slots on the
-/// *new* side, never regress — a producer that stopped emitting a stage
-/// is a coverage change, not a latency one.
-pub fn breakdown_regressions(a: &[StageStats], b: &[StageStats], pct: f64) -> Vec<String> {
-    let mut lines = Vec::new();
-    for label in STAGE_LABELS {
-        let find = |set: &[StageStats]| set.iter().find(|s| s.stage == label).map(|s| s.latency);
-        let (Some(la), Some(lb)) = (find(a), find(b)) else {
-            continue;
-        };
-        if la.count == 0 || lb.count == 0 {
-            continue;
-        }
-        let worse = |base: u64, new: u64| {
-            if base == 0 {
-                new > 0
-            } else {
-                new as f64 > base as f64 * (1.0 + pct / 100.0)
-            }
-        };
-        for (which, base, new) in [("p50", la.p50, lb.p50), ("p99", la.p99, lb.p99)] {
-            if worse(base, new) {
-                lines.push(format!(
-                    "{label}: {which} regressed {base} → {new} (> {pct}% over baseline)"
-                ));
-            }
-        }
-    }
-    lines
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,43 +365,6 @@ mod tests {
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("propose→commit"));
         assert!(lines[0].contains("3.00×"));
-    }
-
-    #[test]
-    fn regressions_gate_on_p50_and_p99() {
-        let base = stage_breakdown(&slot_timelines(&[
-            stage(0, 0, TraceKind::Proposed { slot: 1 }),
-            stage(10, 0, TraceKind::Committed { slot: 1 }),
-        ]));
-        let slower = stage_breakdown(&slot_timelines(&[
-            stage(0, 0, TraceKind::Proposed { slot: 1 }),
-            stage(30, 0, TraceKind::Committed { slot: 1 }),
-        ]));
-        // 3× is a regression at 25% but not at 300%.
-        let hits = breakdown_regressions(&base, &slower, 25.0);
-        assert_eq!(hits.len(), 2, "p50 and p99 both tripled: {hits:?}");
-        assert!(hits[0].contains("propose→commit"));
-        assert!(breakdown_regressions(&base, &slower, 300.0).is_empty());
-        // Unchanged and improved runs never trip.
-        assert!(breakdown_regressions(&base, &base, 0.0).is_empty());
-        assert!(breakdown_regressions(&slower, &base, 25.0).is_empty());
-    }
-
-    #[test]
-    fn regressions_treat_zero_baseline_as_any_positive() {
-        // Proposed and committed at the same tick: baseline latency 0.
-        let base = stage_breakdown(&slot_timelines(&[
-            stage(5, 0, TraceKind::Proposed { slot: 1 }),
-            stage(5, 0, TraceKind::Committed { slot: 1 }),
-        ]));
-        let nonzero = stage_breakdown(&slot_timelines(&[
-            stage(5, 0, TraceKind::Proposed { slot: 1 }),
-            stage(6, 0, TraceKind::Committed { slot: 1 }),
-        ]));
-        assert!(!breakdown_regressions(&base, &nonzero, 1000.0).is_empty());
-        // A stage that vanished from the new side is coverage, not latency.
-        let empty = stage_breakdown(&slot_timelines(&[]));
-        assert!(breakdown_regressions(&base, &empty, 0.0).is_empty());
     }
 
     #[test]

@@ -1,36 +1,28 @@
 //! `minsync-trace`: inspect and diff structured trace dumps.
 //!
 //! ```text
-//! minsync-trace <dump.jsonl> [--top K]        stage breakdown, slowest slots,
-//!                                             queue residency, codec timing
-//! minsync-trace <a.jsonl> <b.jsonl> [--top K] [--fail-on PCT]
-//!                                             diff two dumps (a = baseline)
+//! minsync-trace <dump.jsonl> [--top K]         stage breakdown, slowest slots,
+//!                                              queue residency, codec timing
+//! minsync-trace <a.jsonl> <b.jsonl> [--top K]  diff two dumps (a = baseline)
 //! ```
-//!
-//! `--fail-on PCT` turns the diff into a gate: exit code 2 if any stage's
-//! p50 or p99 regressed more than `PCT` percent against the baseline.
-//! Without the flag the diff stays informational (exit 0), as before.
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
 use minsync_telemetry::analyze::{
-    breakdown_regressions, codec_timing, diff_breakdown, queue_residency, slot_timelines,
-    slowest_slots, stage_breakdown,
+    codec_timing, diff_breakdown, queue_residency, slot_timelines, slowest_slots, stage_breakdown,
 };
 use minsync_telemetry::trace::{parse_dump, queues, TraceDump};
 
 struct Args {
     dumps: Vec<String>,
     top: usize,
-    fail_on: Option<f64>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut dumps = Vec::new();
     let mut top = 5usize;
-    let mut fail_on = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -40,24 +32,8 @@ fn parse_args() -> Result<Args, String> {
                 top = v.parse().map_err(|_| format!("bad --top value {v:?}"))?;
                 i += 2;
             }
-            "--fail-on" => {
-                let v = argv.get(i + 1).ok_or("--fail-on needs a percentage")?;
-                let pct: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --fail-on value {v:?}"))?;
-                if !pct.is_finite() || pct < 0.0 {
-                    return Err(format!(
-                        "--fail-on wants a non-negative percentage, got {v}"
-                    ));
-                }
-                fail_on = Some(pct);
-                i += 2;
-            }
             "--help" | "-h" => {
-                return Err(
-                    "usage: minsync-trace <dump.jsonl> [<other.jsonl>] [--top K] [--fail-on PCT]"
-                        .into(),
-                );
+                return Err("usage: minsync-trace <dump.jsonl> [<other.jsonl>] [--top K]".into());
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             path => {
@@ -69,14 +45,7 @@ fn parse_args() -> Result<Args, String> {
     if dumps.is_empty() || dumps.len() > 2 {
         return Err("expected one dump to inspect or two to diff".into());
     }
-    if fail_on.is_some() && dumps.len() != 2 {
-        return Err("--fail-on needs two dumps to diff".into());
-    }
-    Ok(Args {
-        dumps,
-        top,
-        fail_on,
-    })
+    Ok(Args { dumps, top })
 }
 
 fn load(path: &str) -> Result<TraceDump, String> {
@@ -219,19 +188,6 @@ fn main() -> ExitCode {
             print_report(&args.dumps[1], b, args.top);
             println!();
             print_diff(&args.dumps[0], a, &args.dumps[1], b);
-            if let Some(pct) = args.fail_on {
-                let ba = stage_breakdown(&slot_timelines(&a.events));
-                let bb = stage_breakdown(&slot_timelines(&b.events));
-                let regressions = breakdown_regressions(&ba, &bb, pct);
-                if !regressions.is_empty() {
-                    eprintln!("\nstage regressions beyond --fail-on {pct}%:");
-                    for line in &regressions {
-                        eprintln!("  {line}");
-                    }
-                    return ExitCode::from(2);
-                }
-                println!("\nno stage regressed beyond {pct}%");
-            }
         }
         _ => unreachable!(),
     }

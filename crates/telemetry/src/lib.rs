@@ -3,7 +3,7 @@
 //! Three pieces, shared by all three substrates (deterministic simulator,
 //! threaded runtime, TCP cluster):
 //!
-//! - [`Registry`]: interned counter / gauge / log2-histogram handles with a
+//! - [`Registry`]: interned counter and gauge handles with a
 //!   self-describing text [`Snapshot`] format (`STAT v1` … `END STAT`) that
 //!   survives a stdout control pipe and round-trips through
 //!   [`Snapshot::parse`]. No floats and no allocation on the hot path —
@@ -44,8 +44,7 @@ pub use analyze::{
     stage_samples, Percentiles, SlotTimeline, StageStats, STAGE_LABELS,
 };
 pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, Snapshot, HIST_BUCKETS,
-    SNAPSHOT_FOOTER, SNAPSHOT_HEADER,
+    Counter, Gauge, MetricValue, Registry, Snapshot, SNAPSHOT_FOOTER, SNAPSHOT_HEADER,
 };
 pub use timeseries::{SeriesPoint, TimeSeries};
 pub use trace::{

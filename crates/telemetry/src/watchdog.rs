@@ -99,11 +99,6 @@ impl AlarmClass {
         }
     }
 
-    /// Inverse of [`AlarmClass::code`].
-    pub fn from_code(code: u32) -> Option<Self> {
-        AlarmClass::ALL.into_iter().find(|c| c.code() == code)
-    }
-
     /// Stable text label (used in `watchdog.alarms.<label>` counters).
     pub fn label(self) -> &'static str {
         match self {
@@ -682,15 +677,6 @@ mod tests {
             }
         );
         assert_eq!(events[0].at, 6);
-    }
-
-    #[test]
-    fn class_codes_roundtrip() {
-        for class in AlarmClass::ALL {
-            assert_eq!(AlarmClass::from_code(class.code()), Some(class));
-        }
-        assert_eq!(AlarmClass::from_code(0), None);
-        assert_eq!(AlarmClass::from_code(99), None);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Property tests for the log2 histogram, the bounded trace ring, and the
-//! `STAT v1` snapshot codec (final reports and live samples alike).
+//! Property tests for the bounded trace ring and the `STAT v1` snapshot
+//! codec (final reports and live samples alike).
 
 use proptest::prelude::*;
 
-use minsync_telemetry::registry::{bucket_ceil, bucket_floor, bucket_of, Histogram, HIST_BUCKETS};
 use minsync_telemetry::trace::{TraceEvent, TraceKind, TraceRecorder};
 use minsync_telemetry::Snapshot;
 
@@ -30,80 +29,6 @@ fn hostile_text() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    /// Every value lands in a bucket whose [floor, ceil] range contains it,
-    /// and bucket edges partition the u64 line without gaps or overlaps.
-    #[test]
-    fn histogram_bucket_boundaries_contain_their_values(v in any::<u64>()) {
-        let b = bucket_of(v);
-        prop_assert!(b < HIST_BUCKETS);
-        prop_assert!(bucket_floor(b) <= v);
-        prop_assert!(v <= bucket_ceil(b));
-        if b + 1 < HIST_BUCKETS {
-            prop_assert_eq!(bucket_ceil(b).saturating_add(1), bucket_floor(b + 1));
-        }
-    }
-
-    /// count tracks the number of records exactly, the sum saturates
-    /// instead of wrapping, and the bucket totals account for every sample.
-    #[test]
-    fn histogram_counts_and_sum_saturate(samples in proptest::collection::vec(any::<u64>(), 0..64)) {
-        let h = Histogram::detached();
-        for &v in &samples {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        prop_assert_eq!(s.count, samples.len() as u64);
-        let expected: u64 = samples
-            .iter()
-            .fold(0u64, |acc, &v| acc.saturating_add(v));
-        prop_assert_eq!(s.sum, expected);
-        prop_assert_eq!(s.buckets.iter().sum::<u64>(), samples.len() as u64);
-        for &v in &samples {
-            prop_assert!(s.buckets[bucket_of(v)] > 0);
-        }
-    }
-
-    /// Merging two snapshots equals recording both sample sets into one
-    /// histogram.
-    #[test]
-    fn histogram_merge_matches_combined_recording(
-        xs in proptest::collection::vec(any::<u64>(), 0..32),
-        ys in proptest::collection::vec(any::<u64>(), 0..32),
-    ) {
-        let (a, b, both) = (Histogram::detached(), Histogram::detached(), Histogram::detached());
-        for &v in &xs {
-            a.record(v);
-            both.record(v);
-        }
-        for &v in &ys {
-            b.record(v);
-            both.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        prop_assert_eq!(merged, both.snapshot());
-    }
-
-    /// Percentiles are monotone in p and bounded by the extreme buckets.
-    #[test]
-    fn histogram_percentiles_are_monotone(
-        samples in proptest::collection::vec(any::<u64>(), 1..64),
-        p in 0u64..=100,
-        q in 0u64..=100,
-    ) {
-        let h = Histogram::detached();
-        for &v in &samples {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        let (lo, hi) = (p.min(q) as f64, p.max(q) as f64);
-        prop_assert!(s.percentile(lo) <= s.percentile(hi));
-        let min_b = samples.iter().map(|&v| bucket_of(v)).min().unwrap();
-        let max_b = samples.iter().map(|&v| bucket_of(v)).max().unwrap();
-        prop_assert!(s.percentile(0.0) >= bucket_ceil(min_b).min(bucket_floor(min_b)));
-        prop_assert!(s.percentile(100.0) == bucket_ceil(max_b));
-    }
-
     /// The ring retains exactly the newest `capacity` events in order, and
     /// the drop counter equals the number of evicted events.
     #[test]

@@ -1347,7 +1347,8 @@ mod tests {
     }
 
     /// Control lines a hostile or broken child might print: fragments of
-    /// real samples, a histogram bucket out of range, and arbitrary text.
+    /// real samples, lines under a tag the format does not have, and
+    /// arbitrary text.
     fn hostile_line() -> impl Strategy<Value = String> {
         const FRAGMENTS: [&str; 9] = [
             "SAMPLE 5",

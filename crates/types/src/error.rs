@@ -28,15 +28,6 @@ pub enum ConfigError {
         /// Claimed fault tolerance.
         t: usize,
     },
-    /// The m-valued feasibility predicate `n − t > m·t` is violated.
-    Feasibility {
-        /// Number of processes.
-        n: usize,
-        /// Fault tolerance.
-        t: usize,
-        /// Number of distinct proposable values.
-        m: usize,
-    },
     /// The tuning parameter `k` of Section 5.4 is outside `0 ..= t`.
     TuningParameter {
         /// Requested `k`.
@@ -81,10 +72,6 @@ impl fmt::Display for ConfigError {
             ConfigError::Resilience { n, t } => {
                 write!(f, "resilience bound t < n/3 violated: n = {n}, t = {t}")
             }
-            ConfigError::Feasibility { n, t, m } => write!(
-                f,
-                "m-valued feasibility n − t > m·t violated: n = {n}, t = {t}, m = {m}"
-            ),
             ConfigError::TuningParameter { k, t } => {
                 write!(
                     f,
