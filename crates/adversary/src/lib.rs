@@ -25,15 +25,9 @@
 //!   sender identities at the byte level, probing the assumption the others
 //!   take for granted (an authenticated transport must sever it);
 //! * [`oracles`] — delay oracles that stretch the channels the model leaves
-//!   asynchronous as adversarially as the model allows;
-//! * [`churn`] — time-windowed dynamic faults (partitions that heal,
-//!   isolation that models crash/restart, rotating-GST schedules, adaptive
-//!   targeting), driving the liveness-under-churn scenarios of experiment
-//!   E13.
-//!
-//! Both network adversaries are
-//! [`ScheduleOracle`](minsync_net::sim::ScheduleOracle)s, the simulator's one
-//! seam for scheduling the network.
+//!   asynchronous as adversarially as the model allows. Each is a
+//!   [`ScheduleOracle`](minsync_net::sim::ScheduleOracle), the simulator's
+//!   one seam for scheduling the network.
 //!
 //! With one flagged exception ([`impersonate`]), everything here is
 //! *model-legal*: safety properties of the protocols must hold against any
@@ -43,7 +37,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod churn;
 mod filter;
 mod flood;
 pub mod impersonate;
@@ -53,7 +46,6 @@ mod random_node;
 mod replay;
 mod silent;
 
-pub use churn::{ChurnOracle, ChurnWindow, Disruption};
 pub use filter::FilterNode;
 pub use flood::FloodNode;
 pub use impersonate::{CaptureHandle, CaptureNode};

@@ -4,12 +4,13 @@
 //!
 //! The paper's liveness argument is conditional: consensus terminates once
 //! the network holds a timely bisource for long enough. E13 probes the
-//! *recovery* side of that claim — disrupt the network for a declared
-//! window, then measure how far past a clean baseline the system needs to
-//! drain the same workload, asserting the overshoot is bounded and the
-//! committed logs stay identical.
+//! *recovery* side of that claim — disrupt the network, then measure how
+//! far past a clean baseline the system needs to drain the same workload,
+//! asserting the overshoot is bounded and the committed logs stay
+//! identical.
 //!
-//! Four disruption families, each on two substrates:
+//! Four disruption families, each written once as a [`ChurnPlan`] and run
+//! on two substrates:
 //!
 //! * **partition+heal** — a minority side is cut off, then the cut closes;
 //! * **crash+rejoin** — one replica vanishes mid-log and comes back
@@ -19,39 +20,42 @@
 //! * **moving GST** — single-process isolation rotates over the whole
 //!   system, so no round interval has a stable bisource until the
 //!   rotation ends;
-//! * **adaptive champion** — drops exactly the `EA_COORD` messages, i.e.
-//!   whatever process is the current round's coordinator is muted the
-//!   moment it champions a value. Message-content targeting needs the
-//!   simulator's schedule seam; the cluster approximates it by pulsing a
-//!   partition around the round-robin schedule's first coordinator
-//!   (`PART`/`HEAL` over the control pipe cannot see rounds).
+//! * **adaptive champion** — the simulator drops exactly the `EA_COORD`
+//!   messages, i.e. whatever process is the current round's coordinator
+//!   is muted the moment it champions a value. Message-content targeting
+//!   needs the simulator's schedule seam; the cluster approximates it by
+//!   pulsing a partition around the round-robin schedule's first
+//!   coordinator (`PART`/`HEAL` over the control pipe cannot see rounds).
+//!   Both open and close on the same plan steps.
 //!
-//! Simulator runs are virtual-time-deterministic ([`ChurnOracle`] windows
-//! over a seeded simulation); cluster runs are real `minsync-node`
-//! processes on 127.0.0.1 driven by a [`ChurnPlan`], where a partition
-//! really loses frames (blocked at the fault switch, never replayed), so
-//! recovery leans on the `ckpt_retry` repair path the node binary enables.
-//! The suite's `run_checked` also asserts that every partitioning plan
-//! dropped frames (the `dropped` column): a late cut measures nothing.
+//! Every plan opens on commit progress, not at a clock time: once an
+//! observer it leaves connected has committed `OPEN_SLOT`, so the fault
+//! lands mid-log however fast the protocol runs. Its later steps are
+//! spaced in ticks. Simulator runs are virtual-time-deterministic (a
+//! `PlanOracle` over a seeded simulation); cluster runs are real
+//! `minsync-node` processes on 127.0.0.1, where a partition really loses
+//! frames (blocked at the fault switch, never replayed), so recovery
+//! leans on the `ckpt_retry` repair path the node binary enables. A step
+//! that never fires fails the run on either substrate, and the suite's
+//! `run_checked` also asserts that every partitioning plan dropped frames
+//! (the `dropped` column).
 
-use std::time::Duration;
-
-use minsync_adversary::ChurnOracle;
 use minsync_core::ProtocolMsg;
 use minsync_smr::SmrMsg;
-use minsync_transport::cluster::{ChurnAction, ChurnPlan};
-use minsync_types::{ProcessId, SystemConfig};
+use minsync_transport::cluster::{ChurnAction, ChurnPlan, Trigger};
+use minsync_types::SystemConfig;
 use minsync_workload::Batch;
 
-use super::{churn_sim, churn_spec, run_checked, slowest};
+use super::{churn_sim, churn_spec, run_checked, slowest, PlanOracle};
 use crate::Table;
 
 type Msg = SmrMsg<Batch>;
 
-/// Recovery bound, in ticks past `baseline + window span`, asserted on
-/// every simulator case: covers the round timeouts that grew while the
-/// window was open (Figure 3's `timer[r] = r`, one tick per round) plus
-/// the checkpoint push cadence over the recovered tail.
+/// Recovery bound, in ticks past `baseline + the tick the plan closed`
+/// (its last step fired), asserted on every simulator case: covers the
+/// round timeouts that grew while the plan was open (Figure 3's
+/// `timer[r] = r`, one tick per round) plus the checkpoint push cadence
+/// over the recovered tail.
 const RECOVERY_SLACK: u64 = 20_000;
 
 /// The four disruption families.
@@ -81,79 +85,69 @@ impl Scenario {
     }
 }
 
-/// Simulator-side churn windows for one scenario. All windows open at tick
-/// 100 (mid-arrivals for every workload size E13 uses) and close by tick
-/// 700, so every case shares the "disrupt, then heal" shape the recovery
-/// bound is measured against.
-fn sim_oracle(scenario: Scenario, n: usize) -> ChurnOracle<Msg> {
-    let victim = ProcessId::new(n - 1);
-    match scenario {
-        Scenario::PartitionHeal => ChurnOracle::new().partition(100, 600, vec![victim]),
-        Scenario::CrashRejoin => ChurnOracle::new().isolate(100, 600, victim),
-        Scenario::MovingGst => ChurnOracle::new().rotating_isolation(n, 100, 600 / n as u64),
-        Scenario::AdaptiveChampion => ChurnOracle::new().targeted(100, 600, |_, _, msg: &Msg| {
-            matches!(
-                msg,
-                SmrMsg::Slot {
-                    msg: ProtocolMsg::EaCoord { .. },
-                    ..
-                }
-            )
-        }),
-    }
-}
+/// Slot whose commit opens every plan, at an observer the opening step
+/// leaves connected. Under the paper's rules a simulator slot takes 48
+/// ticks, so the plans open at tick 96.
+const OPEN_SLOT: u64 = 2;
 
-/// Last tick at which any simulator window is still open.
-fn sim_window_end(scenario: Scenario, n: usize) -> u64 {
-    match scenario {
-        Scenario::MovingGst => 100 + (600 / n as u64) * n as u64,
-        _ => 600,
-    }
-}
+/// Ticks a partition or a crash stays open (100 ms at the cluster's
+/// 200 µs tick).
+const WINDOW: u32 = 500;
 
-/// Commands per client on the cluster: still committing when the first
-/// disruption lands ≈ 10 ms in (the simulator's 8–20 drain in a few ms),
-/// and inside the flow-control window a rejoiner starts with.
-const CLUSTER_COMMANDS_PER_CLIENT: usize = 48;
+/// Ticks of one moving-GST turn, and of one champion pulse or the gap
+/// between two: short enough that every step fires while the log still
+/// grows on both substrates.
+const SPAN: u32 = 50;
 
-/// Cluster-side churn plan for one scenario. Step offsets are wall-clock
-/// milliseconds from the moment every child holds the peer list, and they
-/// are deliberately *early* (first disruption ≈ 10 ms in): a late
-/// disruption would fire into an already-finished run and measure
-/// nothing. The laggard each plan creates cannot report until its heal
-/// (or restart) step fires, which keeps the orchestrator loop alive
-/// through the whole plan.
-fn cluster_plan(scenario: Scenario, n: usize) -> ChurnPlan {
-    let ms = Duration::from_millis;
+/// Commands per client on the cluster: 48 slots or more, which outlast
+/// every plan and stay inside the flow-control window a rejoiner starts
+/// with.
+const CLUSTER_COMMANDS_PER_CLIENT: usize = 96;
+
+/// The one churn plan for `scenario` at size `n`, run by the simulator
+/// and the cluster alike. Every plan opens when an uncut observer has
+/// committed [`OPEN_SLOT`]; a replica it cuts off cannot drain while cut,
+/// which keeps the run alive until the next step.
+fn plan(scenario: Scenario, n: usize) -> ChurnPlan {
     let victim = n - 1;
+    let slot = OPEN_SLOT;
+    let open = |replica| Trigger::Floor { replica, slot };
+    let cut = |p| ChurnAction::Partition { side: vec![p] };
     match scenario {
         Scenario::PartitionHeal => ChurnPlan::new()
-            .step(ms(10), ChurnAction::Partition { side: vec![victim] })
-            .step(ms(150), ChurnAction::Heal),
+            .step(open(0), cut(victim))
+            .step(Trigger::Ticks(WINDOW), ChurnAction::Heal),
         Scenario::CrashRejoin => ChurnPlan::new()
-            .step(ms(15), ChurnAction::Kill { id: victim })
-            .step(ms(120), ChurnAction::Restart { id: victim }),
+            .step(open(0), ChurnAction::Kill { id: victim })
+            .step(Trigger::Ticks(WINDOW), ChurnAction::Restart { id: victim }),
         Scenario::MovingGst => {
             // The isolated singleton rotates over the whole system: each
-            // `Partition` replaces the previous blocked set wholesale.
-            let mut plan = ChurnPlan::new();
-            for p in 0..n {
-                plan = plan.step(
-                    ms(10 + 40 * p as u64),
-                    ChurnAction::Partition { side: vec![p] },
-                );
+            // `Partition` replaces the previous cut wholesale.
+            let span = Trigger::Ticks(SPAN);
+            let mut plan = ChurnPlan::new().step(open(victim), cut(0));
+            for p in 1..n {
+                plan = plan.step(span, cut(p));
             }
-            plan.step(ms(10 + 40 * n as u64), ChurnAction::Heal)
+            plan.step(span, ChurnAction::Heal)
         }
-        Scenario::AdaptiveChampion => ChurnPlan::new()
-            // Round-robin schedules start at process 0: pulse a partition
-            // around it (see the module docs on why the cluster can only
-            // approximate message-level targeting).
-            .step(ms(10), ChurnAction::Partition { side: vec![0] })
-            .step(ms(60), ChurnAction::Heal)
-            .step(ms(110), ChurnAction::Partition { side: vec![0] })
-            .step(ms(160), ChurnAction::Heal),
+        // Round-robin schedules start at process 0: on the cluster the
+        // pulses cut it off; the simulator drops `EA_COORD` instead.
+        Scenario::AdaptiveChampion => {
+            let pulse = Trigger::Ticks(SPAN);
+            ChurnPlan::new()
+                .step(open(victim), cut(0))
+                .step(pulse, ChurnAction::Heal)
+                .step(pulse, cut(0))
+                .step(pulse, ChurnAction::Heal)
+        }
     }
+}
+
+/// Adaptive champion's simulator target: the message that champions a
+/// value.
+fn is_ea_coord(msg: &Msg) -> bool {
+    let coord = |m: &ProtocolMsg<_>| matches!(m, ProtocolMsg::EaCoord { .. });
+    matches!(msg, SmrMsg::Slot { msg, .. } if coord(msg))
 }
 
 /// Runs E13.
@@ -177,22 +171,28 @@ pub fn run(quick: bool) -> Table {
         ],
     );
     let sizes: &[(usize, usize)] = if quick { &[(4, 1)] } else { &[(4, 1), (7, 2)] };
-    let commands_per_client = if quick { 8 } else { 20 };
+    let commands_per_client = if quick { 16 } else { 24 };
     let seed = 13;
 
     for &(n, t) in sizes {
         let total = 2 * commands_per_client;
         // Simulator: one clean baseline per size, then every scenario.
         let system = SystemConfig::new(n, t).expect("valid system");
-        let sim = |label: &str, oracle| {
+        let sim = |label: &str, plan| {
             let case = format!("E13 {label} n={n} seed={seed}");
-            churn_sim(&case, system, seed, commands_per_client, oracle, n, None).0
+            churn_sim(&case, system, seed, commands_per_client, plan, n, None)
         };
-        let base_ticks = sim("baseline", None).final_time.ticks();
+        let base_ticks = sim("baseline", PlanOracle::default()).0.final_time.ticks();
         for scenario in Scenario::ALL {
-            let churned = sim(scenario.label(), Some(sim_oracle(scenario, n)));
+            // Adaptive champion targets the message that champions a value.
+            let content = (scenario == Scenario::AdaptiveChampion).then_some(is_ea_coord as _);
+            let oracle = PlanOracle {
+                content,
+                ..PlanOracle::new(&plan(scenario, n))
+            };
+            let (churned, _, fired) = sim(scenario.label(), oracle);
             let ticks = churned.final_time.ticks();
-            let bound = base_ticks + sim_window_end(scenario, n) + RECOVERY_SLACK;
+            let bound = base_ticks + fired[fired.len() - 1] + RECOVERY_SLACK;
             assert!(
                 ticks <= bound,
                 "E13 {} n={n}: drained at tick {ticks}, past the recovery bound {bound}",
@@ -217,7 +217,7 @@ pub fn run(quick: bool) -> Table {
         let base = run_checked("E13 baseline", &spec, Some(&ChurnPlan::new()));
         let base_ms = slowest(&base).wall.as_secs_f64() * 1000.0;
         for scenario in Scenario::ALL {
-            let plan = cluster_plan(scenario, n);
+            let plan = plan(scenario, n);
             let report = run_checked(&format!("E13 {}", scenario.label()), &spec, Some(&plan));
             let wall = slowest(&report).wall.as_secs_f64() * 1000.0;
             let dropped = report.sum_counters("mesh.outbound_dropped.");
@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn moving_gst_plan_rotates_then_heals() {
-        let plan = cluster_plan(Scenario::MovingGst, 4);
+        let plan = plan(Scenario::MovingGst, 4);
         assert_eq!(plan.steps.len(), 5, "four rotations and a heal");
         assert!(matches!(plan.steps[4].action, ChurnAction::Heal));
     }
@@ -261,12 +261,23 @@ mod tests {
         // matrix runs through `run` (exercised by the suite-level test and
         // the experiments binary).
         let system = SystemConfig::new(4, 1).expect("valid system");
-        let (base, _) = churn_sim("E13 baseline", system, 13, 8, None, 4, None);
-        let oracle = Some(sim_oracle(Scenario::PartitionHeal, 4));
-        let (churned, _) = churn_sim("E13 partition+heal", system, 13, 8, oracle, 4, None);
+        let run = |label, plan| churn_sim(label, system, 13, 8, plan, 4, None);
+        let (base, ..) = run("E13 baseline", PlanOracle::default());
+        let partition = PlanOracle::new(&plan(Scenario::PartitionHeal, 4));
+        let (churned, _, fired) = run("E13 partition+heal", partition);
         let (base, ticks) = (base.final_time.ticks(), churned.final_time.ticks());
         let suppressed = churned.metrics.messages_suppressed;
         assert!(suppressed > 0, "the window must actually drop traffic");
-        assert!(ticks <= base + 600 + RECOVERY_SLACK);
+        assert!(ticks <= base + fired[1] + RECOVERY_SLACK);
+    }
+
+    #[test]
+    #[should_panic(expected = "never fired before the drain")]
+    fn a_plan_keyed_past_the_workload_fails_loudly() {
+        let system = SystemConfig::new(4, 1).expect("valid system");
+        let (replica, slot) = (0, 1_000);
+        let late = Trigger::Floor { replica, slot };
+        let late = ChurnPlan::new().step(late, ChurnAction::Partition { side: vec![3] });
+        churn_sim("E13 late", system, 13, 8, PlanOracle::new(&late), 4, None);
     }
 }

@@ -68,6 +68,10 @@ use crate::Table;
 type Msg = SmrMsg<Batch>;
 type Out = SmrEvent<Batch>;
 
+/// Commands per client of the TCP cluster arms in both modes, and of every
+/// full-mode arm.
+const CLUSTER_COMMANDS: usize = 24;
+
 /// Where E16 leaves its trace dumps (`target/e16/` at the workspace root),
 /// so a failed assertion can be replayed through `minsync-trace` by hand.
 fn dump_dir() -> PathBuf {
@@ -457,7 +461,7 @@ pub fn run(quick: bool) -> Table {
             "case", "detail", "stage", "count", "p50", "p95", "p99", "max",
         ],
     );
-    let commands_per_client = if quick { 8 } else { 24 };
+    let commands_per_client = if quick { 8 } else { CLUSTER_COMMANDS };
     let seed = 1;
 
     // Arm 4's wall-clock gate runs first: after the cluster arms the heap
@@ -513,8 +517,10 @@ pub fn run(quick: bool) -> Table {
     ]);
 
     // Arm 3: TCP cluster stage breakdown, pipelined vs serialized window.
-    let pipelined = cluster_arm(None, commands_per_client, "w64");
-    let serialized = cluster_arm(Some(1), commands_per_client, "w1");
+    // Full size in both modes: at 8 commands per client replica 0 read
+    // 1–6 eager proposals, so a 0 was inside the normal spread.
+    let pipelined = cluster_arm(None, CLUSTER_COMMANDS, "w64");
+    let serialized = cluster_arm(Some(1), CLUSTER_COMMANDS, "w1");
     push_stage_rows(
         &mut table,
         "tcp-stages",

@@ -19,9 +19,11 @@
 //! 2. **Does each fault class trip the matching alarm, and how fast?**
 //!    Faults are injected through the machinery earlier PRs built, never
 //!    through test-only seams:
-//!    * a [`ChurnOracle`] partition (sim) and a control-pipe `PART`
-//!      (cluster) freeze the victim's commit floor → **Stall**, detected
-//!      within `horizon + O(sampling period)` of the cut;
+//!    * a [`ChurnPlan`] partition (sim: dropped at the schedule seam;
+//!      cluster: a control-pipe `PART`) freezes the victim's commit floor
+//!      → **Stall**, detected within `horizon + O(sampling period)` of the
+//!      cut. The cut fires once the victim itself has committed a slot,
+//!      so its floor's last advance never precedes the cut;
 //!    * a crash (sim: permanent isolation; cluster: SIGKILL of the silent
 //!      rider, no restart) → **Stall** from the victim's flat floor on the
 //!      simulator, **QueueSaturation** on the cluster as the survivors'
@@ -58,37 +60,35 @@
 //! replica must have streamed a series.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use minsync_adversary::ChurnOracle;
 use minsync_conformance::semantic_decisions;
 use minsync_core::SeededMutation;
 use minsync_telemetry::timeseries::TimeSeries;
 use minsync_telemetry::watchdog::{Alarm, AlarmClass, Watchdog, WatchdogConfig};
 use minsync_telemetry::{watch_name, Registry, Snapshot};
 use minsync_transport::cluster::{
-    Behavior, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec, ReplicaStats,
+    Behavior, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec, ReplicaStats, Trigger,
 };
 use minsync_types::{check, ProcessId, SystemConfig};
 
-use super::{churn_sim, churn_spec, run_checked, ticks_ms, SIM_PERIOD};
+use super::{
+    churn_sim, churn_spec, run_checked, ticks_ms, PlanOracle, CLUSTER_PERIOD_MS, SIM_PERIOD,
+};
 use crate::Table;
 
-/// Sampling period of every cluster arm, in wall-clock milliseconds.
-const CLUSTER_PERIOD_MS: u64 = 10;
-
-/// Commands per client in every cluster arm, so the log still grows when
-/// a fault lands 8–10 ms in and a clean run spans several sampling periods
-/// (8 per client drain inside one period).
+/// Commands per client in every cluster arm, so a clean run spans several
+/// sampling periods (8 per client drain inside one period) and the log
+/// still grows well past [`CUT_SLOT`].
 const FAULT_ARM_COMMANDS: usize = 64;
+
+/// Slot at whose commit every fault arm cuts: a partition or crash fires
+/// once its victim has committed it (the cluster's silent rider commits
+/// nothing, so replica 0 observes its kill).
+const CUT_SLOT: u64 = 2;
 
 /// Fewest points a clean cluster replica's series may hold: with fewer,
 /// the aggregator replay has no interval to alarm from.
 const MIN_CLEAN_SAMPLES: usize = 3;
-
-/// Virtual tick at which every simulator fault window opens (mid-arrivals
-/// for the workloads E17 uses).
-const FAULT_AT: u64 = 100;
 
 /// Aggregator thresholds for *clean* arms: horizons wide enough that
 /// honest inter-commit gaps and the post-drain sampling tail never trip,
@@ -163,9 +163,12 @@ fn expect_only(case: &str, alarms: &[Alarm], expected: AlarmClass) -> Alarm {
 fn sim_clean(n: usize, t: usize, seed: u64, commands_per_client: usize) -> (u64, u64, u64) {
     let system = SystemConfig::new(n, t).expect("valid system");
     let case = format!("E17 sim-clean n={n}");
-    let plane = Some(Arc::new(Registry::new()));
-    let (sampled, series) = churn_sim(&case, system, seed, commands_per_client, None, n, plane);
-    let (bare, _) = churn_sim(&case, system, seed, commands_per_client, None, n, None);
+    let run = |plane| {
+        let plan = PlanOracle::default();
+        churn_sim(&case, system, seed, commands_per_client, plan, n, plane)
+    };
+    let (sampled, series, _) = run(Some(Arc::new(Registry::new())));
+    let (bare, ..) = run(None);
     let final_ticks = sampled.final_time.ticks();
     assert_eq!(
         (final_ticks, sampled.metrics.messages_sent),
@@ -185,6 +188,11 @@ fn sim_clean(n: usize, t: usize, seed: u64, commands_per_client: usize) -> (u64,
             .any(|(name, _)| name.starts_with("link.rtt_ewma.")),
         "{case}: no link RTT gauge in the series"
     );
+    let self_link = |p| format!("link.rtt_ewma.p{p}.p{p}");
+    assert!(
+        (0..n).all(|p| state.gauge(&self_link(p)).is_none()),
+        "{case}: a self-delivery was exported as a link"
+    );
     (
         series.len() as u64,
         final_ticks,
@@ -193,10 +201,10 @@ fn sim_clean(n: usize, t: usize, seed: u64, commands_per_client: usize) -> (u64,
 }
 
 /// The two simulator stall arms: a healed partition and a permanent crash
-/// (total isolation), both freezing the victim's commit floor.
+/// (total isolation), both cutting the victim off once it has committed
+/// [`CUT_SLOT`] and freezing its commit floor.
 ///
-/// Returns `(first victim alarm tick, detection latency in ticks,
-/// horizon)`.
+/// Returns `(cut tick, first victim alarm tick, horizon)`.
 fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
     let victim = n - 1;
     let commands = 16;
@@ -204,22 +212,23 @@ fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
     // work in flight (the series ends when the drain predicate fires).
     let horizon = 200;
     let case = if crash { "sim-crash" } else { "sim-partition" };
+    let (replica, slot) = (victim, CUT_SLOT);
+    let cut = Trigger::Floor { replica, slot };
     // The victim holds the top id, so the survivors are `0..victim`.
-    let (oracle, awaited) = if crash {
-        (
-            ChurnOracle::new().isolate(FAULT_AT, u64::MAX, ProcessId::new(victim)),
-            victim,
-        )
+    let (plan, awaited) = if crash {
+        let plan = ChurnPlan::new().step(cut, ChurnAction::Kill { id: victim });
+        (plan, victim)
     } else {
-        (
-            ChurnOracle::new().partition(FAULT_AT, 2_000, vec![ProcessId::new(victim)]),
-            n,
-        )
+        let plan = ChurnPlan::new()
+            .step(cut, ChurnAction::Partition { side: vec![victim] })
+            .step(Trigger::Ticks(1_900), ChurnAction::Heal);
+        (plan, n)
     };
     let system = SystemConfig::new(n, t).expect("valid system");
     let plane = Some(Arc::new(Registry::new()));
     let label = format!("E17 {case}");
-    let (_, series) = churn_sim(&label, system, seed, commands, Some(oracle), awaited, plane);
+    let plan = PlanOracle::new(&plan);
+    let (_, series, fired) = churn_sim(&label, system, seed, commands, plan, awaited, plane);
     let mut wd = Watchdog::new(WatchdogConfig {
         min_stall_horizon: horizon,
         ..clean_cfg(horizon)
@@ -233,13 +242,13 @@ fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
         .iter()
         .find(|a| a.node == victim as u32)
         .unwrap_or_else(|| panic!("E17 {case}: victim p{victim} never stalled: {alarms:?}"));
-    let latency = first_victim.at.saturating_sub(FAULT_AT);
+    let latency = first_victim.at.saturating_sub(fired[0]);
     assert!(
         latency <= horizon + 4 * SIM_PERIOD,
         "E17 {case}: stall detected {latency} ticks after the cut \
          (horizon {horizon}, period {SIM_PERIOD})"
     );
-    (first_victim.at, latency, horizon)
+    (fired[0], first_victim.at, horizon)
 }
 
 /// The divergence arm: E14's seeded `AcQuorumOffByOne` mutation under the
@@ -304,19 +313,12 @@ fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
 // Cluster arms
 // ---------------------------------------------------------------------------
 
-fn cluster_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> ClusterSpec {
-    ClusterSpec {
-        stats_period: Some(Duration::from_millis(CLUSTER_PERIOD_MS)),
-        ..churn_spec(n, t, commands_per_client, seed)
-    }
-}
-
 /// Clean cluster arm at one size: every replica streamed at least
 /// [`MIN_CLEAN_SAMPLES`] points, node-local watchdogs silent, aggregator
 /// silent, RTT gauges present. Returns the fewest and the most points a
 /// replica's series retained.
 fn cluster_clean(n: usize, t: usize, seed: u64) -> (usize, usize) {
-    let spec = cluster_spec(n, t, FAULT_ARM_COMMANDS, seed);
+    let spec = churn_spec(n, t, FAULT_ARM_COMMANDS, seed);
     let report = run_checked("E17 tcp-clean", &spec, Some(&ChurnPlan::new()));
     for r in &report.replicas {
         assert!(
@@ -354,19 +356,18 @@ fn cluster_clean(n: usize, t: usize, seed: u64) -> (usize, usize) {
     (min, samples.max().unwrap_or(0))
 }
 
-/// Cluster partition arm: `PART` cuts the victim off mid-run, `HEAL`
-/// closes the cut, and the victim's own streamed series must show the
-/// stall within the horizon. Returns `(latency ms, horizon ms)`.
+/// Cluster partition arm: `PART` cuts the victim off once it has
+/// committed [`CUT_SLOT`], `HEAL` closes the cut 190 ms later, and the
+/// victim's own streamed series must show the stall within the horizon of
+/// the cut. Returns `(latency ms, horizon ms)`.
 fn cluster_stall(n: usize, t: usize, seed: u64) -> (f64, f64) {
     let victim = n - 1;
-    let part_at_ms = 10;
-    let spec = cluster_spec(n, t, FAULT_ARM_COMMANDS, seed);
+    let spec = churn_spec(n, t, FAULT_ARM_COMMANDS, seed);
+    let (replica, slot) = (victim, CUT_SLOT);
+    let cut = Trigger::Floor { replica, slot };
     let plan = ChurnPlan::new()
-        .step(
-            Duration::from_millis(part_at_ms),
-            ChurnAction::Partition { side: vec![victim] },
-        )
-        .step(Duration::from_millis(200), ChurnAction::Heal);
+        .step(cut, ChurnAction::Partition { side: vec![victim] })
+        .step(Trigger::Ticks(950), ChurnAction::Heal);
     let report = run_checked("E17 tcp-partition", &spec, Some(&plan));
     // 50 ms stall horizon in ticks; detection must land inside the 190 ms
     // window.
@@ -384,7 +385,7 @@ fn cluster_stall(n: usize, t: usize, seed: u64) -> (f64, f64) {
     let alarms = replay(&mut wd, victim as u32, victim_series);
     let first = expect_only("tcp-partition", &alarms, AlarmClass::Stall);
     assert_eq!(first.node, victim as u32, "the victim's own floor stalled");
-    let latency_ms = ticks_ms(&spec, first.at) - part_at_ms as f64;
+    let latency_ms = ticks_ms(&spec, first.at) - report.fired[0].as_secs_f64() * 1000.0;
     let horizon_ms = ticks_ms(&spec, horizon);
     assert!(
         latency_ms <= horizon_ms + 5.0 * CLUSTER_PERIOD_MS as f64 + 40.0,
@@ -394,20 +395,21 @@ fn cluster_stall(n: usize, t: usize, seed: u64) -> (f64, f64) {
     (latency_ms.max(0.0), horizon_ms)
 }
 
-/// Cluster crash arm: SIGKILL the silent rider and never restart it. The
-/// survivors' connections to the dead peer fall into reconnect backoff while
-/// the replicated log keeps broadcasting, so their `link.backlog.p<dead>`
+/// Cluster crash arm: SIGKILL the silent rider once replica 0 has
+/// committed [`CUT_SLOT`], and never restart it. The survivors'
+/// connections to the dead peer fall into reconnect backoff while the
+/// replicated log keeps broadcasting, so their `link.backlog.p<dead>`
 /// gauges pin above the limit → `QueueSaturation`. Returns
 /// `(latency ms, peak backlog)`.
 fn cluster_crash_backlog(n: usize, t: usize, seed: u64) -> (f64, u64) {
     let dead = n - 1;
-    let kill_at_ms = 8;
     let spec = ClusterSpec {
         riders: vec![Behavior::Silent],
-        ..cluster_spec(n, t, FAULT_ARM_COMMANDS, seed)
+        ..churn_spec(n, t, FAULT_ARM_COMMANDS, seed)
     };
+    let (replica, slot) = (0, CUT_SLOT);
     let plan = ChurnPlan::new().step(
-        Duration::from_millis(kill_at_ms),
+        Trigger::Floor { replica, slot },
         ChurnAction::Kill { id: dead },
     );
     let report = run_checked("E17 tcp-crash", &spec, Some(&plan));
@@ -428,7 +430,7 @@ fn cluster_crash_backlog(n: usize, t: usize, seed: u64) -> (f64, u64) {
         .filter_map(backlog)
         .max()
         .unwrap_or(0);
-    let latency_ms = ticks_ms(&spec, first.at) - kill_at_ms as f64;
+    let latency_ms = ticks_ms(&spec, first.at) - report.fired[0].as_secs_f64() * 1000.0;
     (latency_ms.max(0.0), peak)
 }
 
@@ -442,7 +444,7 @@ fn cluster_auth(n: usize, t: usize, seed: u64) -> (f64, u64) {
     let spec = ClusterSpec {
         riders: vec![Behavior::Impersonate],
         auth: true,
-        ..cluster_spec(n, t, FAULT_ARM_COMMANDS, seed)
+        ..churn_spec(n, t, FAULT_ARM_COMMANDS, seed)
     };
     let report = run_checked("E17 tcp-auth", &spec, Some(&ChurnPlan::new()));
     let cfg = WatchdogConfig {
@@ -520,28 +522,22 @@ pub fn run(quick: bool) -> Table {
 
     // Fault arms run at n = 4: the detection mechanics are size-independent
     // and the clean arms above cover the larger lineup.
-    let (at, latency, horizon) = sim_stall(4, 1, seed, false);
-    table.push_row([
-        "partition".to_string(),
-        "sim".to_string(),
-        "4".to_string(),
-        format!("cut p3 at t={FAULT_AT}"),
-        "stall".to_string(),
-        format!("t={at}"),
-        format!("≤ {} ticks", horizon + 4 * SIM_PERIOD),
-        format!("{latency} ticks after the cut"),
-    ]);
-    let (at, latency, horizon) = sim_stall(4, 1, seed, true);
-    table.push_row([
-        "crash".to_string(),
-        "sim".to_string(),
-        "4".to_string(),
-        format!("isolate p3 at t={FAULT_AT}, forever"),
-        "stall".to_string(),
-        format!("t={at}"),
-        format!("≤ {} ticks", horizon + 4 * SIM_PERIOD),
-        format!("{latency} ticks after the crash"),
-    ]);
+    for (case, crash, fault) in [
+        ("partition", false, "cut p3"),
+        ("crash", true, "isolate p3 forever"),
+    ] {
+        let (cut, at, horizon) = sim_stall(4, 1, seed, crash);
+        table.push_row([
+            case.to_string(),
+            "sim".to_string(),
+            "4".to_string(),
+            format!("{fault} at its slot {CUT_SLOT} (t={cut})"),
+            "stall".to_string(),
+            format!("t={at}"),
+            format!("≤ {} ticks", horizon + 4 * SIM_PERIOD),
+            format!("{} ticks after the cut", at - cut),
+        ]);
+    }
     let (reports, total, slot) = sim_divergence(if quick { 20_000 } else { 200_000 });
     table.push_row([
         "divergence".to_string(),
@@ -559,7 +555,7 @@ pub fn run(quick: bool) -> Table {
         "partition".to_string(),
         "tcp".to_string(),
         "4".to_string(),
-        "PART p3 at +10 ms, HEAL at +200 ms".to_string(),
+        format!("PART p3 at its slot {CUT_SLOT}, HEAL 190 ms later"),
         "stall".to_string(),
         format!("{latency_ms:.1} ms"),
         format!(
@@ -573,7 +569,7 @@ pub fn run(quick: bool) -> Table {
         "crash".to_string(),
         "tcp".to_string(),
         "4".to_string(),
-        "SIGKILL silent rider at +8 ms, no restart".to_string(),
+        format!("SIGKILL silent rider at p0's slot {CUT_SLOT}, no restart"),
         "queue_saturation".to_string(),
         format!("{latency_ms:.1} ms"),
         "backlog ≥ 4 × 2 samples".to_string(),
@@ -606,15 +602,14 @@ mod tests {
 
     #[test]
     fn sim_partition_stalls_the_victim() {
-        let (at, latency, horizon) = sim_stall(4, 1, 7, false);
-        assert!(at >= FAULT_AT + horizon);
-        assert!(latency >= horizon, "cannot detect faster than the horizon");
+        let (cut, at, horizon) = sim_stall(4, 1, 7, false);
+        assert!(at >= cut + horizon, "cannot detect faster than the horizon");
     }
 
     #[test]
     fn sim_crash_stalls_the_victim() {
-        let (_, latency, horizon) = sim_stall(4, 1, 7, true);
-        assert!(latency >= horizon);
+        let (cut, at, horizon) = sim_stall(4, 1, 7, true);
+        assert!(at - cut >= horizon);
     }
 
     #[test]

@@ -24,19 +24,19 @@ pub mod e8_timeouts;
 pub mod e9_message_complexity;
 pub mod ea_lab;
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
-use minsync_adversary::ChurnOracle;
-use minsync_net::sim::{RunReport, SimBuilder};
-use minsync_net::NetworkTopology;
+use minsync_net::sim::{RunReport, ScheduleCommand, ScheduleOracle, SimBuilder};
+use minsync_net::{NetworkTopology, VirtualTime};
 use minsync_smr::{commits, SmrEvent, SmrLimits, SmrMsg};
 use minsync_telemetry::timeseries::TimeSeries;
 use minsync_telemetry::Registry;
 use minsync_transport::cluster::{
-    run_churn_cluster, run_cluster, Behavior, ChurnAction, ChurnPlan, ClusterReport, ClusterSpec,
-    ReplicaStats,
+    run_churn_cluster, run_cluster, Behavior, ChurnAction, ChurnPlan, ChurnStep, ClusterReport,
+    ClusterSpec, ReplicaStats, Trigger,
 };
-use minsync_types::SystemConfig;
+use minsync_types::{ProcessId, SystemConfig};
 use minsync_workload::{log_violations, ArrivalProcess, Batch, DrainCursor, WorkloadSpec};
 
 use crate::Table;
@@ -299,9 +299,10 @@ pub(crate) fn rider_spec(n: usize, t: usize, riders: Vec<Behavior>) -> ClusterSp
 }
 
 /// E13 and E17's cluster for mid-run faults: batch 4, arrivals 100 ticks
-/// apart. Arrival gaps are in child ticks, which compress under load; what
-/// matters is that the slot count stays inside the flow-control window a
-/// rejoiner starts with.
+/// apart, and live samples every 10 ms, which a [`Trigger::Floor`] step
+/// reads its observer's floor from. Arrival gaps are in child ticks, which
+/// compress under load; what matters is that the slot count stays inside
+/// the flow-control window a rejoiner starts with.
 pub(crate) fn churn_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> ClusterSpec {
     ClusterSpec {
         n,
@@ -310,40 +311,119 @@ pub(crate) fn churn_spec(n: usize, t: usize, commands_per_client: usize, seed: u
         batch: 4,
         arrivals: ArrivalProcess::Poisson { mean_gap: 100.0 },
         seed,
+        stats_period: Some(std::time::Duration::from_millis(CLUSTER_PERIOD_MS)),
         ..ClusterSpec::default()
     }
 }
 
+/// [`churn_spec`]'s sampling period, in wall-clock milliseconds.
+pub(crate) const CLUSTER_PERIOD_MS: u64 = 10;
+
 /// Checkpoint-retry period (in ticks) of [`churn_sim`]'s replicas: a
-/// churn window loses messages outright, so every replica runs the repair
+/// churn plan loses messages outright, so every replica runs the repair
 /// path — the simulator-side mirror of the node binary's `--ckpt-retry`.
 const CKPT_RETRY: u64 = 50;
 
 /// Sampling period of [`churn_sim`]'s health plane, in virtual ticks.
 pub(crate) const SIM_PERIOD: u64 = 25;
 
+type Msg = SmrMsg<Batch>;
+
+/// Runs a [`ChurnPlan`] in virtual time, as [`run_churn_cluster`] runs it
+/// over processes: a step fires at the first message routed once its
+/// trigger holds, a replica's floor being the highest cumulative
+/// [`SmrMsg::Ack`] it has broadcast. `Kill` isolates a replica until
+/// `Restart`; self-delivery always flows. With `content`, an open
+/// partition drops the messages it selects instead of cutting by side.
+#[derive(Default)]
+pub(crate) struct PlanOracle {
+    steps: Vec<ChurnStep>,
+    floors: BTreeMap<usize, u64>,
+    side: Option<Vec<usize>>,
+    killed: Vec<usize>,
+    pub(crate) content: Option<fn(&Msg) -> bool>,
+    /// The tick each step fired at, read back by [`churn_sim`].
+    fired: Arc<Mutex<Vec<u64>>>,
+}
+
+impl PlanOracle {
+    pub(crate) fn new(plan: &ChurnPlan) -> PlanOracle {
+        PlanOracle {
+            steps: plan.steps.clone(),
+            ..PlanOracle::default()
+        }
+    }
+}
+
+impl ScheduleOracle<Msg> for PlanOracle {
+    fn command(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        at: VirtualTime,
+        msg: &Msg,
+        _default: u64,
+    ) -> ScheduleCommand {
+        let (f, t) = (from.index(), to.index());
+        if let SmrMsg::Ack { slot } = *msg {
+            let floor = self.floors.entry(f).or_default();
+            *floor = slot.max(*floor);
+        }
+        let mut fired = self.fired.lock().expect("unpoisoned");
+        while let Some(step) = self.steps.get(fired.len()) {
+            let ready = match step.at {
+                Trigger::Floor { replica, slot } => self.floors.get(&replica) >= Some(&slot),
+                Trigger::Ticks(d) => at.ticks() >= fired.last().unwrap_or(&0) + u64::from(d),
+            };
+            if !ready {
+                break;
+            }
+            fired.push(at.ticks());
+            match step.action {
+                ChurnAction::Partition { ref side } => self.side = Some(side.clone()),
+                ChurnAction::Heal => self.side = None,
+                ChurnAction::Kill { id } => self.killed.push(id),
+                ChurnAction::Restart { id } => self.killed.retain(|&k| k != id),
+            }
+        }
+        let cut = match (&self.side, self.content) {
+            (Some(_), Some(hit)) => hit(msg),
+            (Some(side), None) => side.contains(&f) != side.contains(&t),
+            (None, _) => false,
+        };
+        if cut || (f != t && self.killed.iter().any(|&k| k == f || k == t)) {
+            ScheduleCommand::Drop
+        } else {
+            ScheduleCommand::Default
+        }
+    }
+}
+
 /// E13 and E17's simulator run: one group of 2 clients, Poisson arrivals
 /// 20 ticks apart, batch 4, every channel timely (δ = 3), and every
-/// replica correct with the [`CKPT_RETRY`] repair on — `oracle`'s churn is
+/// replica correct with the [`CKPT_RETRY`] repair on — `plan`'s churn is
 /// the only adversary. With a `registry` the health plane is attached:
 /// every replica's watch gauges, and a registry sample every
 /// [`SIM_PERIOD`] ticks into the returned series (empty without one).
 ///
 /// The run stops once replicas `0..awaited` have drained the workload.
+/// Returns the run, the series, and the tick each plan step fired at.
 ///
 /// # Panics
 ///
-/// Panics if the awaited replicas stall short of the workload or the
-/// committed logs violate [`log_violations`]; `case` names the run.
+/// Panics if the awaited replicas stall short of the workload, the
+/// committed logs violate [`log_violations`], or a plan step never fired
+/// (a fault that lands after the drain tests nothing); `case` names the
+/// run.
 pub(crate) fn churn_sim(
     case: &str,
     system: SystemConfig,
     seed: u64,
     commands_per_client: usize,
-    oracle: Option<ChurnOracle<SmrMsg<Batch>>>,
+    plan: PlanOracle,
     awaited: usize,
     registry: Option<Arc<Registry>>,
-) -> (RunReport<SmrEvent<Batch>>, TimeSeries) {
+) -> (RunReport<SmrEvent<Batch>>, TimeSeries, Vec<u64>) {
     let pop = WorkloadSpec {
         groups: 1,
         clients_per_group: 2,
@@ -354,17 +434,16 @@ pub(crate) fn churn_sim(
     .generate(&system)
     .expect("feasible workload");
     let total = pop.total_commands();
+    let (steps, fired) = (plan.steps.clone(), Arc::clone(&plan.fired));
     let mut builder = SimBuilder::new(NetworkTopology::all_timely(system.n(), 3))
         .seed(seed)
         .max_events(100_000_000)
-        .classify(SmrMsg::classify);
+        .classify(SmrMsg::classify)
+        .with_schedule_oracle(plan);
     if let Some(registry) = &registry {
         builder = builder
             .registry(Arc::clone(registry))
             .sample_stats(SIM_PERIOD);
-    }
-    if let Some(oracle) = oracle {
-        builder = builder.with_schedule_oracle(oracle);
     }
     for i in 0..system.n() {
         let mut node = pop.replica(system, i, 4).with_limits(SmrLimits {
@@ -381,7 +460,14 @@ pub(crate) fn churn_sim(
     let report = sim.run_until(|outs| drained.advance(outs, |o| (o.process, &o.event)));
     let found = log_violations(commits(&report.outputs), awaited, total);
     assert!(found.is_empty(), "{case}: {found:?} ({:?})", report.reason);
-    (report, sim.stat_series().clone())
+    let fired = std::mem::take(&mut *fired.lock().expect("unpoisoned"));
+    if let Some(step) = steps.get(fired.len()) {
+        panic!(
+            "{case}: plan step {} ({step:?}) never fired before the drain",
+            fired.len()
+        );
+    }
+    (report, sim.stat_series().clone(), fired)
 }
 
 /// Seeds used per configuration.
@@ -414,6 +500,58 @@ mod tests {
             let table = run(true);
             assert!(!table.rows().is_empty(), "{id} produced no rows");
         }
+    }
+
+    /// Routes `msg` from `from` to `to` at tick `at`; true iff dropped.
+    fn drops(o: &mut PlanOracle, from: usize, to: usize, at: u64, msg: &Msg) -> bool {
+        let at = VirtualTime::from_ticks(at);
+        o.command(ProcessId::new(from), ProcessId::new(to), at, msg, 3) == ScheduleCommand::Drop
+    }
+
+    const PLAIN: Msg = SmrMsg::Ack { slot: 0 };
+
+    #[test]
+    fn plan_partition_cuts_only_crossing_traffic_while_open() {
+        let cut = ChurnAction::Partition { side: vec![0, 1] };
+        let plan = ChurnPlan::new().step(Trigger::Ticks(100), cut);
+        let mut o = PlanOracle::new(&plan.step(Trigger::Ticks(100), ChurnAction::Heal));
+        assert!(!drops(&mut o, 0, 2, 99, &PLAIN), "not due yet");
+        assert!(drops(&mut o, 0, 2, 150, &PLAIN) && drops(&mut o, 2, 1, 150, &PLAIN));
+        assert!(!drops(&mut o, 0, 1, 150, &PLAIN) && !drops(&mut o, 2, 3, 150, &PLAIN));
+        assert!(!drops(&mut o, 0, 2, 250, &PLAIN), "healed");
+        assert_eq!(*o.fired.lock().unwrap(), [150, 250], "fired when routed");
+        assert!(!drops(&mut PlanOracle::default(), 1, 2, u64::MAX, &PLAIN));
+    }
+
+    #[test]
+    fn plan_kill_opened_by_a_floor_spares_self_delivery() {
+        let (replica, slot) = (2, 3);
+        let plan = ChurnPlan::new()
+            .step(
+                Trigger::Floor { replica, slot },
+                ChurnAction::Kill { id: 1 },
+            )
+            .step(Trigger::Ticks(50), ChurnAction::Restart { id: 1 });
+        let (mut o, ack) = (PlanOracle::new(&plan), SmrMsg::Ack { slot });
+        assert!(!drops(&mut o, 1, 0, 10, &ack), "not the observer's ack");
+        assert!(drops(&mut o, 2, 1, 20, &ack), "the observer's ack opens it");
+        assert!(drops(&mut o, 1, 0, 30, &PLAIN) && !drops(&mut o, 1, 1, 30, &PLAIN));
+        assert!(!drops(&mut o, 0, 2, 30, &PLAIN), "bystanders flow");
+        assert!(!drops(&mut o, 1, 0, 70, &PLAIN), "restarted");
+    }
+
+    #[test]
+    fn plan_content_arm_drops_what_it_selects_while_open() {
+        let plan = ChurnPlan::new()
+            .step(Trigger::Ticks(10), ChurnAction::Partition { side: vec![0] })
+            .step(Trigger::Ticks(10), ChurnAction::Heal);
+        let mut o = PlanOracle::new(&plan);
+        o.content = Some(|m| matches!(m, SmrMsg::Ack { slot: 7 }));
+        let hit = SmrMsg::Ack { slot: 7 };
+        assert!(!drops(&mut o, 2, 1, 5, &hit), "not open yet");
+        assert!(drops(&mut o, 2, 2, 10, &hit), "self-delivery too");
+        assert!(!drops(&mut o, 0, 1, 10, &PLAIN), "not by side");
+        assert!(!drops(&mut o, 2, 1, 20, &hit), "closed");
     }
 
     fn selected(args: &[&str]) -> Result<Vec<&'static str>, String> {

@@ -646,8 +646,9 @@ impl<M: Clone, O> SimCore<M, O> {
         }
         let n = self.topology.n();
         for (idx, &ewma) in self.link_ewma.iter().enumerate() {
-            if ewma > 0 {
-                let (from, to) = (idx / n, idx % n);
+            let (from, to) = (idx / n, idx % n);
+            // A self-delivery is not a link.
+            if ewma > 0 && from != to {
                 registry
                     .gauge(&format!("link.rtt_ewma.p{from}.p{to}"))
                     .set(ewma);

@@ -3,6 +3,8 @@
 //! bounded future-slot buffer under a flooding adversary.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use minsync_adversary::{FilterNode, FloodNode, SilentNode};
 use minsync_core::ConsensusConfig;
@@ -200,7 +202,11 @@ fn flooding_adversary_cannot_break_liveness_or_memory() {
         max_buffered: 32, // tiny on purpose: the flood must overflow it
         ckpt_retry: 0,
     };
-    let run = |rider: Box<dyn Node<Msg = Msg, Output = Out>>| {
+    // The run waits for the checked prefix *and* for the flooder to have
+    // made its last message, so the flood's size does not depend on how
+    // fast the honest replicas commit.
+    let made = Arc::new(AtomicU64::new(0));
+    let run = |rider: Box<dyn Node<Msg = Msg, Output = Out>>, flood: u64| {
         let registries: Vec<Registry> = (0..n - 1).map(|_| Registry::new()).collect();
         let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, 3))
             .seed(13)
@@ -213,8 +219,10 @@ fn flooding_adversary_cannot_break_liveness_or_memory() {
             );
         }
         let mut sim = builder.boxed_node(rider).build();
+        let made = Arc::clone(&made);
         let report = sim.run_until(move |outs| {
-            (0..n - 1).all(|p| committed_count(outs, ProcessId::new(p)) >= CHECK)
+            made.load(Ordering::Relaxed) >= flood
+                && (0..n - 1).all(|p| committed_count(outs, ProcessId::new(p)) >= CHECK)
         });
         let drops: Vec<u64> = registries
             .iter()
@@ -222,7 +230,9 @@ fn flooding_adversary_cannot_break_liveness_or_memory() {
             .collect();
         (report, drops)
     };
-    let (report, drops) = run(Box::new(FloodNode::<Msg, Out, _>::new(1, 16, 200, |i| {
+    let counter = Arc::clone(&made);
+    let flood = FloodNode::<Msg, Out, _>::new(1, 16, 200, move |i| {
+        counter.store(i + 1, Ordering::Relaxed);
         let slot = 2 + (i / 2 % (TARGET - 1));
         if i % 2 == 0 {
             SmrMsg::Slot {
@@ -238,7 +248,8 @@ fn flooding_adversary_cannot_break_liveness_or_memory() {
                 value: 0xDEAD,
             }
         }
-    })));
+    });
+    let (report, drops) = run(Box::new(flood), 16 * 200);
     // The flood really flowed (16 msgs × 200 bursts × n destinations),
     // and each replica could buffer at most 32 of those ~1600 slot
     // messages and 17 of those ~1600 payloads.
@@ -262,7 +273,7 @@ fn flooding_adversary_cannot_break_liveness_or_memory() {
     assert!(found.is_empty(), "{found:?}");
     // With the fourth replica silent instead, nothing is dropped: honest
     // traffic never comes near either bound.
-    let (_, quiet) = run(Box::new(SilentNode::<Msg, Out>::new()));
+    let (_, quiet) = run(Box::new(SilentNode::<Msg, Out>::new()), 0);
     assert_eq!(quiet, [0, 0, 0], "honest traffic was dropped");
 }
 

@@ -25,7 +25,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use minsync_auth::HmacAuthenticator;
-use minsync_telemetry::{Snapshot, TimeSeries, SNAPSHOT_FOOTER};
+use minsync_telemetry::{watch_name, Snapshot, TimeSeries, SNAPSHOT_FOOTER};
 use minsync_types::check::{self, Violation};
 use minsync_types::{Fnv1a, ProcessId};
 use minsync_workload::ArrivalProcess;
@@ -297,6 +297,9 @@ pub struct ClusterReport {
     pub total_commands: usize,
     /// Orchestrator-side wall-clock for the whole run (spawn to reap).
     pub elapsed: Duration,
+    /// When each [`ChurnPlan`] step fired, from the bootstrap broadcast
+    /// (empty without a plan).
+    pub fired: Vec<Duration>,
 }
 
 impl ClusterReport {
@@ -362,6 +365,9 @@ pub enum ClusterError {
         /// Replica ids that never finished their report.
         pending: Vec<usize>,
     },
+    /// A [`ChurnPlan`] cannot run on the spec, or one of its steps never
+    /// fired before every correct replica reported.
+    Plan(String),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -375,6 +381,7 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Timeout { pending } => {
                 write!(f, "cluster timed out; replicas still pending: {pending:?}")
             }
+            ClusterError::Plan(what) => write!(f, "churn plan: {what}"),
         }
     }
 }
@@ -580,18 +587,38 @@ pub enum ChurnAction {
     },
 }
 
-/// A [`ChurnAction`] scheduled at an offset from the bootstrap broadcast
-/// (the moment every child has received `PEERS`).
+/// When a [`ChurnStep`] fires. A step is armed once the step before it
+/// has fired (the first one at the bootstrap broadcast, the moment every
+/// child has received `PEERS`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Trigger {
+    /// Once replica `replica` has committed slot `slot`, so the fault
+    /// lands mid-log however fast the protocol runs. A cluster reads the
+    /// live `watch.p<i>.commit_floor` samples of a correct `replica`.
+    Floor {
+        /// The observing replica.
+        replica: usize,
+        /// The slot it must have committed.
+        slot: u64,
+    },
+    /// This many ticks after the previous step fired (`d ×`
+    /// [`ClusterSpec::tick`] on a cluster): for spans meant to be timed.
+    Ticks(u32),
+}
+
+/// A [`ChurnAction`] and the [`Trigger`] that fires it.
 #[derive(Clone, Debug)]
 pub struct ChurnStep {
-    /// When to act, relative to the bootstrap broadcast.
-    pub at: Duration,
+    /// When to act.
+    pub at: Trigger,
     /// What to do.
     pub action: ChurnAction,
 }
 
-/// A scripted sequence of disruptions for [`run_churn_cluster`], executed
-/// in `at` order while the cluster works through its workload.
+/// A scripted sequence of disruptions, executed in order while the
+/// cluster works through its workload: by [`run_churn_cluster`] over
+/// processes, and by the simulator harness in virtual time. A step that
+/// never fires fails the run.
 #[derive(Clone, Debug, Default)]
 pub struct ChurnPlan {
     /// The scheduled steps.
@@ -606,7 +633,7 @@ impl ChurnPlan {
 
     /// Appends one step, builder-style.
     #[must_use]
-    pub fn step(mut self, at: Duration, action: ChurnAction) -> ChurnPlan {
+    pub fn step(mut self, at: Trigger, action: ChurnAction) -> ChurnPlan {
         self.steps.push(ChurnStep { at, action });
         self
     }
@@ -636,15 +663,21 @@ const CHURN_CKPT_RETRY: u64 = 100;
 ///
 /// * A plan that kills a correct replica must also restart it, or the run
 ///   times out waiting for the victim's report.
-/// * Steps that come due after every correct replica has reported are
-///   skipped (the run is over; there is nothing left to disrupt).
+/// * A [`Trigger::Floor`] fires on the first live sample at or past its
+///   slot, up to one [`ClusterSpec::stats_period`] late. Name an observer
+///   the step does not cut off, unless the point is to cut the observer
+///   at its own floor; [`ClusterReport::fired`] says when each step fired.
 /// * Restarted children come back with an empty partition set; if a
 ///   partition is active at restart time the orchestrator re-sends the
 ///   matching `PART` rule.
 ///
 /// # Errors
 ///
-/// As [`run_cluster`].
+/// As [`run_cluster`], plus [`ClusterError::Plan`] if a
+/// [`Trigger::Floor`] step lacks [`ClusterSpec::stats_period`] or a
+/// correct observer (checked before anything is spawned), or a step has
+/// not fired when every correct replica has reported: a fault that lands
+/// after the drain tests nothing.
 pub fn run_churn_cluster(
     spec: &ClusterSpec,
     plan: &ChurnPlan,
@@ -664,6 +697,14 @@ fn orchestrate(
         "riders must fit the fault bound"
     );
     assert!(spec.correct() >= 1, "need at least one correct replica");
+    let blind = |s: &&ChurnStep| match s.at {
+        Trigger::Floor { replica, .. } => spec.stats_period.is_none() || replica >= spec.correct(),
+        Trigger::Ticks(_) => false,
+    };
+    if let Some(step) = plan.and_then(|p| p.steps.iter().find(blind)) {
+        let what = format!("{step:?} needs stats_period and a correct observer");
+        return Err(ClusterError::Plan(what));
+    }
     let bin = node_binary()?;
     let start = Instant::now();
     let deadline = start + spec.harness_timeout;
@@ -761,7 +802,7 @@ fn orchestrate(
     }
 
     // Phase 2: hand everyone the full peer list; the moment the last child
-    // has it is the epoch every plan step's offset is measured from.
+    // has it is the epoch that arms the plan's first step.
     let addrs: Vec<String> = (0..spec.n)
         .map(|id| format!("127.0.0.1:{}", ports[&id]))
         .collect();
@@ -789,9 +830,11 @@ fn orchestrate(
     // Phase 3: collect every correct replica's statistics block, routing
     // live samples into per-child series as they arrive and interleaving
     // the plan's steps.
-    let mut steps = plan.map(|p| p.steps.clone()).unwrap_or_default();
-    steps.sort_by_key(|s| s.at);
-    let mut next_step = 0;
+    let steps = plan.map_or(&[][..], |p| &p.steps);
+    // When the last step fired (the epoch before the first), and each
+    // step's offset from the epoch.
+    let mut last_fired = epoch;
+    let mut fired = Vec::with_capacity(steps.len());
     let mut killed = vec![false; spec.n];
     // Killed incarnations owe the channel one EOF each; count them so a
     // stale EOF (or a stale line racing it) is never blamed on — or mixed
@@ -806,16 +849,28 @@ fn orchestrate(
     let mut done = vec![false; spec.n];
 
     while (0..spec.correct()).any(|id| !done[id]) {
-        // Fire every step that has come due.
-        while next_step < steps.len() && epoch.elapsed() >= steps[next_step].at {
-            let action = steps[next_step].action.clone();
-            next_step += 1;
-            match action {
+        // Fire every step whose trigger holds, in plan order.
+        while let Some(step) = steps.get(fired.len()) {
+            let ready = match step.at {
+                // The floor in the replica's latest sample.
+                Trigger::Floor { replica, slot } => {
+                    let latest = streams.series[replica].latest();
+                    let name = watch_name(replica, "commit_floor");
+                    latest.and_then(|p| p.values.gauge(&name)) >= Some(slot)
+                }
+                Trigger::Ticks(d) => Instant::now() >= last_fired + spec.tick * d,
+            };
+            if !ready {
+                break;
+            }
+            last_fired = Instant::now();
+            fired.push(last_fired - epoch);
+            match &step.action {
                 ChurnAction::Partition { side } => {
                     for (id, stdin) in stdins.iter_mut().enumerate() {
-                        send_part(stdin, id, &side, spec.n);
+                        send_part(stdin, id, side, spec.n);
                     }
-                    partition = Some(side);
+                    partition = Some(side.clone());
                 }
                 ChurnAction::Heal => {
                     for stdin in stdins.iter_mut().flatten() {
@@ -825,7 +880,7 @@ fn orchestrate(
                     }
                     partition = None;
                 }
-                ChurnAction::Kill { id } => {
+                &ChurnAction::Kill { id } => {
                     assert!(!killed[id], "churn plan killed replica {id} twice");
                     killed[id] = true;
                     stale_eofs[id] += 1;
@@ -836,7 +891,7 @@ fn orchestrate(
                     let _ = reaper.0[id].kill();
                     let _ = reaper.0[id].wait();
                 }
-                ChurnAction::Restart { id } => {
+                &ChurnAction::Restart { id } => {
                     assert!(killed[id], "churn plan restarted live replica {id}");
                     let cfg = ChildConfig {
                         id,
@@ -867,7 +922,10 @@ fn orchestrate(
                 pending: (0..spec.correct()).filter(|&id| !done[id]).collect(),
             });
         }
-        let wake = steps.get(next_step).map_or(deadline, |s| epoch + s.at);
+        let wake = match steps.get(fired.len()).map(|s| s.at) {
+            Some(Trigger::Ticks(d)) => last_fired + spec.tick * d,
+            _ => deadline,
+        };
         match recv_line(&line_rx, wake.min(deadline))? {
             Some(ChildLine::Line(id, line)) => {
                 if stale_eofs[id] > 0 {
@@ -901,6 +959,12 @@ fn orchestrate(
         }
     }
     drop(line_tx);
+    if let Some(step) = steps.get(fired.len()) {
+        return Err(ClusterError::Plan(format!(
+            "step {} ({step:?}) never fired: every correct replica reported first",
+            fired.len()
+        )));
+    }
 
     // Phase 4: everyone has reported — release the cluster.
     for stdin in stdins.iter_mut().flatten() {
@@ -935,6 +999,7 @@ fn orchestrate(
         replicas,
         total_commands: spec.total_commands(),
         elapsed: start.elapsed(),
+        fired,
     })
 }
 
@@ -1461,8 +1526,31 @@ mod tests {
             replicas: vec![stats(0, 7, 100, 500), stats(1, 7, 100, 250)],
             total_commands: 100,
             elapsed: Duration::from_secs(1),
+            fired: Vec::new(),
         };
         assert_eq!(report.cmds_per_sec(), 200.0);
+    }
+
+    #[test]
+    fn a_floor_plan_without_samples_or_a_correct_observer_fails_before_spawning() {
+        let plan = |replica| {
+            let floor = Trigger::Floor { replica, slot: 1 };
+            ChurnPlan::new().step(floor, ChurnAction::Heal)
+        };
+        let sampled = ClusterSpec {
+            stats_period: Some(Duration::from_millis(10)),
+            riders: vec![Behavior::Silent],
+            ..ClusterSpec::default()
+        };
+        // No binary is looked up, so this holds on a clean target too.
+        for (observer, spec) in [(0, &ClusterSpec::default()), (3, &sampled)] {
+            let err = run_churn_cluster(spec, &plan(observer)).unwrap_err();
+            let what = format!("replica: {observer}");
+            assert!(
+                matches!(&err, ClusterError::Plan(w) if w.contains(&what)),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1471,6 +1559,7 @@ mod tests {
             replicas,
             total_commands: 100,
             elapsed: Duration::from_secs(1),
+            fired: Vec::new(),
         };
         let good = report(vec![stats(0, 7, 100, 1), stats(1, 7, 100, 1)]);
         assert!(good.violations().is_empty());

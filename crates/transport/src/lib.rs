@@ -38,6 +38,6 @@ pub mod wal;
 
 pub use cluster::{
     run_churn_cluster, run_cluster, Behavior, ChurnAction, ChurnPlan, ChurnStep, ClusterError,
-    ClusterReport, ClusterSpec, LogDigest, ReplicaStats,
+    ClusterReport, ClusterSpec, LogDigest, ReplicaStats, Trigger,
 };
 pub use mesh::{LinkFaults, MeshConfig, MeshOutput, MeshReport, TcpMesh};

@@ -7,35 +7,36 @@
 use std::time::Duration;
 
 use minsync_transport::cluster::{
-    run_churn_cluster, ChurnAction, ChurnPlan, ClusterSpec, LogDigest,
+    run_churn_cluster, ChurnAction, ChurnPlan, ClusterSpec, LogDigest, Trigger,
 };
 use minsync_workload::ArrivalProcess;
 
-/// 2 clients × 48 commands, one command per slot. Arrival ticks only
-/// stamp commands for latency accounting — every command is pending from
-/// the start — so a run drains as fast as the replicas commit slots, not
-/// at the clients' pace. 96 slots outlast a step at 80 ms in debug and
-/// release builds, while the prefix committed by then stays under the
-/// 64-slot flow-control window a rejoiner starts with.
+/// 2 clients × 48 commands, one command per slot, sampled every 10 ms so
+/// a plan can open on replica 0's commit floor.
 fn spec(seed: u64) -> ClusterSpec {
     ClusterSpec {
         commands_per_client: 48,
         batch: 1,
         arrivals: ArrivalProcess::Poisson { mean_gap: 100.0 },
         seed,
+        stats_period: Some(Duration::from_millis(10)),
         ..ClusterSpec::default()
     }
 }
+
+/// Opens a plan once replica 0, which no plan here cuts off, has
+/// committed 8 slots.
+const OPEN: Trigger = Trigger::Floor {
+    replica: 0,
+    slot: 8,
+};
 
 #[test]
 fn partition_heals_and_the_cluster_drains() {
     let spec = spec(11);
     let plan = ChurnPlan::new()
-        .step(
-            Duration::from_millis(80),
-            ChurnAction::Partition { side: vec![3] },
-        )
-        .step(Duration::from_millis(380), ChurnAction::Heal);
+        .step(OPEN, ChurnAction::Partition { side: vec![3] })
+        .step(Trigger::Ticks(1_500), ChurnAction::Heal);
     let report = run_churn_cluster(&spec, &plan).expect("churn cluster runs");
     let violations = report.violations();
     assert!(violations.is_empty(), "partition+heal: {violations:?}");
@@ -58,13 +59,10 @@ fn partition_heals_and_the_cluster_drains() {
 fn killed_replica_restarts_from_wal_with_an_identical_log() {
     let spec = spec(12);
     let plan = ChurnPlan::new()
-        .step(
-            Duration::from_millis(80),
-            ChurnAction::Partition { side: vec![2] },
-        )
-        .step(Duration::from_millis(180), ChurnAction::Kill { id: 2 })
-        .step(Duration::from_millis(230), ChurnAction::Heal)
-        .step(Duration::from_millis(280), ChurnAction::Restart { id: 2 });
+        .step(OPEN, ChurnAction::Partition { side: vec![2] })
+        .step(Trigger::Ticks(500), ChurnAction::Kill { id: 2 })
+        .step(Trigger::Ticks(250), ChurnAction::Heal)
+        .step(Trigger::Ticks(250), ChurnAction::Restart { id: 2 });
     let report = run_churn_cluster(&spec, &plan).expect("churn cluster runs");
     let violations = report.violations();
     assert!(
