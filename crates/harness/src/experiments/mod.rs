@@ -520,6 +520,12 @@ mod tests {
         assert!(!drops(&mut o, 0, 1, 150, &PLAIN) && !drops(&mut o, 2, 3, 150, &PLAIN));
         assert!(!drops(&mut o, 0, 2, 250, &PLAIN), "healed");
         assert_eq!(*o.fired.lock().unwrap(), [150, 250], "fired when routed");
+    }
+
+    #[test]
+    fn plan_empty_never_drops() {
+        let mut o = PlanOracle::new(&ChurnPlan::new());
+        assert!(!drops(&mut o, 1, 2, u64::MAX, &PLAIN) && !drops(&mut o, 0, 0, 0, &PLAIN));
         assert!(!drops(&mut PlanOracle::default(), 1, 2, u64::MAX, &PLAIN));
     }
 
