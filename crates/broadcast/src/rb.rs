@@ -62,6 +62,13 @@ pub enum RbMsg<T, V> {
 }
 
 impl<T, V> RbMsg<T, V> {
+    /// The instance tag the message belongs to.
+    pub fn tag(&self) -> &T {
+        match self {
+            RbMsg::Init { tag, .. } | RbMsg::Echo { tag, .. } | RbMsg::Ready { tag, .. } => tag,
+        }
+    }
+
     /// Short label for metrics classification.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -230,6 +237,12 @@ impl<T: Tag, V: Value> RbEngine<T, V> {
         );
         inst.initiated = true;
         RbMsg::Init { tag, value }
+    }
+
+    /// Number of `(origin, tag)` instances the engine holds state for
+    /// (diagnostics).
+    pub fn live_instances(&self) -> usize {
+        self.instances.iter().map(Vec::len).sum()
     }
 
     /// Feeds a received RB message (true sender stamped by the network).

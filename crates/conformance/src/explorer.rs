@@ -10,13 +10,13 @@
 //! violating schedule to a minimal prefix with maximal `Default` content.
 //!
 //! [`run_protocol`] is the standard property check: it runs one of the
-//! five protocol stacks under the schedule and checks agreement, validity,
-//! and (when no messages were dropped) termination-on-quiescence through
-//! [`minsync_types::check`].
+//! five protocol stacks (consensus under both round-1 rules) under the
+//! schedule and checks agreement, validity, and (when no messages were
+//! dropped) termination-on-quiescence through [`minsync_types::check`].
 
 use minsync_core::{
     AcNode, AcNodeEvent, AcTag, BotConsensusNode, BotEvent, ConsensusConfig, ConsensusNode, EaNode,
-    EaNodeEvent, TimeoutPolicy,
+    EaNodeEvent, Round1, TimeoutPolicy,
 };
 use minsync_net::sim::{
     OutputRecord, RunReport, ScheduleCommand, ScheduleOracle, SimBuilder, Simulation, StopReason,
@@ -319,8 +319,8 @@ where
 /// The five protocol stacks the explorer exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Protocol {
-    /// Figure 4 multivalued consensus.
-    Consensus,
+    /// Figure 4 multivalued consensus, under the given round-1 rule.
+    Consensus(Round1),
     /// Figure 2 adopt-commit in isolation.
     AdoptCommit,
     /// Figure 3 eventual agreement, free-running rounds.
@@ -332,9 +332,11 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// All five, in experiment-table order.
-    pub const ALL: [Protocol; 5] = [
-        Protocol::Consensus,
+    /// All five, consensus under both round-1 rules, in experiment-table
+    /// order.
+    pub const ALL: [Protocol; 6] = [
+        Protocol::Consensus(Round1::Paper),
+        Protocol::Consensus(Round1::SkipEa),
         Protocol::AdoptCommit,
         Protocol::EventualAgreement,
         Protocol::Bot,
@@ -344,7 +346,8 @@ impl Protocol {
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
-            Protocol::Consensus => "consensus",
+            Protocol::Consensus(Round1::Paper) => "consensus",
+            Protocol::Consensus(Round1::SkipEa) => "consensus (skip EA)",
             Protocol::AdoptCommit => "adopt-commit",
             Protocol::EventualAgreement => "eventual-agreement",
             Protocol::Bot => "bot-variant",
@@ -405,7 +408,8 @@ pub fn run_protocol(
     // Per stack: the safety violations, the correct processes that
     // finished, and whether the run can prove a deadlock.
     let (mut found, finished, conclusive): (_, Vec<ProcessId>, _) = match protocol {
-        Protocol::Consensus => {
+        Protocol::Consensus(round1) => {
+            let cfg = ConsensusConfig { round1, ..cfg };
             let report = simulate(n, schedule, max_events, |i| {
                 ConsensusNode::new(cfg, proposal_for(i)).expect("paper config is valid")
             })
@@ -546,16 +550,17 @@ mod tests {
         let mut cfg = ExplorerConfig::quick();
         cfg.random_schedules = 4;
         cfg.dfs_limit = 10;
-        let report = explore(
-            |s| run_protocol(Protocol::Consensus, 4, s, 30_000, true),
-            &cfg,
-        );
-        assert!(report.schedules_explored >= 15);
-        assert!(
-            report.violations.is_empty(),
-            "unexpected violations: {:?}",
-            report.violations
-        );
+        for round1 in [Round1::Paper, Round1::SkipEa] {
+            let protocol = Protocol::Consensus(round1);
+            let report = explore(|s| run_protocol(protocol, 4, s, 30_000, true), &cfg);
+            assert!(report.schedules_explored >= 15);
+            assert!(
+                report.violations.is_empty(),
+                "{}: unexpected violations: {:?}",
+                protocol.name(),
+                report.violations
+            );
+        }
     }
 
     #[test]

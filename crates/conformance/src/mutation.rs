@@ -13,12 +13,14 @@
 //! network, splitting the system into a {3,3} vs {8,8} partition long
 //! enough for the weakened quorum to commit on one-sided witnesses), then
 //! re-expressed as a plain decision vector — the explorer's native
-//! [`Schedule`] form — and shrunk to a minimal violating prefix.
+//! [`Schedule`] form — and shrunk to a minimal violating prefix. The smoke
+//! runs under either round-1 rule: under [`Round1::SkipEa`] no `EA_COORD`
+//! exists in round 1, and the cut `READY`s alone split the halves there.
 
 use std::sync::{Arc, Mutex};
 
 use minsync_broadcast::RbMsg;
-use minsync_core::{ConsensusConfig, ConsensusNode, ProtocolMsg, SeededMutation};
+use minsync_core::{ConsensusConfig, ConsensusNode, ProtocolMsg, Round1, SeededMutation};
 use minsync_net::sim::{ScheduleCommand, ScheduleOracle, SimBuilder};
 use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, VirtualTime};
 use minsync_types::check::{self, Violation, ViolationKind};
@@ -84,17 +86,22 @@ fn semantic_command(
     }
 }
 
-/// Runs the split-proposal consensus line-up (mutated or not) on an
-/// asynchronous network under `oracle`, until every process decided or
-/// `max_events` ran out. Returns the decisions in decision order.
+/// Runs the split-proposal consensus line-up (mutated or not) under
+/// `round1` on an asynchronous network under `oracle`, until every process
+/// decided or `max_events` ran out. Returns the decisions in decision
+/// order.
 fn run(
+    round1: Round1,
     mutation: Option<SeededMutation>,
     oracle: impl ScheduleOracle<ProtocolMsg<u64>> + 'static,
     max_events: u64,
 ) -> Vec<(ProcessId, u64)> {
     let system = SystemConfig::new(N, 1).expect("n=4, t=1 is a valid resilience pair");
-    let mut cfg = ConsensusConfig::paper(system);
-    cfg.mutation = mutation;
+    let cfg = ConsensusConfig {
+        mutation,
+        round1,
+        ..ConsensusConfig::paper(system)
+    };
     let topology = NetworkTopology::uniform(N, ChannelTiming::asynchronous(DelayLaw::Fixed(5)));
     let mut builder = SimBuilder::new(topology)
         .seed(SEED)
@@ -117,32 +124,37 @@ fn run(
 }
 
 /// The decisions of the split-proposal line-up `{3, 3, 8, 8}` (mutated or
-/// not) under the semantic adversary's recorded decision vector, in
-/// decision order. With [`SeededMutation::AcQuorumOffByOne`] the two halves
-/// decide differently; under the same vector all four processes of the
-/// unmutated stack decide 8.
+/// not, under the paper's round-1 rule) under the semantic adversary's
+/// recorded decision vector, in decision order. With
+/// [`SeededMutation::AcQuorumOffByOne`] the two halves decide differently;
+/// under the same vector all four processes of the unmutated stack decide
+/// 8.
 pub fn semantic_decisions(
     mutation: Option<SeededMutation>,
     max_events: u64,
 ) -> Vec<(ProcessId, u64)> {
-    let schedule = record_semantic_schedule(max_events);
-    run(mutation, VectorOracle::new(&schedule), max_events)
+    let schedule = record_semantic_schedule(Round1::Paper, max_events);
+    let oracle = VectorOracle::new(&schedule);
+    run(Round1::Paper, mutation, oracle, max_events)
 }
 
-/// Runs the consensus stack (mutated or not) under `schedule` and checks
-/// agreement over decided values.
+/// Runs the consensus stack (mutated or not) under `round1` and `schedule`
+/// and checks agreement over decided values.
 fn run_consensus(
+    round1: Round1,
     mutation: Option<SeededMutation>,
     schedule: &Schedule,
     max_events: u64,
 ) -> Result<(), Violation> {
-    let found = check::agreement(run(mutation, VectorOracle::new(schedule), max_events));
+    let decisions = run(round1, mutation, VectorOracle::new(schedule), max_events);
+    let found = check::agreement(decisions);
     found.into_iter().next().map_or(Ok(()), Err)
 }
 
 /// Records the semantic adversary's decisions as a plain schedule by
-/// running the mutated stack once with a recording wrapper around it.
-fn record_semantic_schedule(max_events: u64) -> Schedule {
+/// running the mutated stack under `round1` once with a recording wrapper
+/// around it.
+fn record_semantic_schedule(round1: Round1, max_events: u64) -> Schedule {
     let recorded: Arc<Mutex<Vec<ScheduleCommand>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&recorded);
     let oracle = move |from: ProcessId,
@@ -154,7 +166,8 @@ fn record_semantic_schedule(max_events: u64) -> Schedule {
         sink.lock().expect("recorder mutex").push(cmd);
         cmd
     };
-    run(Some(SeededMutation::AcQuorumOffByOne), oracle, max_events);
+    let mutated = Some(SeededMutation::AcQuorumOffByOne);
+    run(round1, mutated, oracle, max_events);
     let decisions = recorded.lock().expect("recorder mutex").clone();
     Schedule {
         decisions,
@@ -162,27 +175,27 @@ fn record_semantic_schedule(max_events: u64) -> Schedule {
     }
 }
 
-/// Runs the whole smoke: record the adversarial schedule, confirm it
-/// breaks agreement on the mutated stack, shrink it, and confirm the same
-/// schedule leaves the unmutated stack clean.
+/// Runs the whole smoke under `round1`: record the adversarial schedule,
+/// confirm it breaks agreement on the mutated stack, shrink it, and confirm
+/// the same schedule leaves the unmutated stack clean.
 ///
 /// `max_events` bounds every individual run (the E14 `--quick` budget must
 /// still catch the bug — decisions land around tick 50 000 but only a few
 /// thousand events in).
-pub fn mutation_smoke(max_events: u64) -> MutationSmoke {
-    let schedule = record_semantic_schedule(max_events);
+pub fn mutation_smoke(round1: Round1, max_events: u64) -> MutationSmoke {
+    let schedule = record_semantic_schedule(round1, max_events);
     let consultations = schedule.decisions.len();
 
     let mutated = Some(SeededMutation::AcQuorumOffByOne);
-    let mut check = |s: &Schedule| run_consensus(mutated, s, max_events);
+    let mut check = |s: &Schedule| run_consensus(round1, mutated, s, max_events);
     let (caught, detail) = match check(&schedule) {
         Err(v) => (v.kind == ViolationKind::Agreement, v.detail),
         Ok(()) => (false, "no violation on the mutated stack".to_string()),
     };
     let (shrunk_len, shrunk_active, clean_without_mutation) = if caught {
         let (shrunk, _probes) = shrink(&schedule, &mut check);
-        let clean = run_consensus(None, &shrunk, max_events).is_ok()
-            && run_consensus(None, &schedule, max_events).is_ok();
+        let clean = run_consensus(round1, None, &shrunk, max_events).is_ok()
+            && run_consensus(round1, None, &schedule, max_events).is_ok();
         (shrunk.decisions.len(), shrunk.active_decisions(), clean)
     } else {
         (0, 0, false)
@@ -204,15 +217,17 @@ mod tests {
 
     #[test]
     fn explorer_catches_the_seeded_quorum_bug() {
-        let smoke = mutation_smoke(20_000);
-        assert!(smoke.caught, "seeded mutation not caught: {}", smoke.detail);
-        assert!(
-            smoke.clean_without_mutation,
-            "violating schedule also trips the unmutated stack: {}",
-            smoke.detail
-        );
-        assert!(smoke.shrunk_len <= smoke.consultations);
-        assert!(smoke.shrunk_active >= 1, "shrunk schedule lost its teeth");
+        for round1 in [Round1::Paper, Round1::SkipEa] {
+            let smoke = mutation_smoke(round1, 20_000);
+            let detail = format!("{round1:?}: {}", smoke.detail);
+            assert!(smoke.caught, "seeded mutation not caught: {detail}");
+            assert!(
+                smoke.clean_without_mutation,
+                "violating schedule also trips the unmutated stack: {detail}"
+            );
+            assert!(smoke.shrunk_len <= smoke.consultations);
+            assert!(smoke.shrunk_active >= 1, "shrunk schedule lost its teeth");
+        }
     }
 
     #[test]
@@ -232,7 +247,9 @@ mod tests {
 
     #[test]
     fn unmutated_stack_survives_the_semantic_adversary() {
-        let schedule = record_semantic_schedule(20_000);
-        assert!(run_consensus(None, &schedule, 20_000).is_ok());
+        for round1 in [Round1::Paper, Round1::SkipEa] {
+            let schedule = record_semantic_schedule(round1, 20_000);
+            assert!(run_consensus(round1, None, &schedule, 20_000).is_ok());
+        }
     }
 }

@@ -18,6 +18,11 @@
 //!   the RB layer (echo/ready): RB-Termination-2 — which carries the
 //!   remaining correct processes to their own decisions — requires correct
 //!   processes to keep participating in reliable broadcast.
+//! * Opt-in ([`Round1::SkipEa`], which every replicated-log slot runs):
+//!   round 1 skips lines 4–5 and enters adopt-commit with `CB[0]`'s value,
+//!   already in `cb0`; agreement never uses EA, and round 1 then has no EA
+//!   message, no round timer, and drops any round-1 EA traffic received
+//!   (DESIGN.md §10). [`ConsensusConfig::paper`] keeps the listing.
 
 use std::collections::BTreeMap;
 
@@ -49,6 +54,21 @@ pub enum SeededMutation {
     AcQuorumOffByOne,
 }
 
+/// How round 1 of Figure 4 starts.
+///
+/// EA (line 4) serves termination only, and round 1's estimate is `CB[0]`'s
+/// first valid value, already in `cb0`: line 5 can change nothing that
+/// validity needs. [`Round1::SkipEa`] therefore enters the round-1
+/// adopt-commit object with it directly (DESIGN.md §10).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Round1 {
+    /// Figure 4 as printed: round 1 runs `EA_propose` like every round.
+    Paper,
+    /// Round 1 skips lines 4–5 and runs no EA instance (no EA messages, no
+    /// round timer); a unanimous slot decides in round 1 on any network.
+    SkipEa,
+}
+
 /// Static parameters of one consensus instance.
 #[derive(Clone, Copy, Debug)]
 pub struct ConsensusConfig {
@@ -68,10 +88,14 @@ pub struct ConsensusConfig {
     /// Seeded bug for mutation testing. `None` (every production
     /// constructor) runs the paper's algorithm unmodified.
     pub mutation: Option<SeededMutation>,
+    /// Whether round 1 runs EA ([`Round1::Paper`]) or goes straight to
+    /// adopt-commit ([`Round1::SkipEa`]).
+    pub round1: Round1,
 }
 
 impl ConsensusConfig {
-    /// The paper's defaults: `k = 0`, `timer[r] = r`, unbounded rounds.
+    /// The paper's defaults: `k = 0`, `timer[r] = r`, unbounded rounds,
+    /// EA in every round.
     pub fn paper(system: SystemConfig) -> Self {
         ConsensusConfig {
             system,
@@ -79,7 +103,13 @@ impl ConsensusConfig {
             timeout: TimeoutPolicy::paper(),
             max_rounds: None,
             mutation: None,
+            round1: Round1::Paper,
         }
+    }
+
+    /// Whether round `r` runs no EA instance under this config.
+    fn skips_ea(&self, r: Round) -> bool {
+        r == Round::FIRST && self.round1 == Round1::SkipEa
     }
 
     /// Builds the round schedule implied by `system` and `k`.
@@ -277,7 +307,8 @@ impl<V: Value> ConsensusNode<V> {
         })
     }
 
-    /// Lines 3–4: start round `r` and `EA_propose(r, est)`.
+    /// Lines 3–4: start round `r` and `EA_propose(r, est)`; under
+    /// [`Round1::SkipEa`], round 1 enters line 6 with `est` instead.
     fn enter_round(&mut self, r: Round, env: &mut Ctx<V>) {
         if let Some(max) = self.cfg.max_rounds {
             if r.get() > max {
@@ -286,8 +317,12 @@ impl<V: Value> ConsensusNode<V> {
             }
         }
         self.sync.advance_to(r);
-        self.phase = Phase::InEa;
         env.output(ConsensusEvent::RoundStarted { round: r });
+        if self.cfg.skips_ea(r) {
+            self.enter_ac(r, env);
+            return;
+        }
+        self.phase = Phase::InEa;
         let acts = self.ea.propose(r, self.est.clone());
         self.apply_ea(acts, env);
     }
@@ -303,7 +338,11 @@ impl<V: Value> ConsensusNode<V> {
             self.est = value.clone();
         }
         env.output(ConsensusEvent::EaReturned { round, value, fast });
-        // Line 6, Figure 2 line 1: CB-broadcast AC_PROP(est).
+        self.enter_ac(round, env);
+    }
+
+    /// Line 6, Figure 2 line 1: CB-broadcast `AC_PROP(est)`.
+    fn enter_ac(&mut self, round: Round, env: &mut Ctx<V>) {
         self.phase = Phase::AwaitAcCb;
         self.ac_round(round); // materialize
         self.rb_broadcast(RbTag::CbVal(CbId::AcProp(round)), self.est.clone(), env);
@@ -394,6 +433,20 @@ impl<V: Value> Node for ConsensusNode<V> {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: ProtocolMsg<V>, env: &mut Ctx<V>) {
+        // EA traffic for a round no correct process runs EA in is Byzantine:
+        // drop it before it allocates EA round state or an RB instance.
+        let ea_round = match &msg {
+            ProtocolMsg::Rb(m) => match m.tag() {
+                RbTag::CbVal(CbId::EaProp(r)) => Some(*r),
+                _ => None,
+            },
+            ProtocolMsg::EaProp2 { round, .. }
+            | ProtocolMsg::EaCoord { round, .. }
+            | ProtocolMsg::EaRelay { round, .. } => Some(*round),
+        };
+        if ea_round.is_some_and(|r| self.cfg.skips_ea(r)) {
+            return;
+        }
         match msg {
             ProtocolMsg::Rb(rb_msg) => {
                 // The RB layer is serviced forever — even after deciding —
@@ -445,6 +498,8 @@ mod tests {
     use minsync_net::sim::{OutputRecord, RunReport, SimBuilder};
     use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology};
     use minsync_types::check;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn decisions(outputs: &[OutputRecord<ConsensusEvent<u64>>]) -> Vec<(ProcessId, u64)> {
         let decided = outputs.iter().map(|o| (o.process, o.event.as_decision()));
@@ -551,6 +606,147 @@ mod tests {
             deliver(&mut node, origin, RbTag::AcEst(later));
         }
         assert!(node.ac_rounds.is_empty(), "decided, yet AC state");
+    }
+
+    fn skip_ea(system: SystemConfig) -> ConsensusConfig {
+        ConsensusConfig {
+            round1: Round1::SkipEa,
+            ..ConsensusConfig::paper(system)
+        }
+    }
+
+    /// Round-1 EA traffic in every shape a Byzantine `from` can send: the
+    /// three plain messages and all three phases of a `CB_VAL` instance
+    /// under `EaProp(1)`, for two values.
+    fn round1_ea_spray(from: ProcessId) -> Vec<ProtocolMsg<u64>> {
+        let (round, tag) = (Round::FIRST, RbTag::CbVal(CbId::EaProp(Round::FIRST)));
+        let origin = ProcessId::new(0);
+        [5u64, 6]
+            .into_iter()
+            .flat_map(|value| {
+                [
+                    ProtocolMsg::EaProp2 { round, value },
+                    ProtocolMsg::EaCoord { round, value },
+                    ProtocolMsg::EaRelay {
+                        round,
+                        value: Some(value),
+                    },
+                    ProtocolMsg::EaRelay { round, value: None },
+                    ProtocolMsg::Rb(RbMsg::Init { tag, value }),
+                    ProtocolMsg::Rb(RbMsg::Echo {
+                        origin: from,
+                        tag,
+                        value,
+                    }),
+                    ProtocolMsg::Rb(RbMsg::Ready { origin, tag, value }),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn skip_ea_node_keeps_no_state_for_round1_ea_traffic() {
+        let system = SystemConfig::new(4, 1).unwrap();
+        let mut node = ConsensusNode::new(skip_ea(system), 5u64).unwrap();
+        let mut env: Ctx<u64> = Env::new(4, 0);
+        node.on_start(&mut env);
+        env.drain().for_each(drop);
+        let rb = |node: &ConsensusNode<u64>| node.rb.as_ref().unwrap().live_instances();
+        let instances = rb(&node);
+        for from in 1..4 {
+            let from = ProcessId::new(from);
+            for msg in round1_ea_spray(from) {
+                node.on_message(from, msg, &mut env);
+            }
+        }
+        assert_eq!(env.drain().count(), 0, "the spray caused effects");
+        assert_eq!(node.ea.live_rounds(), 0, "EA state for a round with no EA");
+        assert_eq!(rb(&node), instances, "RB instances for EA_PROP1(1)");
+    }
+
+    /// A Byzantine process that sprays round-1 EA traffic at everyone on
+    /// start and on every RB `INIT` another process sends it, counting the
+    /// messages it sent; with `spray` off it is silent.
+    struct EaSprayer {
+        spray: bool,
+        sent: Arc<AtomicU64>,
+    }
+
+    impl Node for EaSprayer {
+        type Msg = ProtocolMsg<u64>;
+        type Output = ConsensusEvent<u64>;
+
+        fn on_start(&mut self, env: &mut Ctx<u64>) {
+            if self.spray {
+                for msg in round1_ea_spray(env.me()) {
+                    env.broadcast(msg);
+                    self.sent.fetch_add(env.n() as u64, Ordering::Relaxed);
+                }
+            }
+        }
+
+        fn on_message(&mut self, from: ProcessId, msg: ProtocolMsg<u64>, env: &mut Ctx<u64>) {
+            if from != env.me() && matches!(msg, ProtocolMsg::Rb(RbMsg::Init { .. })) {
+                self.on_start(env);
+            }
+        }
+    }
+
+    #[test]
+    fn skip_ea_decides_in_round1_as_without_a_round1_ea_spray() {
+        let system = SystemConfig::new(4, 1).unwrap();
+        // Outputs, and messages sent by the correct processes.
+        let run = |spray: bool| {
+            let mut builder = SimBuilder::new(NetworkTopology::all_timely(4, 3)).seed(5);
+            for p in [1u64, 2, 1] {
+                builder = builder.node(ConsensusNode::new(skip_ea(system), p).unwrap());
+            }
+            let sent = Arc::new(AtomicU64::new(0));
+            let sprayer = EaSprayer {
+                spray,
+                sent: Arc::clone(&sent),
+            };
+            let mut sim = builder.node(sprayer).build();
+            let report = sim.run_until(|outs| decisions(outs).len() == 3);
+            let spray = sent.load(Ordering::Relaxed);
+            let correct = report.metrics.messages_sent - spray;
+            (report.outputs, correct, spray)
+        };
+        let ((sprayed, correct, spray), (silent, silent_correct, _)) = (run(true), run(false));
+        assert!(spray > 0, "the sprayer sent nothing");
+        assert_eq!(
+            correct, silent_correct,
+            "correct processes answered the spray"
+        );
+        assert_eq!(
+            sprayed, silent,
+            "the spray changed a correct process's outputs"
+        );
+        assert_eq!(
+            decisions(&silent),
+            [1, 0, 2].map(|p| (ProcessId::new(p), 1))
+        );
+        let committed = silent.iter().filter(|o| {
+            matches!(
+                o.event,
+                ConsensusEvent::AcReturned {
+                    round: Round::FIRST,
+                    tag: AcTag::Commit,
+                    ..
+                }
+            )
+        });
+        assert_eq!(committed.count(), 3, "every process commits in round 1");
+        let round1_ea = silent.iter().filter(|o| {
+            matches!(
+                o.event,
+                ConsensusEvent::EaReturned {
+                    round: Round::FIRST,
+                    ..
+                }
+            )
+        });
+        assert_eq!(round1_ea.count(), 0, "EaReturned for a round with no EA");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   [`RoundSchedule`](minsync_types::RoundSchedule));
 //! * [`consensus`] — the complete algorithm (Figure 4): signature-free
 //!   m-valued Byzantine consensus with `t < n/3`, optimal in its synchrony
-//!   assumption;
+//!   assumption, with one opt-in round-1 rule ([`Round1::SkipEa`]: round 1
+//!   enters adopt-commit without EA, so a unanimous instance decides in
+//!   round 1 on any network; the replicated log runs it, DESIGN.md §10);
 //! * [`bot_variant`] — the ⊥-validity variant sketched in Section 7
 //!   ("never decide a Byzantine value; decide ⊥ on disagreement").
 //!
@@ -58,7 +60,7 @@ pub mod view_sync;
 
 pub use adopt_commit::{AcNode, AcNodeEvent, AcOutcome, AcRound};
 pub use bot_variant::{BotConsensusNode, BotEvent, BotMsg};
-pub use consensus::{ConsensusConfig, ConsensusNode, SeededMutation};
+pub use consensus::{ConsensusConfig, ConsensusNode, Round1, SeededMutation};
 pub use events::{AcTag, ConsensusEvent};
 pub use eventual_agreement::{EaAction, EaNode, EaNodeEvent, EaObject};
 pub use messages::{CbId, ProtocolMsg, RbTag};

@@ -20,13 +20,14 @@
 //! * **moving GST** — single-process isolation rotates over the whole
 //!   system, so no round interval has a stable bisource until the
 //!   rotation ends;
-//! * **adaptive champion** — the simulator drops exactly the `EA_COORD`
-//!   messages, i.e. whatever process is the current round's coordinator
-//!   is muted the moment it champions a value. Message-content targeting
-//!   needs the simulator's schedule seam; the cluster approximates it by
-//!   pulsing a partition around the round-robin schedule's first
-//!   coordinator (`PART`/`HEAL` over the control pipe cannot see rounds).
-//!   Both open and close on the same plan steps.
+//! * **adaptive champion** — the round-robin schedule's round-1
+//!   coordinator is muted while it champions a value. Replicas run round 1
+//!   without EA (DESIGN.md §10), so its value rides in its `AC_PROP(1)`
+//!   and `AC_EST(1)` INITs, and the simulator drops exactly those.
+//!   Message-content targeting needs the simulator's schedule seam; the
+//!   cluster approximates it by pulsing a partition around the same
+//!   process (`PART`/`HEAL` over the control pipe cannot see rounds). Both
+//!   open and close on the same plan steps.
 //!
 //! Every plan opens on commit progress, not at a clock time: once an
 //! observer it leaves connected has committed `OPEN_SLOT`, so the fault
@@ -36,14 +37,15 @@
 //! `minsync-node` processes on 127.0.0.1, where a partition really loses
 //! frames (blocked at the fault switch, never replayed), so recovery
 //! leans on the `ckpt_retry` repair path the node binary enables. A step
-//! that never fires fails the run on either substrate, and the suite's
-//! `run_checked` also asserts that every partitioning plan dropped frames
-//! (the `dropped` column).
+//! that never fires fails the run on either substrate, and every plan must
+//! drop something (the `dropped` column): the simulator cases assert it
+//! here, the suite's `run_checked` for every partitioning cluster plan.
 
-use minsync_core::ProtocolMsg;
+use minsync_broadcast::RbMsg;
+use minsync_core::{CbId, ProtocolMsg, RbTag};
 use minsync_smr::SmrMsg;
 use minsync_transport::cluster::{ChurnAction, ChurnPlan, Trigger};
-use minsync_types::SystemConfig;
+use minsync_types::{Round, SystemConfig};
 use minsync_workload::Batch;
 
 use super::{churn_sim, churn_spec, run_checked, slowest, PlanOracle};
@@ -94,6 +96,10 @@ const OPEN_SLOT: u64 = 2;
 /// 200 µs tick).
 const WINDOW: u32 = 500;
 
+/// The process adaptive champion mutes: the round-robin schedule names p0
+/// round 1's coordinator at every size.
+const CHAMPION: usize = 0;
+
 /// Ticks of one moving-GST turn, and of one champion pulse or the gap
 /// between two: short enough that every step fires while the log still
 /// grows on both substrates.
@@ -130,24 +136,34 @@ fn plan(scenario: Scenario, n: usize) -> ChurnPlan {
             }
             plan.step(span, ChurnAction::Heal)
         }
-        // Round-robin schedules start at process 0: on the cluster the
-        // pulses cut it off; the simulator drops `EA_COORD` instead.
+        // On the cluster the pulses cut the champion off; the simulator
+        // mutes its round-1 INITs instead.
         Scenario::AdaptiveChampion => {
             let pulse = Trigger::Ticks(SPAN);
             ChurnPlan::new()
-                .step(open(victim), cut(0))
+                .step(open(victim), cut(CHAMPION))
                 .step(pulse, ChurnAction::Heal)
-                .step(pulse, cut(0))
+                .step(pulse, cut(CHAMPION))
                 .step(pulse, ChurnAction::Heal)
         }
     }
 }
 
-/// Adaptive champion's simulator target: the message that champions a
-/// value.
-fn is_ea_coord(msg: &Msg) -> bool {
-    let coord = |m: &ProtocolMsg<_>| matches!(m, ProtocolMsg::EaCoord { .. });
-    matches!(msg, SmrMsg::Slot { msg, .. } if coord(msg))
+/// Adaptive champion's simulator target: the round-1 INITs that carry a
+/// process's value into adopt-commit (`PlanOracle` drops them from the
+/// cut side only).
+fn is_round1_ac_init(msg: &Msg) -> bool {
+    let SmrMsg::Slot {
+        msg: ProtocolMsg::Rb(RbMsg::Init { tag, .. }),
+        ..
+    } = msg
+    else {
+        return false;
+    };
+    matches!(
+        tag,
+        RbTag::CbVal(CbId::AcProp(Round::FIRST)) | RbTag::AcEst(Round::FIRST)
+    )
 }
 
 /// Runs E13.
@@ -184,14 +200,21 @@ pub fn run(quick: bool) -> Table {
         };
         let base_ticks = sim("baseline", PlanOracle::default()).0.final_time.ticks();
         for scenario in Scenario::ALL {
-            // Adaptive champion targets the message that champions a value.
-            let content = (scenario == Scenario::AdaptiveChampion).then_some(is_ea_coord as _);
+            // Adaptive champion mutes what the champion sends in round 1.
+            let content =
+                (scenario == Scenario::AdaptiveChampion).then_some(is_round1_ac_init as _);
             let oracle = PlanOracle {
                 content,
                 ..PlanOracle::new(&plan(scenario, n))
             };
             let (churned, _, fired) = sim(scenario.label(), oracle);
             let ticks = churned.final_time.ticks();
+            let dropped = churned.metrics.messages_suppressed;
+            assert!(
+                dropped > 0,
+                "E13 {} n={n}: the plan dropped nothing",
+                scenario.label()
+            );
             let bound = base_ticks + fired[fired.len() - 1] + RECOVERY_SLACK;
             assert!(
                 ticks <= bound,
@@ -207,7 +230,7 @@ pub fn run(quick: bool) -> Table {
                 base_ticks.to_string(),
                 ticks.to_string(),
                 format!("+{}", ticks.saturating_sub(base_ticks)),
-                churned.metrics.messages_suppressed.to_string(),
+                dropped.to_string(),
             ]);
         }
 
@@ -246,6 +269,15 @@ mod tests {
         let labels: std::collections::BTreeSet<_> =
             Scenario::ALL.iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), Scenario::ALL.len());
+    }
+
+    #[test]
+    fn the_champion_coordinates_round_1() {
+        for (n, t) in [(4, 1), (7, 2)] {
+            let system = SystemConfig::new(n, t).expect("valid system");
+            let schedule = minsync_types::RoundSchedule::new(&system, 0).expect("k = 0");
+            assert_eq!(schedule.coordinator(Round::FIRST).index(), CHAMPION);
+        }
     }
 
     #[test]

@@ -3,21 +3,23 @@
 //! Two claims are on trial. First, the **negative** claim behind every
 //! earlier experiment: no explored message schedule — reorderings, targeted
 //! delays, drops within the `t`-faults budget — makes any of the five
-//! protocol stacks violate agreement, validity, or (drop-free, quiescent
-//! runs only) termination. The explorer enumerates schedules three ways
-//! (empty, bounded DFS, seeded random walks) through the simulator's
-//! schedule-oracle seam and checks every run.
+//! protocol stacks (consensus under both round-1 rules) violate agreement,
+//! validity, or (drop-free, quiescent runs only) termination. The explorer
+//! enumerates schedules three ways (empty, bounded DFS, seeded random
+//! walks) through the simulator's schedule-oracle seam and checks every
+//! run.
 //!
 //! Second, the **positive control**: a harness that never fires proves
 //! nothing, so E14 also runs the same machinery against a deliberately
 //! broken stack ([`SeededMutation::AcQuorumOffByOne`] shrinks the
 //! adopt-commit witness quorum by one) and demands the agreement check
 //! trips, the violating schedule shrinks, and the unmutated stack survives
-//! the identical schedule.
+//! the identical schedule — under each round-1 rule.
 //!
 //! [`SeededMutation::AcQuorumOffByOne`]: minsync_core::SeededMutation::AcQuorumOffByOne
 
 use minsync_conformance::{explore, mutation_smoke, run_protocol, ExplorerConfig, Protocol};
+use minsync_core::Round1;
 use minsync_types::ProcessId;
 
 use crate::Table;
@@ -69,27 +71,32 @@ pub fn run(quick: bool) -> Table {
         }
     }
 
-    let smoke = mutation_smoke(budget(quick));
-    let result = if smoke.caught && smoke.clean_without_mutation {
-        format!(
-            "caught ({}); shrunk {}→{} ({} active); clean unmutated",
-            smoke.detail, smoke.consultations, smoke.shrunk_len, smoke.shrunk_active
-        )
-    } else {
-        format!(
-            "FAILED: caught={} clean={} ({})",
-            smoke.caught, smoke.clean_without_mutation, smoke.detail
-        )
-    };
-    table.push_row([
-        "mutation-smoke (ac-quorum−1)".to_string(),
-        "4".to_string(),
-        // The smoke runs the recording pass, the violation check, the
-        // shrink probes, and two clean-stack confirmations.
-        "1".to_string(),
-        if smoke.caught { "1" } else { "0" }.to_string(),
-        result,
-    ]);
+    for (round1, label) in [
+        (Round1::Paper, "mutation-smoke (ac-quorum−1)"),
+        (Round1::SkipEa, "mutation-smoke (ac-quorum−1, skip EA)"),
+    ] {
+        let smoke = mutation_smoke(round1, budget(quick));
+        let result = if smoke.caught && smoke.clean_without_mutation {
+            format!(
+                "caught ({}); shrunk {}→{} ({} active); clean unmutated",
+                smoke.detail, smoke.consultations, smoke.shrunk_len, smoke.shrunk_active
+            )
+        } else {
+            format!(
+                "FAILED: caught={} clean={} ({})",
+                smoke.caught, smoke.clean_without_mutation, smoke.detail
+            )
+        };
+        table.push_row([
+            label.to_string(),
+            "4".to_string(),
+            // The smoke runs the recording pass, the violation check, the
+            // shrink probes, and two clean-stack confirmations.
+            "1".to_string(),
+            if smoke.caught { "1" } else { "0" }.to_string(),
+            result,
+        ]);
+    }
 
     table
 }
@@ -101,12 +108,13 @@ mod tests {
     #[test]
     fn quick_e14_is_clean_and_catches_the_mutation() {
         let table = run(true);
-        // Five protocols at n = 4, plus the mutation row.
-        assert_eq!(table.rows().len(), 6);
-        for row in &table.rows()[..5] {
+        // Six protocol cases at n = 4, plus a mutation row per round-1 rule.
+        assert_eq!(table.rows().len(), 8);
+        for row in &table.rows()[..6] {
             assert_eq!(row[3], "0", "{}: unexpected violation: {}", row[0], row[4]);
         }
-        let smoke = table.rows().last().unwrap();
-        assert_eq!(smoke[3], "1", "mutation smoke must fire: {}", smoke[4]);
+        for smoke in &table.rows()[6..] {
+            assert_eq!(smoke[3], "1", "mutation smoke must fire: {}", smoke[4]);
+        }
     }
 }

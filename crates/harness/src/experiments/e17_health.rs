@@ -76,10 +76,14 @@ use super::{
 };
 use crate::Table;
 
-/// Commands per client in every cluster arm, so a clean run spans several
-/// sampling periods (8 per client drain inside one period) and the log
-/// still grows well past [`CUT_SLOT`].
+/// Commands per client in every cluster fault arm, so the log still grows
+/// well past [`CUT_SLOT`] when the fault fires.
 const FAULT_ARM_COMMANDS: usize = 64;
+
+/// Commands per client in the clean cluster arms: three times a fault
+/// arm's, so the drain spans at least twice [`MIN_CLEAN_SAMPLES`] sampling
+/// periods (64 per client drain in 3–5 periods, no margin over the floor).
+const CLEAN_ARM_COMMANDS: usize = 3 * FAULT_ARM_COMMANDS;
 
 /// Slot at whose commit every fault arm cuts: a partition or crash fires
 /// once its victim has committed it (the cluster's silent rider commits
@@ -318,7 +322,7 @@ fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
 /// silent, RTT gauges present. Returns the fewest and the most points a
 /// replica's series retained.
 fn cluster_clean(n: usize, t: usize, seed: u64) -> (usize, usize) {
-    let spec = churn_spec(n, t, FAULT_ARM_COMMANDS, seed);
+    let spec = churn_spec(n, t, CLEAN_ARM_COMMANDS, seed);
     let report = run_checked("E17 tcp-clean", &spec, Some(&ChurnPlan::new()));
     for r in &report.replicas {
         assert!(

@@ -110,7 +110,7 @@ pub fn catalog() -> Vec<Entry> {
         ),
         (
             "e14",
-            "Conformance: schedule exploration (reorder/delay/drop) over all five stacks + ac-quorum mutation smoke",
+            "Conformance: schedule exploration (reorder/delay/drop) over all five stacks, consensus under both round-1 rules + ac-quorum mutation smoke",
             e14_conformance::run,
         ),
         (
@@ -334,7 +334,9 @@ type Msg = SmrMsg<Batch>;
 /// trigger holds, a replica's floor being the highest cumulative
 /// [`SmrMsg::Ack`] it has broadcast. `Kill` isolates a replica until
 /// `Restart`; self-delivery always flows. With `content`, an open
-/// partition drops the messages it selects instead of cutting by side.
+/// partition mutes its side instead of cutting it off: it drops the
+/// messages `content` selects that a member of the side sends, to every
+/// recipient.
 #[derive(Default)]
 pub(crate) struct PlanOracle {
     steps: Vec<ChurnStep>,
@@ -387,7 +389,7 @@ impl ScheduleOracle<Msg> for PlanOracle {
             }
         }
         let cut = match (&self.side, self.content) {
-            (Some(_), Some(hit)) => hit(msg),
+            (Some(side), Some(hit)) => side.contains(&f) && hit(msg),
             (Some(side), None) => side.contains(&f) != side.contains(&t),
             (None, _) => false,
         };
@@ -554,10 +556,12 @@ mod tests {
         let mut o = PlanOracle::new(&plan);
         o.content = Some(|m| matches!(m, SmrMsg::Ack { slot: 7 }));
         let hit = SmrMsg::Ack { slot: 7 };
-        assert!(!drops(&mut o, 2, 1, 5, &hit), "not open yet");
-        assert!(drops(&mut o, 2, 2, 10, &hit), "self-delivery too");
-        assert!(!drops(&mut o, 0, 1, 10, &PLAIN), "not by side");
-        assert!(!drops(&mut o, 2, 1, 20, &hit), "closed");
+        assert!(!drops(&mut o, 0, 1, 5, &hit), "not open yet");
+        assert!(drops(&mut o, 0, 0, 10, &hit), "self-delivery too");
+        assert!(drops(&mut o, 0, 2, 10, &hit), "to either side");
+        assert!(!drops(&mut o, 2, 1, 10, &hit), "only the side's sends");
+        assert!(!drops(&mut o, 0, 1, 10, &PLAIN), "only what it selects");
+        assert!(!drops(&mut o, 0, 1, 20, &hit), "closed");
     }
 
     fn selected(args: &[&str]) -> Result<Vec<&'static str>, String> {

@@ -157,11 +157,10 @@ impl ConsensusRunBuilder {
         }
         spec.faults.validate(&spec.system)?;
         let cons_cfg = ConsensusConfig {
-            system: spec.system,
             k: spec.k,
             timeout: spec.timeout,
             max_rounds: spec.max_rounds,
-            mutation: None,
+            ..ConsensusConfig::paper(spec.system)
         };
         // Surface schedule errors (invalid k) eagerly.
         cons_cfg.schedule()?;

@@ -8,11 +8,14 @@
 //! slot-stamping adapter.
 //!
 //! **Value flow: agree on digests, ship each payload once.** A slot's
-//! instance never sees the proposal `V`; it runs Figures 1–4 unmodified
-//! over the proposal's 32-byte SHA-256 [`Digest`]. The proposal itself
-//! crosses the network once per proposer: starting slot `s`, a replica
-//! sends [`SmrMsg::Payload`] to each of the `n − 1` others (ahead of its
-//! first consensus message), keeps its own copy, and proposes the digest.
+//! instance never sees the proposal `V`; it runs Figures 1–4 over the
+//! proposal's 32-byte SHA-256 [`Digest`], with round 1 going straight to
+//! adopt-commit ([`Round1::SkipEa`], DESIGN.md §10): a unanimous slot
+//! commits in round 1 with no EA wave and no round timer. The proposal
+//! itself crosses the network once per proposer: starting slot `s`, a
+//! replica sends [`SmrMsg::Payload`] to each of the `n − 1` others (ahead
+//! of its first consensus message), keeps its own copy, and proposes the
+//! digest.
 //! A replica commits slot `s` when its instance has decided `d` **and** it
 //! holds a payload whose digest is `d`. So a decision costs
 //! O(n·|v| + n³·|h|) bytes where carrying `V` in every message cost
@@ -99,7 +102,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use minsync_auth::Digest;
-use minsync_core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg};
+use minsync_core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg, Round1};
 use minsync_net::sim::OutputRecord;
 use minsync_net::{Effect, Env, Node, TimerId};
 use minsync_telemetry::trace::{TraceKind, TraceRecorder};
@@ -518,7 +521,8 @@ pub struct ReplicaNode<V, P> {
 
 impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     /// Creates a replica that fills `target_slots` log slots, with default
-    /// [`SmrLimits`].
+    /// [`SmrLimits`]. Every slot instance runs `cfg` under
+    /// [`Round1::SkipEa`], whatever `cfg.round1` says.
     ///
     /// # Panics
     ///
@@ -527,7 +531,10 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         assert!(target_slots > 0, "need at least one slot");
         let n = cfg.system.n();
         ReplicaNode {
-            cfg,
+            cfg: ConsensusConfig {
+                round1: Round1::SkipEa,
+                ..cfg
+            },
             source,
             target_slots,
             limits: SmrLimits::default(),

@@ -27,31 +27,29 @@ type Out = SmrEvent<Batch>;
 const CLIENTS: usize = 8;
 const SEED: u64 = 11;
 
-/// n=4 t=1, all timely, 60 slots. Per commit: 928 messages, of which
-/// `CB_VAL/*` 576, `AC_EST/*` 144, `DECIDE/*` 144, `EA_*` 36, `SMR_ACK` 16
-/// — all over 32-byte digests — and `SMR_PAYLOAD` n(n−1) = 12, the only
-/// ones that carry the batch; the 28 on top of 60 × 928 are slot 61's 12
-/// payloads and 16 `CB_VAL/INIT`, sent before the stop predicate fires.
+/// n=4 t=1, all timely, 60 slots. Per commit: 748 messages, of which
+/// `CB_VAL/*` 432 (`CB[0]` and round 1's `AC_PROP`; round 1 runs no EA, see
+/// DESIGN.md §10), `AC_EST/*` 144, `DECIDE/*` 144, `SMR_ACK` 16 — all over
+/// 32-byte digests — and `SMR_PAYLOAD` n(n−1) = 12, the only ones that
+/// carry the batch; the 28 on top of 60 × 748 are slot 61's 12 payloads
+/// and 16 `CB_VAL/INIT`, sent before the stop predicate fires.
 const N4_TIMELY: &[(&str, u64)] = &[
-    ("messages_sent", 55_708),
-    ("messages_delivered", 55_601),
+    ("messages_sent", 44_908),
+    ("messages_delivered", 44_801),
     ("timers_fired", 0),
-    ("events_processed", 55_785),
-    ("last_commit_tick", 2_880),
+    ("events_processed", 44_805),
+    ("last_commit_tick", 2_160),
     ("log_slots", 60),
     ("log_digest", 1_678_938_114_058_546_041),
     ("AC_EST/ECHO", 3_840),
     ("AC_EST/INIT", 960),
     ("AC_EST/READY", 3_840),
-    ("CB_VAL/ECHO", 15_360),
-    ("CB_VAL/INIT", 3_856),
-    ("CB_VAL/READY", 15_360),
+    ("CB_VAL/ECHO", 11_520),
+    ("CB_VAL/INIT", 2_896),
+    ("CB_VAL/READY", 11_520),
     ("DECIDE/ECHO", 3_840),
     ("DECIDE/INIT", 960),
     ("DECIDE/READY", 3_840),
-    ("EA_COORD", 240),
-    ("EA_PROP2", 960),
-    ("EA_RELAY", 960),
     ("SMR_ACK", 960),
     ("SMR_PAYLOAD", 732),
 ];
@@ -60,53 +58,53 @@ const N4_TIMELY: &[(&str, u64)] = &[
 /// seed 11 (the only population whose delays are drawn from the seed — so
 /// the 30 payload sends per slot, 5 correct proposers × 6 peers, shift
 /// every later draw and every count with them). The log is `N4_TIMELY`'s:
-/// same clients, same batches, same slots.
+/// same clients, same batches, same slots. Every slot commits in round 1
+/// (one `AC_EST/INIT` per correct replica and slot); the `EA_*` traffic is
+/// round 2's, entered after the commit and abandoned at the decision
+/// before any round timer expires.
 const N7_BISOURCE_SILENT: &[(&str, u64)] = &[
-    ("messages_sent", 149_362),
-    ("messages_delivered", 149_193),
-    ("timers_fired", 10),
-    ("events_processed", 149_212),
-    ("last_commit_tick", 28_468),
+    ("messages_sent", 121_551),
+    ("messages_delivered", 121_404),
+    ("timers_fired", 0),
+    ("events_processed", 121_411),
+    ("last_commit_tick", 21_459),
     ("log_slots", 60),
     ("log_digest", 1_678_938_114_058_546_041),
     ("AC_EST/ECHO", 10_500),
     ("AC_EST/INIT", 2_100),
     ("AC_EST/READY", 10_500),
-    ("CB_VAL/ECHO", 42_091),
-    ("CB_VAL/INIT", 8_442),
-    ("CB_VAL/READY", 42_000),
+    ("CB_VAL/ECHO", 31_633),
+    ("CB_VAL/INIT", 6_349),
+    ("CB_VAL/READY", 31_500),
     ("DECIDE/ECHO", 10_500),
     ("DECIDE/INIT", 2_100),
     ("DECIDE/READY", 10_500),
-    ("EA_COORD", 693),
-    ("EA_PROP2", 3_269),
-    ("EA_RELAY", 2_737),
+    ("EA_COORD", 266),
+    ("EA_PROP2", 1_099),
+    ("EA_RELAY", 574),
     ("SMR_ACK", 2_100),
     ("SMR_PAYLOAD", 1_830),
 ];
 
-/// n=20 t=6, all timely, 3 slots: 100 000 messages per commit — 380 of
+/// n=20 t=6, all timely, 3 slots: 82 780 messages per commit — 380 of
 /// them `SMR_PAYLOAD` — plus slot 4's 380 payloads and 400 `CB_VAL/INIT`.
 const N20_TIMELY: &[(&str, u64)] = &[
-    ("messages_sent", 300_780),
-    ("messages_delivered", 289_207),
+    ("messages_sent", 249_120),
+    ("messages_delivered", 237_547),
     ("timers_fired", 0),
-    ("events_processed", 289_284),
-    ("last_commit_tick", 144),
+    ("events_processed", 237_567),
+    ("last_commit_tick", 108),
     ("log_slots", 3),
     ("log_digest", 16_733_735_748_791_105_565),
     ("AC_EST/ECHO", 24_000),
     ("AC_EST/INIT", 1_200),
     ("AC_EST/READY", 24_000),
-    ("CB_VAL/ECHO", 96_000),
-    ("CB_VAL/INIT", 5_200),
-    ("CB_VAL/READY", 96_000),
+    ("CB_VAL/ECHO", 72_000),
+    ("CB_VAL/INIT", 4_000),
+    ("CB_VAL/READY", 72_000),
     ("DECIDE/ECHO", 24_000),
     ("DECIDE/INIT", 1_200),
     ("DECIDE/READY", 24_000),
-    ("EA_COORD", 60),
-    ("EA_PROP2", 1_200),
-    ("EA_RELAY", 1_200),
     ("SMR_ACK", 1_200),
     ("SMR_PAYLOAD", 1_520),
 ];
@@ -115,8 +113,9 @@ const N20_TIMELY: &[(&str, u64)] = &[
 /// 5 slots; see `n4_bulk_encoded_bytes_per_commit_are_pinned`. With the
 /// 4 KiB batch in every one of the 916 messages of a commit this read
 /// (18 565 816, 3 713 163); with the batch in the 12 `SMR_PAYLOAD`s only
-/// and a 32-byte digest everywhere else it is 36.6× less.
-const N4_BULK_ENCODED_BYTES: (u64, u64) = (507_248, 101_449);
+/// and a 32-byte digest everywhere else it read (507 248, 101 449), and
+/// with round 1's EA wave gone too it is 40.9× less.
+const N4_BULK_ENCODED_BYTES: (u64, u64) = (453_848, 90_769);
 
 /// The paper's regime: every channel asynchronous with uniform 1–40-tick
 /// delays, except those of a ⟨t+1⟩bisource at p0, timely (bound 4) from
