@@ -148,7 +148,6 @@ impl ScheduleOracle<ProtocolMsg<u64>> for SplitBrainOracle {
         msg: &ProtocolMsg<u64>,
         default: u64,
     ) -> ScheduleCommand {
-        use minsync_broadcast::RbMsg;
         use minsync_core::{CbId, RbTag};
         match msg {
             ProtocolMsg::EaCoord { .. } => ScheduleCommand::Stretch(self.coord_delay),
@@ -177,11 +176,7 @@ impl ScheduleOracle<ProtocolMsg<u64>> for SplitBrainOracle {
                 ScheduleCommand::Stretch(default + self.split_extra)
             }
             ProtocolMsg::Rb(rb) => {
-                let (tag, value) = match rb {
-                    RbMsg::Init { tag, value }
-                    | RbMsg::Echo { tag, value, .. }
-                    | RbMsg::Ready { tag, value, .. } => (tag, value),
-                };
+                let (tag, value) = (rb.tag(), rb.value());
                 let splittable = matches!(
                     tag,
                     RbTag::CbVal(CbId::ConsValid)

@@ -8,9 +8,10 @@ use minsync_types::{ProcessId, Round, Value};
 
 /// A protocol-aware fuzzer: on every received message it emits a burst of
 /// syntactically valid, semantically hostile [`ProtocolMsg`] traffic —
-/// random RB inits/echoes/readies with forged origins, fake coordinator
-/// championships, `⊥` and non-`⊥` relays — drawn from a value pool and a
-/// bounded round window around the traffic it observes.
+/// random RB inits/echoes/readies with forged origins, relay-rule `CB(v)`
+/// sprays, fake coordinator championships, `⊥` and non-`⊥` relays — drawn
+/// from a value pool and a bounded round window around the traffic it
+/// observes.
 ///
 /// Safety test suites run the honest protocols against this node: no
 /// interleaving of its output may break agreement, validity, or RB unicity.
@@ -53,7 +54,7 @@ impl<V: Value, O> RandomProtocolNode<V, O> {
     }
 
     fn random_msg(&self, env: &mut Env<ProtocolMsg<V>, O>) -> ProtocolMsg<V> {
-        let kind = env.random() % 8;
+        let kind = env.random() % 9;
         let value = self.random_value(env.random());
         let round = self.random_round(env.random());
         let origin = ProcessId::new((env.random() as usize) % env.n());
@@ -78,7 +79,8 @@ impl<V: Value, O> RandomProtocolNode<V, O> {
                 round,
                 value: Some(value),
             },
-            _ => ProtocolMsg::EaRelay { round, value: None },
+            7 => ProtocolMsg::EaRelay { round, value: None },
+            _ => ProtocolMsg::Rb(RbMsg::Relay { tag, value }),
         }
     }
 

@@ -39,6 +39,17 @@
 //! first entry as line 3's deterministic "any value". `DECIDE` (Figure 4
 //! line 9) is counted the same way.
 //!
+//! # Cooperative broadcast by relay (DESIGN.md §9)
+//!
+//! Figure 1 costs `n` reliable broadcasts per wave: about `2n³` messages and
+//! three message delays. Under [`CbRule::Relay`], chosen once per engine
+//! ([`RbEngine::with_rule`]), the tags that [`Tag::relayed`] names travel
+//! by BV-broadcast's relay rule instead: a best-effort `CB(v)` for the own
+//! value, one relay of `v` at `t + 1` distinct senders, and
+//! [`RbEvent::CbValid`] at `2t + 1`, which costs at most `m·n²` messages
+//! and one delay. The host sees the same event either way. Both rules'
+//! thresholds are [`SystemConfig`](minsync_types::SystemConfig) methods.
+//!
 //! # Example: four processes cb-broadcast and agree on `cb_valid`
 //!
 //! ```rust
@@ -64,7 +75,7 @@
 //! // quiescence (a zero-delay, reliable network).
 //! let mut wire: Vec<(ProcessId, RbMsg<CbVal, u64>)> = Vec::new();
 //! for (i, v) in [7, 7, 9, 9].into_iter().enumerate() {
-//!     wire.push((ProcessId::new(i), engines[i].broadcast(CbVal, v)));
+//!     wire.extend(engines[i].broadcast(CbVal, v).map(|m| (ProcessId::new(i), m)));
 //! }
 //! let mut cb_valid: Vec<Vec<u64>> = vec![Vec::new(); 4];
 //! while let Some((from, msg)) = wire.pop() {
@@ -89,5 +100,6 @@
 #![warn(unreachable_pub)]
 
 mod rb;
+mod relay;
 
-pub use rb::{RbEngine, RbEvent, RbMsg, RbStep, Tag};
+pub use rb::{CbRule, RbEngine, RbEvent, RbMsg, RbStep, Tag};

@@ -27,6 +27,8 @@ use std::collections::BTreeMap;
 
 use minsync_types::{ProcessId, SystemConfig, Tally, Value};
 
+use crate::relay::Wave;
+
 /// Wire messages of the reliable-broadcast layer.
 ///
 /// `T` tags instances so several concurrent RB uses share one engine; the
@@ -59,13 +61,35 @@ pub enum RbMsg<T, V> {
         /// Committed value.
         value: V,
     },
+    /// The relay rule's best-effort `CB(v)` (DESIGN.md §9): the sender's
+    /// own value, or a value it heard from `t + 1` senders. Only a counted
+    /// tag that [`Tag::relayed`] names, under [`CbRule::Relay`].
+    Relay {
+        /// The CB instance's tag.
+        tag: T,
+        /// The value sent or relayed.
+        value: V,
+    },
 }
 
 impl<T, V> RbMsg<T, V> {
     /// The instance tag the message belongs to.
     pub fn tag(&self) -> &T {
         match self {
-            RbMsg::Init { tag, .. } | RbMsg::Echo { tag, .. } | RbMsg::Ready { tag, .. } => tag,
+            RbMsg::Init { tag, .. }
+            | RbMsg::Echo { tag, .. }
+            | RbMsg::Ready { tag, .. }
+            | RbMsg::Relay { tag, .. } => tag,
+        }
+    }
+
+    /// The value the message carries.
+    pub fn value(&self) -> &V {
+        match self {
+            RbMsg::Init { value, .. }
+            | RbMsg::Echo { value, .. }
+            | RbMsg::Ready { value, .. }
+            | RbMsg::Relay { value, .. } => value,
         }
     }
 
@@ -75,6 +99,7 @@ impl<T, V> RbMsg<T, V> {
             RbMsg::Init { .. } => "RB_INIT",
             RbMsg::Echo { .. } => "RB_ECHO",
             RbMsg::Ready { .. } => "RB_READY",
+            RbMsg::Relay { .. } => "CB_RELAY",
         }
     }
 }
@@ -90,6 +115,27 @@ impl<T, V> RbMsg<T, V> {
 pub trait Tag: Clone + Ord + Debug {
     /// True when deliveries under this tag are counted.
     fn counted(&self) -> bool;
+
+    /// True when this counted tag is a CB instance's `CB_VAL`, which
+    /// [`CbRule::Relay`] carries by relay instead of by `n` reliable
+    /// broadcasts. No tag by default.
+    fn relayed(&self) -> bool {
+        false
+    }
+}
+
+/// How the layer carries the CB waves of [`Tag::relayed`] tags; every
+/// other tag is Bracha's RB under either rule.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CbRule {
+    /// Figure 1: one RB instance per origin; a value is valid once `t + 1`
+    /// distinct origins RB-delivered it. About `2n³` messages and three
+    /// message delays per wave.
+    Figure1,
+    /// BV-broadcast's relay rule (DESIGN.md §9): best-effort `CB(v)`,
+    /// relayed at `t + 1` distinct senders, valid at `2t + 1`. At most
+    /// `m·n²` messages and one message delay per wave.
+    Relay,
 }
 
 /// The single-instance tag: plain RB.
@@ -115,7 +161,9 @@ pub enum RbEvent<T, V> {
     /// Figure 1 line 4: `value` was RB-delivered under the counted `tag`
     /// from `t + 1` distinct origins, so at least one correct process
     /// broadcast it. Emitted once per value, when its support reaches
-    /// exactly `t + 1`; for `DECIDE` this is Figure 4 line 9.
+    /// exactly `t + 1`; for `DECIDE` this is Figure 4 line 9. Under
+    /// [`CbRule::Relay`] a relayed tag's value is valid at `2t + 1`
+    /// distinct senders of `CB(v)` instead.
     CbValid {
         /// The counted tag.
         tag: T,
@@ -129,7 +177,7 @@ pub enum RbEvent<T, V> {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RbStep<T, V> {
     /// Best-effort-broadcast this to **all** processes (self included): an
-    /// `ECHO`, a `READY`, or a `READY` amplification.
+    /// `ECHO`, a `READY`, a `READY` amplification, or a relayed `CB(v)`.
     pub broadcast: Option<RbMsg<T, V>>,
     /// Then handle this.
     pub event: Option<RbEvent<T, V>>,
@@ -193,6 +241,7 @@ impl<V> Instance<V> {
 pub struct RbEngine<T, V> {
     cfg: SystemConfig,
     me: ProcessId,
+    rule: CbRule,
     /// Instance state, split per origin: the origin's process id indexes a
     /// dense vector of `n` entries; within an origin, instances live in a
     /// flat vector in creation order, scanned backwards (protocols create
@@ -201,28 +250,52 @@ pub struct RbEngine<T, V> {
     instances: Vec<Vec<(T, Instance<V>)>>,
     /// Per counted tag, the origins whose instance delivered, per value.
     origins: BTreeMap<T, Tally<V>>,
+    /// Under [`CbRule::Relay`], one wave per relayed tag, created on its
+    /// first message and scanned backwards like `instances`.
+    waves: Vec<(T, Wave<V>)>,
 }
 
 impl<T: Tag, V: Value> RbEngine<T, V> {
-    /// Creates an engine for process `me` in system `cfg`.
+    /// Creates an engine for process `me` in system `cfg`, under Figure 1.
     pub fn new(cfg: SystemConfig, me: ProcessId) -> Self {
+        Self::with_rule(cfg, me, CbRule::Figure1)
+    }
+
+    /// Creates an engine for process `me` in system `cfg` that carries the
+    /// relayed tags' CB waves under `rule`.
+    pub fn with_rule(cfg: SystemConfig, me: ProcessId, rule: CbRule) -> Self {
         RbEngine {
             cfg,
             me,
+            rule,
             instances: (0..cfg.n()).map(|_| Vec::new()).collect(),
             origins: BTreeMap::new(),
+            waves: Vec::new(),
         }
+    }
+
+    /// Whether `tag`'s waves travel by relay in this engine.
+    fn by_relay(&self, tag: &T) -> bool {
+        self.rule == CbRule::Relay && tag.relayed()
     }
 
     /// RB-broadcasts `value` with this process as origin: returns the
     /// `INIT` to broadcast. The origin's own `ECHO` follows when the
     /// network loops the `INIT` back (broadcast includes self).
     ///
+    /// Under [`CbRule::Relay`] a relayed tag's value goes out as `CB(v)`
+    /// instead, and `None` means this process already relayed `v` under
+    /// `tag`: it sends each value once.
+    ///
     /// # Panics
     ///
     /// Panics if this process already RB-broadcast for `tag` — instances are
     /// one-shot.
-    pub fn broadcast(&mut self, tag: T, value: V) -> RbMsg<T, V> {
+    pub fn broadcast(&mut self, tag: T, value: V) -> Option<RbMsg<T, V>> {
+        if self.by_relay(&tag) {
+            let fresh = self.wave(tag.clone()).initiate(&value);
+            return fresh.then_some(RbMsg::Relay { tag, value });
+        }
         // A Byzantine process may have already sent us forged ECHO/READY
         // naming us as origin, creating the instance entry; only *our own*
         // initiation may exist once.
@@ -236,21 +309,55 @@ impl<T: Tag, V: Value> RbEngine<T, V> {
             self.me, tag
         );
         inst.initiated = true;
-        RbMsg::Init { tag, value }
+        Some(RbMsg::Init { tag, value })
     }
 
-    /// Number of `(origin, tag)` instances the engine holds state for
-    /// (diagnostics).
+    /// Number of `(origin, tag)` instances the engine holds state for,
+    /// plus the values named in its relay waves (diagnostics).
     pub fn live_instances(&self) -> usize {
-        self.instances.iter().map(Vec::len).sum()
+        let waves = self.waves.iter().map(|(_, w)| w.values());
+        self.instances.iter().map(Vec::len).sum::<usize>() + waves.sum::<usize>()
     }
 
     /// Feeds a received RB message (true sender stamped by the network).
+    ///
+    /// A message of the other CB rule than this engine runs for its tag is
+    /// one no correct process sends; it is dropped before it allocates.
     pub fn on_message(&mut self, from: ProcessId, msg: RbMsg<T, V>) -> RbStep<T, V> {
+        let relay = matches!(msg, RbMsg::Relay { .. });
+        if relay != self.by_relay(msg.tag()) {
+            return RbStep::NONE;
+        }
         match msg {
             RbMsg::Init { tag, value } => self.on_init(from, tag, value),
             RbMsg::Echo { origin, tag, value } => self.on_echo(from, origin, tag, value),
             RbMsg::Ready { origin, tag, value } => self.on_ready(from, origin, tag, value),
+            RbMsg::Relay { tag, value } => self.on_relay(from, tag, value),
+        }
+    }
+
+    /// The (created-on-demand) relay wave of `tag`.
+    fn wave(&mut self, tag: T) -> &mut Wave<V> {
+        let at = match self.waves.iter().rposition(|(t, _)| *t == tag) {
+            Some(at) => at,
+            None => {
+                self.waves.push((tag, Wave::default()));
+                self.waves.len() - 1
+            }
+        };
+        &mut self.waves[at].1
+    }
+
+    /// The relay rule's steps 2 and 3 for `CB(value)` from `from`.
+    fn on_relay(&mut self, from: ProcessId, tag: T, value: V) -> RbStep<T, V> {
+        let cfg = self.cfg;
+        let counted = self.wave(tag.clone()).on_cb(&cfg, from, &value);
+        RbStep {
+            broadcast: counted.relay.then(|| RbMsg::Relay {
+                tag: tag.clone(),
+                value: value.clone(),
+            }),
+            event: counted.valid.then_some(RbEvent::CbValid { tag, value }),
         }
     }
 
@@ -356,10 +463,15 @@ impl<T: Tag, V: Value> RbEngine<T, V> {
 mod tests {
     use super::*;
 
-    /// Tags starting with `cb` are counted, the rest plain.
+    /// Tags starting with `cb` are counted, the rest plain; the counted
+    /// ones are relayed too, but `cb-decide`.
     impl Tag for &'static str {
         fn counted(&self) -> bool {
             self.starts_with("cb")
+        }
+
+        fn relayed(&self) -> bool {
+            self.counted() && *self != "cb-decide"
         }
     }
 
@@ -413,7 +525,7 @@ mod tests {
     ) -> Wire {
         vec![(
             ProcessId::new(origin),
-            engines[origin].broadcast(tag, value),
+            engines[origin].broadcast(tag, value).unwrap(),
         )]
     }
 
@@ -658,6 +770,93 @@ mod tests {
         assert_eq!(cb_valid(10, 3, &deliveries), [1, 2]);
     }
 
+    fn relay_engine(n: usize, t: usize) -> Engine {
+        let cfg = SystemConfig::new(n, t).unwrap();
+        RbEngine::with_rule(cfg, ProcessId::new(0), CbRule::Relay)
+    }
+
+    /// `CB(value)` under tag `cb`.
+    fn cb_msg(value: u64) -> Msg {
+        RbMsg::Relay { tag: "cb", value }
+    }
+
+    /// `e`'s step for `CB(value)` from `sender`.
+    fn hear(e: &mut Engine, sender: usize, value: u64) -> Step {
+        e.on_message(ProcessId::new(sender), cb_msg(value))
+    }
+
+    type Step = RbStep<&'static str, u64>;
+
+    #[test]
+    fn relay_rule_relays_at_t_plus_1_and_accepts_at_2t_plus_1() {
+        // n = 7, t = 2: relay at 3 senders, valid at 5.
+        let mut e = relay_engine(7, 2);
+        let valid = Some(RbEvent::CbValid {
+            tag: "cb",
+            value: 9,
+        });
+        assert_eq!(hear(&mut e, 1, 9), RbStep::NONE);
+        assert_eq!(hear(&mut e, 2, 9), RbStep::NONE);
+        let step = hear(&mut e, 3, 9);
+        assert_eq!((step.broadcast, step.event), (Some(cb_msg(9)), None));
+        assert_eq!(hear(&mut e, 3, 9), RbStep::NONE, "a sender counts once");
+        assert_eq!(hear(&mut e, 4, 9), RbStep::NONE, "relayed once");
+        let step = hear(&mut e, 0, 9);
+        assert_eq!((step.broadcast, step.event), (None, valid));
+        assert_eq!(hear(&mut e, 5, 9), RbStep::NONE, "valid once");
+    }
+
+    #[test]
+    fn own_value_already_relayed_is_not_sent_again() {
+        let mut e = relay_engine(4, 1);
+        hear(&mut e, 1, 5);
+        hear(&mut e, 2, 5);
+        assert_eq!(e.broadcast("cb", 5), None, "CB(5) already relayed");
+        let mut e = relay_engine(4, 1);
+        assert_eq!(e.broadcast("cb", 5), Some(cb_msg(5)));
+        hear(&mut e, 1, 5);
+        assert_eq!(hear(&mut e, 2, 5).broadcast, None, "own value relayed");
+    }
+
+    #[test]
+    fn each_rule_drops_the_other_rules_cb_traffic() {
+        // Under the relay rule a relayed tag's Bracha phases are Byzantine;
+        // a tag it does not relay keeps Bracha's rule.
+        let mut e = relay_engine(4, 1);
+        let origin = ProcessId::new(1);
+        for sender in 0..4 {
+            let from = ProcessId::new(sender);
+            for msg in [
+                RbMsg::Init {
+                    tag: "cb",
+                    value: 1,
+                },
+                RbMsg::Ready {
+                    origin,
+                    tag: "cb",
+                    value: 1,
+                },
+                RbMsg::Relay {
+                    tag: "cb-decide",
+                    value: 1,
+                },
+                RbMsg::Relay { tag: "x", value: 1 },
+            ] {
+                assert_eq!(e.on_message(from, msg), RbStep::NONE);
+            }
+        }
+        assert_eq!(e.live_instances(), 0, "dropped traffic allocated state");
+        let (from, msg) = ready(1, 1, "cb-decide", 4);
+        assert_eq!(e.on_message(from, msg), RbStep::NONE);
+        assert_eq!(e.live_instances(), 1, "DECIDE stays Bracha's");
+        // Figure 1 has no relay message.
+        let mut e = engines(4).remove(0);
+        for sender in 0..4 {
+            assert_eq!(hear(&mut e, sender, 1), RbStep::NONE);
+        }
+        assert_eq!(e.live_instances(), 0);
+    }
+
     #[test]
     fn kind_labels() {
         let m: RbMsg<u8, u8> = RbMsg::Init { tag: 0, value: 0 };
@@ -674,5 +873,7 @@ mod tests {
             value: 0,
         };
         assert_eq!(m.kind(), "RB_READY");
+        let m: RbMsg<u8, u8> = RbMsg::Relay { tag: 0, value: 0 };
+        assert_eq!((m.kind(), *m.value()), ("CB_RELAY", 0));
     }
 }

@@ -61,6 +61,13 @@ impl ScanRb {
         let (origin, tag) = match msg {
             RbMsg::Init { tag, .. } => (from, tag),
             RbMsg::Echo { origin, tag, .. } | RbMsg::Ready { origin, tag, .. } => (origin, tag),
+            // Figure 1 has no relay message (see `prop_relay_cb.rs`).
+            RbMsg::Relay { .. } => {
+                return Step {
+                    broadcast: None,
+                    event: None,
+                }
+            }
         };
         let inst = self.instances.entry((origin, tag)).or_default();
         let (mut broadcast, mut event) = (None, None);
@@ -104,6 +111,7 @@ impl ScanRb {
                     };
                 }
             }
+            RbMsg::Relay { .. } => unreachable!("returned above"),
         }
         Step { broadcast, event }
     }
@@ -156,7 +164,7 @@ impl Soup {
 
     fn broadcast_from(&mut self, origin: usize, tag: Tag, value: Val) {
         let init = self.engines[origin].broadcast(tag, value);
-        self.apply(origin, Some(init), None);
+        self.apply(origin, init, None);
     }
 
     /// Byzantine injection: send `msg` to a single target only.

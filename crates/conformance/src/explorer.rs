@@ -16,7 +16,7 @@
 
 use minsync_core::{
     AcNode, AcNodeEvent, AcTag, BotConsensusNode, BotEvent, ConsensusConfig, ConsensusNode, EaNode,
-    EaNodeEvent, Round1, TimeoutPolicy,
+    EaNodeEvent, Rules, TimeoutPolicy,
 };
 use minsync_net::sim::{
     OutputRecord, RunReport, ScheduleCommand, ScheduleOracle, SimBuilder, Simulation, StopReason,
@@ -319,8 +319,8 @@ where
 /// The five protocol stacks the explorer exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Protocol {
-    /// Figure 4 multivalued consensus, under the given round-1 rule.
-    Consensus(Round1),
+    /// Figure 4 multivalued consensus, under the given rule set.
+    Consensus(Rules),
     /// Figure 2 adopt-commit in isolation.
     AdoptCommit,
     /// Figure 3 eventual agreement, free-running rounds.
@@ -332,11 +332,12 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// All five, consensus under both round-1 rules, in experiment-table
-    /// order.
-    pub const ALL: [Protocol; 6] = [
-        Protocol::Consensus(Round1::Paper),
-        Protocol::Consensus(Round1::SkipEa),
+    /// All five, consensus under each of [`Rules::ALL`], in
+    /// experiment-table order.
+    pub const ALL: [Protocol; 7] = [
+        Protocol::Consensus(Rules::PAPER),
+        Protocol::Consensus(Rules::SKIP_EA),
+        Protocol::Consensus(Rules::SLOT),
         Protocol::AdoptCommit,
         Protocol::EventualAgreement,
         Protocol::Bot,
@@ -346,8 +347,10 @@ impl Protocol {
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
-            Protocol::Consensus(Round1::Paper) => "consensus",
-            Protocol::Consensus(Round1::SkipEa) => "consensus (skip EA)",
+            Protocol::Consensus(Rules::PAPER) => "consensus",
+            Protocol::Consensus(Rules::SKIP_EA) => "consensus (skip EA)",
+            Protocol::Consensus(Rules::SLOT) => "consensus (slot rules)",
+            Protocol::Consensus(_) => "consensus (relay CB)",
             Protocol::AdoptCommit => "adopt-commit",
             Protocol::EventualAgreement => "eventual-agreement",
             Protocol::Bot => "bot-variant",
@@ -408,8 +411,8 @@ pub fn run_protocol(
     // Per stack: the safety violations, the correct processes that
     // finished, and whether the run can prove a deadlock.
     let (mut found, finished, conclusive): (_, Vec<ProcessId>, _) = match protocol {
-        Protocol::Consensus(round1) => {
-            let cfg = ConsensusConfig { round1, ..cfg };
+        Protocol::Consensus(rules) => {
+            let cfg = rules.apply(cfg);
             let report = simulate(n, schedule, max_events, |i| {
                 ConsensusNode::new(cfg, proposal_for(i)).expect("paper config is valid")
             })
@@ -550,8 +553,8 @@ mod tests {
         let mut cfg = ExplorerConfig::quick();
         cfg.random_schedules = 4;
         cfg.dfs_limit = 10;
-        for round1 in [Round1::Paper, Round1::SkipEa] {
-            let protocol = Protocol::Consensus(round1);
+        for rules in Rules::ALL {
+            let protocol = Protocol::Consensus(rules);
             let report = explore(|s| run_protocol(protocol, 4, s, 30_000, true), &cfg);
             assert!(report.schedules_explored >= 15);
             assert!(

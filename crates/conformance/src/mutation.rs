@@ -14,15 +14,31 @@
 //! enough for the weakened quorum to commit on one-sided witnesses), then
 //! re-expressed as a plain decision vector — the explorer's native
 //! [`Schedule`] form — and shrunk to a minimal violating prefix. The smoke
-//! runs under either round-1 rule: under [`Round1::SkipEa`] no `EA_COORD`
+//! runs under each rule set of [`Rules::ALL`]: under
+//! [`Round1::SkipEa`](minsync_core::Round1::SkipEa) no `EA_COORD`
 //! exists in round 1, and the cut `READY`s alone split the halves there.
+//!
+//! Under [`CbRule::Relay`] no schedule of four correct processes splits
+//! them along the halves (DESIGN.md §9: the first process to relay the
+//! other half's value validates it first), so the relay line-up makes
+//! `p1` Byzantine: `TwoFaced`
+//! sends the other half's value beside its own in every CB wave. The
+//! adversary holds each correct process's own-value `CB(v)` back from the
+//! other half, `{p0, p1}`'s for a while and `{p2, p3}`'s for good, so
+//! `{p2, p3}` validate 8 with `p1`'s help first and `p0` validates 3
+//! through `p2`'s relay; agreement is then checked over the three correct
+//! processes.
 
 use std::sync::{Arc, Mutex};
 
 use minsync_broadcast::RbMsg;
-use minsync_core::{ConsensusConfig, ConsensusNode, ProtocolMsg, Round1, SeededMutation};
+use minsync_core::{
+    CbRule, ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg, Rules, SeededMutation,
+};
 use minsync_net::sim::{ScheduleCommand, ScheduleOracle, SimBuilder};
-use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, VirtualTime};
+use minsync_net::{
+    ChannelTiming, DelayLaw, Effect, Env, NetworkTopology, Node, TimerId, VirtualTime,
+};
 use minsync_types::check::{self, Violation, ViolationKind};
 use minsync_types::{ProcessId, SystemConfig};
 
@@ -58,15 +74,81 @@ const COORD_DELAY: u64 = 100_000;
 /// so it always relays a value) must not reach the far half before that
 /// half's all-⊥ relay quorum completes.
 const RELAY_DELAY: u64 = 150_000;
+/// Under the relay rule, a correct `{p0, p1}` process's own-value `CB(v)`
+/// reaches `{p2, p3}` this late: after `{p2, p3}` validated 8.
+const CB_SPLIT_DELAY: u64 = 10_000;
+/// A correct `{p2, p3}` process's own-value `CB(v)` reaches `{p0, p1}`
+/// last of all, so `p0` never validates 8 before it decides.
+const CB_HOLD_DELAY: u64 = 200_000;
+/// The relay line-up's Byzantine process ([`TwoFaced`]).
+const BYZANTINE: ProcessId = ProcessId::new(1);
 
 fn half(p: ProcessId) -> usize {
     p.index() / 2
 }
 
+/// The relay line-up's Byzantine relayer: a consensus process proposing
+/// its half's value that, whenever it sends `CB(own)` in any CB wave, also
+/// sends `CB(also)`. Two values per wave stay within the `m_max = 2` a
+/// sender may name at `n = 4`, so no correct engine drops them. Its
+/// outputs are suppressed: a Byzantine decision is no evidence.
+struct TwoFaced {
+    inner: ConsensusNode<u64>,
+    own: u64,
+    also: u64,
+}
+
+type Ctx = Env<ProtocolMsg<u64>, ConsensusEvent<u64>>;
+
+impl TwoFaced {
+    fn rewrite(&mut self, env: &mut Ctx, mark: usize) {
+        for effect in env.take_since(mark) {
+            let twin = match &effect {
+                Effect::Broadcast {
+                    msg: ProtocolMsg::Rb(RbMsg::Relay { tag, value }),
+                } if *value == self.own => Some(RbMsg::Relay {
+                    tag: *tag,
+                    value: self.also,
+                }),
+                Effect::Output(_) => continue,
+                _ => None,
+            };
+            env.push(effect);
+            if let Some(twin) = twin {
+                env.broadcast(ProtocolMsg::Rb(twin));
+            }
+        }
+    }
+}
+
+impl Node for TwoFaced {
+    type Msg = ProtocolMsg<u64>;
+    type Output = ConsensusEvent<u64>;
+
+    fn on_start(&mut self, env: &mut Ctx) {
+        let mark = env.mark();
+        self.inner.on_start(env);
+        self.rewrite(env, mark);
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: ProtocolMsg<u64>, env: &mut Ctx) {
+        let mark = env.mark();
+        self.inner.on_message(from, msg, env);
+        self.rewrite(env, mark);
+    }
+
+    fn on_timer(&mut self, timer: TimerId, env: &mut Ctx) {
+        let mark = env.mark();
+        self.inner.on_timer(timer, env);
+        self.rewrite(env, mark);
+    }
+}
+
 /// The semantic adversary: keep reliable-broadcast `READY` witnesses (by
 /// RB *origin*, so neither half learns the other's values), coordinator
-/// messages, and value-carrying relays from crossing the halves until long
-/// after both halves have acted on one-sided evidence.
+/// messages, value-carrying relays, and under the relay rule each correct
+/// process's own-value `CB(v)`, from crossing the halves until long after
+/// both halves have acted on one-sided evidence.
 fn semantic_command(
     from: ProcessId,
     to: ProcessId,
@@ -78,6 +160,16 @@ fn semantic_command(
         ProtocolMsg::Rb(RbMsg::Ready { origin, .. }) if half(*origin) != half(to) => {
             ScheduleCommand::After(READY_DELAY)
         }
+        ProtocolMsg::Rb(RbMsg::Relay { value, .. })
+            if from != BYZANTINE && half(from) != half(to) && *value == PROPOSALS[from.index()] =>
+        {
+            let delay = if half(from) == 0 {
+                CB_SPLIT_DELAY
+            } else {
+                CB_HOLD_DELAY
+            };
+            ScheduleCommand::After(delay)
+        }
         ProtocolMsg::EaCoord { .. } => ScheduleCommand::After(COORD_DELAY),
         ProtocolMsg::EaRelay { value: Some(_), .. } if half(from) != half(to) => {
             ScheduleCommand::After(RELAY_DELAY)
@@ -87,35 +179,47 @@ fn semantic_command(
 }
 
 /// Runs the split-proposal consensus line-up (mutated or not) under
-/// `round1` on an asynchronous network under `oracle`, until every process
-/// decided or `max_events` ran out. Returns the decisions in decision
-/// order.
+/// `rules` on an asynchronous network under `oracle`, until every correct
+/// process decided or `max_events` ran out. Returns the correct processes'
+/// decisions in decision order. Under [`CbRule::Relay`], `p1` is
+/// [`TwoFaced`].
 fn run(
-    round1: Round1,
+    rules: Rules,
     mutation: Option<SeededMutation>,
     oracle: impl ScheduleOracle<ProtocolMsg<u64>> + 'static,
     max_events: u64,
 ) -> Vec<(ProcessId, u64)> {
     let system = SystemConfig::new(N, 1).expect("n=4, t=1 is a valid resilience pair");
-    let cfg = ConsensusConfig {
+    let cfg = rules.apply(ConsensusConfig {
         mutation,
-        round1,
         ..ConsensusConfig::paper(system)
-    };
+    });
     let topology = NetworkTopology::uniform(N, ChannelTiming::asynchronous(DelayLaw::Fixed(5)));
     let mut builder = SimBuilder::new(topology)
         .seed(SEED)
         .max_events(max_events)
         .with_schedule_oracle(oracle);
-    for v in PROPOSALS {
-        builder = builder.node(ConsensusNode::new(cfg, v).expect("paper config is valid"));
+    let two_faced = rules.cb == CbRule::Relay;
+    for (i, v) in PROPOSALS.into_iter().enumerate() {
+        let node = ConsensusNode::new(cfg, v).expect("paper config is valid");
+        builder = if two_faced && i == BYZANTINE.index() {
+            let also = PROPOSALS[N - 1];
+            builder.node(TwoFaced {
+                inner: node,
+                own: v,
+                also,
+            })
+        } else {
+            builder.node(node)
+        };
     }
+    let correct = N - usize::from(two_faced);
     let mut sim = builder.build();
     sim.run_until(|outs| {
         outs.iter()
             .filter(|o| o.event.as_decision().is_some())
             .count()
-            >= N
+            >= correct
     });
     sim.outputs()
         .iter()
@@ -124,8 +228,8 @@ fn run(
 }
 
 /// The decisions of the split-proposal line-up `{3, 3, 8, 8}` (mutated or
-/// not, under the paper's round-1 rule) under the semantic adversary's
-/// recorded decision vector, in decision order. With
+/// not, under the paper's rules) under the semantic adversary's recorded
+/// decision vector, in decision order. With
 /// [`SeededMutation::AcQuorumOffByOne`] the two halves decide differently;
 /// under the same vector all four processes of the unmutated stack decide
 /// 8.
@@ -133,28 +237,28 @@ pub fn semantic_decisions(
     mutation: Option<SeededMutation>,
     max_events: u64,
 ) -> Vec<(ProcessId, u64)> {
-    let schedule = record_semantic_schedule(Round1::Paper, max_events);
+    let schedule = record_semantic_schedule(Rules::PAPER, max_events);
     let oracle = VectorOracle::new(&schedule);
-    run(Round1::Paper, mutation, oracle, max_events)
+    run(Rules::PAPER, mutation, oracle, max_events)
 }
 
-/// Runs the consensus stack (mutated or not) under `round1` and `schedule`
+/// Runs the consensus stack (mutated or not) under `rules` and `schedule`
 /// and checks agreement over decided values.
 fn run_consensus(
-    round1: Round1,
+    rules: Rules,
     mutation: Option<SeededMutation>,
     schedule: &Schedule,
     max_events: u64,
 ) -> Result<(), Violation> {
-    let decisions = run(round1, mutation, VectorOracle::new(schedule), max_events);
+    let decisions = run(rules, mutation, VectorOracle::new(schedule), max_events);
     let found = check::agreement(decisions);
     found.into_iter().next().map_or(Ok(()), Err)
 }
 
 /// Records the semantic adversary's decisions as a plain schedule by
-/// running the mutated stack under `round1` once with a recording wrapper
+/// running the mutated stack under `rules` once with a recording wrapper
 /// around it.
-fn record_semantic_schedule(round1: Round1, max_events: u64) -> Schedule {
+fn record_semantic_schedule(rules: Rules, max_events: u64) -> Schedule {
     let recorded: Arc<Mutex<Vec<ScheduleCommand>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&recorded);
     let oracle = move |from: ProcessId,
@@ -167,7 +271,7 @@ fn record_semantic_schedule(round1: Round1, max_events: u64) -> Schedule {
         cmd
     };
     let mutated = Some(SeededMutation::AcQuorumOffByOne);
-    run(round1, mutated, oracle, max_events);
+    run(rules, mutated, oracle, max_events);
     let decisions = recorded.lock().expect("recorder mutex").clone();
     Schedule {
         decisions,
@@ -175,27 +279,27 @@ fn record_semantic_schedule(round1: Round1, max_events: u64) -> Schedule {
     }
 }
 
-/// Runs the whole smoke under `round1`: record the adversarial schedule,
+/// Runs the whole smoke under `rules`: record the adversarial schedule,
 /// confirm it breaks agreement on the mutated stack, shrink it, and confirm
 /// the same schedule leaves the unmutated stack clean.
 ///
 /// `max_events` bounds every individual run (the E14 `--quick` budget must
 /// still catch the bug — decisions land around tick 50 000 but only a few
 /// thousand events in).
-pub fn mutation_smoke(round1: Round1, max_events: u64) -> MutationSmoke {
-    let schedule = record_semantic_schedule(round1, max_events);
+pub fn mutation_smoke(rules: Rules, max_events: u64) -> MutationSmoke {
+    let schedule = record_semantic_schedule(rules, max_events);
     let consultations = schedule.decisions.len();
 
     let mutated = Some(SeededMutation::AcQuorumOffByOne);
-    let mut check = |s: &Schedule| run_consensus(round1, mutated, s, max_events);
+    let mut check = |s: &Schedule| run_consensus(rules, mutated, s, max_events);
     let (caught, detail) = match check(&schedule) {
         Err(v) => (v.kind == ViolationKind::Agreement, v.detail),
         Ok(()) => (false, "no violation on the mutated stack".to_string()),
     };
     let (shrunk_len, shrunk_active, clean_without_mutation) = if caught {
         let (shrunk, _probes) = shrink(&schedule, &mut check);
-        let clean = run_consensus(round1, None, &shrunk, max_events).is_ok()
-            && run_consensus(round1, None, &schedule, max_events).is_ok();
+        let clean = run_consensus(rules, None, &shrunk, max_events).is_ok()
+            && run_consensus(rules, None, &schedule, max_events).is_ok();
         (shrunk.decisions.len(), shrunk.active_decisions(), clean)
     } else {
         (0, 0, false)
@@ -217,9 +321,9 @@ mod tests {
 
     #[test]
     fn explorer_catches_the_seeded_quorum_bug() {
-        for round1 in [Round1::Paper, Round1::SkipEa] {
-            let smoke = mutation_smoke(round1, 20_000);
-            let detail = format!("{round1:?}: {}", smoke.detail);
+        for rules in Rules::ALL {
+            let smoke = mutation_smoke(rules, 20_000);
+            let detail = format!("{rules:?}: {}", smoke.detail);
             assert!(smoke.caught, "seeded mutation not caught: {detail}");
             assert!(
                 smoke.clean_without_mutation,
@@ -247,9 +351,9 @@ mod tests {
 
     #[test]
     fn unmutated_stack_survives_the_semantic_adversary() {
-        for round1 in [Round1::Paper, Round1::SkipEa] {
-            let schedule = record_semantic_schedule(round1, 20_000);
-            assert!(run_consensus(round1, None, &schedule, 20_000).is_ok());
+        for rules in Rules::ALL {
+            let schedule = record_semantic_schedule(rules, 20_000);
+            assert!(run_consensus(rules, None, &schedule, 20_000).is_ok());
         }
     }
 }

@@ -27,7 +27,7 @@
 
 use std::collections::BTreeMap;
 
-use minsync_broadcast::{RbEngine, RbEvent, RbStep};
+use minsync_broadcast::{CbRule, RbEngine, RbEvent, RbStep};
 use minsync_net::{Env, Node};
 use minsync_types::{ProcSet, ProcessId, Round, SystemConfig, Value};
 
@@ -201,6 +201,7 @@ pub enum AcNodeEvent<V> {
 #[derive(Debug)]
 pub struct AcNode<V> {
     cfg: SystemConfig,
+    rule: CbRule,
     proposal: V,
     rb: Option<RbEngine<RbTag, V>>,
     ac: AcRound<V>,
@@ -213,14 +214,23 @@ const AC_PROP: RbTag = RbTag::CbVal(CbId::AcProp(Round::FIRST));
 const AC_EST: RbTag = RbTag::AcEst(Round::FIRST);
 
 impl<V: Value> AcNode<V> {
-    /// A node that will propose `proposal` at start.
+    /// A node that will propose `proposal` at start, its `AC_PROP` CB by
+    /// Figure 1.
     pub fn new(cfg: SystemConfig, proposal: V) -> Self {
         AcNode {
             cfg,
+            rule: CbRule::Figure1,
             proposal,
             rb: None,
             ac: AcRound::new(cfg),
         }
+    }
+
+    /// The same node with its `AC_PROP` CB carried under `rule`.
+    #[must_use]
+    pub fn with_rule(mut self, rule: CbRule) -> Self {
+        self.rule = rule;
+        self
     }
 
     fn apply(&mut self, step: RbStep<RbTag, V>, env: &mut AcCtx<V>) {
@@ -239,7 +249,9 @@ impl<V: Value> AcNode<V> {
             if let Some(est) = self.ac.cb_returnable().cloned() {
                 self.ac.mark_est_sent();
                 let rb = self.rb.as_mut().expect("started");
-                env.broadcast(ProtocolMsg::Rb(rb.broadcast(AC_EST, est)));
+                if let Some(init) = rb.broadcast(AC_EST, est) {
+                    env.broadcast(ProtocolMsg::Rb(init));
+                }
             }
         }
         // Line 3 wait → lines 4–7.
@@ -256,10 +268,12 @@ impl<V: Value> Node for AcNode<V> {
     type Output = AcNodeEvent<V>;
 
     fn on_start(&mut self, env: &mut AcCtx<V>) {
-        let rb = self.rb.insert(RbEngine::new(self.cfg, env.me()));
-        env.broadcast(ProtocolMsg::Rb(
-            rb.broadcast(AC_PROP, self.proposal.clone()),
-        ));
+        let rb = self
+            .rb
+            .insert(RbEngine::with_rule(self.cfg, env.me(), self.rule));
+        if let Some(init) = rb.broadcast(AC_PROP, self.proposal.clone()) {
+            env.broadcast(ProtocolMsg::Rb(init));
+        }
     }
 
     fn on_message(&mut self, from: ProcessId, msg: ProtocolMsg<V>, env: &mut AcCtx<V>) {

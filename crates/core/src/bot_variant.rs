@@ -288,7 +288,9 @@ impl<V: Value> Node for BotConsensusNode<V> {
 
     fn on_start(&mut self, env: &mut BotCtx<V>) {
         let rb = self.cert_rb.insert(RbEngine::new(self.system, env.me()));
-        env.broadcast(BotMsg::CertRb(rb.broadcast((), self.proposal.clone())));
+        if let Some(init) = rb.broadcast((), self.proposal.clone()) {
+            env.broadcast(BotMsg::CertRb(init));
+        }
     }
 
     fn on_message(&mut self, from: ProcessId, msg: BotMsg<V>, env: &mut BotCtx<V>) {

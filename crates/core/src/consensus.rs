@@ -23,10 +23,15 @@
 //!   already in `cb0`; agreement never uses EA, and round 1 then has no EA
 //!   message, no round timer, and drops any round-1 EA traffic received
 //!   (DESIGN.md §10). [`ConsensusConfig::paper`] keeps the listing.
+//! * Opt-in ([`CbRule::Relay`], which every replicated-log slot runs too):
+//!   every CB instance — `CB[0]`, each round's `AC_PROP` and `EA_PROP1` —
+//!   travels by BV-broadcast's relay rule instead of Figure 1's `n`
+//!   reliable broadcasts, with the same CB-Set properties (DESIGN.md §9);
+//!   `AC_EST` and `DECIDE` stay Bracha's RB.
 
 use std::collections::BTreeMap;
 
-use minsync_broadcast::{RbEngine, RbEvent, RbStep};
+use minsync_broadcast::{CbRule, RbEngine, RbEvent, RbStep};
 use minsync_net::{Env, Node, TimerId};
 use minsync_types::{ConfigError, ProcessId, Round, RoundSchedule, SystemConfig, Value};
 
@@ -69,6 +74,47 @@ pub enum Round1 {
     SkipEa,
 }
 
+/// A consensus instance's rule set: how round 1 starts and how CB travels.
+/// [`Rules::PAPER`] is Figure 4 as printed; [`Rules::SLOT`] is what every
+/// replicated-log slot runs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Rules {
+    /// How round 1 starts.
+    pub round1: Round1,
+    /// How every CB instance's `CB_VAL` wave travels.
+    pub cb: CbRule,
+}
+
+impl Rules {
+    /// Figures 1–4 as printed.
+    pub const PAPER: Rules = Rules {
+        round1: Round1::Paper,
+        cb: CbRule::Figure1,
+    };
+    /// Round 1 straight to adopt-commit (DESIGN.md §10), CB by Figure 1.
+    pub const SKIP_EA: Rules = Rules {
+        round1: Round1::SkipEa,
+        cb: CbRule::Figure1,
+    };
+    /// Every replicated-log slot's rules: round 1 straight to adopt-commit
+    /// and CB by relay (DESIGN.md §9, §10).
+    pub const SLOT: Rules = Rules {
+        round1: Round1::SkipEa,
+        cb: CbRule::Relay,
+    };
+    /// The three rule sets, in table order.
+    pub const ALL: [Rules; 3] = [Rules::PAPER, Rules::SKIP_EA, Rules::SLOT];
+
+    /// `cfg` under these rules.
+    pub fn apply(self, cfg: ConsensusConfig) -> ConsensusConfig {
+        ConsensusConfig {
+            round1: self.round1,
+            cb: self.cb,
+            ..cfg
+        }
+    }
+}
+
 /// Static parameters of one consensus instance.
 #[derive(Clone, Copy, Debug)]
 pub struct ConsensusConfig {
@@ -91,11 +137,16 @@ pub struct ConsensusConfig {
     /// Whether round 1 runs EA ([`Round1::Paper`]) or goes straight to
     /// adopt-commit ([`Round1::SkipEa`]).
     pub round1: Round1,
+    /// How every CB instance's `CB_VAL` wave travels: Figure 1's `n`
+    /// reliable broadcasts ([`CbRule::Figure1`]) or the relay rule
+    /// ([`CbRule::Relay`], DESIGN.md §9). `AC_EST` and `DECIDE` are
+    /// Bracha's RB under either.
+    pub cb: CbRule,
 }
 
 impl ConsensusConfig {
     /// The paper's defaults: `k = 0`, `timer[r] = r`, unbounded rounds,
-    /// EA in every round.
+    /// EA in every round, CB by Figure 1.
     pub fn paper(system: SystemConfig) -> Self {
         ConsensusConfig {
             system,
@@ -104,6 +155,7 @@ impl ConsensusConfig {
             max_rounds: None,
             mutation: None,
             round1: Round1::Paper,
+            cb: CbRule::Figure1,
         }
     }
 
@@ -226,7 +278,9 @@ impl<V: Value> ConsensusNode<V> {
 
     fn rb_broadcast(&mut self, tag: RbTag, value: V, env: &mut Ctx<V>) {
         let rb = self.rb.as_mut().expect("rb engine initialized at start");
-        env.broadcast(ProtocolMsg::Rb(rb.broadcast(tag, value)));
+        if let Some(first) = rb.broadcast(tag, value) {
+            env.broadcast(ProtocolMsg::Rb(first));
+        }
     }
 
     fn apply_ea(&mut self, actions: Vec<EaAction<V>>, env: &mut Ctx<V>) {
@@ -421,7 +475,7 @@ impl<V: Value> Node for ConsensusNode<V> {
 
     fn on_start(&mut self, env: &mut Ctx<V>) {
         let me = env.me();
-        self.rb = Some(RbEngine::new(self.cfg.system, me));
+        self.rb = Some(RbEngine::with_rule(self.cfg.system, me, self.cfg.cb));
         self.ea = EaObject::new(
             self.cfg.system,
             self.cfg.schedule().expect("validated in new()"),
@@ -513,8 +567,18 @@ mod tests {
         topo: NetworkTopology,
         seed: u64,
     ) -> RunReport<ConsensusEvent<u64>> {
+        decide_under(Rules::PAPER, proposals, topo, seed)
+    }
+
+    fn decide_under(
+        rules: Rules,
+        proposals: &[u64],
+        topo: NetworkTopology,
+        seed: u64,
+    ) -> RunReport<ConsensusEvent<u64>> {
         let n = proposals.len();
-        let cfg = ConsensusConfig::paper(SystemConfig::new(n, (n - 1) / 3).unwrap());
+        let system = SystemConfig::new(n, (n - 1) / 3).unwrap();
+        let cfg = rules.apply(ConsensusConfig::paper(system));
         let mut builder = SimBuilder::new(topo).seed(seed).max_events(5_000_000);
         for &p in proposals {
             builder = builder.node(ConsensusNode::new(cfg, p).unwrap());
@@ -548,6 +612,19 @@ mod tests {
         );
         for seed in 0..5 {
             decide(&[3, 3, 5, 5], topo.clone(), seed);
+        }
+    }
+
+    #[test]
+    fn every_rule_set_decides_under_random_asynchrony() {
+        let topo = NetworkTopology::uniform(
+            7,
+            ChannelTiming::asynchronous(DelayLaw::Uniform { min: 1, max: 25 }),
+        );
+        for rules in Rules::ALL {
+            for seed in 0..3 {
+                decide_under(rules, &[3, 3, 5, 5, 3, 5, 3], topo.clone(), seed);
+            }
         }
     }
 
@@ -608,16 +685,9 @@ mod tests {
         assert!(node.ac_rounds.is_empty(), "decided, yet AC state");
     }
 
-    fn skip_ea(system: SystemConfig) -> ConsensusConfig {
-        ConsensusConfig {
-            round1: Round1::SkipEa,
-            ..ConsensusConfig::paper(system)
-        }
-    }
-
     /// Round-1 EA traffic in every shape a Byzantine `from` can send: the
-    /// three plain messages and all three phases of a `CB_VAL` instance
-    /// under `EaProp(1)`, for two values.
+    /// three plain messages, all three phases of a `CB_VAL` instance under
+    /// `EaProp(1)`, and its relay-rule `CB(v)`, for two values.
     fn round1_ea_spray(from: ProcessId) -> Vec<ProtocolMsg<u64>> {
         let (round, tag) = (Round::FIRST, RbTag::CbVal(CbId::EaProp(Round::FIRST)));
         let origin = ProcessId::new(0);
@@ -639,6 +709,7 @@ mod tests {
                         value,
                     }),
                     ProtocolMsg::Rb(RbMsg::Ready { origin, tag, value }),
+                    ProtocolMsg::Rb(RbMsg::Relay { tag, value }),
                 ]
             })
             .collect()
@@ -647,7 +718,13 @@ mod tests {
     #[test]
     fn skip_ea_node_keeps_no_state_for_round1_ea_traffic() {
         let system = SystemConfig::new(4, 1).unwrap();
-        let mut node = ConsensusNode::new(skip_ea(system), 5u64).unwrap();
+        for rules in [Rules::SKIP_EA, Rules::SLOT] {
+            skip_ea_keeps_no_state(rules.apply(ConsensusConfig::paper(system)));
+        }
+    }
+
+    fn skip_ea_keeps_no_state(cfg: ConsensusConfig) {
+        let mut node = ConsensusNode::new(cfg, 5u64).unwrap();
         let mut env: Ctx<u64> = Env::new(4, 0);
         node.on_start(&mut env);
         env.drain().for_each(drop);
@@ -695,11 +772,17 @@ mod tests {
     #[test]
     fn skip_ea_decides_in_round1_as_without_a_round1_ea_spray() {
         let system = SystemConfig::new(4, 1).unwrap();
+        for rules in [Rules::SKIP_EA, Rules::SLOT] {
+            skip_ea_ignores_the_spray(rules.apply(ConsensusConfig::paper(system)));
+        }
+    }
+
+    fn skip_ea_ignores_the_spray(cfg: ConsensusConfig) {
         // Outputs, and messages sent by the correct processes.
         let run = |spray: bool| {
             let mut builder = SimBuilder::new(NetworkTopology::all_timely(4, 3)).seed(5);
             for p in [1u64, 2, 1] {
-                builder = builder.node(ConsensusNode::new(skip_ea(system), p).unwrap());
+                builder = builder.node(ConsensusNode::new(cfg, p).unwrap());
             }
             let sent = Arc::new(AtomicU64::new(0));
             let sprayer = EaSprayer {

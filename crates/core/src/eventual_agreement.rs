@@ -498,7 +498,9 @@ impl<V: Value> EaNode<V> {
             match action {
                 EaAction::RbBroadcast { tag, value } => {
                     let rb = self.rb.as_mut().expect("started");
-                    env.broadcast(ProtocolMsg::Rb(rb.broadcast(tag, value)));
+                    if let Some(init) = rb.broadcast(tag, value) {
+                        env.broadcast(ProtocolMsg::Rb(init));
+                    }
                 }
                 EaAction::Broadcast(msg) => env.broadcast(msg),
                 EaAction::SetTimer { round, delay } => {

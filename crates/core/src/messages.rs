@@ -41,16 +41,26 @@ pub enum RbTag {
 
 /// `CB_VAL` (Figure 1 line 4) and `DECIDE` (Figure 4 line 9) act on `t + 1`
 /// distinct origins, so the engine counts them; `AC_EST` is plain RB.
+///
+/// Only `CB_VAL` is a CB instance's wave, which [`CbRule::Relay`] carries by
+/// relay; `DECIDE` stays a Figure 1 count under either rule.
+///
+/// [`CbRule::Relay`]: minsync_broadcast::CbRule::Relay
 impl Tag for RbTag {
     fn counted(&self) -> bool {
         matches!(self, RbTag::CbVal(_) | RbTag::Decide)
+    }
+
+    fn relayed(&self) -> bool {
+        matches!(self, RbTag::CbVal(_))
     }
 }
 
 /// Top-level protocol message.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ProtocolMsg<V> {
-    /// Reliable-broadcast traffic (`CB_VAL`, `AC_EST`, `DECIDE`).
+    /// Broadcast-layer traffic (`CB_VAL`, `AC_EST`, `DECIDE`): Bracha's
+    /// three phases, and the relay rule's `CB(v)` for `CB_VAL`.
     Rb(RbMsg<RbTag, V>),
     /// Figure 3 line 2: best-effort broadcast of the CB-validated value.
     EaProp2 {
@@ -78,11 +88,11 @@ pub enum ProtocolMsg<V> {
 
 /// `RB_KINDS[use][phase]`: the metrics label of an RB message, by its tag's
 /// use (`CB_VAL`, `AC_EST`, `DECIDE`) and its phase (`INIT`, `ECHO`,
-/// `READY`).
-const RB_KINDS: [[&str; 3]; 3] = [
-    ["CB_VAL/INIT", "CB_VAL/ECHO", "CB_VAL/READY"],
-    ["AC_EST/INIT", "AC_EST/ECHO", "AC_EST/READY"],
-    ["DECIDE/INIT", "DECIDE/ECHO", "DECIDE/READY"],
+/// `READY`, or the relay rule's `RELAY`).
+const RB_KINDS: [[&str; 4]; 3] = [
+    ["CB_VAL/INIT", "CB_VAL/ECHO", "CB_VAL/READY", "CB_VAL/RELAY"],
+    ["AC_EST/INIT", "AC_EST/ECHO", "AC_EST/READY", "AC_EST/RELAY"],
+    ["DECIDE/INIT", "DECIDE/ECHO", "DECIDE/READY", "DECIDE/RELAY"],
 ];
 
 impl<V> ProtocolMsg<V> {
@@ -94,6 +104,7 @@ impl<V> ProtocolMsg<V> {
                     RbMsg::Init { tag, .. } => (0, tag),
                     RbMsg::Echo { tag, .. } => (1, tag),
                     RbMsg::Ready { tag, .. } => (2, tag),
+                    RbMsg::Relay { tag, .. } => (3, tag),
                 };
                 let row = match tag {
                     RbTag::CbVal(_) => 0,
@@ -140,6 +151,11 @@ mod tests {
             value: 1,
         });
         assert_eq!(m.kind(), "DECIDE/READY");
+        let m: ProtocolMsg<u64> = ProtocolMsg::Rb(RbMsg::Relay {
+            tag: RbTag::CbVal(CbId::AcProp(r)),
+            value: 1,
+        });
+        assert_eq!(m.kind(), "CB_VAL/RELAY");
         assert_eq!(
             ProtocolMsg::<u64>::EaProp2 { round: r, value: 1 }.kind(),
             "EA_PROP2"
@@ -171,5 +187,11 @@ mod tests {
     fn cb_val_and_decide_are_counted_ac_est_is_plain() {
         assert!(RbTag::CbVal(CbId::ConsValid).counted() && RbTag::Decide.counted());
         assert!(!RbTag::AcEst(Round::FIRST).counted());
+    }
+
+    #[test]
+    fn only_cb_val_is_relayed() {
+        assert!(RbTag::CbVal(CbId::EaProp(Round::FIRST)).relayed());
+        assert!(!RbTag::Decide.relayed() && !RbTag::AcEst(Round::FIRST).relayed());
     }
 }

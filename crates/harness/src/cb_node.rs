@@ -1,17 +1,22 @@
 //! A standalone cooperative-broadcast node for experiment E1 (Figure 1 in
 //! isolation).
 
-use minsync_broadcast::{RbEngine, RbEvent, RbMsg, RbStep, Tag};
+use minsync_broadcast::{CbRule, RbEngine, RbEvent, RbMsg, RbStep, Tag};
 use minsync_net::{Env, Node};
 use minsync_types::{ProcessId, SystemConfig, Value};
 
 /// The tag of E1's one CB instance (Figure 1's `CB_VAL`): counted, so the
-/// engine reports `cb_valid` growth instead of deliveries.
+/// engine reports `cb_valid` growth instead of deliveries, and relayed
+/// under [`CbRule::Relay`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct CbVal;
 
 impl Tag for CbVal {
     fn counted(&self) -> bool {
+        true
+    }
+
+    fn relayed(&self) -> bool {
         true
     }
 }
@@ -32,11 +37,12 @@ pub enum CbEvent<V> {
 }
 
 /// Runs one `CB_broadcast(value)` invocation over the network: RB-broadcast
-/// the value, collect `cb_valid`, return once non-empty — emitting events
+/// the value (or send it under the relay rule), collect `cb_valid`, return once non-empty — emitting events
 /// the E1 experiment aggregates into set-agreement and latency measures.
 #[derive(Debug)]
 pub struct CbBroadcastNode<V> {
     cfg: SystemConfig,
+    rule: CbRule,
     proposal: V,
     rb: Option<RbEngine<CbVal, V>>,
     returned: bool,
@@ -45,10 +51,16 @@ pub struct CbBroadcastNode<V> {
 type Ctx<V> = Env<RbMsg<CbVal, V>, CbEvent<V>>;
 
 impl<V: Value> CbBroadcastNode<V> {
-    /// Creates the node with its value to cb-broadcast.
+    /// Creates the node with its value to cb-broadcast by Figure 1.
     pub fn new(cfg: SystemConfig, proposal: V) -> Self {
+        Self::with_rule(cfg, CbRule::Figure1, proposal)
+    }
+
+    /// Creates the node with its value to cb-broadcast under `rule`.
+    pub fn with_rule(cfg: SystemConfig, rule: CbRule, proposal: V) -> Self {
         CbBroadcastNode {
             cfg,
+            rule,
             proposal,
             rb: None,
             returned: false,
@@ -77,8 +89,12 @@ impl<V: Value> Node for CbBroadcastNode<V> {
     type Output = CbEvent<V>;
 
     fn on_start(&mut self, env: &mut Ctx<V>) {
-        let rb = self.rb.insert(RbEngine::new(self.cfg, env.me()));
-        env.broadcast(rb.broadcast(CbVal, self.proposal.clone()));
+        let rb = self
+            .rb
+            .insert(RbEngine::with_rule(self.cfg, env.me(), self.rule));
+        if let Some(first) = rb.broadcast(CbVal, self.proposal.clone()) {
+            env.broadcast(first);
+        }
     }
 
     fn on_message(&mut self, from: ProcessId, msg: RbMsg<CbVal, V>, env: &mut Ctx<V>) {

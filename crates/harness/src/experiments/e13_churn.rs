@@ -22,8 +22,9 @@
 //!   rotation ends;
 //! * **adaptive champion** — the round-robin schedule's round-1
 //!   coordinator is muted while it champions a value. Replicas run round 1
-//!   without EA (DESIGN.md §10), so its value rides in its `AC_PROP(1)`
-//!   and `AC_EST(1)` INITs, and the simulator drops exactly those.
+//!   without EA (DESIGN.md §10), so its value rides in its `AC_PROP(1)` CB
+//!   (relayed `CB(v)`, DESIGN.md §9) and its `AC_EST(1)` INIT, and the
+//!   simulator drops exactly those.
 //!   Message-content targeting needs the simulator's schedule seam; the
 //!   cluster approximates it by pulsing a partition around the same
 //!   process (`PART`/`HEAL` over the control pipe cannot see rounds). Both
@@ -44,11 +45,11 @@
 use minsync_broadcast::RbMsg;
 use minsync_core::{CbId, ProtocolMsg, RbTag};
 use minsync_smr::SmrMsg;
-use minsync_transport::cluster::{ChurnAction, ChurnPlan, Trigger};
+use minsync_transport::cluster::{ChurnAction, ChurnPlan, ClusterSpec, Trigger};
 use minsync_types::{Round, SystemConfig};
 use minsync_workload::Batch;
 
-use super::{churn_sim, churn_spec, run_checked, slowest, PlanOracle};
+use super::{churn_sim, churn_spec, outlasting_commands, run_checked, PlanOracle};
 use crate::Table;
 
 type Msg = SmrMsg<Batch>;
@@ -88,8 +89,8 @@ impl Scenario {
 }
 
 /// Slot whose commit opens every plan, at an observer the opening step
-/// leaves connected. Under the paper's rules a simulator slot takes 48
-/// ticks, so the plans open at tick 96.
+/// leaves connected. Under the slot rules (DESIGN.md §9, §10) a simulator
+/// slot takes 24 ticks, so the plans open near tick 48.
 const OPEN_SLOT: u64 = 2;
 
 /// Ticks a partition or a crash stays open (100 ms at the cluster's
@@ -107,7 +108,8 @@ const SPAN: u32 = 50;
 
 /// Commands per client on the cluster: 48 slots or more, which outlast
 /// every plan and stay inside the flow-control window a rejoiner starts
-/// with.
+/// with. The simulator sizes its workload from a clean run's pace
+/// ([`outlasting_commands`]).
 const CLUSTER_COMMANDS_PER_CLIENT: usize = 96;
 
 /// The one churn plan for `scenario` at size `n`, run by the simulator
@@ -149,21 +151,37 @@ fn plan(scenario: Scenario, n: usize) -> ChurnPlan {
     }
 }
 
-/// Adaptive champion's simulator target: the round-1 INITs that carry a
-/// process's value into adopt-commit (`PlanOracle` drops them from the
-/// cut side only).
+/// Adaptive champion's simulator target: what carries a process's value
+/// into round 1's adopt-commit — its `AC_PROP(1)` CB, which a slot sends
+/// by relay (`CB(v)`, DESIGN.md §9), and its `AC_EST(1)` INIT
+/// (`PlanOracle` drops them from the cut side only).
 fn is_round1_ac_init(msg: &Msg) -> bool {
     let SmrMsg::Slot {
-        msg: ProtocolMsg::Rb(RbMsg::Init { tag, .. }),
+        msg: ProtocolMsg::Rb(rb),
         ..
     } = msg
     else {
         return false;
     };
     matches!(
-        tag,
-        RbTag::CbVal(CbId::AcProp(Round::FIRST)) | RbTag::AcEst(Round::FIRST)
+        rb,
+        RbMsg::Relay {
+            tag: RbTag::CbVal(CbId::AcProp(Round::FIRST)),
+            ..
+        } | RbMsg::Init {
+            tag: RbTag::CbVal(CbId::AcProp(Round::FIRST)) | RbTag::AcEst(Round::FIRST),
+            ..
+        }
     )
+}
+
+/// Ticks from a plan's opening step to its last one.
+fn plan_ticks(plan: &ChurnPlan) -> u64 {
+    let spans = plan.steps.iter().map(|step| match step.at {
+        Trigger::Ticks(d) => u64::from(d),
+        Trigger::Floor { .. } => 0,
+    });
+    spans.sum()
 }
 
 /// Runs E13.
@@ -187,13 +205,17 @@ pub fn run(quick: bool) -> Table {
         ],
     );
     let sizes: &[(usize, usize)] = if quick { &[(4, 1)] } else { &[(4, 1), (7, 2)] };
-    let commands_per_client = if quick { 16 } else { 24 };
     let seed = 13;
 
     for &(n, t) in sizes {
-        let total = 2 * commands_per_client;
-        // Simulator: one clean baseline per size, then every scenario.
+        // Simulator: one clean baseline per size, then every scenario. The
+        // log outlasts the longest plan, so every step fires while it
+        // still grows.
         let system = SystemConfig::new(n, t).expect("valid system");
+        let plan_spans = Scenario::ALL.map(|s| plan_ticks(&plan(s, n)));
+        let span = plan_spans.into_iter().max().unwrap_or(0);
+        let commands_per_client = outlasting_commands(system, seed, span);
+        let total = 2 * commands_per_client;
         let sim = |label: &str, plan| {
             let case = format!("E13 {label} n={n} seed={seed}");
             churn_sim(&case, system, seed, commands_per_client, plan, n, None)
@@ -235,15 +257,12 @@ pub fn run(quick: bool) -> Table {
         }
 
         // Cluster: one clean baseline per size (an empty plan), then every
-        // scenario as a real process-level disruption.
+        // scenario as a real process-level disruption, each column on the
+        // orchestrator's one clock from the bootstrap broadcast.
         let spec = churn_spec(n, t, CLUSTER_COMMANDS_PER_CLIENT, seed);
-        let base = run_checked("E13 baseline", &spec, Some(&ChurnPlan::new()));
-        let base_ms = slowest(&base).wall.as_secs_f64() * 1000.0;
+        let base_ms = cluster_drain("baseline", &spec, &ChurnPlan::new()).0;
         for scenario in Scenario::ALL {
-            let plan = plan(scenario, n);
-            let report = run_checked(&format!("E13 {}", scenario.label()), &spec, Some(&plan));
-            let wall = slowest(&report).wall.as_secs_f64() * 1000.0;
-            let dropped = report.sum_counters("mesh.outbound_dropped.");
+            let (wall, dropped) = cluster_drain(scenario.label(), &spec, &plan(scenario, n));
             table.push_row([
                 scenario.label().to_string(),
                 "cluster".to_string(),
@@ -260,9 +279,30 @@ pub fn run(quick: bool) -> Table {
     table
 }
 
+/// Runs `plan` on the cluster; returns when the last correct replica
+/// drained, in milliseconds from the bootstrap broadcast (a restarted
+/// replica's own wall clock would start again at its restart), and the
+/// frames its partitions dropped.
+fn cluster_drain(label: &str, spec: &ClusterSpec, plan: &ChurnPlan) -> (f64, u64) {
+    let report = run_checked(&format!("E13 {label}"), spec, Some(plan));
+    let drained = report.last_drain().as_secs_f64() * 1000.0;
+    (drained, report.sum_counters("mesh.outbound_dropped."))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cluster_crash_rejoin_column_spans_the_outage() {
+        let spec = churn_spec(4, 1, CLUSTER_COMMANDS_PER_CLIENT, 13);
+        let down = spec.tick * WINDOW;
+        let (drained_ms, _) = cluster_drain("crash+rejoin", &spec, &plan(Scenario::CrashRejoin, 4));
+        assert!(
+            drained_ms >= down.as_secs_f64() * 1000.0,
+            "drained {drained_ms:.1} ms after bootstrap, inside the {down:?} outage"
+        );
+    }
 
     #[test]
     fn scenario_labels_are_distinct() {

@@ -3,7 +3,8 @@
 //! Two claims are on trial. First, the **negative** claim behind every
 //! earlier experiment: no explored message schedule — reorderings, targeted
 //! delays, drops within the `t`-faults budget — makes any of the five
-//! protocol stacks (consensus under both round-1 rules) violate agreement,
+//! protocol stacks (consensus under each rule set: the paper's, round 1
+//! without EA, and a log slot's, which adds CB by relay) violate agreement,
 //! validity, or (drop-free, quiescent runs only) termination. The explorer
 //! enumerates schedules three ways (empty, bounded DFS, seeded random
 //! walks) through the simulator's schedule-oracle seam and checks every
@@ -14,12 +15,13 @@
 //! broken stack ([`SeededMutation::AcQuorumOffByOne`] shrinks the
 //! adopt-commit witness quorum by one) and demands the agreement check
 //! trips, the violating schedule shrinks, and the unmutated stack survives
-//! the identical schedule — under each round-1 rule.
+//! the identical schedule — under each rule set. Under the slot rules the
+//! line-up has one Byzantine relayer (DESIGN.md §9).
 //!
 //! [`SeededMutation::AcQuorumOffByOne`]: minsync_core::SeededMutation::AcQuorumOffByOne
 
 use minsync_conformance::{explore, mutation_smoke, run_protocol, ExplorerConfig, Protocol};
-use minsync_core::Round1;
+use minsync_core::Rules;
 use minsync_types::ProcessId;
 
 use crate::Table;
@@ -71,11 +73,15 @@ pub fn run(quick: bool) -> Table {
         }
     }
 
-    for (round1, label) in [
-        (Round1::Paper, "mutation-smoke (ac-quorum−1)"),
-        (Round1::SkipEa, "mutation-smoke (ac-quorum−1, skip EA)"),
+    for (rules, label) in [
+        (Rules::PAPER, "mutation-smoke (ac-quorum−1)"),
+        (Rules::SKIP_EA, "mutation-smoke (ac-quorum−1, skip EA)"),
+        (
+            Rules::SLOT,
+            "mutation-smoke (ac-quorum−1, slot rules, p1 two-faced)",
+        ),
     ] {
-        let smoke = mutation_smoke(round1, budget(quick));
+        let smoke = mutation_smoke(rules, budget(quick));
         let result = if smoke.caught && smoke.clean_without_mutation {
             format!(
                 "caught ({}); shrunk {}→{} ({} active); clean unmutated",
@@ -108,12 +114,12 @@ mod tests {
     #[test]
     fn quick_e14_is_clean_and_catches_the_mutation() {
         let table = run(true);
-        // Six protocol cases at n = 4, plus a mutation row per round-1 rule.
-        assert_eq!(table.rows().len(), 8);
-        for row in &table.rows()[..6] {
+        // Seven protocol cases at n = 4, plus a mutation row per rule set.
+        assert_eq!(table.rows().len(), 10);
+        for row in &table.rows()[..7] {
             assert_eq!(row[3], "0", "{}: unexpected violation: {}", row[0], row[4]);
         }
-        for smoke in &table.rows()[6..] {
+        for smoke in &table.rows()[7..] {
             assert_eq!(smoke[3], "1", "mutation smoke must fire: {}", smoke[4]);
         }
     }

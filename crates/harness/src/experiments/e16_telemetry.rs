@@ -671,8 +671,8 @@ mod tests {
     /// change, not noise: a PR that moves a row edits it here and says why
     /// in CHANGES.md.
     const STAGE_TICKS: [(&str, usize, u64, u64, u64); 3] = [
-        ("client→propose", 8, 0, 122, 244),
-        ("propose→commit", 8, 36, 36, 36),
+        ("client→propose", 8, 0, 80, 160),
+        ("propose→commit", 8, 24, 24, 24),
         ("commit→ack-quorum", 7, 3, 3, 3),
     ];
 

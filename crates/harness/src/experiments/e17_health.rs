@@ -72,7 +72,8 @@ use minsync_transport::cluster::{
 use minsync_types::{check, ProcessId, SystemConfig};
 
 use super::{
-    churn_sim, churn_spec, run_checked, ticks_ms, PlanOracle, CLUSTER_PERIOD_MS, SIM_PERIOD,
+    churn_sim, churn_spec, outlasting_commands, run_checked, ticks_ms, PlanOracle,
+    CLUSTER_PERIOD_MS, SIM_PERIOD,
 };
 use crate::Table;
 
@@ -211,10 +212,13 @@ fn sim_clean(n: usize, t: usize, seed: u64, commands_per_client: usize) -> (u64,
 /// Returns `(cut tick, first victim alarm tick, horizon)`.
 fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
     let victim = n - 1;
-    let commands = 16;
     // Tight horizon: detection must land while the survivors still have
     // work in flight (the series ends when the drain predicate fires).
     let horizon = 200;
+    let system = SystemConfig::new(n, t).expect("valid system");
+    // The survivors must still be committing one horizon and the detection
+    // slack after the cut, or the series ends before the floor freezes.
+    let commands = outlasting_commands(system, seed, horizon + 4 * SIM_PERIOD);
     let case = if crash { "sim-crash" } else { "sim-partition" };
     let (replica, slot) = (victim, CUT_SLOT);
     let cut = Trigger::Floor { replica, slot };
@@ -228,7 +232,6 @@ fn sim_stall(n: usize, t: usize, seed: u64, crash: bool) -> (u64, u64, u64) {
             .step(Trigger::Ticks(1_900), ChurnAction::Heal);
         (plan, n)
     };
-    let system = SystemConfig::new(n, t).expect("valid system");
     let plane = Some(Arc::new(Registry::new()));
     let label = format!("E17 {case}");
     let plan = PlanOracle::new(&plan);

@@ -5,7 +5,13 @@
 //! table makes the constant factors concrete and checks the asymptotic
 //! shape: per-primitive messages should scale ≈ n² for one RB instance and
 //! ≈ n³ for the all-to-all layers (CB, AC, EA round, consensus round).
+//!
+//! Each CB-carrying row is measured twice: under the paper's Figure 1 (the
+//! reproduction) and with every CB wave by relay (`CbRule::Relay`, the
+//! extension of DESIGN.md §9, which brings a CB wave to ≈ n²). The RB row
+//! has no CB wave, so it has no relay column.
 
+use minsync_core::{CbRule, Round1, Rules};
 use minsync_net::sim::SimBuilder;
 use minsync_net::NetworkTopology;
 use minsync_types::SystemConfig;
@@ -27,6 +33,8 @@ pub fn run(quick: bool) -> Table {
             "messages",
             "msgs_per_n2",
             "msgs_per_n3",
+            "relay CB",
+            "relay_per_n2",
         ],
     );
     let sizes: Vec<(usize, usize)> = if quick {
@@ -47,12 +55,29 @@ pub fn run(quick: bool) -> Table {
     for (n, t) in sizes {
         let n2 = (n * n) as f64;
         let n3 = n2 * n as f64;
-        for (name, messages) in [
-            ("1 RB instance", rb_messages(n, t)),
-            ("CB (all-to-all)", cb_messages(n, t)),
-            ("adopt-commit", ac_messages(n, t)),
-            ("consensus (to decision)", consensus_messages(n, t)),
+        let (fig1, relay) = (CbRule::Figure1, CbRule::Relay);
+        for (name, messages, by_relay) in [
+            ("1 RB instance", rb_messages(n, t), None),
+            (
+                "CB (all-to-all)",
+                cb_messages(n, t, fig1),
+                Some(cb_messages(n, t, relay)),
+            ),
+            (
+                "adopt-commit",
+                ac_messages(n, t, fig1),
+                Some(ac_messages(n, t, relay)),
+            ),
+            (
+                "consensus (to decision)",
+                consensus_messages(n, t, fig1),
+                Some(consensus_messages(n, t, relay)),
+            ),
         ] {
+            let (relayed, per_n2) = match by_relay {
+                Some(m) => (m.to_string(), format!("{:.2}", m as f64 / n2)),
+                None => ("—".to_string(), "—".to_string()),
+            };
             table.push_row([
                 n.to_string(),
                 t.to_string(),
@@ -60,6 +85,8 @@ pub fn run(quick: bool) -> Table {
                 messages.to_string(),
                 format!("{:.2}", messages as f64 / n2),
                 format!("{:.2}", messages as f64 / n3),
+                relayed,
+                per_n2,
             ]);
         }
     }
@@ -83,7 +110,7 @@ fn rb_messages(n: usize, t: usize) -> u64 {
         fn on_start(&mut self, env: &mut Env<RbMsg<(), u64>, u8>) {
             let engine = self.engine.insert(RbEngine::new(self.cfg, env.me()));
             if env.me() == ProcessId::new(0) {
-                env.broadcast(engine.broadcast((), 5));
+                env.broadcast(engine.broadcast((), 5).expect("RB always sends INIT"));
             }
         }
         fn on_message(
@@ -113,32 +140,35 @@ fn rb_messages(n: usize, t: usize) -> u64 {
     sim.run().metrics.messages_sent
 }
 
-fn cb_messages(n: usize, t: usize) -> u64 {
+fn cb_messages(n: usize, t: usize, rule: CbRule) -> u64 {
     use crate::cb_node::CbBroadcastNode;
     let cfg = SystemConfig::new(n, t).unwrap();
     let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, 2)).seed(1);
     for _ in 0..n {
-        builder = builder.node(CbBroadcastNode::new(cfg, 5u64));
+        builder = builder.node(CbBroadcastNode::with_rule(cfg, rule, 5u64));
     }
     let mut sim = builder.build();
     sim.run().metrics.messages_sent
 }
 
-fn ac_messages(n: usize, t: usize) -> u64 {
+fn ac_messages(n: usize, t: usize, rule: CbRule) -> u64 {
     use minsync_core::AcNode;
     let cfg = SystemConfig::new(n, t).unwrap();
     let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, 2)).seed(1);
     for _ in 0..n {
-        builder = builder.node(AcNode::new(cfg, 5u64));
+        builder = builder.node(AcNode::new(cfg, 5u64).with_rule(rule));
     }
     let mut sim = builder.build();
     let report = sim.run_until(|outs| outs.len() == n);
     report.metrics.messages_sent
 }
 
-fn consensus_messages(n: usize, t: usize) -> u64 {
+/// Figure 4 as printed, with its CB waves under `cb`.
+fn consensus_messages(n: usize, t: usize, cb: CbRule) -> u64 {
+    let round1 = Round1::Paper;
     let outcome = ConsensusRunBuilder::new(n, t)
         .unwrap()
+        .rules(Rules { round1, cb })
         .proposals(std::iter::repeat(5u64).take(n))
         .topology(TopologySpec::AllTimely { delta: 2 })
         .faults(FaultPlan::AllCorrect)
@@ -166,8 +196,8 @@ mod tests {
 
     #[test]
     fn cb_scales_like_n_cubed() {
-        let m4 = cb_messages(4, 1) as f64;
-        let m10 = cb_messages(10, 3) as f64;
+        let m4 = cb_messages(4, 1, CbRule::Figure1) as f64;
+        let m10 = cb_messages(10, 3, CbRule::Figure1) as f64;
         let ratio = (m10 / m4) / (1000.0 / 64.0);
         assert!(
             (0.5..2.0).contains(&ratio),
@@ -181,15 +211,38 @@ mod tests {
     /// the totals, this pins it.
     #[test]
     fn counts_identical_to_unbatched_substrate() {
+        let fig1 = CbRule::Figure1;
         assert_eq!(rb_messages(4, 1), 36);
-        assert_eq!(cb_messages(4, 1), 144);
-        assert_eq!(ac_messages(4, 1), 288);
-        assert_eq!(consensus_messages(4, 1), 900);
+        assert_eq!(cb_messages(4, 1, fig1), 144);
+        assert_eq!(ac_messages(4, 1, fig1), 288);
+        assert_eq!(consensus_messages(4, 1, fig1), 900);
         assert_eq!(rb_messages(7, 2), 105);
-        assert_eq!(cb_messages(7, 2), 735);
-        assert_eq!(ac_messages(7, 2), 1470);
-        assert_eq!(consensus_messages(7, 2), 4515);
+        assert_eq!(cb_messages(7, 2, fig1), 735);
+        assert_eq!(ac_messages(7, 2, fig1), 1470);
+        assert_eq!(consensus_messages(7, 2, fig1), 4515);
     }
+
+    /// A relay-rule CB wave of one value is n² messages: each process sends
+    /// its own `CB(v)` once and relays nothing it already sent.
+    #[test]
+    fn relay_cb_wave_is_n_squared() {
+        for (n, t) in [(4, 1), (7, 2), (10, 3)] {
+            assert_eq!(cb_messages(n, t, CbRule::Relay), (n * n) as u64);
+        }
+    }
+
+    #[test]
+    fn relay_counts_are_pinned() {
+        let relay = CbRule::Relay;
+        assert_eq!(ac_messages(4, 1, relay), RELAY_COUNTS[0]);
+        assert_eq!(consensus_messages(4, 1, relay), RELAY_COUNTS[1]);
+        assert_eq!(ac_messages(7, 2, relay), RELAY_COUNTS[2]);
+        assert_eq!(consensus_messages(7, 2, relay), RELAY_COUNTS[3]);
+    }
+
+    /// Adopt-commit and consensus at n = 4 and n = 7 with every CB wave by
+    /// relay, the relay column's counts.
+    const RELAY_COUNTS: [u64; 4] = [160, 440, 784, 1_925];
 
     #[test]
     fn table_covers_all_primitives() {
@@ -197,5 +250,6 @@ mod tests {
         let prims: std::collections::BTreeSet<&str> =
             t.rows().iter().map(|r| r[2].as_str()).collect();
         assert_eq!(prims.len(), 4);
+        assert!(t.rows().iter().all(|r| r.len() == 8));
     }
 }

@@ -472,6 +472,22 @@ pub(crate) fn churn_sim(
     (report, sim.stat_series().clone(), fired)
 }
 
+/// Commands per client that keep [`churn_sim`]'s log growing for `span`
+/// ticks past the point a clean run of [`PROBE_COMMANDS`] per client
+/// drains, at that run's pace and rounded up to whole probe runs. A fault
+/// opened by that point (every plan opens on an early commit floor) then
+/// lands mid-log however fast a slot is, with `span` ticks of log left.
+pub(crate) fn outlasting_commands(system: SystemConfig, seed: u64, span: u64) -> usize {
+    let case = format!("probe n={} seed={seed}", system.n());
+    let clean = PlanOracle::default();
+    let (run, ..) = churn_sim(&case, system, seed, PROBE_COMMANDS, clean, system.n(), None);
+    let ticks = run.final_time.ticks().max(1);
+    PROBE_COMMANDS * (1 + span.div_ceil(ticks) as usize)
+}
+
+/// Commands per client of [`outlasting_commands`]'s clean probe.
+const PROBE_COMMANDS: usize = 16;
+
 /// Seeds used per configuration.
 pub(crate) fn seeds(quick: bool) -> Vec<u64> {
     if quick {

@@ -1,7 +1,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use minsync_core::{ConsensusConfig, ConsensusEvent, ProtocolMsg, TimeoutPolicy};
+use minsync_core::{ConsensusConfig, ConsensusEvent, ProtocolMsg, Rules, TimeoutPolicy};
 use minsync_net::sim::{ScheduleOracle, SimBuilder};
 use minsync_telemetry::trace::TraceRecorder;
 use minsync_telemetry::Registry;
@@ -37,6 +37,7 @@ struct RunSpec {
     timeout: TimeoutPolicy,
     max_events: u64,
     max_rounds: Option<u64>,
+    rules: Rules,
 }
 
 impl ConsensusRunBuilder {
@@ -61,6 +62,7 @@ impl ConsensusRunBuilder {
                 timeout: TimeoutPolicy::paper(),
                 max_events: 10_000_000,
                 max_rounds: None,
+                rules: Rules::PAPER,
             },
             oracle: None,
             registry: None,
@@ -101,6 +103,12 @@ impl ConsensusRunBuilder {
     /// EA timeout policy.
     pub fn timeout_policy(mut self, timeout: TimeoutPolicy) -> Self {
         self.spec.timeout = timeout;
+        self
+    }
+
+    /// The rule set every process runs (default [`Rules::PAPER`]).
+    pub fn rules(mut self, rules: Rules) -> Self {
+        self.spec.rules = rules;
         self
     }
 
@@ -156,12 +164,12 @@ impl ConsensusRunBuilder {
             });
         }
         spec.faults.validate(&spec.system)?;
-        let cons_cfg = ConsensusConfig {
+        let cons_cfg = spec.rules.apply(ConsensusConfig {
             k: spec.k,
             timeout: spec.timeout,
             max_rounds: spec.max_rounds,
             ..ConsensusConfig::paper(spec.system)
-        };
+        });
         // Surface schedule errors (invalid k) eagerly.
         cons_cfg.schedule()?;
         let topo = spec.topology.build(&spec.system)?;

@@ -9,9 +9,12 @@
 //!
 //! **Value flow: agree on digests, ship each payload once.** A slot's
 //! instance never sees the proposal `V`; it runs Figures 1–4 over the
-//! proposal's 32-byte SHA-256 [`Digest`], with round 1 going straight to
-//! adopt-commit ([`Round1::SkipEa`], DESIGN.md §10): a unanimous slot
-//! commits in round 1 with no EA wave and no round timer. The proposal
+//! proposal's 32-byte SHA-256 [`Digest`] under [`Rules::SLOT`]. Round 1
+//! goes straight to adopt-commit (DESIGN.md §10): a unanimous slot commits
+//! in round 1 with no EA wave and no round timer. Every CB wave of a slot
+//! travels by relay (DESIGN.md §9): one message delay and at most `m·n²`
+//! messages instead of `n` reliable broadcasts.
+//! The proposal
 //! itself crosses the network once per proposer: starting slot `s`, a
 //! replica sends [`SmrMsg::Payload`] to each of the `n − 1` others (ahead
 //! of its first consensus message), keeps its own copy, and proposes the
@@ -102,7 +105,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use minsync_auth::Digest;
-use minsync_core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg, Round1};
+use minsync_core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg, Rules};
 use minsync_net::sim::OutputRecord;
 use minsync_net::{Effect, Env, Node, TimerId};
 use minsync_telemetry::trace::{TraceKind, TraceRecorder};
@@ -522,7 +525,7 @@ pub struct ReplicaNode<V, P> {
 impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     /// Creates a replica that fills `target_slots` log slots, with default
     /// [`SmrLimits`]. Every slot instance runs `cfg` under
-    /// [`Round1::SkipEa`], whatever `cfg.round1` says.
+    /// [`Rules::SLOT`], whatever `cfg.round1` and `cfg.cb` say.
     ///
     /// # Panics
     ///
@@ -531,10 +534,7 @@ impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
         assert!(target_slots > 0, "need at least one slot");
         let n = cfg.system.n();
         ReplicaNode {
-            cfg: ConsensusConfig {
-                round1: Round1::SkipEa,
-                ..cfg
-            },
+            cfg: Rules::SLOT.apply(cfg),
             source,
             target_slots,
             limits: SmrLimits::default(),

@@ -300,6 +300,10 @@ pub struct ClusterReport {
     /// When each [`ChurnPlan`] step fired, from the bootstrap broadcast
     /// (empty without a plan).
     pub fired: Vec<Duration>,
+    /// When each correct replica (by id) reported its drain, on the same
+    /// clock as [`fired`](Self::fired). Unlike [`ReplicaStats::wall`],
+    /// which a restarted replica starts again, this spans its outage.
+    pub drained: Vec<Duration>,
 }
 
 impl ClusterReport {
@@ -320,6 +324,12 @@ impl ClusterReport {
         let ids = self.replicas.iter().map(id);
         found.extend(check::termination(ids, committed, &self.total_commands));
         found
+    }
+
+    /// When the last correct replica reported its drain, from the
+    /// bootstrap broadcast ([`drained`](Self::drained)).
+    pub fn last_drain(&self) -> Duration {
+        self.drained.iter().copied().max().unwrap_or_default()
     }
 
     /// Every counter whose name starts with `prefix`, summed over the
@@ -847,6 +857,7 @@ fn orchestrate(
     let mut blocks: Vec<Vec<String>> = pending_lines;
     let mut streams = StreamAssembler::new(spec.n);
     let mut done = vec![false; spec.n];
+    let mut drained = vec![Duration::ZERO; spec.correct()];
 
     while (0..spec.correct()).any(|id| !done[id]) {
         // Fire every step whose trigger holds, in plan order.
@@ -934,6 +945,9 @@ fn orchestrate(
                     // A sample line, absorbed into the series.
                 } else if line.trim() == control::DONE {
                     done[id] = true;
+                    if let Some(at) = drained.get_mut(id) {
+                        *at = epoch.elapsed();
+                    }
                 } else if line.starts_with(control::PORT) {
                     // A restarted child re-announces its (unchanged) port.
                 } else {
@@ -1000,6 +1014,7 @@ fn orchestrate(
         total_commands: spec.total_commands(),
         elapsed: start.elapsed(),
         fired,
+        drained,
     })
 }
 
@@ -1527,8 +1542,10 @@ mod tests {
             total_commands: 100,
             elapsed: Duration::from_secs(1),
             fired: Vec::new(),
+            drained: vec![Duration::from_millis(40), Duration::from_millis(70)],
         };
         assert_eq!(report.cmds_per_sec(), 200.0);
+        assert_eq!(report.last_drain(), Duration::from_millis(70));
     }
 
     #[test]
@@ -1560,6 +1577,7 @@ mod tests {
             total_commands: 100,
             elapsed: Duration::from_secs(1),
             fired: Vec::new(),
+            drained: vec![Duration::from_millis(40), Duration::from_millis(70)],
         };
         let good = report(vec![stats(0, 7, 100, 1), stats(1, 7, 100, 1)]);
         assert!(good.violations().is_empty());

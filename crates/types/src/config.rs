@@ -19,6 +19,7 @@ use crate::{ConfigError, ProcSet, ProcessId};
 /// assert_eq!(cfg.plurality(), 4);       // t + 1
 /// assert_eq!(cfg.echo_threshold(), 7);  // ⌈(n + t + 1)/2⌉ (Bracha ECHO)
 /// assert_eq!(cfg.ready_threshold(), 7); // 2t + 1 (Bracha READY delivery)
+/// assert_eq!(cfg.cb_accept_threshold(), 7); // 2t + 1 (relay-rule CB)
 /// # Ok(())
 /// # }
 /// ```
@@ -104,6 +105,20 @@ impl SystemConfig {
 
     /// Bracha's READY delivery threshold `2t + 1`.
     pub const fn ready_threshold(&self) -> usize {
+        2 * self.t + 1
+    }
+
+    /// The relay rule's relay threshold `t + 1` (DESIGN.md §9): `CB(v)`
+    /// from this many distinct senders includes a correct one, so `v` was
+    /// cb-broadcast by a correct process and may be relayed.
+    pub const fn cb_relay_threshold(&self) -> usize {
+        self.t + 1
+    }
+
+    /// The relay rule's accept threshold `2t + 1` (DESIGN.md §9): `CB(v)`
+    /// from this many distinct senders includes `t + 1` correct ones, so
+    /// every correct process relays `v` and hears it from `n − t ≥ 2t + 1`.
+    pub const fn cb_accept_threshold(&self) -> usize {
         2 * self.t + 1
     }
 

@@ -87,6 +87,11 @@ impl ProcSet {
         fresh
     }
 
+    /// True if `p` is in the set.
+    pub const fn contains(&self, p: ProcessId) -> bool {
+        p.index() < Self::CAPACITY && self.0 & (1u128 << p.index()) != 0
+    }
+
     /// Number of processes in the set.
     pub const fn len(&self) -> usize {
         self.0.count_ones() as usize

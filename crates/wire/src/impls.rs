@@ -150,6 +150,7 @@ wire_enum!(RbMsg<T, V> {
     0 => Init { tag, value },
     1 => Echo { origin, tag, value },
     2 => Ready { origin, tag, value },
+    3 => Relay { tag, value },
 });
 
 wire_enum!(ProtocolMsg<V> {

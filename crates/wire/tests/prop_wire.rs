@@ -73,6 +73,7 @@ fn arb_rb_msg<S: Strategy + 'static>(
             tag,
             value
         }),
+        (arb_rb_tag(), value()).prop_map(|(tag, value)| RbMsg::Relay { tag, value }),
     ]
 }
 
@@ -436,6 +437,7 @@ fn every_variant_encodes_to_its_pinned_bytes() {
         pin!(init.clone() => "00022a"),
         pin!(RbMsg::Echo { origin: p, tag: RbTag::AcEst(r), value: 0x2Au8 } => "01010000000102000000000000002a"),
         pin!(RbMsg::Ready { origin: p, tag: RbTag::Decide, value: 0x2Au8 } => "0201000000022a"),
+        pin!(RbMsg::Relay { tag: RbTag::CbVal(CbId::AcProp(r)), value: 0x2Au8 } => "03000102000000000000002a"),
         pin!(ProtocolMsg::Rb(init.clone()) => "0000022a"),
         pin!(ProtocolMsg::EaProp2 { round: r, value: 0x2Au8 } => "0102000000000000002a"),
         pin!(ProtocolMsg::EaCoord { round: r, value: 0x2Au8 } => "0202000000000000002a"),
@@ -481,7 +483,7 @@ fn every_variant_encodes_to_its_pinned_bytes() {
 
     assert_unused_tag::<CbId>("CbId", 3);
     assert_unused_tag::<RbTag>("RbTag", 3);
-    assert_unused_tag::<RbMsg<RbTag, u8>>("RbMsg", 3);
+    assert_unused_tag::<RbMsg<RbTag, u8>>("RbMsg", 4);
     assert_unused_tag::<ProtocolMsg<u8>>("ProtocolMsg", 4);
     assert_unused_tag::<SmrMsg<u8>>("SmrMsg", 3);
     assert_unused_tag::<Effect<u8, u8>>("Effect", 6);

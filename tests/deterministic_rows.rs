@@ -27,29 +27,32 @@ type Out = SmrEvent<Batch>;
 const CLIENTS: usize = 8;
 const SEED: u64 = 11;
 
-/// n=4 t=1, all timely, 60 slots. Per commit: 748 messages, of which
-/// `CB_VAL/*` 432 (`CB[0]` and round 1's `AC_PROP`; round 1 runs no EA, see
-/// DESIGN.md §10), `AC_EST/*` 144, `DECIDE/*` 144, `SMR_ACK` 16 — all over
-/// 32-byte digests — and `SMR_PAYLOAD` n(n−1) = 12, the only ones that
-/// carry the batch; the 28 on top of 60 × 748 are slot 61's 12 payloads
-/// and 16 `CB_VAL/INIT`, sent before the stop predicate fires.
+/// n=4 t=1, all timely, 60 slots. Per commit: 416 messages, of which
+/// `CB_VAL/RELAY` 64 (four relay-rule CB waves of n² = 16: `CB[0]` and
+/// round 1's `AC_PROP`, then round 2's `EA_PROP1` and `AC_PROP`, which run
+/// before the decision lands; see DESIGN.md §9 and §10), `AC_EST/*` 144,
+/// `DECIDE/*` 144, round 2's `EA_*` 36, `SMR_ACK` 16 — all over 32-byte
+/// digests — and `SMR_PAYLOAD` n(n−1) = 12, the only ones that carry the
+/// batch; the 28 on top of 60 × 416 are slot 61's 12 payloads and 16
+/// `CB_VAL/RELAY`, sent before the stop predicate fires.
 const N4_TIMELY: &[(&str, u64)] = &[
-    ("messages_sent", 44_908),
-    ("messages_delivered", 44_801),
+    ("messages_sent", 24_988),
+    ("messages_delivered", 24_896),
     ("timers_fired", 0),
-    ("events_processed", 44_805),
-    ("last_commit_tick", 2_160),
+    ("events_processed", 25_080),
+    ("last_commit_tick", 1_440),
     ("log_slots", 60),
     ("log_digest", 1_678_938_114_058_546_041),
     ("AC_EST/ECHO", 3_840),
     ("AC_EST/INIT", 960),
     ("AC_EST/READY", 3_840),
-    ("CB_VAL/ECHO", 11_520),
-    ("CB_VAL/INIT", 2_896),
-    ("CB_VAL/READY", 11_520),
+    ("CB_VAL/RELAY", 3_856),
     ("DECIDE/ECHO", 3_840),
     ("DECIDE/INIT", 960),
     ("DECIDE/READY", 3_840),
+    ("EA_COORD", 240),
+    ("EA_PROP2", 960),
+    ("EA_RELAY", 960),
     ("SMR_ACK", 960),
     ("SMR_PAYLOAD", 732),
 ];
@@ -58,53 +61,53 @@ const N4_TIMELY: &[(&str, u64)] = &[
 /// seed 11 (the only population whose delays are drawn from the seed — so
 /// the 30 payload sends per slot, 5 correct proposers × 6 peers, shift
 /// every later draw and every count with them). The log is `N4_TIMELY`'s:
-/// same clients, same batches, same slots. Every slot commits in round 1
-/// (one `AC_EST/INIT` per correct replica and slot); the `EA_*` traffic is
-/// round 2's, entered after the commit and abandoned at the decision
-/// before any round timer expires.
+/// same clients, same batches, same slots. The `EA_*` traffic is round
+/// 2's, entered after a round-1 commit. With CB at
+/// one message delay, round 2 gets further before the decision lands than
+/// it did under Figure 1: 231 round-2 `AC_EST/INIT`s on top of one per
+/// correct replica and slot, and 14 round timers.
 const N7_BISOURCE_SILENT: &[(&str, u64)] = &[
-    ("messages_sent", 121_551),
-    ("messages_delivered", 121_404),
-    ("timers_fired", 0),
-    ("events_processed", 121_411),
-    ("last_commit_tick", 21_459),
+    ("messages_sent", 64_571),
+    ("messages_delivered", 64_473),
+    ("timers_fired", 14),
+    ("events_processed", 64_499),
+    ("last_commit_tick", 15_449),
     ("log_slots", 60),
     ("log_digest", 1_678_938_114_058_546_041),
-    ("AC_EST/ECHO", 10_500),
-    ("AC_EST/INIT", 2_100),
-    ("AC_EST/READY", 10_500),
-    ("CB_VAL/ECHO", 31_633),
-    ("CB_VAL/INIT", 6_349),
-    ("CB_VAL/READY", 31_500),
+    ("AC_EST/ECHO", 11_571),
+    ("AC_EST/INIT", 2_331),
+    ("AC_EST/READY", 10_626),
+    ("CB_VAL/RELAY", 8_393),
     ("DECIDE/ECHO", 10_500),
     ("DECIDE/INIT", 2_100),
     ("DECIDE/READY", 10_500),
-    ("EA_COORD", 266),
-    ("EA_PROP2", 1_099),
-    ("EA_RELAY", 574),
+    ("EA_COORD", 420),
+    ("EA_PROP2", 2_100),
+    ("EA_RELAY", 2_100),
     ("SMR_ACK", 2_100),
     ("SMR_PAYLOAD", 1_830),
 ];
 
-/// n=20 t=6, all timely, 3 slots: 82 780 messages per commit — 380 of
-/// them `SMR_PAYLOAD` — plus slot 4's 380 payloads and 400 `CB_VAL/INIT`.
+/// n=20 t=6, all timely, 3 slots: 36 000 messages per commit — 380 of
+/// them `SMR_PAYLOAD` — plus slot 4's 380 payloads and 400 `CB_VAL/RELAY`.
 const N20_TIMELY: &[(&str, u64)] = &[
-    ("messages_sent", 249_120),
-    ("messages_delivered", 237_547),
+    ("messages_sent", 108_780),
+    ("messages_delivered", 101_786),
     ("timers_fired", 0),
-    ("events_processed", 237_567),
-    ("last_commit_tick", 108),
+    ("events_processed", 101_863),
+    ("last_commit_tick", 72),
     ("log_slots", 3),
     ("log_digest", 16_733_735_748_791_105_565),
     ("AC_EST/ECHO", 24_000),
     ("AC_EST/INIT", 1_200),
     ("AC_EST/READY", 24_000),
-    ("CB_VAL/ECHO", 72_000),
-    ("CB_VAL/INIT", 4_000),
-    ("CB_VAL/READY", 72_000),
+    ("CB_VAL/RELAY", 5_200),
     ("DECIDE/ECHO", 24_000),
     ("DECIDE/INIT", 1_200),
     ("DECIDE/READY", 24_000),
+    ("EA_COORD", 60),
+    ("EA_PROP2", 1_200),
+    ("EA_RELAY", 1_200),
     ("SMR_ACK", 1_200),
     ("SMR_PAYLOAD", 1_520),
 ];
@@ -113,9 +116,10 @@ const N20_TIMELY: &[(&str, u64)] = &[
 /// 5 slots; see `n4_bulk_encoded_bytes_per_commit_are_pinned`. With the
 /// 4 KiB batch in every one of the 916 messages of a commit this read
 /// (18 565 816, 3 713 163); with the batch in the 12 `SMR_PAYLOAD`s only
-/// and a 32-byte digest everywhere else it read (507 248, 101 449), and
-/// with round 1's EA wave gone too it is 40.9× less.
-const N4_BULK_ENCODED_BYTES: (u64, u64) = (453_848, 90_769);
+/// and a 32-byte digest everywhere else it read (507 248, 101 449), with
+/// round 1's EA wave gone too (453 848, 90 769), and with every CB wave by
+/// relay it is 52.1× less.
+const N4_BULK_ENCODED_BYTES: (u64, u64) = (356_208, 71_241);
 
 /// The paper's regime: every channel asynchronous with uniform 1–40-tick
 /// delays, except those of a ⟨t+1⟩bisource at p0, timely (bound 4) from

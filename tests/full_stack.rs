@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use minsync::core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg};
+use minsync::core::{ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg, Rules};
 use minsync::harness::{ConsensusRunBuilder, FaultPlan, TopologySpec};
 use minsync::net::threaded::{run_threaded, ThreadedConfig, ThreadedOutput};
 use minsync::net::{DelayLaw, NetworkTopology, Node};
@@ -123,6 +123,21 @@ fn message_kind_metrics_are_collected() {
     );
     assert!(m.sent_of_kind("CB_VAL/ECHO") > 0);
     assert!(m.sent_of_kind("EA_PROP2") > 0);
+    assert!(m.sent_of_kind("DECIDE/INIT") > 0);
+    // Under a log slot's rules every CB wave is `CB(v)` by relay.
+    let o = ConsensusRunBuilder::new(4, 1)
+        .unwrap()
+        .rules(Rules::SLOT)
+        .proposals([1, 1, 1, 1])
+        .seed(5)
+        .run()
+        .unwrap();
+    let m = o.metrics();
+    assert!(m.sent_of_kind("CB_VAL/RELAY") >= 16, "CB[0] is n² sends");
+    assert_eq!(
+        m.sent_of_kind("CB_VAL/INIT") + m.sent_of_kind("CB_VAL/ECHO"),
+        0
+    );
     assert!(m.sent_of_kind("DECIDE/INIT") > 0);
 }
 
