@@ -412,7 +412,7 @@ pub fn run_protocol(
     // finished, and whether the run can prove a deadlock.
     let (mut found, finished, conclusive): (_, Vec<ProcessId>, _) = match protocol {
         Protocol::Consensus(rules) => {
-            let cfg = rules.apply(cfg);
+            cfg.rules = Some(rules);
             let report = simulate(n, schedule, max_events, |i| {
                 ConsensusNode::new(cfg, proposal_for(i)).expect("paper config is valid")
             })

@@ -190,10 +190,11 @@ fn run(
     max_events: u64,
 ) -> Vec<(ProcessId, u64)> {
     let system = SystemConfig::new(N, 1).expect("n=4, t=1 is a valid resilience pair");
-    let cfg = rules.apply(ConsensusConfig {
+    let cfg = ConsensusConfig {
         mutation,
+        rules: Some(rules),
         ..ConsensusConfig::paper(system)
-    });
+    };
     let topology = NetworkTopology::uniform(N, ChannelTiming::asynchronous(DelayLaw::Fixed(5)));
     let mut builder = SimBuilder::new(topology)
         .seed(SEED)

@@ -18,16 +18,15 @@
 //!   the RB layer (echo/ready): RB-Termination-2 — which carries the
 //!   remaining correct processes to their own decisions — requires correct
 //!   processes to keep participating in reliable broadcast.
-//! * Opt-in ([`Round1::SkipEa`], which every replicated-log slot runs):
-//!   round 1 skips lines 4–5 and enters adopt-commit with `CB[0]`'s value,
-//!   already in `cb0`; agreement never uses EA, and round 1 then has no EA
-//!   message, no round timer, and drops any round-1 EA traffic received
-//!   (DESIGN.md §10). [`ConsensusConfig::paper`] keeps the listing.
-//! * Opt-in ([`CbRule::Relay`], which every replicated-log slot runs too):
-//!   every CB instance — `CB[0]`, each round's `AC_PROP` and `EA_PROP1` —
-//!   travels by BV-broadcast's relay rule instead of Figure 1's `n`
-//!   reliable broadcasts, with the same CB-Set properties (DESIGN.md §9);
-//!   `AC_EST` and `DECIDE` stay Bracha's RB.
+//! * [`ConsensusConfig::rules`] may opt into [`Round1::SkipEa`]: round 1
+//!   skips lines 4–5 and enters adopt-commit with `CB[0]`'s value, already
+//!   in `cb0`; agreement never uses EA, and round 1 then has no EA message,
+//!   no round timer, and drops any round-1 EA traffic received (DESIGN.md
+//!   §10). And into [`CbRule::Relay`]: every CB instance — `CB[0]`, each
+//!   round's `AC_PROP` and `EA_PROP1` — travels by BV-broadcast's relay
+//!   rule, with Figure 1's CB-Set properties (DESIGN.md §9); `AC_EST` and
+//!   `DECIDE` stay Bracha's RB. [`Rules::SLOT`] has both and is a log
+//!   slot's default; `rules: None` here means [`Rules::PAPER`].
 
 use std::collections::BTreeMap;
 
@@ -105,13 +104,9 @@ impl Rules {
     /// The three rule sets, in table order.
     pub const ALL: [Rules; 3] = [Rules::PAPER, Rules::SKIP_EA, Rules::SLOT];
 
-    /// `cfg` under these rules.
-    pub fn apply(self, cfg: ConsensusConfig) -> ConsensusConfig {
-        ConsensusConfig {
-            round1: self.round1,
-            cb: self.cb,
-            ..cfg
-        }
+    /// Whether round `r` runs no EA instance under these rules.
+    fn skips_ea(self, r: Round) -> bool {
+        r == Round::FIRST && self.round1 == Round1::SkipEa
     }
 }
 
@@ -134,19 +129,16 @@ pub struct ConsensusConfig {
     /// Seeded bug for mutation testing. `None` (every production
     /// constructor) runs the paper's algorithm unmodified.
     pub mutation: Option<SeededMutation>,
-    /// Whether round 1 runs EA ([`Round1::Paper`]) or goes straight to
-    /// adopt-commit ([`Round1::SkipEa`]).
-    pub round1: Round1,
-    /// How every CB instance's `CB_VAL` wave travels: Figure 1's `n`
-    /// reliable broadcasts ([`CbRule::Figure1`]) or the relay rule
-    /// ([`CbRule::Relay`], DESIGN.md §9). `AC_EST` and `DECIDE` are
-    /// Bracha's RB under either.
-    pub cb: CbRule,
+    /// The rule set: how round 1 starts and how every CB wave travels.
+    /// `None` lets the host choose once, at construction:
+    /// [`ConsensusNode::new`] runs [`Rules::PAPER`], a replicated-log
+    /// replica [`Rules::SLOT`]. Every host runs `Some(rules)` as given.
+    pub rules: Option<Rules>,
 }
 
 impl ConsensusConfig {
     /// The paper's defaults: `k = 0`, `timer[r] = r`, unbounded rounds,
-    /// EA in every round, CB by Figure 1.
+    /// and the host's own rule set (`rules: None`).
     pub fn paper(system: SystemConfig) -> Self {
         ConsensusConfig {
             system,
@@ -154,14 +146,8 @@ impl ConsensusConfig {
             timeout: TimeoutPolicy::paper(),
             max_rounds: None,
             mutation: None,
-            round1: Round1::Paper,
-            cb: CbRule::Figure1,
+            rules: None,
         }
-    }
-
-    /// Whether round `r` runs no EA instance under this config.
-    fn skips_ea(&self, r: Round) -> bool {
-        r == Round::FIRST && self.round1 == Round1::SkipEa
     }
 
     /// Builds the round schedule implied by `system` and `k`.
@@ -220,6 +206,8 @@ enum Phase {
 #[derive(Debug)]
 pub struct ConsensusNode<V> {
     cfg: ConsensusConfig,
+    /// `cfg.rules`, with `None` resolved to [`Rules::PAPER`].
+    rules: Rules,
     proposal: V,
     /// The one broadcast layer: every RB instance, and the `t + 1` counts
     /// of every CB instance and of `DECIDE`.
@@ -239,7 +227,8 @@ pub struct ConsensusNode<V> {
 type Ctx<V> = Env<ProtocolMsg<V>, ConsensusEvent<V>>;
 
 impl<V: Value> ConsensusNode<V> {
-    /// Creates a node that will propose `proposal`.
+    /// Creates a node that will propose `proposal`, under `cfg.rules` or,
+    /// if that is `None`, [`Rules::PAPER`].
     ///
     /// The process id is taken from the substrate at `on_start`; one node
     /// value works for any slot.
@@ -252,6 +241,7 @@ impl<V: Value> ConsensusNode<V> {
         let schedule = cfg.schedule()?;
         Ok(ConsensusNode {
             cfg,
+            rules: cfg.rules.unwrap_or(Rules::PAPER),
             proposal: proposal.clone(),
             rb: None,
             cb0: Vec::new(),
@@ -372,7 +362,7 @@ impl<V: Value> ConsensusNode<V> {
         }
         self.sync.advance_to(r);
         env.output(ConsensusEvent::RoundStarted { round: r });
-        if self.cfg.skips_ea(r) {
+        if self.rules.skips_ea(r) {
             self.enter_ac(r, env);
             return;
         }
@@ -416,11 +406,6 @@ impl<V: Value> ConsensusNode<V> {
             self.ac_round(r).mark_est_sent();
             self.phase = Phase::AwaitAcEst;
             self.rb_broadcast(RbTag::AcEst(r), est2, env);
-            // rb_broadcast may have recursed into try_advance_ac and
-            // completed the round; re-check the phase before continuing.
-            if self.phase != Phase::AwaitAcEst || self.sync.current() != r {
-                return;
-            }
         }
         if self.phase == Phase::AwaitAcEst {
             let Some((tag, mfa)) = self.ac_round(r).try_complete() else {
@@ -441,9 +426,6 @@ impl<V: Value> ConsensusNode<V> {
                     value: mfa.clone(),
                 });
                 self.rb_broadcast(RbTag::Decide, mfa, env);
-                if self.decided.is_some() {
-                    return;
-                }
             }
             // Line 8: next round.
             self.enter_round(r.next(), env);
@@ -475,7 +457,7 @@ impl<V: Value> Node for ConsensusNode<V> {
 
     fn on_start(&mut self, env: &mut Ctx<V>) {
         let me = env.me();
-        self.rb = Some(RbEngine::with_rule(self.cfg.system, me, self.cfg.cb));
+        self.rb = Some(RbEngine::with_rule(self.cfg.system, me, self.rules.cb));
         self.ea = EaObject::new(
             self.cfg.system,
             self.cfg.schedule().expect("validated in new()"),
@@ -498,7 +480,7 @@ impl<V: Value> Node for ConsensusNode<V> {
             | ProtocolMsg::EaCoord { round, .. }
             | ProtocolMsg::EaRelay { round, .. } => Some(*round),
         };
-        if ea_round.is_some_and(|r| self.cfg.skips_ea(r)) {
+        if ea_round.is_some_and(|r| self.rules.skips_ea(r)) {
             return;
         }
         match msg {
@@ -578,7 +560,10 @@ mod tests {
     ) -> RunReport<ConsensusEvent<u64>> {
         let n = proposals.len();
         let system = SystemConfig::new(n, (n - 1) / 3).unwrap();
-        let cfg = rules.apply(ConsensusConfig::paper(system));
+        let cfg = ConsensusConfig {
+            rules: Some(rules),
+            ..ConsensusConfig::paper(system)
+        };
         let mut builder = SimBuilder::new(topo).seed(seed).max_events(5_000_000);
         for &p in proposals {
             builder = builder.node(ConsensusNode::new(cfg, p).unwrap());
@@ -719,7 +704,10 @@ mod tests {
     fn skip_ea_node_keeps_no_state_for_round1_ea_traffic() {
         let system = SystemConfig::new(4, 1).unwrap();
         for rules in [Rules::SKIP_EA, Rules::SLOT] {
-            skip_ea_keeps_no_state(rules.apply(ConsensusConfig::paper(system)));
+            skip_ea_keeps_no_state(ConsensusConfig {
+                rules: Some(rules),
+                ..ConsensusConfig::paper(system)
+            });
         }
     }
 
@@ -773,7 +761,10 @@ mod tests {
     fn skip_ea_decides_in_round1_as_without_a_round1_ea_spray() {
         let system = SystemConfig::new(4, 1).unwrap();
         for rules in [Rules::SKIP_EA, Rules::SLOT] {
-            skip_ea_ignores_the_spray(rules.apply(ConsensusConfig::paper(system)));
+            skip_ea_ignores_the_spray(ConsensusConfig {
+                rules: Some(rules),
+                ..ConsensusConfig::paper(system)
+            });
         }
     }
 

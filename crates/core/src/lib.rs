@@ -12,9 +12,9 @@
 //!   [`RoundSchedule`](minsync_types::RoundSchedule));
 //! * [`consensus`] — the complete algorithm (Figure 4): signature-free
 //!   m-valued Byzantine consensus with `t < n/3`, optimal in its synchrony
-//!   assumption, with one opt-in round-1 rule ([`Round1::SkipEa`]: round 1
-//!   enters adopt-commit without EA, so a unanimous instance decides in
-//!   round 1 on any network; the replicated log runs it, DESIGN.md §10);
+//!   assumption; [`ConsensusConfig::rules`] picks [`Rules::PAPER`] (the
+//!   default here) or an opt-in rule set such as [`Rules::SLOT`], a log
+//!   slot's default (DESIGN.md §9, §10);
 //! * [`bot_variant`] — the ⊥-validity variant sketched in Section 7
 //!   ("never decide a Byzantine value; decide ⊥ on disagreement").
 //!

@@ -304,10 +304,12 @@ fn eager_proposals(events: &[TraceEvent], node: u32) -> usize {
 
 /// Wall-clock nanoseconds of `samples` paired runs of the E4 consensus
 /// configuration (seeds 1, 2, …), each pair `(idle, instrumented)`: the
-/// second run of a pair has `instrument` applied to its builder. One
-/// discarded pair first warms caches and lazy setup; the pairs then
-/// interleave so drift (frequency scaling, competing load) hits both sides
-/// equally.
+/// instrumented run has `instrument` applied to its builder. One discarded
+/// pair first warms caches and lazy setup; the pairs then interleave so
+/// drift (frequency scaling, competing load) hits both sides equally. A
+/// same-seed second run is a few percent faster than the first, so the
+/// side that runs first alternates: idle first at odd seeds, instrumented
+/// first at even ones.
 ///
 /// Semantic passivity is asserted on every pair, the warm-up included:
 /// the instrumented run must decide at the identical virtual time with
@@ -330,8 +332,11 @@ fn paired_e4(
         (wall, outcome.decision_latency(), outcome.total_messages())
     };
     let pair = |seed: u64| {
-        let (idle_wall, idle_lat, idle_msgs) = run(false, seed);
-        let (inst_wall, inst_lat, inst_msgs) = run(true, seed);
+        let mut sides = [(0, None, 0); 2];
+        for instrumented in [seed % 2 == 0, seed % 2 == 1] {
+            sides[usize::from(instrumented)] = run(instrumented, seed);
+        }
+        let [(idle_wall, idle_lat, idle_msgs), (inst_wall, inst_lat, inst_msgs)] = sides;
         assert_eq!(
             idle_lat, inst_lat,
             "E16: instrumentation changed the decision latency at seed {seed}"
@@ -381,10 +386,10 @@ struct RegistryGate {
 /// layout, heap state, and machine drift cancel within the pair, and the
 /// median drops the pairs a burst of competing load landed on. (The two
 /// sides' mins, reported alongside, come from different pairs and swing
-/// ±16% between runs of unchanged code.) Every pair runs idle first, and
-/// a same-seed second run is a few percent faster, so the ratio reads the
-/// registry's cost low by that much. The assert fires only on full
-/// release runs — debug builds spend their time elsewhere entirely.
+/// ±16% between runs of unchanged code.) [`paired_e4`] alternates which
+/// side runs first, so a same-seed second run's speed-up favours neither.
+/// The assert fires only on full release runs — debug builds spend their
+/// time elsewhere entirely.
 fn registry_gate(samples: usize, assert_budget: bool) -> RegistryGate {
     let pairs = paired_e4(samples, |b| b.registry(Arc::new(Registry::new())));
     let mut ratios: Vec<f64> = pairs

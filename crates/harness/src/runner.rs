@@ -37,7 +37,7 @@ struct RunSpec {
     timeout: TimeoutPolicy,
     max_events: u64,
     max_rounds: Option<u64>,
-    rules: Rules,
+    rules: Option<Rules>,
 }
 
 impl ConsensusRunBuilder {
@@ -62,7 +62,7 @@ impl ConsensusRunBuilder {
                 timeout: TimeoutPolicy::paper(),
                 max_events: 10_000_000,
                 max_rounds: None,
-                rules: Rules::PAPER,
+                rules: None,
             },
             oracle: None,
             registry: None,
@@ -108,7 +108,7 @@ impl ConsensusRunBuilder {
 
     /// The rule set every process runs (default [`Rules::PAPER`]).
     pub fn rules(mut self, rules: Rules) -> Self {
-        self.spec.rules = rules;
+        self.spec.rules = Some(rules);
         self
     }
 
@@ -164,12 +164,13 @@ impl ConsensusRunBuilder {
             });
         }
         spec.faults.validate(&spec.system)?;
-        let cons_cfg = spec.rules.apply(ConsensusConfig {
+        let cons_cfg = ConsensusConfig {
             k: spec.k,
             timeout: spec.timeout,
             max_rounds: spec.max_rounds,
+            rules: spec.rules,
             ..ConsensusConfig::paper(spec.system)
-        });
+        };
         // Surface schedule errors (invalid k) eagerly.
         cons_cfg.schedule()?;
         let topo = spec.topology.build(&spec.system)?;

@@ -9,11 +9,10 @@
 //!
 //! **Value flow: agree on digests, ship each payload once.** A slot's
 //! instance never sees the proposal `V`; it runs Figures 1–4 over the
-//! proposal's 32-byte SHA-256 [`Digest`] under [`Rules::SLOT`]. Round 1
-//! goes straight to adopt-commit (DESIGN.md §10): a unanimous slot commits
-//! in round 1 with no EA wave and no round timer. Every CB wave of a slot
-//! travels by relay (DESIGN.md §9): one message delay and at most `m·n²`
-//! messages instead of `n` reliable broadcasts.
+//! proposal's 32-byte SHA-256 [`Digest`] under [`ConsensusConfig::rules`],
+//! [`Rules::SLOT`] if `None`. Under `SLOT` round 1 goes straight to
+//! adopt-commit (DESIGN.md §10), and every CB wave travels by relay
+//! (DESIGN.md §9): one message delay and at most `m·n²` messages.
 //! The proposal
 //! itself crosses the network once per proposer: starting slot `s`, a
 //! replica sends [`SmrMsg::Payload`] to each of the `n − 1` others (ahead
@@ -524,17 +523,18 @@ pub struct ReplicaNode<V, P> {
 
 impl<V: Value, P: ProposalSource<V>> ReplicaNode<V, P> {
     /// Creates a replica that fills `target_slots` log slots, with default
-    /// [`SmrLimits`]. Every slot instance runs `cfg` under
-    /// [`Rules::SLOT`], whatever `cfg.round1` and `cfg.cb` say.
+    /// [`SmrLimits`]. Every slot instance runs `cfg`, under `cfg.rules` or,
+    /// if that is `None`, [`Rules::SLOT`].
     ///
     /// # Panics
     ///
     /// Panics if `target_slots == 0`.
-    pub fn new(cfg: ConsensusConfig, source: P, target_slots: u64) -> Self {
+    pub fn new(mut cfg: ConsensusConfig, source: P, target_slots: u64) -> Self {
         assert!(target_slots > 0, "need at least one slot");
+        cfg.rules.get_or_insert(Rules::SLOT);
         let n = cfg.system.n();
         ReplicaNode {
-            cfg: Rules::SLOT.apply(cfg),
+            cfg,
             source,
             target_slots,
             limits: SmrLimits::default(),
@@ -1437,13 +1437,15 @@ mod tests {
         assert_eq!(r.committed_count(), 0);
         assert_eq!((r.payload_waits(), r.payload_mismatch()), (1, 0));
         assert!(commits(&mut env).is_empty());
-        // Parked, not stopped: a peer's RB INIT is still echoed.
+        // Parked, not stopped: a peer's RB INIT is still echoed. The tag is
+        // round 1's `AC_EST`, which is Bracha's RB under every named rule
+        // set; the engine drops an `INIT` under a tag that travels by relay.
         r.on_message(
             ProcessId::new(2),
             SmrMsg::Slot {
                 slot: 1,
                 msg: ProtocolMsg::Rb(minsync_broadcast::RbMsg::Init {
-                    tag: minsync_core::RbTag::Decide,
+                    tag: minsync_core::RbTag::AcEst(Round::FIRST),
                     value: d,
                 }),
             },
