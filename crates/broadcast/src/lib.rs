@@ -32,8 +32,8 @@
 //! (CB-Set Termination) and, by RB-Termination-2, all correct processes end
 //! up with equal sets (CB-Set Agreement).
 //!
-//! Line 4 is the engine's job: under a [`Tag`] that says it is *counted*,
-//! deliveries are not handed out; the engine emits [`RbEvent::CbValid`]
+//! Line 4 is the engine's job: under a [`Tag`] whose carrier is
+//! [`Carrier::Counted`], deliveries are not handed out; the engine emits [`RbEvent::CbValid`]
 //! once per value, when `t + 1` distinct origins delivered it. The host
 //! keeps only the values in the order they arrive — `cb_valid_i`, with its
 //! first entry as line 3's deterministic "any value". `DECIDE` (Figure 4
@@ -42,33 +42,34 @@
 //! # Cooperative broadcast by relay (DESIGN.md §9)
 //!
 //! Figure 1 costs `n` reliable broadcasts per wave: about `2n³` messages and
-//! three message delays. Under [`CbRule::Relay`], chosen once per engine
-//! ([`RbEngine::with_rule`]), the tags that [`Tag::relayed`] names travel
-//! by BV-broadcast's relay rule instead: a best-effort `CB(v)` for the own
-//! value, one relay of `v` at `t + 1` distinct senders, and
-//! [`RbEvent::CbValid`] at `2t + 1`, which costs at most `m·n²` messages
-//! and one delay. The host sees the same event either way. Both rules'
+//! three message delays. A tag whose carrier is [`Carrier::Relay`], under
+//! the rule set its engine was built with ([`Tag::carrier`],
+//! [`RbEngine::new`]), travels by BV-broadcast's relay rule instead: a
+//! best-effort `CB(v)` for the own value, one relay of `v` at `t + 1`
+//! distinct senders, and [`RbEvent::CbValid`] at `2t + 1`, which costs at
+//! most `m·n²` messages and one delay. The host sees the same event either way. Both rules'
 //! thresholds are [`SystemConfig`](minsync_types::SystemConfig) methods.
 //!
 //! # Example: four processes cb-broadcast and agree on `cb_valid`
 //!
 //! ```rust
-//! use minsync_broadcast::{RbEngine, RbEvent, RbMsg, Tag};
+//! use minsync_broadcast::{Carrier, RbEngine, RbEvent, RbMsg, Tag};
 //! use minsync_types::{ProcessId, SystemConfig};
 //!
 //! /// The one CB instance's `CB_VAL` tag.
 //! #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 //! struct CbVal;
 //! impl Tag for CbVal {
-//!     fn counted(&self) -> bool {
-//!         true
+//!     type Rules = ();
+//!     fn carrier(&self, (): ()) -> Carrier {
+//!         Carrier::Counted
 //!     }
 //! }
 //!
 //! # fn main() -> Result<(), minsync_types::ConfigError> {
 //! let cfg = SystemConfig::new(4, 1)?; // t + 1 = 2
 //! let mut engines: Vec<RbEngine<CbVal, u64>> = (0..4)
-//!     .map(|i| RbEngine::new(cfg, ProcessId::new(i)))
+//!     .map(|i| RbEngine::new(cfg, ProcessId::new(i), ()))
 //!     .collect();
 //!
 //! // Line 1 everywhere; then relay every broadcast to every engine until
@@ -102,4 +103,4 @@
 mod rb;
 mod relay;
 
-pub use rb::{CbRule, RbEngine, RbEvent, RbMsg, RbStep, Tag};
+pub use rb::{Carrier, RbEngine, RbEvent, RbMsg, RbStep, Tag};

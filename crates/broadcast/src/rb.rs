@@ -8,9 +8,9 @@
 //! 3. On `⌈(n+t+1)/2⌉` `ECHO(v)` from distinct senders, or `t+1` `READY(v)`
 //!    from distinct senders, broadcast `READY(v)` (once).
 //! 4. On `2t+1` `READY(v)` from distinct senders, deliver `v` (once).
-//! 5. Under a counted [`Tag`], count the delivery instead of handing it
-//!    out, and report `v` once `t + 1` distinct origins delivered it
-//!    (Figure 1 line 4).
+//! 5. Under a [`Carrier::Counted`] tag, count the delivery instead of
+//!    handing it out, and report `v` once `t + 1` distinct origins
+//!    delivered it (Figure 1 line 4).
 //!
 //! The quorum sizes come from [`SystemConfig`]; the §2.1 dedup rule (only
 //! the first `INIT`/`ECHO`/`READY` of an instance from each sender counts)
@@ -62,8 +62,8 @@ pub enum RbMsg<T, V> {
         value: V,
     },
     /// The relay rule's best-effort `CB(v)` (DESIGN.md §9): the sender's
-    /// own value, or a value it heard from `t + 1` senders. Only a counted
-    /// tag that [`Tag::relayed`] names, under [`CbRule::Relay`].
+    /// own value, or a value it heard from `t + 1` senders. Only under a
+    /// [`Carrier::Relay`] tag.
     Relay {
         /// The CB instance's tag.
         tag: T,
@@ -104,44 +104,39 @@ impl<T, V> RbMsg<T, V> {
     }
 }
 
-/// How the layer treats the deliveries of one tag's instances.
-///
-/// A *counted* tag carries one value from each of many origins, and the
-/// host acts on a value once `t + 1` distinct origins RB-delivered it:
-/// CB's `CB_VAL` (Figure 1 line 4) and consensus's `DECIDE` (Figure 4
-/// line 9) are the same rule. The engine counts them and emits
-/// [`RbEvent::CbValid`]; a plain tag's deliveries are handed out as
-/// [`RbEvent::RbDelivered`].
-pub trait Tag: Clone + Ord + Debug {
-    /// True when deliveries under this tag are counted.
-    fn counted(&self) -> bool;
-
-    /// True when this counted tag is a CB instance's `CB_VAL`, which
-    /// [`CbRule::Relay`] carries by relay instead of by `n` reliable
-    /// broadcasts. No tag by default.
-    fn relayed(&self) -> bool {
-        false
-    }
+/// How the layer carries one tag's instances.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Carrier {
+    /// Bracha's RB: each instance's delivery is handed out as
+    /// [`RbEvent::RbDelivered`].
+    Bracha,
+    /// Bracha's RB per origin, with deliveries counted: a value is reported
+    /// as [`RbEvent::CbValid`] once `t + 1` distinct origins RB-delivered it
+    /// (Figure 1 line 4, and `DECIDE` by Figure 4 line 9). About `2n³`
+    /// messages and three message delays per wave.
+    Counted,
+    /// BV-broadcast's relay rule (DESIGN.md §9): best-effort `CB(v)`,
+    /// relayed at `t + 1` distinct senders, [`RbEvent::CbValid`] at
+    /// `2t + 1`. At most `m·n²` messages and one message delay per wave.
+    Relay,
 }
 
-/// How the layer carries the CB waves of [`Tag::relayed`] tags; every
-/// other tag is Bracha's RB under either rule.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CbRule {
-    /// Figure 1: one RB instance per origin; a value is valid once `t + 1`
-    /// distinct origins RB-delivered it. About `2n³` messages and three
-    /// message delays per wave.
-    Figure1,
-    /// BV-broadcast's relay rule (DESIGN.md §9): best-effort `CB(v)`,
-    /// relayed at `t + 1` distinct senders, valid at `2t + 1`. At most
-    /// `m·n²` messages and one message delay per wave.
-    Relay,
+/// An instance tag, which names the [`Carrier`] of its instances under the
+/// rule set its engine was built with.
+pub trait Tag: Clone + Ord + Debug {
+    /// The rule set an engine is built with ([`RbEngine::new`]).
+    type Rules: Copy + Debug;
+
+    /// How this tag's instances travel under `rules`.
+    fn carrier(&self, rules: Self::Rules) -> Carrier;
 }
 
 /// The single-instance tag: plain RB.
 impl Tag for () {
-    fn counted(&self) -> bool {
-        false
+    type Rules = ();
+
+    fn carrier(&self, (): ()) -> Carrier {
+        Carrier::Bracha
     }
 }
 
@@ -161,9 +156,9 @@ pub enum RbEvent<T, V> {
     /// Figure 1 line 4: `value` was RB-delivered under the counted `tag`
     /// from `t + 1` distinct origins, so at least one correct process
     /// broadcast it. Emitted once per value, when its support reaches
-    /// exactly `t + 1`; for `DECIDE` this is Figure 4 line 9. Under
-    /// [`CbRule::Relay`] a relayed tag's value is valid at `2t + 1`
-    /// distinct senders of `CB(v)` instead.
+    /// exactly `t + 1`; for `DECIDE` this is Figure 4 line 9. Under a
+    /// [`Carrier::Relay`] tag the value is valid at `2t + 1` distinct
+    /// senders of `CB(v)` instead.
     CbValid {
         /// The counted tag.
         tag: T,
@@ -233,57 +228,49 @@ impl<V> Instance<V> {
 }
 
 /// Multi-instance Bracha reliable-broadcast engine for one host process,
-/// and the only counter of `t + 1` distinct origins under a counted
-/// [`Tag`].
+/// and the only counter of `t + 1` distinct origins under a
+/// [`Carrier::Counted`] tag.
 ///
 /// See the [crate docs](crate) for a complete wiring example.
 #[derive(Clone, Debug)]
-pub struct RbEngine<T, V> {
+pub struct RbEngine<T: Tag, V> {
     cfg: SystemConfig,
     me: ProcessId,
-    rule: CbRule,
+    /// The rule set every tag names its carrier under.
+    rules: T::Rules,
     /// Instance state, split per origin: the origin's process id indexes a
     /// dense vector of `n` entries; within an origin, instances live in a
     /// flat vector in creation order, scanned backwards (protocols create
     /// instances round-by-round, so the live ones sit at the tail and a
     /// probe is one bounds-checked index plus a couple of tag compares).
     instances: Vec<Vec<(T, Instance<V>)>>,
-    /// Per counted tag, the origins whose instance delivered, per value.
+    /// Per [`Carrier::Counted`] tag, the origins whose instance delivered,
+    /// per value.
     origins: BTreeMap<T, Tally<V>>,
-    /// Under [`CbRule::Relay`], one wave per relayed tag, created on its
-    /// first message and scanned backwards like `instances`.
+    /// One wave per [`Carrier::Relay`] tag, created on its first message
+    /// and scanned backwards like `instances`.
     waves: Vec<(T, Wave<V>)>,
 }
 
 impl<T: Tag, V: Value> RbEngine<T, V> {
-    /// Creates an engine for process `me` in system `cfg`, under Figure 1.
-    pub fn new(cfg: SystemConfig, me: ProcessId) -> Self {
-        Self::with_rule(cfg, me, CbRule::Figure1)
-    }
-
-    /// Creates an engine for process `me` in system `cfg` that carries the
-    /// relayed tags' CB waves under `rule`.
-    pub fn with_rule(cfg: SystemConfig, me: ProcessId, rule: CbRule) -> Self {
+    /// Creates an engine for process `me` in system `cfg`, each tag carried
+    /// as it names under `rules`.
+    pub fn new(cfg: SystemConfig, me: ProcessId, rules: T::Rules) -> Self {
         RbEngine {
             cfg,
             me,
-            rule,
+            rules,
             instances: (0..cfg.n()).map(|_| Vec::new()).collect(),
             origins: BTreeMap::new(),
             waves: Vec::new(),
         }
     }
 
-    /// Whether `tag`'s waves travel by relay in this engine.
-    fn by_relay(&self, tag: &T) -> bool {
-        self.rule == CbRule::Relay && tag.relayed()
-    }
-
     /// RB-broadcasts `value` with this process as origin: returns the
     /// `INIT` to broadcast. The origin's own `ECHO` follows when the
     /// network loops the `INIT` back (broadcast includes self).
     ///
-    /// Under [`CbRule::Relay`] a relayed tag's value goes out as `CB(v)`
+    /// Under a [`Carrier::Relay`] tag the value goes out as `CB(v)`
     /// instead, and `None` means this process already relayed `v` under
     /// `tag`: it sends each value once.
     ///
@@ -292,7 +279,7 @@ impl<T: Tag, V: Value> RbEngine<T, V> {
     /// Panics if this process already RB-broadcast for `tag` — instances are
     /// one-shot.
     pub fn broadcast(&mut self, tag: T, value: V) -> Option<RbMsg<T, V>> {
-        if self.by_relay(&tag) {
+        if tag.carrier(self.rules) == Carrier::Relay {
             let fresh = self.wave(tag.clone()).initiate(&value);
             return fresh.then_some(RbMsg::Relay { tag, value });
         }
@@ -321,11 +308,11 @@ impl<T: Tag, V: Value> RbEngine<T, V> {
 
     /// Feeds a received RB message (true sender stamped by the network).
     ///
-    /// A message of the other CB rule than this engine runs for its tag is
-    /// one no correct process sends; it is dropped before it allocates.
+    /// A message of another carrier than its tag's is one no correct
+    /// process sends; it is dropped before it allocates.
     pub fn on_message(&mut self, from: ProcessId, msg: RbMsg<T, V>) -> RbStep<T, V> {
         let relay = matches!(msg, RbMsg::Relay { .. });
-        if relay != self.by_relay(msg.tag()) {
+        if relay != (msg.tag().carrier(self.rules) == Carrier::Relay) {
             return RbStep::NONE;
         }
         match msg {
@@ -442,10 +429,11 @@ impl<T: Tag, V: Value> RbEngine<T, V> {
         }
     }
 
-    /// Instance `(origin, tag)` delivered `value`: handed out under a plain
-    /// tag, counted under a counted one (Figure 1 line 4).
+    /// Instance `(origin, tag)` delivered `value`: handed out under
+    /// [`Carrier::Bracha`], counted under [`Carrier::Counted`] (Figure 1
+    /// line 4).
     fn on_delivered(&mut self, origin: ProcessId, tag: T, value: V) -> Option<RbEvent<T, V>> {
-        if !tag.counted() {
+        if tag.carrier(self.rules) == Carrier::Bracha {
             return Some(RbEvent::RbDelivered { tag, origin, value });
         }
         // One instance per origin delivers once (RB-Unicity), so `vote`
@@ -463,15 +451,17 @@ impl<T: Tag, V: Value> RbEngine<T, V> {
 mod tests {
     use super::*;
 
-    /// Tags starting with `cb` are counted, the rest plain; the counted
-    /// ones are relayed too, but `cb-decide`.
+    /// Tags starting with `cb` are CB waves, carried as the engine's rules
+    /// say, but `cb-decide`, which is always counted; the rest are plain.
     impl Tag for &'static str {
-        fn counted(&self) -> bool {
-            self.starts_with("cb")
-        }
+        type Rules = Carrier;
 
-        fn relayed(&self) -> bool {
-            self.counted() && *self != "cb-decide"
+        fn carrier(&self, cb: Carrier) -> Carrier {
+            match *self {
+                "cb-decide" => Carrier::Counted,
+                tag if tag.starts_with("cb") => cb,
+                _ => Carrier::Bracha,
+            }
         }
     }
 
@@ -485,7 +475,7 @@ mod tests {
 
     fn engines(n: usize) -> Vec<Engine> {
         (0..n)
-            .map(|i| RbEngine::new(cfg(), ProcessId::new(i)))
+            .map(|i| RbEngine::new(cfg(), ProcessId::new(i), Carrier::Counted))
             .collect()
     }
 
@@ -539,7 +529,7 @@ mod tests {
     /// returns the values it reported valid under tag `cb`, in order.
     fn cb_valid(n: usize, t: usize, deliveries: &[(usize, u64)]) -> Vec<u64> {
         let cfg = SystemConfig::new(n, t).unwrap();
-        let mut e: Engine = RbEngine::new(cfg, ProcessId::new(0));
+        let mut e: Engine = RbEngine::new(cfg, ProcessId::new(0), Carrier::Counted);
         let mut valid = Vec::new();
         for &(origin, value) in deliveries {
             for sender in 0..cfg.ready_threshold() {
@@ -696,7 +686,7 @@ mod tests {
     #[test]
     fn echo_quorum_exact_boundary() {
         let cfg7 = SystemConfig::new(7, 2).unwrap(); // echo threshold 5
-        let mut e: RbEngine<&'static str, u64> = RbEngine::new(cfg7, ProcessId::new(0));
+        let mut e: Engine = RbEngine::new(cfg7, ProcessId::new(0), Carrier::Counted);
         let (origin, tag, value) = (ProcessId::new(6), "x", 9);
         let echo = RbMsg::Echo { origin, tag, value };
         for sender in 1..=4 {
@@ -716,7 +706,7 @@ mod tests {
         // 5 echoes but split 3/2 between two values: no READY (n=7, t=2,
         // threshold 5 *per value*).
         let cfg7 = SystemConfig::new(7, 2).unwrap();
-        let mut e: RbEngine<&'static str, u64> = RbEngine::new(cfg7, ProcessId::new(0));
+        let mut e: Engine = RbEngine::new(cfg7, ProcessId::new(0), Carrier::Counted);
         let (origin, tag) = (ProcessId::new(6), "x");
         for (sender, value) in [(1, 9u64), (2, 9), (3, 9), (4, 8), (5, 8)] {
             let echo = RbMsg::Echo { origin, tag, value };
@@ -772,7 +762,7 @@ mod tests {
 
     fn relay_engine(n: usize, t: usize) -> Engine {
         let cfg = SystemConfig::new(n, t).unwrap();
-        RbEngine::with_rule(cfg, ProcessId::new(0), CbRule::Relay)
+        RbEngine::new(cfg, ProcessId::new(0), Carrier::Relay)
     }
 
     /// `CB(value)` under tag `cb`.
@@ -821,7 +811,7 @@ mod tests {
     #[test]
     fn each_rule_drops_the_other_rules_cb_traffic() {
         // Under the relay rule a relayed tag's Bracha phases are Byzantine;
-        // a tag it does not relay keeps Bracha's rule.
+        // a tag it does not relay keeps its own carrier.
         let mut e = relay_engine(4, 1);
         let origin = ProcessId::new(1);
         for sender in 0..4 {
@@ -848,7 +838,7 @@ mod tests {
         assert_eq!(e.live_instances(), 0, "dropped traffic allocated state");
         let (from, msg) = ready(1, 1, "cb-decide", 4);
         assert_eq!(e.on_message(from, msg), RbStep::NONE);
-        assert_eq!(e.live_instances(), 1, "DECIDE stays Bracha's");
+        assert_eq!(e.live_instances(), 1, "DECIDE stays counted");
         // Figure 1 has no relay message.
         let mut e = engines(4).remove(0);
         for sender in 0..4 {

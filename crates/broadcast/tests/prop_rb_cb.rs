@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use minsync_broadcast::{RbEngine, RbEvent, RbMsg, RbStep};
+use minsync_broadcast::{Carrier, RbEngine, RbEvent, RbMsg, RbStep};
 use minsync_types::{ProcessId, SystemConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,8 +24,14 @@ use rand::{Rng, SeedableRng};
 struct Tag(u32);
 
 impl minsync_broadcast::Tag for Tag {
-    fn counted(&self) -> bool {
-        self.0 == 0
+    type Rules = ();
+
+    fn carrier(&self, (): ()) -> Carrier {
+        if self.0 == 0 {
+            Carrier::Counted
+        } else {
+            Carrier::Bracha
+        }
     }
 }
 
@@ -144,7 +150,7 @@ impl Soup {
         let n = cfg.n();
         Soup {
             engines: (0..n)
-                .map(|i| RbEngine::new(cfg, ProcessId::new(i)))
+                .map(|i| RbEngine::new(cfg, ProcessId::new(i), ()))
                 .collect(),
             scans: (0..n)
                 .map(|_| ScanRb {

@@ -1,4 +1,4 @@
-//! Property tests of cooperative broadcast by relay (`CbRule::Relay`,
+//! Property tests of cooperative broadcast by relay (`Carrier::Relay`,
 //! DESIGN.md §9) under random delivery orders and Byzantine relay sprays.
 //!
 //! Correct processes CB-broadcast one of two feasible values; the
@@ -11,23 +11,21 @@
 
 use std::collections::BTreeSet;
 
-use minsync_broadcast::{CbRule, RbEngine, RbEvent, RbMsg, RbStep};
+use minsync_broadcast::{Carrier, RbEngine, RbEvent, RbMsg, RbStep};
 use minsync_types::{ProcessId, SystemConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The one CB instance's tag: counted and relayed.
+/// The one CB instance's tag: carried by relay.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 struct CbVal;
 
 impl minsync_broadcast::Tag for CbVal {
-    fn counted(&self) -> bool {
-        true
-    }
+    type Rules = ();
 
-    fn relayed(&self) -> bool {
-        true
+    fn carrier(&self, (): ()) -> Carrier {
+        Carrier::Relay
     }
 }
 
@@ -107,9 +105,7 @@ impl Soup {
         let n = cfg.n();
         let me = ProcessId::new;
         Soup {
-            engines: (0..n)
-                .map(|i| RbEngine::with_rule(cfg, me(i), CbRule::Relay))
-                .collect(),
+            engines: (0..n).map(|i| RbEngine::new(cfg, me(i), ())).collect(),
             scans: (0..n)
                 .map(|_| ScanRelay {
                     cfg,
@@ -245,7 +241,7 @@ proptest! {
 #[test]
 fn a_sender_past_m_max_allocates_nothing_more() {
     let cfg = SystemConfig::new(4, 1).unwrap(); // m_max = 2
-    let mut engine = RbEngine::with_rule(cfg, ProcessId::new(0), CbRule::Relay);
+    let mut engine = RbEngine::new(cfg, ProcessId::new(0), ());
     let byzantine = ProcessId::new(3);
     for value in 0..1_000u64 {
         let step = engine.on_message(byzantine, RbMsg::Relay { tag: CbVal, value });

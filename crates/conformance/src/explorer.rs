@@ -427,7 +427,7 @@ pub fn run_protocol(
         }
         Protocol::AdoptCommit => {
             let report = simulate(n, schedule, max_events, |i| {
-                AcNode::new(system, proposal_for(i))
+                AcNode::new(system, Rules::PAPER, proposal_for(i))
             })
             .run_until(|outs| outs.len() >= n);
             let returned = outcomes(&report.outputs, correct, |e| {

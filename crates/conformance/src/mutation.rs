@@ -14,14 +14,14 @@
 //! enough for the weakened quorum to commit on one-sided witnesses), then
 //! re-expressed as a plain decision vector — the explorer's native
 //! [`Schedule`] form — and shrunk to a minimal violating prefix. The smoke
-//! runs under each rule set of [`Rules::ALL`]: under
-//! [`Round1::SkipEa`](minsync_core::Round1::SkipEa) no `EA_COORD`
-//! exists in round 1, and the cut `READY`s alone split the halves there.
+//! runs under each rule set of [`Rules::ALL`]: under [`Rules::SKIP_EA`] and
+//! [`Rules::SLOT`] no `EA_COORD` exists in round 1, and the cut `READY`s
+//! alone split the halves there.
 //!
-//! Under [`CbRule::Relay`] no schedule of four correct processes splits
-//! them along the halves (DESIGN.md §9: the first process to relay the
-//! other half's value validates it first), so the relay line-up makes
-//! `p1` Byzantine: `TwoFaced`
+//! Where CB travels by [`Carrier::Relay`] no schedule of four correct
+//! processes splits them along the halves (DESIGN.md §9: the first process
+//! to relay the other half's value validates it first), so the relay
+//! line-up makes `p1` Byzantine: `TwoFaced`
 //! sends the other half's value beside its own in every CB wave. The
 //! adversary holds each correct process's own-value `CB(v)` back from the
 //! other half, `{p0, p1}`'s for a while and `{p2, p3}`'s for good, so
@@ -31,9 +31,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use minsync_broadcast::RbMsg;
+use minsync_broadcast::{Carrier, RbMsg, Tag};
 use minsync_core::{
-    CbRule, ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg, Rules, SeededMutation,
+    CbId, ConsensusConfig, ConsensusEvent, ConsensusNode, ProtocolMsg, RbTag, Rules, SeededMutation,
 };
 use minsync_net::sim::{ScheduleCommand, ScheduleOracle, SimBuilder};
 use minsync_net::{
@@ -181,8 +181,8 @@ fn semantic_command(
 /// Runs the split-proposal consensus line-up (mutated or not) under
 /// `rules` on an asynchronous network under `oracle`, until every correct
 /// process decided or `max_events` ran out. Returns the correct processes'
-/// decisions in decision order. Under [`CbRule::Relay`], `p1` is
-/// [`TwoFaced`].
+/// decisions in decision order. Where CB travels by [`Carrier::Relay`],
+/// `p1` is [`TwoFaced`].
 fn run(
     rules: Rules,
     mutation: Option<SeededMutation>,
@@ -200,7 +200,7 @@ fn run(
         .seed(SEED)
         .max_events(max_events)
         .with_schedule_oracle(oracle);
-    let two_faced = rules.cb == CbRule::Relay;
+    let two_faced = RbTag::CbVal(CbId::ConsValid).carrier(rules) == Carrier::Relay;
     for (i, v) in PROPOSALS.into_iter().enumerate() {
         let node = ConsensusNode::new(cfg, v).expect("paper config is valid");
         builder = if two_faced && i == BYZANTINE.index() {

@@ -12,7 +12,7 @@ use core::fmt::Debug;
 
 use minsync_core::{
     AcNode, AcNodeEvent, BotConsensusNode, BotEvent, BotMsg, ConsensusConfig, ConsensusEvent,
-    ConsensusNode, EaNode, EaNodeEvent, ProtocolMsg, TimeoutPolicy,
+    ConsensusNode, EaNode, EaNodeEvent, ProtocolMsg, Rules, TimeoutPolicy,
 };
 use minsync_net::sim::{OutputRecord, SimBuilder};
 use minsync_net::{NetworkTopology, Node};
@@ -158,7 +158,7 @@ fn ac_nodes() -> Vec<Box<dyn Node<Msg = ProtocolMsg<u64>, Output = AcNodeEvent<u
     [5u64, 5, 9, 9]
         .into_iter()
         .map(|v| {
-            Box::new(AcNode::new(system(), v))
+            Box::new(AcNode::new(system(), Rules::PAPER, v))
                 as Box<dyn Node<Msg = ProtocolMsg<u64>, Output = AcNodeEvent<u64>>>
         })
         .collect()

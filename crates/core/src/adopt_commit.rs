@@ -27,10 +27,11 @@
 
 use std::collections::BTreeMap;
 
-use minsync_broadcast::{CbRule, RbEngine, RbEvent, RbStep};
+use minsync_broadcast::{RbEngine, RbEvent, RbStep};
 use minsync_net::{Env, Node};
 use minsync_types::{ProcSet, ProcessId, Round, SystemConfig, Value};
 
+use crate::consensus::Rules;
 use crate::events::AcTag;
 use crate::messages::{CbId, ProtocolMsg, RbTag};
 
@@ -201,7 +202,7 @@ pub enum AcNodeEvent<V> {
 #[derive(Debug)]
 pub struct AcNode<V> {
     cfg: SystemConfig,
-    rule: CbRule,
+    rules: Rules,
     proposal: V,
     rb: Option<RbEngine<RbTag, V>>,
     ac: AcRound<V>,
@@ -214,23 +215,16 @@ const AC_PROP: RbTag = RbTag::CbVal(CbId::AcProp(Round::FIRST));
 const AC_EST: RbTag = RbTag::AcEst(Round::FIRST);
 
 impl<V: Value> AcNode<V> {
-    /// A node that will propose `proposal` at start, its `AC_PROP` CB by
-    /// Figure 1.
-    pub fn new(cfg: SystemConfig, proposal: V) -> Self {
+    /// A node that will propose `proposal` at start, its tags carried as
+    /// `rules` name.
+    pub fn new(cfg: SystemConfig, rules: Rules, proposal: V) -> Self {
         AcNode {
             cfg,
-            rule: CbRule::Figure1,
+            rules,
             proposal,
             rb: None,
             ac: AcRound::new(cfg),
         }
-    }
-
-    /// The same node with its `AC_PROP` CB carried under `rule`.
-    #[must_use]
-    pub fn with_rule(mut self, rule: CbRule) -> Self {
-        self.rule = rule;
-        self
     }
 
     fn apply(&mut self, step: RbStep<RbTag, V>, env: &mut AcCtx<V>) {
@@ -270,7 +264,7 @@ impl<V: Value> Node for AcNode<V> {
     fn on_start(&mut self, env: &mut AcCtx<V>) {
         let rb = self
             .rb
-            .insert(RbEngine::with_rule(self.cfg, env.me(), self.rule));
+            .insert(RbEngine::new(self.cfg, env.me(), self.rules));
         if let Some(init) = rb.broadcast(AC_PROP, self.proposal.clone()) {
             env.broadcast(ProtocolMsg::Rb(init));
         }

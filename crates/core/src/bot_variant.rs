@@ -287,7 +287,9 @@ impl<V: Value> Node for BotConsensusNode<V> {
     type Output = BotEvent<V>;
 
     fn on_start(&mut self, env: &mut BotCtx<V>) {
-        let rb = self.cert_rb.insert(RbEngine::new(self.system, env.me()));
+        let rb = self
+            .cert_rb
+            .insert(RbEngine::new(self.system, env.me(), ()));
         if let Some(init) = rb.broadcast((), self.proposal.clone()) {
             env.broadcast(BotMsg::CertRb(init));
         }

@@ -18,19 +18,19 @@
 //!   the RB layer (echo/ready): RB-Termination-2 — which carries the
 //!   remaining correct processes to their own decisions — requires correct
 //!   processes to keep participating in reliable broadcast.
-//! * [`ConsensusConfig::rules`] may opt into [`Round1::SkipEa`]: round 1
+//! * [`ConsensusConfig::rules`] may opt into [`Rules::SKIP_EA`]: round 1
 //!   skips lines 4–5 and enters adopt-commit with `CB[0]`'s value, already
 //!   in `cb0`; agreement never uses EA, and round 1 then has no EA message,
 //!   no round timer, and drops any round-1 EA traffic received (DESIGN.md
-//!   §10). And into [`CbRule::Relay`]: every CB instance — `CB[0]`, each
-//!   round's `AC_PROP` and `EA_PROP1` — travels by BV-broadcast's relay
-//!   rule, with Figure 1's CB-Set properties (DESIGN.md §9); `AC_EST` and
-//!   `DECIDE` stay Bracha's RB. [`Rules::SLOT`] has both and is a log
-//!   slot's default; `rules: None` here means [`Rules::PAPER`].
+//!   §10). [`Rules::SLOT`] adds [`Carrier::Relay`]: every CB instance —
+//!   `CB[0]`, each round's `AC_PROP` and `EA_PROP1` — travels by
+//!   BV-broadcast's relay rule, with Figure 1's CB-Set properties
+//!   (DESIGN.md §9); `AC_EST` and `DECIDE` stay Bracha's RB. `SLOT` is a
+//!   log slot's default; `rules: None` here means [`Rules::PAPER`].
 
 use std::collections::BTreeMap;
 
-use minsync_broadcast::{CbRule, RbEngine, RbEvent, RbStep};
+use minsync_broadcast::{Carrier, RbEngine, RbEvent, RbStep, Tag};
 use minsync_net::{Env, Node, TimerId};
 use minsync_types::{ConfigError, ProcessId, Round, RoundSchedule, SystemConfig, Value};
 
@@ -58,55 +58,61 @@ pub enum SeededMutation {
     AcQuorumOffByOne,
 }
 
-/// How round 1 of Figure 4 starts.
-///
-/// EA (line 4) serves termination only, and round 1's estimate is `CB[0]`'s
-/// first valid value, already in `cb0`: line 5 can change nothing that
-/// validity needs. [`Round1::SkipEa`] therefore enters the round-1
-/// adopt-commit object with it directly (DESIGN.md §10).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Round1 {
-    /// Figure 4 as printed: round 1 runs `EA_propose` like every round.
-    Paper,
-    /// Round 1 skips lines 4–5 and runs no EA instance (no EA messages, no
-    /// round timer); a unanimous slot decides in round 1 on any network.
-    SkipEa,
-}
-
-/// A consensus instance's rule set: how round 1 starts and how CB travels.
-/// [`Rules::PAPER`] is Figure 4 as printed; [`Rules::SLOT`] is what every
+/// A consensus instance's rule set: whether round 1 runs EA, and the
+/// [`Carrier`] of each [`RbTag`] (its [`Tag::carrier`]). [`Rules::PAPER`]
+/// is Figures 1–4 as printed; [`Rules::SLOT`] is what every
 /// replicated-log slot runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Rules {
-    /// How round 1 starts.
-    pub round1: Round1,
-    /// How every CB instance's `CB_VAL` wave travels.
-    pub cb: CbRule,
+    /// Round 1 skips lines 4–5 (DESIGN.md §10): EA serves termination
+    /// only, and round 1's estimate is `CB[0]`'s first valid value, already
+    /// in `cb0`, so line 5 can change nothing validity needs. Round 1 then
+    /// runs no EA instance (no EA messages, no round timer) and a unanimous
+    /// slot decides in round 1 on any network.
+    skip_ea: bool,
+    /// The carrier of every CB instance's `CB_VAL` wave.
+    cb: Carrier,
 }
 
 impl Rules {
     /// Figures 1–4 as printed.
     pub const PAPER: Rules = Rules {
-        round1: Round1::Paper,
-        cb: CbRule::Figure1,
+        skip_ea: false,
+        cb: Carrier::Counted,
     };
     /// Round 1 straight to adopt-commit (DESIGN.md §10), CB by Figure 1.
     pub const SKIP_EA: Rules = Rules {
-        round1: Round1::SkipEa,
-        cb: CbRule::Figure1,
+        skip_ea: true,
+        cb: Carrier::Counted,
     };
     /// Every replicated-log slot's rules: round 1 straight to adopt-commit
     /// and CB by relay (DESIGN.md §9, §10).
     pub const SLOT: Rules = Rules {
-        round1: Round1::SkipEa,
-        cb: CbRule::Relay,
+        skip_ea: true,
+        cb: Carrier::Relay,
     };
     /// The three rule sets, in table order.
     pub const ALL: [Rules; 3] = [Rules::PAPER, Rules::SKIP_EA, Rules::SLOT];
 
     /// Whether round `r` runs no EA instance under these rules.
     fn skips_ea(self, r: Round) -> bool {
-        r == Round::FIRST && self.round1 == Round1::SkipEa
+        r == Round::FIRST && self.skip_ea
+    }
+}
+
+/// The one map from a rule set to carriers. `CB_VAL` (Figure 1 line 4) and
+/// `DECIDE` (Figure 4 line 9) act on `t + 1` distinct origins, so the
+/// engine counts them; `AC_EST` is plain RB. A CB instance's `CB_VAL` wave
+/// travels as the rules say (DESIGN.md §9).
+impl Tag for RbTag {
+    type Rules = Rules;
+
+    fn carrier(&self, rules: Rules) -> Carrier {
+        match self {
+            RbTag::CbVal(_) => rules.cb,
+            RbTag::AcEst(_) => Carrier::Bracha,
+            RbTag::Decide => Carrier::Counted,
+        }
     }
 }
 
@@ -352,7 +358,8 @@ impl<V: Value> ConsensusNode<V> {
     }
 
     /// Lines 3–4: start round `r` and `EA_propose(r, est)`; under
-    /// [`Round1::SkipEa`], round 1 enters line 6 with `est` instead.
+    /// [`Rules::SKIP_EA`] and [`Rules::SLOT`], round 1 enters line 6 with
+    /// `est` instead.
     fn enter_round(&mut self, r: Round, env: &mut Ctx<V>) {
         if let Some(max) = self.cfg.max_rounds {
             if r.get() > max {
@@ -457,7 +464,7 @@ impl<V: Value> Node for ConsensusNode<V> {
 
     fn on_start(&mut self, env: &mut Ctx<V>) {
         let me = env.me();
-        self.rb = Some(RbEngine::with_rule(self.cfg.system, me, self.rules.cb));
+        self.rb = Some(RbEngine::new(self.cfg.system, me, self.rules));
         self.ea = EaObject::new(
             self.cfg.system,
             self.cfg.schedule().expect("validated in new()"),
@@ -597,6 +604,76 @@ mod tests {
         );
         for seed in 0..5 {
             decide(&[3, 3, 5, 5], topo.clone(), seed);
+        }
+    }
+
+    /// The carrier table: under each rule set, each `RbTag` kind's engine
+    /// acts on its own carrier's messages (Bracha hands each delivery out,
+    /// Counted reports a value at `t + 1` origins, Relay at `2t + 1`
+    /// senders) and drops every other carrier's before it allocates.
+    #[test]
+    fn every_rb_tag_travels_by_its_carrier_under_every_rule_set() {
+        let system = SystemConfig::new(4, 1).unwrap();
+        let kinds = [
+            RbTag::CbVal(CbId::ConsValid),
+            RbTag::AcEst(Round::FIRST),
+            RbTag::Decide,
+        ];
+        let value = 7u64;
+        let p = ProcessId::new;
+        for rules in Rules::ALL {
+            for tag in kinds {
+                // Each message is fed, from its sender, to a fresh engine;
+                // returns the events and the state it allocated.
+                let feed = |msgs: Vec<(ProcessId, RbMsg<RbTag, u64>)>| {
+                    let mut rb = RbEngine::new(system, p(0), rules);
+                    let events: Vec<_> = msgs
+                        .into_iter()
+                        .filter_map(|(from, msg)| rb.on_message(from, msg).event)
+                        .collect();
+                    (events, rb.live_instances())
+                };
+                let senders = || (0..system.n()).map(p);
+                let relays = senders().map(|from| (from, RbMsg::Relay { tag, value }));
+                let origin = p(1);
+                let bracha = senders().flat_map(|from| {
+                    [
+                        (from, RbMsg::Init { tag, value }),
+                        (from, RbMsg::Echo { origin, tag, value }),
+                        (from, RbMsg::Ready { origin, tag, value }),
+                    ]
+                });
+                // `2t + 1` READYs for each of `t + 1` origins.
+                let delivered = (0..system.plurality()).flat_map(|o| {
+                    let origin = p(o);
+                    (0..system.ready_threshold())
+                        .map(move |s| (p(s), RbMsg::Ready { origin, tag, value }))
+                });
+                let valid = vec![RbEvent::CbValid { tag, value }];
+                let carrier = tag.carrier(rules);
+                let other = match carrier {
+                    Carrier::Bracha => {
+                        let each = (0..system.plurality()).map(|o| RbEvent::RbDelivered {
+                            tag,
+                            origin: p(o),
+                            value,
+                        });
+                        let own = feed(delivered.collect()).0;
+                        assert_eq!(own, each.collect::<Vec<_>>(), "{rules:?} {tag:?}");
+                        feed(relays.collect())
+                    }
+                    Carrier::Counted => {
+                        assert_eq!(feed(delivered.collect()).0, valid, "{rules:?} {tag:?}");
+                        feed(relays.collect())
+                    }
+                    Carrier::Relay => {
+                        let own = feed(relays.take(system.cb_accept_threshold()).collect()).0;
+                        assert_eq!(own, valid, "{rules:?} {tag:?}");
+                        feed(bracha.collect())
+                    }
+                };
+                assert_eq!(other, (vec![], 0), "{rules:?} {tag:?} by {carrier:?}");
+            }
         }
     }
 

@@ -41,6 +41,7 @@ use minsync_broadcast::{RbEngine, RbEvent, RbStep};
 use minsync_net::{Env, Node, TimerId};
 use minsync_types::{ProcSet, ProcessId, Round, RoundSchedule, SystemConfig, Value};
 
+use crate::consensus::Rules;
 use crate::messages::{CbId, ProtocolMsg, RbTag};
 use crate::timeout::TimeoutPolicy;
 use crate::view_sync::ViewSynchronizer;
@@ -544,7 +545,7 @@ impl<V: Value> Node for EaNode<V> {
     type Output = EaNodeEvent<V>;
 
     fn on_start(&mut self, env: &mut EaCtx<V>) {
-        self.rb = Some(RbEngine::new(self.cfg, env.me()));
+        self.rb = Some(RbEngine::new(self.cfg, env.me(), Rules::PAPER));
         let actions = self.ea.propose(Round::FIRST, self.estimate.clone());
         self.apply(actions, env);
     }

@@ -60,10 +60,9 @@ pub mod view_sync;
 
 pub use adopt_commit::{AcNode, AcNodeEvent, AcOutcome, AcRound};
 pub use bot_variant::{BotConsensusNode, BotEvent, BotMsg};
-pub use consensus::{ConsensusConfig, ConsensusNode, Round1, Rules, SeededMutation};
+pub use consensus::{ConsensusConfig, ConsensusNode, Rules, SeededMutation};
 pub use events::{AcTag, ConsensusEvent};
 pub use eventual_agreement::{EaAction, EaNode, EaNodeEvent, EaObject};
 pub use messages::{CbId, ProtocolMsg, RbTag};
-pub use minsync_broadcast::CbRule;
 pub use timeout::TimeoutPolicy;
 pub use view_sync::ViewSynchronizer;

@@ -7,7 +7,7 @@
 //! reliable: the coordinator logic of lines 11–14 consumes the raw
 //! messages).
 
-use minsync_broadcast::{RbMsg, Tag};
+use minsync_broadcast::RbMsg;
 use minsync_types::Round;
 
 /// Identifies a cooperative-broadcast instance.
@@ -37,23 +37,6 @@ pub enum RbTag {
     /// process RB-broadcasts `DECIDE` at most once (its committed estimate
     /// can never change afterwards — see the CONS-Agreement proof).
     Decide,
-}
-
-/// `CB_VAL` (Figure 1 line 4) and `DECIDE` (Figure 4 line 9) act on `t + 1`
-/// distinct origins, so the engine counts them; `AC_EST` is plain RB.
-///
-/// Only `CB_VAL` is a CB instance's wave, which [`CbRule::Relay`] carries by
-/// relay; `DECIDE` stays a Figure 1 count under either rule.
-///
-/// [`CbRule::Relay`]: minsync_broadcast::CbRule::Relay
-impl Tag for RbTag {
-    fn counted(&self) -> bool {
-        matches!(self, RbTag::CbVal(_) | RbTag::Decide)
-    }
-
-    fn relayed(&self) -> bool {
-        matches!(self, RbTag::CbVal(_))
-    }
 }
 
 /// Top-level protocol message.
@@ -181,17 +164,5 @@ mod tests {
         let b = RbTag::CbVal(CbId::AcProp(Round::new(2)));
         assert!(a < b);
         assert_ne!(RbTag::Decide, RbTag::AcEst(Round::FIRST));
-    }
-
-    #[test]
-    fn cb_val_and_decide_are_counted_ac_est_is_plain() {
-        assert!(RbTag::CbVal(CbId::ConsValid).counted() && RbTag::Decide.counted());
-        assert!(!RbTag::AcEst(Round::FIRST).counted());
-    }
-
-    #[test]
-    fn only_cb_val_is_relayed() {
-        assert!(RbTag::CbVal(CbId::EaProp(Round::FIRST)).relayed());
-        assert!(!RbTag::Decide.relayed() && !RbTag::AcEst(Round::FIRST).relayed());
     }
 }

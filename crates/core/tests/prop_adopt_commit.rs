@@ -4,7 +4,7 @@
 mod common;
 
 use minsync_broadcast::RbEngine;
-use minsync_core::{AcRound, AcTag, CbId, RbTag};
+use minsync_core::{AcRound, AcTag, CbId, RbTag, Rules};
 use minsync_types::{ProcessId, Round, SystemConfig};
 use proptest::prelude::*;
 
@@ -38,7 +38,7 @@ proptest! {
     ) {
         let cfg = SystemConfig::new(4, 1).unwrap();
         let mut ac: AcRound<u64> = AcRound::new(cfg);
-        let mut rb = RbEngine::new(cfg, ProcessId::new(0));
+        let mut rb = RbEngine::new(cfg, ProcessId::new(0), Rules::PAPER);
         let mut first_outcome: Option<(AcTag, u64)> = None;
         for (i, input) in inputs.iter().enumerate() {
             if i == est_sent_at {
@@ -101,7 +101,7 @@ proptest! {
         let cfg = SystemConfig::new(7, 2).unwrap();
         let run = |order: &[usize]| {
             let mut ac: AcRound<u64> = AcRound::new(cfg);
-            let mut rb = RbEngine::new(cfg, ProcessId::new(0));
+            let mut rb = RbEngine::new(cfg, ProcessId::new(0), Rules::PAPER);
             // CB validation: every proposed value is supported by its
             // proposers (same at both processes — CB-Set Agreement).
             for (origin, &v) in assignment.iter().enumerate() {

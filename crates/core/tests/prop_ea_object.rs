@@ -4,7 +4,7 @@
 mod common;
 
 use minsync_broadcast::RbEngine;
-use minsync_core::{CbId, EaAction, EaObject, RbTag, TimeoutPolicy};
+use minsync_core::{CbId, EaAction, EaObject, RbTag, Rules, TimeoutPolicy};
 use minsync_types::{ProcessId, Round, RoundSchedule, SystemConfig};
 use proptest::prelude::*;
 
@@ -54,7 +54,7 @@ proptest! {
         let mut obj = ea(me, 4, 1);
         let r = Round::FIRST;
         let cfg = SystemConfig::new(4, 1).unwrap();
-        let mut rb = RbEngine::new(cfg, ProcessId::new(me));
+        let mut rb = RbEngine::new(cfg, ProcessId::new(me), Rules::PAPER);
         let mut returned = 0usize;
         let mut relays = 0usize;
         let mut champions = 0usize;

@@ -1,23 +1,21 @@
 //! A standalone cooperative-broadcast node for experiment E1 (Figure 1 in
 //! isolation).
 
-use minsync_broadcast::{CbRule, RbEngine, RbEvent, RbMsg, RbStep, Tag};
+use minsync_broadcast::{Carrier, RbEngine, RbEvent, RbMsg, RbStep, Tag};
 use minsync_net::{Env, Node};
 use minsync_types::{ProcessId, SystemConfig, Value};
 
-/// The tag of E1's one CB instance (Figure 1's `CB_VAL`): counted, so the
-/// engine reports `cb_valid` growth instead of deliveries, and relayed
-/// under [`CbRule::Relay`].
+/// The tag of E1's one CB instance (Figure 1's `CB_VAL`). Its engine's
+/// rule set is the carrier itself: [`Carrier::Counted`] is Figure 1,
+/// [`Carrier::Relay`] the relay rule (DESIGN.md §9).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct CbVal;
 
 impl Tag for CbVal {
-    fn counted(&self) -> bool {
-        true
-    }
+    type Rules = Carrier;
 
-    fn relayed(&self) -> bool {
-        true
+    fn carrier(&self, carrier: Carrier) -> Carrier {
+        carrier
     }
 }
 
@@ -42,7 +40,7 @@ pub enum CbEvent<V> {
 #[derive(Debug)]
 pub struct CbBroadcastNode<V> {
     cfg: SystemConfig,
-    rule: CbRule,
+    carrier: Carrier,
     proposal: V,
     rb: Option<RbEngine<CbVal, V>>,
     returned: bool,
@@ -51,16 +49,11 @@ pub struct CbBroadcastNode<V> {
 type Ctx<V> = Env<RbMsg<CbVal, V>, CbEvent<V>>;
 
 impl<V: Value> CbBroadcastNode<V> {
-    /// Creates the node with its value to cb-broadcast by Figure 1.
-    pub fn new(cfg: SystemConfig, proposal: V) -> Self {
-        Self::with_rule(cfg, CbRule::Figure1, proposal)
-    }
-
-    /// Creates the node with its value to cb-broadcast under `rule`.
-    pub fn with_rule(cfg: SystemConfig, rule: CbRule, proposal: V) -> Self {
+    /// Creates the node with its value to cb-broadcast by `carrier`.
+    pub fn new(cfg: SystemConfig, carrier: Carrier, proposal: V) -> Self {
         CbBroadcastNode {
             cfg,
-            rule,
+            carrier,
             proposal,
             rb: None,
             returned: false,
@@ -91,7 +84,7 @@ impl<V: Value> Node for CbBroadcastNode<V> {
     fn on_start(&mut self, env: &mut Ctx<V>) {
         let rb = self
             .rb
-            .insert(RbEngine::with_rule(self.cfg, env.me(), self.rule));
+            .insert(RbEngine::new(self.cfg, env.me(), self.carrier));
         if let Some(first) = rb.broadcast(CbVal, self.proposal.clone()) {
             env.broadcast(first);
         }
@@ -121,7 +114,7 @@ mod tests {
         let cfg = SystemConfig::new(4, 1).unwrap();
         let mut builder = SimBuilder::new(NetworkTopology::all_timely(4, 2)).seed(1);
         for i in 0..4 {
-            builder = builder.node(CbBroadcastNode::new(cfg, (i % 2) as u64));
+            builder = builder.node(CbBroadcastNode::new(cfg, Carrier::Counted, (i % 2) as u64));
         }
         let mut sim = builder.build();
         let report = sim.run();
@@ -140,7 +133,7 @@ mod tests {
         let cfg = SystemConfig::new(4, 1).unwrap();
         let mut builder = SimBuilder::new(NetworkTopology::all_timely(4, 2)).seed(1);
         for i in 0..4u64 {
-            builder = builder.node(CbBroadcastNode::new(cfg, i * 10));
+            builder = builder.node(CbBroadcastNode::new(cfg, Carrier::Counted, i * 10));
         }
         let mut sim = builder.build();
         let report = sim.run();

@@ -46,11 +46,15 @@ use minsync_broadcast::RbMsg;
 use minsync_core::{CbId, ProtocolMsg, RbTag};
 use minsync_net::sim::OutputRecord;
 use minsync_smr::{SmrEvent, SmrMsg};
-use minsync_transport::cluster::{ChurnAction, ChurnPlan, ClusterSpec, Trigger};
+use minsync_telemetry::watch_name;
+use minsync_transport::cluster::{ChurnAction, ChurnPlan, ClusterReport, ClusterSpec, Trigger};
 use minsync_types::{Round, SystemConfig};
 use minsync_workload::Batch;
 
-use super::{churn_sim, churn_spec, outlasting_commands, run_checked, PlanOracle};
+use super::{
+    churn_sim, churn_spec, outlasting_cluster_commands, outlasting_commands, run_checked, ticks_ms,
+    PlanOracle,
+};
 use crate::Table;
 
 type Msg = SmrMsg<Batch>;
@@ -107,11 +111,10 @@ const CHAMPION: usize = 0;
 /// grows on both substrates.
 const SPAN: u32 = 50;
 
-/// Commands per client on the cluster: 48 slots or more, which outlast
-/// every plan and stay inside the flow-control window a rejoiner starts
-/// with. The simulator sizes its workload from a clean run's pace
-/// ([`outlasting_commands`]).
-const CLUSTER_COMMANDS_PER_CLIENT: usize = 96;
+/// Commands per client of the clean cluster run each size's workload is
+/// sized from ([`outlasting_cluster_commands`]), as the simulator's is from
+/// a clean run's pace ([`outlasting_commands`]).
+const CLUSTER_PROBE_COMMANDS: usize = 96;
 
 /// The one churn plan for `scenario` at size `n`, run by the simulator
 /// and the cluster alike. Every plan opens when an uncut observer has
@@ -208,6 +211,43 @@ fn recovery_ticks(outputs: &[OutputRecord<SmrEvent<Batch>>], n: usize, closed: u
     reached.max().unwrap_or(closed).saturating_sub(closed)
 }
 
+/// The cluster's `recovery` column, [`recovery_ticks`] on the wall clock:
+/// milliseconds from the plan's last fired step until every correct
+/// replica's sampled `watch.p<id>.commit_floor` reached the highest floor
+/// any replica's samples showed by then. A sample's stamp counts child
+/// ticks from the child's start: the bootstrap broadcast, or the step that
+/// restarted it (its series starts afresh there).
+fn recovery_ms(report: &ClusterReport, spec: &ClusterSpec, plan: &ChurnPlan) -> f64 {
+    let ms = |at: &std::time::Duration| at.as_secs_f64() * 1000.0;
+    let closed = report.fired.last().map_or(0.0, ms);
+    let restarts = plan.steps.iter().zip(&report.fired);
+    let restarts = restarts.filter_map(|(step, at)| match step.action {
+        ChurnAction::Restart { id } => Some((id, ms(at))),
+        _ => None,
+    });
+    let floors: Vec<Vec<(f64, u64)>> = (report.replicas.iter())
+        .map(|r| {
+            let start = restarts.clone().rfind(|&(id, _)| id == r.id);
+            let start = start.map_or(0.0, |(_, at)| at);
+            let name = watch_name(r.id, "commit_floor");
+            let points = r.series.points();
+            points
+                .filter_map(|p| Some((start + ticks_ms(spec, p.at), p.values.gauge(&name)?)))
+                .collect()
+        })
+        .collect();
+    let samples = floors.iter().flatten();
+    let front = samples
+        .filter(|&&(at, _)| at <= closed)
+        .map(|&(_, floor)| floor)
+        .max();
+    let reached = floors.iter().map(|points| {
+        let first = points.iter().find(|&&(_, floor)| Some(floor) >= front);
+        first.expect("every replica drains past the front").0
+    });
+    reached.fold(closed, f64::max) - closed
+}
+
 /// Runs E13.
 ///
 /// # Panics
@@ -281,13 +321,27 @@ pub fn run(quick: bool) -> Table {
             ]);
         }
 
-        // Cluster: one clean baseline per size (an empty plan), then every
-        // scenario as a real process-level disruption, each column on the
-        // orchestrator's one clock from the bootstrap broadcast.
-        let spec = churn_spec(n, t, CLUSTER_COMMANDS_PER_CLIENT, seed);
-        let base_ms = cluster_drain("baseline", &spec, &ChurnPlan::new()).0;
+        // Cluster: a clean probe sizes the log to outlast the longest plan
+        // at its pace; then one clean baseline per size (an empty plan) and
+        // every scenario as a real process-level disruption, each column on
+        // the orchestrator's one clock from the bootstrap broadcast.
+        let probe = churn_spec(n, t, CLUSTER_PROBE_COMMANDS, seed);
+        let clean = run_checked("E13 probe", &probe, Some(&ChurnPlan::new()));
+        let span = probe.tick * u32::try_from(span).expect("a plan spans few ticks");
+        let commands = outlasting_cluster_commands(&clean, CLUSTER_PROBE_COMMANDS, span);
+        let spec = churn_spec(n, t, commands, seed);
+        let base_ms = drain_ms(&run_checked("E13 baseline", &spec, Some(&ChurnPlan::new())));
         for scenario in Scenario::ALL {
-            let (wall, dropped) = cluster_drain(scenario.label(), &spec, &plan(scenario, n));
+            let plan = plan(scenario, n);
+            let report = run_checked(&format!("E13 {}", scenario.label()), &spec, Some(&plan));
+            let recovery = recovery_ms(&report, &spec, &plan);
+            if matches!(scenario, Scenario::PartitionHeal | Scenario::CrashRejoin) {
+                assert!(
+                    recovery > 0.0,
+                    "E13 {} n={n}: the cut replica was back at the front when the plan closed",
+                    scenario.label()
+                );
+            }
             table.push_row([
                 scenario.label().to_string(),
                 "cluster".to_string(),
@@ -295,23 +349,20 @@ pub fn run(quick: bool) -> Table {
                 t.to_string(),
                 spec.total_commands().to_string(),
                 format!("{base_ms:.1}"),
-                format!("{wall:.1}"),
-                format!("+{:.1}", (wall - base_ms).max(0.0)),
-                dropped.to_string(),
+                format!("{:.1}", drain_ms(&report)),
+                format!("+{recovery:.1}"),
+                report.sum_counters("mesh.outbound_dropped.").to_string(),
             ]);
         }
     }
     table
 }
 
-/// Runs `plan` on the cluster; returns when the last correct replica
-/// drained, in milliseconds from the bootstrap broadcast (a restarted
-/// replica's own wall clock would start again at its restart), and the
-/// frames its partitions dropped.
-fn cluster_drain(label: &str, spec: &ClusterSpec, plan: &ChurnPlan) -> (f64, u64) {
-    let report = run_checked(&format!("E13 {label}"), spec, Some(plan));
-    let drained = report.last_drain().as_secs_f64() * 1000.0;
-    (drained, report.sum_counters("mesh.outbound_dropped."))
+/// When a cluster run's last correct replica drained, in milliseconds from
+/// the bootstrap broadcast (a restarted replica's own wall clock would
+/// start again at its restart).
+fn drain_ms(report: &ClusterReport) -> f64 {
+    report.last_drain().as_secs_f64() * 1000.0
 }
 
 #[cfg(test)]
@@ -320,9 +371,12 @@ mod tests {
 
     #[test]
     fn cluster_crash_rejoin_column_spans_the_outage() {
-        let spec = churn_spec(4, 1, CLUSTER_COMMANDS_PER_CLIENT, 13);
+        // The victim cannot drain while it is down, so a short log spans
+        // the outage too.
+        let spec = churn_spec(4, 1, CLUSTER_PROBE_COMMANDS, 13);
         let down = spec.tick * WINDOW;
-        let (drained_ms, _) = cluster_drain("crash+rejoin", &spec, &plan(Scenario::CrashRejoin, 4));
+        let plan = plan(Scenario::CrashRejoin, 4);
+        let drained_ms = drain_ms(&run_checked("E13 crash+rejoin", &spec, Some(&plan)));
         assert!(
             drained_ms >= down.as_secs_f64() * 1000.0,
             "drained {drained_ms:.1} ms after bootstrap, inside the {down:?} outage"

@@ -60,6 +60,7 @@
 //! replica must have streamed a series.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use minsync_conformance::semantic_decisions;
 use minsync_core::SeededMutation;
@@ -72,19 +73,21 @@ use minsync_transport::cluster::{
 use minsync_types::{check, ProcessId, SystemConfig};
 
 use super::{
-    churn_sim, churn_spec, outlasting_commands, run_checked, ticks_ms, PlanOracle,
-    CLUSTER_PERIOD_MS, SIM_PERIOD,
+    churn_sim, churn_spec, outlasting_cluster_commands, outlasting_commands, run_checked, ticks_ms,
+    PlanOracle, CLUSTER_PERIOD_MS, SIM_PERIOD,
 };
 use crate::Table;
 
-/// Commands per client in every cluster fault arm, so the log still grows
-/// well past [`CUT_SLOT`] when the fault fires.
-const FAULT_ARM_COMMANDS: usize = 64;
+/// Commands per client in the clean cluster arms, so the drain spans at
+/// least twice [`MIN_CLEAN_SAMPLES`] sampling periods (192 per client
+/// drain in 4–5 periods at n = 4, too close to the floor).
+const CLEAN_ARM_COMMANDS: usize = 384;
 
-/// Commands per client in the clean cluster arms: three times a fault
-/// arm's, so the drain spans at least twice [`MIN_CLEAN_SAMPLES`] sampling
-/// periods (64 per client drain in 3–5 periods, no margin over the floor).
-const CLEAN_ARM_COMMANDS: usize = 3 * FAULT_ARM_COMMANDS;
+/// Wall clock every cluster fault arm's log keeps growing for past its
+/// fault, sized from the n = 4 clean arm's pace
+/// ([`outlasting_cluster_commands`]): five sampling periods, room for the
+/// two backlog strikes of the crash arm behind a reconnect backoff.
+const FAULT_SPAN: Duration = Duration::from_millis(5 * CLUSTER_PERIOD_MS);
 
 /// Slot at whose commit every fault arm cuts: a partition or crash fires
 /// once its victim has committed it (the cluster's silent rider commits
@@ -323,8 +326,8 @@ fn sim_divergence(max_events: u64) -> (usize, usize, u64) {
 /// Clean cluster arm at one size: every replica streamed at least
 /// [`MIN_CLEAN_SAMPLES`] points, node-local watchdogs silent, aggregator
 /// silent, RTT gauges present. Returns the fewest and the most points a
-/// replica's series retained.
-fn cluster_clean(n: usize, t: usize, seed: u64) -> (usize, usize) {
+/// replica's series retained, and the run.
+fn cluster_clean(n: usize, t: usize, seed: u64) -> (usize, usize, ClusterReport) {
     let spec = churn_spec(n, t, CLEAN_ARM_COMMANDS, seed);
     let report = run_checked("E17 tcp-clean", &spec, Some(&ChurnPlan::new()));
     for r in &report.replicas {
@@ -359,17 +362,17 @@ fn cluster_clean(n: usize, t: usize, seed: u64) -> (usize, usize) {
         "E17 tcp-clean n={n}: the replicas' series raised {alarms:?}"
     );
     let samples = report.replicas.iter().map(|r| r.series.len());
-    let min = samples.clone().min().unwrap_or(0);
-    (min, samples.max().unwrap_or(0))
+    let (min, max) = (samples.clone().min(), samples.max());
+    (min.unwrap_or(0), max.unwrap_or(0), report)
 }
 
 /// Cluster partition arm: `PART` cuts the victim off once it has
 /// committed [`CUT_SLOT`], `HEAL` closes the cut 190 ms later, and the
 /// victim's own streamed series must show the stall within the horizon of
 /// the cut. Returns `(latency ms, horizon ms)`.
-fn cluster_stall(n: usize, t: usize, seed: u64) -> (f64, f64) {
+fn cluster_stall(n: usize, t: usize, seed: u64, commands: usize) -> (f64, f64) {
     let victim = n - 1;
-    let spec = churn_spec(n, t, FAULT_ARM_COMMANDS, seed);
+    let spec = churn_spec(n, t, commands, seed);
     let (replica, slot) = (victim, CUT_SLOT);
     let cut = Trigger::Floor { replica, slot };
     let plan = ChurnPlan::new()
@@ -408,11 +411,11 @@ fn cluster_stall(n: usize, t: usize, seed: u64) -> (f64, f64) {
 /// replicated log keeps broadcasting, so their `link.backlog.p<dead>`
 /// gauges pin above the limit → `QueueSaturation`. Returns
 /// `(latency ms, peak backlog)`.
-fn cluster_crash_backlog(n: usize, t: usize, seed: u64) -> (f64, u64) {
+fn cluster_crash_backlog(n: usize, t: usize, seed: u64, commands: usize) -> (f64, u64) {
     let dead = n - 1;
     let spec = ClusterSpec {
         riders: vec![Behavior::Silent],
-        ..churn_spec(n, t, FAULT_ARM_COMMANDS, seed)
+        ..churn_spec(n, t, commands, seed)
     };
     let (replica, slot) = (0, CUT_SLOT);
     let plan = ChurnPlan::new().step(
@@ -447,11 +450,11 @@ fn cluster_crash_backlog(n: usize, t: usize, seed: u64) -> (f64, u64) {
 /// the aggregator (any post-baseline advance is hostile here — honest
 /// traffic never fails a MAC, as E15 asserts). Returns
 /// `(detection ms from run start, total rejects)`.
-fn cluster_auth(n: usize, t: usize, seed: u64) -> (f64, u64) {
+fn cluster_auth(n: usize, t: usize, seed: u64, commands: usize) -> (f64, u64) {
     let spec = ClusterSpec {
         riders: vec![Behavior::Impersonate],
         auth: true,
-        ..churn_spec(n, t, FAULT_ARM_COMMANDS, seed)
+        ..churn_spec(n, t, commands, seed)
     };
     let report = run_checked("E17 tcp-auth", &spec, Some(&ChurnPlan::new()));
     let cfg = WatchdogConfig {
@@ -513,8 +516,14 @@ pub fn run(quick: bool) -> Table {
             format!("{samples} samples, {ticks} ticks, {msgs} msgs (passivity asserted)"),
         ]);
     }
+    // The fault arms below run at n = 4, sized from its clean arm's pace.
+    let mut fault_arm_commands = None;
     for &(n, t) in sizes {
-        let (min, max) = cluster_clean(n, t, seed);
+        let (min, max, clean) = cluster_clean(n, t, seed);
+        if n == 4 {
+            let commands = outlasting_cluster_commands(&clean, CLEAN_ARM_COMMANDS, FAULT_SPAN);
+            fault_arm_commands = Some(commands);
+        }
         table.push_row([
             "clean".to_string(),
             "tcp".to_string(),
@@ -557,7 +566,8 @@ pub fn run(quick: bool) -> Table {
         format!("slot {slot}; sound stack decides 4/4, one value, under the same schedule"),
     ]);
 
-    let (latency_ms, horizon_ms) = cluster_stall(4, 1, seed);
+    let fault_arm_commands = fault_arm_commands.expect("every size list has n = 4");
+    let (latency_ms, horizon_ms) = cluster_stall(4, 1, seed, fault_arm_commands);
     table.push_row([
         "partition".to_string(),
         "tcp".to_string(),
@@ -571,7 +581,7 @@ pub fn run(quick: bool) -> Table {
         ),
         format!("horizon {horizon_ms:.0} ms, period {CLUSTER_PERIOD_MS} ms"),
     ]);
-    let (latency_ms, peak) = cluster_crash_backlog(4, 1, seed);
+    let (latency_ms, peak) = cluster_crash_backlog(4, 1, seed, fault_arm_commands);
     table.push_row([
         "crash".to_string(),
         "tcp".to_string(),
@@ -582,7 +592,7 @@ pub fn run(quick: bool) -> Table {
         "backlog ≥ 4 × 2 samples".to_string(),
         format!("peak backlog {peak} frames"),
     ]);
-    let (detect_ms, rejects) = cluster_auth(4, 1, seed);
+    let (detect_ms, rejects) = cluster_auth(4, 1, seed, fault_arm_commands);
     table.push_row([
         "impersonate".to_string(),
         "tcp".to_string(),

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
+use minsync_broadcast::Carrier;
 use minsync_net::sim::SimBuilder;
 use minsync_net::NetworkTopology;
 use minsync_types::SystemConfig;
@@ -73,7 +74,7 @@ fn run_one(cfg: SystemConfig, m: usize, seed: u64) -> OneRun {
     let n = cfg.n();
     let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, 3)).seed(seed);
     for i in 0..n {
-        builder = builder.node(CbBroadcastNode::new(cfg, (i % m) as u64));
+        builder = builder.node(CbBroadcastNode::new(cfg, Carrier::Counted, (i % m) as u64));
     }
     let mut sim = builder.build();
     let report = sim.run();

@@ -6,7 +6,7 @@
 //! waits). Measured: outcome mix, quasi-agreement, latency, messages.
 
 use minsync_adversary::SilentNode;
-use minsync_core::{AcNode, AcNodeEvent, AcTag, ProtocolMsg};
+use minsync_core::{AcNode, AcNodeEvent, AcTag, ProtocolMsg, Rules};
 use minsync_net::sim::SimBuilder;
 use minsync_net::{NetworkTopology, Node};
 use minsync_types::{check, ProcessId, SystemConfig};
@@ -73,16 +73,16 @@ fn run_one(cfg: SystemConfig, scenario: &str, seed: u64) -> OneRun {
         let node: Box<dyn Node<Msg = Msg, Output = Out>> = match scenario {
             "unanimous" => {
                 correct.push(i);
-                Box::new(AcNode::new(cfg, 7u64))
+                Box::new(AcNode::new(cfg, Rules::PAPER, 7u64))
             }
             "split" => {
                 correct.push(i);
-                Box::new(AcNode::new(cfg, (i % 2) as u64))
+                Box::new(AcNode::new(cfg, Rules::PAPER, (i % 2) as u64))
             }
             "silent-byz" if i >= n - t => Box::new(SilentNode::<Msg, Out>::new()),
             _ => {
                 correct.push(i);
-                Box::new(AcNode::new(cfg, (i % 2) as u64))
+                Box::new(AcNode::new(cfg, Rules::PAPER, (i % 2) as u64))
             }
         };
         builder = builder.boxed_node(node);

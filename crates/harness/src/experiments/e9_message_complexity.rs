@@ -7,11 +7,15 @@
 //! ≈ n³ for the all-to-all layers (CB, AC, EA round, consensus round).
 //!
 //! Each CB-carrying row is measured twice: under the paper's Figure 1 (the
-//! reproduction) and with every CB wave by relay (`CbRule::Relay`, the
-//! extension of DESIGN.md §9, which brings a CB wave to ≈ n²). The RB row
-//! has no CB wave, so it has no relay column.
+//! reproduction, `Rules::PAPER`) and with every CB wave by relay
+//! (`Carrier::Relay`, the extension of DESIGN.md §9, which brings a CB wave
+//! to ≈ n²). The relay column's adopt-commit and consensus rows run
+//! `Rules::SLOT`, a log slot's rule set, so consensus round 1 also skips
+//! EA there (DESIGN.md §10). The RB row has no CB wave, so it has no relay
+//! column.
 
-use minsync_core::{CbRule, Round1, Rules};
+use minsync_broadcast::Carrier;
+use minsync_core::Rules;
 use minsync_net::sim::SimBuilder;
 use minsync_net::NetworkTopology;
 use minsync_types::SystemConfig;
@@ -55,23 +59,23 @@ pub fn run(quick: bool) -> Table {
     for (n, t) in sizes {
         let n2 = (n * n) as f64;
         let n3 = n2 * n as f64;
-        let (fig1, relay) = (CbRule::Figure1, CbRule::Relay);
+        let (paper, slot) = (Rules::PAPER, Rules::SLOT);
         for (name, messages, by_relay) in [
             ("1 RB instance", rb_messages(n, t), None),
             (
                 "CB (all-to-all)",
-                cb_messages(n, t, fig1),
-                Some(cb_messages(n, t, relay)),
+                cb_messages(n, t, Carrier::Counted),
+                Some(cb_messages(n, t, Carrier::Relay)),
             ),
             (
                 "adopt-commit",
-                ac_messages(n, t, fig1),
-                Some(ac_messages(n, t, relay)),
+                ac_messages(n, t, paper),
+                Some(ac_messages(n, t, slot)),
             ),
             (
                 "consensus (to decision)",
-                consensus_messages(n, t, fig1),
-                Some(consensus_messages(n, t, relay)),
+                consensus_messages(n, t, paper),
+                Some(consensus_messages(n, t, slot)),
             ),
         ] {
             let (relayed, per_n2) = match by_relay {
@@ -108,7 +112,7 @@ fn rb_messages(n: usize, t: usize) -> u64 {
         type Msg = RbMsg<(), u64>;
         type Output = u8;
         fn on_start(&mut self, env: &mut Env<RbMsg<(), u64>, u8>) {
-            let engine = self.engine.insert(RbEngine::new(self.cfg, env.me()));
+            let engine = self.engine.insert(RbEngine::new(self.cfg, env.me(), ()));
             if env.me() == ProcessId::new(0) {
                 env.broadcast(engine.broadcast((), 5).expect("RB always sends INIT"));
             }
@@ -140,35 +144,34 @@ fn rb_messages(n: usize, t: usize) -> u64 {
     sim.run().metrics.messages_sent
 }
 
-fn cb_messages(n: usize, t: usize, rule: CbRule) -> u64 {
+fn cb_messages(n: usize, t: usize, carrier: Carrier) -> u64 {
     use crate::cb_node::CbBroadcastNode;
     let cfg = SystemConfig::new(n, t).unwrap();
     let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, 2)).seed(1);
     for _ in 0..n {
-        builder = builder.node(CbBroadcastNode::with_rule(cfg, rule, 5u64));
+        builder = builder.node(CbBroadcastNode::new(cfg, carrier, 5u64));
     }
     let mut sim = builder.build();
     sim.run().metrics.messages_sent
 }
 
-fn ac_messages(n: usize, t: usize, rule: CbRule) -> u64 {
+fn ac_messages(n: usize, t: usize, rules: Rules) -> u64 {
     use minsync_core::AcNode;
     let cfg = SystemConfig::new(n, t).unwrap();
     let mut builder = SimBuilder::new(NetworkTopology::all_timely(n, 2)).seed(1);
     for _ in 0..n {
-        builder = builder.node(AcNode::new(cfg, 5u64).with_rule(rule));
+        builder = builder.node(AcNode::new(cfg, rules, 5u64));
     }
     let mut sim = builder.build();
     let report = sim.run_until(|outs| outs.len() == n);
     report.metrics.messages_sent
 }
 
-/// Figure 4 as printed, with its CB waves under `cb`.
-fn consensus_messages(n: usize, t: usize, cb: CbRule) -> u64 {
-    let round1 = Round1::Paper;
+/// Figure 4 under `rules`, to every process's decision.
+fn consensus_messages(n: usize, t: usize, rules: Rules) -> u64 {
     let outcome = ConsensusRunBuilder::new(n, t)
         .unwrap()
-        .rules(Rules { round1, cb })
+        .rules(rules)
         .proposals(std::iter::repeat(5u64).take(n))
         .topology(TopologySpec::AllTimely { delta: 2 })
         .faults(FaultPlan::AllCorrect)
@@ -196,8 +199,8 @@ mod tests {
 
     #[test]
     fn cb_scales_like_n_cubed() {
-        let m4 = cb_messages(4, 1, CbRule::Figure1) as f64;
-        let m10 = cb_messages(10, 3, CbRule::Figure1) as f64;
+        let m4 = cb_messages(4, 1, Carrier::Counted) as f64;
+        let m10 = cb_messages(10, 3, Carrier::Counted) as f64;
         let ratio = (m10 / m4) / (1000.0 / 64.0);
         assert!(
             (0.5..2.0).contains(&ratio),
@@ -211,15 +214,15 @@ mod tests {
     /// the totals, this pins it.
     #[test]
     fn counts_identical_to_unbatched_substrate() {
-        let fig1 = CbRule::Figure1;
+        let (fig1, paper) = (Carrier::Counted, Rules::PAPER);
         assert_eq!(rb_messages(4, 1), 36);
         assert_eq!(cb_messages(4, 1, fig1), 144);
-        assert_eq!(ac_messages(4, 1, fig1), 288);
-        assert_eq!(consensus_messages(4, 1, fig1), 900);
+        assert_eq!(ac_messages(4, 1, paper), 288);
+        assert_eq!(consensus_messages(4, 1, paper), 900);
         assert_eq!(rb_messages(7, 2), 105);
         assert_eq!(cb_messages(7, 2, fig1), 735);
-        assert_eq!(ac_messages(7, 2, fig1), 1470);
-        assert_eq!(consensus_messages(7, 2, fig1), 4515);
+        assert_eq!(ac_messages(7, 2, paper), 1470);
+        assert_eq!(consensus_messages(7, 2, paper), 4515);
     }
 
     /// A relay-rule CB wave of one value is n² messages: each process sends
@@ -227,22 +230,22 @@ mod tests {
     #[test]
     fn relay_cb_wave_is_n_squared() {
         for (n, t) in [(4, 1), (7, 2), (10, 3)] {
-            assert_eq!(cb_messages(n, t, CbRule::Relay), (n * n) as u64);
+            assert_eq!(cb_messages(n, t, Carrier::Relay), (n * n) as u64);
         }
     }
 
     #[test]
     fn relay_counts_are_pinned() {
-        let relay = CbRule::Relay;
-        assert_eq!(ac_messages(4, 1, relay), RELAY_COUNTS[0]);
-        assert_eq!(consensus_messages(4, 1, relay), RELAY_COUNTS[1]);
-        assert_eq!(ac_messages(7, 2, relay), RELAY_COUNTS[2]);
-        assert_eq!(consensus_messages(7, 2, relay), RELAY_COUNTS[3]);
+        let slot = Rules::SLOT;
+        assert_eq!(ac_messages(4, 1, slot), RELAY_COUNTS[0]);
+        assert_eq!(consensus_messages(4, 1, slot), RELAY_COUNTS[1]);
+        assert_eq!(ac_messages(7, 2, slot), RELAY_COUNTS[2]);
+        assert_eq!(consensus_messages(7, 2, slot), RELAY_COUNTS[3]);
     }
 
-    /// Adopt-commit and consensus at n = 4 and n = 7 with every CB wave by
-    /// relay, the relay column's counts.
-    const RELAY_COUNTS: [u64; 4] = [160, 440, 784, 1_925];
+    /// Adopt-commit and consensus at n = 4 and n = 7 under `Rules::SLOT`,
+    /// the relay column's counts.
+    const RELAY_COUNTS: [u64; 4] = [160, 388, 784, 1_771];
 
     #[test]
     fn table_covers_all_primitives() {

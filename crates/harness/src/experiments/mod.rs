@@ -301,8 +301,8 @@ pub(crate) fn rider_spec(n: usize, t: usize, riders: Vec<Behavior>) -> ClusterSp
 /// E13 and E17's cluster for mid-run faults: batch 4, arrivals 100 ticks
 /// apart, and live samples every 10 ms, which a [`Trigger::Floor`] step
 /// reads its observer's floor from. Arrival gaps are in child ticks, which
-/// compress under load; what matters is that the slot count stays inside
-/// the flow-control window a rejoiner starts with.
+/// compress under load, so the log's length in wall clock is measured,
+/// not derived ([`outlasting_cluster_commands`]).
 pub(crate) fn churn_spec(n: usize, t: usize, commands_per_client: usize, seed: u64) -> ClusterSpec {
     ClusterSpec {
         n,
@@ -318,6 +318,28 @@ pub(crate) fn churn_spec(n: usize, t: usize, commands_per_client: usize, seed: u
 
 /// [`churn_spec`]'s sampling period, in wall-clock milliseconds.
 pub(crate) const CLUSTER_PERIOD_MS: u64 = 10;
+
+/// Commands per client that keep a [`churn_spec`] cluster's log growing for
+/// `span` of wall clock past the drain of `clean`, a clean run of `probe`
+/// commands per client, even at [`CLUSTER_PACE_SLACK`] times that run's
+/// pace. A fault a plan opens on an early commit floor then lands mid-log,
+/// with `span` of log left to commit: the cluster's mirror of
+/// [`outlasting_commands`], whose probe drains in virtual time.
+pub(crate) fn outlasting_cluster_commands(
+    clean: &ClusterReport,
+    probe: usize,
+    span: std::time::Duration,
+) -> usize {
+    let drained = clean.last_drain().as_secs_f64().max(1e-3);
+    let more = probe as f64 * CLUSTER_PACE_SLACK * span.as_secs_f64() / drained;
+    probe + more.ceil() as usize
+}
+
+/// How much faster than its clean probe a loopback cluster run may drain
+/// and still outlast its plan ([`outlasting_cluster_commands`]): the same
+/// n = 4 lineup of 2 × 96 commands drains in 27–44 ms from one release run
+/// to the next on a 2-vCPU x86-64 host.
+const CLUSTER_PACE_SLACK: f64 = 2.0;
 
 /// Checkpoint-retry period (in ticks) of [`churn_sim`]'s replicas: a
 /// churn plan loses messages outright, so every replica runs the repair

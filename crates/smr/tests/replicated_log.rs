@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use minsync_adversary::{FilterNode, FloodNode, SilentNode};
-use minsync_core::ConsensusConfig;
+use minsync_core::{CbId, ConsensusConfig, ProtocolMsg, RbTag};
 use minsync_net::sim::{OutputRecord, ScheduleCommand, SimBuilder};
 use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology, Node, VirtualTime};
 use minsync_smr::{
@@ -410,8 +410,18 @@ fn ckpt_retry_replays_a_lost_payload() {
     };
     let lone = |slot: u64| 100 + slot;
     let mut seen = std::collections::BTreeSet::new();
-    // Replicas 0 (Byzantine) and 1 support the lone value, and on an
-    // all-timely network their messages are processed first: it wins.
+    // Replicas 0 (Byzantine) and 1 support the lone value. Replicas 2 and 3
+    // lose every `CB[0]` message naming their own value, whichever carrier
+    // takes it, so the lone value is the only one `CB[0]` validates: it
+    // wins in every slot.
+    let own_cb0 = move |from: ProcessId, slot: u64, msg: &ProtocolMsg<Digest>| match msg {
+        ProtocolMsg::Rb(rb) => {
+            from.index() > LONE
+                && *rb.tag() == RbTag::CbVal(CbId::ConsValid)
+                && *rb.value() != Digest::of(&lone(slot))
+        }
+        _ => false,
+    };
     let mut builder = SimBuilder::new(NetworkTopology::all_timely(4, 3))
         .seed(5)
         .max_events(2_000_000)
@@ -422,6 +432,7 @@ fn ckpt_retry_replays_a_lost_payload() {
                 {
                     ScheduleCommand::Drop
                 }
+                SmrMsg::Slot { slot, msg } if own_cb0(from, *slot, msg) => ScheduleCommand::Drop,
                 _ => ScheduleCommand::Default,
             },
         )
