@@ -112,6 +112,8 @@ impl<V> ProtocolMsg<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rules;
+    use minsync_broadcast::{Carrier, Tag};
     use minsync_types::ProcessId;
 
     #[test]
@@ -164,5 +166,27 @@ mod tests {
         let b = RbTag::CbVal(CbId::AcProp(Round::new(2)));
         assert!(a < b);
         assert_ne!(RbTag::Decide, RbTag::AcEst(Round::FIRST));
+    }
+
+    #[test]
+    fn cb_val_and_decide_are_counted_ac_est_is_plain() {
+        let cb = RbTag::CbVal(CbId::ConsValid);
+        assert_eq!(cb.carrier(Rules::PAPER), Carrier::Counted);
+        for rules in Rules::ALL {
+            assert_eq!(RbTag::Decide.carrier(rules), Carrier::Counted);
+            assert_eq!(RbTag::AcEst(Round::FIRST).carrier(rules), Carrier::Bracha);
+        }
+    }
+
+    #[test]
+    fn only_cb_val_is_relayed() {
+        assert_eq!(
+            RbTag::CbVal(CbId::EaProp(Round::FIRST)).carrier(Rules::SLOT),
+            Carrier::Relay
+        );
+        for rules in Rules::ALL {
+            assert_ne!(RbTag::Decide.carrier(rules), Carrier::Relay);
+            assert_ne!(RbTag::AcEst(Round::FIRST).carrier(rules), Carrier::Relay);
+        }
     }
 }
