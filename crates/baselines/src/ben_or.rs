@@ -51,11 +51,6 @@ impl BenOrMsg {
             BenOrMsg::Propose { .. } => "BO_PROPOSE",
         }
     }
-
-    /// Free-function form usable as a `fn` pointer.
-    pub fn classify(msg: &BenOrMsg) -> &'static str {
-        msg.kind()
-    }
 }
 
 /// Observable events of [`BenOrNode`].

@@ -92,16 +92,6 @@ impl<T, V> RbMsg<T, V> {
             | RbMsg::Relay { value, .. } => value,
         }
     }
-
-    /// Short label for metrics classification.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RbMsg::Init { .. } => "RB_INIT",
-            RbMsg::Echo { .. } => "RB_ECHO",
-            RbMsg::Ready { .. } => "RB_READY",
-            RbMsg::Relay { .. } => "CB_RELAY",
-        }
-    }
 }
 
 /// How the layer carries one tag's instances.
@@ -845,25 +835,5 @@ mod tests {
             assert_eq!(hear(&mut e, sender, 1), RbStep::NONE);
         }
         assert_eq!(e.live_instances(), 0);
-    }
-
-    #[test]
-    fn kind_labels() {
-        let m: RbMsg<u8, u8> = RbMsg::Init { tag: 0, value: 0 };
-        assert_eq!(m.kind(), "RB_INIT");
-        let m: RbMsg<u8, u8> = RbMsg::Echo {
-            origin: ProcessId::new(0),
-            tag: 0,
-            value: 0,
-        };
-        assert_eq!(m.kind(), "RB_ECHO");
-        let m: RbMsg<u8, u8> = RbMsg::Ready {
-            origin: ProcessId::new(0),
-            tag: 0,
-            value: 0,
-        };
-        assert_eq!(m.kind(), "RB_READY");
-        let m: RbMsg<u8, u8> = RbMsg::Relay { tag: 0, value: 0 };
-        assert_eq!((m.kind(), *m.value()), ("CB_RELAY", 0));
     }
 }

@@ -21,9 +21,10 @@
 //! 5. return `⟨commit, MFA_i⟩` if the witness is unanimous, else
 //!    `⟨adopt, MFA_i⟩`.
 //!
-//! [`AcRound`] holds the per-round state inside the consensus automaton;
-//! [`AcNode`] wraps a single AC object as a standalone network node for the
-//! E2 experiments.
+//! [`AcRound`] runs these lines for one round: its host feeds it the CB
+//! and RB events and applies the [`AcStep`]s it hands back. The consensus
+//! automaton hosts one per round; [`AcNode`] wraps a single one as a
+//! standalone network node for the E2 experiments.
 
 use std::collections::BTreeMap;
 
@@ -39,12 +40,23 @@ use crate::messages::{CbId, ProtocolMsg, RbTag};
 /// value.
 pub type AcOutcome<V> = (AcTag, V);
 
-/// Per-round adopt-commit state hosted by the consensus automaton.
+/// What one [`AcRound::advance`] hands its host. Over the object's life
+/// each field is `Some` at most once, and `returned` never before `est`.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct AcStep<V> {
+    /// Lines 1–2: the value line 1's CB returned, to RB-broadcast as
+    /// `AC_EST`.
+    pub est: Option<V>,
+    /// Lines 4–7: the object's return.
+    pub returned: Option<AcOutcome<V>>,
+}
+
+/// One adopt-commit object: Figure 2 for one process and one round.
 ///
-/// The host performs the actual RB broadcasts and its engine counts the
-/// `AC_PROP` CB instance; `AcRound` is the pure bookkeeping: the values
-/// that CB reported valid (line 1), the RB-delivered estimates (line 3's
-/// wait), and the witness/MFA computation (lines 4–7).
+/// The host performs the broadcasts and its engine counts the `AC_PROP` CB
+/// instance; `AcRound` holds the values that CB reported valid (line 1),
+/// the RB-delivered estimates (line 3's wait), and the order of the lines:
+/// [`advance`](Self::advance) says what the host must do next.
 #[derive(Clone, Debug)]
 pub struct AcRound<V> {
     cfg: SystemConfig,
@@ -55,8 +67,10 @@ pub struct AcRound<V> {
     /// RB-Unicity makes later ones impossible anyway).
     ests: Vec<(ProcessId, V)>,
     est_senders: ProcSet,
-    /// Set once the host executed lines 1–2 (CB returned, `AC_EST` sent).
+    /// Set once lines 1–2 were handed out.
     est_sent: bool,
+    /// Set once lines 4–7 were handed out.
+    returned: bool,
     /// Witness size used by line 3 instead of `cfg.quorum()`, when set.
     ///
     /// This exists solely so the conformance suite can seed a deliberately
@@ -64,7 +78,6 @@ pub struct AcRound<V> {
     /// explorer catches the resulting agreement violation. Production
     /// constructors never set it.
     quorum_override: Option<usize>,
-    outcome: Option<AcOutcome<V>>,
 }
 
 impl<V: Value> AcRound<V> {
@@ -76,8 +89,8 @@ impl<V: Value> AcRound<V> {
             ests: Vec::new(),
             est_senders: ProcSet::default(),
             est_sent: false,
+            returned: false,
             quorum_override: None,
-            outcome: None,
         }
     }
 
@@ -96,25 +109,9 @@ impl<V: Value> AcRound<V> {
         self.cb_valid.push(value);
     }
 
-    /// The CB instance's pending return value: `Some` once `cb_valid ≠ ∅`
-    /// (Figure 2 line 1 can complete), the first value that became valid.
-    pub fn cb_returnable(&self) -> Option<&V> {
-        self.cb_valid.first()
-    }
-
     /// The CB instance's current valid set, in the order it grew.
     pub fn cb_valid(&self) -> &[V] {
         &self.cb_valid
-    }
-
-    /// Marks lines 1–2 done (the host RB-broadcast `AC_EST`).
-    pub fn mark_est_sent(&mut self) {
-        self.est_sent = true;
-    }
-
-    /// Whether lines 1–2 are done.
-    pub fn est_sent(&self) -> bool {
-        self.est_sent
     }
 
     /// Feeds an RB delivery of `AC_EST(value)` from `from` (line 3).
@@ -124,21 +121,26 @@ impl<V: Value> AcRound<V> {
         }
     }
 
-    /// Evaluates the wait of line 3 and, if satisfied, computes lines 4–7.
+    /// Runs Figure 2 as far as the inputs so far allow. Line 1 returns once
+    /// `cb_valid ≠ ∅`, with the first value that became valid, which
+    /// line 2 RB-broadcasts; from then on, once line 3's wait holds,
+    /// lines 4–7 return. Each is handed out once, so the host calls this
+    /// after every input and applies what it gets.
+    pub fn advance(&mut self) -> AcStep<V> {
+        let est = self.cb_valid.first().filter(|_| !self.est_sent).cloned();
+        self.est_sent |= est.is_some();
+        let pending = self.est_sent && !self.returned;
+        let returned = pending.then(|| self.witness_outcome()).flatten();
+        self.returned |= returned.is_some();
+        AcStep { est, returned }
+    }
+
+    /// Line 3's wait and, if it holds, lines 4–7.
     ///
     /// The witness set is the first `n − t` RB-delivered estimates (in
     /// delivery order) whose values are in `cb_valid` — a deterministic
-    /// refinement of the paper's "the previous `(n−t)` messages". Returns
-    /// the cached outcome on later calls (AC objects are one-shot).
-    pub fn try_complete(&mut self) -> Option<AcOutcome<V>> {
-        if let Some(out) = &self.outcome {
-            return Some(out.clone());
-        }
-        if !self.est_sent {
-            // The host has not executed lines 1–2; the paper's process
-            // cannot be waiting at line 3 yet.
-            return None;
-        }
+    /// refinement of the paper's "the previous `(n−t)` messages".
+    fn witness_outcome(&self) -> Option<AcOutcome<V>> {
         let quorum = self.quorum_override.unwrap_or_else(|| self.cfg.quorum());
         let witness: Vec<&V> = self
             .ests
@@ -166,14 +168,7 @@ impl<V: Value> AcRound<V> {
         } else {
             AcTag::Adopt
         };
-        let outcome = (tag, mfa);
-        self.outcome = Some(outcome.clone());
-        Some(outcome)
-    }
-
-    /// The cached outcome, if the object already returned.
-    pub fn outcome(&self) -> Option<&AcOutcome<V>> {
-        self.outcome.as_ref()
+        Some((tag, mfa))
     }
 
     /// Number of distinct `AC_EST` origins delivered so far.
@@ -238,21 +233,15 @@ impl<V: Value> AcNode<V> {
             }
             _ => {}
         }
-        // Line 1 completion → line 2.
-        if !self.ac.est_sent() {
-            if let Some(est) = self.ac.cb_returnable().cloned() {
-                self.ac.mark_est_sent();
-                let rb = self.rb.as_mut().expect("started");
-                if let Some(init) = rb.broadcast(AC_EST, est) {
-                    env.broadcast(ProtocolMsg::Rb(init));
-                }
+        let step = self.ac.advance();
+        if let Some(est) = step.est {
+            let rb = self.rb.as_mut().expect("started");
+            if let Some(init) = rb.broadcast(AC_EST, est) {
+                env.broadcast(ProtocolMsg::Rb(init));
             }
         }
-        // Line 3 wait → lines 4–7.
-        if self.ac.outcome().is_none() {
-            if let Some((tag, value)) = self.ac.try_complete() {
-                env.output(AcNodeEvent::Returned { tag, value });
-            }
+        if let Some((tag, value)) = step.returned {
+            env.output(AcNodeEvent::Returned { tag, value });
         }
     }
 }
@@ -301,33 +290,37 @@ mod tests {
         ac
     }
 
+    const NOTHING: AcStep<u64> = AcStep {
+        est: None,
+        returned: None,
+    };
+
     #[test]
     fn cb_valid_gates_line1() {
         let mut ac: AcRound<u64> = AcRound::new(cfg());
-        assert!(ac.cb_returnable().is_none());
+        assert_eq!(ac.advance(), NOTHING);
         ac.on_cb_valid(9);
         ac.on_cb_valid(4);
-        assert_eq!(ac.cb_returnable(), Some(&9), "the first valid value");
+        assert_eq!(ac.advance().est, Some(9), "the first valid value");
+        assert_eq!(ac.advance(), NOTHING, "line 2 runs once");
     }
 
     #[test]
     fn unanimous_witness_commits() {
         let mut ac = round_with_cb(&[(0, 5), (1, 5), (2, 5)]);
-        ac.mark_est_sent();
         for p in 0..3 {
             ac.on_est_delivered(ProcessId::new(p), 5);
         }
-        assert_eq!(ac.try_complete(), Some((AcTag::Commit, 5)));
+        assert_eq!(ac.advance().returned, Some((AcTag::Commit, 5)));
     }
 
     #[test]
     fn mixed_witness_adopts_most_frequent() {
         let mut ac = round_with_cb(&[(0, 5), (1, 5), (2, 7)]);
-        ac.mark_est_sent();
         ac.on_est_delivered(ProcessId::new(0), 5);
         ac.on_est_delivered(ProcessId::new(1), 7);
         ac.on_est_delivered(ProcessId::new(2), 5);
-        assert_eq!(ac.try_complete(), Some((AcTag::Adopt, 5)));
+        assert_eq!(ac.advance().returned, Some((AcTag::Adopt, 5)));
     }
 
     #[test]
@@ -339,7 +332,6 @@ mod tests {
         for v in [1u64, 2, 3] {
             ac.on_cb_valid(v);
         }
-        ac.mark_est_sent();
         // Witness of 10: four 2s, four 1s, two 3s → tie between 1 and 2.
         for (p, v) in [
             (0, 2u64),
@@ -356,77 +348,74 @@ mod tests {
             ac.on_est_delivered(ProcessId::new(p), v);
         }
         // Tie between 1 and 2 → smallest (1) wins.
-        assert_eq!(ac.try_complete(), Some((AcTag::Adopt, 1)));
+        assert_eq!(ac.advance().returned, Some((AcTag::Adopt, 1)));
     }
 
     #[test]
     fn invalid_values_do_not_qualify() {
         let mut ac = round_with_cb(&[(0, 5)]);
-        ac.mark_est_sent();
         // 99 is not CB-valid: these deliveries never qualify.
         ac.on_est_delivered(ProcessId::new(0), 99);
         ac.on_est_delivered(ProcessId::new(1), 99);
         ac.on_est_delivered(ProcessId::new(2), 99);
-        assert_eq!(ac.try_complete(), None);
+        assert_eq!(ac.advance().returned, None);
         // Valid ones eventually arrive.
         ac.on_est_delivered(ProcessId::new(3), 5);
-        assert_eq!(ac.try_complete(), None, "only 1 valid est");
+        assert_eq!(ac.advance().returned, None, "only 1 valid est");
         let mut ac2 = round_with_cb(&[(0, 5)]);
-        ac2.mark_est_sent();
         for p in 0..3 {
             ac2.on_est_delivered(ProcessId::new(p), 5);
         }
-        assert_eq!(ac2.try_complete(), Some((AcTag::Commit, 5)));
+        assert_eq!(ac2.advance().returned, Some((AcTag::Commit, 5)));
     }
 
     #[test]
     fn late_cb_growth_unblocks_pending_ests() {
         // Estimates arrive before their value becomes valid: the wait
         // completes only after cb_valid catches up (monotone predicate).
-        let mut ac: AcRound<u64> = AcRound::new(cfg());
-        ac.mark_est_sent();
+        let mut ac = round_with_cb(&[(0, 5)]);
+        assert_eq!(ac.advance().est, Some(5));
         for p in 0..3 {
             ac.on_est_delivered(ProcessId::new(p), 4);
         }
-        assert_eq!(ac.try_complete(), None);
+        assert_eq!(ac.advance(), NOTHING);
         ac.on_cb_valid(4);
-        assert_eq!(ac.try_complete(), Some((AcTag::Commit, 4)));
+        let step = ac.advance();
+        assert_eq!(step.returned, Some((AcTag::Commit, 4)));
+        assert_eq!(step.est, None, "line 2 ran before");
     }
 
     #[test]
     fn witness_is_first_quorum_in_delivery_order() {
         // 4 deliveries, quorum 3: the 4th must not affect the outcome.
         let mut ac = round_with_cb(&[(0, 5), (1, 6)]);
-        ac.mark_est_sent();
         ac.on_est_delivered(ProcessId::new(0), 5);
         ac.on_est_delivered(ProcessId::new(1), 5);
         ac.on_est_delivered(ProcessId::new(2), 5);
         ac.on_est_delivered(ProcessId::new(3), 6);
-        assert_eq!(ac.try_complete(), Some((AcTag::Commit, 5)));
+        assert_eq!(ac.advance().returned, Some((AcTag::Commit, 5)));
     }
 
     #[test]
-    fn outcome_is_cached_and_stable() {
+    fn returns_once() {
         let mut ac = round_with_cb(&[(0, 5), (1, 6)]);
-        ac.mark_est_sent();
         for p in 0..3 {
             ac.on_est_delivered(ProcessId::new(p), 5);
         }
-        let first = ac.try_complete();
-        // More deliveries cannot change a returned outcome.
+        assert_eq!(ac.advance().returned, Some((AcTag::Commit, 5)));
+        // AC objects are one-shot: more deliveries return nothing more.
         ac.on_est_delivered(ProcessId::new(3), 6);
-        assert_eq!(ac.try_complete(), first);
+        assert_eq!(ac.advance(), NOTHING);
     }
 
     #[test]
     fn duplicate_est_senders_ignored() {
         let mut ac = round_with_cb(&[(0, 5)]);
-        ac.mark_est_sent();
         ac.on_est_delivered(ProcessId::new(0), 5);
         ac.on_est_delivered(ProcessId::new(0), 5);
         ac.on_est_delivered(ProcessId::new(0), 5);
         assert_eq!(ac.est_count(), 1);
-        assert_eq!(ac.try_complete(), None);
+        assert_eq!(ac.advance().returned, None);
     }
 
     #[test]
@@ -435,22 +424,27 @@ mod tests {
         // commits on a 2-unanimous witness — the seeded bug the conformance
         // explorer must catch.
         let mut ac = round_with_cb(&[(0, 5)]).with_quorum_override(2);
-        ac.mark_est_sent();
         ac.on_est_delivered(ProcessId::new(0), 5);
-        assert_eq!(ac.try_complete(), None);
+        assert_eq!(ac.advance().returned, None);
         ac.on_est_delivered(ProcessId::new(1), 5);
-        assert_eq!(ac.try_complete(), Some((AcTag::Commit, 5)));
+        assert_eq!(ac.advance().returned, Some((AcTag::Commit, 5)));
     }
 
     #[test]
     fn no_outcome_before_est_sent() {
-        // A process cannot be waiting at line 3 before executing lines 1–2.
-        let mut ac = round_with_cb(&[(0, 5)]);
+        // A process cannot be waiting at line 3 before executing lines 1–2:
+        // a witness that is complete before the CB returns waits for it,
+        // and then both halves come out of one step.
+        let mut ac: AcRound<u64> = AcRound::new(cfg());
         for p in 0..3 {
             ac.on_est_delivered(ProcessId::new(p), 5);
         }
-        assert_eq!(ac.try_complete(), None);
-        ac.mark_est_sent();
-        assert_eq!(ac.try_complete(), Some((AcTag::Commit, 5)));
+        assert_eq!(ac.advance(), NOTHING);
+        ac.on_cb_valid(5);
+        let both = AcStep {
+            est: Some(5),
+            returned: Some((AcTag::Commit, 5)),
+        };
+        assert_eq!(ac.advance(), both);
     }
 }

@@ -174,10 +174,8 @@ enum Phase {
     AwaitValid,
     /// Line 4: inside `EA_propose` for the current round.
     InEa,
-    /// Line 6, first half (Figure 2 line 1): waiting for the AC round's CB.
-    AwaitAcCb,
-    /// Line 6, second half (Figure 2 line 3): waiting for the AC witness.
-    AwaitAcEst,
+    /// Line 6: inside the round's adopt-commit object.
+    InAc,
     /// Stopped: decided, or `max_rounds` exhausted.
     Stopped,
 }
@@ -394,49 +392,43 @@ impl<V: Value> ConsensusNode<V> {
 
     /// Line 6, Figure 2 line 1: CB-broadcast `AC_PROP(est)`.
     fn enter_ac(&mut self, round: Round, env: &mut Ctx<V>) {
-        self.phase = Phase::AwaitAcCb;
-        self.ac_round(round); // materialize
+        self.phase = Phase::InAc;
         self.rb_broadcast(RbTag::CbVal(CbId::AcProp(round)), self.est.clone(), env);
         self.try_advance_ac(round, env);
     }
 
+    /// One step of round `r`'s adopt-commit object, if the round loop is
+    /// inside it: RB-broadcast the `AC_EST` it hands out, then act on its
+    /// return.
     fn try_advance_ac(&mut self, r: Round, env: &mut Ctx<V>) {
-        if self.decided.is_some() || r != self.sync.current() {
+        if self.phase != Phase::InAc || r != self.sync.current() {
             return;
         }
-        if self.phase == Phase::AwaitAcCb {
-            let Some(est2) = self.ac_round(r).cb_returnable().cloned() else {
-                return;
-            };
-            // Figure 2 lines 1–2: the CB-returned value becomes the
-            // estimate RB-broadcast as AC_EST.
-            self.ac_round(r).mark_est_sent();
-            self.phase = Phase::AwaitAcEst;
+        let step = self.ac_round(r).advance();
+        if let Some(est2) = step.est {
             self.rb_broadcast(RbTag::AcEst(r), est2, env);
         }
-        if self.phase == Phase::AwaitAcEst {
-            let Some((tag, mfa)) = self.ac_round(r).try_complete() else {
-                return;
-            };
-            // Figure 4 line 6: adopt the AC outcome as the new estimate.
-            self.est = mfa.clone();
-            env.output(ConsensusEvent::AcReturned {
+        let Some((tag, mfa)) = step.returned else {
+            return;
+        };
+        // Figure 4 line 6: adopt the AC outcome as the new estimate.
+        self.est = mfa.clone();
+        env.output(ConsensusEvent::AcReturned {
+            round: r,
+            tag,
+            value: mfa.clone(),
+        });
+        // Line 7.
+        if tag == AcTag::Commit && !self.decide_broadcast {
+            self.decide_broadcast = true;
+            env.output(ConsensusEvent::DecideBroadcast {
                 round: r,
-                tag,
                 value: mfa.clone(),
             });
-            // Line 7.
-            if tag == AcTag::Commit && !self.decide_broadcast {
-                self.decide_broadcast = true;
-                env.output(ConsensusEvent::DecideBroadcast {
-                    round: r,
-                    value: mfa.clone(),
-                });
-                self.rb_broadcast(RbTag::Decide, mfa, env);
-            }
-            // Line 8: next round.
-            self.enter_round(r.next(), env);
+            self.rb_broadcast(RbTag::Decide, mfa, env);
         }
+        // Line 8: next round.
+        self.enter_round(r.next(), env);
     }
 
     /// Line 9: `DECIDE(v)` RB-delivered from `t + 1` distinct processes.
@@ -539,7 +531,7 @@ mod tests {
     use super::*;
     use minsync_broadcast::RbMsg;
     use minsync_net::sim::{OutputRecord, RunReport, SimBuilder};
-    use minsync_net::{ChannelTiming, DelayLaw, NetworkTopology};
+    use minsync_net::{ChannelTiming, DelayLaw, Effect, NetworkTopology};
     use minsync_types::check;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -719,32 +711,73 @@ mod tests {
             .any(|o| matches!(o.event, ConsensusEvent::DecideBroadcast { .. })));
     }
 
-    #[test]
-    fn decided_node_keeps_no_ac_state() {
+    /// A started n = 4, t = 1 node proposing 5 under the paper's rules.
+    fn started_node() -> (ConsensusNode<u64>, Ctx<u64>) {
         let system = SystemConfig::new(4, 1).unwrap();
         let mut node = ConsensusNode::new(ConsensusConfig::paper(system), 5u64).unwrap();
         let mut env: Ctx<u64> = Env::new(4, 0);
         node.on_start(&mut env);
-        // 2t + 1 READYs make p1 deliver `(origin, tag)`'s instance of 5.
-        let value = 5;
-        let mut deliver = |node: &mut ConsensusNode<u64>, origin: usize, tag: RbTag| {
-            let origin = ProcessId::new(origin);
-            for sender in 0..system.ready_threshold() {
-                let ready = RbMsg::Ready { origin, tag, value };
-                node.on_message(ProcessId::new(sender), ProtocolMsg::Rb(ready), &mut env);
-            }
-        };
+        (node, env)
+    }
+
+    /// 2t + 1 READYs make `node` deliver `(origin, tag)`'s instance of 5.
+    fn deliver(node: &mut ConsensusNode<u64>, env: &mut Ctx<u64>, origin: usize, tag: RbTag) {
+        let origin = ProcessId::new(origin);
+        for sender in 0..node.cfg.system.ready_threshold() {
+            let ready = RbMsg::Ready {
+                origin,
+                tag,
+                value: 5,
+            };
+            node.on_message(ProcessId::new(sender), ProtocolMsg::Rb(ready), env);
+        }
+    }
+
+    #[test]
+    fn decided_node_keeps_no_ac_state() {
+        let (mut node, mut env) = started_node();
         // Line 9: DECIDE(5) from t + 1 = 2 origins.
-        deliver(&mut node, 1, RbTag::Decide);
-        deliver(&mut node, 2, RbTag::Decide);
+        deliver(&mut node, &mut env, 1, RbTag::Decide);
+        deliver(&mut node, &mut env, 2, RbTag::Decide);
         assert_eq!(node.decision(), Some(&5));
         // A later round's AC traffic: CB-valid AC_PROP, n − t AC_ESTs.
         let later = Round::new(7);
+        let prop = RbTag::CbVal(CbId::AcProp(later));
         for origin in 1..4 {
-            deliver(&mut node, origin, RbTag::CbVal(CbId::AcProp(later)));
-            deliver(&mut node, origin, RbTag::AcEst(later));
+            deliver(&mut node, &mut env, origin, prop);
+            deliver(&mut node, &mut env, origin, RbTag::AcEst(later));
         }
         assert!(node.ac_rounds.is_empty(), "decided, yet AC state");
+    }
+
+    #[test]
+    fn ac_traffic_waits_while_ea_runs() {
+        // Line 6 starts only once line 4's EA returned: a process inside
+        // round 1's EA neither sends AC_EST(1) nor returns from AC(1),
+        // whatever AC traffic of that round the others' progress brings.
+        let (mut node, mut env) = started_node();
+        // Line 1: CB[0] returns 5 at t + 1 = 2 origins; round 1's EA runs.
+        deliver(&mut node, &mut env, 1, RbTag::CbVal(CbId::ConsValid));
+        deliver(&mut node, &mut env, 2, RbTag::CbVal(CbId::ConsValid));
+        assert_eq!(node.phase, Phase::InEa);
+        let prop = RbTag::CbVal(CbId::AcProp(Round::FIRST));
+        for origin in 1..4 {
+            deliver(&mut node, &mut env, origin, prop);
+            deliver(&mut node, &mut env, origin, RbTag::AcEst(Round::FIRST));
+        }
+        assert_eq!(node.phase, Phase::InEa);
+        let ac_step = env.take_buffer().into_iter().find(|e| {
+            matches!(
+                e,
+                Effect::Broadcast {
+                    msg: ProtocolMsg::Rb(RbMsg::Init {
+                        tag: RbTag::AcEst(_),
+                        ..
+                    })
+                } | Effect::Output(ConsensusEvent::AcReturned { .. })
+            )
+        });
+        assert_eq!(ac_step, None);
     }
 
     /// Round-1 EA traffic in every shape a Byzantine `from` can send: the

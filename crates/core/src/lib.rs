@@ -58,7 +58,7 @@ mod messages;
 mod timeout;
 pub mod view_sync;
 
-pub use adopt_commit::{AcNode, AcNodeEvent, AcOutcome, AcRound};
+pub use adopt_commit::{AcNode, AcNodeEvent, AcOutcome, AcRound, AcStep};
 pub use bot_variant::{BotConsensusNode, BotEvent, BotMsg};
 pub use consensus::{ConsensusConfig, ConsensusNode, Rules, SeededMutation};
 pub use events::{AcTag, ConsensusEvent};

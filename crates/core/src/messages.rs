@@ -101,12 +101,6 @@ impl<V> ProtocolMsg<V> {
             ProtocolMsg::EaRelay { .. } => "EA_RELAY",
         }
     }
-
-    /// Free-function form of [`ProtocolMsg::kind`] usable as a `fn` pointer
-    /// for the simulator's classifier hook.
-    pub fn classify(msg: &ProtocolMsg<V>) -> &'static str {
-        msg.kind()
-    }
 }
 
 #[cfg(test)]

@@ -108,11 +108,6 @@ impl ViewSynchronizer {
     pub fn pending(&self) -> usize {
         self.timers.len()
     }
-
-    /// Whether round `r` currently has a live timer.
-    pub fn is_armed(&self, r: Round) -> bool {
-        self.rounds.contains_key(&r)
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +138,7 @@ mod tests {
         assert_eq!(sync.expire(foreign), None, "not ours");
         assert_eq!(sync.expire(id), Some(Round::FIRST));
         assert_eq!(sync.expire(id), None, "consumed");
-        assert!(!sync.is_armed(Round::FIRST));
+        assert_eq!(sync.pending(), 0);
     }
 
     #[test]

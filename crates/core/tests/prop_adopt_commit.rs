@@ -28,22 +28,20 @@ fn input_strategy(n: usize, values: u64) -> impl Strategy<Value = Input> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Whatever the interleaving: the outcome (if any) is stable once
-    /// produced, carries a CB-valid value, and an outcome only exists after
-    /// `n − t` qualifying estimates.
+    /// Whatever the interleaving, with one `advance` after each delivery:
+    /// the `AC_EST` is handed out at most once, and only once `cb_valid`
+    /// is non-empty (its first value); the object returns at most once,
+    /// never before the `AC_EST`, with a CB-valid value, and only after
+    /// `n − t` estimates.
     #[test]
     fn outcome_is_stable_and_cb_valid(
         inputs in proptest::collection::vec(input_strategy(4, 3), 0..40),
-        est_sent_at in 0usize..40,
     ) {
         let cfg = SystemConfig::new(4, 1).unwrap();
         let mut ac: AcRound<u64> = AcRound::new(cfg);
         let mut rb = RbEngine::new(cfg, ProcessId::new(0), Rules::PAPER);
-        let mut first_outcome: Option<(AcTag, u64)> = None;
-        for (i, input) in inputs.iter().enumerate() {
-            if i == est_sent_at {
-                ac.mark_est_sent();
-            }
+        let (mut est, mut returned) = (None, None);
+        for input in &inputs {
             match *input {
                 Input::CbVal { from, value } => {
                     if let Some(valid) = common::deliver(&mut rb, cfg, AC_PROP, from, value) {
@@ -52,22 +50,27 @@ proptest! {
                 }
                 Input::Est { from, value } => ac.on_est_delivered(ProcessId::new(from), value),
             }
-            if let Some(out) = ac.try_complete() {
-                match &first_outcome {
-                    None => {
-                        // The value must be CB-valid at this point.
-                        prop_assert!(
-                            ac.cb_valid().contains(&out.1),
-                            "outcome value {} not CB-valid", out.1
-                        );
-                        first_outcome = Some(out);
-                    }
-                    Some(first) => prop_assert_eq!(&out, first, "outcome changed"),
-                }
+            let step = ac.advance();
+            if let Some(v) = step.est {
+                prop_assert!(est.is_none(), "AC_EST handed out twice");
+                prop_assert_eq!(Some(&v), ac.cb_valid().first(), "not line 1's return");
+                est = Some(v);
             }
-        }
-        if first_outcome.is_some() {
-            prop_assert!(ac.est_count() >= 1);
+            prop_assert_eq!(
+                est.is_some(),
+                !ac.cb_valid().is_empty(),
+                "line 1 returned and line 2 did not run"
+            );
+            if let Some(out) = step.returned {
+                prop_assert!(returned.is_none(), "returned twice");
+                prop_assert!(est.is_some(), "returned before AC_EST");
+                prop_assert!(
+                    ac.cb_valid().contains(&out.1),
+                    "outcome value {} not CB-valid", out.1
+                );
+                prop_assert!(ac.est_count() >= cfg.quorum());
+                returned = Some(out);
+            }
         }
     }
 
@@ -109,11 +112,10 @@ proptest! {
                     ac.on_cb_valid(valid);
                 }
             }
-            ac.mark_est_sent();
             for &origin in order {
                 ac.on_est_delivered(ProcessId::new(origin), assignment[origin]);
             }
-            ac.try_complete()
+            ac.advance().returned
         };
         let a = run(&order_a);
         let b = run(&order_b);
@@ -144,11 +146,13 @@ proptest! {
         let mut ac: AcRound<u64> = AcRound::new(cfg);
         // Seven origins' CB_VAL(value) make it valid once.
         ac.on_cb_valid(value);
-        ac.mark_est_sent();
         let mut outcome = None;
         for &origin in &order {
             ac.on_est_delivered(ProcessId::new(origin), value);
-            outcome = ac.try_complete();
+            if let Some(out) = ac.advance().returned {
+                prop_assert!(outcome.is_none(), "returned twice");
+                outcome = Some(out);
+            }
         }
         prop_assert_eq!(outcome, Some((AcTag::Commit, value)));
     }

@@ -113,11 +113,8 @@ fn traced_lineup(
 }
 
 /// One simulator run of the instrumented E10 configuration: returns the
-/// trace events (with `Submitted` back-filled) and the registry snapshot.
-fn sim_arm(
-    commands_per_client: usize,
-    seed: u64,
-) -> (Vec<TraceEvent>, minsync_telemetry::Snapshot) {
+/// trace events (with `Submitted` back-filled).
+fn sim_arm(commands_per_client: usize, seed: u64) -> Vec<TraceEvent> {
     let system = SystemConfig::new(4, 1).expect("valid system");
     let pop = workload(&system, commands_per_client, seed);
     let total = pop.total_commands();
@@ -171,15 +168,17 @@ fn sim_arm(
 
     let snapshot = registry.snapshot();
     assert!(
-        snapshot.gauge("sim.events_processed").unwrap_or(0) > 0,
-        "E16: simulator exported no metrics into the registry"
+        snapshot
+            .iter()
+            .any(|(name, _)| name.starts_with("link.rtt_ewma.")),
+        "E16: simulator exported no link estimate into the registry"
     );
     assert_eq!(
         snapshot.counter("smr.future_drops").unwrap_or(0),
         0,
         "E16: clean instrumented run dropped future traffic"
     );
-    (events, snapshot)
+    events
 }
 
 /// The threaded-runtime arm: same line-up on OS threads, asserting the
@@ -475,7 +474,7 @@ pub fn run(quick: bool) -> Table {
     let gate = registry_gate(if quick { 5 } else { 15 }, !quick);
 
     // Arm 1: simulator stage breakdown + queue residency.
-    let (sim_events, _snapshot) = sim_arm(commands_per_client, seed);
+    let sim_events = sim_arm(commands_per_client, seed);
     let timelines: Vec<SlotTimeline> = slot_timelines(&sim_events);
     push_stage_rows(
         &mut table,
@@ -620,13 +619,12 @@ mod tests {
 
     #[test]
     fn sim_arm_observes_every_stage() {
-        let (events, snapshot) = sim_arm(6, 3);
+        let events = sim_arm(6, 3);
         let stages = stage_breakdown(&slot_timelines(&events));
         assert_eq!(stages.len(), 3);
         for s in &stages {
             assert!(s.latency.count > 0, "stage {:?} unobserved", s.stage);
         }
-        assert!(snapshot.gauge("sim.messages_sent").unwrap_or(0) > 0);
     }
 
     #[test]
@@ -683,7 +681,7 @@ mod tests {
 
     #[test]
     fn stage_ticks_are_pinned() {
-        let (events, _) = sim_arm(16, 0xBEEF);
+        let events = sim_arm(16, 0xBEEF);
         let observed: Vec<_> = stage_samples(&slot_timelines(&events))
             .into_iter()
             .map(|(stage, ticks)| {

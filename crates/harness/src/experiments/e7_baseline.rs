@@ -99,7 +99,7 @@ pub fn run_ben_or(n: usize, t: usize, seed: u64) -> (u64, u64, u64) {
     let mut builder = SimBuilder::new(topo)
         .seed(seed)
         .max_events(20_000_000)
-        .classify(BenOrMsg::classify);
+        .classify(BenOrMsg::kind);
     for i in 0..n {
         let node: Box<dyn Node<Msg = BenOrMsg, Output = BenOrEvent>> = if i < n - t {
             Box::new(BenOrNode::new(cfg, (i % 2) as u8, 100_000))

@@ -133,9 +133,9 @@ impl ConsensusRunBuilder {
         self
     }
 
-    /// Exports the simulator's dense metrics into `registry` (as `sim.*`
-    /// gauges) when the run ends — the cross-substrate metrics surface of
-    /// `minsync-telemetry`.
+    /// Exports the simulator's per-link delay estimates into `registry`
+    /// (as `link.rtt_ewma.*` gauges) when the run ends — the
+    /// cross-substrate metrics surface of `minsync-telemetry`.
     pub fn registry(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
         self
@@ -178,7 +178,7 @@ impl ConsensusRunBuilder {
         let mut builder = SimBuilder::new(topo)
             .seed(spec.seed)
             .max_events(spec.max_events)
-            .classify(ProtocolMsg::<u64>::classify);
+            .classify(ProtocolMsg::<u64>::kind);
         if let Some(oracle) = self.oracle {
             builder = builder.boxed_schedule_oracle(oracle);
         }

@@ -59,16 +59,6 @@ impl Metrics {
             .map_or(0, |(_, c)| *c)
     }
 
-    /// Per-sender counts for every process that sent at least one message,
-    /// in process-id order.
-    pub fn per_process(&self) -> impl Iterator<Item = (ProcessId, u64)> + '_ {
-        self.sent_by
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (ProcessId::new(i), c))
-    }
-
     /// All classified kind counts, sorted by kind name (the iteration order
     /// the old `BTreeMap` representation gave for free).
     pub fn kind_counts(&self) -> Vec<(&'static str, u64)> {
@@ -161,15 +151,6 @@ mod tests {
         }
         assert_eq!(m.sent_of_kind("A"), 3);
         assert_eq!(m.sent_of_kind("B"), 3);
-    }
-
-    #[test]
-    fn per_process_skips_silent_processes() {
-        let mut m = Metrics::default();
-        m.record_sent(ProcessId::new(0), 2);
-        m.record_sent(ProcessId::new(3), 4);
-        let per: Vec<_> = m.per_process().collect();
-        assert_eq!(per, [(ProcessId::new(0), 2), (ProcessId::new(3), 4)]);
     }
 
     #[test]

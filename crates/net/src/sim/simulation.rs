@@ -205,9 +205,10 @@ where
         self
     }
 
-    /// Attaches a metrics registry: when a run returns, the simulator's
-    /// dense [`Metrics`] are exported into it as `sim.*` gauges (alongside
-    /// whatever the nodes themselves record).
+    /// Attaches a metrics registry: when a run returns (and at each stat
+    /// sample), each link's delay EWMA is exported into it as a
+    /// `link.rtt_ewma.*` gauge, alongside whatever the nodes themselves
+    /// record. The simulator's own counts stay in [`Metrics`].
     pub fn registry(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
         self
@@ -610,7 +611,7 @@ where
         std::mem::swap(&mut self.timer_tables[p.index()], self.env.timers_mut());
     }
 
-    /// Refreshes the `sim.*` gauges and pushes the registry's snapshot at
+    /// Refreshes the `link.*` gauges and pushes the registry's snapshot at
     /// virtual tick `at` onto the in-memory stat series. No-op without a
     /// registry (there is nothing to snapshot).
     fn take_sample(&mut self, at: u64) {
@@ -622,28 +623,14 @@ where
 }
 
 impl<M: Clone, O> SimCore<M, O> {
-    /// Exports the dense [`Metrics`] into the attached registry (if any)
-    /// as `sim.*` gauges, and each link's delay EWMA as a `link.*` one
-    /// (per-kind counts stay in [`Metrics::kind_counts`]). Idempotent —
-    /// values are overwritten, so calling at the end of every `run_until`
-    /// leaves the latest totals.
+    /// Exports each link's delay EWMA into the attached registry (if any)
+    /// as a `link.*` gauge; the simulator's own counts stay in [`Metrics`].
+    /// Idempotent — values are overwritten, so calling at the end of every
+    /// `run_until` leaves the latest estimates.
     fn export_registry(&self) {
         let Some(registry) = &self.registry else {
             return;
         };
-        let m = &self.metrics;
-        for (name, value) in [
-            ("sim.events_processed", m.events_processed),
-            ("sim.messages_sent", m.messages_sent),
-            ("sim.messages_delivered", m.messages_delivered),
-            ("sim.messages_dropped", m.messages_dropped),
-            ("sim.messages_suppressed", m.messages_suppressed),
-            ("sim.timers_fired", m.timers_fired),
-            ("sim.max_queue_len", m.max_queue_len as u64),
-            ("sim.last_event_ticks", m.last_event_time.ticks()),
-        ] {
-            registry.gauge(name).set(value);
-        }
         let n = self.topology.n();
         for (idx, &ewma) in self.link_ewma.iter().enumerate() {
             let (from, to) = (idx / n, idx % n);
@@ -1378,11 +1365,11 @@ mod tests {
                     .registry(Arc::clone(&registry));
             }
             let mut sim = builder.build();
-            let report = sim.run();
-            (sim.effect_trace_digest(), report, recorder, registry)
+            sim.run();
+            (sim.effect_trace_digest(), recorder, registry)
         };
         let (plain, ..) = run(false);
-        let (traced, report, recorder, registry) = run(true);
+        let (traced, recorder, registry) = run(true);
         assert_eq!(
             plain, traced,
             "attaching telemetry must not perturb the run"
@@ -1397,16 +1384,10 @@ mod tests {
             .filter(|e| matches!(e.kind, TraceKind::HandlerStep { .. }))
             .count();
         assert_eq!(steps, 8, "2 starts + 6 deliveries");
-        // The registry got the dense metrics.
+        // The registry got the link estimates and no copy of the metrics.
         let snap = registry.snapshot();
-        assert_eq!(
-            snap.gauge("sim.messages_sent"),
-            Some(report.metrics.messages_sent)
-        );
-        assert_eq!(
-            snap.gauge("sim.events_processed"),
-            Some(report.metrics.events_processed)
-        );
+        assert!(snap.gauge("link.rtt_ewma.p0.p1").is_some());
+        assert!(snap.iter().all(|(name, _)| name.starts_with("link.")));
     }
 
     #[test]
